@@ -9,15 +9,10 @@ reports, ``scale-100k`` drives 100,000 monitored GRAM jobs over 25
 sites (the poll storm that made monitoring necessary), ``scale-100k-pool``
 drives 100,000 jobs through a claim-reusing personal pool, and
 ``kiloclient`` runs 1000 independent Condor-G agents against shared
-fair-share sites.  Each cell runs twice at the same
-seed -- once with the hot-path optimizations enabled (the default) and
-once in legacy mode (``perf_mode(False)``) -- and must produce
-bit-identical :func:`repro.chaos.digest.run_digest` values: the
-optimizations are only allowed to change wall time, never behaviour.
-Cells whose legacy double-run would be prohibitive carry
-``modes=("optimized",)`` and are marked ``optimized-only`` in the JSON;
-their behaviour equivalence rides on the both-modes cell of the same
-family at smaller scale.
+fair-share sites.  Each cell runs once and records its
+:func:`repro.chaos.digest.run_digest`; ``check_bench_regression.py``
+fails when a fresh digest differs from the committed cell's (a kernel
+change may move wall time, never behaviour).
 
 Every run also tallies wire RPCs (``repro.sim.rpc.RPC_STATS`` -- plain
 bookkeeping, digest-neutral) so monitored cells record how many
@@ -30,7 +25,7 @@ regenerates a downsized cell and compares against it, see
 Environment knobs:
 
 * ``BENCH_SCALE_CELLS`` -- comma-separated subset of cells to run
-  (default: all).  CI sets ``smoke-gram,smoke-pool``.
+  (default: all).  CI sets ``smoke-gram,smoke-gram-monitor,smoke-pool``.
 * ``BENCH_SCALE_OUT``   -- where to write the JSON (default: the
   committed ``BENCH_scale.json`` at the repo root).
 """
@@ -49,7 +44,6 @@ from repro.chaos.digest import run_digest
 from repro.grid.scenarios import kiloclient_grid, scale_glidein_grid, \
     scale_gram_grid, scale_pool_grid
 from repro.sim import rpc
-from repro.sim.perf import perf_mode
 from repro.states import is_terminal
 
 SEED = 706
@@ -58,9 +52,7 @@ CHUNK = 2000.0
 
 #: name -> dict(build=scenario builder, kwargs=..., queues=which job
 #: queues hold the *workload* (glidein pilots in the grid queue never
-#: terminate and are infrastructure, not workload), cap=..., chunk=...,
-#: modes=which perf modes to measure (default both; ("optimized",) for
-#: cells whose legacy double-run is prohibitive)
+#: terminate and are infrastructure, not workload), cap=..., chunk=...)
 CELLS = {
     "gram": dict(build=scale_gram_grid,
                  kwargs=dict(jobs=10_000, n_sites=20, cpus=50),
@@ -77,8 +69,7 @@ CELLS = {
                        kwargs=dict(jobs=100_000, n_sites=25, cpus=200,
                                    grid_monitor=True,
                                    runtime_base=30.0, runtime_step=2.0),
-                       queues=("grid",), cap=200_000.0, chunk=5_000.0,
-                       modes=("optimized",)),
+                       queues=("grid",), cap=200_000.0, chunk=5_000.0),
     "scale-100k-pool": dict(build=scale_pool_grid,
                             kwargs=dict(jobs=100_000, n_sites=25,
                                         glideins_per_site=100),
@@ -187,46 +178,25 @@ def _run_cell(cell: str) -> dict:
 def test_scale_cell(cell, report):
     if cell not in _cells_to_run():
         pytest.skip(f"cell {cell!r} not in BENCH_SCALE_CELLS")
-    spec = CELLS[cell]
-    kwargs = spec["kwargs"]
-    both_modes = "legacy" in spec.get("modes", ("optimized", "legacy"))
-    optimized = _run_cell(cell)
-    assert optimized["unfinished"] == 0, \
-        f"{cell}: {optimized['unfinished']} jobs unfinished at cap"
+    kwargs = CELLS[cell]["kwargs"]
+    result = _run_cell(cell)
+    assert result["unfinished"] == 0, \
+        f"{cell}: {result['unfinished']} jobs unfinished at cap"
     _results[cell] = {
         **kwargs,
-        "optimized_wall_s": optimized["wall_s"],
-        "digest": optimized["digest"],
-        "sim_makespan": optimized["sim_end"],
-        "status_rpcs": optimized["status_rpcs"],
-        "monitor_rpcs": optimized["monitor_rpcs"],
+        "wall_s": result["wall_s"],
+        "digest": result["digest"],
+        "sim_makespan": result["sim_end"],
+        "status_rpcs": result["status_rpcs"],
+        "monitor_rpcs": result["monitor_rpcs"],
     }
     row = {
         "jobs": _cell_jobs(cell),
         "sites": kwargs["n_sites"],
-        "optimized wall (s)": optimized["wall_s"],
-        "status RPCs": optimized["status_rpcs"],
-        "monitor RPCs": optimized["monitor_rpcs"],
+        "wall (s)": result["wall_s"],
+        "status RPCs": result["status_rpcs"],
+        "monitor RPCs": result["monitor_rpcs"],
     }
-    if both_modes:
-        with perf_mode(False):
-            legacy = _run_cell(cell)
-        # Behaviour preservation is the contract: same seed, same digest.
-        assert optimized["digest"] == legacy["digest"], \
-            f"{cell}: optimized run diverged from legacy run"
-        speedup = legacy["wall_s"] / max(optimized["wall_s"], 1e-9)
-        _results[cell].update(
-            legacy_wall_s=legacy["wall_s"],
-            speedup=round(speedup, 2),
-            digest_match=True)
-        row.update({"legacy wall (s)": legacy["wall_s"],
-                    "speedup": f"{speedup:.2f}x",
-                    "digest match": "yes"})
-    else:
-        # The legacy double-run would be prohibitive at this scale;
-        # the smaller both-modes cell of the same family covers the
-        # digest-equivalence contract.
-        _results[cell]["modes"] = "optimized-only"
     report.table(f"SCALE {cell}: kernel measurements", [row])
 
 

@@ -1,18 +1,15 @@
 #!/usr/bin/env python
-"""Compare a fresh BENCH_scale.json against the committed baseline.
+"""Compare a fresh ``BENCH_*.json`` against the committed baseline.
 
 Usage: check_bench_regression.py BASELINE FRESH [--factor 2.0]
 
 Fails (exit 1) if, for any cell present in both files:
 
-* the fresh optimized wall time exceeds ``factor`` x the baseline's
-  (a kernel performance regression), or
-* ``digest_match`` is false (the optimizations changed behaviour).
-
-Cells marked ``"modes": "optimized-only"`` (too expensive to double-run
-in legacy mode, e.g. the 100k-job monitored cell) skip the digest check
--- their behaviour equivalence is covered by the both-modes cell of the
-same scenario family at smaller scale.
+* the fresh ``digest`` differs from the baseline's (behaviour moved: a
+  cell name stands for one parameter set and the files carry their
+  seed, so the same cell must reproduce the same run), or
+* the fresh wall time exceeds ``factor`` x the baseline's (a kernel
+  performance regression).
 
 Cells only in one file are reported but don't fail the check -- CI runs
 a downsized subset of the committed full-scale cells.
@@ -34,29 +31,37 @@ def main(argv=None) -> int:
                         help="allowed slowdown vs baseline (default 2.0)")
     args = parser.parse_args(argv)
 
-    baseline = json.loads(args.baseline.read_text())["cells"]
-    fresh = json.loads(args.fresh.read_text())["cells"]
+    baseline_doc = json.loads(args.baseline.read_text())
+    fresh_doc = json.loads(args.fresh.read_text())
+    baseline = baseline_doc["cells"]
+    fresh = fresh_doc["cells"]
+    same_seed = baseline_doc.get("seed") == fresh_doc.get("seed")
 
     failures = []
     for name, cell in sorted(fresh.items()):
-        if cell.get("modes") == "optimized-only":
-            print(f"{name}: optimized-only cell; skipping digest check")
-        elif not cell.get("digest_match", False):
-            failures.append(f"{name}: optimized/legacy digests diverged")
         base = baseline.get(name)
         if base is None:
-            print(f"{name}: no baseline cell; skipping time check")
+            print(f"{name}: no baseline cell; skipping")
             continue
-        fresh_s = cell["optimized_wall_s"]
-        limit = args.factor * base["optimized_wall_s"]
+        if not same_seed:
+            print(f"{name}: seeds differ; skipping digest check")
+        elif cell["digest"] != base["digest"]:
+            moved = sorted(k for k in cell.keys() & base.keys()
+                           if k not in ("digest", "wall_s")
+                           and cell[k] != base[k])
+            failures.append(
+                f"{name}: digest {cell['digest'][:12]} != baseline "
+                f"{base['digest'][:12]} (behaviour moved; other keys "
+                f"that differ: {moved or 'none'})")
+        fresh_s = cell["wall_s"]
+        limit = args.factor * base["wall_s"]
         verdict = "OK" if fresh_s <= limit else "REGRESSION"
-        print(f"{name}: optimized {fresh_s:.2f}s "
-              f"(baseline {base['optimized_wall_s']:.2f}s, "
+        print(f"{name}: {fresh_s:.2f}s (baseline {base['wall_s']:.2f}s, "
               f"limit {limit:.2f}s) {verdict}")
         if fresh_s > limit:
             failures.append(
                 f"{name}: {fresh_s:.2f}s > {args.factor:.1f}x baseline "
-                f"({base['optimized_wall_s']:.2f}s)")
+                f"({base['wall_s']:.2f}s)")
     for name in sorted(set(baseline) - set(fresh)):
         print(f"{name}: in baseline only; not re-measured")
 

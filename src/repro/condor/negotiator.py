@@ -12,25 +12,24 @@ Runs a periodic negotiation cycle [25]:
 GlideIn startds need nothing special here -- they are ordinary machine
 ads in the collector, which is the whole elegance of the §5 design.
 
-With ``PerfFlags.negotiator_match_memo`` on, each cycle builds a
-memoized matcher: jobs are reduced to content signatures, and for each
-*static* (time/RNG-free) job signature the bilateral Requirements/Rank
-evaluation runs once against the static machines, producing a
-rank-ordered candidate list consumed by cursor -- so 10k identical jobs
-cost one evaluation sweep instead of 10k linear ``best_match`` scans.
-Dynamic ads (anything touching ``CurrentTime``, ``time()``,
-``random()``) fall back to per-job evaluation, preserving exact legacy
-semantics; the perf-equivalence suite holds the two modes to identical
-digests.
+Each cycle builds a memoized matcher: jobs are reduced to content
+signatures, and for each *static* (time/RNG-free) job signature the
+bilateral Requirements/Rank evaluation runs once against the static
+machines, producing a rank-ordered candidate list consumed by cursor --
+so 10k identical jobs cost one evaluation sweep instead of 10k linear
+``best_match`` scans.  Dynamic ads (anything touching ``CurrentTime``,
+``time()``, ``random()``) fall back to per-job evaluation.  The matcher
+must choose exactly what ``classads.best_match`` over the machines not
+yet handed out would choose; ``tests/condor/test_cycle_matcher.py``
+holds it to that.
 """
 
 from __future__ import annotations
 
-from ..classads import ClassAd, best_match, match_signature, rank_value, \
+from ..classads import ClassAd, match_signature, rank_value, \
     symmetric_match
 from ..sim.errors import RPCError
 from ..sim.hosts import Host
-from ..sim.perf import PerfFlags
 from ..sim.rpc import Service, call
 
 _NEG_INF = float("-inf")
@@ -39,10 +38,10 @@ _NEG_INF = float("-inf")
 class _CycleMatcher:
     """Memoized best-match over one cycle's unclaimed machines.
 
-    Machines never return within a cycle (the legacy loop removes the
-    chosen machine *before* the matched RPC and never re-adds it), so a
+    Machines never return within a cycle (the chosen machine is
+    consumed *before* the matched RPC and never re-added), so a
     per-signature cursor over a rank-sorted candidate list replicates
-    the legacy "first machine with maximal rank" choice exactly.
+    ``best_match``'s "first machine with maximal rank" choice exactly.
     """
 
     def __init__(self, machines: list[ClassAd], sig_cache: dict):
@@ -63,7 +62,7 @@ class _CycleMatcher:
         self.remaining -= 1
 
     def best(self, job_ad: ClassAd, now: float) -> int | None:
-        """Index of the legacy-equivalent best machine, or None."""
+        """Index of the machine ``best_match`` would pick, or None."""
         sig, static = match_signature(job_ad, self.sig_cache)
         if not static:
             return self._scan(job_ad, now, range(len(self.machines)))
@@ -75,13 +74,12 @@ class _CycleMatcher:
                 if not symmetric_match(job_ad, machine, now=now):
                     continue
                 rank = rank_value(job_ad, machine, now=now)
-                # legacy best_match needs rank > -inf strictly (and NaN
-                # never wins a > comparison), so such machines are
-                # unmatchable there too
+                # best_match needs rank > -inf strictly (and NaN never
+                # wins a > comparison), so such machines are unmatchable
                 if rank == rank and rank > _NEG_INF:
                     lst.append((rank, i))
-            # stable sort: equal ranks keep machine order, matching the
-            # legacy first-maximal-rank-wins tie-break
+            # stable sort: equal ranks keep machine order, matching
+            # best_match's first-maximal-rank-wins tie-break
             lst.sort(key=lambda pair: -pair[0])
             self._candidates[sig] = lst
             self._cursor[sig] = 0
@@ -99,8 +97,9 @@ class _CycleMatcher:
             return best_dynamic[1] if best_dynamic is not None else None
         if best_dynamic is None:
             return best_static[1]
-        # legacy scans machines in order taking strict rank improvements:
-        # higher rank wins, equal rank goes to the earlier machine
+        # best_match scans machines in order taking strict rank
+        # improvements: higher rank wins, equal rank goes to the earlier
+        # machine
         if (best_dynamic[0] > best_static[0]
                 or (best_dynamic[0] == best_static[0]
                     and best_dynamic[1] < best_static[1])):
@@ -150,7 +149,7 @@ class Negotiator(Service):
         # for the memoized matcher (ads share Expr objects across RPC
         # copies, so this persists usefully across cycles).
         self._sig_cache: dict[int, tuple] = {}
-        # perf-path introspection (never traced: differs by mode)
+        # memo introspection for tests (not in metrics/trace)
         self.memo_hits = 0
         host.spawn(self._cycle_loop(), name="negotiator")
 
@@ -208,14 +207,9 @@ class Negotiator(Service):
             named.append((name, ad))
         # fair-share order: least-served submitter negotiates first
         named.sort(key=lambda pair: self.usage.get(pair[0], 0.0))
-        if PerfFlags.negotiator_match_memo:
-            if len(self._sig_cache) > 250_000:
-                self._sig_cache.clear()
-            matcher = _CycleMatcher(list(machines), self._sig_cache)
-            available = None
-        else:
-            matcher = None
-            available = list(machines)
+        if len(self._sig_cache) > 250_000:
+            self._sig_cache.clear()
+        matcher = _CycleMatcher(list(machines), self._sig_cache)
         for submitter_name, submitter in named:
             schedd_host = submitter.get("ScheddHost")
             if not schedd_host:
@@ -231,22 +225,14 @@ class Negotiator(Service):
                 continue
             for entry in idle:
                 job_ad = entry["ad"]
-                if matcher is not None:
-                    if not matcher.remaining:
-                        self.memo_hits = matcher.memo_hits
-                        return
-                    index = matcher.best(job_ad, self.sim.now)
-                    if index is None:
-                        continue
-                    chosen = matcher.machines[index]
-                    matcher.consume(index)
-                else:
-                    if not available:
-                        return
-                    chosen = best_match(job_ad, available, now=self.sim.now)
-                    if chosen is None:
-                        continue
-                    available.remove(chosen)
+                if not matcher.remaining:
+                    self.memo_hits = matcher.memo_hits
+                    return
+                index = matcher.best(job_ad, self.sim.now)
+                if index is None:
+                    continue
+                chosen = matcher.machines[index]
+                matcher.consume(index)
                 try:
                     ok = yield from call(
                         self.host, schedd_host, "schedd", "matched",
@@ -263,5 +249,4 @@ class Negotiator(Service):
                         self.usage.get(submitter_name, 0.0) + 1.0
                     self._trace("match", job=entry["job_id"],
                                 machine=chosen.get("Name"))
-        if matcher is not None:
-            self.memo_hits = matcher.memo_hits
+        self.memo_hits = matcher.memo_hits

@@ -31,7 +31,6 @@ from ..sim.errors import (
     RPCTimeout,
 )
 from ..sim.hosts import Host
-from ..sim.perf import PerfFlags
 from ..sim.rpc import Service, call
 from . import job as J
 from .job import GridJob
@@ -91,9 +90,8 @@ class GridManager(Service):
         self.data = data_services
         # Grid Monitor fan-in (§5.1, repro.gram.monitor): one per-site
         # daemon batches all our JobManagers' states into one report
-        # per interval.  Semantic opt-in -- it changes the RPC pattern
-        # (and so the digest), which is why it rides AgentSpec and not
-        # PerfFlags.
+        # per interval.  Semantic opt-in (AgentSpec.grid_monitor): it
+        # changes the RPC pattern, and so the digest.
         self.grid_monitor = grid_monitor
         self._monitor_last: dict[str, float] = {}     # contact -> last report
         self._monitor_attempt: dict[str, float] = {}  # contact -> last launch
@@ -125,31 +123,22 @@ class GridManager(Service):
             if not ev.triggered and not ev._scheduled:
                 ev.succeed(None)
 
-    def _jobs(self) -> list[GridJob]:
-        return self.scheduler.jobs_for_user()
-
-    def _submit_candidates(self) -> list[GridJob]:
-        if PerfFlags.scheduler_indexes:
-            # Snapshot of the nonterminal jobs: any job the legacy
-            # full-queue scan could find UNSUBMITTED at visit time is
-            # nonterminal at pass start (terminal states are absorbing),
-            # so filtering at visit time over this snapshot submits
-            # exactly the same jobs in the same (job_id) order.
-            return self.scheduler.nonterminal_jobs()
-        return self._jobs()
-
     # -- submission ------------------------------------------------------------
     def _submit_loop(self):
         while not self.exited:
-            for job in self._submit_candidates():
+            # Snapshot of the nonterminal jobs, in job_id order: any job
+            # that can be UNSUBMITTED at visit time is nonterminal at
+            # pass start (terminal states are absorbing), so filtering
+            # at visit time over the snapshot misses nothing a scan of
+            # the whole queue would find.
+            for job in self.scheduler.nonterminal_jobs():
                 if job.state == J.UNSUBMITTED and \
                         self.sim.now >= job.backoff_until:
                     yield from self._submit_one(job)
             if self._check_all_done():
                 return
             self._wake = self.sim.event(name=f"gm-wake:{self.user}")
-            if PerfFlags.idle_poll_sleep and \
-                    self.scheduler.unsubmitted_count() == 0:
+            if self.scheduler.unsubmitted_count() == 0:
                 # No UNSUBMITTED jobs at all: every transition into
                 # UNSUBMITTED (submit/resubmit/release) kicks the wake
                 # event, so a pure wait cannot miss work.  The interval
@@ -417,7 +406,7 @@ class GridManager(Service):
     def handle_gram_callback(self, ctx, jmid: str, state: str,
                              failure_reason: str = "",
                              exit_code: Optional[int] = None) -> bool:
-        job = self._job_by_jmid(jmid)
+        job = self.scheduler.job_by_jmid(jmid)
         if job is None:
             return False
         self._apply_remote_state(job, state, failure_reason, exit_code)
@@ -445,9 +434,6 @@ class GridManager(Service):
         self.sim.metrics.counter("gridmanager.monitor_jobs_reported").inc(
             len(reports))
         for jmid in sorted(reports):
-            # The jmid index is maintained unconditionally (its upkeep
-            # is O(1)); consulting it here is not a PerfFlags matter
-            # because monitored runs have their own digest lineage.
             job = self.scheduler.job_by_jmid(jmid)
             if job is None or job.jmid != jmid:
                 continue    # superseded attempt: drop the stale entry
@@ -455,7 +441,7 @@ class GridManager(Service):
             self._apply_remote_state(
                 job, entry["state"], entry.get("failure_reason", ""),
                 entry.get("exit_code"))
-        for job in self._watchable_jobs():
+        for job in self.scheduler.watchable_jobs():
             if (job.contact or job.resource) != contact or not job.jmid:
                 continue
             if job.jmid in reports:
@@ -519,14 +505,6 @@ class GridManager(Service):
         self._monitor_last[contact] = self.sim.now
         starts.inc(label="ok")
         self._trace("monitor_started", contact=contact)
-
-    def _job_by_jmid(self, jmid: str) -> Optional[GridJob]:
-        if PerfFlags.scheduler_indexes:
-            return self.scheduler.job_by_jmid(jmid)
-        for job in self._jobs():
-            if job.jmid == jmid:
-                return job
-        return None
 
     def _apply_remote_state(self, job: GridJob, state: str,
                             failure_reason: str,
@@ -595,22 +573,17 @@ class GridManager(Service):
             self.kick()
 
     # -- idle skipping -------------------------------------------------------
-    def _has_watchable(self) -> bool:
-        if PerfFlags.scheduler_indexes:
-            return self.scheduler.watchable_count() > 0
-        return bool(self._watchable_jobs())
-
     def _idle_realign(self, interval: float):
         """Generator: sleep while nothing is watchable, then re-tick.
 
-        The legacy poll/probe loops tick every `interval` even with
-        nothing to watch; an idle pass is invisible (no trace, no RPC,
-        no metrics), so skipping it preserves the digest *provided* the
-        next real pass lands on the same tick.  Tick times accumulate
-        as repeated ``t += interval`` float additions from the last
-        tick, so we replay exactly that accumulation and then sleep to
-        the absolute result (timeout_until: no drift through a relative
-        delay).
+        The poll/probe loops are periodic: a pass happens every
+        `interval` from the loop's start.  An idle pass is invisible (no
+        trace, no RPC, no metrics), so it is skipped -- but the next
+        real pass must land on the tick a loop that never slept would
+        have reached.  Tick times accumulate as repeated
+        ``t += interval`` float additions from the last tick, so we
+        replay exactly that accumulation and then sleep to the absolute
+        result (timeout_until: no drift through a relative delay).
         """
         last_tick = self.sim.now
         wake = self.sim.event(name=f"gm-watch:{self.user}")
@@ -632,9 +605,9 @@ class GridManager(Service):
             else self.POLL_INTERVAL
         while not self.exited:
             yield self.sim.timeout(interval)
-            while PerfFlags.idle_poll_sleep and not self._has_watchable():
+            while not self.scheduler.watchable_count():
                 yield from self._idle_realign(interval)
-            for job in self._watchable_jobs():
+            for job in self.scheduler.watchable_jobs():
                 if self.grid_monitor and \
                         self._monitor_fresh(job.contact or job.resource):
                     continue
@@ -672,20 +645,13 @@ class GridManager(Service):
             job, status["state"], status.get("failure_reason", ""),
             status.get("exit_code"))
 
-    def _watchable_jobs(self) -> list[GridJob]:
-        if PerfFlags.scheduler_indexes:
-            return self.scheduler.watchable_jobs()
-        return [job for job in self._jobs()
-                if job.committed and job.jmid and not job.is_terminal
-                and job.state in (J.PENDING, J.ACTIVE)]
-
     # -- failure detection (§4.2 decision tree) ----------------------------------
     def _probe_loop(self):
         while not self.exited:
             yield self.sim.timeout(self.PROBE_INTERVAL)
-            while PerfFlags.idle_poll_sleep and not self._has_watchable():
+            while not self.scheduler.watchable_count():
                 yield from self._idle_realign(self.PROBE_INTERVAL)
-            for job in self._watchable_jobs():
+            for job in self.scheduler.watchable_jobs():
                 if self.grid_monitor:
                     jmid = job.jmid
                     contact = job.contact or job.resource
@@ -768,17 +734,10 @@ class GridManager(Service):
 
     # -- exit ---------------------------------------------------------------
     def _check_all_done(self) -> bool:
-        if PerfFlags.scheduler_indexes:
-            if not self.scheduler.jobs or self.scheduler.nonterminal_count():
-                return False
-            n_jobs = len(self.scheduler.jobs)
-        else:
-            jobs = self._jobs()
-            if not jobs or not all(job.is_terminal for job in jobs):
-                return False
-            n_jobs = len(jobs)
+        if not self.scheduler.jobs or self.scheduler.nonterminal_count():
+            return False
         self.exited = True
-        self._trace("exit", jobs=n_jobs)
+        self._trace("exit", jobs=len(self.scheduler.jobs))
         self.shutdown()
         for proc in self._procs:
             if proc.alive:

@@ -7,10 +7,8 @@ introspect, compare, or ship across a process boundary.  These dataclasses
 are the declarative replacement: a :class:`TestbedConfig` value *is* the
 topology -- hashable-by-value, seed-swappable via :meth:`with_seed`, and
 buildable with :meth:`repro.grid.testbed.GridTestbed.from_config`.
-
-The old kwargs entry points keep working through a deprecation shim that
-constructs these specs internally (see ``testbed.py``), so call sites
-migrate incrementally.
+The entry points accept nothing else: a kwargs call fails with a
+``TypeError`` naming the spec to build.
 """
 
 from __future__ import annotations

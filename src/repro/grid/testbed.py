@@ -12,10 +12,9 @@ This is the module the examples and benchmarks drive; see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Optional
 
-from ..compat import deprecated
 from ..condor.jobs import reset_cluster_ids
 from ..core.api import CondorGAgent
 from ..core.broker import Broker, MDSBroker, QueueAwareBroker, UserListBroker
@@ -82,37 +81,28 @@ class Site:
         return self.lrm.depth()
 
 
-_SITE_FIELDS = frozenset(
-    f.name for f in fields(SiteSpec)) - {"name", "lrm_options"}
-
-_DEPRECATION = ("%s is deprecated; build a %s (repro.grid.config) and "
-                "pass it instead")
+def _require_spec(what: str, value, spec_type: type, kwargs: dict) -> None:
+    """Entry points take one typed spec; say which one on anything else."""
+    if kwargs or not isinstance(value, spec_type):
+        got = f"keyword arguments {sorted(kwargs)}" if kwargs \
+            else type(value).__name__
+        raise TypeError(
+            f"{what} takes a {spec_type.__name__} (repro.grid.config), "
+            f"got {got}")
 
 
 class GridTestbed:
     """A multi-institutional grid in a box.
 
     Build one declaratively from a :class:`TestbedConfig`
-    (:meth:`from_config`), or imperatively through the legacy kwargs of
-    ``__init__`` / ``add_site`` / ``add_agent`` -- the kwargs forms are
-    deprecated shims that construct the equivalent spec internally.
+    (:meth:`from_config`), or grow it with ``add_site(SiteSpec)`` /
+    ``add_agent(AgentSpec)``.
     """
 
     def __init__(self, config: Optional[TestbedConfig] = None, **kwargs):
-        if config is not None:
-            if kwargs:
-                raise TypeError(
-                    "pass either a TestbedConfig or legacy kwargs, not both")
-            if not isinstance(config, TestbedConfig):
-                raise TypeError(
-                    f"expected TestbedConfig, got {type(config).__name__}")
-        else:
-            if kwargs:
-                deprecated(
-                    _DEPRECATION % ("GridTestbed(**kwargs)",
-                                    "TestbedConfig"),
-                    stacklevel=3)
-            config = TestbedConfig(**kwargs)
+        if config is None and not kwargs:
+            config = TestbedConfig()
+        _require_spec("GridTestbed()", config, TestbedConfig, kwargs)
         self.config = config
         # Restart the module-level id counters so a testbed's ids are a
         # pure function of its seed.  Without this, the second build of
@@ -178,20 +168,9 @@ class GridTestbed:
         return cls(config)
 
     # -- sites ---------------------------------------------------------------
-    def add_site(self, site, **kwargs) -> Site:
-        """Add a site from a :class:`SiteSpec` (or legacy name+kwargs)."""
-        if isinstance(site, SiteSpec):
-            if kwargs:
-                raise TypeError(
-                    "pass either a SiteSpec or legacy kwargs, not both")
-            spec = site
-        else:
-            deprecated(
-                _DEPRECATION % ("add_site(name, **kwargs)", "SiteSpec"),
-                stacklevel=3)
-            known = {k: kwargs.pop(k) for k in list(kwargs)
-                     if k in _SITE_FIELDS}
-            spec = SiteSpec(name=site, lrm_options=kwargs, **known)
+    def add_site(self, spec: SiteSpec, **kwargs) -> Site:
+        """Add a site from a :class:`SiteSpec`."""
+        _require_spec("add_site()", spec, SiteSpec, kwargs)
         name = spec.name
         gk_host = Host(self.sim, f"{name}-gk", site=name)
         lrm_host = Host(self.sim, f"{name}-lrm", site=name)
@@ -291,24 +270,14 @@ class GridTestbed:
             site.gridmap.add(user.dn, f"{site.name}_{name}")
         return user
 
-    def add_agent(self, agent_spec, broker: Optional[Broker] = None,
+    def add_agent(self, spec: AgentSpec, broker: Optional[Broker] = None,
                   **kwargs) -> CondorGAgent:
         """Create a user + their desktop agent on `submit-<name>`.
 
-        Takes an :class:`AgentSpec` (or a legacy name+kwargs).  `broker`
-        stays a runtime argument in both forms: a live Broker instance
-        is not config-value material (``AgentSpec.broker_kind`` is).
+        `broker` is a runtime argument: a live Broker instance is not
+        config-value material (``AgentSpec.broker_kind`` is).
         """
-        if isinstance(agent_spec, AgentSpec):
-            if kwargs:
-                raise TypeError(
-                    "pass either an AgentSpec or legacy kwargs, not both")
-            spec = agent_spec
-        else:
-            deprecated(
-                _DEPRECATION % ("add_agent(name, **kwargs)", "AgentSpec"),
-                stacklevel=3)
-            spec = AgentSpec(name=agent_spec, **kwargs)
+        _require_spec("add_agent()", spec, AgentSpec, kwargs)
         name = spec.name
         user = self.users.get(name) or self.add_user(name)
         host = Host(self.sim, f"submit-{name}")

@@ -3,7 +3,7 @@
 ROADMAP item 1 says "profile it, then attack"; this makes "profile it"::
 
     PYTHONPATH=src python -m repro.profile scale-gram --top 25
-    PYTHONPATH=src python -m repro.profile monitored-gram --legacy
+    PYTHONPATH=src python -m repro.profile monitored-gram --sort tottime
 
 Builds the scenario, runs it to quiescence (every workload job
 terminal) or its cap under ``cProfile``, then prints
@@ -27,7 +27,6 @@ import sys
 
 from .grid.scenarios import get_scenario, scenario_names
 from .sim import rpc
-from .sim.perf import perf_mode
 from .states import is_terminal
 
 
@@ -99,9 +98,6 @@ def main(argv=None) -> int:
     parser.add_argument("--sort", default="cumulative",
                         choices=("cumulative", "tottime", "ncalls"),
                         help="pstats sort order (default cumulative)")
-    parser.add_argument("--legacy", action="store_true",
-                        help="profile with perf_mode(False) -- the "
-                             "unoptimized code paths")
     args = parser.parse_args(argv)
 
     get_scenario(args.scenario)    # fail fast on unknown names
@@ -109,21 +105,14 @@ def main(argv=None) -> int:
     rpc.RPC_STATS = {}
     profiler = cProfile.Profile()
     try:
-        if args.legacy:
-            with perf_mode(False):
-                profiler.enable()
-                tb = _run_scenario(args.scenario, args.seed, args.until)
-                profiler.disable()
-        else:
-            profiler.enable()
-            tb = _run_scenario(args.scenario, args.seed, args.until)
-            profiler.disable()
+        profiler.enable()
+        tb = _run_scenario(args.scenario, args.seed, args.until)
+        profiler.disable()
         stats = rpc.RPC_STATS
     finally:
         rpc.RPC_STATS = None
 
-    mode = "legacy" if args.legacy else "optimized"
-    print(f"scenario {args.scenario} seed {args.seed} ({mode}): "
+    print(f"scenario {args.scenario} seed {args.seed}: "
           f"sim time {tb.sim.now:.1f}s, "
           f"{_nonterminal(tb)} workload jobs nonterminal")
     ps = pstats.Stats(profiler, stream=sys.stdout)

@@ -16,17 +16,12 @@ one intentional difference: reference cycles *through plain
 dict/list/tuple containers* are not supported (RPC payloads and queue
 records are trees by construction; objects handled by the fallback keep
 full cycle support).
-
-Gated by :class:`repro.sim.perf.PerfFlags.fast_copy`; with the flag off
-every call is a plain ``copy.deepcopy``.
 """
 
 from __future__ import annotations
 
 import copy
 from typing import Any
-
-from .perf import PerfFlags
 
 _ATOMIC = (str, int, float, bool, bytes, type(None))
 
@@ -45,7 +40,10 @@ def _walk(obj: Any) -> Any:
 
 
 def fast_deepcopy(obj: Any) -> Any:
-    """Deep-copy `obj`; structural fast path when the perf flag is on."""
-    if not PerfFlags.fast_copy:
-        return copy.deepcopy(obj)
+    """Deep-copy `obj`: plain containers structurally, the rest via
+    ``copy.deepcopy``.
+
+    Not itself recursive, so a profile's call count for this function is
+    the number of payloads copied.
+    """
     return _walk(obj)

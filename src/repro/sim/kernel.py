@@ -32,7 +32,6 @@ import heapq
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from .errors import Interrupt, ProcessKilled, SimulationError
-from .perf import PerfFlags
 
 _UNSET = object()
 
@@ -462,8 +461,6 @@ class Simulator:
         function of the (time, seq) keys.
         """
         self._tombstones += 1
-        if not PerfFlags.heap_compaction:
-            return
         if self._tombstones > 256 and self._tombstones * 2 > len(self._heap):
             # In-place: run() may hold a local alias to the heap list.
             self._heap[:] = [entry for entry in self._heap
@@ -488,8 +485,8 @@ class Simulator:
         """Drop cancelled entries from the heap; returns how many went.
 
         Pop order of survivors is untouched (ordering is a pure function
-        of the ``(time, seq)`` keys), so this is behaviour-neutral in
-        every mode -- it is the canonicalization step snapshots use so
+        of the ``(time, seq)`` keys), so this is behaviour-neutral -- it
+        is the canonicalization step snapshots use so
         that heap contents do not depend on whether, or when, automatic
         tombstone compaction last ran.
         """
@@ -512,8 +509,8 @@ class Simulator:
 
         Unlike ``timeout(t - now)``, the fire time is exactly ``t`` with
         no float round-trip through a relative delay; the idle-skipping
-        poll loops rely on this to keep their tick times bit-identical
-        to the always-ticking legacy loops.
+        poll loops rely on this to land on exactly the tick a loop that
+        never slept would have reached.
         """
         return Timeout(self, 0.0, value, at=t)
 

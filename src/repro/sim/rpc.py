@@ -37,7 +37,6 @@ from .errors import (
 from .fastcopy import fast_deepcopy
 from .kernel import Event, Timeout
 from .network import Datagram
-from .perf import PerfFlags
 
 if TYPE_CHECKING:  # pragma: no cover
     from .hosts import Host
@@ -91,11 +90,10 @@ def _next_token(sim) -> int:
 
 # -- inline fast path ---------------------------------------------------------
 #
-# ``PerfFlags.rpc_inline`` short-circuits the common RPC shape -- a plain
-# synchronous handler on a reachable host, no authorizer -- skipping the
-# Datagram wrappers, the full-payload deep-copies and the per-request serve
-# process.  The contract is the usual one: bit-identical digests versus the
-# real path, which pins three things exactly:
+# The common RPC shape -- a plain synchronous handler on a reachable host,
+# no authorizer -- skips the Datagram wrappers, the full-payload deep-copies
+# and the per-request serve process.  The contract: indistinguishable from
+# the real (Datagram) path, which pins three things exactly:
 #
 # * RNG draws -- the shared "network" stream sees the same draws in the
 #   same order at the same times (a jitter draw per non-dropped leg, a loss
@@ -328,8 +326,7 @@ def call(
         RPC_STATS[key] = RPC_STATS.get(key, 0) + 1
     disp = _dispatch(src)
     token = _next_token(sim)
-    plan = _inline_plan(sim, dst, service, method) \
-        if PerfFlags.rpc_inline else None
+    plan = _inline_plan(sim, dst, service, method)
     if plan is not None:
         reply = Event(sim, name="rpc")
         disp.pending[token] = reply
@@ -393,7 +390,7 @@ def notify(
     if RPC_STATS is not None:
         key = (service, method)
         RPC_STATS[key] = RPC_STATS.get(key, 0) + 1
-    if PerfFlags.rpc_inline and net is not None:
+    if net is not None:
         plan = _inline_plan(sim, dst, service, method)
         if plan is not None:
             _inline_request(sim, net, src, dst, service, method, plan[0],

@@ -4,10 +4,9 @@ import random
 
 import pytest
 
-from repro.classads import ClassAd
+from repro.classads import ClassAd, EvalContext, is_true, parse
 from repro.condor import Collector
 from repro.sim import Host, Network, Simulator
-from repro.sim.perf import perf_mode
 
 
 def make_collector(default_ttl=180.0):
@@ -63,15 +62,18 @@ def test_renewal_prevents_reaping():
     assert coll.expired_reaped == 0
 
 
+#: one constraint per query mode: answered by a full scan / from the index
+QUERY_MODES = ("true", 'State == "x"')
+
+
 def test_reaping_is_mode_independent():
-    for enabled in (True, False):
-        with perf_mode(enabled):
-            sim, coll = make_collector(default_ttl=60.0)
-            for i in range(4):
-                coll.handle_advertise(None, "startd", ad(f"s{i}"))
-            advance(sim, 200.0)
-            coll.handle_query(None, "startd", 'State == "x"')
-            assert coll.expired_reaped == 4, f"perf_mode({enabled})"
+    for constraint in QUERY_MODES:
+        sim, coll = make_collector(default_ttl=60.0)
+        for i in range(4):
+            coll.handle_advertise(None, "startd", ad(f"s{i}"))
+        advance(sim, 200.0)
+        coll.handle_query(None, "startd", constraint)
+        assert coll.expired_reaped == 4, constraint
 
 
 # -- indexed vs scan equivalence ----------------------------------------------
@@ -123,35 +125,33 @@ def test_indexed_query_matches_full_scan_on_random_ads(seed):
     rng = random.Random(seed)
     ads = randomized_ads(rng, 60)
 
-    def results(enabled):
-        with perf_mode(enabled):
-            sim, coll = make_collector()
-            for a in ads:
-                coll.handle_advertise(None, "startd", a)
-            return [
-                [m.get("Name") for m in
-                 coll.handle_query(None, "startd", c)]
-                for c in CONSTRAINTS
-            ]
-
-    assert results(True) == results(False)
+    sim, coll = make_collector()
+    for a in ads:
+        coll.handle_advertise(None, "startd", a)
+    for constraint in CONSTRAINTS:
+        # the reference: evaluate the constraint against every live ad
+        expr = parse(constraint)
+        full_scan = [a.get("Name") for a in coll.live_ads("startd")
+                     if is_true(expr.eval(EvalContext(my=a, now=sim.now)))]
+        got = [m.get("Name")
+               for m in coll.handle_query(None, "startd", constraint)]
+        assert got == full_scan, constraint
+    assert coll.indexed_queries and coll.scanned_queries
 
 
 def test_index_tracks_updates_and_invalidation():
-    with perf_mode(True):
-        sim, coll = make_collector()
-        coll.handle_advertise(None, "startd", ad("a", State="Unclaimed"))
-        coll.handle_advertise(None, "startd", ad("b", State="Claimed"))
-        q = lambda: [m.get("Name") for m in
-                     coll.handle_query(None, "startd",
-                                       'State == "Unclaimed"')]
-        assert q() == ["a"]
-        assert coll.indexed_queries == 1
-        # state flip must move the ad between buckets
-        coll.handle_advertise(None, "startd", ad("b", State="Unclaimed"))
-        assert q() == ["a", "b"]
-        coll.handle_invalidate(None, "startd", "a")
-        assert q() == ["b"]
+    sim, coll = make_collector()
+    coll.handle_advertise(None, "startd", ad("a", State="Unclaimed"))
+    coll.handle_advertise(None, "startd", ad("b", State="Claimed"))
+    q = lambda: [m.get("Name") for m in
+                 coll.handle_query(None, "startd", 'State == "Unclaimed"')]
+    assert q() == ["a"]
+    assert coll.indexed_queries == 1
+    # state flip must move the ad between buckets
+    coll.handle_advertise(None, "startd", ad("b", State="Unclaimed"))
+    assert q() == ["a", "b"]
+    coll.handle_invalidate(None, "startd", "a")
+    assert q() == ["b"]
 
 
 # -- parse cache --------------------------------------------------------------
@@ -170,10 +170,9 @@ def test_constraint_parse_cache_hits():
 
 
 def test_parse_cache_is_mode_independent():
-    for enabled in (True, False):
-        with perf_mode(enabled):
-            sim, coll = make_collector()
-            coll.handle_advertise(None, "startd", ad("s0"))
-            coll.handle_query(None, "startd", "true")
-            coll.handle_query(None, "startd", "true")
-            assert coll.parse_cache_hits == 1, f"perf_mode({enabled})"
+    for constraint in QUERY_MODES:
+        sim, coll = make_collector()
+        coll.handle_advertise(None, "startd", ad("s0"))
+        coll.handle_query(None, "startd", constraint)
+        coll.handle_query(None, "startd", constraint)
+        assert coll.parse_cache_hits == 1, constraint

@@ -15,7 +15,6 @@ from repro.chaos.invariants import evaluate_invariants
 from repro.grid.config import AgentSpec, SiteSpec, TestbedConfig
 from repro.grid.scenarios import get_scenario, scale_gram_grid
 from repro.sim import rpc
-from repro.sim.perf import perf_mode
 
 
 def make_tb(seed=3, n_sites=1, cpus=4, user="alice"):
@@ -184,17 +183,11 @@ def test_monitors_retire_after_the_client_exits():
 
 
 def test_monitored_digest_is_deterministic_and_mode_independent():
-    def digest(seed, legacy=False):
-        def run():
-            tb = get_scenario("monitored-gram").build(seed)
-            tb.run(until=3000.0)
-            return run_digest(tb)
-        if legacy:
-            with perf_mode(False):
-                return run()
-        return run()
+    def digest(seed):
+        tb = get_scenario("monitored-gram").build(seed)
+        tb.run(until=3000.0)
+        return run_digest(tb)
 
     base = digest(5)
     assert digest(5) == base                   # same seed reproduces
-    assert digest(5, legacy=True) == base      # PerfFlags stay neutral
     assert digest(6) != base                   # seeds actually matter

@@ -1,8 +1,8 @@
 """TestbedConfig / SiteSpec / AgentSpec: the typed topology API.
 
-Covers value semantics, the declarative build path, the deprecation
-shims that keep the legacy kwargs entry points working, and the
-JobState str-enum's string compatibility.
+Covers value semantics, the declarative build path, the TypeError that
+meets anything but a typed spec, and the JobState str-enum's string
+compatibility.
 """
 
 from __future__ import annotations
@@ -69,33 +69,23 @@ def test_config_and_kwargs_are_mutually_exclusive():
         tb.add_agent(AgentSpec("u"), personal_pool=False)
 
 
-def test_legacy_kwargs_still_work_with_deprecation(monkeypatch):
-    monkeypatch.delenv("REPRO_STRICT_API", raising=False)
-    with pytest.warns(DeprecationWarning):
-        tb = GridTestbed(seed=1, latency=0.1)
-    assert tb.config.latency == 0.1
-    with pytest.warns(DeprecationWarning):
-        site = tb.add_site("legacy", scheduler="pbs", cpus=3)
-    assert site.cpus == 3
-    assert tb.config.sites == ()     # imperative adds don't rewrite config
-    with pytest.warns(DeprecationWarning):
-        agent = tb.add_agent("dave", personal_pool=False)
-    assert agent.schedd is None
-    jid = agent.submit(JobDescription(runtime=30.0),
-                       resource=site.contact)
-    tb.run(until=1500.0)
-    assert agent.status(jid).is_complete
+def _grid():
+    tb = GridTestbed(TestbedConfig(seed=3))
+    tb.add_site(SiteSpec("s", scheduler="pbs", cpus=2))
+    return tb
 
 
-def test_legacy_lrm_options_pass_through(monkeypatch):
-    monkeypatch.delenv("REPRO_STRICT_API", raising=False)
-    tb = GridTestbed()     # bare constructor is fine, not deprecated
-    # unknown kwargs are LRM options, known ones are SiteSpec fields
-    with pytest.warns(DeprecationWarning):
-        site = tb.add_site("c", scheduler="condor", cpus=2,
-                           owner_busy_time=100.0)
-    assert site.lrm.flavor == "condor"
-    assert site.lrm.owner_busy_time == 100.0
+@pytest.mark.parametrize("call, names", [
+    (lambda: GridTestbed(seed=3), "TestbedConfig"),
+    (lambda: _grid().add_site("wisc", scheduler="pbs", cpus=2), "SiteSpec"),
+    (lambda: _grid().add_agent("alice"), "AgentSpec"),
+    (lambda: _grid().add_agent(AgentSpec("alice"))
+        .scheduler.jobs_for_user("alice"), "jobs_for_user"),
+], ids=["GridTestbed", "add_site", "add_agent", "jobs_for_user"])
+def test_kwargs_entry_points_raise_type_error(call, names):
+    """The pre-config call forms are gone; the error says what to build."""
+    with pytest.raises(TypeError, match=names):
+        call()
 
 
 # -- JobState -----------------------------------------------------------------

@@ -124,28 +124,13 @@ class TestPerUserAccounting:
 
 
 class TestSchedulerIdentityShims:
-    """The single-user-era `user` arguments: warn when redundant, raise
-    when cross-wired, so N-agent wiring bugs cannot pass silently."""
-
-    @pytest.fixture(autouse=True)
-    def _warn_path(self, monkeypatch):
-        # These tests cover the deprecation *warn* path; strict mode
-        # (REPRO_STRICT_API=1, on in CI) would turn every shim call into
-        # a TypeError before the behaviour under test is reached.
-        monkeypatch.delenv("REPRO_STRICT_API", raising=False)
+    """The single-user-era `user` arguments are gone: a scheduler is bound
+    to one user, and handing it an identity is a TypeError, so N-agent
+    wiring bugs cannot pass silently."""
 
     def _scheduler(self):
         tb, _ = _small_grid(users=1, jobs=1)
         return tb.agents["u0"].scheduler
-
-    def test_legacy_user_arg_warns(self):
-        sched = self._scheduler()
-        with pytest.warns(DeprecationWarning):
-            sched.jobs_for_user("u0")
-        with pytest.warns(DeprecationWarning):
-            sched.gridmanager_exited("u0")
-        with pytest.warns(DeprecationWarning):
-            sched.release_credential_holds("u0")
 
     def test_modern_calls_do_not_warn(self):
         sched = self._scheduler()
@@ -156,27 +141,17 @@ class TestSchedulerIdentityShims:
 
     def test_cross_wired_identity_raises(self):
         sched = self._scheduler()
-        for method, call in [
-                ("jobs_for_user", lambda: sched.jobs_for_user("mallory")),
-                ("gridmanager_exited",
-                 lambda: sched.gridmanager_exited("mallory")),
-                ("release_credential_holds",
-                 lambda: sched.release_credential_holds("mallory"))]:
-            with pytest.raises(ValueError, match="cross-wired"):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", DeprecationWarning)
-                    call()
+        for call in (lambda: sched.jobs_for_user("mallory"),
+                     lambda: sched.gridmanager_exited("mallory"),
+                     lambda: sched.release_credential_holds("mallory")):
+            with pytest.raises(TypeError):
+                call()
 
     def test_hold_for_credentials_legacy_signature(self):
         sched = self._scheduler()
-        with pytest.warns(DeprecationWarning):
+        with pytest.raises(TypeError):
             sched.hold_for_credentials("u0", reason="proxy expired")
-        held = [j for j in sched.jobs.values()]
-        with pytest.raises(ValueError, match="cross-wired"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                sched.hold_for_credentials("mallory", reason="nope")
-        assert held is not None
+        assert all(j.hold_reason == "" for j in sched.jobs.values())
 
 
 class TestMultiuserScenarios:

@@ -4,8 +4,8 @@
 every datagram and queue-record copy, so the contract is total semantic
 equivalence for tree-shaped payloads: equal values, no shared mutable
 structure, and identical behaviour through the fallback path (sets,
-dataclasses, ``__deepcopy__`` objects) and in legacy mode.  Hypothesis
-generates the payload trees.
+dataclasses, ``__deepcopy__`` objects).  ``copy.deepcopy`` is the
+reference; Hypothesis generates the payload trees.
 """
 
 import copy
@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.fastcopy import fast_deepcopy
-from repro.sim.perf import PerfFlags, perf_mode
 
 # The payload alphabet the simulator actually ships: JSON-ish atoms
 # under dict/list/tuple containers.
@@ -77,7 +76,6 @@ def _assert_no_shared_mutables(a, b):
 @given(_trees)
 @settings(max_examples=200, deadline=None)
 def test_matches_deepcopy_on_payload_trees(tree):
-    assert PerfFlags.fast_copy
     fast = fast_deepcopy(tree)
     slow = copy.deepcopy(tree)
     assert fast == slow == tree
@@ -106,16 +104,6 @@ def _clobber(obj):
     elif isinstance(obj, tuple):
         for v in obj:
             _clobber(v)
-
-
-@given(_trees)
-@settings(max_examples=100, deadline=None)
-def test_legacy_mode_is_plain_deepcopy(tree):
-    with perf_mode(False):
-        assert not PerfFlags.fast_copy
-        clone = fast_deepcopy(tree)
-    assert clone == tree
-    _assert_no_shared_mutables(tree, clone)
 
 
 @given(st.lists(_atoms, max_size=5), st.sets(st.integers(), max_size=5))

@@ -1,10 +1,10 @@
-"""Targeted tests for the ``rpc_inline`` fast path.
+"""Targeted tests for the inline RPC fast path.
 
-``tests/sim/test_perf_equivalence.py`` proves digest identity over whole
-scenarios; these tests pin the individual semantics the inline path must
-preserve -- copy isolation, fallbacks, in-flight failure windows -- and
-the one observable it is allowed to change (the ``rpc_fresh_results``
-copy skip).
+``tests/test_golden_digests.py`` pins whole-scenario digests; these
+tests pin the individual semantics the inline path must share with the
+full Datagram path -- copy isolation, fallbacks, in-flight failure
+windows, RNG draws and timing -- and the one observable it is allowed to
+change (the ``rpc_fresh_results`` copy skip).
 """
 
 import pytest
@@ -20,7 +20,7 @@ from repro.sim import (
     call,
     notify,
 )
-from repro.sim.perf import PerfFlags, perf_mode
+from repro.sim.rpc import _inline_plan
 
 
 class Inlineable(Service):
@@ -34,6 +34,12 @@ class Inlineable(Service):
 
     def handle_ping(self, ctx, text):
         return text.upper()
+
+    def handle_ping_full(self, ctx, text):
+        # Generator twin of ping: same reply, but generator handlers
+        # always take the full Datagram path -- the reference.
+        return text.upper()
+        yield
 
     def handle_boom(self, ctx):
         raise ValueError("kaboom")
@@ -72,7 +78,6 @@ def run_call(sim, gen):
 
 @pytest.fixture
 def pool():
-    assert PerfFlags.rpc_inline  # default-on; these tests exercise it
     sim = Simulator(seed=11)
     Network(sim, latency=0.1, jitter=0.0)
     client = Host(sim, "client")
@@ -200,20 +205,21 @@ def test_notify_inline_is_one_way(pool):
 
 def test_inline_and_real_paths_agree_on_rng_and_timing():
     """Same seed, jitter and loss: identical completion times, counters
-    and outcomes with the flag on and off."""
+    and outcomes whether a call runs inline or as real datagrams."""
 
-    def one_run():
+    def one_run(method, inline):
         sim = Simulator(seed=77)
         net = Network(sim, latency=0.1, jitter=0.4, loss_rate=0.2)
         a = Host(sim, "a")
         b = Host(sim, "b")
         Inlineable(b)
+        assert (_inline_plan(sim, "b", "svc", method) is not None) == inline
         events = []
 
         def proc():
             for i in range(20):
                 try:
-                    value = yield from call(a, "b", "svc", "ping",
+                    value = yield from call(a, "b", "svc", method,
                                             timeout=3.0, text=str(i))
                 except RPCTimeout:
                     value = None
@@ -223,8 +229,4 @@ def test_inline_and_real_paths_agree_on_rng_and_timing():
         sim.run()
         return events, net.sent, net.delivered, net.dropped
 
-    with perf_mode(True):
-        fast = one_run()
-    with perf_mode(True, rpc_inline=False):
-        slow = one_run()
-    assert fast == slow
+    assert one_run("ping", inline=True) == one_run("ping_full", inline=False)

@@ -3,8 +3,9 @@
 The property suite (``test_snapshot_properties.py``) checks the digest
 contract end-to-end; these tests pin the machinery underneath it: heap
 canonicalization across tombstone compaction, RNG stream creation-order
-guards, the canonical state walker and JSON round-trip, divergence
-detection, the perf-mode comparability guard, and fork-based restore.
+guards, the canonical state walker and JSON round-trip (and its
+rejection of foreign documents), divergence detection, and fork-based
+restore.
 """
 
 import pytest
@@ -12,9 +13,9 @@ import pytest
 from repro.chaos.digest import run_digest
 from repro.grid.scenarios import get_scenario
 from repro.sim import Simulator
-from repro.sim.perf import perf_mode
 from repro.sim.rng import RngRegistry
 from repro.sim.snapshot import (
+    SNAPSHOT_VERSION,
     ForkPoint,
     SimSnapshot,
     SnapshotError,
@@ -27,10 +28,17 @@ from repro.sim.snapshot import (
 )
 
 
-def _sim_with_tombstones(cancel_every: int = 2,
-                         n: int = 600) -> Simulator:
+class NeverCompacting(Simulator):
+    """Reference kernel: tombstones stay in the heap until they pop."""
+
+    def _note_tombstone(self) -> None:
+        self._tombstones += 1
+
+
+def _sim_with_tombstones(cancel_every: int = 2, n: int = 600,
+                         kernel: type = Simulator) -> Simulator:
     """A simulator whose heap carries many cancelled entries."""
-    sim = Simulator()
+    sim = kernel()
     timeouts = [sim.timeout(float(10 + i)) for i in range(n)]
     for t in timeouts[::cancel_every]:
         t.cancel()
@@ -78,22 +86,20 @@ class TestHeapCanonicalization:
         """Capture just before the auto-compaction threshold trips, let
         the live run cross it, and compare against a run that never
         compacted: fingerprints at the far side must agree."""
-        with perf_mode(True, heap_compaction=True):
-            compacting = _sim_with_tombstones()
-            mid = kernel_fingerprint(compacting)   # canonicalizes
-            # push past the threshold: >256 tombstones and majority dead
-            extra = [compacting.timeout(2000.0 + i) for i in range(600)]
-            for t in extra:
-                t.cancel()                          # auto-compaction fires
-            assert compacting._tombstones < 600
-        with perf_mode(False):
-            legacy = _sim_with_tombstones()
-            assert kernel_fingerprint(legacy) == mid   # compacts too
-            extra = [legacy.timeout(2000.0 + i) for i in range(600)]
-            for t in extra:
-                t.cancel()                          # tombstones pile up
-            assert legacy._tombstones == 600
-        assert kernel_fingerprint(compacting) == kernel_fingerprint(legacy)
+        compacting = _sim_with_tombstones()
+        mid = kernel_fingerprint(compacting)       # canonicalizes
+        # push past the threshold: >256 tombstones and majority dead
+        extra = [compacting.timeout(2000.0 + i) for i in range(600)]
+        for t in extra:
+            t.cancel()                              # auto-compaction fires
+        assert compacting._tombstones < 600
+        reference = _sim_with_tombstones(kernel=NeverCompacting)
+        assert kernel_fingerprint(reference) == mid    # compacts too
+        extra = [reference.timeout(2000.0 + i) for i in range(600)]
+        for t in extra:
+            t.cancel()                              # tombstones pile up
+        assert reference._tombstones == 600
+        assert kernel_fingerprint(compacting) == kernel_fingerprint(reference)
 
 
 class TestRngSnapshot:
@@ -188,14 +194,6 @@ class TestCaptureVerify:
             verify(tb, snap)
         assert "network" in exc.value.divergence["path"]
 
-    def test_verify_rejects_cross_mode_comparison(self):
-        tb = _testbed()
-        snap = capture(tb, scenario="three-site")
-        with perf_mode(False):        # capture ran under the defaults
-            with pytest.raises(SnapshotMismatch) as exc:
-                verify(tb, snap)
-        assert "perf flags" in str(exc.value)
-
     def test_json_round_trip_preserves_digest(self, tmp_path):
         tb = _testbed()
         snap = capture(tb, scenario="three-site")
@@ -212,6 +210,22 @@ class TestCaptureVerify:
         data["version"] = 99
         with pytest.raises(SnapshotError):
             SimSnapshot.from_dict(data)
+
+    def test_foreign_documents_raise_snapshot_error(self):
+        """Snapshot JSON is outside input: an old-format or damaged
+        document is a SnapshotError, never a bare KeyError."""
+        good = capture(_testbed(), scenario="three-site").to_dict()
+        pre_bump = {**good, "version": SNAPSHOT_VERSION - 1,
+                    "perf_flags": {"rpc_inline": True}}
+        truncated = {k: v for k, v in good.items() if k != "fingerprint"}
+        unknown = {**good, "perf_flags": {}}
+        for doc, needle in ((pre_bump, "version"),
+                            (truncated, "fingerprint"),
+                            (unknown, "perf_flags"),
+                            ([good], "JSON object")):
+            with pytest.raises(SnapshotError, match=needle):
+                SimSnapshot.from_dict(doc)
+        assert SimSnapshot.from_dict(good).digest == good["digest"]
 
     def test_state_digest_tracks_progress(self):
         tb = _testbed(until=300.0)

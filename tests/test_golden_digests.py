@@ -1,0 +1,184 @@
+"""Golden digests: the committed oracle for "same seed, same run".
+
+Every cell below is one deterministic end-to-end run reduced to its
+:func:`repro.chaos.digest.run_digest`; ``tests/golden_digests.json``
+holds the expected value, plus one hash per ``digest_parts`` key so a
+mismatch names the part that moved (``trace``, ``metrics``, ``queues``,
+``time``, ``trace_dropped``).  A refactor that is supposed to be
+invisible to the simulation must leave every cell untouched; a change
+that moves a digest on purpose regenerates the table and says why (see
+``docs/PERFORMANCE.md``).
+
+The test never writes.  To regenerate::
+
+    PYTHONPATH=src python tests/test_golden_digests.py --write
+
+To check another source tree against the committed table::
+
+    PYTHONPATH=<tree>/src python -m pytest tests/test_golden_digests.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.chaos.digest import digest_parts, run_digest
+from repro.chaos.runner import build_and_run
+from repro.grid.scenarios import get_scenario, multiuser_gram_grid, \
+    scale_glidein_grid, scale_gram_grid, scale_pool_grid
+from repro.states import is_terminal
+
+GOLDEN = Path(__file__).with_name("golden_digests.json")
+
+#: fault-free ``run(until=4000)`` cells
+PLAIN = {name: (1, 5) for name in (
+    "quickstart", "three-site", "credential", "pool-reuse",
+    "monitored-gram", "data-cms", "shrink-lab")}
+PLAIN.update({"burst-flash": (5,), "burst-overload": (1, 5),
+              "data-cms-compute": (5,)})
+
+#: the CI bench-smoke shapes, driven the way the bench scripts drive
+#: them: name -> (builder, seed, kwargs, chunk)
+SHAPES = {
+    "scale-gram": (scale_gram_grid, 706,
+                   dict(jobs=400, n_sites=5, cpus=20), 2000.0),
+    "scale-gram-monitor": (scale_gram_grid, 706,
+                           dict(jobs=400, n_sites=5, cpus=20,
+                                grid_monitor=True), 2000.0),
+    "scale-glidein": (scale_glidein_grid, 706,
+                      dict(jobs=300, n_sites=4, glideins_per_site=10),
+                      2000.0),
+    "scale-pool": (scale_pool_grid, 706,
+                   dict(jobs=600, n_sites=4, glideins_per_site=10),
+                   1000.0),
+    "multiuser-gram": (multiuser_gram_grid, 811,
+                       dict(users=8, jobs_per_user=15, n_sites=4, cpus=10),
+                       5000.0),
+}
+SHAPE_CAP = 60_000.0
+
+#: seed-generated fault plans through the chaos runner
+FAULTED = ("quickstart", "three-site", "credential", "pool-reuse",
+           "data-cms", "burst-overload", "monitored-gram")
+FAULTED_SEEDS = (0, 1, 2)
+
+
+def _open_payloads(tb) -> int:
+    """Unfinished workload jobs; on the GlideIn path the payloads live
+    in the condor queue and the grid jobs are pilots that never end."""
+    count = 0
+    for agent in tb.agents.values():
+        if agent.schedd is not None and agent.schedd.jobs:
+            count += sum(1 for j in agent.schedd.jobs.values()
+                         if not is_terminal(j.state))
+        else:
+            count += sum(1 for j in agent.scheduler.jobs.values()
+                         if not j.is_terminal)
+    return count
+
+
+def _run_plain(name: str, seed: int):
+    tb = get_scenario(name).build(seed)
+    tb.run(until=4000.0)
+    return tb
+
+
+def _run_shape(name: str):
+    build, seed, kwargs, chunk = SHAPES[name]
+    tb = build(seed=seed, **kwargs)
+    while tb.sim.now < SHAPE_CAP and _open_payloads(tb):
+        tb.run(until=tb.sim.now + chunk)
+    assert _open_payloads(tb) == 0, f"{name}: jobs unfinished at cap"
+    return tb
+
+
+def _run_faulted(name: str, seed: int):
+    tb, _plan = build_and_run(name, seed)
+    return tb
+
+
+def _cells() -> dict:
+    """cell id -> zero-argument callable returning the finished testbed."""
+    cells = {}
+    for name, seeds in PLAIN.items():
+        for seed in seeds:
+            cells[f"plain/{name}/seed{seed}"] = \
+                lambda n=name, s=seed: _run_plain(n, s)
+    for name in SHAPES:
+        cells[f"shape/{name}"] = lambda n=name: _run_shape(n)
+    for name in FAULTED:
+        for seed in FAULTED_SEEDS:
+            cells[f"faulted/{name}/seed{seed}"] = \
+                lambda n=name, s=seed: _run_faulted(n, s)
+    return cells
+
+
+CELLS = _cells()
+
+
+def _sha(value) -> str:
+    blob = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def measure(cell: str) -> dict:
+    """Run one cell: its run digest and one hash per digest part."""
+    tb = CELLS[cell]()
+    return {"digest": run_digest(tb),
+            "parts": {k: _sha(v) for k, v in digest_parts(tb).items()}}
+
+
+def _committed() -> dict:
+    return json.loads(GOLDEN.read_text())["cells"]
+
+
+def test_table_covers_exactly_the_cells():
+    assert sorted(_committed()) == sorted(CELLS)
+
+
+@pytest.mark.parametrize("cell", list(CELLS))
+def test_golden_digest(cell):
+    expected = _committed()[cell]
+    got = measure(cell)
+    moved = sorted(k for k in expected["parts"]
+                   if got["parts"].get(k) != expected["parts"][k])
+    assert got["digest"] == expected["digest"], \
+        f"{cell}: digest moved; parts that differ: {moved}"
+
+
+def _source_commit() -> str:
+    """HEAD of the tree ``repro`` was imported from (the producer)."""
+    import repro
+    tree = Path(repro.__file__).resolve().parent
+    try:
+        return subprocess.run(
+            ["git", "-C", str(tree), "rev-parse", "HEAD"], check=True,
+            capture_output=True, text=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+
+def write() -> None:
+    payload = {
+        "header": {
+            "generated_by": "python tests/test_golden_digests.py --write",
+            "source_commit": _source_commit(),
+            "python": platform.python_version(),
+        },
+        "cells": {cell: measure(cell) for cell in CELLS},
+    }
+    GOLDEN.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(payload['cells'])} cells to {GOLDEN}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_golden_digests.py --write")
+    write()
