@@ -8,16 +8,23 @@ interface machine.  It:
 * submits the job to the site's local scheduler (PBS/LSF/Condor/...),
   using a dedup key so that a replayed submission after a JobManager
   restart cannot create a second LRM job;
-* polls the local scheduler, pushing status callbacks to the client;
-* tails the job's site-local stdout file and streams new bytes to the
-  client's GASS server with explicit offsets (duplicate-safe), asking the
-  server how much it already has after any interruption;
+* blocks until the interface machine's status sweep (:class:`LrmSweep`)
+  reports a change of its job, pushing status callbacks to the client;
+* tails the job's site-local stdout file when the sweep says it grew and
+  streams new bytes to the client's GASS server with explicit offsets
+  (duplicate-safe), asking the server how much it already has after any
+  interruption;
 * persists its state to the interface machine's disk so a *restarted*
   JobManager (GRAM-2 `restart` request) resumes watching the same LRM job.
 
 The JobManager is deliberately the *fragile* component: it lives on the
 crashable gatekeeper host, while the LRM and the job itself survive on
 the cluster side -- reproducing the §4.2 failure matrix.
+
+One JobManager per job must not mean one LRM poll loop per job (§3.2,
+§5.1: that is what melts the interface machine).  All JobManagers of one
+interface machine share one :class:`LrmSweep`, which reads the batch
+system once per ``POLL_INTERVAL`` and wakes only those whose job changed.
 """
 
 from __future__ import annotations
@@ -27,11 +34,97 @@ from typing import Optional
 from ..gass.client import gass_append, gass_get, gass_received
 from ..sim.errors import RPCError, RPCTimeout
 from ..sim.hosts import Host
+from ..sim.kernel import Event
 from ..sim.rpc import Service, call, notify
 from . import protocol
 from .protocol import GramJobRequest, to_lrm_spec
 
 STATE_NS = "gram-jm"          # stable-storage namespace on the gatekeeper
+REQUEST_NS = "gram-jm-request"   # the job request, written once per change
+
+
+class LrmSweep(Service):
+    """The status sweep of one interface machine; ``lrm-sweep:<lrm>``.
+
+    Every ``POLL_INTERVAL`` it asks the LRM for the views of all jobs
+    changed since its cursor (plus the ids JobManagers asked for
+    explicitly) and hands each view to the JobManager watching that job.
+    There is no push from the LRM: a change is seen at the next sweep.
+
+    Nothing is lost across faults: the cursor advances only on a reply,
+    so a timed-out sweep replays the same changes; a view for a busy
+    JobManager is buffered until it waits again.  Registered on the host,
+    it dies with the interface machine; it stops when nobody watches.
+    Either way the next JobManager to watch creates a fresh one, which
+    needs no log history because every first wait asks by id.
+    """
+
+    def __init__(self, host: Host, lrm_contact: str):
+        super().__init__(host, name=f"lrm-sweep:{lrm_contact}")
+        self.lrm_contact = lrm_contact
+        self.cursor: Optional[int] = None   # LRM change-log position
+        # local_id -> the event its JobManager blocks on (None: busy)
+        self.watching: dict[str, Optional[Event]] = {}
+        self.views: dict[str, dict] = {}    # newest view not yet taken
+        self.by_id: list[str] = []          # report these regardless
+        host.spawn(self._loop(), name=self.name)
+        self.sim.trace.log(self.name, "start", host=host.name)
+
+    def watch(self, local_id: str) -> None:
+        self.watching[local_id] = None
+        self.ask(local_id)
+
+    def unwatch(self, local_id: str) -> None:
+        self.watching.pop(local_id, None)
+        self.views.pop(local_id, None)
+
+    def ask(self, local_id: str) -> None:
+        """Have the next sweep report a watched job even if the LRM
+        logged no change for it."""
+        if local_id in self.watching:
+            self.by_id.append(local_id)
+
+    def next_view(self, local_id: str) -> Event:
+        """Event firing with the job's next view (at once if one was
+        buffered while its JobManager was busy)."""
+        event = self.sim.event(name=f"lrm-view:{local_id}")
+        if local_id in self.views:
+            event.succeed(self.views.pop(local_id))
+        else:
+            self.watching[local_id] = event
+        return event
+
+    def _loop(self):
+        polls = self.sim.metrics.counter("lrm_sweep.polls")
+        batch = self.sim.metrics.histogram("lrm_sweep.batch")
+        while True:
+            yield self.sim.timeout(JobManager.POLL_INTERVAL)
+            if not self.watching:
+                break
+            by_id, self.by_id = self.by_id, []
+            try:
+                reply = yield from call(self.host, self.lrm_contact, "lrm",
+                                        "poll", since=self.cursor,
+                                        local_ids=by_id)
+            except RPCError:
+                polls.inc(label="failed")
+                self.by_id = by_id + self.by_id   # same question next time
+                continue
+            polls.inc(label="ok")
+            batch.observe(len(reply["views"]))
+            self.cursor = reply["cursor"]
+            for view in reply["views"]:
+                local_id = view["local_id"]
+                if local_id not in self.watching:
+                    continue
+                event = self.watching[local_id]
+                if event is None:
+                    self.views[local_id] = view
+                else:
+                    self.watching[local_id] = None
+                    event.succeed(view)
+        self.sim.trace.log(self.name, "stop", host=self.host.name)
+        self.shutdown()
 
 
 class JobManager(Service):
@@ -69,15 +162,22 @@ class JobManager(Service):
         self.stderr_sent = 0
         self._committed = host.sim.event(name=f"commit:{jmid}")
         self._store = host.stable.namespace(STATE_NS)
+        self._requests = host.stable.namespace(REQUEST_NS)
         self._procs = []
         if restarted:
             self._recover()
         else:
+            self._persist_request()
             self._persist()
             self._procs.append(
                 host.spawn(self._lifecycle(), name=f"jobmanager:{jmid}"))
 
     # -- persistence ----------------------------------------------------------
+    def _persist_request(self) -> None:
+        """The request is large and frozen: written at creation and when
+        a client update replaces it, not on every state change."""
+        self._requests.put(self.jmid, self.request)
+
     def _persist(self) -> None:
         self._store.put(self.jmid, {
             "jmid": self.jmid,
@@ -85,7 +185,6 @@ class JobManager(Service):
             "local_id": self.local_id,
             "owner": self.owner,
             "client_callback": self.client_callback,
-            "request": self.request,
             "stdout_sent": self.stdout_sent,
             "stderr_sent": self.stderr_sent,
             "failure_reason": self.failure_reason,
@@ -100,7 +199,7 @@ class JobManager(Service):
         self.local_id = record["local_id"]
         self.owner = record["owner"]
         self.client_callback = record["client_callback"]
-        self.request = record["request"]
+        self.request = self._requests.get(self.jmid)
         self.failure_reason = record.get("failure_reason", "")
         self.exit_code = record.get("exit_code")
         # Conservative: re-derive stream progress from the client, not
@@ -121,7 +220,7 @@ class JobManager(Service):
                     name=f"jobmanager:{self.jmid}"))
             else:
                 self._procs.append(self.host.spawn(
-                    self._monitor(), name=f"jobmanager:{self.jmid}"))
+                    self._monitor_body(), name=f"jobmanager:{self.jmid}"))
 
     def _trace(self, event: str, **details) -> None:
         self.sim.trace.log(f"jobmanager:{self.jmid}", event, **details)
@@ -137,7 +236,18 @@ class JobManager(Service):
         for proc in self._procs:
             proc.kill(cause="jobmanager crash")
         self._procs.clear()
+        sweep = self._sweep(create=False)
+        if sweep is not None:
+            sweep.unwatch(self.local_id)   # neighbours' sweep goes on
         self.shutdown()    # unregister the service: probes now time out
+
+    def _sweep(self, create: bool = True) -> Optional[LrmSweep]:
+        """This machine's sweeper for our LRM; the first JobManager to
+        need one (after boot, or after an idle stop) creates it."""
+        sweep = self.host.services.get(f"lrm-sweep:{self.lrm_contact}")
+        if sweep is None and create:
+            sweep = LrmSweep(self.host, self.lrm_contact)
+        return sweep
 
     # -- RPC handlers -----------------------------------------------------------
     def handle_commit(self, ctx) -> bool:
@@ -172,7 +282,7 @@ class JobManager(Service):
             # Not yet submitted: mutate the pending request.
             if self.request is not None:
                 self.request = self.request.with_env(**{name: value})
-            self._persist()
+            self._persist_request()
             return True
         return self._forward_env(name, value)
 
@@ -195,7 +305,11 @@ class JobManager(Service):
             from dataclasses import replace
             self.request = replace(self.request, stdout_url=stdout_url)
         self.stdout_sent = 0   # re-derive against the new server
+        self._persist_request()
         self._persist()
+        sweep = self._sweep(create=False)
+        if sweep is not None:
+            sweep.ask(self.local_id)   # resend at the next sweep
         self._trace("gass_redirect", url=stdout_url)
         if self.local_id is not None:
             yield from self._forward_env("GASS_URL", stdout_url)
@@ -259,10 +373,6 @@ class JobManager(Service):
                     lrm=self.lrm_contact)
         yield from self._notify_client()
 
-    def _monitor(self):
-        """Entry point used after recovery."""
-        yield from self._monitor_body()
-
     def _resume_submission(self):
         """Recovery entry point for a crash inside the commit->LRM window."""
         try:
@@ -276,13 +386,14 @@ class JobManager(Service):
             yield from self._monitor_body()
 
     def _monitor_body(self):
+        # Watching asks for the job by id once, so the first view (after
+        # creation or _recover) never depends on log history; after that
+        # the JobManager sleeps until the LRM logs a change.
+        sweep = self._sweep()
+        sweep.watch(self.local_id)
         while self.state not in protocol.GRAM_TERMINAL:
-            yield self.sim.timeout(self.POLL_INTERVAL)
-            try:
-                view = yield from call(self.host, self.lrm_contact, "lrm",
-                                       "poll", local_id=self.local_id)
-            except RPCError:
-                continue    # intra-site hiccup; try again next round
+            view = yield sweep.next_view(self.local_id)
+            seen = self.sim.now
             new_state = self._map_lrm(view)
             reached_terminal = (new_state in protocol.GRAM_TERMINAL
                                 and self.state not in protocol.GRAM_TERMINAL)
@@ -297,10 +408,16 @@ class JobManager(Service):
                 self._persist()
                 self.sim.metrics.counter("jobmanager.state_changes").inc(
                     label=new_state)
+                self.sim.metrics.histogram(
+                    "jobmanager.detect_latency").observe(
+                        seen - view["state_since"])
                 self._trace("state", state=new_state)
                 yield from self._notify_client()
-            yield from self._pump_stdout()
-            yield from self._pump_stderr()
+            behind = yield from self._pump_stdout(view["stdout_len"])
+            behind |= yield from self._pump_stderr(view["stderr_len"])
+            if behind:
+                sweep.ask(self.local_id)   # nothing will change at the LRM
+        sweep.unwatch(self.local_id)
         self._trace("exit", state=self.state)
 
     def _stage_out(self):
@@ -337,29 +454,34 @@ class JobManager(Service):
         return protocol.gram_state_of(lrm_state)
 
     # -- stdout/stderr streaming ---------------------------------------------
-    def _pump_stdout(self):
-        yield from self._pump_stream("read_output", "stdout_sent",
-                                     (self.request.stdout_url
-                                      if self.request else ""))
+    def _pump_stdout(self, available: int):
+        return (yield from self._pump_stream(
+            "read_output", "stdout_sent", available,
+            self.request.stdout_url if self.request else ""))
 
-    def _pump_stderr(self):
-        yield from self._pump_stream("read_error", "stderr_sent",
-                                     (self.request.stderr_url
-                                      if self.request else ""))
+    def _pump_stderr(self, available: int):
+        return (yield from self._pump_stream(
+            "read_error", "stderr_sent", available,
+            self.request.stderr_url if self.request else ""))
 
-    def _pump_stream(self, reader: str, counter: str, url: str):
-        """Forward new site-local bytes of one stream to the client GASS."""
-        if not url or self.local_id is None:
-            return
+    def _pump_stream(self, reader: str, counter: str, available: int,
+                     url: str):
+        """Forward new site-local bytes of one stream to the client GASS.
+
+        `available` is the stream's length as the sweep reported it: no
+        RPC is sent for a stream that did not grow.  Returns whether the
+        client is still behind it (so the next sweep must report the job
+        again even if nothing changes at the LRM).
+        """
         sent = getattr(self, counter)
+        if not url or sent >= available:
+            return False
         try:
             text = yield from call(self.host, self.lrm_contact, "lrm",
                                    reader, local_id=self.local_id,
                                    offset=sent)
         except RPCError:
-            return
-        if not text:
-            return
+            return True
         try:
             new_total = yield from gass_append(
                 self.host, url, text, offset=sent,
@@ -374,6 +496,7 @@ class JobManager(Service):
             except RPCError:
                 pass
         self._persist()
+        return getattr(self, counter) < available
 
     # -- callbacks ------------------------------------------------------------
     def _notify_client(self):

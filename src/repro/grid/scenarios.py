@@ -760,8 +760,9 @@ def _build_week_credential(seed: int) -> GridTestbed:
     ~20 expiry -> hold -> MyProxy-refresh -> reforward -> release cycles
     to get every job home; the week-long horizon is what the segmented
     snapshot/restore regression suite replays in day-sized pieces.
-    ``max_submitted_per_resource=1`` keeps at most one JobManager alive,
-    which bounds the 5s LRM poll storm over 600k simulated seconds.
+    ``max_submitted_per_resource=1`` keeps at most one JobManager alive;
+    the interface machine's one 5 s LRM status sweep runs while it does
+    (~120k polls over 600k simulated seconds, whatever the job count).
     """
     config = TestbedConfig(
         seed=seed, use_gsi=True,

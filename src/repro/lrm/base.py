@@ -84,11 +84,13 @@ class LRMJob:
     node_index: Optional[int] = None
     preempt_count: int = 0
     remaining: Optional[float] = None   # runtime left (set on preemption)
+    state_since: float = 0.0            # time of the last state transition
 
     def public_view(self) -> dict:
         return {
             "local_id": self.local_id,
             "state": self.state,
+            "state_since": self.state_since,
             "owner": self.owner,
             "submit_time": self.submit_time,
             "start_time": self.start_time,
@@ -149,12 +151,14 @@ class LocalResourceManager(Service):
 
     Subclasses override :meth:`order_queue` (and optionally
     :meth:`can_start`) to model specific products.  Exposed RPC methods:
-    ``submit``, ``poll``, ``cancel``, ``update_env``, ``queue_info``.
+    ``submit``, ``poll`` (a batched status sweep over the change log),
+    ``cancel``, ``update_env``, ``read_output``, ``read_error``,
+    ``read_file``, ``queue_info``.
     """
 
     service_name = "lrm"
     flavor = "generic"
-    # poll builds its dict from scratch (public_view); safe to hand over
+    # poll builds its reply from scratch (view); safe to hand over
     # uncopied on the inline RPC path.
     rpc_fresh_results = ("poll",)
 
@@ -176,6 +180,10 @@ class LocalResourceManager(Service):
         self._errout: dict[str, str] = {}       # job stderr, site-local disk
         self._files: dict[str, dict] = {}       # job scratch output files
         self._dedup: dict[str, str] = {}        # dedup_key -> local_id
+        # Append-only change log: the local_id of every start, finish,
+        # preempt-requeue and stdout/stderr growth, in order.  A poll
+        # cursor is a position in it.
+        self._changes: list[str] = []
         host.spawn(self._scheduler_loop(), name=f"lrm:{host.name}")
 
     # -- identity ------------------------------------------------------------
@@ -205,11 +213,22 @@ class LocalResourceManager(Service):
             self._dedup[dedup_key] = local_id
         return local_id
 
-    def handle_poll(self, ctx, local_id: str) -> dict:
-        job = self.jobs.get(local_id)
-        if job is None:
-            raise KeyError(f"no such job {local_id}")
-        return job.public_view()
+    def handle_poll(self, ctx, since: Optional[int] = None,
+                    local_ids=()) -> dict:
+        """One status sweep: views of every job that changed after cursor
+        `since`, plus `local_ids` regardless (unknown ids are omitted).
+
+        Costs O(changed jobs), not O(jobs).  The LRM keeps no per-caller
+        state: the caller adopts the returned ``cursor`` only when the
+        reply arrives, so a lost reply is repaired by asking again.
+        ``since=None`` (a caller with no history) lists `local_ids` only.
+        """
+        changed = [] if since is None else self._changes[since:]
+        return {"cursor": len(self._changes),
+                "views": [self.view(local_id)
+                          for local_id in dict.fromkeys((*changed,
+                                                         *local_ids))
+                          if local_id in self.jobs]}
 
     def handle_cancel(self, ctx, local_id: str) -> bool:
         return self.cancel(local_id)
@@ -236,7 +255,7 @@ class LocalResourceManager(Service):
     def submit(self, spec: JobSpec, owner: str) -> str:
         local_id = f"{self.flavor}.{next(self._ids)}"
         job = LRMJob(local_id=local_id, spec=spec, owner=owner,
-                     submit_time=self.sim.now)
+                     submit_time=self.sim.now, state_since=self.sim.now)
         self.jobs[local_id] = job
         self.queue.append(local_id)
         self.queued_cpus += spec.cpus
@@ -282,14 +301,30 @@ class LocalResourceManager(Service):
     def status(self, local_id: str) -> LRMJob:
         return self.jobs[local_id]
 
+    def view(self, local_id: str) -> dict:
+        """What a poll reports for one job: its public view plus how much
+        stdout/stderr sits on site-local disk (so a JobManager reads a
+        stream only when it grew)."""
+        view = self.jobs[local_id].public_view()
+        view["stdout_len"] = len(self._output.get(local_id, ""))
+        view["stderr_len"] = len(self._errout.get(local_id, ""))
+        return view
+
+    def _set_state(self, job: LRMJob, state: str) -> None:
+        job.state = state
+        job.state_since = self.sim.now
+        self._changes.append(job.local_id)
+
     def append_output(self, local_id: str, text: str) -> None:
         self._output[local_id] = self._output.get(local_id, "") + text
+        self._changes.append(local_id)
 
     def read_output(self, local_id: str, offset: int = 0) -> str:
         return self._output.get(local_id, "")[offset:]
 
     def append_error(self, local_id: str, text: str) -> None:
         self._errout[local_id] = self._errout.get(local_id, "") + text
+        self._changes.append(local_id)
 
     def read_error(self, local_id: str, offset: int = 0) -> str:
         return self._errout.get(local_id, "")[offset:]
@@ -340,7 +375,7 @@ class LocalResourceManager(Service):
 
     def _start(self, job: LRMJob) -> None:
         self.free_slots -= job.spec.cpus
-        job.state = RUNNING
+        self._set_state(job, RUNNING)
         job.start_time = self.sim.now
         if job.remaining is None:
             job.remaining = job.spec.runtime
@@ -422,7 +457,7 @@ class LocalResourceManager(Service):
         self._trace("preempt", job=job.local_id,
                     remaining=job.remaining)
         if job.spec.requeue_on_preempt:
-            job.state = QUEUED
+            self._set_state(job, QUEUED)
             self.queue.append(job.local_id)
             self.queued_cpus += job.spec.cpus
             self.sim.metrics.gauge("lrm.queue_depth").inc()
@@ -437,7 +472,7 @@ class LocalResourceManager(Service):
         self._kick()
 
     def _finish(self, job: LRMJob, state: str, reason: str = "") -> None:
-        job.state = state
+        self._set_state(job, state)
         job.end_time = self.sim.now
         job.failure_reason = reason
         self._env_overrides.pop(job.local_id, None)

@@ -268,12 +268,115 @@ def test_rpc_submit_and_poll():
         jid = yield from call(client, "cluster-head", "lrm", "submit",
                               spec=JobSpec(runtime=5.0), owner="alice")
         yield sim.timeout(10.0)
-        results["view"] = yield from call(client, "cluster-head", "lrm",
-                                          "poll", local_id=jid)
+        results["jid"] = jid
+        results["reply"] = yield from call(client, "cluster-head", "lrm",
+                                           "poll", local_ids=[jid])
 
     sim.spawn(driver())
     sim.run()
-    assert results["view"]["state"] == COMPLETED
+    (view,) = results["reply"]["views"]
+    assert view["local_id"] == results["jid"]
+    assert view["state"] == COMPLETED
+    assert view["state_since"] == pytest.approx(view["end_time"])
+
+
+# -- the change log behind poll ------------------------------------------------
+
+def poll(lrm, since=None, local_ids=()):
+    return lrm.handle_poll(None, since=since, local_ids=local_ids)
+
+
+def ids(reply):
+    return [view["local_id"] for view in reply["views"]]
+
+
+def test_poll_without_history_lists_only_the_ids_asked_for():
+    sim, lrm = make()
+    a = lrm.submit(JobSpec(runtime=5.0), owner="u")
+    lrm.submit(JobSpec(runtime=5.0), owner="u")
+    sim.run()
+    reply = poll(lrm, local_ids=[a])
+    assert ids(reply) == [a]
+    assert reply["cursor"] == len(lrm._changes) == 4   # 2 starts, 2 finishes
+
+
+def test_poll_same_cursor_twice_gives_the_same_reply():
+    """The LRM keeps no per-caller state: a caller whose reply was lost
+    asks again with the old cursor and gets the same changes."""
+    sim, lrm = make(slots=1)
+    a = lrm.submit(JobSpec(runtime=5.0), owner="u")
+    b = lrm.submit(JobSpec(runtime=5.0), owner="u")
+    sim.run(until=1.0)
+    start = poll(lrm)["cursor"]
+    sim.run(until=7.0)        # a finished, b started
+    first = poll(lrm, since=start)
+    again = poll(lrm, since=start)
+    assert first == again
+    assert ids(first) == [a, b]
+    assert [v["state"] for v in first["views"]] == [COMPLETED, RUNNING]
+    # adopting the cursor: nothing further until something changes
+    assert poll(lrm, since=first["cursor"])["views"] == []
+    sim.run()
+    assert ids(poll(lrm, since=first["cursor"])) == [b]
+
+
+def test_poll_lists_a_job_once_however_often_it_changed():
+    sim, lrm = make()
+    a = lrm.submit(JobSpec(runtime=5.0), owner="u")
+    sim.run()                 # start + finish: two log entries
+    reply = poll(lrm, since=0, local_ids=[a, a])
+    assert ids(reply) == [a]
+    assert reply["views"][0]["state"] == COMPLETED
+
+
+def test_poll_omits_unknown_ids():
+    sim, lrm = make()
+    a = lrm.submit(JobSpec(runtime=5.0), owner="u")
+    sim.run(until=1.0)
+    assert ids(poll(lrm, local_ids=["pbs.999", a])) == [a]
+
+
+def test_poll_lists_output_growth_with_stream_lengths():
+    sim, lrm = make()
+
+    def program(ctx):
+        ctx.write_output("hello\n")
+        yield ctx.sim.timeout(10.0)
+        ctx.write_error("oops")
+        yield ctx.sim.timeout(10.0)
+
+    a = lrm.submit(JobSpec(program=program), owner="u")
+    quiet = lrm.submit(JobSpec(runtime=30.0), owner="u")
+    sim.run(until=5.0)
+    cursor = poll(lrm)["cursor"]
+    sim.run(until=15.0)       # only a's stderr grew
+    reply = poll(lrm, since=cursor)
+    assert ids(reply) == [a]
+    assert reply["views"][0]["stdout_len"] == len("hello\n")
+    assert reply["views"][0]["stderr_len"] == len("oops")
+    view = poll(lrm, local_ids=[quiet])["views"][0]
+    assert (view["stdout_len"], view["stderr_len"]) == (0, 0)
+
+
+def test_poll_lists_preempt_requeue_and_restart():
+    sim, lrm = make(flavor_cls=CondorPoolLRM, slots=1)
+    a = lrm.submit(JobSpec(runtime=50.0), owner="u")
+    sim.run(until=10.0)
+    cursor = poll(lrm)["cursor"]
+    lrm.preempt(a)
+    lrm.free_slots -= 1       # the workstation's owner is back for a while
+    sim.run(until=15.0)
+    requeued = poll(lrm, since=cursor)
+    (view,) = requeued["views"]
+    assert (view["local_id"], view["state"], view["preempt_count"]) == \
+        (a, QUEUED, 1)
+    assert view["state_since"] == pytest.approx(10.0)
+    lrm.free_slots += 1
+    lrm._kick()
+    sim.run(until=16.0)
+    (view,) = poll(lrm, since=requeued["cursor"])["views"]
+    assert (view["state"], view["state_since"]) == (RUNNING,
+                                                    pytest.approx(15.0))
 
 
 def test_queue_info_counts():
