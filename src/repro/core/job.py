@@ -87,15 +87,19 @@ class GridJob:
         self.history.append((now, event, details))
 
     # -- persistence ----------------------------------------------------------
-    def queue_record(self) -> dict:
+    def stored_request(self) -> GramJobRequest:
+        """The request as it goes to disk (frozen, so written once)."""
         request = self.request
         if request.program is not None:
             # Callables do not survive a crash; the resubmitting layer
             # (e.g. the GlideIn manager) owns re-creating such jobs.
             request = replace(request, program=None)
+        return request
+
+    def progress_record(self) -> dict:
+        """The mutable fields: what every state change rewrites."""
         return {
             "job_id": self.job_id,
-            "request": request,
             "resource": self.resource,
             "state": self.state,
             "seq": self.seq,
@@ -113,6 +117,10 @@ class GridJob:
             "committed": self.committed,
             "history": list(self.history),
         }
+
+    def queue_record(self) -> dict:
+        """Both halves joined: what :meth:`from_record` takes."""
+        return {**self.progress_record(), "request": self.stored_request()}
 
     @classmethod
     def from_record(cls, record: dict) -> "GridJob":

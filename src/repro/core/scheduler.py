@@ -23,6 +23,7 @@ from .job import GridJob, next_grid_job_id
 from .userlog import Notifier, UserLog
 
 QUEUE_NS = "condorg-queue"
+REQUEST_NS = "condorg-queue-request"
 
 
 class CondorGScheduler:
@@ -77,13 +78,17 @@ class CondorGScheduler:
         self._inflight_res: dict[str, str] = {}
         self._last_depth = 0
         self._store = host.stable.namespace(f"{QUEUE_NS}:{user}")
+        self._requests = host.stable.namespace(f"{REQUEST_NS}:{user}")
         self.gridmanager: Optional[GridManager] = None
         if recover:
             self._recover_queue()
 
     # -- persistence ----------------------------------------------------------
     def persist(self, job: GridJob) -> None:
-        self._store.put(job.job_id, job.queue_record())
+        """Rewrite the job's progress record (`submit` wrote the request:
+        it is large and frozen, so it goes to disk once, not per state
+        change)."""
+        self._store.put(job.job_id, job.progress_record())
         self._reindex(job)
         depth = len(self._nonterminal)
         # Applied as a delta so N concurrent per-user schedulers sharing
@@ -144,7 +149,8 @@ class CondorGScheduler:
         self._reindex(job)
 
     def _recover_queue(self) -> None:
-        for _key, record in self._store.items():
+        for key, record in self._store.items():
+            record["request"] = self._requests.get(key)
             job = GridJob.from_record(record)
             self.jobs[job.job_id] = job
         self._sorted_jobs = sorted(self.jobs.values(),
@@ -164,6 +170,7 @@ class CondorGScheduler:
                       request=request, resource=resource)
         job.submit_time = self.sim.now
         self._add_job(job)
+        self._requests.put(job.job_id, job.stored_request())
         self.persist(job)
         self.sim.metrics.counter("scheduler.jobs_queued").inc()
         self.sim.metrics.counter("scheduler.user_jobs_queued").inc(

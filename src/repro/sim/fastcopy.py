@@ -11,7 +11,10 @@ slower than a direct structural walk.
 :func:`fast_deepcopy` copies exactly those shapes directly and falls
 back to ``copy.deepcopy`` for anything else (dataclasses, ClassAds --
 which define ``__deepcopy__`` -- sets, exotic objects), so semantics
-match ``deepcopy`` for every payload the simulator actually ships.  The
+match ``deepcopy`` for every payload the simulator actually ships.
+``enum.Enum`` members are singletons that ``deepcopy`` returns as
+themselves; they are returned directly (``JobState`` is in every
+persisted queue record).  The
 one intentional difference: reference cycles *through plain
 dict/list/tuple containers* are not supported (RPC payloads and queue
 records are trees by construction; objects handled by the fallback keep
@@ -21,6 +24,7 @@ full cycle support).
 from __future__ import annotations
 
 import copy
+from enum import Enum
 from typing import Any
 
 _ATOMIC = (str, int, float, bool, bytes, type(None))
@@ -36,6 +40,8 @@ def _walk(obj: Any) -> Any:
         return [_walk(v) for v in obj]
     if cls is tuple:
         return tuple(_walk(v) for v in obj)
+    if isinstance(obj, Enum):
+        return obj
     return copy.deepcopy(obj)
 
 

@@ -35,7 +35,7 @@ from .errors import (
     ServiceUnavailable,
 )
 from .fastcopy import fast_deepcopy
-from .kernel import Event, Timeout
+from .kernel import Event, Timeout, _UNSET
 from .network import Datagram
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -91,29 +91,32 @@ def _next_token(sim) -> int:
 # -- inline fast path ---------------------------------------------------------
 #
 # The common RPC shape -- a plain synchronous handler on a reachable host,
-# no authorizer -- skips the Datagram wrappers, the full-payload deep-copies
-# and the per-request serve process.  The contract: indistinguishable from
-# the real (Datagram) path, which pins three things exactly:
+# no authorizer -- costs two kernel events: the request's arrival, inside
+# which the handler runs, and the reply's arrival, inside which the caller
+# resumes.  No Datagram, no serve process, no relay event, and no timer
+# unless the reply is known to miss the deadline.  What the caller and a
+# run digest can observe is kept:
 #
-# * RNG draws -- the shared "network" stream sees the same draws in the
-#   same order at the same times (a jitter draw per non-dropped leg, a loss
-#   roll exactly where ``Network.send`` would roll one);
-# * heap positions -- each stage is scheduled at the execution point where
-#   the real machinery pushes its event: the request arrival where ``send``
-#   schedules ``_arrive``, the handler via a zero-delay schedule issued
-#   inside the arrival (the serve process's boot event lands in precisely
-#   that slot), and the reply arrival where the response send schedules;
+# * RNG draws -- one loss roll and one jitter draw per leg from the shared
+#   "network" stream, in ``Network.send``'s order;
+# * counters -- ``Network.sent/delivered/dropped`` move where ``send`` and
+#   ``_arrive`` move them;
+# * isolation -- args and credential are snapshotted at send, the result
+#   is copied unless immutable or declared ``rpc_fresh_results``;
 # * failure windows -- host/partition/service state is re-checked at each
-#   hop's *arrival* time.  A service object swapped in flight by a
-#   crash+restart falls back to real datagram delivery (the new instance
-#   must serve the request, as it would for the real in-flight message),
-#   while a swap during the zero-delay serve window drops the call (the
-#   crash would have killed the serve process).
+#   leg's *arrival*.  The handler runs in the arrival callback, not in the
+#   caller's process, so a caller crash after send cannot un-send it.  A
+#   service object swapped in flight by a crash+restart gets a real
+#   Datagram (the new instance must serve the request);
+# * the timeout -- ``RPCTimeout`` is raised at exactly ``t0 + timeout``:
+#   the timer is armed, at that absolute time, at the instant a leg is
+#   dropped, found to land past the deadline, or handed to the Datagram
+#   path.  A reply that lands after it is counted and discarded.
 #
 # Anything that does not fit -- generator handlers, authorizers, Mailboxes,
-# services overriding ``deliver``/``_serve`` -- transparently takes the
-# real path.  The decision is made per send, so mid-run topology or
-# loss-rate changes are honoured.
+# services overriding ``deliver``/``_serve`` -- takes the Datagram path.
+# The decision is made per send, so mid-run topology or loss-rate changes
+# are honoured.
 
 _INLINE_CACHE: dict[tuple[type, str], Optional[tuple[bool, str]]] = {}
 
@@ -158,38 +161,105 @@ def _inline_plan(sim, dst: str, service: str, method: str):
     return svc, plan[0], plan[1]
 
 
-def _mimic_send(net, src_host: "Host", dst: str, service: str,
-                on_arrive) -> None:
-    """Replicate ``Network.send``'s bookkeeping, draws and scheduling.
+class _Reply(Event):
+    """What an inline caller waits on.
+
+    Fires once and never through the heap: with the response dict from
+    inside the reply leg's arrival, or with None from inside the timer
+    at ``deadline`` -- whichever runs first -- so the caller resumes in
+    the very callback that carries the outcome.
+    """
+
+    __slots__ = ("deadline", "disp")
+
+    def __init__(self, sim, deadline: float, disp: _ReplyDispatch):
+        super().__init__(sim, name="rpc")
+        self.deadline = deadline
+        self.disp = disp
+
+    def fire(self, value: Any) -> None:
+        if self._value is _UNSET:
+            self._value = value
+            self._run_callbacks()
+
+
+def _expire(reply: Optional[_Reply]) -> Optional[Timeout]:
+    """The reply cannot arrive in time: arm the caller's timeout.
+
+    Every arming site is either the end of the inline path or sends a
+    leg that lands at or after the deadline, so a call arms at most one
+    live timer: by the next site the first has fired.
+    """
+    if reply is None or reply._value is not _UNSET:
+        return None
+    timer = Timeout(reply.sim, 0.0, at=reply.deadline)
+    timer.callbacks.append(lambda _ev: reply.fire(None))
+    return timer
+
+
+def _handoff(reply: Optional[_Reply]) -> Optional[int]:
+    """Token under which a Datagram-path response reaches ``reply``."""
+    if reply is None:
+        return None
+    token = _next_token(reply.sim)
+    timer = _expire(reply)
+    if timer is not None:
+        pending = reply.disp.pending
+        pending[token] = reply
+        # Whichever of response and timer resolves the call retires the
+        # other, before the caller resumes.
+        reply.callbacks.insert(
+            0, lambda _ev: (timer.cancel(), pending.pop(token, None)))
+    return token
+
+
+def _send_leg(net, src_host: "Host", dst: str, service: str, on_arrive,
+              reply: Optional[_Reply]) -> None:
+    """``Network.send``'s bookkeeping, draws and scheduling for one leg.
 
     Identical control flow minus the Datagram and the payload copy (the
     caller copies exactly what crosses the boundary).  ``on_arrive`` is
     attached directly as an event callback (it receives the event).
     """
+    sim = net.sim
     net.sent += 1
-    if not src_host.up:
+    if not src_host.up or not net.reachable(src_host.name, dst):
         net.dropped += 1
+        _expire(reply)
         return
-    if not net.reachable(src_host.name, dst):
-        net.dropped += 1
-        return
-    dst_host = net.sim.hosts.get(dst)
+    dst_host = sim.hosts.get(dst)
     same_site = (dst_host is not None and src_host.site
                  and src_host.site == dst_host.site)
     if not same_site and net.loss_rate > 0.0 and \
             net._rng.random() < net.loss_rate:
         net.dropped += 1
-        net.sim.trace.log("network", "loss", src=src_host.name, dst=dst,
-                          service=service)
+        sim.trace.log("network", "loss", src=src_host.name, dst=dst,
+                      service=service)
+        _expire(reply)
         return
     latency = net._base_latency(src_host, dst_host, dst) \
         + net._rng.uniform(0.0, net.jitter)
-    Timeout(net.sim, latency).callbacks.append(on_arrive)
+    if reply is not None and sim.now + latency >= reply.deadline:
+        _expire(reply)
+    Timeout(sim, latency).callbacks.append(on_arrive)
+
+
+def _land_leg(net, src: str, dst: str, service: str):
+    """``Network._arrive``'s checks and counters; the service reached."""
+    if net.reachable(src, dst):
+        host = net.sim.hosts.get(dst)
+        if host is not None and host.up:
+            svc = host.services.get(service)
+            if svc is not None:
+                net.delivered += 1
+                return svc
+    net.dropped += 1
+    return None
 
 
 def _drain(net, host: "Host", reply_to: str, token, gen):
-    # Only reachable if a handler was swapped for a generator in flight
-    # (never in-tree); finish it under serve semantics.
+    # A plain handler that returned a generator (never in-tree): finish
+    # it under serve semantics.
     ok, value, error = True, None, None
     try:
         value = yield from gen
@@ -204,103 +274,69 @@ def _drain(net, host: "Host", reply_to: str, token, gen):
     })
 
 
-def _inline_request(sim, net, src: "Host", dst: str, service: str,
-                    method: str, svc, plan, token, credential,
-                    args) -> None:
+def _inline_request(net, src: "Host", dst: str, service: str, method: str,
+                    plan, credential, args,
+                    reply: Optional[_Reply] = None) -> None:
     """One request (and, for calls, its response) on the inline path."""
-    fresh, mname = plan
+    svc, fresh, mname = plan
+    caller = src.name
     # Snapshot what crosses the wire now, like the real send's payload
     # copy.  The kwargs dict itself is rebuilt by the ** call below, so
     # only the values need isolating.
     req_args = fast_deepcopy(args) if args else args
     req_cred = credential if credential is None else fast_deepcopy(credential)
 
-    def serve(_ev) -> None:
-        # A crash in the zero-delay window would have killed the serve
-        # process; the services dict is cleared (and repopulated with new
-        # objects on restart), so object identity detects it.
-        dst_host = sim.hosts.get(dst)
-        if dst_host is None or not dst_host.up or \
-                dst_host.services.get(service) is not svc:
+    def arrive(_ev) -> None:
+        svc_now = _land_leg(net, caller, dst, service)
+        if svc_now is None:
+            _expire(reply)
+            return
+        if svc_now is not svc:
+            # Service replaced in flight (crash + restart): the real
+            # datagram would reach the new instance -- deliver it.
+            svc_now.deliver(Datagram(caller, dst, service, {
+                "kind": "request", "method": method, "args": req_args,
+                "token": _handoff(reply), "reply_to": caller,
+                "credential": req_cred,
+            }))
             return
         ok, value, error = True, None, None
         try:
             if req_cred is None:
-                ctx = _CTX_CACHE.get(src.name)
+                ctx = _CTX_CACHE.get(caller)
                 if ctx is None:
-                    ctx = CallContext(caller_host=src.name)
-                    _CTX_CACHE[src.name] = ctx
+                    ctx = _CTX_CACHE[caller] = CallContext(caller_host=caller)
             else:
-                ctx = CallContext(caller_host=src.name,
-                                  credential=req_cred, principal=None)
-            handler = getattr(svc, mname, None)
-            if handler is None:
-                raise ServiceUnavailable(
-                    f"service {svc.name} has no method {method!r}")
-            result = handler(ctx, **req_args)
-            if inspect.isgenerator(result):
-                dst_host.spawn(_drain(net, dst_host, src.name, token, result))
+                ctx = CallContext(caller_host=caller, credential=req_cred)
+            value = getattr(svc, mname)(ctx, **req_args)
+            if inspect.isgenerator(value):
+                svc.host.spawn(_drain(net, svc.host, caller,
+                                      _handoff(reply), value))
                 return
-            value = result
         except Exception as exc:  # noqa: BLE001 - marshalled to the caller
             ok = False
             error = {"kind": type(exc).__name__, "message": str(exc)}
-        if token is None:
+        if reply is None:
             return
         # Immutable results and declared-fresh ones cross without the
         # serialization copy; content is identical either way.
-        if fresh or type(value) in _ATOMS:
-            value_copy = value
-        else:
-            value_copy = fast_deepcopy(value)
+        if not fresh and type(value) not in _ATOMS:
+            value = fast_deepcopy(value)
+        response = {"ok": ok, "value": value, "error": error}
 
         def reply_arrive(_ev) -> None:
-            if not net.reachable(dst, src.name):
-                net.dropped += 1
-                return
-            caller = sim.hosts.get(src.name)
-            if caller is None or not caller.up:
-                net.dropped += 1
-                return
-            disp = caller.services.get(_ReplyDispatch.SERVICE)
-            if disp is None:
-                net.dropped += 1
-                return
-            net.delivered += 1
-            ev = disp.pending.pop(token, None)
-            if ev is not None and not ev.triggered:
-                ev.succeed({"ok": ok, "value": value_copy, "error": error})
+            # A caller host that rebooted in flight has a new dispatcher
+            # (or none): the reply lands on nobody.
+            if _land_leg(net, dst, caller,
+                         _ReplyDispatch.SERVICE) is reply.disp:
+                reply.fire(response)
+            else:
+                _expire(reply)
 
-        _mimic_send(net, dst_host, src.name, _ReplyDispatch.SERVICE,
-                    reply_arrive)
+        _send_leg(net, svc.host, caller, _ReplyDispatch.SERVICE,
+                  reply_arrive, reply)
 
-    def arrive(_ev) -> None:
-        if not net.reachable(src.name, dst):
-            net.dropped += 1
-            return
-        dst_host = sim.hosts.get(dst)
-        if dst_host is None or not dst_host.up:
-            net.dropped += 1
-            return
-        svc_now = dst_host.services.get(service)
-        if svc_now is None:
-            net.dropped += 1
-            return
-        net.delivered += 1
-        if svc_now is svc:
-            # The serve process's boot event: the same zero-delay push the
-            # real spawn would make at this execution point.
-            Timeout(sim, 0.0).callbacks.append(serve)
-        else:
-            # Service replaced in flight (crash + restart): the real
-            # datagram would reach the new instance -- deliver it.
-            svc_now.deliver(Datagram(src.name, dst, service, {
-                "kind": "request", "method": method, "args": req_args,
-                "token": token, "reply_to": src.name,
-                "credential": req_cred,
-            }))
-
-    _mimic_send(net, src, dst, service, arrive)
+    _send_leg(net, src, dst, service, arrive, reply)
 
 
 def call(
@@ -325,32 +361,14 @@ def call(
         key = (service, method)
         RPC_STATS[key] = RPC_STATS.get(key, 0) + 1
     disp = _dispatch(src)
-    token = _next_token(sim)
     plan = _inline_plan(sim, dst, service, method)
     if plan is not None:
-        reply = Event(sim, name="rpc")
-        disp.pending[token] = reply
-        _inline_request(sim, net, src, dst, service, method, plan[0],
-                        plan[1:], token, credential, args)
-        timer = Timeout(sim, timeout)
-        # Lightweight any_of: the wakeup event is succeeded from inside
-        # the winning child's callbacks, so the process resumes exactly
-        # one event push after the child fires -- the same distance the
-        # real AnyOf's own scheduled event puts it at.
-        wake = Event(sim, name="any_of")
-
-        def _reply_won(ev, wake=wake):
-            if not wake.triggered:
-                wake.succeed((0, ev._value))
-
-        def _timed_out(ev, wake=wake):
-            if not wake.triggered:
-                wake.succeed((1, None))
-
-        reply.callbacks.append(_reply_won)
-        timer.callbacks.append(_timed_out)
-        index, value = yield wake
+        reply = _Reply(sim, sim.now + timeout, disp)
+        _inline_request(net, src, dst, service, method, plan, credential,
+                        args, reply)
+        value = yield reply
     else:
+        token = _next_token(sim)
         reply = sim.event(name=f"rpc:{service}.{method}:{token}")
         disp.pending[token] = reply
         net.send(src, dst, service, {
@@ -363,10 +381,13 @@ def call(
         })
         timer = sim.timeout(timeout)
         index, value = yield sim.any_of([reply, timer])
-    if index == 1:
-        disp.pending.pop(token, None)
+        if index == 1:
+            disp.pending.pop(token, None)
+            value = None
+        else:
+            timer.cancel()
+    if value is None:
         raise RPCTimeout(f"{service}.{method} on {dst} (after {timeout}s)")
-    timer.cancel()
     if value["ok"]:
         return value["value"]
     err = value["error"]
@@ -387,15 +408,16 @@ def notify(
     """One-way datagram dispatched to ``handle_<method>`` (no response)."""
     sim = src.sim
     net = sim.network
+    if net is None:
+        raise RuntimeError("simulation has no Network")
     if RPC_STATS is not None:
         key = (service, method)
         RPC_STATS[key] = RPC_STATS.get(key, 0) + 1
-    if net is not None:
-        plan = _inline_plan(sim, dst, service, method)
-        if plan is not None:
-            _inline_request(sim, net, src, dst, service, method, plan[0],
-                            plan[1:], None, credential, args)
-            return
+    plan = _inline_plan(sim, dst, service, method)
+    if plan is not None:
+        _inline_request(net, src, dst, service, method, plan, credential,
+                        args)
+        return
     net.send(src, dst, service, {
         "kind": "request",
         "method": method,

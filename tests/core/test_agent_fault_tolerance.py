@@ -77,6 +77,35 @@ def test_class3_submit_machine_crash_recovers_from_queue():
     assert len(tb.sites["wisc"].lrm.jobs) == 1    # no duplicate
 
 
+def test_queue_writes_the_request_once_and_recovery_rejoins_it():
+    """The frozen request goes to its own namespace at submission; state
+    changes rewrite only the progress record; recovery joins the two."""
+    from repro.core.scheduler import CondorGScheduler
+    tb = make_tb()
+    agent = tb.add_agent(AgentSpec("alice"))
+    jid = agent.submit(JobDescription(runtime=600.0), resource="wisc-gk")
+    stable = agent.host.stable
+    job = agent.scheduler.jobs[jid]
+    request = stable.get("condorg-queue-request:alice", jid)
+    assert request == job.request
+    request_writes = []
+    put = stable.put
+    stable.put = lambda ns, key, value: (
+        request_writes.append(key) if "request" in ns else None,
+        put(ns, key, value))
+    tb.run(until=150.0)
+    assert agent.status(jid).state == "ACTIVE"
+    progress = stable.get("condorg-queue:alice", jid)
+    assert progress["state"] == "ACTIVE" and "request" not in progress
+    assert request_writes == []          # several state changes, no rewrite
+    agent.host.crash()
+    agent.host.restart()
+    recovered = CondorGScheduler(agent.host, "alice").jobs[jid]
+    assert recovered.request == request
+    assert (recovered.state, recovered.seq, recovered.jmid) == \
+        ("ACTIVE", job.seq, job.jmid)
+
+
 def test_class4_network_partition_heals():
     tb = make_tb()
     agent = tb.add_agent(AgentSpec("alice"))

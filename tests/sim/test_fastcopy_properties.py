@@ -9,15 +9,33 @@ reference; Hypothesis generates the payload trees.
 """
 
 import copy
+import enum
 from dataclasses import dataclass, field
 
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.fastcopy import fast_deepcopy
+from repro.states import JobState
+
+
+class _Colour(enum.Enum):
+    RED = 1
+    PAIR = (1, [2])      # a container-valued member is still a singleton
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+# Members of a plain Enum, an int mixin and the str mixin every persisted
+# queue record carries.
+_enum_members = st.sampled_from(list(_Colour) + list(_Level) + list(JobState))
 
 # The payload alphabet the simulator actually ships: JSON-ish atoms
 # under dict/list/tuple containers.
 _atoms = st.one_of(
+    _enum_members,
     st.none(),
     st.booleans(),
     st.integers(min_value=-2**40, max_value=2**40),
@@ -80,6 +98,36 @@ def test_matches_deepcopy_on_payload_trees(tree):
     slow = copy.deepcopy(tree)
     assert fast == slow == tree
     _assert_no_shared_mutables(tree, fast)
+
+
+@given(_enum_members, _trees)
+@settings(max_examples=100, deadline=None)
+def test_enum_members_keep_their_identity(member, tree):
+    """Like ``copy.deepcopy``: a member comes back as itself -- as a
+    value, as a dict key and next to real containers -- never as a
+    re-built instance or its bare mixin value."""
+    payload = {"state": member, member: [member, tree], "t": (member, tree)}
+    fast = fast_deepcopy(payload)
+    slow = copy.deepcopy(payload)
+    assert fast == slow == payload
+    for clone in (fast, slow):
+        assert clone["state"] is member
+        assert clone[member][0] is member and clone["t"][0] is member
+        assert any(key is member for key in clone)
+    _assert_no_shared_mutables(payload, fast)
+
+
+def test_enum_leaves_do_not_reach_the_deepcopy_fallback(monkeypatch):
+    """A queue record is a plain tree over atoms and ``JobState``: it
+    must be walked structurally, not handed to ``copy.deepcopy``."""
+    def fallback(obj, memo=None):
+        raise AssertionError(f"fell back to copy.deepcopy for {obj!r}")
+
+    monkeypatch.setattr(copy, "deepcopy", fallback)
+    record = {"job_id": "gridjob-1", "state": JobState.ACTIVE,
+              "history": [(0.5, "queued", {"level": _Level.HIGH})]}
+    clone = fast_deepcopy(record)
+    assert clone == record and clone["history"] is not record["history"]
 
 
 @given(_trees)

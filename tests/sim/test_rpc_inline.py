@@ -3,8 +3,9 @@
 ``tests/test_golden_digests.py`` pins whole-scenario digests; these
 tests pin the individual semantics the inline path must share with the
 full Datagram path -- copy isolation, fallbacks, in-flight failure
-windows, RNG draws and timing -- and the one observable it is allowed to
-change (the ``rpc_fresh_results`` copy skip).
+windows, RNG draws and timing -- the one observable it is allowed to
+change (the ``rpc_fresh_results`` copy skip), and what it is for: two
+kernel events per call and no timer unless the call will time out.
 """
 
 import pytest
@@ -20,7 +21,7 @@ from repro.sim import (
     call,
     notify,
 )
-from repro.sim.rpc import _inline_plan
+from repro.sim.rpc import _ReplyDispatch, _inline_plan
 
 
 class Inlineable(Service):
@@ -33,11 +34,13 @@ class Inlineable(Service):
         self.last_result_id = None
 
     def handle_ping(self, ctx, text):
+        self.sim.trace.log("svc", "served", text=text)
         return text.upper()
 
     def handle_ping_full(self, ctx, text):
         # Generator twin of ping: same reply, but generator handlers
         # always take the full Datagram path -- the reference.
+        self.sim.trace.log("svc", "served", text=text)
         return text.upper()
         yield
 
@@ -60,6 +63,10 @@ class Inlineable(Service):
     def handle_gen(self, ctx, duration):
         yield self.sim.timeout(duration)
         return "slept"
+
+    def handle_lazy(self, ctx, duration):
+        # Planned as a plain handler, yet its result is a generator.
+        return self.handle_gen(ctx, duration)
 
 
 def run_call(sim, gen):
@@ -139,6 +146,25 @@ def test_generator_handler_falls_back_to_real_path(pool):
                              timeout=100.0, duration=5.0))
     assert box["value"] == "slept"
     assert sim.now == pytest.approx(5.2)
+
+
+def test_plain_handler_returning_a_generator_is_drained(pool):
+    sim, client, server, svc = pool
+    assert _inline_plan(sim, "server", "svc", "lazy") is not None
+    seen = {}
+
+    def caller():
+        seen["value"] = yield from call(client, "server", "svc", "lazy",
+                                        timeout=100.0, duration=5.0)
+        seen["at"] = sim.now
+        seen["heap"] = [ev for _t, _s, ev in sim._heap if not ev._cancelled]
+
+    client.spawn(caller())
+    notify(client, "server", "svc", "lazy", duration=1.0)   # no reply leg
+    sim.run()
+    assert (seen["value"], seen["at"]) == ("slept", pytest.approx(5.2))
+    assert seen["heap"] == []            # the 100 s timer was retired
+    assert sim.network.sent == 3
 
 
 def test_authorized_service_falls_back_and_enforces_auth():
@@ -230,3 +256,188 @@ def test_inline_and_real_paths_agree_on_rng_and_timing():
         return events, net.sent, net.delivered, net.dropped
 
     assert one_run("ping", inline=True) == one_run("ping_full", inline=False)
+
+
+# -- failure windows: inline vs the generator twin ----------------------------
+#
+# One call leaves "client" at T0 over 0.1 s legs with a 2 s timeout while
+# `disturb` breaks something.  Whatever happens, the inline path and the
+# Datagram path must agree on the outcome, when the caller learns it, how
+# often the handler ran, the network counters and the final clock.
+
+T0 = 0.3
+TIMEOUT = 2.0
+
+
+def _partition(at, heal_at=None):
+    def disturb(sim, net, client, server):
+        sim.schedule(at, lambda: net.partition("client", "server"), at=at)
+        if heal_at is not None:
+            sim.schedule(0, lambda: net.heal("client", "server"), at=heal_at)
+    return disturb
+
+
+def _crash(host_name, at, restart=False):
+    def disturb(sim, net, client, server):
+        host = {"client": client, "server": server}[host_name]
+
+        def act():
+            host.crash()
+            if restart:
+                host.restart()
+                Inlineable(host)
+        sim.schedule(0, act, at=at)
+    return disturb
+
+
+def _slow_link(at):
+    def disturb(sim, net, client, server):
+        sim.schedule(
+            0, lambda: net.set_link_latency("client", "server", 3.0), at=at)
+    return disturb
+
+
+WINDOWS = {
+    # name: (disturb, outcome, caller learns at, handler runs)
+    "drop-at-sender": (_partition(0.0), "timeout", T0 + TIMEOUT, 0),
+    "partition-on-request-leg": (
+        _partition(T0 + 0.05), "timeout", T0 + TIMEOUT, 0),
+    "partition-on-reply-leg": (
+        _partition(T0 + 0.15), "timeout", T0 + TIMEOUT, 1),
+    "partition-healed-before-arrival": (
+        _partition(T0 + 0.02, heal_at=T0 + 0.08), "HI", T0 + 0.1 + 0.1, 1),
+    "callee-crash-on-request-leg": (
+        _crash("server", T0 + 0.05), "timeout", T0 + TIMEOUT, 0),
+    "callee-crash-between-legs": (
+        _crash("server", T0 + 0.15), "HI", T0 + 0.1 + 0.1, 1),
+    "callee-restart-in-flight": (
+        _crash("server", T0 + 0.05, restart=True), "HI", T0 + 0.1 + 0.1, 1),
+    "caller-crash-after-send": (
+        _crash("client", T0 + 0.05), None, None, 1),
+    "caller-restart-in-flight": (
+        _crash("client", T0 + 0.05, restart=True), None, None, 1),
+    "slow-request-leg": (_slow_link(0.0), "timeout", T0 + TIMEOUT, 1),
+    "slow-reply-leg": (_slow_link(T0 + 0.05), "timeout", T0 + TIMEOUT, 1),
+}
+
+
+def run_window(method, disturb):
+    sim = Simulator(seed=5)
+    net = Network(sim, latency=0.1, jitter=0.0)
+    client = Host(sim, "client")
+    server = Host(sim, "server")
+    Inlineable(server)
+    assert (_inline_plan(sim, "server", "svc", method) is not None) \
+        == (method == "ping")
+    seen = {"outcome": None, "at": None}
+
+    def caller():
+        yield sim.timeout(T0)
+        try:
+            seen["outcome"] = yield from call(
+                client, "server", "svc", method, timeout=TIMEOUT, text="hi")
+        except RPCTimeout:
+            seen["outcome"] = "timeout"
+        seen["at"] = sim.now
+
+    client.spawn(caller())       # bound to the host: dies with it
+    disturb(sim, net, client, server)
+    sim.run()
+    pending = [d.pending for h in (client, server)
+               for d in [h.services.get(_ReplyDispatch.SERVICE)] if d]
+    assert not any(pending)      # resolved or timed out: nothing waits
+    return (seen["outcome"], seen["at"],
+            len(sim.trace.select("svc", "served")),
+            (net.sent, net.delivered, net.dropped), sim.now)
+
+
+@pytest.mark.parametrize("window", sorted(WINDOWS))
+def test_failure_window_matches_the_datagram_path(window):
+    disturb, outcome, learned_at, served = WINDOWS[window]
+    inline = run_window("ping", disturb)
+    assert inline == run_window("ping_full", disturb)
+    # ... and both are what the protocol promises: the timeout exactly
+    # T0 + TIMEOUT after the send, the handler at most once, a crashed
+    # caller never resumed.
+    assert inline[:3] == (outcome, learned_at, served)
+
+
+def test_late_reply_is_counted_and_discarded():
+    """Leg latency past the deadline: the caller times out on time, the
+    request still runs, and the reply that lands later resumes nobody."""
+    outcome, at, served, counters, end = run_window("ping", _slow_link(0.0))
+    assert (outcome, at, served) == ("timeout", T0 + TIMEOUT, 1)
+    assert counters == (2, 2, 0)         # both legs delivered
+    assert end == T0 + 3.0 + 3.0         # the reply did land, at 6.3
+
+
+# -- event budget ---------------------------------------------------------------
+
+def test_successful_inline_calls_cost_two_events_and_no_timer(pool):
+    sim, client, server, svc = pool
+    n = 50
+    seen = {}
+
+    def caller():
+        seen["seq"] = sim._seq
+        for i in range(n):
+            yield from call(client, "server", "svc", "ping", text=str(i))
+        seen["pushed"] = sim._seq - seen["seq"]
+        seen["heap"] = list(sim._heap)
+
+    client.spawn(caller())
+    sim.run()
+    assert seen["pushed"] == 2 * n       # request arrival + reply arrival
+    assert seen["heap"] == []            # no timer, live or cancelled
+    assert not client.services[_ReplyDispatch.SERVICE].pending
+
+
+def test_notify_costs_one_event(pool):
+    sim, client, server, svc = pool
+    before = sim._seq
+    for i in range(20):
+        notify(client, "server", "svc", "record", data=i)
+    sim.run()
+    assert sim._seq - before == 20       # the arrivals, nothing else
+    assert svc.state["data"] == 19
+
+
+def test_handed_off_call_retires_its_timer_and_token():
+    """A call handed to the Datagram path in flight (service replaced)
+    leaves no live timer behind when the response wins, and no pending
+    token when the timer wins."""
+    for lose_response in (False, True):
+        sim = Simulator(seed=11)
+        net = Network(sim, latency=0.1, jitter=0.0)
+        client, server = Host(sim, "client"), Host(sim, "server")
+        Inlineable(server)
+        _crash("server", 0.05, restart=True)(sim, net, client, server)
+        if lose_response:
+            _partition(0.15)(sim, net, client, server)
+        seen = {}
+
+        def caller():
+            try:
+                seen["outcome"] = yield from call(
+                    client, "server", "svc", "ping", timeout=2.0, text="hi")
+            except RPCTimeout:
+                seen["outcome"] = "timeout"
+            seen["live"] = [ev for _t, _s, ev in sim._heap
+                            if not ev._cancelled]
+            seen["pending"] = dict(
+                client.services[_ReplyDispatch.SERVICE].pending)
+
+        client.spawn(caller())
+        sim.run()
+        assert seen["outcome"] == ("timeout" if lose_response else "HI")
+        assert seen["live"] == [] and seen["pending"] == {}
+        assert sim.now == (2.0 if lose_response else pytest.approx(0.2))
+
+
+def test_notify_without_a_network_raises_like_call():
+    sim = Simulator(seed=1)
+    lonely = Host(sim, "lonely")
+    with pytest.raises(RuntimeError, match="simulation has no Network"):
+        notify(lonely, "nowhere", "svc", "record", data=1)
+    with pytest.raises(RuntimeError, match="simulation has no Network"):
+        next(call(lonely, "nowhere", "svc", "ping", text="x"))

@@ -217,9 +217,14 @@ class TestCaptureVerify:
         good = capture(_testbed(), scenario="three-site").to_dict()
         pre_bump = {**good, "version": SNAPSHOT_VERSION - 1,
                     "perf_flags": {"rpc_inline": True}}
+        # Version 2 has this version's key set but fingerprints an
+        # in-flight inline RPC differently: refused, not mis-verified.
+        assert SNAPSHOT_VERSION == 3
+        v2 = {**good, "version": 2}
         truncated = {k: v for k, v in good.items() if k != "fingerprint"}
         unknown = {**good, "perf_flags": {}}
         for doc, needle in ((pre_bump, "version"),
+                            (v2, "version"),
                             (truncated, "fingerprint"),
                             (unknown, "perf_flags"),
                             ([good], "JSON object")):
