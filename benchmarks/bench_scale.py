@@ -16,7 +16,7 @@ change may move wall time, never behaviour).
 
 Every run also tallies wire RPCs (``repro.sim.rpc.RPC_STATS`` -- plain
 bookkeeping, digest-neutral) so monitored cells record how many
-status/probe RPCs the Grid Monitor actually replaced.
+per-job ``status`` RPCs the Grid Monitor actually replaced.
 
 Results land in ``BENCH_scale.json`` (committed at the repo root; CI
 regenerates a downsized cell and compares against it, see
@@ -93,9 +93,10 @@ CELLS = {
 }
 
 #: RPC methods that make up the GRAM status path: what the Grid Monitor
-#: exists to collapse (per-job polls and liveness probes) and what it
-#: replaces them with (batched reports + launch requests).
-_STATUS_METHODS = ("status", "probe")
+#: exists to collapse (the per-job ``status`` RPC, which is state fetch
+#: and §4.2 liveness probe in one) and what it replaces it with (batched
+#: reports + launch requests).
+_STATUS_METHODS = ("status",)
 _MONITOR_METHODS = ("monitor_report", "start_monitor")
 
 
@@ -214,7 +215,7 @@ def test_write_results(report):
         except (json.JSONDecodeError, OSError):
             cells = {}
     cells.update(_results)
-    # The Grid Monitor's reason to exist: same workload, ~>=10x fewer
+    # The Grid Monitor's reason to exist: same workload, ~10x fewer
     # status-path RPCs.  Record the ratio whenever both halves of a
     # monitored/unmonitored pair have been measured (this run or a
     # previous one -- partial BENCH_SCALE_CELLS runs merge).

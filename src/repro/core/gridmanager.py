@@ -8,15 +8,18 @@ remote lifecycle:
   token before phase 1 and the JobManager contact before phase 2, so a
   submit-machine crash at *any* point resumes without duplicating or
   losing the job;
-* **failure detection** by probing JobManagers, with the exact §4.2
-  decision tree: JobManager silent -> probe the Gatekeeper; Gatekeeper
-  answers -> restart the JobManager; Gatekeeper silent -> crash and
-  partition are indistinguishable, so keep probing until contact returns,
-  then restart/reconnect (the revived JobManager either resumes watching
-  or reports that the job finished during the outage);
+* **failure detection** by periodically asking every JobManager for
+  its ``status`` -- the §4.2 probe -- with the exact decision tree:
+  JobManager silent -> probe the Gatekeeper; Gatekeeper answers ->
+  restart the JobManager; Gatekeeper silent -> crash and partition are
+  indistinguishable, so keep probing until contact returns, then
+  restart/reconnect (the revived JobManager either resumes watching or
+  reports that the job finished during the outage);
 * **resubmission** of jobs that failed for transient, non-application
   reasons;
-* **status callbacks** (a sink service) backed up by periodic polling.
+* **job state**, which arrives by status callback (a sink service), by
+  Grid Monitor report, or as the answer to the probe -- all three through
+  ``_apply_remote_state``.
 """
 
 from __future__ import annotations
@@ -56,13 +59,14 @@ def _is_transient(reason: str) -> bool:
 class GridManager(Service):
     """Callback sink + the per-user submission/probing machinery."""
 
+    # The one status period (§4.2): how often each watchable job's
+    # JobManager is asked for its status.
     PROBE_INTERVAL = 30.0
-    POLL_INTERVAL = 20.0
-    # With a Grid Monitor reporting per site (§5.1), per-job polling is
-    # demoted to this slow backstop and skips sites with fresh reports.
-    MONITOR_BACKSTOP_INTERVAL = 300.0
+    # How often the submit loop looks again while a job is UNSUBMITTED
+    # but not submittable yet (gatekeeper back-off, throttle, no site).
+    SUBMIT_RETRY_INTERVAL = 20.0
     # A site's heartbeat is stale once this many report intervals pass
-    # in silence: per-job polling/probing resumes and the monitor is
+    # in silence: per-job watching resumes and the monitor is
     # relaunched (with a cooldown so a dead gatekeeper isn't hammered).
     MONITOR_MISS_FACTOR = 2.5
     MONITOR_START_COOLDOWN = 60.0
@@ -100,11 +104,10 @@ class GridManager(Service):
         self.client = Gram2Client(host, credential_source=credential_source)
         self.exited = False
         self._wake = self.sim.event(name=f"gm-wake:{user}")
-        self._watch_wakes: list = []   # poll/probe loops asleep while idle
+        self._watch_wake = None    # set while the watch loop is parked
         self._procs = [
             host.spawn(self._submit_loop(), name=f"gridmanager:{user}"),
-            host.spawn(self._probe_loop(), name=f"gm-probe:{user}"),
-            host.spawn(self._poll_loop(), name=f"gm-poll:{user}"),
+            host.spawn(self._watch_loop(), name=f"gm-watch:{user}"),
         ]
         self.sim.trace.log("gridmanager", "start", user=user)
 
@@ -117,11 +120,10 @@ class GridManager(Service):
             self._wake.succeed(None)
 
     def notify_watchable(self) -> None:
-        """A job just became watchable: rouse idle poll/probe loops."""
-        wakes, self._watch_wakes = self._watch_wakes, []
-        for ev in wakes:
-            if not ev.triggered and not ev._scheduled:
-                ev.succeed(None)
+        """A job just became watchable: rouse the watch loop if parked."""
+        wake, self._watch_wake = self._watch_wake, None
+        if wake is not None:
+            wake.succeed(None)
 
     # -- submission ------------------------------------------------------------
     def _submit_loop(self):
@@ -147,7 +149,8 @@ class GridManager(Service):
                 yield self._wake
             else:
                 yield self.sim.any_of(
-                    [self._wake, self.sim.timeout(self.POLL_INTERVAL)])
+                    [self._wake,
+                     self.sim.timeout(self.SUBMIT_RETRY_INTERVAL)])
 
     def _submit_one(self, job: GridJob):
         if not job.resource:
@@ -206,15 +209,31 @@ class GridManager(Service):
             # pin the job to an attempt the scheduler has disowned.
             self._trace("submit_superseded", job=job.job_id, seq=job.seq)
             return
-        job.jmid = response["jmid"]
+        job.jmid = jmid = response["jmid"]
         job.contact = response["contact"]
         self.scheduler.persist(job)
+        failure = None
         try:
-            yield from self.client.commit(job.contact, job.jmid)
-        except (AuthenticationError, AuthorizationError) as exc:
-            self.scheduler.credential_problem(job, str(exc))
-            return
+            yield from self.client.commit(job.contact, jmid)
         except (GramClientError, RPCError) as exc:
+            failure = exc
+        if job.jmid != jmid or job.is_terminal:
+            # Superseded while phase 2 was in flight: commit retries can
+            # outlast the attempt (a late failure callback reclaimed the
+            # job, or a callback finished it).  Whatever the commit's
+            # fate, it is about a dead attempt.
+            self._trace("submit_superseded", job=job.job_id, seq=job.seq)
+            return
+        if isinstance(failure, (AuthenticationError, AuthorizationError)):
+            self.scheduler.credential_problem(job, str(failure))
+            return
+        job.committed = True
+        if job.state == J.SUBMITTING:
+            # Only forward: a callback may already have reported
+            # PENDING/ACTIVE while the commit ACK was in flight.
+            job.state = J.PENDING
+        self.scheduler.persist(job)
+        if failure is not None:
             # A lost commit *ACK* is indistinguishable from a lost
             # commit: the JobManager may have received phase 2 and
             # already be running the job, so resubmitting here would
@@ -225,15 +244,9 @@ class GridManager(Service):
             # to resubmit (the probe path does exactly that).
             self.sim.metrics.counter("gridmanager.submit_failures").inc(
                 label="commit")
-            job.committed = True
-            job.state = J.PENDING
-            self.scheduler.persist(job)
             self._trace("commit_unacknowledged", job=job.job_id,
-                        jmid=job.jmid, reason=str(exc))
+                        jmid=jmid, reason=str(failure))
             return
-        job.committed = True
-        job.state = J.PENDING
-        self.scheduler.persist(job)
         self.sim.metrics.counter("gridmanager.submits").inc()
         self.sim.metrics.histogram("gridmanager.submit_latency").observe(
             self.sim.now - attempt_start)
@@ -417,12 +430,12 @@ class GridManager(Service):
         """One batched status report from a site's Grid Monitor.
 
         Each entry goes through the same `_apply_remote_state` as a
-        callback or poll response, under the same superseded-``jmid``
+        callback or status answer, under the same superseded-``jmid``
         staleness discipline: a report snapshotted before a resubmission
         must not touch the new attempt.  The report doubles as the
         site's liveness heartbeat, and a *watchable* job whose
         JobManager is absent from its site's report is marked suspect --
-        the probe loop gives exactly those jobs the per-job §4.2
+        the watch loop gives exactly those jobs the per-job §4.2
         treatment while everything covered by the monitor stays quiet.
         """
         if not self.grid_monitor or self.exited:
@@ -472,7 +485,7 @@ class GridManager(Service):
         """Launch (or relaunch) the Grid Monitor at `contact`, lazily.
 
         Called on every successful submit and on every stale-heartbeat
-        probe pass; the freshness check and launch cooldown make both
+        watch pass; the freshness check and launch cooldown make both
         O(1) no-ops while a monitor is alive, so the steady state costs
         one ``start_monitor`` RPC per site per outage, not per job.
         """
@@ -500,7 +513,7 @@ class GridManager(Service):
             return
         # Optimistic heartbeat: the monitor exists *now*; its first
         # report lands one interval out, well inside the staleness
-        # horizon -- so the probe loop stands down immediately instead
+        # horizon -- so the watch loop stands down immediately instead
         # of fanning out per-job probes while the monitor warms up.
         self._monitor_last[contact] = self.sim.now
         starts.inc(label="ok")
@@ -513,7 +526,7 @@ class GridManager(Service):
             return
         if job.state == J.STAGING_OUT:
             # The remote side already reported DONE; the stage-out
-            # process owns the rest of the lifecycle.  A stale poll
+            # process owns the rest of the lifecycle.  A stale status
             # response must not regress the state machine.
             return
         if state == "PENDING" and job.state != J.PENDING:
@@ -572,124 +585,68 @@ class GridManager(Service):
             self.scheduler.job_finished(job)
             self.kick()
 
-    # -- idle skipping -------------------------------------------------------
-    def _idle_realign(self, interval: float):
-        """Generator: sleep while nothing is watchable, then re-tick.
+    # -- watching: status is the §4.2 probe -----------------------------------
+    def _watch_loop(self):
+        """Every PROBE_INTERVAL, one ``status`` RPC per watchable job.
 
-        The poll/probe loops are periodic: a pass happens every
-        `interval` from the loop's start.  An idle pass is invisible (no
-        trace, no RPC, no metrics), so it is skipped -- but the next
-        real pass must land on the tick a loop that never slept would
-        have reached.  Tick times accumulate as repeated
-        ``t += interval`` float additions from the last tick, so we
-        replay exactly that accumulation and then sleep to the absolute
-        result (timeout_until: no drift through a relative delay).
+        The answer is both the liveness proof and the job's state; its
+        absence enters the §4.2 decision tree.  With a Grid Monitor the
+        site's report stream is the liveness proof instead: jobs at a
+        freshly-reporting site are skipped unless the report marked
+        them suspect, and a stale site gets the per-job treatment (and
+        a new monitor).  With nothing watchable the loop parks on an
+        event, so an idle GridManager keeps nothing on the heap.
         """
-        last_tick = self.sim.now
-        wake = self.sim.event(name=f"gm-watch:{self.user}")
-        self._watch_wakes.append(wake)
-        yield wake
-        tick = last_tick
-        while tick <= self.sim.now:
-            tick += interval
-        yield self.sim.timeout_until(tick)
-
-    # -- polling backstop ----------------------------------------------------
-    def _poll_loop(self):
-        # With a Grid Monitor fanning in per-site reports, per-job
-        # status polling is pure redundancy while heartbeats are fresh:
-        # the loop drops to a slow backstop tick and skips every job at
-        # a freshly-reporting site, so it only pays RPCs for sites whose
-        # monitor has gone quiet (and for report loss, eventually).
-        interval = self.MONITOR_BACKSTOP_INTERVAL if self.grid_monitor \
-            else self.POLL_INTERVAL
         while not self.exited:
-            yield self.sim.timeout(interval)
-            while not self.scheduler.watchable_count():
-                yield from self._idle_realign(interval)
+            if not self.scheduler.watchable_count():
+                self._watch_wake = self.sim.event(
+                    name=f"gm-watchable:{self.user}")
+                yield self._watch_wake
+            yield self.sim.timeout(self.PROBE_INTERVAL)
             for job in self.scheduler.watchable_jobs():
-                if self.grid_monitor and \
-                        self._monitor_fresh(job.contact or job.resource):
-                    continue
-                yield from self._poll_job(job)
+                if self.grid_monitor:
+                    contact = job.contact or job.resource
+                    if not self._monitor_fresh(contact):
+                        # Stale heartbeat: the monitor (or the whole
+                        # site) is gone.  Ask for a new one and watch
+                        # this site's jobs ourselves meanwhile.
+                        self._ensure_monitor(contact)
+                    elif job.jmid in self._monitor_suspect:
+                        self._monitor_suspect.discard(job.jmid)
+                    else:
+                        continue
+                yield from self._watch_job(job)
 
-    def _poll_job(self, job: GridJob):
-        # Snapshot the attempt we are polling: the job can be
-        # resubmitted while the status RPC is in flight (a
-        # failure report for THIS attempt races with the next
-        # one), and applying a stale response to the new
-        # attempt would wreck its state machine.
+    def _watch_job(self, job: GridJob):
+        outcomes = self.sim.metrics.counter("gridmanager.probe_outcomes")
+        # Snapshot the attempt we are asking about: every yield below
+        # can interleave with a resubmission (a failure report for THIS
+        # attempt races with the next one), after which the answer --
+        # or the silence -- is about a dead attempt and must not touch
+        # the job.
         jmid = job.jmid
         if not jmid or job.is_terminal:
-            return    # mutated since the list was drawn
-        self.sim.metrics.counter("gridmanager.status_polls").inc()
+            return    # mutated since the pass's list was drawn
         try:
             status = yield from self.client.status(job.contact, jmid)
         except AuthenticationError as exc:
-            # An expired/bad proxy discovered while polling gets
-            # the same §5 hold-and-notify treatment as one
-            # discovered while probing.  Both the metric and the
-            # hold are gated on the attempt match: a stale error
-            # for a superseded attempt says nothing about the
-            # current attempt's credential.
+            # An expired/bad proxy gets the §5 hold-and-notify
+            # treatment -- unless the error is for a superseded
+            # attempt, which says nothing about the current one's
+            # credential.
             if job.jmid == jmid:
-                self.sim.metrics.counter(
-                    "gridmanager.poll_credential_errors").inc()
+                outcomes.inc(label="credential")
                 self.scheduler.credential_problem(job, str(exc))
             return
         except RPCError:
-            return    # probe loop owns liveness handling
+            status = None    # silence: the §4.2 tree below
         if job.jmid != jmid:
-            return    # superseded attempt: drop the response
-        self._apply_remote_state(
-            job, status["state"], status.get("failure_reason", ""),
-            status.get("exit_code"))
-
-    # -- failure detection (§4.2 decision tree) ----------------------------------
-    def _probe_loop(self):
-        while not self.exited:
-            yield self.sim.timeout(self.PROBE_INTERVAL)
-            while not self.scheduler.watchable_count():
-                yield from self._idle_realign(self.PROBE_INTERVAL)
-            for job in self.scheduler.watchable_jobs():
-                if self.grid_monitor:
-                    jmid = job.jmid
-                    contact = job.contact or job.resource
-                    if self._monitor_fresh(contact):
-                        # Liveness piggybacks on the heartbeat: probe
-                        # per-job only what the monitor reported missing.
-                        if jmid and jmid in self._monitor_suspect:
-                            self._monitor_suspect.discard(jmid)
-                            yield from self._probe_job(job)
-                        continue
-                    # Stale heartbeat: the monitor (or the whole site)
-                    # is gone.  Degrade to the full per-job §4.2
-                    # machinery for this site and ask for a new monitor.
-                    self._ensure_monitor(contact)
-                yield from self._probe_job(job)
-
-    def _probe_job(self, job: GridJob):
-        outcomes = self.sim.metrics.counter("gridmanager.probe_outcomes")
-        # Same staleness discipline as the poll loop: every yield below
-        # can interleave with a resubmission, after which this probe is
-        # about a dead attempt and must not touch the job.
-        jmid = job.jmid
-        if not jmid or job.is_terminal:
-            return    # mutated since the probe round's list was drawn
-        try:
-            yield from self.client.probe_jobmanager(job.contact, jmid)
+            return
+        if status is not None:
             outcomes.inc(label="alive")
-            return    # alive
-        except RPCTimeout:
-            pass
-        except AuthenticationError as exc:
-            outcomes.inc(label="credential")
-            if job.jmid == jmid:
-                self.scheduler.credential_problem(job, str(exc))
-            return
-        except RPCError:
-            pass
-        if job.jmid != jmid:
+            self._apply_remote_state(
+                job, status["state"], status.get("failure_reason", ""),
+                status.get("exit_code"))
             return
         outcomes.inc(label="silent")
         self._trace("jobmanager_silent", job=job.job_id, jmid=job.jmid)
@@ -697,7 +654,7 @@ class GridManager(Service):
             yield from self.client.ping_gatekeeper(job.contact)
         except (RPCError, AuthenticationError):
             # Machine crash or network failure: indistinguishable (§4.2).
-            # Keep the job and retry on the next probe round.
+            # Keep the job and retry on the next pass.
             outcomes.inc(label="unreachable")
             self._trace("resource_unreachable", job=job.job_id,
                         contact=job.contact)
@@ -716,7 +673,7 @@ class GridManager(Service):
             self._trace("jobmanager_restarted", job=job.job_id,
                         jmid=job.jmid)
         except RPCTimeout:
-            return    # lost it again; next probe round retries
+            return    # lost it again; the next pass retries
         except RPCError as exc:
             # No state file: the JobManager never survived to persist.
             outcomes.inc(label="restart_failed")

@@ -278,8 +278,8 @@ class CondorGScheduler:
         for job in self.jobs.values():
             if job.state == J.HELD:
                 # A job held *mid-flight* (credential error discovered by
-                # probe/poll) still has a committed remote JobManager that
-                # may be running -- or have finished -- the job.  Release
+                # the status probe) still has a committed remote JobManager
+                # that may be running -- or have finished -- the job.  Release
                 # it back to PENDING so the GridManager reconnects to the
                 # same jmid; resubmitting (UNSUBMITTED) would mint a new
                 # sequence number and run the job a second time.

@@ -111,14 +111,9 @@ class Gram2Client:
             f"commit of {jmid} failed after {self.max_attempts} attempts")
 
     def status(self, contact: str, jmid: str):
+        """The job's state, and the §4.2 liveness probe: RPCTimeout
+        means the JobManager is unresponsive."""
         result = yield from call(self.host, contact, f"jm:{jmid}", "status",
-                                 timeout=self.rpc_timeout,
-                                 credential=self._credential(contact))
-        return result
-
-    def probe_jobmanager(self, contact: str, jmid: str):
-        """Liveness probe; RPCTimeout means 'unresponsive'."""
-        result = yield from call(self.host, contact, f"jm:{jmid}", "probe",
                                  timeout=self.rpc_timeout,
                                  credential=self._credential(contact))
         return result

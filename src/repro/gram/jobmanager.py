@@ -257,16 +257,14 @@ class JobManager(Service):
         return True
 
     def handle_status(self, ctx) -> dict:
+        """Current state; answering at all is the liveness proof the
+        GridManager's failure detector (§4.2) looks for."""
         return {
             "jmid": self.jmid,
             "state": self.state,
             "failure_reason": self.failure_reason,
             "exit_code": self.exit_code,
         }
-
-    def handle_probe(self, ctx) -> bool:
-        """Liveness check used by the GridManager's failure detector."""
-        return True
 
     def handle_cancel(self, ctx):
         if self.local_id is not None and \
@@ -500,7 +498,8 @@ class JobManager(Service):
 
     # -- callbacks ------------------------------------------------------------
     def _notify_client(self):
-        """Push a status callback (best-effort; client also polls)."""
+        """Push a status callback (best-effort; the client's §4.2
+        status probe catches a lost one)."""
         if self.client_callback is None:
             return
         host_name, service = self.client_callback

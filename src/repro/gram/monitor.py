@@ -2,12 +2,13 @@
 
 The deployment lesson of §5.1 is that one JobManager per job -- each
 polled individually over the WAN -- is the scalability wall: a
-GridManager watching N jobs at a site pays N ``status`` RPCs plus N
-liveness probes per tick.  The production fix (the Grid Monitor, also
-SAMGrid's per-site status agents) replaces that fan-out with one small
-daemon *at the site*: it snapshots the states of all of one user's
-JobManagers locally -- same host, no RPC per JobManager -- and ships a
-single batched report per interval back to the user's GridManager.
+GridManager watching N jobs at a site pays N ``status`` RPCs (state
+and §4.2 liveness probe in one) per tick.  The production fix (the Grid
+Monitor, also SAMGrid's per-site status agents) replaces that fan-out
+with one small daemon *at the site*: it snapshots the states of all of
+one user's JobManagers locally -- same host, no RPC per JobManager --
+and ships a single batched report per interval back to the user's
+GridManager.
 
 :class:`GridMonitor` is that daemon.  One instance per (user,
 gatekeeper) pair, service name ``monitor:<user>``, launched by the
@@ -20,8 +21,9 @@ Reports are *reliable*: each batch is an acknowledged RPC to the
 GridManager's callback service, and a JobManager whose terminal state
 has not yet been acknowledged stays in the next snapshot.  A lost
 report therefore delays nothing for ever -- the retry next interval
-carries the same terminal states, and the GridManager's slow polling
-backstop covers the monitor dying outright.
+carries the same terminal states, and once the heartbeat goes stale
+the GridManager's watch loop asks each JobManager itself, which covers
+the monitor dying outright.
 """
 
 from __future__ import annotations
@@ -44,9 +46,6 @@ class GridMonitor(Service):
     MAX_REPORT_FAILURES = 3
     #: consecutive empty snapshots before an idle monitor retires.
     MAX_IDLE_INTERVALS = 10
-    # each report batch is built from scratch; the inline RPC path may
-    # skip the response serialization copy on the ack.
-    rpc_fresh_results = ("probe",)
 
     def __init__(
         self,
@@ -78,7 +77,7 @@ class GridMonitor(Service):
 
         The JobManagers it was watching keep running; the GridManager's
         heartbeat staleness detector notices the silence, falls back to
-        per-job polling/probing, and asks the gatekeeper for a fresh
+        per-job ``status`` probes, and asks the gatekeeper for a fresh
         monitor -- the same client-driven recovery as a JobManager.
         """
         self._trace("crash")
@@ -86,10 +85,6 @@ class GridMonitor(Service):
             proc.kill(cause="monitor crash")
         self._procs.clear()
         self.shutdown()
-
-    def handle_probe(self, ctx) -> bool:
-        """Liveness check (heartbeats usually make this unnecessary)."""
-        return True
 
     # -- snapshot + report ---------------------------------------------------
     def _snapshot(self) -> dict:
@@ -159,7 +154,7 @@ class GridMonitor(Service):
                 # client that stays silent is gone (exited, or will
                 # relaunch us when the partition heals); don't spin for
                 # ever -- terminal states survive in the JobManagers,
-                # where the polling backstop picks them up.
+                # where the client's per-job watch picks them up.
                 reports_metric.inc(label="failed")
                 failures += 1
                 if failures >= self.MAX_REPORT_FAILURES:

@@ -90,9 +90,10 @@ class AgentSpec:
     max_submitted_per_resource: Optional[int] = None
     #: Grid Monitor fan-in (§5.1): the GridManager launches one status
     #: monitor per gatekeeper, which batches all of this user's
-    #: JobManager states into one report per interval; per-job polling
-    #: drops to a slow backstop.  Like ``claim_reuse`` this is a
-    #: behavioural opt-in, not a perf flag -- it changes the RPC
+    #: JobManager states into one report per interval; the per-job
+    #: ``status`` probe then runs only for jobs a report marked suspect
+    #: and at sites whose reports stopped.  Like ``claim_reuse`` this
+    #: is a behavioural opt-in, not a perf flag -- it changes the RPC
     #: pattern (and digests) when enabled.
     grid_monitor: bool = False
 

@@ -473,10 +473,10 @@ class Simulator:
                  at: Optional[float] = None) -> Event:
         """Run a plain callback after ``delay`` seconds.
 
-        With ``at`` the callback fires at that *absolute* time instead;
-        like :meth:`timeout_until` this avoids the ``now + (t - now)``
-        float round-trip, so a callback armed mid-run fires at exactly
-        the same instant as one armed at t=0.
+        With ``at`` the callback fires at that *absolute* time instead
+        (``Timeout(at=)``): no ``now + (t - now)`` float round-trip, so
+        a callback armed mid-run fires at exactly the same instant as
+        one armed at t=0.
         """
         ev = Timeout(self, delay, at=at)
         ev.callbacks.append(lambda _e: fn())
@@ -504,16 +504,6 @@ class Simulator:
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
-
-    def timeout_until(self, t: float, value: Any = None) -> Timeout:
-        """A timeout firing at *absolute* simulated time ``t`` (>= now).
-
-        Unlike ``timeout(t - now)``, the fire time is exactly ``t`` with
-        no float round-trip through a relative delay; the idle-skipping
-        poll loops rely on this to land on exactly the tick a loop that
-        never slept would have reached.
-        """
-        return Timeout(self, 0.0, value, at=t)
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)

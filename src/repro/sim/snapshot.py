@@ -61,7 +61,7 @@ from .trace import Trace
 if TYPE_CHECKING:  # pragma: no cover
     from ..grid.testbed import GridTestbed
 
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 
 #: structures deeper than this are fingerprinted as a type tag; the cap
 #: is generous (daemon state sits well above it) and deterministic, so

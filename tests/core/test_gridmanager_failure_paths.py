@@ -1,16 +1,20 @@
-"""Regressions for two silent failure-handling bugs in the GridManager.
+"""Regressions for silent failure-handling bugs in the GridManager.
 
-1. ``_poll_loop`` used to swallow :class:`AuthenticationError` with the
-   generic RPC handler, so a proxy that expired between probe rounds was
-   never routed to the §5 hold-and-notify path.
+1. The status path used to swallow :class:`AuthenticationError` with the
+   generic RPC handler, so an expired proxy was never routed to the §5
+   hold-and-notify path -- and, once it was, the error was counted even
+   when it belonged to a superseded attempt.  ``status`` is now the one
+   §4.2 probe, so there is one place to get this right.
 2. ``_submission_failed`` used to rewrite every failure reason as
    "local scheduler submission failed: ..." -- masking the real cause in
    the userlog *and* making the transient classification depend on the
    mask string instead of the failure itself.
+3. Phase 2 of a submission had no superseded guard: a commit that came
+   home after the attempt had been reclaimed (or had finished) stamped
+   ``committed, PENDING`` over whatever had happened meanwhile.
 """
 
 from repro import GridTestbed, JobDescription
-from repro.core.gridmanager import GridManager
 from repro.gram.client import Gram2Client, GramClientError
 from repro.sim.errors import AuthenticationError
 from repro.grid.config import AgentSpec, SiteSpec, TestbedConfig
@@ -22,42 +26,39 @@ def make_tb(seed=44):
     return tb
 
 
-def test_poll_loop_routes_auth_errors_to_credential_hold(monkeypatch):
+def test_status_auth_error_holds_once_and_counts_once(monkeypatch):
     tb = make_tb()
     agent = tb.add_agent(AgentSpec("alice"))
     jid = agent.submit(JobDescription(runtime=800.0), resource="site-gk")
     tb.run(until=15.0)
     assert agent.status(jid).state in ("PENDING", "ACTIVE")
 
-    # Defuse the probe loop so only the POLL_INTERVAL backstop can
-    # discover the problem, then make every status poll fail auth.
-    monkeypatch.setattr(GridManager, "PROBE_INTERVAL", 1e9)
-
     def bad_status(self, contact, jmid):
-        raise AuthenticationError("proxy expired while polling")
+        raise AuthenticationError("proxy expired while watching")
         yield  # pragma: no cover -- generator like the real method
 
     monkeypatch.setattr(Gram2Client, "status", bad_status)
-    tb.run(until=100.0)
+    tb.run(until=200.0)
 
     status = agent.status(jid)
     assert status.state == "HELD"
     assert "credential problem" in status.hold_reason
-    assert "proxy expired while polling" in status.hold_reason
+    assert "proxy expired while watching" in status.hold_reason
     assert agent.notifier.emails_about("credential")
     reg = tb.sim.metrics
-    assert reg.counter("gridmanager.poll_credential_errors").value >= 1
-    # held jobs leave the watch set: the poll loop stops re-holding them
+    # held jobs leave the watch set: later passes neither re-count nor
+    # re-hold, and the error never entered the §4.2 silence tree
+    outcomes = reg.counter("gridmanager.probe_outcomes")
+    assert outcomes.labelled("credential") == outcomes.value == 1
     assert reg.counter("scheduler.credential_holds").value == 1
 
 
-def test_stale_poll_auth_error_does_not_count_or_hold(monkeypatch):
-    """Regression: ``poll_credential_errors`` used to increment even
-    when the failed status response belonged to a superseded attempt --
-    the hold was correctly gated on the attempt match, but the metric
-    fired first, so resubmission races inflated the credential-error
-    count.  Both must be gated: a stale error for a dead attempt says
-    nothing about the current attempt's credential."""
+def test_stale_status_auth_error_does_not_count_or_hold(monkeypatch):
+    """A status RPC that fails authentication for a *superseded*
+    attempt says nothing about the current attempt's credential: both
+    the ``credential`` outcome and the hold are gated on the attempt
+    match (the metric used to fire first, so resubmission races
+    inflated the credential-error count)."""
     tb = make_tb()
     agent = tb.add_agent(AgentSpec("alice"))
     jid = agent.submit(JobDescription(runtime=800.0), resource="site-gk")
@@ -65,27 +66,70 @@ def test_stale_poll_auth_error_does_not_count_or_hold(monkeypatch):
     job = agent.scheduler.jobs[jid]
     assert job.jmid
 
-    monkeypatch.setattr(GridManager, "PROBE_INTERVAL", 1e9)
-
-    attempt = [0]
+    asked = []
 
     def racing_status(self, contact, jmid):
         # The attempt is superseded while the status RPC is in flight
         # (exactly what a concurrent failure-report + resubmit does),
-        # then the in-flight poll comes back with an auth error.
-        attempt[0] += 1
-        job.jmid = f"jm-attempt-{attempt[0]}"
+        # then the in-flight RPC comes back with an auth error.
+        asked.append(jmid)
+        job.jmid = f"jm-attempt-{len(asked)}"
         raise AuthenticationError("stale proxy error for old attempt")
         yield  # pragma: no cover -- generator like the real method
 
     monkeypatch.setattr(Gram2Client, "status", racing_status)
-    tb.run(until=60.0)
+    tb.run(until=100.0)
 
+    assert len(asked) >= 2
     reg = tb.sim.metrics
-    assert reg.counter("gridmanager.status_polls").value >= 1
-    assert reg.counter("gridmanager.poll_credential_errors").value == 0
+    assert reg.counter("gridmanager.probe_outcomes").value == 0
     assert reg.counter("scheduler.credential_holds").value == 0
     assert agent.status(jid).state != "HELD"
+
+
+def test_commit_ack_after_the_attempt_was_reclaimed_loses_no_job():
+    """The commit is delivered but its ACK is cut off; the JobManager's
+    stage-in then fails against the unreachable submit machine and,
+    after the heal, its failure callback reclaims the job (UNSUBMITTED,
+    no jmid) while the commit retries are still running.  The retry
+    that finally succeeds used to stamp ``committed, PENDING`` on the
+    reclaimed job: unwatchable (no jmid) and never resubmitted."""
+    tb = make_tb()
+    site = tb.sites["site"]
+    agent = tb.add_agent(AgentSpec("alice"))
+    jid = agent.submit(JobDescription(runtime=100.0), resource="site-gk")
+    tb.failures.isolate_at(0.19, "site-gk", rejoin_after=55.0)
+    tb.run(until=3000.0)
+
+    assert tb.sim.trace.select("gridmanager", "submit_superseded")
+    status = agent.status(jid)
+    assert status.is_complete
+    assert status.attempts == 2
+    assert [j.state for j in site.lrm.jobs.values()] == ["COMPLETED"]
+
+
+def test_commit_ack_after_the_job_finished_does_not_resurrect_it(
+        monkeypatch):
+    """A commit whose ACK reaches the submit loop after the job's DONE
+    callback must not move the job back to PENDING (it used to, and the
+    job was then finished a second time)."""
+    real_commit = Gram2Client.commit
+
+    def late_commit(self, contact, jmid):
+        result = yield from real_commit(self, contact, jmid)
+        yield self.sim.timeout(60.0)
+        return result
+
+    monkeypatch.setattr(Gram2Client, "commit", late_commit)
+    tb = make_tb()
+    agent = tb.add_agent(AgentSpec("alice"))
+    jid = agent.submit(JobDescription(runtime=20.0), resource="site-gk")
+    tb.run(until=3000.0)
+
+    assert agent.status(jid).is_complete
+    assert len(tb.sim.trace.select("scheduler", "terminate")) == 1
+    assert tb.sim.metrics.counter("scheduler.jobs_finished").value == 1
+    assert len(tb.sites["site"].lrm.jobs) == 1
 
 
 def test_submission_failure_reason_is_not_masked(monkeypatch):

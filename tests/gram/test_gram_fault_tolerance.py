@@ -31,9 +31,10 @@ def test_jobmanager_crash_does_not_kill_lrm_job(grid):
                                           GramJobRequest(runtime=100.0))
         yield grid.sim.timeout(20.0)
         get_jm(grid, r["jmid"]).crash()
-        # probe now times out: the failure is observable
+        # status -- the §4.2 probe -- now times out: the failure is
+        # observable
         try:
-            yield from grid.client.probe_jobmanager(r["contact"], r["jmid"])
+            yield from grid.client.status(r["contact"], r["jmid"])
             results["probe"] = "alive"
         except RPCTimeout:
             results["probe"] = "dead"

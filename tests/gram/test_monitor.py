@@ -50,8 +50,8 @@ def test_monitored_run_batches_status_and_stays_correct():
     assert reg.counter("gridmanager.monitor_reports").value > 0
     assert reg.counter("gridmanager.monitor_jobs_reported").value >= len(ids)
     # ... and completely displaced the per-job status path: heartbeats
-    # stayed fresh, so the demoted backstop never had to fire.
-    assert reg.counter("gridmanager.status_polls").value == 0
+    # stayed fresh, so the watch loop never had to ask a JobManager.
+    assert reg.counter("gridmanager.probe_outcomes").value == 0
     assert evaluate_invariants(tb) == []
 
 
@@ -74,8 +74,8 @@ def test_monitor_collapses_status_rpcs_at_least_10x():
         agent = tb.agents["scale"]
         done = sum(1 for j in agent.scheduler.jobs.values()
                    if j.state == "DONE")
-        status = sum(n for (svc, m), n in stats.items()
-                     if m in ("status", "probe"))
+        assert not [key for key in stats if key[1] == "probe"]
+        status = sum(n for (svc, m), n in stats.items() if m == "status")
         monitor = sum(n for (svc, m), n in stats.items()
                       if m in ("monitor_report", "start_monitor"))
         return done, status, monitor
@@ -110,8 +110,8 @@ def test_monitor_kill_degrades_to_polling_and_relaunches():
 def test_monitor_partitioned_while_jobs_finish_strands_nothing():
     """Jobs go terminal site-side while the WAN is down: the monitor's
     reports all fail (and it retires), but the terminal states survive
-    in the JobManagers and a relaunched monitor (or the backstop poll)
-    delivers them after the heal."""
+    in the JobManagers and a relaunched monitor (or the per-job status
+    probe of a stale site) delivers them after the heal."""
     tb, agent = make_tb(seed=8)
     ids = submit_jobs(tb, agent, 4, runtime=100.0)
     tb.run(until=40.0)
@@ -146,7 +146,7 @@ def test_gatekeeper_reboot_relaunches_monitor():
 def test_jm_kill_behind_fresh_monitor_goes_suspect_and_recovers():
     """A dead JobManager is *invisible* to a healthy monitor (it scans
     live services).  The report-absence detector must mark exactly that
-    job suspect so the probe loop gives it the per-job §4.2 treatment
+    job suspect so the watch loop gives it the per-job §4.2 treatment
     while everything else stays on the batched path."""
     tb, agent = make_tb(seed=21)
     ids = submit_jobs(tb, agent, 3, runtime=600.0)

@@ -8,6 +8,7 @@ from repro.sim import (
     ProcessKilled,
     SimulationError,
     Simulator,
+    Timeout,
 )
 
 
@@ -348,7 +349,7 @@ def test_rng_streams_are_deterministic_and_independent():
         Simulator(seed=7).rng.stream("x").random()
 
 
-# -- timeout_until edge cases --------------------------------------------------
+# -- Timeout(at=): timeout until an absolute deadline -------------------------
 
 def test_timeout_until_deadline_equal_to_now_fires():
     """deadline == now is a zero-delay timer, not an error."""
@@ -357,7 +358,7 @@ def test_timeout_until_deadline_equal_to_now_fires():
 
     def proc(sim):
         yield sim.timeout(3.0)
-        yield sim.timeout_until(sim.now)   # zero wait
+        yield Timeout(sim, 0.0, at=sim.now)   # zero wait
         fired.append(sim.now)
 
     sim.spawn(proc(sim))
@@ -371,7 +372,7 @@ def test_timeout_until_past_deadline_raises():
     sim.run()
     assert sim.now == 10.0
     with pytest.raises(ValueError):
-        sim.timeout_until(9.0)
+        Timeout(sim, 0.0, at=9.0)
 
 
 def test_timeout_until_fires_at_exact_absolute_time():
@@ -385,7 +386,7 @@ def test_timeout_until_fires_at_exact_absolute_time():
     times = []
 
     def proc(sim):
-        yield sim.timeout_until(target)
+        yield Timeout(sim, 0.0, at=target)
         times.append(sim.now)
 
     sim.spawn(proc(sim))
@@ -397,7 +398,7 @@ def test_timeout_until_cancel_before_firing():
     """A cancelled absolute timer neither fires nor holds the clock open."""
     sim = Simulator()
     fired = []
-    timer = sim.timeout_until(50.0)
+    timer = Timeout(sim, 0.0, at=50.0)
     timer.callbacks.append(lambda _e: fired.append(sim.now))
     sim.schedule(1.0, timer.cancel)
     sim.schedule(2.0, lambda: None)
@@ -409,7 +410,7 @@ def test_timeout_until_cancel_before_firing():
 
 def test_timeout_until_cancelled_is_tombstoned():
     sim = Simulator()
-    timer = sim.timeout_until(100.0)
+    timer = Timeout(sim, 0.0, at=100.0)
     assert sim._tombstones == 0
     timer.cancel()
     assert sim._tombstones == 1

@@ -217,14 +217,17 @@ class TestCaptureVerify:
         good = capture(_testbed(), scenario="three-site").to_dict()
         pre_bump = {**good, "version": SNAPSHOT_VERSION - 1,
                     "perf_flags": {"rpc_inline": True}}
-        # Version 2 has this version's key set but fingerprints an
-        # in-flight inline RPC differently: refused, not mis-verified.
-        assert SNAPSHOT_VERSION == 3
+        # Versions 2 and 3 have this version's key set but fingerprint
+        # another heap (an in-flight inline RPC; the GridManager's
+        # `gm-poll` process): refused, not mis-verified.
+        assert SNAPSHOT_VERSION == 4
         v2 = {**good, "version": 2}
+        v3 = {**good, "version": 3}
         truncated = {k: v for k, v in good.items() if k != "fingerprint"}
         unknown = {**good, "perf_flags": {}}
         for doc, needle in ((pre_bump, "version"),
                             (v2, "version"),
+                            (v3, "version"),
                             (truncated, "fingerprint"),
                             (unknown, "perf_flags"),
                             ([good], "JSON object")):

@@ -9,7 +9,15 @@ invisible to the simulation must leave every cell untouched; a change
 that moves a digest on purpose regenerates the table and says why (see
 ``docs/PERFORMANCE.md``).
 
-The test never writes.  To regenerate::
+The test never writes.  Before regenerating, see what moved -- per
+cell, which digest parts differ from the committed table, with the
+cells whose *outcomes* (``queues``: final per-job state, attempts, exit
+code and per-site LRM outcomes, no timestamps) moved flagged and summed
+up::
+
+    PYTHONPATH=src python tests/test_golden_digests.py --diff
+
+To regenerate::
 
     PYTHONPATH=src python tests/test_golden_digests.py --write
 
@@ -25,11 +33,13 @@ import json
 import platform
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from repro.chaos.digest import digest_parts, run_digest
+from repro.chaos.invariants import evaluate_invariants
 from repro.chaos.runner import build_and_run
 from repro.grid.scenarios import get_scenario, multiuser_gram_grid, \
     scale_glidein_grid, scale_gram_grid, scale_pool_grid
@@ -128,11 +138,14 @@ def _sha(value) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def measure(cell: str) -> dict:
-    """Run one cell: its run digest and one hash per digest part."""
-    tb = CELLS[cell]()
+def _measured(tb) -> dict:
     return {"digest": run_digest(tb),
             "parts": {k: _sha(v) for k, v in digest_parts(tb).items()}}
+
+
+def measure(cell: str) -> dict:
+    """Run one cell: its run digest and one hash per digest part."""
+    return _measured(CELLS[cell]())
 
 
 def _committed() -> dict:
@@ -178,7 +191,41 @@ def write() -> None:
     print(f"wrote {len(payload['cells'])} cells to {GOLDEN}")
 
 
+def diff() -> None:
+    """Step 2 of the epoch protocol (docs/PERFORMANCE.md): per moved
+    cell, the digest parts that differ from the committed table; a cell
+    whose ``queues`` part moved ended with different job outcomes, so it
+    also gets its final job states and invariant-violation count."""
+    committed = _committed()
+    moved = outcomes = 0
+    for cell, run in CELLS.items():
+        tb = run()
+        got, expected = _measured(tb), committed.get(cell)
+        if expected is None:
+            print(f"{cell}: not in the committed table")
+            continue
+        if got["digest"] == expected["digest"]:
+            continue
+        moved += 1
+        parts = sorted(k for k in expected["parts"]
+                       if got["parts"].get(k) != expected["parts"][k])
+        print(f"{cell}: {', '.join(parts)}")
+        if "queues" in parts:
+            outcomes += 1
+            states = Counter(str(job.state) for agent in tb.agents.values()
+                             for job in agent.scheduler.jobs.values())
+            tally = ", ".join(f"{n} {s}" for s, n in sorted(states.items()))
+            print(f"    QUEUES MOVED -- outcomes differ: {tally}; "
+                  f"{len(evaluate_invariants(tb))} invariant violation(s)")
+    print(f"{moved} of {len(CELLS)} cells moved; {moved - outcomes} of "
+          f"them with identical queues (same outcomes)")
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/test_golden_digests.py --write")
-    write()
+    if sys.argv[1:] == ["--write"]:
+        write()
+    elif sys.argv[1:] == ["--diff"]:
+        diff()
+    else:
+        sys.exit("usage: python tests/test_golden_digests.py "
+                 "--write | --diff")
