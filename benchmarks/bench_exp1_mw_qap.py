@@ -23,7 +23,7 @@ import pytest
 from repro import GridTestbed
 from repro.grid.metrics import concurrency, timeline
 from repro.workloads import SyntheticMaster
-from repro.grid.config import AgentSpec, TestbedConfig
+from repro.grid.config import AgentSpec, SiteSpec, TestbedConfig
 
 from _scenarios import CPU_SCALE, TIME_SCALE, drain
 
@@ -42,8 +42,9 @@ TOTAL_CPUS = sum(c for _, _, c, _ in SITES)
 
 def run_exp1():
     tb = GridTestbed(TestbedConfig(seed=601))
-    for name, kind, cpus, kw in SITES:
-        tb.add_site(name, scheduler=kind, cpus=cpus, **kw)
+    for name, kind, cpus, lrm_options in SITES:
+        tb.add_site(SiteSpec(name, scheduler=kind, cpus=cpus,
+                             lrm_options=lrm_options))
     agent = tb.add_agent(AgentSpec("metaneos"))
 
     contacts = [s.contact for s in tb.sites.values()]

@@ -159,7 +159,7 @@ class LocalResourceManager(Service):
     service_name = "lrm"
     flavor = "generic"
     # poll builds its reply from scratch (view); safe to hand over
-    # uncopied on the inline RPC path.
+    # uncopied.
     rpc_fresh_results = ("poll",)
 
     def __init__(self, host: Host, slots: int, name: str = ""):

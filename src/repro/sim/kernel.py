@@ -455,8 +455,8 @@ class Simulator:
 
         Tombstones hold their ``(time, seq, event)`` triple in the heap
         until popped; a workload that cancels most of its timers (every
-        Datagram-path RPC abandons its timeout) can leave the heap mostly
-        dead.
+        answered generator-handler RPC abandons its timeout) can leave
+        the heap mostly dead.
         Compaction filters the dead entries and re-heapifies; pop order
         of the survivors is untouched because ordering is a pure
         function of the (time, seq) keys.

@@ -1,6 +1,6 @@
 """Simulated network: latency, jitter, loss, and partitions.
 
-The network moves *datagrams* between named services on hosts.  Delivery is
+The network moves one-way message *legs* between hosts.  Delivery is
 best-effort, exactly matching the failure model Condor-G's protocols were
 designed for:
 
@@ -10,32 +10,21 @@ designed for:
 * otherwise the message arrives after ``latency + U(0, jitter)`` seconds,
   evaluated per-message from the ``"network"`` RNG stream.
 
-Anything request/response-shaped is layered on top in :mod:`repro.sim.rpc`.
+Requests, responses and what they carry are layered on top in
+:mod:`repro.sim.rpc`, the only sender.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
 from typing import Any, Callable, Optional, TYPE_CHECKING
 
 from .errors import SimulationError
-from .fastcopy import fast_deepcopy
+from .kernel import Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from .hosts import Host
     from .kernel import Simulator
-
-
-@dataclass
-class Datagram:
-    src: str                     # source host name
-    dst: str                     # destination host name
-    service: str                 # destination service name
-    payload: dict[str, Any] = field(default_factory=dict)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        kind = self.payload.get("kind", "?")
-        return f"<Datagram {self.src}->{self.dst}/{self.service} {kind}>"
 
 
 class Network:
@@ -124,92 +113,68 @@ class Network:
         return self.latency
 
     # -- delivery -------------------------------------------------------------
-    def delay(self) -> float:
-        return self.latency + self._rng.uniform(0.0, self.jitter)
+    def send_leg(self, src: "Host", dst: str, service: str,
+                 on_arrive: Callable[[Any], None],
+                 deadline: float = math.inf,
+                 on_miss: Optional[Callable[[], None]] = None) -> None:
+        """Send one one-way leg; ``on_arrive(event)`` runs when it lands.
 
-    def send(
-        self,
-        src: "Host",
-        dst_name: str,
-        service: str,
-        payload: dict[str, Any],
-    ) -> None:
-        """Fire-and-forget datagram; drops are silent (caller must timeout)."""
+        Counts the leg ``sent``; drops it here -- silently, counted
+        ``dropped`` -- when the source is down, a partition separates the
+        endpoints, or the loss roll eats it.  Otherwise it lands after
+        ``latency + U(0, jitter)``: one loss roll and one jitter draw per
+        leg, in send order.  The leg carries a callback, not a message:
+        what crosses the wire, and what the landing does (starting with
+        :meth:`land_leg`), is the sender's business.
+
+        ``on_miss()`` tells a sender that waits until ``deadline`` that
+        this leg cannot make it: it is called on a drop and -- *before*
+        the landing is scheduled, so that a timer it arms wins a tie --
+        when the leg will land at or after ``deadline``.
+        """
         self.sent += 1
-        # Deep-copy models serialization: no object sharing across hosts.
-        dgram = Datagram(src.name, dst_name, service, fast_deepcopy(payload))
-        if not src.up:
-            self.dropped += 1
-            return
-        if not self.reachable(src.name, dst_name):
-            self.dropped += 1
-            return
+        if not src.up or not self.reachable(src.name, dst):
+            return self._drop(on_miss)
         # Loss models the WAN: traffic inside one site (same non-empty
         # `site` tag) rides the LAN and is not subject to random loss.
-        dst_host = self.sim.hosts.get(dst_name)
+        sim = self.sim
+        dst_host = sim.hosts.get(dst)
         same_site = (dst_host is not None and src.site
                      and src.site == dst_host.site)
         if not same_site and self.loss_rate > 0.0 and \
                 self._rng.random() < self.loss_rate:
-            self.dropped += 1
-            self.sim.trace.log("network", "loss", src=src.name, dst=dst_name,
-                               service=service)
-            return
-        latency = self._base_latency(src, dst_host, dst_name) \
+            sim.trace.log("network", "loss", src=src.name, dst=dst,
+                          service=service)
+            return self._drop(on_miss)
+        latency = self._base_latency(src, dst_host, dst) \
             + self._rng.uniform(0.0, self.jitter)
-        self.sim.schedule(latency, lambda: self._arrive(dgram))
+        if on_miss is not None and sim.now + latency >= deadline:
+            on_miss()
+        Timeout(sim, latency).callbacks.append(on_arrive)
 
-    def _arrive(self, dgram: Datagram) -> None:
-        # Partitions/crashes that happened in flight still stop delivery.
-        if not self.reachable(dgram.src, dgram.dst):
-            self.dropped += 1
-            return
-        dst = self.sim.hosts.get(dgram.dst)
-        if dst is None or not dst.up:
-            self.dropped += 1
-            return
-        service = dst.get_service(dgram.service)
-        if service is None:
-            self.dropped += 1
-            return
-        self.delivered += 1
-        deliver: Callable[[Datagram], None] = getattr(service, "deliver")
-        deliver(dgram)
+    def _drop(self, on_miss: Optional[Callable[[], None]]) -> None:
+        self.dropped += 1
+        if on_miss is not None:
+            on_miss()
 
+    def land_leg(self, src: str, dst: str, service: Optional[str] = None,
+                 crash_count: int = -1) -> Any:
+        """A leg lands: who on ``dst`` receives it, or None (``dropped``).
 
-class Mailbox:
-    """A service that queues datagrams for a consuming process.
-
-    Used for one-way streams (e.g. GASS stdout chunks): producers ``send``
-    datagrams at the mailbox's service name; the consumer process blocks on
-    :meth:`get`.
-    """
-
-    def __init__(self, host: "Host", name: str):
-        self.sim = host.sim
-        self.host = host
-        self.name = name
-        self._queue: list[Datagram] = []
-        self._waiter = None
-        host.register_service(name, self)
-
-    def deliver(self, dgram: Datagram) -> None:
-        self._queue.append(dgram)
-        if self._waiter is not None and not self._waiter.triggered:
-            waiter, self._waiter = self._waiter, None
-            waiter.succeed(self._queue.pop(0))
-
-    def get(self):
-        """Event yielding the next datagram (FIFO)."""
-        ev = self.sim.event(name=f"mailbox:{self.name}")
-        if self._queue:
-            ev.succeed(self._queue.pop(0))
-        else:
-            if self._waiter is not None and not self._waiter.triggered:
-                raise SimulationError(
-                    f"mailbox {self.name} already has a waiting consumer")
-            self._waiter = ev
-        return ev
-
-    def close(self) -> None:
-        self.host.unregister_service(self.name)
+        Partitions and crashes that happened in flight still stop
+        delivery, so everything is judged now.  A request is received by
+        whatever is registered as ``service`` *now*; a reply
+        (``service=None``) returns to a process, not to a service, so it
+        is received by the host itself provided the host has not crashed
+        since the request left, when it had this ``crash_count``.
+        """
+        if self.reachable(src, dst):
+            host = self.sim.hosts.get(dst)
+            if host is not None and host.up:
+                receiver = host.services.get(service) if service is not None \
+                    else (host if host.crash_count == crash_count else None)
+                if receiver is not None:
+                    self.delivered += 1
+                    return receiver
+        self.dropped += 1
+        return None

@@ -22,21 +22,20 @@ Usage::
 
 from __future__ import annotations
 
-import inspect
-import itertools
 from dataclasses import dataclass
-from typing import Any, Generator, Optional, TYPE_CHECKING
+from types import GeneratorType
+from typing import Any, Callable, Generator, Optional, TYPE_CHECKING
 
 from .errors import (
     AuthenticationError,
     AuthorizationError,
+    HostDown,
     RemoteError,
     RPCTimeout,
     ServiceUnavailable,
 )
 from .fastcopy import fast_deepcopy
 from .kernel import Event, Timeout, _UNSET
-from .network import Datagram
 
 if TYPE_CHECKING:  # pragma: no cover
     from .hosts import Host
@@ -57,68 +56,37 @@ class CallContext:
     principal: Optional[str] = None   # local account after gridmap mapping
 
 
-class _ReplyDispatch:
-    """Hidden per-host service that routes RPC responses to waiting events."""
-
-    SERVICE = "_rpc"
-
-    def __init__(self, host: "Host"):
-        self.pending: dict[int, Any] = {}
-        host.register_service(self.SERVICE, self)
-
-    def deliver(self, dgram: "Datagram") -> None:
-        token = dgram.payload.get("token")
-        ev = self.pending.pop(token, None)
-        if ev is not None and not ev.triggered:
-            ev.succeed(dgram.payload)
-
-
-def _dispatch(host: "Host") -> _ReplyDispatch:
-    disp = host.get_service(_ReplyDispatch.SERVICE)
-    if disp is None:
-        disp = _ReplyDispatch(host)
-    return disp
-
-
-def _next_token(sim) -> int:
-    counter = getattr(sim, "_rpc_tokens", None)
-    if counter is None:
-        counter = itertools.count(1)
-        sim._rpc_tokens = counter
-    return next(counter)
-
-
-# -- inline fast path ---------------------------------------------------------
+# -- the one path -------------------------------------------------------------
 #
-# The common RPC shape -- a plain synchronous handler on a reachable host,
-# no authorizer -- costs two kernel events: the request's arrival, inside
-# which the handler runs, and the reply's arrival, inside which the caller
-# resumes.  No Datagram, no serve process, no relay event, and no timer
-# unless the reply is known to miss the deadline.  What the caller and a
-# run digest can observe is kept:
+# Every request -- plain or generator handler, authorized or not, call or
+# notify -- is served by its request leg's arrival callback (``arrive`` in
+# ``_request``): landing checks -> the service registered under that name
+# *now* -> its authorizer, if any -> the handler.  A plain call costs two
+# kernel events: the request's arrival, inside which the handler runs, and
+# the reply's arrival, inside which the caller resumes (a notify costs
+# one).  A handler result that is a generator is finished by a process on
+# the service's host, which answers through the same reply leg.  What a
+# caller or a run digest can observe:
 #
 # * RNG draws -- one loss roll and one jitter draw per leg from the shared
-#   "network" stream, in ``Network.send``'s order;
-# * counters -- ``Network.sent/delivered/dropped`` move where ``send`` and
-#   ``_arrive`` move them;
+#   "network" stream, in send order (``Network.send_leg``);
+# * counters -- ``Network.sent`` moves at each send, ``delivered`` or
+#   ``dropped`` at each landing or sender-side drop;
 # * isolation -- args and credential are snapshotted at send, the result
 #   is copied unless immutable or declared ``rpc_fresh_results``;
-# * failure windows -- host/partition/service state is re-checked at each
-#   leg's *arrival*.  The handler runs in the arrival callback, not in the
-#   caller's process, so a caller crash after send cannot un-send it.  A
-#   service object swapped in flight by a crash+restart gets a real
-#   Datagram (the new instance must serve the request);
-# * the timeout -- ``RPCTimeout`` is raised at exactly ``t0 + timeout``:
-#   the timer is armed, at that absolute time, at the instant a leg is
-#   dropped, found to land past the deadline, or handed to the Datagram
-#   path.  A reply that lands after it is counted and discarded.
-#
-# Anything that does not fit -- generator handlers, authorizers, Mailboxes,
-# services overriding ``deliver``/``_serve`` -- takes the Datagram path.
-# The decision is made per send, so mid-run topology or loss-rate changes
-# are honoured.
-
-_INLINE_CACHE: dict[tuple[type, str], Optional[tuple[bool, str]]] = {}
+# * failure windows -- host, partition and service state, and the
+#   credential, are judged at each leg's *arrival*.  A service replaced in
+#   flight by a crash + restart is simply served by the new instance; a
+#   reply lands only on a caller host that has not crashed since the send.
+#   The handler never runs in the caller's process, so a caller crash
+#   after the send cannot un-send it, and a generator handler dies with
+#   the host it runs on;
+# * the timeout -- ``RPCTimeout`` is raised at exactly ``t0 + timeout``.
+#   The timer is lazy: it is armed, at that absolute time, when a leg is
+#   dropped, *before* a leg that will land at or past the deadline is
+#   scheduled (a tie goes to the timeout), and when a generator handler
+#   is spawned (its finish time is unknown); a reply that wins cancels
+#   it.  A reply that lands past the deadline is counted and discarded.
 
 #: Optional live RPC tally for profiling (see ``repro.profile``): when a
 #: dict is installed here, every ``call()``/``notify()`` increments
@@ -131,38 +99,15 @@ RPC_STATS: Optional[dict] = None
 _ATOMS = frozenset((type(None), bool, int, float, str))
 
 # CallContext is frozen, so unauthenticated contexts are shareable; one
-# cached instance per caller host saves an allocation per inline call.
+# cached instance per caller host saves an allocation per call.
 _CTX_CACHE: dict[str, CallContext] = {}
 
-
-def _inline_plan(sim, dst: str, service: str, method: str):
-    """Return ``(service, fresh_result, handler_name)`` or None."""
-    dst_host = sim.hosts.get(dst)
-    if dst_host is None or not dst_host.up:
-        return None
-    svc = dst_host.services.get(service)
-    if svc is None:
-        return None
-    cls = type(svc)
-    key = (cls, method)
-    plan = _INLINE_CACHE.get(key, False)
-    if plan is False:
-        mname = "handle_" + method
-        handler = getattr(cls, mname, None)
-        ok = (getattr(cls, "deliver", None) is Service.deliver
-              and getattr(cls, "_serve", None) is Service._serve
-              and handler is not None
-              and not inspect.isgeneratorfunction(handler))
-        fresh = method in getattr(cls, "rpc_fresh_results", ())
-        plan = (fresh, mname) if ok else None
-        _INLINE_CACHE[key] = plan
-    if plan is None or svc.authorizer is not None:
-        return None
-    return svc, plan[0], plan[1]
+#: What a reply leg shows as ``service`` in a ``network/loss`` record.
+_REPLY_LEG = "_rpc"
 
 
 class _Reply(Event):
-    """What an inline caller waits on.
+    """What a caller waits on.
 
     Fires once and never through the heap: with the response dict from
     inside the reply leg's arrival, or with None from inside the timer
@@ -170,173 +115,119 @@ class _Reply(Event):
     the very callback that carries the outcome.
     """
 
-    __slots__ = ("deadline", "disp")
+    __slots__ = ("deadline", "timer")
 
-    def __init__(self, sim, deadline: float, disp: _ReplyDispatch):
+    def __init__(self, sim, deadline: float):
         super().__init__(sim, name="rpc")
         self.deadline = deadline
-        self.disp = disp
+        self.timer: Optional[Timeout] = None
 
     def fire(self, value: Any) -> None:
         if self._value is _UNSET:
             self._value = value
+            if self.timer is not None:
+                self.timer.cancel()     # no-op from inside the timer
             self._run_callbacks()
 
-
-def _expire(reply: Optional[_Reply]) -> Optional[Timeout]:
-    """The reply cannot arrive in time: arm the caller's timeout.
-
-    Every arming site is either the end of the inline path or sends a
-    leg that lands at or after the deadline, so a call arms at most one
-    live timer: by the next site the first has fired.
-    """
-    if reply is None or reply._value is not _UNSET:
-        return None
-    timer = Timeout(reply.sim, 0.0, at=reply.deadline)
-    timer.callbacks.append(lambda _ev: reply.fire(None))
-    return timer
+    def expire(self) -> None:
+        """The reply may not arrive in time: arm the caller's timeout."""
+        if self.timer is None and self._value is _UNSET:
+            self.timer = Timeout(self.sim, 0.0, at=self.deadline)
+            self.timer.callbacks.append(lambda _ev: self.fire(None))
 
 
-def _handoff(reply: Optional[_Reply]) -> Optional[int]:
-    """Token under which a Datagram-path response reaches ``reply``."""
-    if reply is None:
-        return None
-    token = _next_token(reply.sim)
-    timer = _expire(reply)
-    if timer is not None:
-        pending = reply.disp.pending
-        pending[token] = reply
-        # Whichever of response and timer resolves the call retires the
-        # other, before the caller resumes.
-        reply.callbacks.insert(
-            0, lambda _ev: (timer.cancel(), pending.pop(token, None)))
-    return token
+def _error(exc: Exception) -> dict:
+    return {"kind": type(exc).__name__, "message": str(exc)}
 
 
-def _send_leg(net, src_host: "Host", dst: str, service: str, on_arrive,
-              reply: Optional[_Reply]) -> None:
-    """``Network.send``'s bookkeeping, draws and scheduling for one leg.
-
-    Identical control flow minus the Datagram and the payload copy (the
-    caller copies exactly what crosses the boundary).  ``on_arrive`` is
-    attached directly as an event callback (it receives the event).
-    """
-    sim = net.sim
-    net.sent += 1
-    if not src_host.up or not net.reachable(src_host.name, dst):
-        net.dropped += 1
-        _expire(reply)
-        return
-    dst_host = sim.hosts.get(dst)
-    same_site = (dst_host is not None and src_host.site
-                 and src_host.site == dst_host.site)
-    if not same_site and net.loss_rate > 0.0 and \
-            net._rng.random() < net.loss_rate:
-        net.dropped += 1
-        sim.trace.log("network", "loss", src=src_host.name, dst=dst,
-                      service=service)
-        _expire(reply)
-        return
-    latency = net._base_latency(src_host, dst_host, dst) \
-        + net._rng.uniform(0.0, net.jitter)
-    if reply is not None and sim.now + latency >= reply.deadline:
-        _expire(reply)
-    Timeout(sim, latency).callbacks.append(on_arrive)
-
-
-def _land_leg(net, src: str, dst: str, service: str):
-    """``Network._arrive``'s checks and counters; the service reached."""
-    if net.reachable(src, dst):
-        host = net.sim.hosts.get(dst)
-        if host is not None and host.up:
-            svc = host.services.get(service)
-            if svc is not None:
-                net.delivered += 1
-                return svc
-    net.dropped += 1
-    return None
-
-
-def _drain(net, host: "Host", reply_to: str, token, gen):
-    # A plain handler that returned a generator (never in-tree): finish
-    # it under serve semantics.
-    ok, value, error = True, None, None
+def _finish(gen: GeneratorType, svc: "Service",
+            respond: Callable) -> Generator[Any, Any, None]:
+    """Process body: run a handler's generator to its end, then answer."""
+    value, error = None, None
     try:
         value = yield from gen
     except Exception as exc:  # noqa: BLE001 - marshalled to the caller
-        ok = False
-        error = {"kind": type(exc).__name__, "message": str(exc)}
-    if token is None:
-        return
-    net.send(host, reply_to, _ReplyDispatch.SERVICE, {
-        "kind": "response", "token": token, "ok": ok,
-        "value": value, "error": error,
-    })
+        error = _error(exc)
+    respond(svc, value, error)
 
 
-def _inline_request(net, src: "Host", dst: str, service: str, method: str,
-                    plan, credential, args,
-                    reply: Optional[_Reply] = None) -> None:
-    """One request (and, for calls, its response) on the inline path."""
-    svc, fresh, mname = plan
+def _request(src: "Host", dst: str, service: str, method: str,
+             credential: Any, args: dict,
+             reply: Optional[_Reply] = None) -> None:
+    """Send one request; for a call, ``reply`` fires with its response."""
+    net = src.sim.network
     caller = src.name
-    # Snapshot what crosses the wire now, like the real send's payload
-    # copy.  The kwargs dict itself is rebuilt by the ** call below, so
-    # only the values need isolating.
+    crash_count = src.crash_count
+    # Snapshot what crosses the wire now.  The kwargs dict itself is
+    # rebuilt by the ** call below, so only the values need isolating.
     req_args = fast_deepcopy(args) if args else args
     req_cred = credential if credential is None else fast_deepcopy(credential)
 
     def arrive(_ev) -> None:
-        svc_now = _land_leg(net, caller, dst, service)
-        if svc_now is None:
-            _expire(reply)
+        svc = net.land_leg(caller, dst, service)
+        if svc is None:
+            if reply is not None:
+                reply.expire()
             return
-        if svc_now is not svc:
-            # Service replaced in flight (crash + restart): the real
-            # datagram would reach the new instance -- deliver it.
-            svc_now.deliver(Datagram(caller, dst, service, {
-                "kind": "request", "method": method, "args": req_args,
-                "token": _handoff(reply), "reply_to": caller,
-                "credential": req_cred,
-            }))
-            return
-        ok, value, error = True, None, None
+        value, error = None, None
         try:
-            if req_cred is None:
+            if svc.authorizer is not None:
+                ctx = CallContext(caller, req_cred, svc.authorizer.authorize(
+                    req_cred, svc.sim.now))
+            elif req_cred is not None:
+                ctx = CallContext(caller, req_cred)
+            else:
                 ctx = _CTX_CACHE.get(caller)
                 if ctx is None:
-                    ctx = _CTX_CACHE[caller] = CallContext(caller_host=caller)
-            else:
-                ctx = CallContext(caller_host=caller, credential=req_cred)
-            value = getattr(svc, mname)(ctx, **req_args)
-            if inspect.isgenerator(value):
-                svc.host.spawn(_drain(net, svc.host, caller,
-                                      _handoff(reply), value))
-                return
+                    ctx = _CTX_CACHE[caller] = CallContext(caller)
+            handler = getattr(svc, "handle_" + method, None)
+            if handler is None:
+                raise ServiceUnavailable(
+                    f"service {svc.name} has no method {method!r}")
+            value = handler(ctx, **req_args)
         except Exception as exc:  # noqa: BLE001 - marshalled to the caller
-            ok = False
-            error = {"kind": type(exc).__name__, "message": str(exc)}
-        if reply is None:
+            error = _error(exc)
+        if isinstance(value, GeneratorType):
+            # Bound to the service's host: it dies with it.  When it
+            # will finish is unknown, so the caller's timer starts now.
+            if reply is not None:
+                reply.expire()
+            svc.host.spawn(_finish(value, svc, respond),
+                           name=f"{svc.name}.{method}@{svc.host.name}")
+        else:
+            respond(svc, value, error)
+
+    def respond(svc: "Service", value: Any, error: Optional[dict]) -> None:
+        if reply is None:       # a notify: nobody waits for the outcome
             return
         # Immutable results and declared-fresh ones cross without the
         # serialization copy; content is identical either way.
-        if not fresh and type(value) not in _ATOMS:
+        if type(value) not in _ATOMS and method not in svc.rpc_fresh_results:
             value = fast_deepcopy(value)
-        response = {"ok": ok, "value": value, "error": error}
+        response = {"ok": error is None, "value": value, "error": error}
 
         def reply_arrive(_ev) -> None:
-            # A caller host that rebooted in flight has a new dispatcher
-            # (or none): the reply lands on nobody.
-            if _land_leg(net, dst, caller,
-                         _ReplyDispatch.SERVICE) is reply.disp:
-                reply.fire(response)
+            if net.land_leg(dst, caller, crash_count=crash_count) is None:
+                reply.expire()
             else:
-                _expire(reply)
+                reply.fire(response)
 
-        _send_leg(net, svc.host, caller, _ReplyDispatch.SERVICE,
-                  reply_arrive, reply)
+        net.send_leg(svc.host, caller, _REPLY_LEG, reply_arrive,
+                     reply.deadline, reply.expire)
 
-    _send_leg(net, src, dst, service, arrive, reply)
+    if reply is None:
+        net.send_leg(src, dst, service, arrive)
+    else:
+        net.send_leg(src, dst, service, arrive, reply.deadline, reply.expire)
+
+
+def _tally(src: "Host", service: str, method: str) -> None:
+    """Where every ``call()``/``notify()`` starts."""
+    if src.sim.network is None:
+        raise RuntimeError("simulation has no Network")
+    if RPC_STATS is not None:
+        key = (service, method)
+        RPC_STATS[key] = RPC_STATS.get(key, 0) + 1
 
 
 def call(
@@ -351,41 +242,16 @@ def call(
     """RPC a remote service method; use with ``yield from``.
 
     Raises :class:`RPCTimeout` if no response arrives within ``timeout``
-    simulated seconds, or a typed error mirroring the remote exception.
+    simulated seconds, a typed error mirroring the remote exception, or
+    :class:`HostDown` at once when ``src`` itself is down.
     """
+    _tally(src, service, method)
+    if not src.up:
+        raise HostDown(f"host {src.name} is down")
     sim = src.sim
-    net = sim.network
-    if net is None:
-        raise RuntimeError("simulation has no Network")
-    if RPC_STATS is not None:
-        key = (service, method)
-        RPC_STATS[key] = RPC_STATS.get(key, 0) + 1
-    disp = _dispatch(src)
-    plan = _inline_plan(sim, dst, service, method)
-    if plan is not None:
-        reply = _Reply(sim, sim.now + timeout, disp)
-        _inline_request(net, src, dst, service, method, plan, credential,
-                        args, reply)
-        value = yield reply
-    else:
-        token = _next_token(sim)
-        reply = sim.event(name=f"rpc:{service}.{method}:{token}")
-        disp.pending[token] = reply
-        net.send(src, dst, service, {
-            "kind": "request",
-            "method": method,
-            "args": args,
-            "token": token,
-            "reply_to": src.name,
-            "credential": credential,
-        })
-        timer = sim.timeout(timeout)
-        index, value = yield sim.any_of([reply, timer])
-        if index == 1:
-            disp.pending.pop(token, None)
-            value = None
-        else:
-            timer.cancel()
+    reply = _Reply(sim, sim.now + timeout)
+    _request(src, dst, service, method, credential, args, reply)
+    value = yield reply
     if value is None:
         raise RPCTimeout(f"{service}.{method} on {dst} (after {timeout}s)")
     if value["ok"]:
@@ -405,27 +271,12 @@ def notify(
     credential: Any = None,
     **args: Any,
 ) -> None:
-    """One-way datagram dispatched to ``handle_<method>`` (no response)."""
-    sim = src.sim
-    net = sim.network
-    if net is None:
-        raise RuntimeError("simulation has no Network")
-    if RPC_STATS is not None:
-        key = (service, method)
-        RPC_STATS[key] = RPC_STATS.get(key, 0) + 1
-    plan = _inline_plan(sim, dst, service, method)
-    if plan is not None:
-        _inline_request(net, src, dst, service, method, plan, credential,
-                        args)
-        return
-    net.send(src, dst, service, {
-        "kind": "request",
-        "method": method,
-        "args": args,
-        "token": None,
-        "reply_to": src.name,
-        "credential": credential,
-    })
+    """One-way request dispatched to ``handle_<method>`` (no response).
+
+    From a downed host it is sent and dropped, silently.
+    """
+    _tally(src, service, method)
+    _request(src, dst, service, method, credential, args)
 
 
 class Service:
@@ -438,10 +289,10 @@ class Service:
     ``ctx.principal``.
 
     ``rpc_fresh_results`` lists method names whose return values are
-    freshly allocated per call (no aliasing with server state); the
-    inline RPC fast path hands those to the caller without the
-    serialization deep-copy.  Only declare a method when every container
-    it returns is built inside the handler.
+    freshly allocated per call (no aliasing with server state); those
+    reach the caller without the serialization deep-copy.  Only declare
+    a method when every container it returns is built inside the
+    handler.
     """
 
     service_name: str = ""
@@ -458,51 +309,3 @@ class Service:
 
     def shutdown(self) -> None:
         self.host.unregister_service(self.name)
-
-    # -- delivery -----------------------------------------------------------
-    def deliver(self, dgram: "Datagram") -> None:
-        payload = dgram.payload
-        if payload.get("kind") != "request":
-            return
-        self.host.spawn(
-            self._serve(dgram),
-            name=f"{self.name}.{payload.get('method')}@{self.host.name}",
-        )
-
-    def _serve(self, dgram: "Datagram") -> Generator[Any, Any, None]:
-        payload = dgram.payload
-        method = payload["method"]
-        token = payload["token"]
-        ok, value, error = True, None, None
-        try:
-            principal = None
-            if self.authorizer is not None:
-                principal = self.authorizer.authorize(
-                    payload.get("credential"), self.sim.now
-                )
-            ctx = CallContext(
-                caller_host=dgram.src,
-                credential=payload.get("credential"),
-                principal=principal,
-            )
-            handler = getattr(self, "handle_" + method, None)
-            if handler is None:
-                raise ServiceUnavailable(
-                    f"service {self.name} has no method {method!r}")
-            result = handler(ctx, **payload["args"])
-            if inspect.isgenerator(result):
-                result = yield from result
-            value = result
-        except Exception as exc:  # noqa: BLE001 - marshalled to the caller
-            ok = False
-            error = {"kind": type(exc).__name__, "message": str(exc)}
-        if token is None:
-            return
-        self.sim.network.send(self.host, payload["reply_to"],
-                              _ReplyDispatch.SERVICE, {
-            "kind": "response",
-            "token": token,
-            "ok": ok,
-            "value": value,
-            "error": error,
-        })

@@ -61,7 +61,7 @@ from .trace import Trace
 if TYPE_CHECKING:  # pragma: no cover
     from ..grid.testbed import GridTestbed
 
-SNAPSHOT_VERSION = 4
+SNAPSHOT_VERSION = 5
 
 #: structures deeper than this are fingerprinted as a type tag; the cap
 #: is generous (daemon state sits well above it) and deterministic, so
@@ -215,7 +215,6 @@ def kernel_fingerprint(sim: Simulator) -> dict:
         "now": repr(sim.now),
         "seq": sim._seq,
         "heap": heap,
-        "rpc_tokens": repr(getattr(sim, "_rpc_tokens", None)),
         "failures": [[proc.name, type(exc).__name__]
                      for proc, exc in sim._failures],
     }

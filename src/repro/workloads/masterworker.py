@@ -88,12 +88,12 @@ class Master:
     # -- the remote-syscall protocol ---------------------------------------------
     def syscall_handler(self, op: str, nbytes: int, payload: Any):
         if op == "get_task":
-            return self._serve_get_task(payload)
+            return self._op_get_task(payload)
         if op == "put_result":
-            return self._serve_put_result(payload)
+            return self._op_put_result(payload)
         return {"ok": False, "error": f"unknown op {op}"}
 
-    def _serve_get_task(self, payload: Any) -> dict:
+    def _op_get_task(self, payload: Any) -> dict:
         worker = (payload or {}).get("worker", "?")
         if self.pending:
             task = (self.pending.pop()
@@ -106,7 +106,7 @@ class Master:
                     "work": task.work, "done": False}
         return {"task_id": None, "done": self.done}
 
-    def _serve_put_result(self, payload: Any) -> dict:
+    def _op_put_result(self, payload: Any) -> dict:
         task = self.leased.pop(payload["task_id"], None)
         if task is None:
             return {"ok": False}     # stale result from a zombie worker

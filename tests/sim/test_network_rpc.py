@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim import (
     Host,
-    Mailbox,
+    HostDown,
     Network,
     RemoteError,
     RPCTimeout,
@@ -204,29 +204,17 @@ def test_ctx_reports_caller(net_pair):
     assert box["value"] == "client"
 
 
-def test_mailbox_fifo_and_blocking():
-    sim = Simulator(seed=3)
-    Network(sim, latency=0.1, jitter=0.0)
-    producer = Host(sim, "producer")
-    consumer = Host(sim, "consumer")
-    box = Mailbox(consumer, "stream")
-    got = []
-
-    def produce():
-        for i in range(3):
-            yield sim.timeout(1.0)
-            sim.network.send(producer, "consumer", "stream", {"n": i})
-
-    def consume():
-        for _ in range(3):
-            dgram = yield box.get()
-            got.append((sim.now, dgram.payload["n"]))
-
-    sim.spawn(produce())
-    sim.spawn(consume())
+def test_downed_host_cannot_call_and_its_notify_is_dropped(net_pair):
+    """A crashed machine sends nothing: call() refuses at once with the
+    exception a spawn on it gets, a notify() is counted sent and dropped."""
+    sim, net, client, server = net_pair
+    client.crash()
+    box = run_call(sim, call(client, "server", "echo", "ping", text="x"))
+    assert isinstance(box["error"], HostDown)
+    assert (sim.now, net.sent) == (0.0, 0)
+    notify(client, "server", "echo", "ping", text="x")
     sim.run()
-    assert [n for _, n in got] == [0, 1, 2]
-    assert got[0][0] == pytest.approx(1.1)
+    assert (net.sent, net.delivered, net.dropped) == (1, 0, 1)
 
 
 def test_latency_jitter_deterministic_with_seed():

@@ -1,11 +1,14 @@
-"""Targeted tests for the inline RPC fast path.
+"""The contract of the one RPC path.
 
 ``tests/test_golden_digests.py`` pins whole-scenario digests; these
-tests pin the individual semantics the inline path must share with the
-full Datagram path -- copy isolation, fallbacks, in-flight failure
-windows, RNG draws and timing -- the one observable it is allowed to
-change (the ``rpc_fresh_results`` copy skip), and what it is for: two
-kernel events per call and no timer unless the call will time out.
+tests pin the individual semantics every request shares, whatever its
+handler (plain or generator, authorized or not) -- copy isolation,
+in-flight failure windows, RNG draws and timing -- the one observable a
+service may opt out of (the ``rpc_fresh_results`` copy skip), and the
+event budget: two kernel events per plain call and no timer unless the
+call may time out.  (Test names that speak of "inline", "fall back" or
+"the datagram path" date from when a second path existed; what they
+check is unchanged.)
 """
 
 import pytest
@@ -17,11 +20,23 @@ from repro.sim import (
     RemoteError,
     RPCTimeout,
     Service,
+    ServiceUnavailable,
     Simulator,
     call,
     notify,
 )
-from repro.sim.rpc import _ReplyDispatch, _inline_plan
+
+
+class Gate:
+    """Authorizer: "ok" maps to a principal until `expires`."""
+
+    def __init__(self, expires=float("inf")):
+        self.expires = expires
+
+    def authorize(self, credential, now):
+        if credential != "ok" or now >= self.expires:
+            raise AuthenticationError("bad or expired credential")
+        return "user"
 
 
 class Inlineable(Service):
@@ -32,17 +47,26 @@ class Inlineable(Service):
         super().__init__(host, **kw)
         self.state = {"hits": 0}
         self.last_result_id = None
+        self.pings = 0
 
     def handle_ping(self, ctx, text):
         self.sim.trace.log("svc", "served", text=text)
+        self.pings += 1
         return text.upper()
 
     def handle_ping_full(self, ctx, text):
-        # Generator twin of ping: same reply, but generator handlers
-        # always take the full Datagram path -- the reference.
+        # Generator twin of ping: same reply, finished by a process.
         self.sim.trace.log("svc", "served", text=text)
+        self.pings += 1
         return text.upper()
         yield
+
+    def handle_ping_lazy(self, ctx, text):
+        # Plain handler whose result is a generator.
+        return self.handle_ping_full(ctx, text)
+
+    def handle_whoami(self, ctx):
+        return ctx.principal
 
     def handle_boom(self, ctx):
         raise ValueError("kaboom")
@@ -65,7 +89,7 @@ class Inlineable(Service):
         return "slept"
 
     def handle_lazy(self, ctx, duration):
-        # Planned as a plain handler, yet its result is a generator.
+        # A plain handler, yet its result is a generator.
         return self.handle_gen(ctx, duration)
 
 
@@ -150,7 +174,6 @@ def test_generator_handler_falls_back_to_real_path(pool):
 
 def test_plain_handler_returning_a_generator_is_drained(pool):
     sim, client, server, svc = pool
-    assert _inline_plan(sim, "server", "svc", "lazy") is not None
     seen = {}
 
     def caller():
@@ -167,30 +190,41 @@ def test_plain_handler_returning_a_generator_is_drained(pool):
     assert sim.network.sent == 3
 
 
-def test_authorized_service_falls_back_and_enforces_auth():
-    class Gate:
-        def authorize(self, credential, now):
-            if credential != "ok":
-                raise AuthenticationError("bad credential")
-            return "user"
-
-    sim = Simulator(seed=11)
-    Network(sim, latency=0.1, jitter=0.0)
-    client = Host(sim, "client")
-    server = Host(sim, "server")
-    Inlineable(server, authorizer=Gate())
+def test_authorized_service_falls_back_and_enforces_auth(pool):
+    sim, client, server, svc = pool
+    svc.authorizer = Gate()
     box = run_call(sim, call(client, "server", "svc", "ping",
                              credential="nope", text="hi"))
     assert isinstance(box["error"], AuthenticationError)
-
-    sim2 = Simulator(seed=11)
-    Network(sim2, latency=0.1, jitter=0.0)
-    client2 = Host(sim2, "client")
-    server2 = Host(sim2, "server")
-    Inlineable(server2, authorizer=Gate())
-    box = run_call(sim2, call(client2, "server", "svc", "ping",
-                              credential="ok", text="hi"))
+    box = run_call(sim, call(client, "server", "svc", "ping",
+                             credential="ok", text="hi"))
     assert box["value"] == "HI"
+    # ... and the mapped principal is in the handler's context.
+    box = run_call(sim, call(client, "server", "svc", "whoami",
+                             credential="ok"))
+    assert box["value"] == "user"
+
+
+@pytest.mark.parametrize("method", ["ping", "ping_full"])
+def test_credential_is_judged_at_arrival_not_at_send(pool, method):
+    """A proxy that expires while the request is in flight is refused."""
+    sim, client, server, svc = pool
+    svc.authorizer = Gate(expires=0.05)      # sent at 0, lands at 0.1
+    box = run_call(sim, call(client, "server", "svc", method,
+                             credential="ok", text="hi"))
+    assert isinstance(box["error"], AuthenticationError)
+    assert sim.trace.select("svc", "served") == []
+    assert sim.now == pytest.approx(0.2)     # refused by reply, no timeout
+
+
+@pytest.mark.parametrize("authorizer", [None, Gate()], ids=["open", "gsi"])
+def test_unknown_method_is_a_typed_error(pool, authorizer):
+    sim, client, server, svc = pool
+    svc.authorizer = authorizer
+    box = run_call(sim, call(client, "server", "svc", "nosuch",
+                             credential="ok"))
+    assert isinstance(box["error"], ServiceUnavailable)
+    assert sim.now == pytest.approx(0.2)
 
 
 def test_crash_before_arrival_drops_and_times_out(pool):
@@ -212,13 +246,13 @@ def test_crash_restart_in_flight_serves_via_new_instance(pool):
         replacement.append(Inlineable(server))
 
     # Request leaves at t=0, arrives t=0.1; the swap happens in between,
-    # so the arrival must fall back to delivering a real datagram to the
-    # *new* service object -- exactly what an in-flight message would hit.
+    # so the arrival finds the *new* service object registered under the
+    # name -- exactly what an in-flight message would hit.
     sim.schedule(0.05, swap)
-    box = run_call(sim, call(client, "server", "svc", "ping",
-                             timeout=5.0, text="hi"))
-    assert box["value"] == "HI"
-    assert replacement[0].state["hits"] == 0  # sanity: new instance used
+    box = run_call(sim, call(client, "server", "svc", "state", timeout=5.0))
+    assert box["value"] == {"hits": 1}
+    assert replacement[0].state["hits"] == 1    # the new instance served
+    assert svc.state["hits"] == 0               # the dead one never did
 
 
 def test_notify_inline_is_one_way(pool):
@@ -231,22 +265,22 @@ def test_notify_inline_is_one_way(pool):
 
 def test_inline_and_real_paths_agree_on_rng_and_timing():
     """Same seed, jitter and loss: identical completion times, counters
-    and outcomes whether a call runs inline or as real datagrams."""
+    and outcomes whatever kind of handler serves the call."""
 
-    def one_run(method, inline):
+    def one_run(method, authorizer):
         sim = Simulator(seed=77)
         net = Network(sim, latency=0.1, jitter=0.4, loss_rate=0.2)
         a = Host(sim, "a")
         b = Host(sim, "b")
-        Inlineable(b)
-        assert (_inline_plan(sim, "b", "svc", method) is not None) == inline
+        Inlineable(b, authorizer=authorizer)
         events = []
 
         def proc():
             for i in range(20):
                 try:
                     value = yield from call(a, "b", "svc", method,
-                                            timeout=3.0, text=str(i))
+                                            timeout=3.0, credential="ok",
+                                            text=str(i))
                 except RPCTimeout:
                     value = None
                 events.append((sim.now, value))
@@ -255,15 +289,26 @@ def test_inline_and_real_paths_agree_on_rng_and_timing():
         sim.run()
         return events, net.sent, net.delivered, net.dropped
 
-    assert one_run("ping", inline=True) == one_run("ping_full", inline=False)
+    first, *others = [one_run(*variant) for variant in VARIANTS.values()]
+    assert any(value is None for _t, value in first[0])   # some were lost
+    assert all(other == first for other in others)
 
 
-# -- failure windows: inline vs the generator twin ----------------------------
+# -- failure windows: every kind of handler -------------------------------------
 #
 # One call leaves "client" at T0 over 0.1 s legs with a 2 s timeout while
-# `disturb` breaks something.  Whatever happens, the inline path and the
-# Datagram path must agree on the outcome, when the caller learns it, how
-# often the handler ran, the network counters and the final clock.
+# `disturb` breaks something.  Whatever serves it, the outcome, when the
+# caller learns it and how often the handler ran are what WINDOWS says,
+# and the network counters and the final clock agree across handlers.
+
+VARIANTS = {
+    # name: (method, authorizer)
+    "plain": ("ping", None),
+    "generator": ("ping_full", None),
+    "authorized-plain": ("ping", Gate()),
+    "authorized-generator": ("ping_full", Gate()),
+    "plain-returning-a-generator": ("ping_lazy", None),
+}
 
 T0 = 0.3
 TIMEOUT = 2.0
@@ -282,10 +327,11 @@ def _crash(host_name, at, restart=False):
         host = {"client": client, "server": server}[host_name]
 
         def act():
+            authorizer = server.services["svc"].authorizer
             host.crash()
             if restart:
                 host.restart()
-                Inlineable(host)
+                Inlineable(host, authorizer=authorizer)
         sim.schedule(0, act, at=at)
     return disturb
 
@@ -321,21 +367,21 @@ WINDOWS = {
 }
 
 
-def run_window(method, disturb):
+def run_window(variant, disturb):
+    method, authorizer = VARIANTS[variant]
     sim = Simulator(seed=5)
     net = Network(sim, latency=0.1, jitter=0.0)
     client = Host(sim, "client")
     server = Host(sim, "server")
-    Inlineable(server)
-    assert (_inline_plan(sim, "server", "svc", method) is not None) \
-        == (method == "ping")
+    Inlineable(server, authorizer=authorizer)
     seen = {"outcome": None, "at": None}
 
     def caller():
         yield sim.timeout(T0)
         try:
             seen["outcome"] = yield from call(
-                client, "server", "svc", method, timeout=TIMEOUT, text="hi")
+                client, "server", "svc", method, timeout=TIMEOUT,
+                credential="ok", text="hi")
         except RPCTimeout:
             seen["outcome"] = "timeout"
         seen["at"] = sim.now
@@ -343,9 +389,6 @@ def run_window(method, disturb):
     client.spawn(caller())       # bound to the host: dies with it
     disturb(sim, net, client, server)
     sim.run()
-    pending = [d.pending for h in (client, server)
-               for d in [h.services.get(_ReplyDispatch.SERVICE)] if d]
-    assert not any(pending)      # resolved or timed out: nothing waits
     return (seen["outcome"], seen["at"],
             len(sim.trace.select("svc", "served")),
             (net.sent, net.delivered, net.dropped), sim.now)
@@ -354,18 +397,21 @@ def run_window(method, disturb):
 @pytest.mark.parametrize("window", sorted(WINDOWS))
 def test_failure_window_matches_the_datagram_path(window):
     disturb, outcome, learned_at, served = WINDOWS[window]
-    inline = run_window("ping", disturb)
-    assert inline == run_window("ping_full", disturb)
-    # ... and both are what the protocol promises: the timeout exactly
-    # T0 + TIMEOUT after the send, the handler at most once, a crashed
-    # caller never resumed.
-    assert inline[:3] == (outcome, learned_at, served)
+    runs = {variant: run_window(variant, disturb) for variant in VARIANTS}
+    # What the protocol promises: the timeout exactly T0 + TIMEOUT after
+    # the send, the handler at most once, a crashed caller never resumed
+    # ...
+    assert {v: run[:3] for v, run in runs.items()} \
+        == dict.fromkeys(VARIANTS, (outcome, learned_at, served))
+    # ... and the same legs counted, and the same last event, whoever
+    # served the call.
+    assert all(run[3:] == runs["plain"][3:] for run in runs.values())
 
 
 def test_late_reply_is_counted_and_discarded():
     """Leg latency past the deadline: the caller times out on time, the
     request still runs, and the reply that lands later resumes nobody."""
-    outcome, at, served, counters, end = run_window("ping", _slow_link(0.0))
+    outcome, at, served, counters, end = run_window("plain", _slow_link(0.0))
     assert (outcome, at, served) == ("timeout", T0 + TIMEOUT, 1)
     assert counters == (2, 2, 0)         # both legs delivered
     assert end == T0 + 3.0 + 3.0         # the reply did land, at 6.3
@@ -373,23 +419,47 @@ def test_late_reply_is_counted_and_discarded():
 
 # -- event budget ---------------------------------------------------------------
 
-def test_successful_inline_calls_cost_two_events_and_no_timer(pool):
-    sim, client, server, svc = pool
-    n = 50
+def _budget(sim, client, method, n=50, **kw):
+    """(heap entries pushed by n calls, heap the caller resumes to)."""
     seen = {}
 
     def caller():
         seen["seq"] = sim._seq
         for i in range(n):
-            yield from call(client, "server", "svc", "ping", text=str(i))
+            yield from call(client, "server", "svc", method, **kw)
         seen["pushed"] = sim._seq - seen["seq"]
         seen["heap"] = list(sim._heap)
 
     client.spawn(caller())
     sim.run()
-    assert seen["pushed"] == 2 * n       # request arrival + reply arrival
-    assert seen["heap"] == []            # no timer, live or cancelled
-    assert not client.services[_ReplyDispatch.SERVICE].pending
+    return seen["pushed"], seen["heap"]
+
+
+def test_successful_inline_calls_cost_two_events_and_no_timer(pool):
+    sim, client, server, svc = pool
+    pushed, heap = _budget(sim, client, "ping", text="x")
+    assert pushed == 2 * 50              # request arrival + reply arrival
+    assert heap == []                    # no timer, live or cancelled
+
+
+def test_authorized_calls_cost_two_events_and_no_timer(pool):
+    sim, client, server, svc = pool
+    svc.authorizer = Gate()
+    pushed, heap = _budget(sim, client, "ping", credential="ok", text="x")
+    assert (pushed, heap) == (2 * 50, [])
+
+
+@pytest.mark.parametrize("authorizer", [None, Gate()], ids=["open", "gsi"])
+def test_generator_handler_call_leaves_no_live_timer(pool, authorizer):
+    sim, client, server, svc = pool
+    svc.authorizer = authorizer
+    pushed, heap = _budget(sim, client, "gen", n=1, timeout=100.0,
+                           credential="ok", duration=5.0)
+    # Request arrival, the timer armed at the spawn, the process's boot,
+    # its sleep, its end, the reply arrival.
+    assert pushed == 6
+    assert [ev for _t, _s, ev in heap if not ev._cancelled] == []
+    assert sim.now == pytest.approx(5.2)     # ... and nothing held the clock
 
 
 def test_notify_costs_one_event(pool):
@@ -402,15 +472,17 @@ def test_notify_costs_one_event(pool):
     assert svc.state["data"] == 19
 
 
-def test_handed_off_call_retires_its_timer_and_token():
-    """A call handed to the Datagram path in flight (service replaced)
-    leaves no live timer behind when the response wins, and no pending
-    token when the timer wins."""
-    for lose_response in (False, True):
+def test_service_replaced_in_flight_is_served_once_by_the_new_instance():
+    """Crash + restart between send and arrival: the request is served,
+    once, by whatever is registered under the name when it lands; the
+    call leaves no live timer behind when the response wins and times
+    out on time when it is lost."""
+    for method, lose_response in [("ping", False), ("ping", True),
+                                  ("ping_full", False), ("ping_full", True)]:
         sim = Simulator(seed=11)
         net = Network(sim, latency=0.1, jitter=0.0)
         client, server = Host(sim, "client"), Host(sim, "server")
-        Inlineable(server)
+        old = Inlineable(server)
         _crash("server", 0.05, restart=True)(sim, net, client, server)
         if lose_response:
             _partition(0.15)(sim, net, client, server)
@@ -419,18 +491,18 @@ def test_handed_off_call_retires_its_timer_and_token():
         def caller():
             try:
                 seen["outcome"] = yield from call(
-                    client, "server", "svc", "ping", timeout=2.0, text="hi")
+                    client, "server", "svc", method, timeout=2.0, text="hi")
             except RPCTimeout:
                 seen["outcome"] = "timeout"
             seen["live"] = [ev for _t, _s, ev in sim._heap
                             if not ev._cancelled]
-            seen["pending"] = dict(
-                client.services[_ReplyDispatch.SERVICE].pending)
 
         client.spawn(caller())
         sim.run()
+        new = server.services["svc"]
+        assert new is not old and (old.pings, new.pings) == (0, 1)
         assert seen["outcome"] == ("timeout" if lose_response else "HI")
-        assert seen["live"] == [] and seen["pending"] == {}
+        assert seen["live"] == []
         assert sim.now == (2.0 if lose_response else pytest.approx(0.2))
 
 
