@@ -58,10 +58,11 @@ def test_campaign_scaling(report):
 
 SHRINK_SEED = 11
 
-#: one culprit (crash the submit host while jobs are in flight) plus
-#: three decoys ddmin must strip -- the seeded shrink-lab violation.
+#: one culprit (crash the cluster head node while jobs are in flight:
+#: it keeps no state and nothing boots it again) plus three decoys
+#: ddmin must strip -- the seeded shrink-lab violation.
 SHRINK_PLAN = FaultPlan(events=[
-    PlannedFault(4000.0, "crash", "submit-dana", 300.0),
+    PlannedFault(4000.0, "crash", "lab-lrm", 300.0),
     PlannedFault(4050.0, "partition", "submit-dana|lab-gk", 120.0),
     PlannedFault(4150.0, "jm_kill", "lab-gk", None),
     PlannedFault(4250.0, "isolate", "lab-gk", 60.0),

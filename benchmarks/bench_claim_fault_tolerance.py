@@ -44,38 +44,17 @@ def run_class(failure_class: str):
         tb.failures.crash_host_at(fail_at, tb.sites["site"].gk_host,
                                   down_for=150.0)
     elif failure_class == "submit-machine":
-        def inject():
-            yield tb.sim.timeout(fail_at)
-            agent.host.crash()
-            yield tb.sim.timeout(100.0)
-            agent.host.restart()
-            from repro.core.scheduler import CondorGScheduler
-
-            # operator boot script: rebuild the queue from disk
-            CondorGScheduler(agent.host, "user")
-
-        tb.sim.spawn(inject())
+        tb.failures.crash_host_at(fail_at, agent.host, down_for=100.0)
     elif failure_class == "network":
         tb.failures.partition_at(fail_at, agent.host.name, "site-gk",
                                  heal_after=250.0)
 
     def jobs_done():
-        if failure_class == "submit-machine":
-            # status now lives in the *recovered* queue on the same host
-            store = agent.host.stable.namespace("condorg-queue:user")
-            records = [store.get(k) for k in store.keys()]
-            return records and all(r["state"] in ("DONE", "FAILED")
-                                   for r in records)
         return all(agent.status(j).is_terminal for j in ids)
 
     drain(tb, jobs_done, cap=3 * 10**4, chunk=500.0)
 
-    if failure_class == "submit-machine":
-        store = agent.host.stable.namespace("condorg-queue:user")
-        done = sum(1 for k in store.keys()
-                   if store.get(k)["state"] == "DONE")
-    else:
-        done = sum(1 for j in ids if agent.status(j).is_complete)
+    done = sum(1 for j in ids if agent.status(j).is_complete)
     lrm = tb.sites["site"].lrm
     executed = len(lrm.jobs)
     completed = sum(1 for j in lrm.jobs.values()

@@ -42,7 +42,7 @@ def run_exp2():
     tb = GridTestbed(TestbedConfig(seed=602))
     tb.add_site(SiteSpec("uw", scheduler="condor", cpus=80))
     tb.add_site(SiteSpec("ncsa", scheduler="pbs", cpus=32))
-    repo = GridFTPServer(Host(tb.sim, "ncsa-mss"))
+    repo = Host(tb.sim, "ncsa-mss").boot(GridFTPServer)
     agent = tb.add_agent(AgentSpec("caltech"))
     config = CMSConfig(simulation_site="uw-gk",
                        reconstruction_site="ncsa-gk",

@@ -35,7 +35,7 @@ CONFIG = GaussianJobConfig(iterations=30, seconds_per_iteration=25.0)
 def run_exp3():
     tb = GridTestbed(TestbedConfig(seed=603))
     tb.add_site(SiteSpec("ncsa", scheduler="pbs", cpus=8))
-    GridFTPServer(Host(tb.sim, "mss"))
+    Host(tb.sim, "mss").boot(GridFTPServer)
     agent = tb.add_agent(AgentSpec("portal"))
 
     job_ids = []

@@ -21,7 +21,7 @@ def main() -> None:
     testbed = GridTestbed(TestbedConfig(seed=8))
     testbed.add_site(SiteSpec("uw", scheduler="condor", cpus=20))
     testbed.add_site(SiteSpec("ncsa", scheduler="pbs", cpus=16))
-    mss = GridFTPServer(Host(testbed.sim, "ncsa-mss"))
+    mss = Host(testbed.sim, "ncsa-mss").boot(GridFTPServer)
     agent = testbed.add_agent(AgentSpec("caltech"))
 
     config = CMSConfig(

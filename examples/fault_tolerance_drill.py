@@ -11,7 +11,6 @@ Run:  python examples/fault_tolerance_drill.py
 """
 
 from repro import GridTestbed, JobDescription
-from repro.core.scheduler import CondorGScheduler
 from repro.grid.config import AgentSpec, SiteSpec, TestbedConfig
 
 
@@ -46,26 +45,19 @@ def main() -> None:
         agent.host.crash()
         yield testbed.sim.timeout(120.0)
         agent.host.restart()
-        CondorGScheduler(agent.host, "ops")   # init script: recover queue
-        print(f"[t={testbed.sim.now:6.0f}] submit machine recovered "
-              f"from its persistent queue")
+        print(f"[t={testbed.sim.now:6.0f}] submit machine is back; its "
+              f"agent recovered {len(agent.scheduler.jobs)} jobs from "
+              f"the persistent queue")
 
     testbed.sim.spawn(reboot_submit())
 
-    while testbed.sim.now < 3 * 10**4:
-        testbed.sim.run(until=testbed.sim.now + 1000.0)
-        store = agent.host.stable.namespace("condorg-queue:ops")
-        records = [store.get(k) for k in store.keys()]
-        if records and all(r["state"] in ("DONE", "FAILED")
-                           for r in records):
-            break
+    testbed.run_until_quiet(max_time=3 * 10**4)
 
-    store = agent.host.stable.namespace("condorg-queue:ops")
-    print("\nfinal job states (from the persistent queue):")
-    for key in store.keys():
-        record = store.get(key)
-        print(f"  {record['job_id']:<12} {record['state']}")
-        assert record["state"] == "DONE"
+    print("\nfinal job states:")
+    for job_id in ids:
+        status = agent.status(job_id)
+        print(f"  {status.job_id:<12} {status.state}")
+        assert status.state == "DONE"
     executed = [j.state for j in site.lrm.jobs.values()]
     print(f"\nLRM executions at the site: {len(executed)} "
           f"(= {len(ids)} logical jobs; exactly-once held)")

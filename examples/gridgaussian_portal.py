@@ -21,7 +21,7 @@ from repro.workloads import GaussianJobConfig, expected_output, \
 def main() -> None:
     testbed = GridTestbed(TestbedConfig(seed=9))
     testbed.add_site(SiteSpec("ncsa", scheduler="pbs", cpus=4))
-    GridFTPServer(Host(testbed.sim, "mss"))
+    Host(testbed.sim, "mss").boot(GridFTPServer)
     agent = testbed.add_agent(AgentSpec("portal"))
 
     config = GaussianJobConfig(iterations=20, seconds_per_iteration=30.0)

@@ -308,22 +308,13 @@ def check_replica_integrity(tb: "GridTestbed") -> list[Violation]:
         return []
     from ..data.catalog import dataset_path
 
-    def live_server(se_host: str):
-        # A crashed-and-rebooted SE runs a *new* GridFTPServer daemon
-        # (boot action) over the same stable file store; Site.se is the
-        # build-time instance and goes stale, so always resolve through
-        # the host's live service registry.
-        host = tb.sim.hosts.get(se_host)
-        if host is None:
-            return None
-        return host.services.get("gridftp")
-
     out: list[Violation] = []
     for name in catalog.names():
         entry = catalog.entry(name)
         path = dataset_path(name)
         for se_host in sorted(entry["replicas"]):
-            server = live_server(se_host)
+            host = tb.sim.hosts.get(se_host)
+            server = host and host.get_service("gridftp")
             if server is None:
                 out.append(Violation(
                     "replica_integrity",

@@ -151,10 +151,14 @@ def fault_surface(tb: "GridTestbed") -> dict[str, list[str]]:
     failure classes of §4.2); the WAN between each submit machine and
     each gatekeeper partitions; individual JobManager daemons die; and
     proxies of users whose agents run a credential monitor expire.
-    Submit and cluster machines are deliberately *not* on the default
-    surface: agent-host recovery needs an operator action (see
-    tests/core/test_agent_fault_tolerance.py) and cluster nodes are the
-    jobs themselves, so plans stay survivable by construction.
+    Cluster machines are deliberately *not* on the surface: they are
+    the jobs themselves, keep no state and boot nothing, so plans stay
+    survivable by construction.  Submit machines recover by themselves
+    (the agent is built again at boot from its queue, user log, proxy
+    file and GASS store) and a hand-written plan may crash one; they
+    are left off the *generated* surface only because widening
+    ``surface["crash"]`` re-draws every generated plan, which is a
+    digest-epoch step.
     """
     gk_hosts = sorted(site.gk_host.name for site in tb.sites.values())
     submit_hosts = sorted(agent.host.name for agent in tb.agents.values())

@@ -24,12 +24,12 @@ from ..sim.hosts import Host
 from ..states import JobState, is_complete, is_terminal
 from . import job as J
 from .broker import Broker
-from .credmon import CredentialMonitor
+from .credmon import PROXY_NS, CredentialMonitor
 from .gcat import gcat_wrap
 from .glidein import GlideInManager, GlideInSpec
 from .job import GridJob
 from .scheduler import CondorGScheduler
-from .userlog import Notifier, UserLog
+from .userlog import Notifier
 
 
 @dataclass
@@ -88,7 +88,15 @@ class JobStatus:
 
 
 class CondorGAgent:
-    """One user's computation management agent."""
+    """One user's computation management agent.
+
+    The object is the user's durable handle; the daemons behind it are
+    what the submit machine's last boot built, each recovering what its
+    own persistence holds (job queue, user log, proxy file, GASS store),
+    so ``scheduler``, ``gass``, ``credmon``, ``schedd`` ... always name
+    the live ones.  ``on_termination`` subscribers are callables, live
+    in no file, and are gone after a reboot.
+    """
 
     def __init__(
         self,
@@ -109,49 +117,52 @@ class CondorGAgent:
         self.host = host
         self.sim = host.sim
         self.user = user
-        self.notifier = Notifier()
-        self.userlog = UserLog()
-        self.credmon: Optional[CredentialMonitor] = None
-        credential_source = None
-
-        self.scheduler = CondorGScheduler(
-            host, user, broker=broker,
-            credential_source=None,       # wired below once credmon exists
-            notifier=self.notifier, userlog=self.userlog,
-            max_submitted_per_resource=max_submitted_per_resource,
-            data_services=data_services,
-            grid_monitor=grid_monitor)
-
         if proxy is not None:
-            self.credmon = CredentialMonitor(
-                self.scheduler, host, user, proxy,
-                warn_threshold=warn_threshold, myproxy=myproxy)
-            credential_source = self.credmon.credential_source
-            self.scheduler.credential_source = credential_source
+            # grid-proxy-init: the proxy is a file on the submit machine.
+            host.stable.put(f"{PROXY_NS}:{user}", "proxy", proxy)
+        mailbox: list = []      # the user's mail is kept elsewhere
 
-        # The user's GASS server: staging source + stdout sink.
-        self.gass = GassServer(host, name=f"gass-{user}")
+        def start(host: Host) -> None:
+            self.notifier = Notifier(mailbox)
+            self.scheduler = CondorGScheduler(
+                host, user, broker=broker, notifier=self.notifier,
+                max_submitted_per_resource=max_submitted_per_resource,
+                data_services=data_services,
+                grid_monitor=grid_monitor)
 
-        # Personal Condor pool on the desktop: Collector + Negotiator +
-        # Schedd.  GlideIns join this pool (Figure 2).
-        self.collector: Optional[Collector] = None
-        self.schedd: Optional[Schedd] = None
-        self.glideins: Optional[GlideInManager] = None
-        #: autoscaler over ``glideins``, attached by the testbed when any
-        #: site declares a FactoryPolicy (repro.factory)
-        self.factory = None
-        if personal_pool:
-            self.collector = Collector(host)
-            Negotiator(host, collector=host.name,
-                       cycle_interval=negotiation_interval,
-                       credential=None)
-            self.schedd = Schedd(host, name=f"schedd@{user}",
-                                 collector=host.name,
-                                 claim_reuse=claim_reuse)
-            self.glideins = GlideInManager(
-                self.scheduler, collector_host=host.name,
-                credential_source=credential_source,
-                binaries_url=glidein_binaries_url)
+            self.credmon: Optional[CredentialMonitor] = None
+            if proxy is not None:
+                self.credmon = CredentialMonitor(
+                    self.scheduler, host, user,
+                    warn_threshold=warn_threshold, myproxy=myproxy)
+                self.scheduler.credential_source = \
+                    self.credmon.credential_source
+
+            # The user's GASS server: staging source + stdout sink.
+            self.gass = GassServer(host, name=f"gass-{user}")
+
+            # Personal Condor pool on the desktop: Collector + Negotiator
+            # + Schedd.  GlideIns join this pool (Figure 2).
+            self.collector: Optional[Collector] = None
+            self.schedd: Optional[Schedd] = None
+            self.glideins: Optional[GlideInManager] = None
+            #: autoscaler over ``glideins``, booted by the testbed after
+            #: the agent when any site declares a FactoryPolicy
+            self.factory = None
+            if personal_pool:
+                self.collector = Collector(host)
+                Negotiator(host, collector=host.name,
+                           cycle_interval=negotiation_interval,
+                           credential=None)
+                self.schedd = Schedd(host, name=f"schedd@{user}",
+                                     collector=host.name,
+                                     claim_reuse=claim_reuse)
+                self.glideins = GlideInManager(
+                    self.scheduler, collector_host=host.name,
+                    credential_source=self.scheduler.credential_source,
+                    binaries_url=glidein_binaries_url)
+
+        host.boot(start)
 
     # -- submission ------------------------------------------------------------
     def submit(self, description: JobDescription,
@@ -182,11 +193,9 @@ class CondorGAgent:
                        for name in d.output_files}
         program = d.program
         if d.gcat_mss_url and program is not None:
-            credential_source = None
-            if self.credmon is not None:
-                credential_source = self.credmon.credential_source
-            program = gcat_wrap(program, d.gcat_mss_url,
-                                credential_source=credential_source)
+            program = gcat_wrap(
+                program, d.gcat_mss_url,
+                credential_source=self.scheduler.credential_source)
         env = dict(d.env)
         if stdout_url:
             env.setdefault("GASS_URL", stdout_url)
@@ -248,6 +257,10 @@ class CondorGAgent:
             hold_reason=job.hold_reason,
             submit_time=job.submit_time, start_time=job.start_time,
             end_time=job.end_time, attempts=job.restarts)
+
+    @property
+    def userlog(self):
+        return self.scheduler.userlog
 
     def logs(self, job_id: str) -> list:
         return self.userlog.for_job(job_id)

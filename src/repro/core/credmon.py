@@ -19,6 +19,8 @@ from ..sim.rpc import call
 if TYPE_CHECKING:  # pragma: no cover
     from .scheduler import CondorGScheduler
 
+PROXY_NS = "condorg-proxy"    # the proxy file grid-proxy-init writes
+
 
 class CredentialMonitor:
     """Watches one user's proxy; drives hold/notify/refresh/re-forward."""
@@ -30,7 +32,6 @@ class CredentialMonitor:
         scheduler: "CondorGScheduler",
         host: Host,
         user: str,
-        proxy: ProxyCredential,
         email: str = "",
         warn_threshold: float = 3600.0,
         myproxy: Optional[dict] = None,    # {host, username, passphrase,
@@ -40,13 +41,25 @@ class CredentialMonitor:
         self.host = host
         self.sim = host.sim
         self.user = user
-        self.proxy = proxy
+        # The proxy lives in a file on the submit machine's disk: a
+        # monitor built after a reboot reads whichever proxy was current.
+        self._file = host.stable.namespace(f"{PROXY_NS}:{user}")
+        self._proxy: ProxyCredential = self._file.get("proxy")
         self.email = email or f"{user}@example.edu"
         self.warn_threshold = warn_threshold
         self.myproxy = myproxy
         self._warned = False
         self.refresh_count = 0
         host.spawn(self._scan_loop(), name=f"credmon:{user}")
+
+    @property
+    def proxy(self) -> ProxyCredential:
+        return self._proxy
+
+    @proxy.setter
+    def proxy(self, proxy: ProxyCredential) -> None:
+        self._proxy = proxy
+        self._file.put("proxy", proxy)
 
     # -- the credential the rest of the agent uses -------------------------------
     def credential_source(self, audience: str):

@@ -68,8 +68,12 @@ class GlideInManager:
         self.collector_host = collector_host
         self.credential_source = credential_source
         self.binaries_url = binaries_url
-        self._ids = itertools.count(1)
-        self.submitted: list[str] = []        # grid job ids
+        # Glideins are jobs in the agent's grid queue, which is what a
+        # manager built after a reboot knows of its predecessor's.
+        self.submitted: list[str] = [         # grid job ids
+            job.job_id for job in scheduler.jobs_for_user()
+            if job.request.label.startswith("glidein-")]
+        self._ids = itertools.count(len(self.submitted) + 1)
         self.binaries_fetched = 0
         self.live_startds: list[Startd] = []
 

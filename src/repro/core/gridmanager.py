@@ -76,32 +76,19 @@ class GridManager(Service):
         scheduler: "CondorGScheduler",
         user: str,
         host: Host,
-        credential_source=None,
-        max_submitted_per_resource: Optional[int] = None,
-        data_services=None,
-        grid_monitor: bool = False,
     ):
         self.callback_service = f"gramcb:{user}"
         super().__init__(host, name=self.callback_service)
+        # The scheduler owns the agent's configuration -- credential
+        # source, fair-share throttle, data services, Grid Monitor
+        # opt-in -- and is read at each use: a GridManager spawned by
+        # queue recovery exists before the agent finishes wiring it.
         self.scheduler = scheduler
         self.user = user
-        # Client-side fair-share throttle (§5: a user's unthrottled
-        # submissions once overloaded a gatekeeper): never keep more
-        # than this many of our jobs in flight per remote resource.
-        self.max_submitted_per_resource = max_submitted_per_resource
-        # repro.data wiring (replica catalog + transfer scheduler + the
-        # site -> storage-element map), or None in data-free grids.
-        self.data = data_services
-        # Grid Monitor fan-in (§5.1, repro.gram.monitor): one per-site
-        # daemon batches all our JobManagers' states into one report
-        # per interval.  Semantic opt-in (AgentSpec.grid_monitor): it
-        # changes the RPC pattern, and so the digest.
-        self.grid_monitor = grid_monitor
         self._monitor_last: dict[str, float] = {}     # contact -> last report
         self._monitor_attempt: dict[str, float] = {}  # contact -> last launch
         self._monitor_suspect: set[str] = set()       # jmids absent from report
-        self._credential_source = credential_source
-        self.client = Gram2Client(host, credential_source=credential_source)
+        self.client = Gram2Client(host, credential_source=self._credential)
         self.exited = False
         self._wake = self.sim.event(name=f"gm-wake:{user}")
         self._watch_wake = None    # set while the watch loop is parked
@@ -158,7 +145,7 @@ class GridManager(Service):
             if resource is None:
                 return     # broker has no candidate yet; retry next pass
             job.resource = resource
-        limit = self.max_submitted_per_resource
+        limit = self.scheduler.max_submitted_per_resource
         if limit is not None and \
                 self.scheduler.inflight_on(job.resource) >= limit:
             # Fair-share throttle: this resource already carries our
@@ -171,7 +158,8 @@ class GridManager(Service):
             if self.scheduler.broker is not None:
                 job.resource = ""
             return
-        if job.request.input_datasets and self.data is not None:
+        if job.request.input_datasets and \
+                self.scheduler.data_services is not None:
             ok = yield from self._stage_inputs_for(job)
             if not ok:
                 return
@@ -255,10 +243,9 @@ class GridManager(Service):
         self._ensure_monitor(job.contact)
 
     # -- data placement (repro.data) -----------------------------------------
-    def _data_credential(self, audience: str):
-        if self._credential_source is None:
-            return None
-        return self._credential_source(audience)
+    def _credential(self, audience: str):
+        source = self.scheduler.credential_source
+        return None if source is None else source(audience)
 
     def _stage_inputs_for(self, job: GridJob):
         """Place the job's input datasets at its site's SE.  True = go on
@@ -295,7 +282,7 @@ class GridManager(Service):
         bytes actually transferred (0 = everything was already local)."""
         from ..data.catalog import dataset_path
 
-        data = self.data
+        data = self.scheduler.data_services
         se = data.storage_element(job.resource)
         if not se:
             raise RuntimeError(f"no storage element at {job.resource}")
@@ -304,7 +291,7 @@ class GridManager(Service):
             entry = yield from call(
                 self.host, data.catalog_host, "rls", "lookup",
                 timeout=30.0,
-                credential=self._data_credential(data.catalog_host),
+                credential=self._credential(data.catalog_host),
                 name=name)
             replicas = entry["replicas"]
             if se in replicas:
@@ -317,7 +304,7 @@ class GridManager(Service):
             result = yield from call(
                 self.host, data.dts_host, "dts", "transfer",
                 timeout=14_400.0,
-                credential=self._data_credential(data.dts_host),
+                credential=self._credential(data.dts_host),
                 src_url=replicas[src_se], dst_host=se,
                 dst_path=dataset_path(name), dataset=name,
                 expected_checksum=entry["checksum"])
@@ -338,7 +325,7 @@ class GridManager(Service):
         from ..data.catalog import dataset_path
         from ..gass.files import file_digest
 
-        data = self.data
+        data = self.scheduler.data_services
         se = data.storage_element(job.resource)
         if not se:
             # Misconfiguration (dataset job matched to an SE-less site):
@@ -361,11 +348,11 @@ class GridManager(Service):
                 try:
                     yield from call(
                         self.host, se, "gridftp", "stor", timeout=3600.0,
-                        credential=self._data_credential(se),
+                        credential=self._credential(se),
                         path=path, size=size)
                     actual = yield from call(
                         self.host, se, "gridftp", "checksum", timeout=60.0,
-                        credential=self._data_credential(se), path=path)
+                        credential=self._credential(se), path=path)
                     if actual != expected:
                         self.sim.metrics.counter(
                             "gridmanager.stage_out_corrupt").inc(label=se)
@@ -374,14 +361,13 @@ class GridManager(Service):
                         yield from call(
                             self.host, se, "gridftp", "delete",
                             timeout=60.0,
-                            credential=self._data_credential(se),
+                            credential=self._credential(se),
                             path=path)
                         raise RPCError("stage-out checksum mismatch")
                     yield from call(
                         self.host, data.catalog_host, "rls", "register",
                         timeout=60.0,
-                        credential=self._data_credential(
-                            data.catalog_host),
+                        credential=self._credential(data.catalog_host),
                         name=name, se_host=se, size=size,
                         checksum=expected)
                     self.sim.metrics.counter(
@@ -438,7 +424,7 @@ class GridManager(Service):
         the watch loop gives exactly those jobs the per-job §4.2
         treatment while everything covered by the monitor stays quiet.
         """
-        if not self.grid_monitor or self.exited:
+        if not self.scheduler.grid_monitor or self.exited:
             return False
         contact = ctx.caller_host
         self._monitor_last[contact] = self.sim.now
@@ -489,7 +475,7 @@ class GridManager(Service):
         O(1) no-ops while a monitor is alive, so the steady state costs
         one ``start_monitor`` RPC per site per outage, not per job.
         """
-        if not self.grid_monitor or self.exited or not contact:
+        if not self.scheduler.grid_monitor or self.exited or not contact:
             return
         if self._monitor_fresh(contact):
             return
@@ -539,7 +525,8 @@ class GridManager(Service):
             self.scheduler.log(job, "execute", resource=job.resource)
         elif state == "DONE":
             job.exit_code = exit_code if exit_code is not None else 0
-            if job.request.output_datasets and self.data is not None:
+            if job.request.output_datasets and \
+                    self.scheduler.data_services is not None:
                 # Archive declared outputs at the site's storage element
                 # before the job is allowed to go terminal.
                 job.state = J.STAGING_OUT
@@ -604,7 +591,7 @@ class GridManager(Service):
                 yield self._watch_wake
             yield self.sim.timeout(self.PROBE_INTERVAL)
             for job in self.scheduler.watchable_jobs():
-                if self.grid_monitor:
+                if self.scheduler.grid_monitor:
                     contact = job.contact or job.resource
                     if not self._monitor_fresh(contact):
                         # Stale heartbeat: the monitor (or the whole

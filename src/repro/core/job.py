@@ -19,8 +19,8 @@ resubmitting).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
-from typing import Any, Optional
+from dataclasses import dataclass, replace
+from typing import Optional
 
 from ..gram.protocol import GramJobRequest
 from ..states import JobState
@@ -73,7 +73,6 @@ class GridJob:
     max_attempts: int = 5
     backoff_until: float = 0.0    # congestion backoff (gatekeeper busy)
     committed: bool = False       # two-phase commit completed
-    history: list = field(default_factory=list)
 
     @property
     def is_complete(self) -> bool:
@@ -82,9 +81,6 @@ class GridJob:
     @property
     def is_terminal(self) -> bool:
         return self.state in TERMINAL
-
-    def record_event(self, now: float, event: str, **details: Any) -> None:
-        self.history.append((now, event, details))
 
     # -- persistence ----------------------------------------------------------
     def stored_request(self) -> GramJobRequest:
@@ -115,7 +111,6 @@ class GridJob:
             "max_attempts": self.max_attempts,
             "backoff_until": self.backoff_until,
             "committed": self.committed,
-            "history": list(self.history),
         }
 
     def queue_record(self) -> dict:
@@ -125,10 +120,19 @@ class GridJob:
     @classmethod
     def from_record(cls, record: dict) -> "GridJob":
         job = cls(**record)
+        if job.jmid and not job.committed and \
+                job.state in (SUBMITTING, PENDING, ACTIVE):
+            # We crashed with phase 1 answered and the commit's fate
+            # unknown (a callback may even have reported progress since).
+            # As with a lost commit ACK, resubmitting could run the job
+            # twice: reconnect via jmid and let the §4.2 probe find out --
+            # a JobManager the commit never reached aborts by itself, and
+            # that failure is safe to resubmit.
+            job.committed = True
         if job.state == SUBMITTING:
-            # We crashed mid-protocol.  If the commit had gone through we
-            # reconnect via jmid; otherwise the same seq is retried and
-            # the uncommitted remote JobManager (if any) aborts itself.
+            # We crashed mid-protocol.  With a JobManager contact we
+            # reconnect; otherwise a new attempt is submitted and the
+            # uncommitted remote JobManager (if any) aborts itself.
             job.state = PENDING if job.committed else UNSUBMITTED
         elif job.state == STAGING:
             # Input staging is idempotent (replicas already placed are

@@ -4,10 +4,10 @@ The Scheduler is the first box of Figure 1: it accepts user submissions,
 stores every job (and each job's protocol progress) in the submit
 machine's stable storage, spawns one GridManager per user with queued
 grid jobs, and is the point where holds/releases and completion
-notifications happen.  After a submit-machine crash,
-:func:`recover_scheduler` rebuilds the queue from disk and the recovered
-GridManager reconnects to (or safely resubmits) every job -- the §4.2
-"protect against local failure" story.
+notifications happen.  A scheduler built after a submit-machine crash
+reads the queue back from disk, and its GridManager reconnects to (or
+safely resubmits) every job -- the §4.2 "protect against local failure"
+story.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .userlog import Notifier, UserLog
 
 QUEUE_NS = "condorg-queue"
 REQUEST_NS = "condorg-queue-request"
+USERLOG_NS = "condorg-userlog"
 
 
 class CondorGScheduler:
@@ -34,10 +35,7 @@ class CondorGScheduler:
         host: Host,
         user: str,
         broker: Optional[Broker] = None,
-        credential_source=None,
         notifier: Optional[Notifier] = None,
-        userlog: Optional[UserLog] = None,
-        recover: bool = True,
         max_submitted_per_resource: Optional[int] = None,
         data_services=None,
         grid_monitor: bool = False,
@@ -46,7 +44,9 @@ class CondorGScheduler:
         self.sim = host.sim
         self.user = user
         self.broker = broker
-        self.credential_source = credential_source
+        # audience -> signing proof; the agent sets it once its
+        # credential monitor exists (None: no GSI)
+        self.credential_source = None
         # Grid Monitor fan-in (§5.1): the GridManager launches one
         # per-site status monitor instead of polling every job (a
         # semantic opt-in -- see AgentSpec.grid_monitor).
@@ -60,7 +60,8 @@ class CondorGScheduler:
         # cannot monopolize a gatekeeper in a multi-tenant grid.
         self.max_submitted_per_resource = max_submitted_per_resource
         self.notifier = notifier or Notifier()
-        self.userlog = userlog or UserLog()
+        self.userlog = UserLog(
+            host.stable.namespace(f"{USERLOG_NS}:{user}"))
         self.jobs: dict[str, GridJob] = {}
         # Incremental views of `jobs`, refreshed by _reindex() on every
         # persist() (every state mutation persists, so they can never go
@@ -80,8 +81,7 @@ class CondorGScheduler:
         self._store = host.stable.namespace(f"{QUEUE_NS}:{user}")
         self._requests = host.stable.namespace(f"{REQUEST_NS}:{user}")
         self.gridmanager: Optional[GridManager] = None
-        if recover:
-            self._recover_queue()
+        self._recover_queue()
 
     # -- persistence ----------------------------------------------------------
     def persist(self, job: GridJob) -> None:
@@ -157,6 +157,9 @@ class CondorGScheduler:
                                    key=lambda j: j.job_id)
         for job in self.jobs.values():
             self._reindex(job)
+        # The grid-wide gauge still carries what our predecessor last
+        # added to it, which is this depth: every change was persisted.
+        self._last_depth = len(self._nonterminal)
         live = [j for j in self.jobs.values() if not j.is_terminal]
         if live:
             self.sim.trace.log("scheduler", "recovered", user=self.user,
@@ -183,12 +186,7 @@ class CondorGScheduler:
 
     def _ensure_gridmanager(self) -> None:
         if self.gridmanager is None or self.gridmanager.exited:
-            self.gridmanager = GridManager(
-                self, self.user, self.host,
-                credential_source=self.credential_source,
-                max_submitted_per_resource=self.max_submitted_per_resource,
-                data_services=self.data_services,
-                grid_monitor=self.grid_monitor)
+            self.gridmanager = GridManager(self, self.user, self.host)
 
     def gridmanager_exited(self) -> None:
         self.gridmanager = None
@@ -327,19 +325,6 @@ class CondorGScheduler:
 
     # -- logging ------------------------------------------------------------
     def log(self, job: GridJob, event: str, **details) -> None:
-        job.record_event(self.sim.now, event, **details)
         self.userlog.add(self.sim.now, job.job_id, event, **details)
         self.sim.trace.log("scheduler", event, user=self.user,
                            job=job.job_id, **details)
-
-
-def install_recovery(host: Host, make_scheduler) -> None:
-    """Re-create the scheduler from its on-disk queue at every reboot.
-
-    ``make_scheduler()`` must build a fresh scheduler (with recover=True)
-    and re-wire whatever the surrounding agent needs.
-    """
-    def boot(_host: Host) -> None:
-        make_scheduler()
-
-    host.add_boot_action(boot)

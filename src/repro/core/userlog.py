@@ -24,21 +24,28 @@ class LogEvent:
 
 
 class UserLog:
-    """Append-only per-agent event log, queryable per job."""
+    """The user log *file*: append-only, on the submit machine's disk.
 
-    def __init__(self) -> None:
-        self.events: list[LogEvent] = []
+    One record per event in the stable namespace it is given; every
+    query reads the file, so what a rebooted agent shows is exactly what
+    was written before the crash.
+    """
+
+    def __init__(self, file) -> None:
+        self._file = file
+        self._next = len(file.keys())
 
     def add(self, time: float, job_id: str, event: str,
             **details: Any) -> None:
-        self.events.append(LogEvent(time, job_id, event, details))
+        self._file.put(f"{self._next:09d}", (time, job_id, event, details))
+        self._next += 1
+
+    @property
+    def events(self) -> list[LogEvent]:
+        return [LogEvent(*record) for _key, record in self._file.items()]
 
     def for_job(self, job_id: str) -> list[LogEvent]:
         return [e for e in self.events if e.job_id == job_id]
-
-    def dump(self, job_id: Optional[str] = None) -> str:
-        events = self.events if job_id is None else self.for_job(job_id)
-        return "\n".join(str(e) for e in events)
 
 
 @dataclass(frozen=True)
@@ -50,10 +57,15 @@ class Email:
 
 
 class Notifier:
-    """Simulated e-mail plus synchronous callbacks."""
+    """Simulated e-mail plus synchronous callbacks.
 
-    def __init__(self) -> None:
-        self.inbox: list[Email] = []
+    ``inbox`` is the user's mailbox, which is not on the submit machine:
+    an agent built again after a reboot hands over the same list, while
+    the in-process ``callbacks`` start empty.
+    """
+
+    def __init__(self, inbox: Optional[list] = None) -> None:
+        self.inbox: list[Email] = [] if inbox is None else inbox
         self.callbacks: list[Callable[[str, str, dict], None]] = []
 
     def email(self, time: float, to: str, subject: str,

@@ -8,8 +8,8 @@ integrity post-mortem.
 
 The catalog is a plain RPC service with register/lookup/invalidate
 verbs.  Entries live in the host's stable storage, so a catalog-machine
-reboot comes back with the full mapping (the daemon itself is re-created
-by a boot action, like the GridFTP servers).
+reboot comes back with the full mapping (whoever installs the daemon with
+``Host.boot`` gets it re-created, like the GridFTP servers).
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ class ReplicaCatalog(Service):
 
     service_name = "rls"
 
-    def __init__(self, host: Host, persistent: bool = True,
-                 restart_on_boot: bool = True):
+    def __init__(self, host: Host, persistent: bool = True):
         super().__init__(host)
         self._stable = host.stable.namespace(CATALOG_NS) \
             if persistent else None
@@ -52,9 +51,6 @@ class ReplicaCatalog(Service):
                     "checksum": record["checksum"],
                     "replicas": dict(record["replicas"]),
                 }
-        if restart_on_boot:
-            host.add_boot_action(lambda h: ReplicaCatalog(
-                h, persistent=persistent, restart_on_boot=False))
 
     # -- local plumbing ------------------------------------------------------
     def _persist(self, name: str) -> None:

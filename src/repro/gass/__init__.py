@@ -7,11 +7,10 @@ from .server import (
     GassServer,
     make_url,
     parse_url,
-    reinstall_on_boot,
 )
 
 __all__ = [
     "DEFAULT_BANDWIDTH", "FileStore", "GassServer", "SimFile",
     "gass_append", "gass_get", "gass_put", "gass_received", "make_url",
-    "parse_url", "reinstall_on_boot",
+    "parse_url",
 ]

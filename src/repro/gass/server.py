@@ -7,8 +7,8 @@ streams stdout/stderr back to it.  URLs look like
 
 Transfers are paid for in simulated time: ``size / bandwidth`` plus the
 normal per-message network latency.  The server's file store is backed by
-the host's stable storage, so a submit-machine reboot comes back with the
-same files (the job queue and staged files live on disk).
+the host's stable storage, so a server built again after a submit-machine
+reboot has the same files (the job queue and staged files live on disk).
 """
 
 from __future__ import annotations
@@ -146,14 +146,3 @@ class GassServer(Service):
 
     def read(self, path: str) -> SimFile:
         return self.files.get(path)
-
-
-def reinstall_on_boot(host: Host, **kwargs) -> GassServer:
-    """Create a GASS server now and re-create it on every host restart."""
-    server = GassServer(host, **kwargs)
-
-    def boot(h: Host) -> None:
-        GassServer(h, **kwargs)
-
-    host.add_boot_action(boot)
-    return server

@@ -77,7 +77,6 @@ class Gatekeeper(Service):
         lrm_contact: str,
         authorizer=None,
         site: str = "",
-        restart_on_boot: bool = True,
         max_jobmanagers: Optional[int] = None,
         max_user_jobmanagers: Optional[int] = None,
         admission: Optional[AdmissionPolicy] = None,
@@ -94,22 +93,18 @@ class Gatekeeper(Service):
         self.max_user_jobmanagers = max_user_jobmanagers
         self.rejected_busy = 0
         self.rejected_user_busy = 0
-        self._ids = itertools.count(1)
+        # JobManager numbers continue from the state files on this
+        # machine's disk (one per JobManager ever created, never
+        # deleted), so a rebooted gatekeeper reissues no jmid.
+        self._ids = itertools.count(len(host.stable.keys(STATE_NS)) + 1)
         # (client_host, seq) -> jmid: dedup cache for two-phase submits.
         # Volatile on purpose: a gatekeeper crash wipes it, and safety
         # then rests on the client-side stable log (§3.2).
         self._seen: dict[tuple[str, int], str] = {}
-        self._init_admission(admission)
-        if restart_on_boot:
-            host.add_boot_action(self._reboot)
-
-    def _init_admission(self, admission: Optional[AdmissionPolicy]) -> None:
-        """Admission state: a full token bucket and a fresh depth poller.
-
-        Volatile -- a gatekeeper reboot refills the bucket and restarts
-        the poller, which matches a real daemon restarting with default
-        in-memory state.
-        """
+        # Admission state is volatile too: a reboot refills the token
+        # bucket and starts a fresh depth poller.  JobManagers are *not*
+        # revived at boot: per §4.2 it is the client (GridManager) that
+        # detects their death and requests restarts.
         self.admission = admission
         self._tokens = float(admission.burst) if admission else 0.0
         self._token_stamp = self.sim.now
@@ -117,27 +112,6 @@ class Gatekeeper(Service):
         if admission is not None and admission.max_queue is not None:
             self.host.spawn(self._admission_depth_loop(),
                             name=f"gk-admission:{self.site}")
-
-    def _reboot(self, host: Host) -> None:
-        """Reinstall the gatekeeper service after a host restart.
-
-        JobManagers are *not* auto-revived: per §4.2 it is the client
-        (GridManager) that detects their death and requests restarts.
-        """
-        fresh = Gatekeeper.__new__(Gatekeeper)
-        Service.__init__(fresh, host, authorizer=self.authorizer)
-        fresh.lrm_contact = self.lrm_contact
-        fresh.site = self.site
-        fresh._ids = self._ids        # keep ids unique across reboots
-        fresh._seen = {}
-        fresh.max_jobmanagers = self.max_jobmanagers
-        fresh.max_user_jobmanagers = self.max_user_jobmanagers
-        fresh.rejected_busy = 0
-        fresh.rejected_user_busy = 0
-        fresh._init_admission(self.admission)
-        # NB: the original boot action stays registered on the host and
-        # fires on every restart -- do not add another here, or actions
-        # (and gatekeepers created per boot) grow exponentially.
 
     def _trace(self, event: str, **details) -> None:
         self.sim.trace.log(f"gatekeeper:{self.site}", event, **details)

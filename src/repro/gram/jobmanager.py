@@ -296,23 +296,6 @@ class JobManager(Service):
         self._trace("credential_refreshed")
         return True
 
-    def handle_update_gass(self, ctx, stdout_url: str):
-        """The client's GASS server moved (e.g. submit machine restarted):
-        point our streaming and the job's redirect file at the new URL."""
-        if self.request is not None:
-            from dataclasses import replace
-            self.request = replace(self.request, stdout_url=stdout_url)
-        self.stdout_sent = 0   # re-derive against the new server
-        self._persist_request()
-        self._persist()
-        sweep = self._sweep(create=False)
-        if sweep is not None:
-            sweep.ask(self.local_id)   # resend at the next sweep
-        self._trace("gass_redirect", url=stdout_url)
-        if self.local_id is not None:
-            yield from self._forward_env("GASS_URL", stdout_url)
-        return True
-
     # -- lifecycle -----------------------------------------------------------
     def _lifecycle(self):
         # Phase 2 wait: abort if the commit never arrives.

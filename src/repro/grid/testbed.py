@@ -27,7 +27,7 @@ from ..data.services import DataServices
 from ..data.transfer import DTS_HOST, TransferScheduler
 from ..gass.files import SimFile
 from ..gram.gatekeeper import Gatekeeper
-from ..gridftp.server import GridFTPServer
+from ..gridftp.server import GridFTPServer, make_gsiftp_url
 from ..gsi.auth import GridMap, GSIAuthorizer
 from ..gsi.crypto import reset_oracle
 from ..gsi.myproxy import MyProxyServer
@@ -58,16 +58,13 @@ class Site:
     gk_host: Host
     lrm_host: Host
     lrm: LocalResourceManager
-    gatekeeper: Gatekeeper
     gridmap: GridMap
     cpus: int
     arch: str = "INTEL"
     memory: int = 512
     allocation_cost: float = 0.0
-    registrar: Optional[ResourceRegistrar] = None
     #: the site's storage element (repro.data), if configured
     se_host: Optional[Host] = None
-    se: Optional[GridFTPServer] = None
     storage: Optional[float] = None
     #: autoscaling policy (from SiteSpec.factory): agents' factories
     #: provision glideins here within these bounds
@@ -76,6 +73,15 @@ class Site:
     @property
     def contact(self) -> str:
         return self.gk_host.name
+
+    # The daemons are whatever the machines' last boot built.
+    @property
+    def gatekeeper(self) -> Optional[Gatekeeper]:
+        return self.gk_host.get_service("gatekeeper")
+
+    @property
+    def se(self) -> Optional[GridFTPServer]:
+        return self.se_host and self.se_host.get_service("gridftp")
 
     def queue_depth(self) -> int:
         return self.lrm.depth()
@@ -126,18 +132,15 @@ class GridTestbed:
         self.agents: dict[str, CondorGAgent] = {}
         self.factories: dict[str, GlideInFactory] = {}
         self.traffic: Optional[SyntheticTraffic] = None
-        self.giis: Optional[GIIS] = None
-        self.repo: Optional[GridFTPServer] = None
         self.myproxy: Optional[MyProxyServer] = None
         self.data_services: Optional[DataServices] = None
-        self.replica_catalog: Optional[ReplicaCatalog] = None
-        self.transfer_scheduler: Optional[TransferScheduler] = None
+        # Every daemon of a long-lived machine is installed with
+        # Host.boot, so it is built again when its machine restarts.
         if config.with_mds:
-            self.giis = GIIS(Host(self.sim, GIIS_HOST))
+            Host(self.sim, GIIS_HOST).boot(GIIS)
         if config.with_repo:
-            repo_host = Host(self.sim, REPO_HOST)
-            self.repo = GridFTPServer(repo_host)
-            self.repo.publish(CONDOR_BINARIES, size=5_000_000)
+            Host(self.sim, REPO_HOST).boot(GridFTPServer).publish(
+                CONDOR_BINARIES, size=5_000_000)
         if config.with_myproxy:
             self.myproxy = MyProxyServer(Host(self.sim, MYPROXY_HOST))
         # Declarative topology: sites first (agents' brokers snapshot
@@ -181,14 +184,13 @@ class GridTestbed:
             gridmap.add(user.dn, f"{name}_{user.name}")
         authorizer = GSIAuthorizer.for_ca(self.ca, gridmap) \
             if self.use_gsi else None
-        gatekeeper = Gatekeeper(gk_host, lrm_contact=lrm_host.name,
-                                authorizer=authorizer, site=name,
-                                max_jobmanagers=spec.max_jobmanagers,
-                                max_user_jobmanagers=(
-                                    spec.max_user_jobmanagers),
-                                admission=spec.admission)
+        gk_host.boot(lambda h: Gatekeeper(
+            h, lrm_contact=lrm_host.name, authorizer=authorizer, site=name,
+            max_jobmanagers=spec.max_jobmanagers,
+            max_user_jobmanagers=spec.max_user_jobmanagers,
+            admission=spec.admission))
         site = Site(name=name, gk_host=gk_host, lrm_host=lrm_host,
-                    lrm=lrm, gatekeeper=gatekeeper, gridmap=gridmap,
+                    lrm=lrm, gridmap=gridmap,
                     cpus=spec.cpus, arch=spec.arch, memory=spec.memory,
                     allocation_cost=spec.allocation_cost,
                     factory_policy=spec.factory)
@@ -197,13 +199,14 @@ class GridTestbed:
             # its own machine, so gatekeeper crashes never lose data.
             self._ensure_data_services()
             site.se_host = Host(self.sim, f"{name}-se", site=name)
-            site.se = GridFTPServer(site.se_host, bandwidth=spec.storage)
+            site.se_host.boot(lambda h: GridFTPServer(
+                h, bandwidth=spec.storage))
             site.storage = spec.storage
             self.data_services.se_of[gk_host.name] = site.se_host.name
-        if spec.register_mds and self.giis is not None:
-            site.registrar = ResourceRegistrar(
-                gk_host, GIIS_HOST, lambda s=site: self._site_ad(s),
-                interval=spec.mds_interval, ttl=spec.mds_interval * 2.5)
+        if spec.register_mds and self.config.with_mds:
+            gk_host.boot(lambda h: ResourceRegistrar(
+                h, GIIS_HOST, lambda: self._site_ad(site),
+                interval=spec.mds_interval, ttl=spec.mds_interval * 2.5))
         self.sites[name] = site
         return site
 
@@ -217,13 +220,16 @@ class GridTestbed:
         self.data_services = DataServices(
             catalog_host=CATALOG_HOST, dts_host=DTS_HOST,
             link_bandwidth=config.data_link_bandwidth)
-        self.replica_catalog = ReplicaCatalog(
-            Host(self.sim, CATALOG_HOST))
-        self.transfer_scheduler = TransferScheduler(
-            Host(self.sim, DTS_HOST),
-            catalog_host=CATALOG_HOST,
+        Host(self.sim, CATALOG_HOST).boot(ReplicaCatalog)
+        Host(self.sim, DTS_HOST).boot(lambda h: TransferScheduler(
+            h, catalog_host=CATALOG_HOST,
             link_bandwidth=config.data_link_bandwidth,
-            max_streams=config.data_max_streams)
+            max_streams=config.data_max_streams))
+
+    @property
+    def replica_catalog(self) -> Optional[ReplicaCatalog]:
+        host = self.sim.hosts.get(CATALOG_HOST)
+        return host and host.get_service("rls")
 
     def _seed_datasets(self, datasets) -> None:
         """Pre-place each dataset's replicas at t=0 (direct file puts,
@@ -308,10 +314,12 @@ class GridTestbed:
             grid_monitor=spec.grid_monitor,
         )
         # Brokers that talk to GSI-protected services need the user's
-        # credential; wire it in once the credential monitor exists.
+        # credential: the live credential monitor's, whichever boot of
+        # the submit machine built it.
         if broker is not None and agent.credmon is not None and \
                 getattr(broker, "credential_source", False) is None:
-            broker.credential_source = agent.credmon.credential_source
+            broker.credential_source = \
+                lambda audience: agent.credmon.credential_source(audience)
         # Factory-managed sites: every personal-pool agent gets its own
         # autoscaler over them (Condor-G's per-user architecture -- the
         # factory serves one user's pool, not the grid).
@@ -319,8 +327,11 @@ class GridTestbed:
                    for site in self.sites.values()
                    if site.factory_policy is not None}
         if managed and spec.personal_pool:
-            agent.factory = GlideInFactory(agent, managed)
-            self.factories[name] = agent.factory
+            def start_factory(_host: Host) -> None:
+                agent.factory = self.factories[name] = GlideInFactory(
+                    agent, managed)
+
+            host.boot(start_factory)
         self.agents[name] = agent
         return agent
 
@@ -345,9 +356,9 @@ class GridTestbed:
 
     @property
     def binaries_url(self) -> str:
-        if self.repo is None:
+        if not self.config.with_repo:
             return ""
-        return self.repo.url(CONDOR_BINARIES)
+        return make_gsiftp_url(REPO_HOST, CONDOR_BINARIES)
 
     # -- running ------------------------------------------------------------
     def run(self, until: Optional[float] = None) -> None:

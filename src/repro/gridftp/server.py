@@ -35,19 +35,13 @@ class GridFTPServer(Service):
         authorizer=None,
         bandwidth: float = DEFAULT_BANDWIDTH,
         persistent: bool = True,
-        restart_on_boot: bool = True,
     ):
         super().__init__(host, authorizer=authorizer)
+        # Rebuilt from the same on-disk namespace by whoever boots us.
         stable_ns = host.stable.namespace("gridftp") if persistent else None
         self.files = FileStore(stable_ns)
         self.bandwidth = bandwidth
         self._corrupt_pending = 0
-        if restart_on_boot:
-            # The server daemon comes back with the machine (init script);
-            # its file store is rebuilt from the same on-disk namespace.
-            host.add_boot_action(lambda h: GridFTPServer(
-                h, authorizer=authorizer, bandwidth=bandwidth,
-                persistent=persistent, restart_on_boot=False))
 
     def url(self, path: str) -> str:
         return make_gsiftp_url(self.host.name, path)

@@ -69,7 +69,8 @@ class ResourceRegistrar:
     ``ad_source`` is called at each renewal to produce the *current*
     resource ad (dynamic load included).  If the host crashes the process
     dies with it, registrations age out, and the resource vanishes from
-    broker candidate lists -- restoring on restart via a boot action.
+    broker candidate lists -- until a registrar installed with
+    ``Host.boot`` is built again at restart.
     """
 
     def __init__(
@@ -80,7 +81,6 @@ class ResourceRegistrar:
         interval: float = 60.0,
         ttl: float = 150.0,
         credential=None,
-        restart_on_boot: bool = True,
     ):
         self.host = host
         self.sim = host.sim
@@ -90,9 +90,6 @@ class ResourceRegistrar:
         self.ttl = ttl
         self.credential = credential
         host.spawn(self._loop(), name=f"grrp:{host.name}")
-        if restart_on_boot:
-            host.add_boot_action(lambda h: h.spawn(
-                self._loop(), name=f"grrp:{h.name}"))
 
     def _loop(self):
         while True:

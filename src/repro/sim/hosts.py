@@ -13,9 +13,11 @@ queue, client-side GRAM logs, redirect files) lives in stable storage, so
 the crash/restart split here is the load-bearing abstraction of the whole
 reproduction.
 
-Restart runs the host's registered *boot actions* in order; daemons that
-are supposed to come back after a reboot (the Condor-G Scheduler, a site's
-Gatekeeper) register themselves as boot actions.
+A daemon that is supposed to come back with its machine is installed with
+:meth:`Host.boot`: the host keeps the function that builds it and calls it
+again, in registration order, at every restart.  That is the only reboot
+path, so what a rebooted daemon knows is what its builder reads back from
+stable storage -- never an object that outlived the crash.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ class Host:
         self.stable = StableStorage()
         self.processes: set["Process"] = set()
         self.services: dict[str, object] = {}
-        self.boot_actions: list[Callable[["Host"], None]] = []
+        self.boot_actions: list[Callable[["Host"], Any]] = []
         self.crash_count = 0
         sim.hosts[name] = self
 
@@ -129,9 +131,13 @@ class Host:
     def get_service(self, name: str) -> Optional[object]:
         return self.services.get(name) if self.up else None
 
-    def add_boot_action(self, fn: Callable[["Host"], None]) -> None:
-        """Register a function run (in order) each time the host restarts."""
-        self.boot_actions.append(fn)
+    def boot(self, make: Callable[["Host"], Any]) -> Any:
+        """Install a daemon: run ``make(self)`` now and again, in
+        registration order, at every restart.  Returns what it built now
+        (a restart replaces that object, so look daemons up through
+        ``services`` rather than holding on to it)."""
+        self.boot_actions.append(make)
+        return make(self)
 
     # -- failure ------------------------------------------------------------
     def crash(self, cause: object = "crash") -> None:

@@ -61,7 +61,7 @@ from .trace import Trace
 if TYPE_CHECKING:  # pragma: no cover
     from ..grid.testbed import GridTestbed
 
-SNAPSHOT_VERSION = 5
+SNAPSHOT_VERSION = 6
 
 #: structures deeper than this are fingerprinted as a type tag; the cap
 #: is generous (daemon state sits well above it) and deterministic, so
@@ -285,19 +285,16 @@ def sim_fingerprint(sim: Simulator) -> dict:
 
 
 def state_roots(tb: "GridTestbed") -> dict[str, Any]:
-    """The testbed attributes that hold daemon/topology state."""
+    """The testbed attributes that hold daemon/topology state (a daemon
+    installed with ``Host.boot`` is in its host's ``services``)."""
     return {
         "sites": tb.sites,
         "users": tb.users,
         "agents": tb.agents,
         "factories": tb.factories,
         "traffic": tb.traffic,
-        "giis": tb.giis,
-        "repo": tb.repo,
         "myproxy": tb.myproxy,
         "data_services": tb.data_services,
-        "replica_catalog": tb.replica_catalog,
-        "transfer_scheduler": tb.transfer_scheduler,
     }
 
 

@@ -1,6 +1,7 @@
 """Campaign runner and CLI: cells, sharding, audit, reports."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +12,13 @@ from repro.chaos import (
     run_one,
 )
 from repro.chaos.__main__ import main as chaos_main
+from repro.chaos.invariants import evaluate_invariants
 from repro.chaos.report import format_report
+from repro.chaos.runner import build_and_run
+
+#: submit machine down 200-350 s, a JobManager killed while it is away,
+#: then a partition: the plan CI's chaos-smoke job replays
+SUBMIT_REBOOT_PLAN = Path(__file__).parent / "plans" / "submit_reboot.json"
 
 
 class TestRunOne:
@@ -32,6 +39,18 @@ class TestRunOne:
                          plan=FaultPlan.from_dict(first.plan))
         assert replay.digest == first.digest
         assert replay.plan == first.plan
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_submit_machine_reboot_is_survivable(self, seed):
+        """A hand-written plan may crash a submit machine (generated ones
+        do not yet): the agent comes back by itself, GSI on."""
+        plan = FaultPlan.from_json(SUBMIT_REBOOT_PLAN.read_text())
+        tb, _ = build_and_run("credential", seed, plan=plan)
+        assert tb.sim.hosts["submit-carol"].crash_count == 1
+        assert evaluate_invariants(tb) == []
+        states = [job.state for job in
+                  tb.agents["carol"].scheduler.jobs.values()]
+        assert states == ["DONE"] * 4
 
     def test_errors_are_reported_not_raised(self):
         result = run_one("no-such-scenario", 0)

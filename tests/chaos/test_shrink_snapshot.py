@@ -2,9 +2,11 @@
 
 The ``shrink-lab`` scenario is prefix-heavy by design: 24 jobs keep the
 site busy to ~4650s and the seeded plan's faults all land after 4000s.
-Crashing the submit host strands nonterminal jobs (the scheduler's
-state is volatile; nobody resubmits), so ``terminal_or_held`` fires --
-and the three decoy faults after it are noise ddmin must strip.
+Crashing the cluster's head node strands nonterminal jobs: the batch
+system *is* the jobs, it keeps no state on disk and nothing boots it
+again (the one machine class that is unrecoverable by design), so the
+JobManagers' sweeps go unanswered for ever and ``terminal_or_held``
+fires -- and the three decoy faults after it are noise ddmin must strip.
 
 The regression: evaluating ddmin candidates by forking a pre-fault
 snapshot (``from_snapshot=True``) must converge to the *same* minimal
@@ -28,7 +30,7 @@ SEED = 11
 
 #: the culprit plus three decoys that have nothing to do with the
 #: violation -- ddmin must strip all three.
-CULPRIT = PlannedFault(4000.0, "crash", "submit-dana", 300.0)
+CULPRIT = PlannedFault(4000.0, "crash", "lab-lrm", 300.0)
 SEEDED_PLAN = FaultPlan(events=[
     CULPRIT,
     PlannedFault(4050.0, "partition", "submit-dana|lab-gk", 120.0),

@@ -1,5 +1,6 @@
 """Agent-level fault tolerance: the four §4.2 failure classes, driven by
-the GridManager's own probing/restart machinery (no manual recovery)."""
+the GridManager's own probing/restart machinery and the machines' own
+boot actions (no manual recovery)."""
 
 import pytest
 
@@ -51,59 +52,101 @@ def test_class2_remote_machine_crash_recovered():
     assert tb.sim.trace.select("gridmanager", "resource_unreachable")
 
 
+def _twelve_lines(ctx):
+    for i in range(12):
+        yield ctx.sim.timeout(50.0)
+        ctx.write_output(f"line {i}\n")
+    return 0
+
+
+# Both of the next two run GSI off and on under one test id each (the
+# ids are pinned by the suite's floor list, so a loop, not parametrize).
+
 def test_class3_submit_machine_crash_recovers_from_queue():
-    """The submit machine reboots; the recovered agent reconnects to the
-    running remote job via the persisted queue (seq + jmid)."""
-    tb = make_tb()
-    agent = tb.add_agent(AgentSpec("alice"))
-    jid = agent.submit(JobDescription(runtime=600.0),
-                       resource="wisc-gk")
-    tb.run(until=150.0)
-    assert agent.status(jid).state == "ACTIVE"
-    submit_host = agent.host
-    submit_host.crash()
-    tb.run(until=250.0)
-    submit_host.restart()
-    # Rebuild the queue from stable storage on the same machine (the
-    # boot path an operator's init script would run): the recovered
-    # scheduler spawns a GridManager that reconnects to the live job.
-    from repro.core.scheduler import CondorGScheduler
-    scheduler = CondorGScheduler(submit_host, "alice")
-    assert jid in scheduler.jobs
-    job = scheduler.jobs[jid]
-    assert job.committed and job.jmid        # protocol state survived
-    tb.sim.run(until=5000.0)
-    assert scheduler.jobs[jid].state == "DONE"
-    assert len(tb.sites["wisc"].lrm.jobs) == 1    # no duplicate
+    """The submit machine reboots; the agent its boot builds reconnects
+    to the running remote job via the persisted queue (seq + jmid), and
+    the user's view -- status, log, stdout -- has no hole in it."""
+    for use_gsi in (False, True):
+        tb = make_tb(use_gsi=use_gsi)
+        agent = tb.add_agent(AgentSpec("alice"))
+        jid = agent.submit(
+            JobDescription(runtime=600.0, program=_twelve_lines),
+            resource="wisc-gk")
+        tb.run(until=150.0)
+        assert agent.status(jid).state == "ACTIVE"
+        agent.host.crash()
+        tb.run(until=250.0)
+        agent.host.restart()
+        job = agent.scheduler.jobs[jid]
+        assert job.committed and job.jmid    # protocol state survived
+        tb.run_until_quiet(max_time=5000.0)
+        assert agent.status(jid).state == "DONE", use_gsi
+        assert [e.event for e in agent.logs(jid)] == [
+            "queued", "submit", "execute", "terminate"], use_gsi
+        assert agent.stdout_of(jid) == "".join(
+            f"line {i}\n" for i in range(12)), use_gsi
+        assert len(tb.sites["wisc"].lrm.jobs) == 1    # no duplicate
 
 
 def test_queue_writes_the_request_once_and_recovery_rejoins_it():
     """The frozen request goes to its own namespace at submission; state
     changes rewrite only the progress record; recovery joins the two."""
-    from repro.core.scheduler import CondorGScheduler
+    for use_gsi in (False, True):
+        tb = make_tb(use_gsi=use_gsi)
+        agent = tb.add_agent(AgentSpec("alice"))
+        jid = agent.submit(JobDescription(runtime=600.0),
+                           resource="wisc-gk")
+        stable = agent.host.stable
+        job = agent.scheduler.jobs[jid]
+        request = stable.get("condorg-queue-request:alice", jid)
+        assert request == job.request
+        request_writes = []
+        put = stable.put
+        stable.put = lambda ns, key, value: (
+            request_writes.append(key) if "request" in ns else None,
+            put(ns, key, value))
+        tb.run(until=150.0)
+        assert agent.status(jid).state == "ACTIVE"
+        progress = stable.get("condorg-queue:alice", jid)
+        assert progress["state"] == "ACTIVE" and "request" not in progress
+        assert request_writes == []      # several state changes, no rewrite
+        agent.host.crash()
+        agent.host.restart()
+        recovered = agent.scheduler.jobs[jid]
+        assert recovered is not job
+        assert recovered.request == request
+        assert (recovered.state, recovered.seq, recovered.jmid) == \
+            ("ACTIVE", job.seq, job.jmid)
+
+
+def test_submit_machine_crash_with_the_commit_ack_lost():
+    """Phase 1 answered, the commit reached the JobManager, its ACK was
+    lost, and the submit machine dies before the retry: the recovered
+    agent must neither resubmit (the job is running) nor leave the job
+    where no probe looks at it."""
     tb = make_tb()
     agent = tb.add_agent(AgentSpec("alice"))
-    jid = agent.submit(JobDescription(runtime=600.0), resource="wisc-gk")
-    stable = agent.host.stable
+    jid = agent.submit(JobDescription(runtime=300.0), resource="wisc-gk")
     job = agent.scheduler.jobs[jid]
-    request = stable.get("condorg-queue-request:alice", jid)
-    assert request == job.request
-    request_writes = []
-    put = stable.put
-    stable.put = lambda ns, key, value: (
-        request_writes.append(key) if "request" in ns else None,
-        put(ns, key, value))
-    tb.run(until=150.0)
-    assert agent.status(jid).state == "ACTIVE"
-    progress = stable.get("condorg-queue:alice", jid)
-    assert progress["state"] == "ACTIVE" and "request" not in progress
-    assert request_writes == []          # several state changes, no rewrite
+    while not job.jmid:
+        tb.sim.step()
+    jm = tb.sites["wisc"].gk_host.services[f"jm:{job.jmid}"]
+    tb.net.loss_rate = 1.0                   # drops exactly the ACK
+    while not jm._committed.triggered:
+        tb.sim.step()
+    tb.net.loss_rate = 0.0
+    tb.run(until=5.0)
+    assert jm.local_id and not job.committed
     agent.host.crash()
+    tb.run(until=60.0)
     agent.host.restart()
-    recovered = CondorGScheduler(agent.host, "alice").jobs[jid]
-    assert recovered.request == request
-    assert (recovered.state, recovered.seq, recovered.jmid) == \
-        ("ACTIVE", job.seq, job.jmid)
+    # from here on no callback gets through: only the probe can help
+    tb.failures.partition_at(61.0, "wisc-gk", agent.host.name,
+                             heal_after=400.0)
+    tb.run_until_quiet(max_time=5000.0)
+    assert agent.status(jid).state == "DONE"
+    assert agent.status(jid).attempts == 1
+    assert len(tb.sites["wisc"].lrm.jobs) == 1
 
 
 def test_class4_network_partition_heals():

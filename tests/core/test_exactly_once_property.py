@@ -5,7 +5,8 @@ commit, client-side persistence, probing, and JobManager state files
 yields exactly-once execution under *any* interleaving of the four
 failure classes.  Instead of hand-picking scenarios, hypothesis draws a
 random schedule of gatekeeper reboots, JobManager kills, partitions,
-and WAN loss -- and the invariant must hold every time:
+submit-machine reboots and WAN loss -- and the invariant must hold every
+time:
 
     every logical job reaches a terminal state, DONE jobs have exactly
     one completed LRM execution on record, and a job may end FAILED
@@ -36,7 +37,8 @@ RUNTIME = 150.0
 
 failure_events = st.lists(
     st.tuples(
-        st.sampled_from(["gk_reboot", "jm_kill", "partition"]),
+        st.sampled_from(["gk_reboot", "jm_kill", "partition",
+                         "submit_reboot"]),
         st.floats(10.0, 400.0, allow_nan=False),   # when
         st.floats(30.0, 200.0, allow_nan=False),   # how long (if any)
     ),
@@ -82,6 +84,9 @@ def test_exactly_once_under_random_failures(schedule, loss, seed):
     for kind, when, duration in schedule:
         if kind == "gk_reboot":
             tb.failures.crash_host_at(when, site.gk_host,
+                                      down_for=duration)
+        elif kind == "submit_reboot":
+            tb.failures.crash_host_at(when, agent.host,
                                       down_for=duration)
         elif kind == "partition":
             tb.failures.partition_at(when, agent.host.name,

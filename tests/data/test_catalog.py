@@ -27,7 +27,7 @@ def env():
     Network(sim, latency=0.01, jitter=0.0)
     client = Host(sim, "client")
     rls_host = Host(sim, "rls")
-    catalog = ReplicaCatalog(rls_host)
+    catalog = rls_host.boot(ReplicaCatalog)
     return sim, client, rls_host, catalog
 
 

@@ -29,8 +29,10 @@ def build(link_bandwidth=100_000.0, max_streams=2, max_retries=4,
     sim = Simulator(seed=7)
     Network(sim, latency=0.01, jitter=0.0)
     client = Host(sim, "client")
-    src = GridFTPServer(Host(sim, "src-se"), bandwidth=0)
-    dst = GridFTPServer(Host(sim, "dst-se"), bandwidth=0)
+    src = Host(sim, "src-se").boot(
+        lambda h: GridFTPServer(h, bandwidth=0))
+    dst = Host(sim, "dst-se").boot(
+        lambda h: GridFTPServer(h, bandwidth=0))
     ReplicaCatalog(Host(sim, "rls"))
     dts = TransferScheduler(Host(sim, "dts"),
                             link_bandwidth=link_bandwidth,

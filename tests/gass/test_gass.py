@@ -11,7 +11,6 @@ from repro.gass import (
     gass_received,
     make_url,
     parse_url,
-    reinstall_on_boot,
 )
 from repro.sim import Host, Network, RemoteError, Simulator
 
@@ -142,7 +141,7 @@ def test_files_survive_host_restart():
     Network(sim, latency=0.01, jitter=0.0)
     submit = Host(sim, "submit")
     remote = Host(sim, "remote")
-    server = reinstall_on_boot(submit)
+    server = submit.boot(GassServer)
     server.stage_in("staged.exe", size=777)
 
     def scenario():

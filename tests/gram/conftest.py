@@ -19,12 +19,16 @@ class MiniGrid:
         self.gk_host = Host(self.sim, "site-gk", site="site")
         self.lrm_host = Host(self.sim, "site-lrm", site="site")
         self.lrm = PBSCluster(self.lrm_host, slots=slots)
-        self.gatekeeper = Gatekeeper(self.gk_host, lrm_contact="site-lrm",
-                                     site="site")
+        self.gk_host.boot(lambda h: Gatekeeper(
+            h, lrm_contact="site-lrm", site="site"))
         self.gass = GassServer(self.submit, bandwidth=0)
         self.client = Gram2Client(self.submit)
         self.callbacks = []
         self._install_callback_sink()
+
+    @property
+    def gatekeeper(self):
+        return self.gk_host.services["gatekeeper"]
 
     def _install_callback_sink(self):
         from repro.sim.rpc import Service

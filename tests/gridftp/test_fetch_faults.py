@@ -23,8 +23,10 @@ def build(src_bandwidth=0, dst_bandwidth=0):
     sim = Simulator(seed=13)
     Network(sim, latency=0.01, jitter=0.0)
     client = Host(sim, "client")
-    src = GridFTPServer(Host(sim, "src"), bandwidth=src_bandwidth)
-    dst = GridFTPServer(Host(sim, "dst"), bandwidth=dst_bandwidth)
+    src = Host(sim, "src").boot(
+        lambda h: GridFTPServer(h, bandwidth=src_bandwidth))
+    dst = Host(sim, "dst").boot(
+        lambda h: GridFTPServer(h, bandwidth=dst_bandwidth))
     return sim, client, src, dst
 
 

@@ -141,8 +141,8 @@ def test_registrar_returns_after_host_restart():
     index_host = Host(sim, "giis-host")
     GIIS(index_host)
     resource = Host(sim, "wisc-gk")
-    ResourceRegistrar(resource, "giis-host", lambda: make_ad("wisc"),
-                      interval=20.0, ttl=50.0)
+    resource.boot(lambda h: ResourceRegistrar(
+        h, "giis-host", lambda: make_ad("wisc"), interval=20.0, ttl=50.0))
     sim.schedule(10.0, resource.crash)
     sim.schedule(200.0, resource.restart)
     results = {}

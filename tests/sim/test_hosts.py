@@ -52,23 +52,27 @@ def test_cannot_spawn_on_down_host(sim):
 
 
 def test_boot_actions_run_on_restart(sim):
+    """`boot` runs its function now and again, in registration order,
+    at every restart."""
     host = Host(sim, "node1")
     boots = []
-    host.add_boot_action(lambda h: boots.append(h.name))
+    assert host.boot(lambda h: boots.append(h.name) or "built") == "built"
+    host.boot(lambda h: boots.append("second"))
+    assert boots == ["node1", "second"]
     host.crash()
     host.restart()
     host.crash()
     host.restart()
-    assert boots == ["node1", "node1"]
+    assert boots == ["node1", "second"] * 3
     assert host.crash_count == 2
 
 
 def test_restart_when_up_is_noop(sim):
     host = Host(sim, "node1")
     boots = []
-    host.add_boot_action(lambda h: boots.append(1))
+    host.boot(lambda h: boots.append(1))
     host.restart()
-    assert boots == []
+    assert boots == [1]
 
 
 def test_stable_storage_survives_crash(sim):

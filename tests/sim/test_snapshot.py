@@ -217,20 +217,24 @@ class TestCaptureVerify:
         good = capture(_testbed(), scenario="three-site").to_dict()
         pre_bump = {**good, "version": SNAPSHOT_VERSION - 1,
                     "perf_flags": {"rpc_inline": True}}
-        # Versions 2 to 4 have this version's key set but fingerprint
+        # Versions 2 to 5 have this version's key set but fingerprint
         # another heap or host table (an in-flight inline RPC; the
         # GridManager's `gm-poll` process; `kernel.rpc_tokens` and the
-        # per-host `_rpc` service): refused, not mis-verified.
-        assert SNAPSHOT_VERSION == 5
+        # per-host `_rpc` service; boot actions, testbed roots and the
+        # submit machine's disk before `Host.boot`): refused, not
+        # mis-verified.
+        assert SNAPSHOT_VERSION == 6
         v2 = {**good, "version": 2}
         v3 = {**good, "version": 3}
         v4 = {**good, "version": 4}
+        v5 = {**good, "version": 5}
         truncated = {k: v for k, v in good.items() if k != "fingerprint"}
         unknown = {**good, "perf_flags": {}}
         for doc, needle in ((pre_bump, "version"),
                             (v2, "version"),
                             (v3, "version"),
                             (v4, "version"),
+                            (v5, "version"),
                             (truncated, "fingerprint"),
                             (unknown, "perf_flags"),
                             ([good], "JSON object")):

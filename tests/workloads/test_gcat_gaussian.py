@@ -17,7 +17,7 @@ from repro.grid.config import AgentSpec, SiteSpec, TestbedConfig
 def make_env(seed=71):
     tb = GridTestbed(TestbedConfig(seed=seed))
     tb.add_site(SiteSpec("ncsa", scheduler="pbs", cpus=4))
-    mss = GridFTPServer(Host(tb.sim, "mss"))
+    mss = Host(tb.sim, "mss").boot(GridFTPServer)
     agent = tb.add_agent(AgentSpec("portal"))
     return tb, mss, agent
 
