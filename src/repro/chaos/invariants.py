@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, TYPE_CHECKING
 
-from ..states import JobState, is_terminal
+from ..states import JobState
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..grid.testbed import GridTestbed
@@ -134,32 +134,30 @@ def check_terminal_or_held(tb: "GridTestbed") -> list[Violation]:
     """Every submitted job is terminal, or held with a reason."""
     out = []
     for name, agent in tb.agents.items():
-        for job in agent.scheduler.jobs.values():
+        for job in agent.statuses():
             if job.is_terminal:
                 continue
+            grid = job.universe == "grid"
             if job.state == JobState.HELD:
-                if not job.hold_reason:
+                if grid and not job.hold_reason:
                     out.append(Violation(
                         "terminal_or_held",
                         f"{job.job_id} is HELD without a reason",
                         {"agent": name, "job": job.job_id}))
-                continue
-            out.append(Violation(
-                "terminal_or_held",
-                f"{job.job_id} stuck in {job.state} at horizon "
-                f"(attempts={job.attempts})",
-                {"agent": name, "job": job.job_id, "state": job.state,
-                 "attempts": job.attempts,
-                 "reason": job.failure_reason or job.hold_reason}))
-        if agent.schedd is not None:
-            for job in agent.schedd.jobs.values():
-                if not is_terminal(job.state) and \
-                        job.state != JobState.HELD:
-                    out.append(Violation(
-                        "terminal_or_held",
-                        f"condor job {job.job_id} stuck in {job.state}",
-                        {"agent": name, "job": job.job_id,
-                         "state": job.state}))
+            elif grid:
+                out.append(Violation(
+                    "terminal_or_held",
+                    f"{job.job_id} stuck in {job.state} at horizon "
+                    f"(attempts={job.attempts})",
+                    {"agent": name, "job": job.job_id, "state": job.state,
+                     "attempts": job.attempts,
+                     "reason": job.failure_reason or job.hold_reason}))
+            else:
+                out.append(Violation(
+                    "terminal_or_held",
+                    f"condor job {job.job_id} stuck in {job.state}",
+                    {"agent": name, "job": job.job_id,
+                     "state": job.state}))
     return out
 
 

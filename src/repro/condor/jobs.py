@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from ..classads import ClassAd
-from ..states import JobState
+from ..states import POOL_RECOVER, JobState, check_edge
 
 # Module-level aliases: the enum members compare and serialize exactly
 # like the string literals they replace (see repro.states).
@@ -72,7 +72,6 @@ class CondorJob:
     remote_syscalls: int = 0
     total_goodput: float = 0.0         # work preserved across restarts
     hold_reason: str = ""
-    on_complete: Optional[Callable[["CondorJob"], None]] = None
     # Application behaviour run inside the remote sandbox (not persisted;
     # a recovered queue reruns such jobs only if resubmitted with it).
     program: Optional[Callable] = None
@@ -84,11 +83,11 @@ class CondorJob:
     def owner(self) -> str:
         return self.ad.get("Owner", "nobody")
 
-    def queue_record(self) -> dict:
-        """Persistable snapshot (no callables)."""
+    def progress_record(self) -> dict:
+        """Everything persisted but the ad (no callables): what each
+        state change rewrites."""
         return {
             "job_id": self.job_id,
-            "ad": str(self.ad),
             "runtime": self.runtime,
             "universe": self.universe,
             "io_interval": self.io_interval,
@@ -98,34 +97,28 @@ class CondorJob:
             "state": self.state,
             "progress": self.progress,
             "submit_time": self.submit_time,
+            "start_time": self.start_time,
+            "end_time": self.end_time,
             "exit_code": self.exit_code,
+            "matched_to": self.matched_to,
             "restarts": self.restarts,
             "checkpoints": self.checkpoints,
             "hold_reason": self.hold_reason,
         }
 
+    def queue_record(self) -> dict:
+        """Both halves joined: what :meth:`from_record` takes."""
+        return {**self.progress_record(), "ad": str(self.ad)}
+
     @classmethod
     def from_record(cls, record: dict) -> "CondorJob":
-        job = cls(
-            job_id=record["job_id"],
-            ad=ClassAd.parse(record["ad"]),
-            runtime=record["runtime"],
-            universe=record["universe"],
-            io_interval=record["io_interval"],
-            io_bytes=record["io_bytes"],
-            ckpt_bytes=record.get("ckpt_bytes", 0),
-            ckpt_server=record.get("ckpt_server", ""),
-            state=record["state"],
-            progress=record["progress"],
-            submit_time=record["submit_time"],
-            exit_code=record["exit_code"],
-            restarts=record["restarts"],
-            checkpoints=record["checkpoints"],
-            hold_reason=record.get("hold_reason", ""),
-        )
+        record = dict(record)
+        job = cls(ad=ClassAd.parse(record.pop("ad")), **record)
         # Anything that was mid-flight when we crashed is idle again.
         if job.state in (MATCHED, RUNNING):
+            check_edge(POOL_RECOVER, job.job_id, job.state, IDLE)
             job.state = IDLE
+            job.matched_to = ""
         return job
 
 

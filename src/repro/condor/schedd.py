@@ -27,6 +27,7 @@ from ..classads import ClassAd, symmetric_match
 from ..sim.errors import RPCError
 from ..sim.hosts import Host
 from ..sim.rpc import Service, call
+from ..states import POOL_EDGES, check_edge, is_terminal
 from .jobs import (
     COMPLETED,
     CondorJob,
@@ -39,6 +40,7 @@ from .jobs import (
 from .shadow import Shadow
 
 QUEUE_NS = "schedd-queue"
+AD_NS = "schedd-queue-ad"
 
 
 def _job_prio(job: CondorJob) -> int:
@@ -59,8 +61,14 @@ class Schedd(Service):
         flock_to: Optional[list[str]] = None,
         credential=None,
         claim_reuse: bool = False,
+        userlog=None,
+        notifier=None,
     ):
         super().__init__(host, name="schedd")
+        # The owning agent's user log file and notification channel
+        # (§4.1); a pool-side schedd with no user behind it has neither.
+        self.userlog = userlog
+        self.notifier = notifier
         self.schedd_name = name or f"schedd@{host.name}"
         self.collector = collector
         self.flock_to = list(flock_to or [])
@@ -79,9 +87,9 @@ class Schedd(Service):
         self._claim_ads: dict[str, tuple[str, ClassAd]] = {}
         self.claims_reused = 0
         self._queue_store = host.stable.namespace(QUEUE_NS)
+        self._ad_store = host.stable.namespace(AD_NS)
         self._recover_queue()
         self.shadows: dict[str, Shadow] = {}
-        self.completion_hooks: list[Callable[[CondorJob], None]] = []
         self.vacate_hooks: list[Callable[[CondorJob], None]] = []
         if collector is not None:
             host.spawn(self._advertise_loop(), name="schedd-advertise")
@@ -91,13 +99,55 @@ class Schedd(Service):
 
     # -- persistence ----------------------------------------------------------
     def _persist(self, job: CondorJob) -> None:
-        self._queue_store.put(job.job_id, job.queue_record())
+        """Rewrite the job's progress record (the ad is rendered to its
+        own file by `submit` and `set_job_prio`, not per state change)."""
+        self._queue_store.put(job.job_id, job.progress_record())
+
+    def _persist_ad(self, job: CondorJob) -> None:
+        self._ad_store.put(job.job_id, str(job.ad))
 
     def _recover_queue(self) -> None:
-        for _key, record in self._queue_store.items():
+        for key, record in self._queue_store.items():
+            record["ad"] = self._ad_store.get(key)
             job = CondorJob.from_record(record)
             self.jobs[job.job_id] = job
             self._sync_idle(job)
+            if record["state"] == RUNNING:
+                # the crash took its shadow: say so once, on disk
+                self._persist(job)
+                self._log(job, "evicted", checkpoint=job.progress)
+
+    # -- the one writer of CondorJob.state ---------------------------------------
+    def _transition(self, job: CondorJob, state: str, event: str = "",
+                    **details) -> None:
+        """Move `job` along a declared edge of ``POOL_EDGES`` (anything
+        else raises ``IllegalTransition`` on the spot), keep the idle
+        index and the ``schedd.running`` gauge in step, persist, and
+        write `event` to the user log.  Set the other fields the step
+        changes first."""
+        check_edge(POOL_EDGES, job.job_id, job.state, state)
+        if RUNNING in (job.state, state):
+            self.sim.metrics.gauge("schedd.running").inc(
+                1 if state == RUNNING else -1)
+        released = job.state == HELD
+        if released:
+            job.hold_reason = ""
+        job.state = state
+        if is_terminal(state):
+            job.end_time = self.sim.now
+        self._sync_idle(job)
+        self._persist(job)
+        if released and event != "released":
+            self._log(job, "released")
+        if event:
+            self._log(job, event, **details)
+        if state == COMPLETED and self.notifier is not None:
+            self.notifier.fire(job.job_id, "terminate",
+                               exit_code=job.exit_code, reason="")
+
+    def _log(self, job: CondorJob, event: str, **details) -> None:
+        if self.userlog is not None:
+            self.userlog.add(self.sim.now, job.job_id, event, **details)
 
     # -- idle-job index -------------------------------------------------------
     def _sync_idle(self, job: CondorJob) -> None:
@@ -149,10 +199,12 @@ class Schedd(Service):
         job.submit_time = self.sim.now
         self.jobs[job.job_id] = job
         self._sync_idle(job)
+        self._persist_ad(job)
         self._persist(job)
         self.sim.metrics.counter("schedd.jobs").inc(label="submitted")
         self._trace("submit", job=job.job_id, universe=job.universe,
                     owner=job.owner)
+        self._log(job, "queued", universe=job.universe)
         return job.job_id
 
     def submit_simple(self, owner: str, runtime: float,
@@ -177,20 +229,18 @@ class Schedd(Service):
         job = self.jobs.get(job_id)
         if job is None or job.state in (COMPLETED, REMOVED):
             return False
-        job.state = REMOVED
-        job.end_time = self.sim.now
-        self._sync_idle(job)
-        self._persist(job)
+        if job.state == RUNNING:
+            # condor_rm: the slot stops computing for a job nobody wants
+            self.host.spawn(self._send_vacate(job), name="rm:" + job_id)
+        self._transition(job, REMOVED, "removed")
         return True
 
     def hold(self, job_id: str, reason: str = "") -> bool:
         job = self.jobs.get(job_id)
         if job is None or job.state not in (IDLE,):
             return False
-        job.state = HELD
         job.hold_reason = reason
-        self._sync_idle(job)
-        self._persist(job)
+        self._transition(job, HELD, "held", reason=reason)
         self._trace("hold", job=job_id, reason=reason)
         return True
 
@@ -198,10 +248,7 @@ class Schedd(Service):
         job = self.jobs.get(job_id)
         if job is None or job.state != HELD:
             return False
-        job.state = IDLE
-        job.hold_reason = ""
-        self._sync_idle(job)
-        self._persist(job)
+        self._transition(job, IDLE, "released")
         self._trace("release", job=job_id)
         return True
 
@@ -258,7 +305,7 @@ class Schedd(Service):
             # refresh the heap entry so the new priority orders reuse
             self._idle_ids.discard(job.job_id)
             self._sync_idle(job)
-        self._persist(job)
+        self._persist_ad(job)
         return True
 
     def handle_matched(self, ctx, job_id: str, startd_name: str,
@@ -267,19 +314,15 @@ class Schedd(Service):
         job = self.jobs.get(job_id)
         if job is None or job.state != IDLE:
             return False
-        job.state = MATCHED
         job.matched_to = startd_name
         job.matched_host = startd_host
-        self._sync_idle(job)
-        self._persist(job)
+        self._transition(job, MATCHED)
         ok = yield from self._claim_and_start(job, startd_name, startd_host)
         if ok and self.claim_reuse and startd_ad is not None:
             self._claim_ads[startd_name] = (startd_host, startd_ad)
         if not ok and job.state == MATCHED:
-            job.state = IDLE
             job.matched_to = ""
-            self._sync_idle(job)
-            self._persist(job)
+            self._transition(job, IDLE)
         return ok
 
     def handle_submit(self, ctx, owner: str, runtime: float,
@@ -350,11 +393,15 @@ class Schedd(Service):
             shadow._teardown()
             self.shadows.pop(job.job_id, None)
             return False
-        job.state = RUNNING
+        if job.state != MATCHED:
+            # vacated or removed meanwhile: a removed job's slot must stop
+            if job.state == REMOVED:
+                self.host.spawn(self._send_vacate(job),
+                                name="rm:" + job.job_id)
+            return True
         if job.start_time is None:
             job.start_time = self.sim.now
-        self._persist(job)
-        self.sim.metrics.gauge("schedd.running").inc()
+        self._transition(job, RUNNING, "execute", resource=startd_name)
         self._trace("job_running", job=job.job_id, startd=startd_name)
         return True
 
@@ -383,11 +430,9 @@ class Schedd(Service):
             except RPCError:
                 pass    # the startd's own claim timeout covers us
             return
-        job.state = MATCHED
         job.matched_to = startd_name
         job.matched_host = startd_host
-        self._sync_idle(job)
-        self._persist(job)
+        self._transition(job, MATCHED)
         self.claims_reused += 1
         self.sim.metrics.counter("schedd.claims_reused").inc()
         self._trace("claim_reuse", job=job.job_id, startd=startd_name)
@@ -396,33 +441,22 @@ class Schedd(Service):
             # the claim is gone (timed out or lost); back to negotiation
             self._claim_ads.pop(startd_name, None)
             if job.state == MATCHED:
-                job.state = IDLE
                 job.matched_to = ""
-                self._sync_idle(job)
-                self._persist(job)
+                self._transition(job, IDLE)
 
     # -- shadow callbacks -----------------------------------------------------------
     def _job_exited(self, job_id: str, code: int) -> None:
         job = self.jobs.get(job_id)
         shadow = self.shadows.pop(job_id, None)
-        if job is None:
+        if job is None or job.state in (COMPLETED, REMOVED):
             return
-        if job.state == RUNNING:
-            self.sim.metrics.gauge("schedd.running").dec()
         self.sim.metrics.counter("schedd.jobs").inc(label="completed")
-        job.state = COMPLETED
-        job.end_time = self.sim.now
         job.exit_code = code
         job.total_goodput = job.runtime
         if shadow is not None:
             job.remote_syscalls += shadow.syscall_count
-        self._sync_idle(job)
-        self._persist(job)
+        self._transition(job, COMPLETED, "terminate", exit_code=code)
         self._trace("job_completed", job=job_id, code=code)
-        if job.on_complete is not None:
-            job.on_complete(job)
-        for hook in self.completion_hooks:
-            hook(job)
         if self.claim_reuse and job.matched_to in self._claim_ads:
             self.host.spawn(self._reuse_claim(job.matched_to),
                             name=f"claim-reuse:{job.matched_to}")
@@ -432,8 +466,6 @@ class Schedd(Service):
         shadow = self.shadows.pop(job_id, None)
         if job is None or job.state in (COMPLETED, REMOVED):
             return
-        if job.state == RUNNING:
-            self.sim.metrics.gauge("schedd.running").dec()
         self.sim.metrics.counter("schedd.jobs").inc(label="vacated")
         job.restarts += 1
         if job.universe == "standard":
@@ -443,10 +475,8 @@ class Schedd(Service):
             job.progress = 0.0
         if shadow is not None:
             job.remote_syscalls += shadow.syscall_count
-        job.state = IDLE
         job.matched_to = ""
-        self._sync_idle(job)
-        self._persist(job)
+        self._transition(job, IDLE, "evicted", checkpoint=job.progress)
         self._trace("job_vacated", job=job_id, checkpoint=job.progress)
         for hook in self.vacate_hooks:
             hook(job)

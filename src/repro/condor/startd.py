@@ -214,10 +214,13 @@ class Startd(Service):
         return True
 
     def handle_vacate(self, ctx) -> bool:
-        if self._starter is not None:
-            self._starter.interrupt(cause="vacate")
-            return True
-        return False
+        # One vacate per run: a second (condor_rm on the heels of a
+        # migration request) would land inside the starter's own vacate
+        # handler and kill it before it hands the slot back.
+        starter, self._starter = self._starter, None
+        if starter is not None:
+            starter.interrupt(cause="vacate")
+        return starter is not None
 
     def _release(self) -> None:
         if self.state == BUSY:
@@ -273,14 +276,15 @@ class Startd(Service):
         started = self.sim.now
         next_io = io_interval if io_interval > 0 else float("inf")
         self._trace("job_start", job=desc["job_id"], progress=progress)
-        # First beat: negotiate the lease for our heartbeat cadence.
-        yield from self._send_checkpoint(
-            shadow, progress if standard else 0.0,
-            interval=self.CHECKPOINT_INTERVAL)
         program = desc.get("program")
         body = None
         beat = None
         try:
+            # First beat: negotiate the lease for our heartbeat cadence
+            # (inside the try: a vacate may land as early as this).
+            yield from self._send_checkpoint(
+                shadow, progress if standard else 0.0,
+                interval=self.CHECKPOINT_INTERVAL)
             if program is not None:
                 body = self.sim.spawn(
                     program(WorkerContext(self, desc)),

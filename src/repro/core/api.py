@@ -156,7 +156,9 @@ class CondorGAgent:
                            credential=None)
                 self.schedd = Schedd(host, name=f"schedd@{user}",
                                      collector=host.name,
-                                     claim_reuse=claim_reuse)
+                                     claim_reuse=claim_reuse,
+                                     userlog=self.scheduler.userlog,
+                                     notifier=self.notifier)
                 self.glideins = GlideInManager(
                     self.scheduler, collector_host=host.name,
                     credential_source=self.scheduler.credential_source,
@@ -233,6 +235,14 @@ class CondorGAgent:
         return self.schedd.submit(job)
 
     # -- queries ------------------------------------------------------------
+    def statuses(self) -> list[JobStatus]:
+        """Every job of both queues: grid first, each in id order."""
+        out = [self._grid_status(j) for j in self.scheduler.jobs_for_user()]
+        if self.schedd is not None:
+            out += [self._condor_status(self.schedd.jobs[j])
+                    for j in sorted(self.schedd.jobs)]
+        return out
+
     def status(self, job_id: str) -> JobStatus:
         if job_id in self.scheduler.jobs:
             return self._grid_status(self.scheduler.jobs[job_id])
@@ -292,13 +302,11 @@ class CondorGAgent:
         return self.notifier.inbox
 
     def all_terminal(self) -> bool:
-        grid_done = self.scheduler.all_terminal()
-        condor_done = True
-        if self.schedd is not None:
-            condor_done = all(
-                is_terminal(j.state) or j.state == JobState.HELD
-                for j in self.schedd.jobs.values())
-        return grid_done and condor_done
+        # The grid index answers in O(1).  A held pool job waits for its
+        # user, not for the grid, so it does not keep a run going.
+        return self.scheduler.all_terminal() and all(
+            s.is_terminal or s.state == JobState.HELD
+            for s in self.statuses())
 
     # -- control ------------------------------------------------------------
     def cancel(self, job_id: str) -> None:

@@ -164,43 +164,43 @@ class GridManager(Service):
             if not ok:
                 return
         attempt_start = self.sim.now
-        job.state = J.SUBMITTING
         job.attempts += 1
         job.seq = f"{job.job_id}/{job.attempts}"
         job.submit_time = job.submit_time or self.sim.now
-        self.scheduler.persist(job)
-        self.scheduler.log(job, "submit", resource=job.resource,
-                           attempt=job.attempts)
+        self.scheduler.transition(job, J.SUBMITTING, "submit",
+                                  resource=job.resource,
+                                  attempt=job.attempts)
+        failure = None
         try:
             response = yield from self.client.submit_phase1(
                 job.resource, job.request, seq=job.seq,
                 callback=(self.host.name, self.callback_service))
         except (GramClientError, RPCError) as exc:
-            if "JobManager limit" in str(exc):
-                # Gatekeeper at capacity: congestion, not failure --
-                # back off without consuming a retry attempt.
-                job.attempts -= 1
-                job.state = J.UNSUBMITTED
-                job.backoff_until = self.sim.now + 60.0
-                self.scheduler.persist(job)
-                self._trace("gatekeeper_busy_backoff", job=job.job_id,
-                            until=job.backoff_until)
-                return
-            self._submission_failed(job, exc, phase="phase1")
-            return
+            failure = exc
         if job.state != J.SUBMITTING:
-            # Superseded while phase 1 was in flight: a stale failure
-            # report for an earlier attempt reclaimed the job (it is
-            # UNSUBMITTED again, or terminal).  Walk away -- the
+            # Superseded while phase 1 was in flight: the user removed
+            # the job, or a stale report for an earlier attempt reclaimed
+            # it (it is UNSUBMITTED again, or terminal).  Walk away -- a
             # JobManager we just created is uncommitted, so it times
             # out and cleans up site-side; committing it here would
             # pin the job to an attempt the scheduler has disowned.
             self._trace("submit_superseded", job=job.job_id, seq=job.seq)
             return
+        if failure is not None:
+            if "JobManager limit" in str(failure):
+                # Gatekeeper at capacity: congestion, not failure --
+                # back off without consuming a retry attempt.
+                job.attempts -= 1
+                job.backoff_until = self.sim.now + 60.0
+                self.scheduler.transition(job, J.UNSUBMITTED)
+                self._trace("gatekeeper_busy_backoff", job=job.job_id,
+                            until=job.backoff_until)
+                return
+            self._submission_failed(job, failure, phase="phase1")
+            return
         job.jmid = jmid = response["jmid"]
         job.contact = response["contact"]
         self.scheduler.persist(job)
-        failure = None
         try:
             yield from self.client.commit(job.contact, jmid)
         except (GramClientError, RPCError) as exc:
@@ -219,8 +219,9 @@ class GridManager(Service):
         if job.state == J.SUBMITTING:
             # Only forward: a callback may already have reported
             # PENDING/ACTIVE while the commit ACK was in flight.
-            job.state = J.PENDING
-        self.scheduler.persist(job)
+            self.scheduler.transition(job, J.PENDING)
+        else:
+            self.scheduler.persist(job)
         if failure is not None:
             # A lost commit *ACK* is indistinguishable from a lost
             # commit: the JobManager may have received phase 2 and
@@ -252,10 +253,9 @@ class GridManager(Service):
         to GRAM submission; False = the job left the submission path
         (failed staging and was resubmitted/failed, or was superseded).
         """
-        job.state = J.STAGING
-        self.scheduler.persist(job)
-        self.scheduler.log(job, "stage_in", resource=job.resource,
-                           datasets=len(job.request.input_datasets))
+        self.scheduler.transition(
+            job, J.STAGING, "stage_in", resource=job.resource,
+            datasets=len(job.request.input_datasets))
         started = self.sim.now
         try:
             staged = yield from self._stage_inputs(job)
@@ -333,11 +333,7 @@ class GridManager(Service):
             # durable_outputs invariant flag the missing archive.
             self._trace("stage_out_no_se", job=job.job_id,
                         resource=job.resource)
-            job.state = J.DONE
-            job.end_time = self.sim.now
-            self.scheduler.persist(job)
-            self.scheduler.job_finished(job)
-            self.kick()
+            self.scheduler.transition(job, J.DONE)
             return
         for name, size in job.request.output_datasets:
             size = int(size)
@@ -378,13 +374,9 @@ class GridManager(Service):
                     backoff = min(backoff * 2.0, 120.0)
         if job.is_terminal:
             return    # removed by the user while we were placing outputs
-        job.state = J.DONE
-        job.end_time = self.sim.now
-        self.scheduler.persist(job)
         self._trace("staged_out", job=job.job_id, resource=job.resource,
                     datasets=len(job.request.output_datasets))
-        self.scheduler.job_finished(job)
-        self.kick()
+        self.scheduler.transition(job, J.DONE)
 
     def _submission_failed(self, job: GridJob, exc: Exception,
                            phase: str = "phase1") -> None:
@@ -516,61 +508,49 @@ class GridManager(Service):
             # response must not regress the state machine.
             return
         if state == "PENDING" and job.state != J.PENDING:
-            job.state = J.PENDING
-            self.scheduler.persist(job)
+            self.scheduler.transition(job, J.PENDING)
         elif state == "ACTIVE" and job.state != J.ACTIVE:
-            job.state = J.ACTIVE
             job.start_time = self.sim.now
-            self.scheduler.persist(job)
-            self.scheduler.log(job, "execute", resource=job.resource)
+            self.scheduler.transition(job, J.ACTIVE, "execute",
+                                      resource=job.resource)
         elif state == "DONE":
             job.exit_code = exit_code if exit_code is not None else 0
             if job.request.output_datasets and \
                     self.scheduler.data_services is not None:
                 # Archive declared outputs at the site's storage element
                 # before the job is allowed to go terminal.
-                job.state = J.STAGING_OUT
-                self.scheduler.persist(job)
-                self.scheduler.log(job, "stage_out", resource=job.resource,
-                                   datasets=len(job.request.output_datasets))
+                self.scheduler.transition(
+                    job, J.STAGING_OUT, "stage_out", resource=job.resource,
+                    datasets=len(job.request.output_datasets))
                 self.host.spawn(self._stage_out_datasets(job),
                                 name=f"stageout:{job.job_id}")
                 return
-            job.state = J.DONE
-            job.end_time = self.sim.now
-            self.scheduler.persist(job)
-            self.scheduler.job_finished(job)
-            self.kick()
+            self.scheduler.transition(job, J.DONE)
         elif state == "FAILED":
             self._remote_failure(job, failure_reason)
 
     def _remote_failure(self, job: GridJob, reason: str,
                         transient: Optional[bool] = None) -> None:
-        if job.is_terminal:
-            return
+        if job.is_terminal or job.state == J.STAGING_OUT:
+            return    # the run is over; stage-out owns what is left
         self.scheduler.log(job, "remote_failure", reason=reason,
                            attempt=job.attempts)
         if transient is None:
             transient = _is_transient(reason)
         if transient and job.attempts < job.max_attempts:
             # Resubmit: new logical attempt, broker may pick a new site.
-            job.state = J.UNSUBMITTED
             job.jmid = ""
             job.contact = ""
             job.committed = False
             if self.scheduler.broker is not None:
                 job.resource = ""
-            self.scheduler.persist(job)
+            self.scheduler.transition(job, J.UNSUBMITTED)
             self.sim.metrics.counter("gridmanager.resubmits").inc()
             self._trace("resubmit", job=job.job_id, reason=reason)
             self.kick()
         else:
-            job.state = J.FAILED
-            job.end_time = self.sim.now
             job.failure_reason = reason
-            self.scheduler.persist(job)
-            self.scheduler.job_finished(job)
-            self.kick()
+            self.scheduler.transition(job, J.FAILED)
 
     # -- watching: status is the §4.2 probe -----------------------------------
     def _watch_loop(self):

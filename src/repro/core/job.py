@@ -1,13 +1,8 @@
 """Grid job records held by the Condor-G agent.
 
-State machine (paper §4.2)::
-
-    UNSUBMITTED -> SUBMITTING -> PENDING -> ACTIVE -> DONE
-         |  \\          |            |         |
-         |   \\         v            v         v
-         |    HELD   FAILED       FAILED    FAILED
-         |     ^
-         +-----+   (credential expiry holds; refresh releases)
+The state machine (paper §4.2) is declared once, as
+``repro.states.GRID_EDGES`` (``GRID_RECOVER`` for what a crash does); the
+Scheduler's ``transition`` is its only writer.
 
 Everything needed to survive a submit-machine crash is in
 ``queue_record()``: notably the GRAM *sequence number* (so a recovered
@@ -23,7 +18,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..gram.protocol import GramJobRequest
-from ..states import JobState
+from ..states import GRID_RECOVER, JobState, check_edge
 
 # Module-level aliases: the enum members compare and serialize exactly
 # like the string literals they replace (see repro.states).
@@ -121,7 +116,7 @@ class GridJob:
     def from_record(cls, record: dict) -> "GridJob":
         job = cls(**record)
         if job.jmid and not job.committed and \
-                job.state in (SUBMITTING, PENDING, ACTIVE):
+                job.state in (SUBMITTING, PENDING, ACTIVE, STAGING_OUT):
             # We crashed with phase 1 answered and the commit's fate
             # unknown (a callback may even have reported progress since).
             # As with a lost commit ACK, resubmitting could run the job
@@ -129,18 +124,22 @@ class GridJob:
             # a JobManager the commit never reached aborts by itself, and
             # that failure is safe to resubmit.
             job.committed = True
-        if job.state == SUBMITTING:
+        state = job.state
+        if state == SUBMITTING:
             # We crashed mid-protocol.  With a JobManager contact we
             # reconnect; otherwise a new attempt is submitted and the
             # uncommitted remote JobManager (if any) aborts itself.
-            job.state = PENDING if job.committed else UNSUBMITTED
-        elif job.state == STAGING:
+            state = PENDING if job.committed else UNSUBMITTED
+        elif state == STAGING:
             # Input staging is idempotent (replicas already placed are
             # found in the catalog and skipped), so just start over.
-            job.state = UNSUBMITTED
-        elif job.state == STAGING_OUT:
+            state = UNSUBMITTED
+        elif state == STAGING_OUT:
             # The remote run finished; reconnecting via jmid re-reports
             # DONE and re-runs the (idempotent) output placement.
-            job.state = PENDING if (job.committed and job.jmid) \
+            state = PENDING if (job.committed and job.jmid) \
                 else UNSUBMITTED
+        if state != job.state:
+            check_edge(GRID_RECOVER, job.job_id, job.state, state)
+            job.state = state
         return job

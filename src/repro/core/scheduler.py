@@ -15,7 +15,9 @@ from __future__ import annotations
 import bisect
 from typing import Optional
 
+from ..sim.errors import SimulationError
 from ..sim.hosts import Host
+from ..states import GRID_EDGES, IllegalTransition, check_edge
 from . import job as J
 from .broker import Broker
 from .gridmanager import GridManager
@@ -82,6 +84,35 @@ class CondorGScheduler:
         self._requests = host.stable.namespace(f"{REQUEST_NS}:{user}")
         self.gridmanager: Optional[GridManager] = None
         self._recover_queue()
+
+    # -- the one writer of GridJob.state ----------------------------------------
+    def transition(self, job: GridJob, state: str, event: str = "",
+                   **details) -> None:
+        """Move `job` along a declared edge of ``GRID_EDGES`` (any other
+        raises :class:`IllegalTransition` on the spot), persist it and log
+        `event`.  A terminal state stamps ``end_time`` and, unless the
+        caller names the event, reports through :meth:`job_finished`;
+        leaving HELD clears the reason and logs ``released`` whoever
+        causes it.  Set the other fields the step changes first."""
+        check_edge(GRID_EDGES, job.job_id, job.state, state)
+        released = job.state == J.HELD
+        if released:
+            job.hold_reason = ""
+        elif state != J.HELD and job.hold_reason:
+            raise IllegalTransition(f"{job.job_id}: {state} with "
+                                    f"hold_reason {job.hold_reason!r}")
+        job.state = state
+        if job.is_terminal:
+            job.end_time = self.sim.now
+        self.persist(job)
+        if released and event != "released":
+            self.log(job, "released")
+        if event:
+            self.log(job, event, **details)
+        elif job.is_terminal:
+            self.job_finished(job)
+        if job.is_terminal and self.gridmanager is not None:
+            self.gridmanager.kick()
 
     # -- persistence ----------------------------------------------------------
     def persist(self, job: GridJob) -> None:
@@ -248,15 +279,14 @@ class CondorGScheduler:
             try:
                 yield from self.gridmanager.client.cancel(job.contact,
                                                           job.jmid)
+            except SimulationError:
+                raise
             except Exception:  # noqa: BLE001 - cancel is best effort
                 pass
-        job.state = J.FAILED
+            if job.is_terminal:
+                return False    # finished while the remote cancel ran
         job.failure_reason = "removed by user"
-        job.end_time = self.sim.now
-        self.persist(job)
-        self.log(job, "removed")
-        if self.gridmanager is not None:
-            self.gridmanager.kick()
+        self.transition(job, J.FAILED, "removed")
         return True
 
     # -- holds ---------------------------------------------------------------
@@ -264,10 +294,8 @@ class CondorGScheduler:
         held = 0
         for job in self.jobs.values():
             if job.state in (J.UNSUBMITTED,):
-                job.state = J.HELD
                 job.hold_reason = reason
-                self.persist(job)
-                self.log(job, "held", reason=reason)
+                self.transition(job, J.HELD, "held", reason=reason)
                 held += 1
         return held
 
@@ -281,11 +309,14 @@ class CondorGScheduler:
                 # it back to PENDING so the GridManager reconnects to the
                 # same jmid; resubmitting (UNSUBMITTED) would mint a new
                 # sequence number and run the job a second time.
-                job.state = J.PENDING if (job.committed and job.jmid) \
-                    else J.UNSUBMITTED
-                job.hold_reason = ""
-                self.persist(job)
-                self.log(job, "released")
+                if job.committed and job.jmid:
+                    self.transition(job, J.PENDING, "released")
+                else:
+                    # Held between the two phases: that JobManager was
+                    # never committed and aborts itself; forget it, so
+                    # its reports cannot touch the next attempt.
+                    job.jmid = job.contact = ""
+                    self.transition(job, J.UNSUBMITTED, "released")
                 released += 1
         if released:
             self._ensure_gridmanager()
@@ -294,13 +325,11 @@ class CondorGScheduler:
 
     def credential_problem(self, job: GridJob, reason: str) -> None:
         """A GRAM operation failed authentication: hold the job."""
-        if job.is_terminal:
-            return
+        if job.is_terminal or job.state in (J.HELD, J.STAGING_OUT):
+            return    # nothing (more) a hold would stop
         self.sim.metrics.counter("scheduler.credential_holds").inc()
-        job.state = J.HELD
         job.hold_reason = f"credential problem: {reason}"
-        self.persist(job)
-        self.log(job, "held", reason=job.hold_reason)
+        self.transition(job, J.HELD, "held", reason=job.hold_reason)
         self.notifier.email(
             self.sim.now, f"{self.user}@example.edu",
             subject="job held: credential problem",

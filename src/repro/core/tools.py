@@ -40,9 +40,7 @@ def condor_q(agent: CondorGAgent, include_done: bool = False) -> str:
                "RUN_TIME", "DETAIL"]
     rows = []
     now = agent.sim.now
-    entries = [agent.status(j) for j in agent.scheduler.jobs]
-    if agent.schedd is not None:
-        entries += [agent.status(j) for j in agent.schedd.jobs]
+    entries = agent.statuses()
     shown = 0
     for status in sorted(entries, key=lambda s: s.submit_time):
         if status.is_terminal and not include_done:
@@ -74,9 +72,7 @@ def condor_history(agent: CondorGAgent) -> str:
     headers = ["ID", "ST", "RESOURCE", "STARTED", "ENDED", "EXIT",
                "ATTEMPTS"]
     rows = []
-    entries = [agent.status(j) for j in agent.scheduler.jobs]
-    if agent.schedd is not None:
-        entries += [agent.status(j) for j in agent.schedd.jobs]
+    entries = agent.statuses()
     for status in sorted(entries, key=lambda s: s.end_time or 0.0):
         if not status.is_terminal:
             continue

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..core.api import CondorGAgent
+from ..sim.errors import SimulationError
 from .dag import Dag, DagNode
 
 
@@ -161,6 +162,8 @@ class DagMan:
         if node.action is not None:
             try:
                 yield from node.action(ctx)
+            except SimulationError:
+                raise
             except Exception:  # noqa: BLE001 - node actions may fail
                 return False
         elif node.description is not None:
@@ -186,6 +189,8 @@ class DagMan:
             if inspect.isgenerator(result):
                 result = yield from result
             return result is not False
+        except SimulationError:
+            raise
         except Exception:  # noqa: BLE001 - scripts may fail
             return False
 

@@ -19,7 +19,7 @@ from typing import Iterable, Optional, TYPE_CHECKING
 
 import numpy as np
 
-from ..states import COMPLETE_STATES, JobState
+from ..states import JobState
 from ..sim.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -214,18 +214,14 @@ def user_rollup(tb: "GridTestbed") -> dict[str, dict]:
     gk_rejects = metrics.get("gatekeeper.rejects_by_user")
     out: dict[str, dict] = {}
     for name, agent in sorted(tb.agents.items()):
-        jobs = list(agent.scheduler.jobs.values())
+        # GlideIn-path payloads live in the agent's personal condor
+        # queue, not the grid queue (there the jobs are the pilots).
+        jobs, pool = [], []
+        for status in agent.statuses():
+            (jobs if status.universe == "grid" else pool).append(status)
         by_state: dict[str, int] = {}
         for job in jobs:
             by_state[str(job.state)] = by_state.get(str(job.state), 0) + 1
-        # GlideIn-path payloads live in the agent's personal condor
-        # queue, not the grid queue (there the jobs are the pilots).
-        condor_jobs = condor_done = 0
-        if agent.schedd is not None:
-            for cjob in agent.schedd.jobs.values():
-                condor_jobs += 1
-                if cjob.state in COMPLETE_STATES:
-                    condor_done += 1
         cpu_seconds = sum(
             usage for site in tb.sites.values()
             for account, usage in site.lrm.user_usage.items()
@@ -237,8 +233,8 @@ def user_rollup(tb: "GridTestbed") -> dict[str, dict]:
             "failed": by_state.get(str(JobState.FAILED), 0),
             "held": by_state.get(str(JobState.HELD), 0),
             "attempts": sum(j.attempts for j in jobs),
-            "condor_jobs": condor_jobs,
-            "condor_done": condor_done,
+            "condor_jobs": len(pool),
+            "condor_done": sum(s.is_complete for s in pool),
             "queued_counter": (queued_c.labelled(name)
                                if queued_c is not None else 0.0),
             "finished_counter": (finished_c.labelled(name)

@@ -33,6 +33,7 @@ from .errors import (
     RemoteError,
     RPCTimeout,
     ServiceUnavailable,
+    SimulationError,
 )
 from .fastcopy import fast_deepcopy
 from .kernel import Event, Timeout, _UNSET
@@ -146,6 +147,8 @@ def _finish(gen: GeneratorType, svc: "Service",
     value, error = None, None
     try:
         value = yield from gen
+    except SimulationError:
+        raise       # an inconsistency in the simulation is nobody's reply
     except Exception as exc:  # noqa: BLE001 - marshalled to the caller
         error = _error(exc)
     respond(svc, value, error)
@@ -185,6 +188,8 @@ def _request(src: "Host", dst: str, service: str, method: str,
                 raise ServiceUnavailable(
                     f"service {svc.name} has no method {method!r}")
             value = handler(ctx, **req_args)
+        except SimulationError:
+            raise   # an inconsistency in the simulation is nobody's reply
         except Exception as exc:  # noqa: BLE001 - marshalled to the caller
             error = _error(exc)
         if isinstance(value, GeneratorType):

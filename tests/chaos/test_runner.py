@@ -19,6 +19,9 @@ from repro.chaos.runner import build_and_run
 #: submit machine down 200-350 s, a JobManager killed while it is away,
 #: then a partition: the plan CI's chaos-smoke job replays
 SUBMIT_REBOOT_PLAN = Path(__file__).parent / "plans" / "submit_reboot.json"
+#: submit machine of the `pool-reuse` personal pool down 300-450 s
+POOL_SUBMIT_REBOOT_PLAN = SUBMIT_REBOOT_PLAN.with_name(
+    "pool_submit_reboot.json")
 
 
 class TestRunOne:
@@ -51,6 +54,18 @@ class TestRunOne:
         states = [job.state for job in
                   tb.agents["carol"].scheduler.jobs.values()]
         assert states == ["DONE"] * 4
+
+    def test_pool_submit_machine_reboot_is_survivable(self):
+        """The same failure class for the second universe: the personal
+        pool's queue comes back through the POOL_RECOVER edges and every
+        vanilla job still completes."""
+        plan = FaultPlan.from_json(POOL_SUBMIT_REBOOT_PLAN.read_text())
+        tb, _ = build_and_run("pool-reuse", 0, plan=plan)
+        assert tb.sim.hosts["submit-dave"].crash_count == 1
+        assert evaluate_invariants(tb) == []
+        pool = [s for s in tb.agents["dave"].statuses()
+                if s.universe == "vanilla"]
+        assert len(pool) == 40 and all(s.is_complete for s in pool)
 
     def test_errors_are_reported_not_raised(self):
         result = run_one("no-such-scenario", 0)

@@ -8,6 +8,7 @@ attributes -- and doing it twice must not grow anything.
 import pytest
 
 from repro import GridTestbed, JobDescription
+from repro.core.tools import condor_history
 from repro.grid.config import AgentSpec, SiteSpec, TestbedConfig
 
 
@@ -101,3 +102,43 @@ def test_glidein_ledger_is_read_back_from_the_grid_queue():
     assert agent.glideins.submitted == ids
     (third,) = agent.glide_in("wisc-gk", count=1)
     assert agent.scheduler.jobs[third].request.label == "glidein-3"
+
+
+@pytest.mark.parametrize("use_gsi", [False, True])
+def test_class3_submit_reboot_keeps_a_vanilla_jobs_view(use_gsi):
+    """The paper's third failure class, second universe: a vanilla job
+    is RUNNING on a glidein when the submit machine goes down for 100 s.
+    `host.restart()` alone brings back its status, times, resource and
+    log, it completes once, and a callback registered afterwards hears
+    about it."""
+    tb = make_tb(use_gsi=use_gsi)
+    agent = tb.agents["alice"]
+    agent.glide_in("wisc-gk", count=1, walltime=20_000.0,
+                   idle_timeout=2_000.0)
+    jid = agent.submit(JobDescription(universe="vanilla", runtime=400.0))
+    tb.run(until=100.0)
+    before = agent.status(jid)
+    assert before.state == "RUNNING" and before.start_time is not None
+    agent.host.crash()
+    tb.run(until=200.0)
+    agent.host.restart()
+    heard = []
+    agent.on_termination(lambda *event: heard.append(event))
+    tb.run_until_quiet(max_time=20_000.0)
+    status = agent.status(jid)
+    assert status.state == "COMPLETED" and status.exit_code == 0
+    assert status.start_time == before.start_time
+    assert status.end_time > 200.0 and status.resource == before.resource
+    events = [e.event for e in agent.logs(jid)]
+    assert events in (["queued", "execute", "terminate"],
+                      ["queued", "execute", "evicted", "execute",
+                       "terminate"]), events
+    times = [e.time for e in agent.logs(jid)]
+    assert times == sorted(times) and times[0] < 100.0 < 200.0 < times[-1]
+    assert [event for event in heard if event[0] == jid] == [
+        (jid, "terminate", {"exit_code": 0, "reason": ""})]
+    assert tb.sim.metrics.counter("schedd.jobs").labelled("completed") == 1
+    # ... and the finished record reads the same after one more reboot
+    reboot(agent.host)
+    assert agent.status(jid) == status
+    assert "-" not in condor_history(agent).splitlines()[-1].split()[3:5]
