@@ -45,14 +45,23 @@ def _to_expr(value: Any) -> Expr:
 
 
 class ClassAd:
-    """An attribute -> expression record with lazy evaluation."""
+    """An attribute -> expression record with lazy evaluation.
 
-    __slots__ = ("_attrs", "_case")
+    An ad is a builder until it is *sealed* (:meth:`seal`, one way):
+    after that every mutator raises, so the ad is a value that may be
+    published, sent and stored by reference -- which is what happens to
+    it the first time it crosses a wire or hits a disk
+    (:mod:`repro.sim.fastcopy`).  :meth:`copy` gives an unsealed ad to
+    edit.
+    """
+
+    __slots__ = ("_attrs", "_case", "_sealed")
 
     def __init__(self, attrs: Optional[dict[str, Any]] = None):
         # _attrs: lowercase name -> Expr;  _case: lowercase -> display name
         self._attrs: dict[str, Expr] = {}
         self._case: dict[str, str] = {}
+        self._sealed = False
         if attrs:
             for name, value in attrs.items():
                 self[name] = value
@@ -69,10 +78,28 @@ class ClassAd:
         return ad
 
     def copy(self) -> "ClassAd":
+        """An unsealed ad with the same attributes."""
         dup = ClassAd()
         dup._attrs = dict(self._attrs)
         dup._case = dict(self._case)
         return dup
+
+    # -- sealing ------------------------------------------------------------
+    def seal(self) -> "ClassAd":
+        """Make this ad immutable, for good; returns it."""
+        self._sealed = True
+        return self
+
+    def sealed(self) -> "ClassAd":
+        """This ad if sealed, else a sealed copy (the caller keeps its
+        builder): the form in which an ad crosses a boundary."""
+        return self if self._sealed else self.copy().seal()
+
+    __sealed__ = sealed     # the hook repro.sim.fastcopy looks for
+
+    def _check_unsealed(self) -> None:
+        if self._sealed:
+            raise TypeError("this ClassAd is sealed; edit a copy()")
 
     def update(self, other: "ClassAd") -> None:
         for name, expr in other.expr_items():
@@ -86,6 +113,7 @@ class ClassAd:
         if isinstance(expr, str):
             raise TypeError("set_expr needs an Expr; use set_expression "
                             "for source text")
+        self._check_unsealed()
         key = name.lower()
         self._attrs[key] = expr
         self._case[key] = name
@@ -104,6 +132,7 @@ class ClassAd:
         return name.lower() in self._attrs
 
     def __delitem__(self, name: str) -> None:
+        self._check_unsealed()
         key = name.lower()
         del self._attrs[key]
         del self._case[key]
@@ -174,7 +203,7 @@ class ClassAd:
 
     def __deepcopy__(self, memo: dict) -> "ClassAd":
         # Exprs are immutable once built; sharing them is safe and fast.
-        return self.copy()
+        return self if self._sealed else self.copy()
 
 
 # -- matchmaking --------------------------------------------------------------

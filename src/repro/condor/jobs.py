@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from ..classads import ClassAd
+from ..sim.fastcopy import FrozenDict
 from ..states import POOL_RECOVER, JobState, check_edge
 
 # Module-level aliases: the enum members compare and serialize exactly
@@ -83,28 +84,28 @@ class CondorJob:
     def owner(self) -> str:
         return self.ad.get("Owner", "nobody")
 
-    def progress_record(self) -> dict:
-        """Everything persisted but the ad (no callables): what each
-        state change rewrites."""
-        return {
-            "job_id": self.job_id,
-            "runtime": self.runtime,
-            "universe": self.universe,
-            "io_interval": self.io_interval,
-            "io_bytes": self.io_bytes,
-            "ckpt_bytes": self.ckpt_bytes,
-            "ckpt_server": self.ckpt_server,
-            "state": self.state,
-            "progress": self.progress,
-            "submit_time": self.submit_time,
-            "start_time": self.start_time,
-            "end_time": self.end_time,
-            "exit_code": self.exit_code,
-            "matched_to": self.matched_to,
-            "restarts": self.restarts,
-            "checkpoints": self.checkpoints,
-            "hold_reason": self.hold_reason,
-        }
+    def progress_record(self) -> FrozenDict:
+        """Everything persisted but the ad (no callables), as of now:
+        what each state change rewrites."""
+        return FrozenDict(
+            job_id=self.job_id,
+            runtime=self.runtime,
+            universe=self.universe,
+            io_interval=self.io_interval,
+            io_bytes=self.io_bytes,
+            ckpt_bytes=self.ckpt_bytes,
+            ckpt_server=self.ckpt_server,
+            state=self.state,
+            progress=self.progress,
+            submit_time=self.submit_time,
+            start_time=self.start_time,
+            end_time=self.end_time,
+            exit_code=self.exit_code,
+            matched_to=self.matched_to,
+            restarts=self.restarts,
+            checkpoints=self.checkpoints,
+            hold_reason=self.hold_reason,
+        )
 
     def queue_record(self) -> dict:
         """Both halves joined: what :meth:`from_record` takes."""
@@ -113,7 +114,7 @@ class CondorJob:
     @classmethod
     def from_record(cls, record: dict) -> "CondorJob":
         record = dict(record)
-        job = cls(ad=ClassAd.parse(record.pop("ad")), **record)
+        job = cls(ad=ClassAd.parse(record.pop("ad")).seal(), **record)
         # Anything that was mid-flight when we crashed is idle again.
         if job.state in (MATCHED, RUNNING):
             check_edge(POOL_RECOVER, job.job_id, job.state, IDLE)

@@ -108,8 +108,8 @@ class Schedd(Service):
 
     def _recover_queue(self) -> None:
         for key, record in self._queue_store.items():
-            record["ad"] = self._ad_store.get(key)
-            job = CondorJob.from_record(record)
+            job = CondorJob.from_record(
+                {**record, "ad": self._ad_store.get(key)})
             self.jobs[job.job_id] = job
             self._sync_idle(job)
             if record["state"] == RUNNING:
@@ -197,6 +197,7 @@ class Schedd(Service):
     # -- submission / local API ---------------------------------------------------
     def submit(self, job: CondorJob) -> str:
         job.submit_time = self.sim.now
+        job.ad = job.ad.sealed()    # the queue's ad, not the submitter's
         self.jobs[job.job_id] = job
         self._sync_idle(job)
         self._persist_ad(job)
@@ -300,7 +301,9 @@ class Schedd(Service):
         job = self.jobs.get(job_id)
         if job is None:
             return False
-        job.ad["JobPrio"] = prio
+        ad = job.ad.copy()
+        ad["JobPrio"] = prio
+        job.ad = ad.seal()
         if job.job_id in self._idle_ids:
             # refresh the heap entry so the new priority orders reuse
             self._idle_ids.discard(job.job_id)
@@ -487,7 +490,7 @@ class Schedd(Service):
         ad["Name"] = self.schedd_name
         ad["ScheddHost"] = self.host.name
         ad["IdleJobs"] = len(self._idle_ids)
-        return ad
+        return ad.seal()
 
     def _advertise_loop(self):
         targets = [self.collector] + self.flock_to

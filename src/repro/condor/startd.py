@@ -128,7 +128,7 @@ class Startd(Service):
         ad = self.ad.copy()
         ad["State"] = self.state
         ad["StartdHost"] = self.host.name
-        return ad
+        return ad.seal()
 
     def _advertise_loop(self):
         while True:

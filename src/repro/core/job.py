@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..gram.protocol import GramJobRequest
+from ..sim.fastcopy import FrozenDict
 from ..states import GRID_RECOVER, JobState, check_edge
 
 # Module-level aliases: the enum members compare and serialize exactly
@@ -87,26 +88,27 @@ class GridJob:
             request = replace(request, program=None)
         return request
 
-    def progress_record(self) -> dict:
-        """The mutable fields: what every state change rewrites."""
-        return {
-            "job_id": self.job_id,
-            "resource": self.resource,
-            "state": self.state,
-            "seq": self.seq,
-            "jmid": self.jmid,
-            "contact": self.contact,
-            "submit_time": self.submit_time,
-            "start_time": self.start_time,
-            "end_time": self.end_time,
-            "exit_code": self.exit_code,
-            "failure_reason": self.failure_reason,
-            "hold_reason": self.hold_reason,
-            "attempts": self.attempts,
-            "max_attempts": self.max_attempts,
-            "backoff_until": self.backoff_until,
-            "committed": self.committed,
-        }
+    def progress_record(self) -> FrozenDict:
+        """The mutable fields, as of now: what every state change
+        rewrites."""
+        return FrozenDict(
+            job_id=self.job_id,
+            resource=self.resource,
+            state=self.state,
+            seq=self.seq,
+            jmid=self.jmid,
+            contact=self.contact,
+            submit_time=self.submit_time,
+            start_time=self.start_time,
+            end_time=self.end_time,
+            exit_code=self.exit_code,
+            failure_reason=self.failure_reason,
+            hold_reason=self.hold_reason,
+            attempts=self.attempts,
+            max_attempts=self.max_attempts,
+            backoff_until=self.backoff_until,
+            committed=self.committed,
+        )
 
     def queue_record(self) -> dict:
         """Both halves joined: what :meth:`from_record` takes."""

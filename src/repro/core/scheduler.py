@@ -181,8 +181,8 @@ class CondorGScheduler:
 
     def _recover_queue(self) -> None:
         for key, record in self._store.items():
-            record["request"] = self._requests.get(key)
-            job = GridJob.from_record(record)
+            job = GridJob.from_record(
+                {**record, "request": self._requests.get(key)})
             self.jobs[job.job_id] = job
         self._sorted_jobs = sorted(self.jobs.values(),
                                    key=lambda j: j.job_id)

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
+from ..sim.fastcopy import FrozenDict
+
 
 @dataclass(frozen=True)
 class LogEvent:
@@ -37,7 +39,8 @@ class UserLog:
 
     def add(self, time: float, job_id: str, event: str,
             **details: Any) -> None:
-        self._file.put(f"{self._next:09d}", (time, job_id, event, details))
+        self._file.put(f"{self._next:09d}",
+                       (time, job_id, event, FrozenDict(details)))
         self._next += 1
 
     @property

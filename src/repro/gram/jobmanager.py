@@ -33,6 +33,7 @@ from typing import Optional
 
 from ..gass.client import gass_append, gass_get, gass_received
 from ..sim.errors import RPCError, RPCTimeout
+from ..sim.fastcopy import FrozenDict
 from ..sim.hosts import Host
 from ..sim.kernel import Event
 from ..sim.rpc import Service, call, notify
@@ -132,9 +133,6 @@ class JobManager(Service):
 
     COMMIT_WINDOW = 120.0      # abort if no commit arrives in time
     POLL_INTERVAL = 5.0
-    # status replies are built from scratch per call; the RPC layer
-    # may hand them over without the serialization copy.
-    rpc_fresh_results = ("status",)
 
     def __init__(
         self,
@@ -179,17 +177,17 @@ class JobManager(Service):
         self._requests.put(self.jmid, self.request)
 
     def _persist(self) -> None:
-        self._store.put(self.jmid, {
-            "jmid": self.jmid,
-            "state": self.state,
-            "local_id": self.local_id,
-            "owner": self.owner,
-            "client_callback": self.client_callback,
-            "stdout_sent": self.stdout_sent,
-            "stderr_sent": self.stderr_sent,
-            "failure_reason": self.failure_reason,
-            "exit_code": self.exit_code,
-        })
+        self._store.put(self.jmid, FrozenDict(
+            jmid=self.jmid,
+            state=self.state,
+            local_id=self.local_id,
+            owner=self.owner,
+            client_callback=self.client_callback,
+            stdout_sent=self.stdout_sent,
+            stderr_sent=self.stderr_sent,
+            failure_reason=self.failure_reason,
+            exit_code=self.exit_code,
+        ))
 
     def _recover(self) -> None:
         record = self._store.get(self.jmid)
@@ -259,12 +257,12 @@ class JobManager(Service):
     def handle_status(self, ctx) -> dict:
         """Current state; answering at all is the liveness proof the
         GridManager's failure detector (§4.2) looks for."""
-        return {
-            "jmid": self.jmid,
-            "state": self.state,
-            "failure_reason": self.failure_reason,
-            "exit_code": self.exit_code,
-        }
+        return FrozenDict(
+            jmid=self.jmid,
+            state=self.state,
+            failure_reason=self.failure_reason,
+            exit_code=self.exit_code,
+        )
 
     def handle_cancel(self, ctx):
         if self.local_id is not None and \

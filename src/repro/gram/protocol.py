@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
 
+from ..sim.fastcopy import FrozenDict, Immutable
+
 # GRAM job states
 UNCOMMITTED = "UNCOMMITTED"
 STAGE_IN = "STAGE_IN"
@@ -46,13 +48,15 @@ def gram_state_of(lrm_state: str) -> str:
 
 
 @dataclass(frozen=True)
-class GramJobRequest:
+class GramJobRequest(Immutable):
     """The RSL of a job: what the client asks a gatekeeper to run.
 
     ``executable_url``/``stdin_url`` point at the client's GASS server
     for stage-in; ``stdout_url`` is where the JobManager streams output.
     ``program`` carries an executable *behaviour* (for GlideIns); plain
-    jobs just consume ``runtime`` seconds.
+    jobs just consume ``runtime`` seconds.  An immutable value: a dict
+    or list given for a field is frozen, ``with_env``/``replace`` build a
+    new request.
     """
 
     executable_url: str = ""
@@ -60,7 +64,7 @@ class GramJobRequest:
     stdout_url: str = ""
     stderr_url: str = ""
     # remote file name -> client GASS URL, staged out on completion
-    output_files: dict = field(default_factory=dict)
+    output_files: FrozenDict = field(default_factory=FrozenDict)
     # logical dataset names the job reads; the GridManager stages them
     # to the site's storage element before GRAM submission (repro.data)
     input_datasets: tuple = ()
@@ -71,15 +75,13 @@ class GramJobRequest:
     walltime: Optional[float] = None
     cpus: int = 1
     queue_priority: int = 0
-    env: dict = field(default_factory=dict)
+    env: FrozenDict = field(default_factory=FrozenDict)
     program: Optional[Callable] = None
     exit_code: int = 0
     label: str = ""
 
     def with_env(self, **env: Any) -> "GramJobRequest":
-        merged = dict(self.env)
-        merged.update(env)
-        return replace(self, env=merged)
+        return replace(self, env={**self.env, **env})
 
 
 def to_lrm_spec(request: GramJobRequest):
@@ -92,7 +94,7 @@ def to_lrm_spec(request: GramJobRequest):
         walltime=request.walltime,
         cpus=request.cpus,
         priority=request.queue_priority,
-        env=dict(request.env),
+        env=request.env,
         program=request.program,
         exit_code=request.exit_code,
         requeue_on_preempt=True,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..sim.fastcopy import Immutable
 from . import crypto
 
 
@@ -19,7 +20,7 @@ class CertificateError(Exception):
 
 
 @dataclass(frozen=True)
-class Certificate:
+class Certificate(Immutable):
     subject: str                 # distinguished name
     issuer: str                  # issuer DN
     public_key: str

@@ -17,18 +17,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..sim.fastcopy import Immutable
 from . import crypto
 from .pki import Certificate, CertificateAuthority, CertificateError, \
     make_certificate
 
 
 @dataclass(frozen=True)
-class ProxyCredential:
+class ProxyCredential(Immutable):
     """A delegatable credential: cert chain (leaf first) + leaf private key.
 
-    The private key is present only in the copy held by the delegatee;
-    the credential as a whole is treated as an opaque value by the
-    network layer (deep-copied like everything else).
+    The private key is present only in the credential held by the
+    delegatee.  An immutable value: it is presented on every request and
+    written to the proxy file by reference.
     """
 
     chain: tuple[Certificate, ...]

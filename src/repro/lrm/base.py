@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Generator, Optional
 
 from ..sim.errors import Interrupt
+from ..sim.fastcopy import FrozenDict, Immutable
 from ..sim.hosts import Host
 from ..sim.kernel import Simulator
 from ..sim.rpc import Service
@@ -39,9 +40,9 @@ PREEMPTED = JobState.PREEMPTED
 TERMINAL_STATES = frozenset({COMPLETED, FAILED, CANCELLED})
 
 
-@dataclass
-class JobSpec:
-    """What a submitter hands to a batch system.
+@dataclass(frozen=True)
+class JobSpec(Immutable):
+    """What a submitter hands to a batch system (an immutable value).
 
     ``program`` (if set) is a callable ``(ExecutionContext) -> generator``
     executed as the job body; otherwise the job synthetically consumes
@@ -56,16 +57,14 @@ class JobSpec:
     walltime: Optional[float] = None
     cpus: int = 1
     priority: int = 0
-    env: dict = field(default_factory=dict)
+    env: FrozenDict = field(default_factory=FrozenDict)
     program: Optional[Callable[["ExecutionContext"], Generator]] = None
     requeue_on_preempt: bool = True
     checkpointable: bool = False   # resume from where preemption hit?
     exit_code: int = 0          # exit code the synthetic body will produce
 
     def with_env(self, **env: Any) -> "JobSpec":
-        merged = dict(self.env)
-        merged.update(env)
-        return replace(self, env=merged)
+        return replace(self, env={**self.env, **env})
 
 
 @dataclass
@@ -158,9 +157,6 @@ class LocalResourceManager(Service):
 
     service_name = "lrm"
     flavor = "generic"
-    # poll builds its reply from scratch (view); safe to hand over
-    # uncopied.
-    rpc_fresh_results = ("poll",)
 
     def __init__(self, host: Host, slots: int, name: str = ""):
         super().__init__(host, name=name or self.service_name)
@@ -224,11 +220,12 @@ class LocalResourceManager(Service):
         ``since=None`` (a caller with no history) lists `local_ids` only.
         """
         changed = [] if since is None else self._changes[since:]
-        return {"cursor": len(self._changes),
-                "views": [self.view(local_id)
-                          for local_id in dict.fromkeys((*changed,
-                                                         *local_ids))
-                          if local_id in self.jobs]}
+        return FrozenDict(
+            cursor=len(self._changes),
+            views=tuple(self.view(local_id)
+                        for local_id in dict.fromkeys((*changed,
+                                                       *local_ids))
+                        if local_id in self.jobs))
 
     def handle_cancel(self, ctx, local_id: str) -> bool:
         return self.cancel(local_id)
@@ -301,14 +298,14 @@ class LocalResourceManager(Service):
     def status(self, local_id: str) -> LRMJob:
         return self.jobs[local_id]
 
-    def view(self, local_id: str) -> dict:
+    def view(self, local_id: str) -> FrozenDict:
         """What a poll reports for one job: its public view plus how much
         stdout/stderr sits on site-local disk (so a JobManager reads a
         stream only when it grew)."""
-        view = self.jobs[local_id].public_view()
-        view["stdout_len"] = len(self._output.get(local_id, ""))
-        view["stderr_len"] = len(self._errout.get(local_id, ""))
-        return view
+        return FrozenDict(
+            self.jobs[local_id].public_view(),
+            stdout_len=len(self._output.get(local_id, "")),
+            stderr_len=len(self._errout.get(local_id, "")))
 
     def _set_state(self, job: LRMJob, state: str) -> None:
         job.state = state

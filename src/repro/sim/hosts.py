@@ -34,9 +34,13 @@ if TYPE_CHECKING:  # pragma: no cover
 class StableStorage:
     """Disk: a namespaced key/value store surviving host crashes.
 
-    Values are deep-copied on write and read so that in-memory aliasing can
-    never masquerade as persistence (a classic simulation bug: "recovering"
-    state that would really have been lost).
+    In-memory aliasing can never masquerade as persistence (a classic
+    simulation bug: "recovering" state that would really have been lost):
+    nothing the writer does to a value after ``put``, and nothing a reader
+    does to what ``get``/``items`` returned, changes what is stored.
+    Immutable values keep that promise by construction and are stored and
+    returned by reference; anything else is copied on write and on read
+    (:mod:`repro.sim.fastcopy`).
     """
 
     def __init__(self) -> None:

@@ -73,8 +73,9 @@ class CallContext:
 #   "network" stream, in send order (``Network.send_leg``);
 # * counters -- ``Network.sent`` moves at each send, ``delivered`` or
 #   ``dropped`` at each landing or sender-side drop;
-# * isolation -- args and credential are snapshotted at send, the result
-#   is copied unless immutable or declared ``rpc_fresh_results``;
+# * isolation -- args and credential cross at send, the result when the
+#   handler returns, each through ``fast_deepcopy``: immutable values by
+#   reference, everything else copied (``repro.sim.fastcopy``);
 # * failure windows -- host, partition and service state, and the
 #   credential, are judged at each leg's *arrival*.  A service replaced in
 #   flight by a crash + restart is simply served by the new instance; a
@@ -96,7 +97,7 @@ class CallContext:
 #: never changes a run's digest.
 RPC_STATS: Optional[dict] = None
 
-# Immutable result types that never need the serialization copy.
+# Result types (most handlers answer with one) not worth the call.
 _ATOMS = frozenset((type(None), bool, int, float, str))
 
 # CallContext is frozen, so unauthenticated contexts are shareable; one
@@ -161,8 +162,7 @@ def _request(src: "Host", dst: str, service: str, method: str,
     net = src.sim.network
     caller = src.name
     crash_count = src.crash_count
-    # Snapshot what crosses the wire now.  The kwargs dict itself is
-    # rebuilt by the ** call below, so only the values need isolating.
+    # What crosses the wire is fixed now, whatever the caller does next.
     req_args = fast_deepcopy(args) if args else args
     req_cred = credential if credential is None else fast_deepcopy(credential)
 
@@ -205,9 +205,7 @@ def _request(src: "Host", dst: str, service: str, method: str,
     def respond(svc: "Service", value: Any, error: Optional[dict]) -> None:
         if reply is None:       # a notify: nobody waits for the outcome
             return
-        # Immutable results and declared-fresh ones cross without the
-        # serialization copy; content is identical either way.
-        if type(value) not in _ATOMS and method not in svc.rpc_fresh_results:
+        if type(value) not in _ATOMS:
             value = fast_deepcopy(value)
         response = {"ok": error is None, "value": value, "error": error}
 
@@ -293,15 +291,12 @@ class Service:
     every request; on success the mapped local principal is available as
     ``ctx.principal``.
 
-    ``rpc_fresh_results`` lists method names whose return values are
-    freshly allocated per call (no aliasing with server state); those
-    reach the caller without the serialization deep-copy.  Only declare
-    a method when every container it returns is built inside the
-    handler.
+    Arguments and results cross the wire through
+    :func:`~repro.sim.fastcopy.fast_deepcopy`: a handler that returns an
+    immutable value hands it over by reference, anything else is copied.
     """
 
     service_name: str = ""
-    rpc_fresh_results: tuple = ()
 
     def __init__(self, host: "Host", name: str = "", authorizer: Any = None):
         self.host = host

@@ -315,7 +315,7 @@ def test_poll_same_cursor_twice_gives_the_same_reply():
     assert ids(first) == [a, b]
     assert [v["state"] for v in first["views"]] == [COMPLETED, RUNNING]
     # adopting the cursor: nothing further until something changes
-    assert poll(lrm, since=first["cursor"])["views"] == []
+    assert not poll(lrm, since=first["cursor"])["views"]
     sim.run()
     assert ids(poll(lrm, since=first["cursor"])) == [b]
 

@@ -2,13 +2,14 @@
 
 ``tests/test_golden_digests.py`` pins whole-scenario digests; these
 tests pin the individual semantics every request shares, whatever its
-handler (plain or generator, authorized or not) -- copy isolation,
-in-flight failure windows, RNG draws and timing -- the one observable a
-service may opt out of (the ``rpc_fresh_results`` copy skip), and the
-event budget: two kernel events per plain call and no timer unless the
-call may time out.  (Test names that speak of "inline", "fall back" or
-"the datagram path" date from when a second path existed; what they
-check is unchanged.)
+handler (plain or generator, authorized or not) -- isolation (an
+immutable value crosses by reference, anything else is copied; no
+service can opt out), in-flight failure windows, RNG draws and timing --
+and the event budget: two kernel events per plain call and no timer
+unless the call may time out.  (Test names that speak of "inline", "fall
+back" or "the datagram path" date from when a second path existed; what
+they check is unchanged, and they keep their names because the driver's
+test floor lists them.)
 """
 
 import pytest
@@ -25,6 +26,7 @@ from repro.sim import (
     call,
     notify,
 )
+from repro.sim.fastcopy import FrozenDict
 
 
 class Gate:
@@ -41,12 +43,11 @@ class Gate:
 
 class Inlineable(Service):
     service_name = "svc"
-    rpc_fresh_results = ("fresh",)
 
     def __init__(self, host, **kw):
         super().__init__(host, **kw)
         self.state = {"hits": 0}
-        self.last_result_id = None
+        self.last_results = []
         self.pings = 0
 
     def handle_ping(self, ctx, text):
@@ -76,9 +77,12 @@ class Inlineable(Service):
         self.state["hits"] += 1
         return self.state
 
-    def handle_fresh(self, ctx):
+    def handle_built(self, ctx, frozen):
+        # Built per call, aliasing nothing -- which the wire cannot know.
         result = {"built": "per-call"}
-        self.last_result_id = id(result)
+        if frozen:
+            result = FrozenDict(result)
+        self.last_results.append(result)
         return result
 
     def handle_record(self, ctx, data):
@@ -133,7 +137,7 @@ def test_inline_remote_error_stays_typed(pool):
     assert box["error"].kind == "ValueError"
 
 
-def test_inline_result_is_copied_unless_fresh(pool):
+def test_result_aliasing_server_state_is_copied(pool):
     sim, client, server, svc = pool
     box = run_call(sim, call(client, "server", "svc", "state"))
     assert box["value"] == {"hits": 1}
@@ -141,13 +145,22 @@ def test_inline_result_is_copied_unless_fresh(pool):
     assert svc.state["hits"] == 1  # caller got an isolated copy
 
 
-def test_fresh_result_skips_the_copy(pool):
+def test_immutable_result_crosses_by_reference_a_mutable_one_is_copied(pool):
     sim, client, server, svc = pool
-    box = run_call(sim, call(client, "server", "svc", "fresh"))
-    assert box["value"] == {"built": "per-call"}
-    # The declared-fresh dict crosses uncopied: same object the handler
-    # built.  (This is the one observable difference the opt-in allows.)
-    assert id(box["value"]) == svc.last_result_id
+    frozen = run_call(sim, call(client, "server", "svc", "built",
+                                frozen=True))["value"]
+    plain = run_call(sim, call(client, "server", "svc", "built",
+                               frozen=False))["value"]
+    assert frozen == plain == {"built": "per-call"}
+    # The immutable value is the very object the handler built -- and the
+    # caller cannot change it; the plain dict is the caller's own copy,
+    # however freshly the handler built it.
+    assert frozen is svc.last_results[0]
+    with pytest.raises(TypeError):
+        frozen["built"] = "by the caller"
+    assert plain is not svc.last_results[1]
+    plain["built"] = "by the caller"
+    assert svc.last_results[1] == {"built": "per-call"}
 
 
 def test_inline_args_are_snapshotted_at_send_time(pool):
