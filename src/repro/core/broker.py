@@ -16,7 +16,9 @@ lays them out:
   which is the "monitor queuing times to tune where to submit subsequent
   jobs" idea in its simplest form.
 
-All `pick()` methods are generators (they may consult remote services).
+All `pick()` methods are generators (they may consult remote services)
+and place a job only where ``has_room(contact)`` -- the GridManager's
+submit throttle -- holds; with every candidate full the answer is None.
 """
 
 from __future__ import annotations
@@ -34,9 +36,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class Broker:
-    """Interface: yield-from `pick(job)` returning a contact or None."""
+    """Interface: yield-from `pick(job, has_room)` returning a contact
+    for which ``has_room`` holds, or None."""
 
-    def pick(self, job: "GridJob"):  # pragma: no cover - interface
+    def pick(self, job: "GridJob", has_room):  # pragma: no cover - interface
         raise NotImplementedError
         yield
 
@@ -50,10 +53,13 @@ class UserListBroker(Broker):
         self.resources = list(resources)
         self._next = 0
 
-    def pick(self, job: "GridJob"):
-        contact = self.resources[self._next % len(self.resources)]
-        self._next += 1
-        return contact
+    def pick(self, job: "GridJob", has_room):
+        for _ in self.resources:    # one lap at most; full sites skipped
+            contact = self.resources[self._next % len(self.resources)]
+            self._next += 1
+            if has_room(contact):
+                return contact
+        return None
         yield  # pragma: no cover - generator protocol
 
 
@@ -93,7 +99,7 @@ class MDSBroker(Broker):
             credential=self._credential(self.giis_host))
         return ads
 
-    def pick(self, job: "GridJob"):
+    def pick(self, job: "GridJob", has_room):
         try:
             ads = yield from self.candidates()
         except RPCError:
@@ -105,7 +111,7 @@ class MDSBroker(Broker):
                 value = float(value)
             if not isinstance(value, (int, float)):
                 continue
-            if value > best_rank:
+            if value > best_rank and has_room(ad.get("Contact")):
                 best, best_rank = ad, float(value)
         if best is None:
             return None
@@ -170,7 +176,7 @@ class MatchmakingBroker(Broker):
         ad.set_expression("Rank", self.rank)
         return ad
 
-    def pick(self, job: "GridJob"):
+    def pick(self, job: "GridJob", has_room):
         from ..classads import best_match
 
         try:
@@ -179,6 +185,7 @@ class MatchmakingBroker(Broker):
                 credential=self._credential(self.giis_host))
         except RPCError:
             return None
+        ads = [ad for ad in ads if has_room(ad.get("Contact"))]
         chosen = best_match(self.job_ad(job), ads, now=self.sim.now)
         if chosen is None:
             return None
@@ -201,9 +208,9 @@ class QueueAwareBroker(Broker):
             return None
         return self.credential_source(audience)
 
-    def pick(self, job: "GridJob"):
+    def pick(self, job: "GridJob", has_room):
         best, best_score = None, None
-        for contact in self.resources:
+        for contact in filter(has_room, self.resources):
             try:
                 info = yield from call(
                     self.host, contact, "gatekeeper", "queue_info",

@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Optional, TYPE_CHECKING
 
 from ..gram.client import Gram2Client, GramClientError
+from ..gram.protocol import GatekeeperBusy, Refusal
 from ..sim.errors import (
     AuthenticationError,
     AuthorizationError,
@@ -47,8 +48,6 @@ _TRANSIENT_PREFIXES = (
     "local scheduler submission failed",
     "commit window expired",
     "jobmanager crashed",
-    "lost contact",
-    "gatekeeper busy",
 )
 
 
@@ -62,8 +61,9 @@ class GridManager(Service):
     # The one status period (§4.2): how often each watchable job's
     # JobManager is asked for its status.
     PROBE_INTERVAL = 30.0
-    # How often the submit loop looks again while a job is UNSUBMITTED
-    # but not submittable yet (gatekeeper back-off, throttle, no site).
+    # How often the submit loop looks again while an UNSUBMITTED job
+    # waits on the clock (a site's retry_after, no candidate site, an
+    # arrival during a pass); one that waits for room waits for a slot.
     SUBMIT_RETRY_INTERVAL = 20.0
     # A site's heartbeat is stale once this many report intervals pass
     # in silence: per-job watching resumes and the monitor is
@@ -90,6 +90,12 @@ class GridManager(Service):
         self._monitor_suspect: set[str] = set()       # jmids absent from report
         self.client = Gram2Client(host, credential_source=self._credential)
         self.exited = False
+        # The one throttle: contact -> per-user JobManager limit its site
+        # last stated (in any phase-1 answer); what the pass left waiting.
+        self._stated: dict[str, Optional[int]] = {}
+        self._waiting: set[str] = set()         # contacts ...
+        self._waiting_jobs: set[str] = set()    # ... and who waits there
+        self._again = False     # a waited-for slot freed during the pass
         self._wake = self.sim.event(name=f"gm-wake:{user}")
         self._watch_wake = None    # set while the watch loop is parked
         self._procs = [
@@ -106,6 +112,35 @@ class GridManager(Service):
         if not self._wake.triggered and not self._wake._scheduled:
             self._wake.succeed(None)
 
+    def room(self, contact: str) -> bool:
+        """In flight at `contact` is below our cap and the site's."""
+        limit = self.scheduler.max_submitted_per_resource
+        stated = self._stated.get(contact)
+        if stated is not None and (limit is None or stated < limit):
+            limit = stated
+        return limit is None or self.scheduler.inflight_on(contact) < limit
+
+    def slot_freed(self, contact: str) -> None:
+        """In flight at `contact` dropped, or its stated limit moved: if
+        a job waits there, look again -- now, or after the running pass."""
+        if contact in self._waiting:
+            self._again = True
+            self.kick()
+
+    def _wait_for_room(self, job: GridJob, *contacts: str) -> None:
+        """A slot freed at any of `contacts` wakes `job`; the throttle
+        counts the first, where it would have gone, once per pass."""
+        self._waiting_jobs.add(job.job_id)
+        if contacts[0] not in self._waiting:
+            self.sim.metrics.counter("gridmanager.submit_throttled").inc(
+                label=contacts[0])
+        self._waiting.update(contacts)
+
+    def _learn_limit(self, contact: str, limit: Optional[int]) -> None:
+        if self._stated.get(contact) != limit:
+            self._stated[contact] = limit
+            self.slot_freed(contact)    # if it rose, that is room
+
     def notify_watchable(self) -> None:
         """A job just became watchable: rouse the watch loop if parked."""
         wake, self._watch_wake = self._watch_wake, None
@@ -115,49 +150,60 @@ class GridManager(Service):
     # -- submission ------------------------------------------------------------
     def _submit_loop(self):
         while not self.exited:
-            # Snapshot of the nonterminal jobs, in job_id order: any job
-            # that can be UNSUBMITTED at visit time is nonterminal at
-            # pass start (terminal states are absorbing), so filtering
-            # at visit time over the snapshot misses nothing a scan of
-            # the whole queue would find.
-            for job in self.scheduler.nonterminal_jobs():
-                if job.state == J.UNSUBMITTED and \
-                        self.sim.now >= job.backoff_until:
-                    yield from self._submit_one(job)
+            self._again = False
+            yield from self._submit_pass()
             if self._check_all_done():
                 return
+            if self._again:
+                continue    # a slot someone waits for freed meanwhile
             self._wake = self.sim.event(name=f"gm-wake:{self.user}")
-            if self.scheduler.unsubmitted_count() == 0:
-                # No UNSUBMITTED jobs at all: every transition into
-                # UNSUBMITTED (submit/resubmit/release) kicks the wake
-                # event, so a pure wait cannot miss work.  The interval
-                # tick only exists to notice backoff_until expiring,
-                # and backoff implies an UNSUBMITTED job.
+            if self.scheduler.unsubmitted_ids() <= self._waiting_jobs:
+                # Every transition into UNSUBMITTED and every freed slot
+                # kicks the wake event: a pure wait cannot miss work.
                 yield self._wake
             else:
                 yield self.sim.any_of(
                     [self._wake,
                      self.sim.timeout(self.SUBMIT_RETRY_INTERVAL)])
 
+    def _submit_pass(self):
+        """The UNSUBMITTED jobs as the queue stands, in job_id order,
+        each into room; a broker that said "nowhere" rests until a
+        submission of this pass has yielded."""
+        self._waiting.clear()
+        self._waiting_jobs.clear()
+        nowhere = False
+        for job in self.scheduler.unsubmitted_jobs():
+            if job.state != J.UNSUBMITTED or \
+                    self.sim.now < job.backoff_until:
+                continue
+            if job.resource and not self.room(job.resource):
+                if self.scheduler.broker is None:
+                    self._wait_for_room(job, job.resource)
+                    continue
+                job.resource = ""   # full: the broker may know better
+            if not job.resource:
+                if self.scheduler.broker is None:
+                    continue    # nowhere to send it (yet)
+                if nowhere:
+                    self._waiting_jobs.add(job.job_id)
+                    continue
+                asked: dict[str, bool] = {}     # contact -> had room
+                resource = yield from self.scheduler.broker.pick(
+                    job, lambda c: asked.setdefault(c, self.room(c)))
+                if resource is None or not self.room(resource):
+                    # All candidates full: a freed slot wakes us.  None,
+                    # or one out of reach: the retry tick looks again.
+                    if resource is None and asked and \
+                            not any(asked.values()):
+                        self._wait_for_room(job, *asked)
+                        nowhere = True
+                    continue
+                job.resource = resource
+            yield from self._submit_one(job)
+            nowhere = False
+
     def _submit_one(self, job: GridJob):
-        if not job.resource:
-            resource = yield from self.scheduler.pick_resource(job)
-            if resource is None:
-                return     # broker has no candidate yet; retry next pass
-            job.resource = resource
-        limit = self.scheduler.max_submitted_per_resource
-        if limit is not None and \
-                self.scheduler.inflight_on(job.resource) >= limit:
-            # Fair-share throttle: this resource already carries our
-            # quota of in-flight jobs.  Leave the job UNSUBMITTED (the
-            # next pass retries; completions kick the wake event) and,
-            # when a broker owns placement, release the pick so it may
-            # route the job to a less-loaded site next time.
-            self.sim.metrics.counter("gridmanager.submit_throttled").inc(
-                label=job.resource)
-            if self.scheduler.broker is not None:
-                job.resource = ""
-            return
         if job.request.input_datasets and \
                 self.scheduler.data_services is not None:
             ok = yield from self._stage_inputs_for(job)
@@ -170,11 +216,15 @@ class GridManager(Service):
         self.scheduler.transition(job, J.SUBMITTING, "submit",
                                   resource=job.resource,
                                   attempt=job.attempts)
-        failure = None
+        failure, contact = None, job.resource
         try:
             response = yield from self.client.submit_phase1(
-                job.resource, job.request, seq=job.seq,
+                contact, job.request, seq=job.seq,
                 callback=(self.host.name, self.callback_service))
+            self._learn_limit(contact, response["user_limit"])
+        except GatekeeperBusy as busy:
+            failure = busy
+            self._learn_limit(contact, busy.user_limit)
         except (GramClientError, RPCError) as exc:
             failure = exc
         if job.state != J.SUBMITTING:
@@ -186,16 +236,24 @@ class GridManager(Service):
             # pin the job to an attempt the scheduler has disowned.
             self._trace("submit_superseded", job=job.job_id, seq=job.seq)
             return
-        if failure is not None:
-            if "JobManager limit" in str(failure):
-                # Gatekeeper at capacity: congestion, not failure --
-                # back off without consuming a retry attempt.
-                job.attempts -= 1
-                job.backoff_until = self.sim.now + 60.0
-                self.scheduler.transition(job, J.UNSUBMITTED)
+        if isinstance(failure, GatekeeperBusy):
+            # Congestion, not failure: no attempt is consumed.  At the
+            # per-user limit the job waits for room, i.e. for one of our
+            # JobManagers to finish; if the site counts more of them than
+            # we do (a held job's, a superseded attempt's), or refused
+            # for another reason, it waits as long as the site says.
+            job.attempts -= 1
+            ours = failure.reason == Refusal.USER_JOBMANAGERS and \
+                self.scheduler.inflight_on(contact) > failure.user_limit
+            if not ours:
+                job.backoff_until = self.sim.now + failure.retry_after
                 self._trace("gatekeeper_busy_backoff", job=job.job_id,
                             until=job.backoff_until)
-                return
+            self.scheduler.transition(job, J.UNSUBMITTED)
+            if ours:
+                self._wait_for_room(job, contact)
+            return
+        if failure is not None:
             self._submission_failed(job, failure, phase="phase1")
             return
         job.jmid = jmid = response["jmid"]

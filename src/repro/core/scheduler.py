@@ -168,6 +168,8 @@ class CondorGScheduler:
                     self._inflight[old_res] = left
                 else:
                     self._inflight.pop(old_res, None)
+                if self.gridmanager is not None:
+                    self.gridmanager.slot_freed(old_res)
             if res:
                 self._inflight[res] = self._inflight.get(res, 0) + 1
                 self._inflight_res[jid] = res
@@ -249,11 +251,11 @@ class CondorGScheduler:
     def watchable_count(self) -> int:
         return len(self._watchable)
 
-    def unsubmitted_count(self) -> int:
-        return len(self._unsubmitted)
+    def unsubmitted_ids(self) -> set[str]:
+        return self._unsubmitted
 
-    def nonterminal_jobs(self) -> list[GridJob]:
-        return [self.jobs[jid] for jid in sorted(self._nonterminal)]
+    def unsubmitted_jobs(self) -> list[GridJob]:
+        return [self.jobs[jid] for jid in sorted(self._unsubmitted)]
 
     def nonterminal_count(self) -> int:
         return len(self._nonterminal)
@@ -261,13 +263,6 @@ class CondorGScheduler:
     def inflight_on(self, resource: str) -> int:
         """This user's SUBMITTING/PENDING/ACTIVE jobs at `resource`."""
         return self._inflight.get(resource, 0)
-
-    # -- broker ---------------------------------------------------------------
-    def pick_resource(self, job: GridJob):
-        if self.broker is None:
-            return None
-        result = yield from self.broker.pick(job)
-        return result
 
     # -- cancellation -----------------------------------------------------------
     def cancel(self, job_id: str):

@@ -78,11 +78,14 @@ class DataAwareBroker(Broker):
         return float(sum(entry["size"] for entry in entries.values()
                          if se not in entry["replicas"]))
 
-    def pick(self, job: "GridJob"):
+    def pick(self, job: "GridJob", has_room):
+        candidates = list(filter(has_room, self.resources))
+        if not candidates:
+            return None     # nowhere to go: no catalog or queue look-ups
         entries = yield from self._dataset_entries(job)
         bandwidth = self.data.link_bandwidth or 1.0
         best, best_score, best_missing = None, None, 0.0
-        for contact in self.resources:
+        for contact in candidates:
             try:
                 info = yield from call(
                     self.host, contact, "gatekeeper", "queue_info",

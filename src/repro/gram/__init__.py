@@ -6,7 +6,7 @@ baseline.
 """
 
 from .client import Gram1Client, Gram2Client, GramClientError
-from .gatekeeper import Gatekeeper, GatekeeperBusy
+from .gatekeeper import Gatekeeper
 from .jobmanager import JobManager
 from .monitor import GridMonitor
 from .protocol import (
@@ -14,8 +14,10 @@ from .protocol import (
     DONE,
     FAILED,
     GRAM_TERMINAL,
+    GatekeeperBusy,
     GramJobRequest,
     PENDING,
+    Refusal,
     STAGE_IN,
     UNCOMMITTED,
     gram_state_of,
@@ -26,6 +28,7 @@ __all__ = [
     "ACTIVE", "DONE", "FAILED", "GRAM_TERMINAL", "Gatekeeper",
     "GatekeeperBusy", "Gram1Client", "Gram2Client", "GramClientError",
     "GramJobRequest", "GridMonitor",
-    "JobManager", "PENDING", "STAGE_IN", "UNCOMMITTED", "gram_state_of",
+    "JobManager", "PENDING", "Refusal", "STAGE_IN", "UNCOMMITTED",
+    "gram_state_of",
     "to_lrm_spec",
 ]

@@ -22,7 +22,7 @@ from typing import Optional
 from ..sim.errors import RPCTimeout
 from ..sim.hosts import Host
 from ..sim.rpc import call
-from .protocol import GramJobRequest
+from .protocol import GatekeeperBusy, GramJobRequest
 
 
 class GramClientError(Exception):
@@ -69,7 +69,8 @@ class Gram2Client:
         """Phase 1 only (for callers that persist state between phases).
 
         ``seq`` may be any hashable token unique per logical submission;
-        retries reuse it so the gatekeeper can deduplicate.
+        retries reuse it so the gatekeeper can deduplicate.  A refused
+        answer is raised as :class:`GatekeeperBusy`.
         """
         if seq is None:
             seq = self.next_seq()
@@ -92,6 +93,8 @@ class Gram2Client:
             raise GramClientError(
                 f"submit to {gatekeeper} failed after "
                 f"{self.max_attempts} attempts (seq={seq})")
+        if "reason" in response:
+            raise GatekeeperBusy(**response)
         return response
 
     def commit(self, contact: str, jmid: str):

@@ -20,6 +20,7 @@ can duplicate jobs, not retrying it can lose them.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,25 +28,17 @@ from ..sim.errors import RPCError
 from ..sim.hosts import Host
 from ..sim.rpc import Service, call
 from .jobmanager import STATE_NS, JobManager
-from .protocol import GramJobRequest
-
-
-class GatekeeperBusy(Exception):
-    """The interface machine refuses new JobManagers (at its limit).
-
-    Transient by nature: clients back off and retry, or the broker
-    routes elsewhere.
-    """
+from .protocol import GatekeeperBusy, GramJobRequest, Refusal
 
 
 @dataclass(frozen=True)
 class AdmissionPolicy:
     """Gatekeeper-side admission control (the §6 overload fix).
 
-    Two independent gates, both rejecting with the same transient
-    ``GatekeeperBusy`` ("JobManager limit") signal that GridManagers
-    already turn into congestion backoff -- so a throttled client loses
-    no attempts and simply retries later:
+    Two independent gates, both refusing with a typed ``GatekeeperBusy``
+    (``Refusal.RATE`` / ``Refusal.DEPTH``) that GridManagers turn into
+    congestion backoff -- so a throttled client loses no attempts and
+    simply retries later:
 
     * ``rate``/``burst``: a token bucket over *new* submissions
       (duplicates of an already-accepted submit always pass -- rejecting
@@ -70,6 +63,7 @@ class Gatekeeper(Service):
     """Service ``gatekeeper`` on a site's interface machine."""
 
     service_name = "gatekeeper"
+    RETRY_AFTER = 60.0     # what a refusal tells the client to wait
 
     def __init__(
         self,
@@ -93,6 +87,8 @@ class Gatekeeper(Service):
         self.max_user_jobmanagers = max_user_jobmanagers
         self.rejected_busy = 0
         self.rejected_user_busy = 0
+        # live JobManagers per owner (None: in all), kept by themselves
+        self._live: Counter = Counter()
         # JobManager numbers continue from the state files on this
         # machine's disk (one per JobManager ever created, never
         # deleted), so a rebooted gatekeeper reissues no jmid.
@@ -130,13 +126,18 @@ class Gatekeeper(Service):
                 pass          # keep the last sample; retry next period
             yield self.sim.timeout(self.admission.poll_interval)
 
-    def _admit(self, owner: str, seq: int, client: str) -> None:
-        """Both admission gates; raises GatekeeperBusy on rejection.
+    def _busy(self, reason: Refusal, text: str,
+              owner: Optional[str] = None) -> GatekeeperBusy:
+        """The refusal to raise, charged to `owner` if it is theirs."""
+        if owner is not None:       # SITE_JOBMANAGERS blames no user
+            self.sim.metrics.counter(
+                "gatekeeper.rejects_by_user").inc(label=owner)
+        return GatekeeperBusy(reason, self.max_user_jobmanagers,
+                              self.RETRY_AFTER,
+                              f"gatekeeper {self.site} {text}")
 
-        The rejection text deliberately contains "JobManager limit" so
-        the GridManager's existing congestion-backoff marker matches:
-        throttled submissions consume no attempt and retry after backoff.
-        """
+    def _admit(self, owner: str, seq: int, client: str) -> None:
+        """Both admission gates; raises GatekeeperBusy on rejection."""
         policy = self.admission
         if policy is None:
             return
@@ -144,14 +145,10 @@ class Gatekeeper(Service):
                 self._lrm_depth >= policy.max_queue:
             self.sim.metrics.counter("gatekeeper.admission_rejects").inc(
                 label="depth")
-            self.sim.metrics.counter(
-                "gatekeeper.rejects_by_user").inc(label=owner)
             self._trace("admission_rejected_depth", seq=seq, client=client,
                         owner=owner, depth=self._lrm_depth)
-            raise GatekeeperBusy(
-                f"gatekeeper {self.site} backpressure: LRM queue depth "
-                f"{self._lrm_depth} >= {policy.max_queue} "
-                f"[admission JobManager limit]")
+            raise self._busy(Refusal.DEPTH, "backpressure: LRM queue depth "
+                             f"{self._lrm_depth} >= {policy.max_queue}", owner)
         if policy.rate is not None:
             now = self.sim.now
             self._tokens = min(float(policy.burst),
@@ -161,13 +158,10 @@ class Gatekeeper(Service):
             if self._tokens < 1.0:
                 self.sim.metrics.counter(
                     "gatekeeper.admission_rejects").inc(label="rate")
-                self.sim.metrics.counter(
-                    "gatekeeper.rejects_by_user").inc(label=owner)
                 self._trace("admission_rejected_rate", seq=seq,
                             client=client, owner=owner)
-                raise GatekeeperBusy(
-                    f"gatekeeper {self.site} submission rate limit "
-                    f"({policy.rate}/s) [admission JobManager limit]")
+                raise self._busy(Refusal.RATE, "submission rate limit "
+                                 f"({policy.rate}/s)", owner)
             self._tokens -= 1.0
         self.sim.metrics.counter("gatekeeper.admission_admits").inc()
 
@@ -176,22 +170,17 @@ class Gatekeeper(Service):
         """Liveness probe (GridManager failure detector, §4.2)."""
         return self.site
 
-    def _live_jobmanagers(self, owner: str) -> tuple[int, int]:
-        """(total, owned-by-`owner`) live JobManagers on this machine."""
-        from .protocol import GRAM_TERMINAL
-
-        live = live_user = 0
-        for name, svc in self.host.services.items():
-            if name.startswith("jm:") and \
-                    getattr(svc, "state", "") not in GRAM_TERMINAL:
-                live += 1
-                if getattr(svc, "owner", "") == owner:
-                    live_user += 1
-        return live, live_user
-
     def handle_submit(self, ctx, seq: int, request: GramJobRequest,
                       callback: Optional[tuple] = None) -> dict:
-        """Phase 1 of two-phase submission; idempotent on (client, seq)."""
+        """Phase 1 of two-phase submission; idempotent on (client, seq).
+        Either answer states the per-user JobManager limit in force; a
+        refusal is not cached, so the same seq is accepted later."""
+        try:
+            return self._submit(ctx, seq, request, callback)
+        except GatekeeperBusy as busy:
+            return {**vars(busy), "message": str(busy)}
+
+    def _submit(self, ctx, seq, request, callback) -> dict:
         key = (ctx.caller_host, seq)
         owner = ctx.principal or ctx.caller_host
         jmid = self._seen.get(key)
@@ -200,33 +189,27 @@ class Gatekeeper(Service):
             # (exactly-once), but brand-new work must pass both gates
             # before it can even reach the JobManager caps.
             self._admit(owner, seq, ctx.caller_host)
-            if self.max_jobmanagers is not None or \
-                    self.max_user_jobmanagers is not None:
-                live, live_user = self._live_jobmanagers(owner)
-                if self.max_jobmanagers is not None and \
-                        live >= self.max_jobmanagers:
-                    self.rejected_busy += 1
-                    self.sim.metrics.counter("gatekeeper.submits").inc(
-                        label="rejected_busy")
-                    self._trace("submit_rejected_busy", seq=seq,
-                                client=ctx.caller_host, live=live)
-                    raise GatekeeperBusy(
-                        f"gatekeeper {self.site} at its JobManager "
-                        f"limit ({self.max_jobmanagers})")
-                if self.max_user_jobmanagers is not None and \
-                        live_user >= self.max_user_jobmanagers:
-                    self.rejected_user_busy += 1
-                    self.sim.metrics.counter("gatekeeper.submits").inc(
-                        label="rejected_user_busy")
-                    self.sim.metrics.counter(
-                        "gatekeeper.rejects_by_user").inc(label=owner)
-                    self._trace("submit_rejected_user_busy", seq=seq,
-                                client=ctx.caller_host, owner=owner,
-                                live=live_user)
-                    raise GatekeeperBusy(
-                        f"gatekeeper {self.site} at the per-user "
-                        f"JobManager limit ({self.max_user_jobmanagers}) "
-                        f"for {owner}")
+            if self.max_jobmanagers is not None and \
+                    self._live[None] >= self.max_jobmanagers:
+                self.rejected_busy += 1
+                self.sim.metrics.counter("gatekeeper.submits").inc(
+                    label="rejected_busy")
+                self._trace("submit_rejected_busy", seq=seq,
+                            client=ctx.caller_host, live=self._live[None])
+                raise self._busy(
+                    Refusal.SITE_JOBMANAGERS,
+                    f"has all {self.max_jobmanagers} JobManagers it may")
+            if self.max_user_jobmanagers is not None and \
+                    self._live[owner] >= self.max_user_jobmanagers:
+                self.rejected_user_busy += 1
+                self.sim.metrics.counter("gatekeeper.submits").inc(
+                    label="rejected_user_busy")
+                self._trace("submit_rejected_user_busy", seq=seq,
+                            client=ctx.caller_host, owner=owner,
+                            live=self._live[owner])
+                raise self._busy(
+                    Refusal.USER_JOBMANAGERS, f"has all {owner}'s "
+                    f"{self.max_user_jobmanagers} JobManagers", owner)
             jmid = f"{self.site}-jm{next(self._ids)}"
             self._seen[key] = jmid
             JobManager(
@@ -236,6 +219,7 @@ class Gatekeeper(Service):
                 client_callback=tuple(callback) if callback else None,
                 owner=owner,
                 credential=ctx.credential,
+                live=self._live,
             )
             self.sim.metrics.counter("gatekeeper.submits").inc(label="new")
             self.sim.metrics.counter("gatekeeper.submits_by_user").inc(
@@ -247,7 +231,8 @@ class Gatekeeper(Service):
                 label="duplicate")
             self._trace("duplicate_submit", jmid=jmid, seq=seq,
                         client=ctx.caller_host)
-        return {"jmid": jmid, "contact": self.host.name, "seq": seq}
+        return {"jmid": jmid, "contact": self.host.name, "seq": seq,
+                "user_limit": self.max_user_jobmanagers}
 
     def handle_submit_v1(self, ctx, request: GramJobRequest,
                          callback: Optional[tuple] = None) -> dict:
@@ -260,6 +245,7 @@ class Gatekeeper(Service):
             client_callback=tuple(callback) if callback else None,
             owner=ctx.principal or ctx.caller_host,
             credential=ctx.credential,
+            live=self._live,
         )
         jm.handle_commit(ctx)    # immediate commit: no second phase
         self._trace("jobmanager_created_v1", jmid=jmid,
@@ -302,15 +288,14 @@ class Gatekeeper(Service):
         if self.host.stable.namespace(STATE_NS).get(jmid) is None:
             raise KeyError(f"no state file for jobmanager {jmid}")
         JobManager(self.host, jmid, lrm_contact=self.lrm_contact,
-                   credential=ctx.credential, restarted=True)
+                   credential=ctx.credential, restarted=True,
+                   live=self._live)
         self.sim.metrics.counter("gatekeeper.jm_restarts").inc()
         self._trace("jobmanager_restarted", jmid=jmid)
         return {"jmid": jmid, "contact": self.host.name, "revived": True}
 
     def handle_queue_info(self, ctx):
         """Expose the local scheduler's load (used by resource brokers)."""
-        from ..sim.rpc import call
-
         info = yield from call(self.host, self.lrm_contact, "lrm",
                                "queue_info")
         info["site"] = self.site

@@ -29,6 +29,7 @@ system once per ``POLL_INTERVAL`` and wakes only those whose job changed.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Optional
 
 from ..gass.client import gass_append, gass_get, gass_received
@@ -144,6 +145,7 @@ class JobManager(Service):
         owner: str = "",
         credential=None,
         restarted: bool = False,
+        live: Optional[Counter] = None,
     ):
         super().__init__(host, name=f"jm:{jmid}")
         self.jmid = jmid
@@ -162,6 +164,9 @@ class JobManager(Service):
         self._store = host.stable.namespace(STATE_NS)
         self._requests = host.stable.namespace(REQUEST_NS)
         self._procs = []
+        # our creator's tally of live JobManagers, and whether we are in
+        self._live_tally = Counter() if live is None else live
+        self._live = False
         if restarted:
             self._recover()
         else:
@@ -169,6 +174,15 @@ class JobManager(Service):
             self._persist()
             self._procs.append(
                 host.spawn(self._lifecycle(), name=f"jobmanager:{jmid}"))
+        self._count_live()
+
+    def _count_live(self) -> None:
+        """Live = registered and not GRAM-terminal (call on any change)."""
+        live = self.state not in protocol.GRAM_TERMINAL and \
+            self.host.services.get(self.name) is self
+        for key in (self.owner, None):
+            self._live_tally[key] += live - self._live
+        self._live = live
 
     # -- persistence ----------------------------------------------------------
     def _persist_request(self) -> None:
@@ -238,6 +252,7 @@ class JobManager(Service):
         if sweep is not None:
             sweep.unwatch(self.local_id)   # neighbours' sweep goes on
         self.shutdown()    # unregister the service: probes now time out
+        self._count_live()
 
     def _sweep(self, create: bool = True) -> Optional[LrmSweep]:
         """This machine's sweeper for our LRM; the first JobManager to
@@ -385,6 +400,7 @@ class JobManager(Service):
                 self.failure_reason = view.get("failure_reason", "")
                 self.exit_code = view.get("exit_code")
                 self._persist()
+                self._count_live()
                 self.sim.metrics.counter("jobmanager.state_changes").inc(
                     label=new_state)
                 self.sim.metrics.histogram(
@@ -496,3 +512,4 @@ class JobManager(Service):
             self.state = protocol.FAILED
             self.failure_reason = reason
             self._persist()
+            self._count_live()

@@ -91,8 +91,7 @@ class GridMonitor(Service):
         """States of all of `user`'s JobManagers on this host, locally.
 
         This is the whole point of the monitor: the scan is same-host
-        attribute reads (the pattern of
-        ``Gatekeeper._live_jobmanagers``), not one RPC per JobManager.
+        attribute reads, not one RPC per JobManager.
         Terminal JobManagers stay in the batch until a report carrying
         them is acknowledged, then drop out for good.
         """

@@ -17,6 +17,7 @@ a response is the *at-least-once* half.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
 
@@ -45,6 +46,29 @@ _LRM_TO_GRAM = {
 
 def gram_state_of(lrm_state: str) -> str:
     return _LRM_TO_GRAM[lrm_state]
+
+
+class Refusal(str, enum.Enum):
+    """Why a gatekeeper refused a phase-1 ``submit``."""
+
+    USER_JOBMANAGERS = "USER_JOBMANAGERS"   # the caller's own are too many
+    SITE_JOBMANAGERS = "SITE_JOBMANAGERS"   # the machine-wide cap
+    RATE = "RATE"                           # admission token bucket empty
+    DEPTH = "DEPTH"                         # LRM queue-depth backpressure
+
+
+class GatekeeperBusy(Exception):
+    """A refused phase-1 ``submit``: congestion, never failure.  Crosses
+    the wire as the refused answer (these fields plus ``message``); the
+    client raises it again.  ``user_limit``: the per-user JobManager
+    limit in force, as in every answer; ``retry_after``: how long to
+    wait when the remedy is nothing the client can observe."""
+
+    def __init__(self, reason: Refusal, user_limit: Optional[int],
+                 retry_after: float, message: str = ""):
+        super().__init__(message or reason.name)
+        self.reason, self.user_limit = reason, user_limit
+        self.retry_after = retry_after
 
 
 @dataclass(frozen=True)

@@ -661,8 +661,8 @@ def burst_overload_grid(seed: int = 0, *,
     A submission storm (20x flash over many virtual users) slams
     GRAM-universe traffic into two small sites.  Without admission
     control the era's gatekeepers fell over; here the token bucket and
-    queue-depth backpressure shed load with the congestion-backoff
-    "JobManager limit" signal, so every submission eventually lands
+    queue-depth backpressure shed load with typed refusals that cost
+    the client no attempt, so every submission eventually lands
     exactly once -- zero lost jobs is the acceptance criterion.
     """
     admission = AdmissionPolicy(rate=admission_rate,

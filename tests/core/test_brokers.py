@@ -103,3 +103,90 @@ def test_mds_broker_sees_dead_site_disappear():
     tb.run_until_quiet(max_time=20000.0)
     assert agent.status(jid).resource == "busy-gk"
     assert agent.status(jid).is_complete
+
+
+# -- placement only where there is room ------------------------------------------
+
+CONTACTS = ("a-gk", "b-gk", "c-gk")
+
+
+def _broker_grid(kind):
+    from repro.core.broker import MatchmakingBroker
+
+    tb = GridTestbed(TestbedConfig(seed=31))
+    for name in "abc":
+        tb.add_site(SiteSpec(name, scheduler="pbs", cpus=4, storage=1e8))
+    agent = tb.add_agent(AgentSpec("alice"))
+    if kind == "matchmaking":
+        broker = MatchmakingBroker(agent.host, "mds")
+    else:
+        broker = tb.make_broker(kind, agent.host)
+    tb.run(until=200.0)      # MDS registrations are in
+    return tb, agent, broker
+
+
+def _pick(tb, agent, broker, has_room):
+    from repro.core.job import GridJob
+    from repro.gram import GramJobRequest
+
+    asked, box = [], {}
+
+    def room(contact):
+        asked.append(contact)
+        return has_room(contact)
+
+    def ask():
+        box["contact"] = yield from broker.pick(
+            GridJob("gridjob-x", GramJobRequest(runtime=10.0)), room)
+
+    agent.host.spawn(ask())
+    tb.run(until=tb.sim.now + 100.0)
+    return box["contact"], asked
+
+
+@pytest.mark.parametrize("kind", ["userlist", "mds", "matchmaking",
+                                  "queue-aware", "data-aware"])
+def test_brokers_place_only_where_there_is_room(kind):
+    tb, agent, broker = _broker_grid(kind)
+    # every subset of the three sites having room, the empty one included
+    for mask in range(8):
+        roomy = {c for i, c in enumerate(CONTACTS) if mask >> i & 1}
+        contact, asked = _pick(tb, agent, broker, roomy.__contains__)
+        assert set(asked) <= set(CONTACTS)
+        if roomy:
+            assert contact in roomy, (kind, roomy, contact)
+        else:
+            assert contact is None, (kind, contact)
+            assert set(asked) == set(CONTACTS)   # "none has room", seen
+
+
+def test_userlist_sequence_is_unchanged_while_everything_has_room():
+    """The round-robin cursor moves one step per pick when nothing is
+    full -- unthrottled runs place exactly as they always did -- and at
+    most one lap when something is."""
+    broker = UserListBroker(list(CONTACTS))
+
+    def pick(has_room=lambda contact: True):
+        try:
+            next(broker.pick(None, has_room))
+        except StopIteration as stop:
+            return stop.value
+
+    assert [pick() for _ in range(5)] == \
+        ["a-gk", "b-gk", "c-gk", "a-gk", "b-gk"]
+    assert pick(lambda contact: contact == "b-gk") == "b-gk"   # skips c, a
+    assert pick(lambda contact: False) is None                  # one lap
+    assert pick() == "c-gk"                                     # cursor kept
+
+
+def test_queue_aware_broker_does_not_probe_a_full_site():
+    tb, agent, broker = _broker_grid("queue-aware")
+    from repro.sim import rpc
+
+    rpc.RPC_STATS = {}
+    try:
+        contact, _ = _pick(tb, agent, broker, lambda c: c == "b-gk")
+        probes = rpc.RPC_STATS.get(("gatekeeper", "queue_info"), 0)
+    finally:
+        rpc.RPC_STATS = None
+    assert contact == "b-gk" and probes == 1

@@ -277,7 +277,7 @@ def _apply_grid(tb, agent, job, op, jmids):
         if gm is not None and jmid:
             gm.handle_gram_callback(
                 None, jmid, op[1],
-                failure_reason="lost contact" if op[1] == "FAILED" else "",
+                failure_reason="jobmanager crashed" if op[1] == "FAILED" else "",
                 exit_code=0 if op[1] == "DONE" else None)
     elif op[0] == "credential_problem":
         scheduler.credential_problem(job, "proxy expired")
@@ -495,7 +495,7 @@ def _walk_grid(tb, agent, resource, **description):
     report(done_early, "DONE")
     reclaimed = submit()                    # SUBMITTING -> UNSUBMITTED
     until(reclaimed, "SUBMITTING")
-    report(reclaimed, "FAILED", "lost contact")
+    report(reclaimed, "FAILED", "jobmanager crashed")
     refused = submit()                      # SUBMITTING -> HELD -> FAILED
     until(refused, "SUBMITTING", jmid=False)
     hold(refused)
@@ -520,12 +520,12 @@ def _walk_grid(tb, agent, resource, **description):
     report(held_failed, "FAILED", "application error")
     bouncing = submit()                     # ACTIVE -> UNSUBMITTED -> HELD
     until(bouncing, "ACTIVE")
-    report(bouncing, "FAILED", "lost contact")
+    report(bouncing, "FAILED", "jobmanager crashed")
     assert scheduler.hold_for_credentials("proxy credential expired") >= 1
     scheduler.release_credential_holds()    # HELD -> UNSUBMITTED
     until(bouncing, "ACTIVE")
     report(bouncing, "PENDING")             # ACTIVE -> PENDING
-    report(bouncing, "FAILED", "lost contact")      # PENDING -> UNSUBMITTED
+    report(bouncing, "FAILED", "jobmanager crashed")      # PENDING -> UNSUBMITTED
     until(bouncing, "PENDING")
     report(bouncing, "FAILED", "application error")  # PENDING -> FAILED
     running = submit()                      # ACTIVE -> FAILED (cancel)

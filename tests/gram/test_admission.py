@@ -1,15 +1,22 @@
 """Gatekeeper admission control: token-bucket rate limits and LRM
 queue-depth backpressure.
 
-The rejection text carries the "JobManager limit" marker, so a throttled
-submission takes the GridManager's congestion-backoff path -- no retry
-attempt consumed, resubmit after backoff -- and a burst that would have
-melted the gatekeeper (the paper's §6 overload incident) drains instead.
+A refusal is typed (``Refusal.RATE`` / ``Refusal.DEPTH``) and carries
+the site's ``retry_after``, so a throttled submission takes the
+GridManager's congestion-backoff path -- no retry attempt consumed,
+resubmit after the wait the site asked for -- and a burst that would
+have melted the gatekeeper (the paper's §6 overload incident) drains
+instead.
 """
 
+import pytest
+
 from repro import GridTestbed, JobDescription
+from repro.gram import GatekeeperBusy, GramJobRequest, Refusal
 from repro.grid.config import (AdmissionPolicy, AgentSpec, SiteSpec,
                                TestbedConfig)
+
+from .conftest import MiniGrid
 
 
 def make_tb(admission, seed=41, cpus=8):
@@ -24,6 +31,31 @@ def _burst(agent, n, runtime=50.0):
     return [agent.submit(JobDescription(runtime=runtime),
                          resource="busy-gk")
             for _ in range(n)]
+
+
+@pytest.mark.parametrize("policy, reason", [
+    (AdmissionPolicy(rate=0.01, burst=1), Refusal.RATE),
+    (AdmissionPolicy(max_queue=0), Refusal.DEPTH),
+])
+def test_admission_refusals_are_typed(policy, reason):
+    grid = MiniGrid(seed=5, slots=8)
+    grid.gatekeeper.admission = policy
+    grid.gatekeeper._tokens = float(policy.burst)
+    refusals = []
+
+    def scenario():
+        for seq in range(3):
+            try:
+                yield from grid.client.submit_phase1(
+                    "site-gk", GramJobRequest(runtime=10.0), seq=seq)
+            except GatekeeperBusy as busy:
+                refusals.append(busy)
+
+    grid.drive(scenario())
+    assert refusals and {busy.reason for busy in refusals} == {reason}
+    assert {busy.retry_after for busy in refusals} == \
+        {grid.gatekeeper.RETRY_AFTER}
+    assert {busy.user_limit for busy in refusals} == {None}
 
 
 def test_rate_limit_rejects_then_all_jobs_complete():

@@ -67,6 +67,17 @@ def _drain(tb, cap: float = 40_000.0):
     return tb
 
 
+def _multiuser_refused():
+    """Per-user caps are learned from the first answer and never hit; the
+    machine-wide cap (5 < 6 users x 2) is what refuses here, so the
+    refused shape of the phase-1 answer crosses the wire."""
+    tb = multiuser_gram_grid(seed=3, users=6, jobs_per_user=8, n_sites=2,
+                             cpus=6, max_user_jobmanagers=2)
+    for site in tb.sites.values():
+        site.gatekeeper.max_jobmanagers = 5
+    return tb
+
+
 SHAPES = {
     "gram-polled": lambda: scale_gram_grid(
         seed=3, jobs=60, n_sites=3, cpus=10),
@@ -74,9 +85,7 @@ SHAPES = {
         seed=3, jobs=60, n_sites=3, cpus=10, grid_monitor=True),
     "glidein-pool-negotiated": lambda: scale_glidein_grid(
         seed=3, jobs=80, n_sites=2, glideins_per_site=8),
-    "multiuser-refusals": lambda: multiuser_gram_grid(
-        seed=3, users=6, jobs_per_user=8, n_sites=2, cpus=6,
-        max_user_jobmanagers=2),
+    "multiuser-refusals": _multiuser_refused,
 }
 
 

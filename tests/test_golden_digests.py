@@ -38,6 +38,8 @@ from pathlib import Path
 
 import pytest
 
+from repro import AgentSpec, GridTestbed, JobDescription, SiteSpec, \
+    TestbedConfig
 from repro.chaos.digest import digest_parts, run_digest
 from repro.chaos.invariants import evaluate_invariants
 from repro.chaos.runner import build_and_run
@@ -53,6 +55,33 @@ PLAIN = {name: (1, 5) for name in (
     "monitored-gram", "data-cms", "shrink-lab")}
 PLAIN.update({"burst-flash": (5,), "burst-overload": (1, 5),
               "data-cms-compute": (5,)})
+
+def multiuser_capped_grid(seed: int, users: int, jobs_per_user: int,
+                          cpus: int) -> GridTestbed:
+    """Both fair-share layers, each binding somewhere (``multiuser-gram``
+    never throttles and is never refused): site00 admits one JobManager
+    per user, so there the limit the gatekeeper states holds jobs back;
+    site01 admits any number, so there the client's own cap of two does.
+    Broker-placed jobs, plus one per user pinned to the capped site."""
+    tb = GridTestbed.from_config(TestbedConfig(
+        seed=seed, with_mds=False, with_repo=False,
+        sites=(SiteSpec("site00", scheduler="pbs", cpus=cpus,
+                        register_mds=False, max_user_jobmanagers=1),
+               SiteSpec("site01", scheduler="lsf", cpus=cpus,
+                        register_mds=False)),
+        agents=tuple(AgentSpec(f"u{i}", broker_kind="userlist",
+                               personal_pool=False,
+                               max_submitted_per_resource=2)
+                     for i in range(users))))
+    agents = list(tb.agents.values())
+    for k in range(jobs_per_user):
+        for u, agent in enumerate(agents):
+            agent.submit(JobDescription(
+                executable="mt.exe", runtime=60.0 + 7.0 * ((3 * u + k) % 11),
+                stream_stdout=False),
+                resource="site00-gk" if k == 1 else "")
+    return tb
+
 
 #: the CI bench-smoke shapes, driven the way the bench scripts drive
 #: them: name -> (builder, seed, kwargs, chunk)
@@ -71,6 +100,8 @@ SHAPES = {
     "multiuser-gram": (multiuser_gram_grid, 811,
                        dict(users=8, jobs_per_user=15, n_sites=4, cpus=10),
                        5000.0),
+    "multiuser-capped": (multiuser_capped_grid, 823,
+                         dict(users=5, jobs_per_user=8, cpus=4), 1000.0),
 }
 SHAPE_CAP = 60_000.0
 
