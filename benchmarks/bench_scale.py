@@ -4,8 +4,9 @@ The paper's largest runs kept ~650 jobs in flight; this suite pushes the
 same machinery to 10k jobs over 20 x 50-cpu sites, once down the GRAM
 path (grid universe, userlist broker) and once down the GlideIn path
 (vanilla universe on 1000 glideins); ``gram-monitor`` repeats the GRAM
-cell with the §5.1 Grid Monitor batching site status into per-interval
-reports, ``scale-100k`` drives 100,000 monitored GRAM jobs over 25
+cell with the §5.1 Grid Monitors launched from the first job instead of
+from the 32nd in flight at a site (at this load the two converge: the
+agent launches them by itself), ``scale-100k`` drives 100,000 monitored GRAM jobs over 25
 sites (the poll storm that made monitoring necessary), ``scale-100k-pool``
 drives 100,000 jobs through a claim-reusing personal pool, and
 ``kiloclient`` runs 1000 independent Condor-G agents against shared
@@ -15,8 +16,8 @@ fails when a fresh digest differs from the committed cell's (a kernel
 change may move wall time, never behaviour).
 
 Every run also tallies wire RPCs (``repro.sim.rpc.RPC_STATS`` -- plain
-bookkeeping, digest-neutral) so monitored cells record how many
-per-job ``status`` RPCs the Grid Monitor actually replaced.
+bookkeeping, digest-neutral): per-job ``status`` RPCs and the Grid
+Monitor reports that replace them at a loaded site.
 
 Results land in ``BENCH_scale.json`` (committed at the repo root; CI
 regenerates a downsized cell and compares against it, see
@@ -215,20 +216,6 @@ def test_write_results(report):
         except (json.JSONDecodeError, OSError):
             cells = {}
     cells.update(_results)
-    # The Grid Monitor's reason to exist: same workload, ~10x fewer
-    # status-path RPCs.  Record the ratio whenever both halves of a
-    # monitored/unmonitored pair have been measured (this run or a
-    # previous one -- partial BENCH_SCALE_CELLS runs merge).
-    for moff, mon in (("gram", "gram-monitor"),
-                      ("smoke-gram", "smoke-gram-monitor")):
-        if moff in cells and mon in cells \
-                and "status_rpcs" in cells[moff] \
-                and "status_rpcs" in cells[mon]:
-            before = cells[moff]["status_rpcs"]
-            after = max(cells[mon]["status_rpcs"]
-                        + cells[mon]["monitor_rpcs"], 1)
-            cells[mon]["rpc_reduction_vs_" + moff] = \
-                round(before / after, 1)
     payload = {
         "generated_by": "benchmarks/bench_scale.py",
         "seed": SEED,

@@ -65,9 +65,15 @@ class GridManager(Service):
     # waits on the clock (a site's retry_after, no candidate site, an
     # arrival during a pass); one that waits for room waits for a slot.
     SUBMIT_RETRY_INTERVAL = 20.0
-    # A site's heartbeat is stale once this many report intervals pass
-    # in silence: per-job watching resumes and the monitor is
-    # relaunched (with a cooldown so a dead gatekeeper isn't hammered).
+    # §5.1 is the agent's answer to its own load: a site gets a Grid
+    # Monitor once this many of our jobs are in flight there (the sweep
+    # in docs/PERFORMANCE.md; below it a monitor's heartbeat horizon
+    # costs more recovery time than its batching saves).
+    MONITOR_MIN_JOBS = 32
+    # A site's heartbeat is stale once this many of its monitor's stated
+    # report intervals pass in silence: per-job watching resumes and, at
+    # a site that still carries the load, the monitor is relaunched
+    # (with a cooldown so a dead gatekeeper isn't hammered).
     MONITOR_MISS_FACTOR = 2.5
     MONITOR_START_COOLDOWN = 60.0
 
@@ -80,12 +86,14 @@ class GridManager(Service):
         self.callback_service = f"gramcb:{user}"
         super().__init__(host, name=self.callback_service)
         # The scheduler owns the agent's configuration -- credential
-        # source, fair-share throttle, data services, Grid Monitor
-        # opt-in -- and is read at each use: a GridManager spawned by
-        # queue recovery exists before the agent finishes wiring it.
+        # source, fair-share throttle, data services -- and is read at
+        # each use: a GridManager spawned by queue recovery exists
+        # before the agent finishes wiring it.
         self.scheduler = scheduler
         self.user = user
-        self._monitor_last: dict[str, float] = {}     # contact -> last report
+        # contact -> (last report or launch, the horizon its monitor's
+        # stated interval gives it); volatile, like `_stated`
+        self._monitor_beat: dict[str, tuple[float, float]] = {}
         self._monitor_attempt: dict[str, float] = {}  # contact -> last launch
         self._monitor_suspect: set[str] = set()       # jmids absent from report
         self.client = Gram2Client(host, credential_source=self._credential)
@@ -462,22 +470,24 @@ class GridManager(Service):
         return True
 
     def handle_monitor_report(self, ctx, site: str, seq: int,
-                              reports: dict) -> bool:
+                              reports: dict, interval: float) -> bool:
         """One batched status report from a site's Grid Monitor.
 
         Each entry goes through the same `_apply_remote_state` as a
         callback or status answer, under the same superseded-``jmid``
         staleness discipline: a report snapshotted before a resubmission
         must not touch the new attempt.  The report doubles as the
-        site's liveness heartbeat, and a *watchable* job whose
-        JobManager is absent from its site's report is marked suspect --
-        the watch loop gives exactly those jobs the per-job §4.2
-        treatment while everything covered by the monitor stays quiet.
+        site's liveness heartbeat, good for `interval` x the miss factor,
+        and a *watchable* job whose JobManager is absent from its site's
+        report is marked suspect -- the watch loop gives exactly those
+        jobs the per-job §4.2 treatment while everything covered by the
+        monitor stays quiet.
+        A monitor we never asked for is refused (and so retires).
         """
-        if not self.scheduler.grid_monitor or self.exited:
-            return False
         contact = ctx.caller_host
-        self._monitor_last[contact] = self.sim.now
+        if contact not in self._monitor_attempt or self.exited:
+            return False
+        self._heartbeat(contact, interval)
         self.sim.metrics.counter("gridmanager.monitor_reports").inc(
             label=site)
         self.sim.metrics.counter("gridmanager.monitor_jobs_reported").inc(
@@ -488,11 +498,9 @@ class GridManager(Service):
                 continue    # superseded attempt: drop the stale entry
             entry = reports[jmid]
             self._apply_remote_state(
-                job, entry["state"], entry.get("failure_reason", ""),
-                entry.get("exit_code"))
-        for job in self.scheduler.watchable_jobs():
-            if (job.contact or job.resource) != contact or not job.jmid:
-                continue
+                job, entry["state"], entry["failure_reason"],
+                entry["exit_code"])
+        for job in self.scheduler.watchable_jobs(contact):
             if job.jmid in reports:
                 self._monitor_suspect.discard(job.jmid)
             elif job.jmid not in self._monitor_suspect:
@@ -507,27 +515,32 @@ class GridManager(Service):
         return True
 
     # -- grid monitor lifecycle ---------------------------------------------
+    def _heartbeat(self, contact: str, interval: float) -> None:
+        self._monitor_beat[contact] = (
+            self.sim.now, interval * self.MONITOR_MISS_FACTOR)
+
     def _monitor_fresh(self, contact: str) -> bool:
         """Has `contact`'s monitor reported (or been launched) recently?"""
-        last = self._monitor_last.get(contact)
-        if last is None:
-            return False
-        from ..gram.monitor import GridMonitor
-
-        horizon = GridMonitor.REPORT_INTERVAL * self.MONITOR_MISS_FACTOR
+        last, horizon = self._monitor_beat.get(contact, (0.0, -1.0))
         return self.sim.now - last <= horizon
 
     def _ensure_monitor(self, contact: str) -> None:
-        """Launch (or relaunch) the Grid Monitor at `contact`, lazily.
+        """Launch (or relaunch) the Grid Monitor at `contact` if our load
+        there calls for one and none is reporting.
 
         Called on every successful submit and on every stale-heartbeat
         watch pass; the freshness check and launch cooldown make both
         O(1) no-ops while a monitor is alive, so the steady state costs
         one ``start_monitor`` RPC per site per outage, not per job.
+        Only the launch is gated on load (``grid_monitor``: from the
+        first job): a monitor that reports is never worse than probing,
+        so it lives until it retires itself.
         """
-        if not self.scheduler.grid_monitor or self.exited or not contact:
-            return
-        if self._monitor_fresh(contact):
+        if self.exited or not contact or \
+                self.scheduler.inflight_on(contact) < (
+                    1 if self.scheduler.grid_monitor
+                    else self.MONITOR_MIN_JOBS) or \
+                self._monitor_fresh(contact):
             return
         last = self._monitor_attempt.get(contact)
         if last is not None and \
@@ -540,7 +553,7 @@ class GridManager(Service):
     def _start_monitor(self, contact: str):
         starts = self.sim.metrics.counter("gridmanager.monitor_starts")
         try:
-            yield from self.client.start_monitor(
+            answer = yield from self.client.start_monitor(
                 contact, callback=(self.host.name, self.callback_service))
         except RPCError as exc:
             starts.inc(label="failed")
@@ -551,7 +564,7 @@ class GridManager(Service):
         # report lands one interval out, well inside the staleness
         # horizon -- so the watch loop stands down immediately instead
         # of fanning out per-job probes while the monitor warms up.
-        self._monitor_last[contact] = self.sim.now
+        self._heartbeat(contact, answer["interval"])
         starts.inc(label="ok")
         self._trace("monitor_started", contact=contact)
 
@@ -615,12 +628,15 @@ class GridManager(Service):
         """Every PROBE_INTERVAL, one ``status`` RPC per watchable job.
 
         The answer is both the liveness proof and the job's state; its
-        absence enters the §4.2 decision tree.  With a Grid Monitor the
-        site's report stream is the liveness proof instead: jobs at a
-        freshly-reporting site are skipped unless the report marked
-        them suspect, and a stale site gets the per-job treatment (and
-        a new monitor).  With nothing watchable the loop parks on an
-        event, so an idle GridManager keeps nothing on the heap.
+        absence enters the §4.2 decision tree.  At a site with a Grid
+        Monitor the report stream is the liveness proof instead: jobs at
+        a freshly-reporting site are skipped unless the report marked
+        them suspect, and a stale site gets the per-job treatment (and,
+        if it still carries the load, a new monitor).  Freshness is
+        decided once per site until the pass next yields -- only while
+        it waits on an answer can a report land or a horizon pass.  With
+        nothing watchable the loop parks on an event, so an idle
+        GridManager keeps nothing on the heap.
         """
         while not self.exited:
             if not self.scheduler.watchable_count():
@@ -628,19 +644,23 @@ class GridManager(Service):
                     name=f"gm-watchable:{self.user}")
                 yield self._watch_wake
             yield self.sim.timeout(self.PROBE_INTERVAL)
+            fresh: dict[str, bool] = {}
             for job in self.scheduler.watchable_jobs():
-                if self.scheduler.grid_monitor:
-                    contact = job.contact or job.resource
-                    if not self._monitor_fresh(contact):
-                        # Stale heartbeat: the monitor (or the whole
-                        # site) is gone.  Ask for a new one and watch
-                        # this site's jobs ourselves meanwhile.
+                contact = job.contact or job.resource
+                covered = fresh.get(contact)
+                if covered is None:
+                    covered = fresh[contact] = self._monitor_fresh(contact)
+                    if not covered:
+                        # No monitor, or a stale heartbeat (it, or the
+                        # whole site, is gone): watch this site's jobs
+                        # ourselves, and ask for one if the load is there.
                         self._ensure_monitor(contact)
-                    elif job.jmid in self._monitor_suspect:
-                        self._monitor_suspect.discard(job.jmid)
-                    else:
+                if covered:
+                    if job.jmid not in self._monitor_suspect:
                         continue
+                    self._monitor_suspect.discard(job.jmid)
                 yield from self._watch_job(job)
+                fresh.clear()
 
     def _watch_job(self, job: GridJob):
         outcomes = self.sim.metrics.counter("gridmanager.probe_outcomes")

@@ -49,9 +49,9 @@ class CondorGScheduler:
         # audience -> signing proof; the agent sets it once its
         # credential monitor exists (None: no GSI)
         self.credential_source = None
-        # Grid Monitor fan-in (§5.1): the GridManager launches one
-        # per-site status monitor instead of polling every job (a
-        # semantic opt-in -- see AgentSpec.grid_monitor).
+        # Grid Monitor fan-in (§5.1): True has the GridManager launch a
+        # site's monitor from the first job instead of when its own load
+        # there calls for one (GridManager.MONITOR_MIN_JOBS).
         self.grid_monitor = grid_monitor
         # Data-management wiring (repro.data.DataServices) or None; the
         # GridManager stages input datasets / places output datasets
@@ -71,7 +71,8 @@ class CondorGScheduler:
         # the whole queue.
         self._nonterminal: set[str] = set()
         self._unsubmitted: set[str] = set()
-        self._watchable: set[str] = set()
+        self._watchable: dict[str, str] = {}     # job_id -> its contact
+        self._watchable_at: dict[str, set[str]] = {}    # and the inverse
         self._by_jmid: dict[str, GridJob] = {}
         self._jmid_of: dict[str, str] = {}
         self._sorted_jobs: list[GridJob] = []    # ascending job_id
@@ -141,13 +142,17 @@ class CondorGScheduler:
             self._unsubmitted.discard(jid)
         watchable = bool(job.committed and job.jmid
                          and job.state in (J.PENDING, J.ACTIVE))
-        if watchable:
-            if jid not in self._watchable:
-                self._watchable.add(jid)
-                if self.gridmanager is not None:
+        contact = (job.contact or job.resource) if watchable else None
+        old_contact = self._watchable.get(jid)
+        if contact != old_contact:
+            if old_contact is not None:
+                self._watchable_at[old_contact].discard(jid)
+                del self._watchable[jid]
+            if watchable:
+                self._watchable[jid] = contact
+                self._watchable_at.setdefault(contact, set()).add(jid)
+                if old_contact is None and self.gridmanager is not None:
                     self.gridmanager.notify_watchable()
-        else:
-            self._watchable.discard(jid)
         old_jmid = self._jmid_of.get(jid, "")
         if old_jmid != job.jmid:
             if old_jmid:
@@ -245,8 +250,12 @@ class CondorGScheduler:
     def job_by_jmid(self, jmid: str) -> Optional[GridJob]:
         return self._by_jmid.get(jmid)
 
-    def watchable_jobs(self) -> list[GridJob]:
-        return [self.jobs[jid] for jid in sorted(self._watchable)]
+    def watchable_jobs(self, contact: Optional[str] = None) -> list[GridJob]:
+        """Committed PENDING/ACTIVE jobs (all, or those at `contact`),
+        ascending job_id."""
+        jids = self._watchable if contact is None \
+            else self._watchable_at.get(contact, ())
+        return [self.jobs[jid] for jid in sorted(jids)]
 
     def watchable_count(self) -> int:
         return len(self._watchable)

@@ -28,6 +28,7 @@ from ..sim.errors import RPCError
 from ..sim.hosts import Host
 from ..sim.rpc import Service, call
 from .jobmanager import STATE_NS, JobManager
+from .monitor import GridMonitor
 from .protocol import GatekeeperBusy, GramJobRequest, Refusal
 
 
@@ -87,8 +88,10 @@ class Gatekeeper(Service):
         self.max_user_jobmanagers = max_user_jobmanagers
         self.rejected_busy = 0
         self.rejected_user_busy = 0
-        # live JobManagers per owner (None: in all), kept by themselves
+        # live JobManagers per owner (None: in all), and every registered
+        # one as owner -> {jmid: JobManager}; both kept by themselves
         self._live: Counter = Counter()
+        self._jobmanagers: dict[str, dict[str, JobManager]] = {}
         # JobManager numbers continue from the state files on this
         # machine's disk (one per JobManager ever created, never
         # deleted), so a rebooted gatekeeper reissues no jmid.
@@ -219,7 +222,7 @@ class Gatekeeper(Service):
                 client_callback=tuple(callback) if callback else None,
                 owner=owner,
                 credential=ctx.credential,
-                live=self._live,
+                live=self._live, table=self._jobmanagers,
             )
             self.sim.metrics.counter("gatekeeper.submits").inc(label="new")
             self.sim.metrics.counter("gatekeeper.submits_by_user").inc(
@@ -245,7 +248,7 @@ class Gatekeeper(Service):
             client_callback=tuple(callback) if callback else None,
             owner=ctx.principal or ctx.caller_host,
             credential=ctx.credential,
-            live=self._live,
+            live=self._live, table=self._jobmanagers,
         )
         jm.handle_commit(ctx)    # immediate commit: no second phase
         self._trace("jobmanager_created_v1", jmid=jmid,
@@ -264,20 +267,22 @@ class Gatekeeper(Service):
         JobManagers created for this user), but *not* the admission
         token bucket: it is one daemon per user that replaces per-job
         polling, so admitting it under overload sheds load rather than
-        adding any.
+        adding any.  The answer states the report interval in force,
+        which is what the client's staleness horizon is made of.
         """
-        from .monitor import GridMonitor
-
         owner = ctx.principal or ctx.caller_host
-        name = f"monitor:{owner}"
-        if self.host.get_service(name) is not None:
-            return {"monitor": name, "site": self.site, "started": False}
-        GridMonitor(self.host, owner, tuple(callback), site=self.site,
-                    interval=interval)
-        self.sim.metrics.counter("gatekeeper.monitors_started").inc()
-        self._trace("monitor_started", owner=owner,
-                    client=ctx.caller_host)
-        return {"monitor": name, "site": self.site, "started": True}
+        monitor = self.host.get_service(f"monitor:{owner}")
+        started = monitor is None
+        if started:
+            monitor = GridMonitor(
+                self.host, owner, tuple(callback),
+                self._jobmanagers.setdefault(owner, {}), site=self.site,
+                interval=interval)
+            self.sim.metrics.counter("gatekeeper.monitors_started").inc()
+            self._trace("monitor_started", owner=owner,
+                        client=ctx.caller_host)
+        return {"monitor": monitor.name, "site": self.site,
+                "started": started, "interval": monitor.interval}
 
     def handle_restart_jobmanager(self, ctx, jmid: str) -> dict:
         """Revive a JobManager from its on-disk state file (GRAM-2)."""
@@ -289,7 +294,7 @@ class Gatekeeper(Service):
             raise KeyError(f"no state file for jobmanager {jmid}")
         JobManager(self.host, jmid, lrm_contact=self.lrm_contact,
                    credential=ctx.credential, restarted=True,
-                   live=self._live)
+                   live=self._live, table=self._jobmanagers)
         self.sim.metrics.counter("gatekeeper.jm_restarts").inc()
         self._trace("jobmanager_restarted", jmid=jmid)
         return {"jmid": jmid, "contact": self.host.name, "revived": True}

@@ -146,6 +146,7 @@ class JobManager(Service):
         credential=None,
         restarted: bool = False,
         live: Optional[Counter] = None,
+        table: Optional[dict] = None,
     ):
         super().__init__(host, name=f"jm:{jmid}")
         self.jmid = jmid
@@ -164,9 +165,11 @@ class JobManager(Service):
         self._store = host.stable.namespace(STATE_NS)
         self._requests = host.stable.namespace(REQUEST_NS)
         self._procs = []
-        # our creator's tally of live JobManagers, and whether we are in
+        # our creator's tally of live JobManagers, and whether we are in;
+        # its table owner -> {jmid: registered JobManager}, likewise
         self._live_tally = Counter() if live is None else live
         self._live = False
+        self._table = {} if table is None else table
         if restarted:
             self._recover()
         else:
@@ -178,11 +181,16 @@ class JobManager(Service):
 
     def _count_live(self) -> None:
         """Live = registered and not GRAM-terminal (call on any change)."""
-        live = self.state not in protocol.GRAM_TERMINAL and \
-            self.host.services.get(self.name) is self
+        registered = self.host.services.get(self.name) is self
+        live = registered and self.state not in protocol.GRAM_TERMINAL
         for key in (self.owner, None):
             self._live_tally[key] += live - self._live
         self._live = live
+        mine = self._table.setdefault(self.owner, {})
+        if registered:
+            mine[self.jmid] = self
+        else:
+            mine.pop(self.jmid, None)
 
     # -- persistence ----------------------------------------------------------
     def _persist_request(self) -> None:
@@ -202,6 +210,18 @@ class JobManager(Service):
             failure_reason=self.failure_reason,
             exit_code=self.exit_code,
         ))
+        self._publish()
+
+    def _publish(self) -> None:
+        """Our status as a value, built when it is written, not when it
+        is read: the answer to ``status`` and our entry in every Grid
+        Monitor report."""
+        self.status = FrozenDict(
+            jmid=self.jmid,
+            state=self.state,
+            failure_reason=self.failure_reason,
+            exit_code=self.exit_code,
+        )
 
     def _recover(self) -> None:
         record = self._store.get(self.jmid)
@@ -218,6 +238,7 @@ class JobManager(Service):
         # from our own possibly-stale counters.
         self.stdout_sent = 0
         self.stderr_sent = 0
+        self._publish()
         self._trace("recovered", state=self.state, local=self.local_id)
         if self.state == protocol.UNCOMMITTED:
             # Crash before commit: nothing was submitted; abort cleanly.
@@ -272,12 +293,7 @@ class JobManager(Service):
     def handle_status(self, ctx) -> dict:
         """Current state; answering at all is the liveness proof the
         GridManager's failure detector (§4.2) looks for."""
-        return FrozenDict(
-            jmid=self.jmid,
-            state=self.state,
-            failure_reason=self.failure_reason,
-            exit_code=self.exit_code,
-        )
+        return self.status
 
     def handle_cancel(self, ctx):
         if self.local_id is not None and \

@@ -31,6 +31,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..sim.errors import RPCError
+from ..sim.fastcopy import FrozenDict
 from ..sim.hosts import Host
 from ..sim.rpc import Service, call
 from .protocol import GRAM_TERMINAL
@@ -52,12 +53,15 @@ class GridMonitor(Service):
         host: Host,
         user: str,
         callback: tuple[str, str],
+        jobmanagers: dict,
         site: str = "",
         interval: Optional[float] = None,
     ):
         super().__init__(host, name=f"monitor:{user}")
         self.user = user
         self.callback = tuple(callback)    # (host, service) of the client
+        # the gatekeeper's table of `user`'s registered JobManagers
+        self.jobmanagers = jobmanagers
         self.site = site or host.name
         self.interval = float(interval) if interval else self.REPORT_INTERVAL
         self.seq = 0
@@ -87,30 +91,20 @@ class GridMonitor(Service):
         self.shutdown()
 
     # -- snapshot + report ---------------------------------------------------
-    def _snapshot(self) -> dict:
+    def _snapshot(self) -> FrozenDict:
         """States of all of `user`'s JobManagers on this host, locally.
 
-        This is the whole point of the monitor: the scan is same-host
-        attribute reads, not one RPC per JobManager.
+        This is the whole point of the monitor: the scan reads the
+        gatekeeper's table, not one RPC per JobManager, and what it
+        collects are the values the JobManagers already hold, so the
+        report costs what it carries.
         Terminal JobManagers stay in the batch until a report carrying
         them is acknowledged, then drop out for good.
         """
-        reports: dict[str, dict] = {}
-        for name in sorted(self.host.services):
-            if not name.startswith("jm:"):
-                continue
-            svc = self.host.services[name]
-            if getattr(svc, "owner", "") != self.user:
-                continue
-            jmid = getattr(svc, "jmid", name[3:])
-            if jmid in self._acked_terminal:
-                continue
-            reports[jmid] = {
-                "state": svc.state,
-                "failure_reason": svc.failure_reason,
-                "exit_code": svc.exit_code,
-            }
-        return reports
+        acked = self._acked_terminal
+        return FrozenDict({jmid: jm.status
+                           for jmid, jm in self.jobmanagers.items()
+                           if jmid not in acked})
 
     def _retire(self, reason: str) -> None:
         self._trace("retire", reason=reason)
@@ -142,12 +136,15 @@ class GridMonitor(Service):
             terminal = [jmid for jmid, entry in batch.items()
                         if entry["state"] in GRAM_TERMINAL]
             try:
-                yield from call(self.host, cb_host, cb_service,
-                                "monitor_report", timeout=self.RPC_TIMEOUT,
-                                site=self.site, seq=self.seq,
-                                reports=batch)
+                acked = yield from call(
+                    self.host, cb_host, cb_service, "monitor_report",
+                    timeout=self.RPC_TIMEOUT, site=self.site, seq=self.seq,
+                    reports=batch, interval=self.interval)
             except RPCError:
-                # Lost report (client down, WAN partition, ...): keep the
+                acked = False
+            if not acked:
+                # Lost report (client down, WAN partition, ...) or one the
+                # client refused (it never asked for us): keep the
                 # terminal entries in the next batch -- reliable delivery
                 # is retry-until-acked, never fire-and-forget.  But a
                 # client that stays silent is gone (exited, or will

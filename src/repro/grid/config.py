@@ -88,13 +88,12 @@ class AgentSpec:
     #: client-side fair-share throttle: cap on this user's in-flight
     #: (SUBMITTING/PENDING/ACTIVE) jobs per remote resource
     max_submitted_per_resource: Optional[int] = None
-    #: Grid Monitor fan-in (§5.1): the GridManager launches one status
-    #: monitor per gatekeeper, which batches all of this user's
-    #: JobManager states into one report per interval; the per-job
-    #: ``status`` probe then runs only for jobs a report marked suspect
-    #: and at sites whose reports stopped.  Like ``claim_reuse`` this
-    #: is a behavioural opt-in, not a perf flag -- it changes the RPC
-    #: pattern (and digests) when enabled.
+    #: Grid Monitor fan-in (§5.1) is the agent's own decision: the
+    #: GridManager launches a site's status monitor once
+    #: ``GridManager.MONITOR_MIN_JOBS`` of this user's jobs are in flight
+    #: there.  True launches it from the first job instead (what the
+    #: monitored scenarios and benchmark cells pin; the field goes with
+    #: the benchmark suite's last use of it).
     grid_monitor: bool = False
 
 

@@ -360,8 +360,14 @@ class LocalResourceManager(Service):
             yield self._wake
 
     def _schedule_pass(self) -> None:
-        ordered = self.order_queue([self.jobs[j] for j in self.queue])
-        for job in ordered:
+        """Start what fits, in policy order.  A job needs at least one
+        slot, so a full machine (or an empty queue) is not even sorted
+        and the scan ends with the last free slot."""
+        if self.free_slots <= 0 or not self.queue:
+            return
+        for job in self.order_queue([self.jobs[j] for j in self.queue]):
+            if self.free_slots <= 0:
+                break
             if self.can_start(job):
                 self.queue.remove(job.local_id)
                 self.queued_cpus -= job.spec.cpus

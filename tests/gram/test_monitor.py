@@ -1,6 +1,9 @@
 """The Grid Monitor (§5.1): batched status fan-in and its fault paths.
 
-The monitor is a *semantic* opt-in (``AgentSpec.grid_monitor``): it
+The GridManager launches a site's monitor when its own load there calls
+for one (``tests/core/test_monitor_by_load.py``); here
+``AgentSpec(grid_monitor=True)`` pins "from the first job" so that small
+grids are monitored too.  The monitor
 changes the RPC pattern on the wire, so these tests cover both halves of
 the §5.1 claim -- the poll storm actually collapses (RPC-count
 reduction) AND nothing the per-job machinery guaranteed is lost
@@ -12,6 +15,7 @@ monitor, or the whole gatekeeper machine reboots.
 from repro import GridTestbed, JobDescription
 from repro.chaos.digest import run_digest
 from repro.chaos.invariants import evaluate_invariants
+from repro.core.gridmanager import GridManager
 from repro.grid.config import AgentSpec, SiteSpec, TestbedConfig
 from repro.grid.scenarios import get_scenario, scale_gram_grid
 from repro.sim import rpc
@@ -55,9 +59,12 @@ def test_monitored_run_batches_status_and_stays_correct():
     assert evaluate_invariants(tb) == []
 
 
-def test_monitor_collapses_status_rpcs_at_least_10x():
-    """The §5.1 headline: same workload, >=10x fewer status-path RPCs."""
-    def measure(grid_monitor):
+def test_monitor_collapses_status_rpcs_at_least_10x(monkeypatch):
+    """The §5.1 headline: same workload, >=10x fewer status-path RPCs
+    than an agent that never launches a monitor -- and the agent left to
+    decide (50 jobs in flight per site) does launch them."""
+    def measure(grid_monitor, min_jobs=GridManager.MONITOR_MIN_JOBS):
+        monkeypatch.setattr(GridManager, "MONITOR_MIN_JOBS", min_jobs)
         rpc.RPC_STATS = {}
         try:
             tb = scale_gram_grid(seed=11, jobs=200, n_sites=4, cpus=10,
@@ -80,10 +87,11 @@ def test_monitor_collapses_status_rpcs_at_least_10x():
                       if m in ("monitor_report", "start_monitor"))
         return done, status, monitor
 
-    done_off, status_off, _ = measure(False)
+    done_off, status_off, _ = measure(False, min_jobs=10**9)
     done_on, status_on, monitor_on = measure(True)
     assert done_off == done_on == 200         # zero lost jobs either way
     assert status_on == 0                     # polling fully displaced
+    assert measure(False)[:2] == (200, 0)     # ... by the agent's own choice
     reduction = status_off / max(status_on + monitor_on, 1)
     assert reduction >= 10.0, \
         f"only {reduction:.1f}x fewer status-path RPCs"

@@ -87,3 +87,57 @@ def test_cancellation_always_terminal_and_slots_recovered(runtimes, seed):
     sim.run(until=10**5)
     assert all(lrm.status(j).state in TERMINAL_STATES for j in ids)
     assert lrm.free_slots == 2
+
+
+# -- the scheduling pass ends with the last free slot --------------------------------
+
+def _full_scan(flavor):
+    """`flavor` with the scheduling pass it had before it learned to stop:
+    sort the whole queue on every wake-up and ask every job."""
+    class FullScan(flavor):
+        def _schedule_pass(self):
+            for job in self.order_queue([self.jobs[j] for j in self.queue]):
+                if self.can_start(job):
+                    self.queue.remove(job.local_id)
+                    self.queued_cpus -= job.spec.cpus
+                    self.sim.metrics.gauge("lrm.queue_depth").dec()
+                    self._start(job)
+                elif not self.backfill():
+                    break
+
+    return FullScan
+
+
+def _starts(flavor, slots, jobs, seed):
+    sim = Simulator(seed=seed)
+    Network(sim, latency=0.01, jitter=0.0)
+    lrm = flavor(Host(sim, "head"), slots=slots)
+
+    def submitter():
+        for runtime, cpus, priority, delay in jobs:
+            # bursts (delay < 30 -> same instant) fill the machine and
+            # leave a queue behind it, which is where the passes differ
+            yield sim.timeout(0.0 if delay < 30.0 else delay)
+            lrm.submit(JobSpec(runtime=runtime, cpus=min(cpus, slots),
+                               priority=priority),
+                       owner=f"user{priority % 3}")
+
+    sim.spawn(submitter())
+    sim.run(until=10**5)
+    assert all(j.state == "COMPLETED" for j in lrm.jobs.values())
+    return sorted((j.start_time, j.local_id) for j in lrm.jobs.values())
+
+
+@pytest.mark.parametrize("flavor", [
+    pytest.param(LoadLevelerCluster, id="fifo"),
+    pytest.param(LSFCluster, id="fair-share"),
+    pytest.param(PBSCluster, id="backfill"),
+])
+@given(st.integers(1, 5),
+       st.lists(job_specs, min_size=1, max_size=25),
+       st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_early_out_starts_what_the_full_scan_starts(flavor, slots, jobs,
+                                                    seed):
+    assert _starts(flavor, slots, jobs, seed) == \
+        _starts(_full_scan(flavor), slots, jobs, seed)

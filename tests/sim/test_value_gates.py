@@ -114,3 +114,36 @@ def test_scenarios_never_reach_the_fallback(no_fallback, scenario):
     tb = get_scenario(scenario).build(1)
     tb.run(until=4000.0)
     assert _open_payloads(tb) == 0
+
+
+def test_a_monitor_report_crosses_with_zero_structural_copies(
+        no_fallback, monkeypatch):
+    """A report is a value: whatever the batch holds, sending it walks
+    the four arguments of the call and nothing below them."""
+    from repro.sim import rpc
+
+    walks, crossings = [0], []
+    real_walk, real_copy = fastcopy._walk, rpc.fast_deepcopy
+
+    def counted_walk(obj):
+        walks[0] += 1
+        return real_walk(obj)
+
+    def counted_copy(obj):
+        if not (isinstance(obj, dict) and "reports" in obj):
+            return real_copy(obj)
+        before = walks[0]
+        out = real_copy(obj)
+        crossings.append((walks[0] - before, len(obj["reports"]),
+                          out["reports"] is obj["reports"]))
+        return out
+
+    monkeypatch.setattr(fastcopy, "_walk", counted_walk)
+    monkeypatch.setattr(rpc, "fast_deepcopy", counted_copy)
+    tb = _drain(SHAPES["gram-monitored"]())
+    assert tb.sim.metrics.counter("gridmanager.monitor_reports").value > 20
+    sizes = {size for _walks, size, _same in crossings}
+    assert len(crossings) > 20 and max(sizes) >= 10 and len(sizes) > 3
+    # the call's own kwargs dict, then each key and each value: 1 + 2 x 4
+    assert {n for n, _size, _same in crossings} == {9}
+    assert all(same for _walks, _size, same in crossings)

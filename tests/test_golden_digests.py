@@ -83,6 +83,33 @@ def multiuser_capped_grid(seed: int, users: int, jobs_per_user: int,
     return tb
 
 
+def gram_crossing_grid(seed: int, above: int, below: int,
+                       cpus: int) -> GridTestbed:
+    """Both branches of "status by site" in one run: one user, nobody
+    sets ``grid_monitor``, `above` jobs pinned to site00 (at least
+    ``GridManager.MONITOR_MIN_JOBS``: a Grid Monitor is launched) and
+    `below` to site01 (fewer: per-job ``status``).  Each site's first
+    JobManager -- its job outlasts the rest -- is killed at 150 s, so one
+    is found missing from a report and the other by its silence."""
+    tb = GridTestbed.from_config(TestbedConfig(
+        seed=seed, with_mds=False, with_repo=False,
+        sites=(SiteSpec("site00", scheduler="pbs", cpus=cpus,
+                        register_mds=False),
+               SiteSpec("site01", scheduler="lsf", cpus=cpus,
+                        register_mds=False)),
+        agents=(AgentSpec("gram", broker_kind="userlist",
+                          personal_pool=False),)))
+    agent = tb.agents["gram"]
+    for site, count in (("site00", above), ("site01", below)):
+        for k in range(count):
+            agent.submit(JobDescription(
+                executable="gram.exe", stream_stdout=False,
+                runtime=600.0 if k == 0 else 60.0 + 7.0 * (k % 11)),
+                resource=f"{site}-gk")
+        tb.failures.crash_service_at(150.0, tb.sites[site].gk_host, "jm:")
+    return tb
+
+
 #: the CI bench-smoke shapes, driven the way the bench scripts drive
 #: them: name -> (builder, seed, kwargs, chunk)
 SHAPES = {
@@ -102,6 +129,8 @@ SHAPES = {
                        5000.0),
     "multiuser-capped": (multiuser_capped_grid, 823,
                          dict(users=5, jobs_per_user=8, cpus=4), 1000.0),
+    "gram-crossing": (gram_crossing_grid, 829,
+                      dict(above=40, below=12, cpus=8), 1000.0),
 }
 SHAPE_CAP = 60_000.0
 
