@@ -22,6 +22,7 @@ from ..classads import ClassAd
 from ..sim.errors import Interrupt, RPCError
 from ..sim.hosts import Host
 from ..sim.rpc import Service, call, notify
+from ..states import STARTD_EDGES, check_edge
 
 UNCLAIMED = "Unclaimed"
 CLAIMED = "Claimed"
@@ -68,7 +69,6 @@ class WorkerContext:
 
     def syscall(self, op: str, nbytes: int = 0, payload: Any = None):
         """Remote system call served by the submit-side Shadow."""
-        self.startd.syscalls_issued += 1
         result = yield from call(
             self.host, self.jobdesc["shadow_host"],
             self.jobdesc["shadow_service"], "syscall",
@@ -81,10 +81,12 @@ class Startd(Service):
 
     ADVERTISE_INTERVAL = 30.0
     CHECKPOINT_INTERVAL = 60.0
-    # How long a held (reusable) claim may sit inactive before the
-    # startd unilaterally releases it -- liveness if the claiming
-    # schedd crashes between jobs.
-    CLAIM_REUSE_TIMEOUT = 120.0
+    # How long a claim may sit in Claimed (never activated, or held for
+    # reuse) before the startd releases it, at its next advertise:
+    # liveness if the claiming schedd crashes, loses the claim reply or
+    # forgets a held claim.
+    CLAIM_TIMEOUT = 120.0
+    state = UNCLAIMED
 
     def __init__(
         self,
@@ -104,24 +106,52 @@ class Startd(Service):
         self.glidein = glidein
         self.idle_timeout = idle_timeout
         self.credential = credential
-        self.state = UNCLAIMED
         self.claimed_by: Optional[dict] = None
         self._starter = None
         self._idle_since = self.sim.now
         self.stopped = self.sim.event(name=f"startd-stop:{name}")
-        self.jobs_run = 0
         self.current_job_id = ""
-        self.syscalls_issued = 0
-        self.busy_time = 0.0
         self.claims_held = 0
-        # bumped on every claim-state transition so a stale watchdog
-        # never kills a claim that has since been reactivated
+        # bumped by every move, so a starter that no longer owns the slot
+        # never moves it
         self._claim_epoch = 0
         self._procs = [host.spawn(self._advertise_loop(),
                                   name=f"startd:{name}")]
 
     def _trace(self, event: str, **details) -> None:
         self.sim.trace.log(f"startd:{self.startd_name}", event, **details)
+
+    def _move(self, state: str) -> None:
+        """The one writer (``STARTD_EDGES``).  Leaving Busy drops the
+        starter; every entry into Claimed starts the claim's clock."""
+        check_edge(STARTD_EDGES, self.name, self.state, state)
+        if self.state == BUSY:
+            self.sim.metrics.gauge("startd.busy_slots").dec()
+            self._starter = None
+            self.current_job_id = ""
+        elif state == BUSY:
+            self.sim.metrics.gauge("startd.busy_slots").inc()
+        self.state = state
+        self._claim_epoch += 1
+        if state == UNCLAIMED:
+            self.claimed_by = None
+            self._idle_since = self.sim.now
+        elif state == CLAIMED:
+            self._claimed_at = self.sim.now
+
+    def kill(self, cause: str) -> None:
+        """Die at once with the allocation, like ``JobManager.crash``:
+        the job dies too, and its Shadow's lease notices the silence."""
+        if self.state == BUSY:
+            if self.current_job_id:
+                self._trace("job_vacated", job=self.current_job_id,
+                            progress=0.0)
+            self._move(UNCLAIMED)
+        if self.host.get_service(self.name) is self:
+            self.shutdown()
+        for proc in self._procs:
+            if proc.alive:
+                proc.kill(cause=cause)
 
     # -- advertising ------------------------------------------------------------
     def _current_ad(self) -> ClassAd:
@@ -132,6 +162,11 @@ class Startd(Service):
 
     def _advertise_loop(self):
         while True:
+            if self.state == CLAIMED and \
+                    self.sim.now - self._claimed_at >= self.CLAIM_TIMEOUT:
+                self._trace("claim_timeout")
+                self.sim.metrics.counter("startd.claim_timeouts").inc()
+                self._move(UNCLAIMED)
             try:
                 yield from call(self.host, self.collector, "collector",
                                 "advertise", credential=self.credential,
@@ -174,8 +209,7 @@ class Startd(Service):
                              keep_claim: bool = False) -> bool:
         if self.state != UNCLAIMED:
             return False
-        self.state = CLAIMED
-        self._claim_epoch += 1
+        self._move(CLAIMED)
         self.claimed_by = {
             "schedd_host": schedd_host,
             "job_id": job_id,
@@ -190,27 +224,27 @@ class Startd(Service):
         if self.state != CLAIMED or self.claimed_by is None:
             return False
         # only the claim holder may activate: a claim released by the
-        # reuse timeout and re-claimed by another schedd must not be
+        # claim timeout and re-claimed by another schedd must not be
         # hijacked by the original holder's late activate
         if ctx is not None and \
                 self.claimed_by.get("schedd_host") != ctx.caller_host:
             return False
-        self.state = BUSY
-        self._claim_epoch += 1
-        self.sim.metrics.gauge("startd.busy_slots").inc()
+        self._move(BUSY)
         self.sim.metrics.counter("startd.jobs_run").inc()
         desc = dict(self.claimed_by)
         desc.update(jobdesc)
         self.current_job_id = desc.get("job_id", "")
         self._starter = self.host.spawn(
-            self._run_starter(desc), name=f"starter:{self.startd_name}")
+            self._run_starter(desc, self._claim_epoch),
+            name=f"starter:{self.startd_name}")
         self._procs.append(self._starter)
         return True
 
     def handle_release_claim(self, ctx) -> bool:
         if self.state == BUSY and self._starter is not None:
             self._starter.interrupt(cause="vacate")
-        self._release()
+        if self.state != UNCLAIMED:
+            self._move(UNCLAIMED)
         return True
 
     def handle_vacate(self, ctx) -> bool:
@@ -222,43 +256,10 @@ class Startd(Service):
             starter.interrupt(cause="vacate")
         return starter is not None
 
-    def _release(self) -> None:
-        if self.state == BUSY:
-            self.sim.metrics.gauge("startd.busy_slots").dec()
-        self.state = UNCLAIMED
-        self._claim_epoch += 1
-        self.claimed_by = None
-        self._starter = None
-        self.current_job_id = ""
-        self._idle_since = self.sim.now
-
-    def _hold_claim(self) -> None:
-        """Job done, claim kept: Busy -> Claimed, awaiting reactivation."""
-        if self.state == BUSY:
-            self.sim.metrics.gauge("startd.busy_slots").dec()
-        self.state = CLAIMED
-        self._claim_epoch += 1
-        self._starter = None
-        self.current_job_id = ""
-        self._idle_since = self.sim.now
-        self.claims_held += 1
-        holder = (self.claimed_by or {}).get("schedd_host", "")
-        self._trace("claim_held", by=holder)
-        proc = self.host.spawn(self._claim_watchdog(self._claim_epoch),
-                               name=f"claim-watchdog:{self.startd_name}")
-        self._procs.append(proc)
-
-    def _claim_watchdog(self, epoch: int):
-        yield self.sim.timeout(self.CLAIM_REUSE_TIMEOUT)
-        if self.state == CLAIMED and self._claim_epoch == epoch:
-            self._trace("claim_timeout")
-            self.sim.metrics.counter("startd.claim_timeouts").inc()
-            self._release()
-
     # -- the starter -----------------------------------------------------------
-    def _run_starter(self, desc: dict):
-        """Run one job: tick work, checkpoint, serve vacates."""
-        self.jobs_run += 1
+    def _run_starter(self, desc: dict, epoch: int):
+        """Run one job: tick work, checkpoint, serve vacates; move the
+        slot only while it is still as the activation (`epoch`) left it."""
         shadow = (desc["shadow_host"], desc["shadow_service"])
         runtime = desc["runtime"]
         standard = desc.get("universe") == "standard"
@@ -273,7 +274,6 @@ class Startd(Service):
             except RPCError:
                 pass    # server gone: the shadow-banked progress stands
         io_interval = desc.get("io_interval", 0.0)
-        started = self.sim.now
         next_io = io_interval if io_interval > 0 else float("inf")
         self._trace("job_start", job=desc["job_id"], progress=progress)
         program = desc.get("program")
@@ -324,7 +324,6 @@ class Startd(Service):
                 body.kill(cause="vacate")
             if beat is not None:
                 beat.kill(cause="vacate")
-            self.busy_time += self.sim.now - started
             yield from self._send_checkpoint(
                 shadow, progress if standard else 0.0, final=True,
                 desc=desc if standard else None)
@@ -332,41 +331,26 @@ class Startd(Service):
                    progress=progress if standard else 0.0)
             self._trace("job_vacated", job=desc["job_id"],
                         progress=progress)
-            self._release()
+            if self._claim_epoch == epoch:
+                self._move(UNCLAIMED)
             return
         except Exception as exc:  # noqa: BLE001 - the application failed
             if beat is not None:
                 beat.kill(cause="job failed")
-            self.busy_time += self.sim.now - started
             self._trace("job_failed", job=desc["job_id"], error=str(exc))
-            # Hold the claim *before* reporting the exit: the schedd
-            # reacts to job_exit instantly, and its reactivation must
-            # find the slot Claimed, not still Busy under this starter.
-            held = False
-            if desc.get("keep_claim") and self.state == BUSY:
-                self._hold_claim()
-                held = True
-            try:
-                yield from call(self.host, shadow[0], shadow[1],
-                                "job_exit", code=1)
-            except RPCError:
-                notify(self.host, shadow[0], shadow[1], "job_exit", code=1)
-            except Interrupt:
-                pass   # released/vacated mid-report; release below
-            if not held:
-                self._release()
-            return
-        self.busy_time += self.sim.now - started
+            code, done = 1, False
+        else:
+            done = True
         # Hold the claim *before* reporting the exit: the schedd reacts
         # to job_exit the instant it arrives, and its reactivation RPC
         # must find the slot Claimed -- were the hold deferred until
         # after the reply round-trip, every reuse would race it and
         # fall back to negotiation.  Once held, _starter is cleared, so
         # no vacate/release can interrupt the report below.
-        held = False
-        if desc.get("keep_claim") and self.state == BUSY:
-            self._hold_claim()
-            held = True
+        if desc.get("keep_claim") and self._claim_epoch == epoch:
+            self._move(CLAIMED)
+            self.claims_held += 1
+            self._trace("claim_held", by=self.claimed_by["schedd_host"])
         try:
             yield from call(self.host, shadow[0], shadow[1], "job_exit",
                             code=code)
@@ -378,9 +362,10 @@ class Startd(Service):
             # request usually got through and a duplicate would
             # double-complete -- just hand the slot back below.
             pass
-        self._trace("job_done", job=desc["job_id"])
-        if not held:
-            self._release()
+        if done:
+            self._trace("job_done", job=desc["job_id"])
+        if self._claim_epoch == epoch:
+            self._move(UNCLAIMED)
 
     def _heartbeat_loop(self, shadow):
         """Keep the Shadow's lease alive while an application body runs."""
@@ -419,7 +404,6 @@ class Startd(Service):
             pass   # heartbeat missed; the lease machinery covers us
 
     def _remote_io(self, shadow, desc: dict):
-        self.syscalls_issued += 1
         try:
             yield from call(self.host, shadow[0], shadow[1], "syscall",
                             op="rw", nbytes=desc.get("io_bytes", 0),

@@ -19,9 +19,10 @@ the benchmarks.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
+from ..states import FLOOD_EDGES, check_edge
 from . import job as J
 from .api import CondorGAgent, JobDescription
 
@@ -31,7 +32,7 @@ class FloodedJob:
     logical_id: str
     replicas: list[str]
     winner: Optional[str] = None
-    state: str = "FLOODED"           # FLOODED -> RUNNING -> DONE|FAILED
+    state: str = "FLOODED"           # FLOOD_EDGES, moved by _move alone
     wasted_executions: int = 0
     cancelled_queued: int = 0
     submit_time: float = 0.0
@@ -77,6 +78,14 @@ class FloodingSubmitter:
         return self.jobs[logical_id]
 
     # -- the watcher ------------------------------------------------------------
+    def _move(self, flooded: FloodedJob, state: str,
+              end_time: Optional[float] = None) -> None:
+        """The one writer (``FLOOD_EDGES``); stamps a terminal `end_time`."""
+        check_edge(FLOOD_EDGES, flooded.logical_id, flooded.state, state)
+        flooded.state = state
+        if flooded.is_terminal:
+            flooded.end_time = end_time
+
     def _watch(self, flooded: FloodedJob):
         while True:
             yield self.sim.timeout(self.POLL_INTERVAL)
@@ -87,7 +96,7 @@ class FloodingSubmitter:
                            if s.state in (J.ACTIVE, J.DONE)]
                 if started:
                     flooded.winner = started[0]
-                    flooded.state = "RUNNING"
+                    self._move(flooded, "RUNNING")
                     flooded.start_time = \
                         statuses[flooded.winner].start_time
                     flooded.wasted_executions = len(started) - 1
@@ -103,15 +112,13 @@ class FloodingSubmitter:
                                        winner=flooded.winner)
                 elif all(s.is_terminal for s in statuses.values()):
                     # every replica failed before starting
-                    flooded.state = "FAILED"
-                    flooded.end_time = self.sim.now
+                    self._move(flooded, "FAILED", self.sim.now)
                     return
             else:
                 winner = statuses[flooded.winner]
                 if winner.is_terminal:
-                    flooded.state = "DONE" if winner.is_complete \
-                        else "FAILED"
-                    flooded.end_time = winner.end_time
+                    self._move(flooded, "DONE" if winner.is_complete
+                               else "FAILED", winner.end_time)
                     self.sim.trace.log("flood", "finished",
                                        logical=flooded.logical_id,
                                        state=flooded.state)

@@ -74,7 +74,6 @@ class GlideInManager:
             job.job_id for job in scheduler.jobs_for_user()
             if job.request.label.startswith("glidein-")]
         self._ids = itertools.count(len(self.submitted) + 1)
-        self.binaries_fetched = 0
         self.live_startds: list[Startd] = []
 
     # -- public API -----------------------------------------------------------
@@ -137,7 +136,6 @@ class GlideInManager:
                     got = yield from gridftp_get(ctx.host, url,
                                                  credential=credential)
                     cache.put(url, got["size"])
-                    manager.binaries_fetched += 1
                     ctx.sim.trace.log("glidein", "binaries_fetched",
                                       url=url, size=got["size"])
             # Step 2: start the startd, joined to the personal pool.
@@ -165,29 +163,10 @@ class GlideInManager:
             finally:
                 # Synchronous teardown works even under a hard kill
                 # (GeneratorExit): daemons die with the allocation.
-                manager._teardown_startd(startd)
+                startd.kill(cause="glidein allocation ended")
+                manager.live_startds.remove(startd)
+                ctx.sim.metrics.gauge("glidein.live").dec()
+                ctx.sim.trace.log("glidein", "startd_down", name=name)
             return 0
 
         return bootstrap
-
-    def _teardown_startd(self, startd: Startd) -> None:
-        if startd.state == "Busy":
-            # close the sandbox's trace interval and the busy-slot gauge:
-            # the job it was running died with the allocation (the shadow
-            # lease will requeue it)
-            startd.sim.metrics.gauge("startd.busy_slots").dec()
-            startd.state = "Unclaimed"
-            if startd.current_job_id:
-                startd.sim.trace.log(f"startd:{startd.startd_name}",
-                                     "job_vacated",
-                                     job=startd.current_job_id,
-                                     progress=0.0)
-        if startd.host.get_service(startd.name) is startd:
-            startd.shutdown()
-        for proc in startd._procs:
-            if proc.alive:
-                proc.kill(cause="glidein allocation ended")
-        if startd in self.live_startds:
-            self.live_startds.remove(startd)
-            self.sim.metrics.gauge("glidein.live").dec()
-        self.sim.trace.log("glidein", "startd_down", name=startd.startd_name)

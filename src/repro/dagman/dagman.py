@@ -8,6 +8,7 @@ from typing import Optional
 
 from ..core.api import CondorGAgent
 from ..sim.errors import SimulationError
+from ..states import DAG_EDGES, DAG_RECOVER, check_edge
 from .dag import Dag, DagNode
 
 
@@ -65,6 +66,11 @@ class DagMan:
     def _trace(self, event: str, **details) -> None:
         self.sim.trace.log("dagman", event, **details)
 
+    def _move(self, node: DagNode, state: str, edges=DAG_EDGES) -> None:
+        """The one writer (``DAG_EDGES``; a rescue file, ``DAG_RECOVER``)."""
+        check_edge(edges, f"dag:{node.name}", node.state, state)
+        node.state = state
+
     # -- rescue ---------------------------------------------------------------
     def _load_rescue(self) -> None:
         record = self._rescue_ns.get("rescue")
@@ -73,7 +79,7 @@ class DagMan:
         for node_name in record.get("done", []):
             node = self.dag.nodes.get(node_name)
             if node is not None:
-                node.state = "DONE"
+                self._move(node, "DONE", DAG_RECOVER)
                 self.rescued_nodes += 1
         if self.rescued_nodes:
             self._trace("rescue_loaded", nodes=self.rescued_nodes)
@@ -85,16 +91,17 @@ class DagMan:
         self._trace("rescue_written", nodes=len(done))
 
     # -- engine ---------------------------------------------------------------
-    def _mark_initial_ready(self) -> None:
-        for node in self.dag.nodes.values():
-            if node.state != "WAITING":
-                continue
-            parents = self.dag.parents[node.name]
-            if all(self.dag.nodes[p].state == "DONE" for p in parents):
-                node.state = "READY"
+    def _mark_ready(self, names) -> None:
+        """WAITING nodes among `names` whose parents are all DONE: READY."""
+        for name in names:
+            node = self.dag.nodes[name]
+            if node.state == "WAITING" and all(
+                    self.dag.nodes[p].state == "DONE"
+                    for p in self.dag.parents[name]):
+                self._move(node, "READY")
 
     def _run(self):
-        self._mark_initial_ready()
+        self._mark_ready(self.dag.nodes)
         while True:
             launched = False
             ready = sorted(
@@ -105,7 +112,7 @@ class DagMan:
                 if self.maxjobs is not None and \
                         self._outstanding >= self.maxjobs:
                     break
-                node.state = "RUNNING"
+                self._move(node, "RUNNING")
                 self._outstanding += 1
                 self.sim.spawn(self._run_node(node),
                                name=f"dagnode:{node.name}")
@@ -138,13 +145,13 @@ class DagMan:
                 node.attempts += 1
                 ok = yield from self._attempt(node)
                 if ok:
-                    node.state = "DONE"
+                    self._move(node, "DONE")
                     self._trace("node_done", node=node.name,
                                 attempts=node.attempts)
-                    self._ready_children(node)
+                    self._mark_ready(self.dag.children[node.name])
                     return
                 if node.attempts > node.retries:
-                    node.state = "FAILED"
+                    self._move(node, "FAILED")
                     self._trace("node_failed", node=node.name,
                                 attempts=node.attempts)
                     return
@@ -193,12 +200,3 @@ class DagMan:
             raise
         except Exception:  # noqa: BLE001 - scripts may fail
             return False
-
-    def _ready_children(self, node: DagNode) -> None:
-        for child_name in self.dag.children[node.name]:
-            child = self.dag.nodes[child_name]
-            if child.state != "WAITING":
-                continue
-            if all(self.dag.nodes[p].state == "DONE"
-                   for p in self.dag.parents[child_name]):
-                child.state = "READY"

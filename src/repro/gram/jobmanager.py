@@ -38,6 +38,7 @@ from ..sim.fastcopy import FrozenDict
 from ..sim.hosts import Host
 from ..sim.kernel import Event
 from ..sim.rpc import Service, call, notify
+from ..states import GRAM_EDGES, check_edge
 from . import protocol
 from .protocol import GramJobRequest, to_lrm_spec
 
@@ -134,6 +135,7 @@ class JobManager(Service):
 
     COMMIT_WINDOW = 120.0      # abort if no commit arrives in time
     POLL_INTERVAL = 5.0
+    state = protocol.UNCOMMITTED
 
     def __init__(
         self,
@@ -155,13 +157,14 @@ class JobManager(Service):
         self.client_callback = client_callback   # (host, service)
         self.owner = owner
         self.credential = credential
-        self.state = protocol.UNCOMMITTED
         self.local_id: Optional[str] = None
         self.failure_reason = ""
         self.exit_code: Optional[int] = None
+        # stream offsets: volatile, a restart re-derives them from GASS
         self.stdout_sent = 0
         self.stderr_sent = 0
         self._committed = host.sim.event(name=f"commit:{jmid}")
+        self._settled: Optional[Event] = None   # a cancel awaits the LRM
         self._store = host.stable.namespace(STATE_NS)
         self._requests = host.stable.namespace(REQUEST_NS)
         self._procs = []
@@ -205,12 +208,24 @@ class JobManager(Service):
             local_id=self.local_id,
             owner=self.owner,
             client_callback=self.client_callback,
-            stdout_sent=self.stdout_sent,
-            stderr_sent=self.stderr_sent,
             failure_reason=self.failure_reason,
             exit_code=self.exit_code,
         ))
         self._publish()
+
+    def _move(self, state: str, failure_reason: str = "",
+              exit_code: Optional[int] = None) -> None:
+        """The one writer (``GRAM_EDGES``): persist, publish, recount."""
+        if self.host.services.get(self.name) is not self:
+            return      # crashed: a dead daemon's late handler writes nothing
+        check_edge(GRAM_EDGES, self.name, self.state, state)
+        if self.state == protocol.STAGE_IN and self._settled is not None:
+            self._settled.succeed(None)
+        self.state = state
+        self.failure_reason = failure_reason
+        self.exit_code = exit_code
+        self._persist()
+        self._count_live()
 
     def _publish(self) -> None:
         """Our status as a value, built when it is written, not when it
@@ -234,26 +249,14 @@ class JobManager(Service):
         self.request = self._requests.get(self.jmid)
         self.failure_reason = record.get("failure_reason", "")
         self.exit_code = record.get("exit_code")
-        # Conservative: re-derive stream progress from the client, not
-        # from our own possibly-stale counters.
-        self.stdout_sent = 0
-        self.stderr_sent = 0
         self._publish()
         self._trace("recovered", state=self.state, local=self.local_id)
         if self.state == protocol.UNCOMMITTED:
             # Crash before commit: nothing was submitted; abort cleanly.
             self._fail("jobmanager crashed before commit")
         elif self.state not in protocol.GRAM_TERMINAL:
-            if self.local_id is None:
-                # Crashed after commit but before the LRM accepted the
-                # job: resume the pipeline (the dedup key makes a raced
-                # earlier submission harmless).
-                self._procs.append(self.host.spawn(
-                    self._resume_submission(),
-                    name=f"jobmanager:{self.jmid}"))
-            else:
-                self._procs.append(self.host.spawn(
-                    self._monitor_body(), name=f"jobmanager:{self.jmid}"))
+            self._procs.append(self.host.spawn(
+                self._pipeline(), name=f"jobmanager:{self.jmid}"))
 
     def _trace(self, event: str, **details) -> None:
         self.sim.trace.log(f"jobmanager:{self.jmid}", event, **details)
@@ -296,6 +299,12 @@ class JobManager(Service):
         return self.status
 
     def handle_cancel(self, ctx):
+        if self.state == protocol.STAGE_IN:
+            # The LRM submission may be in flight: wait for its answer, so
+            # an acknowledged cancel never leaves a job running (see _move)
+            if self._settled is None:
+                self._settled = self.sim.event(name=f"settled:{self.jmid}")
+            yield self._settled
         if self.local_id is not None and \
                 self.state not in protocol.GRAM_TERMINAL:
             yield from call(self.host, self.lrm_contact, "lrm", "cancel",
@@ -336,24 +345,31 @@ class JobManager(Service):
             self._fail("commit window expired (two-phase abort)")
             self._trace("commit_timeout")
             return
+        if self.state in protocol.GRAM_TERMINAL:
+            return      # cancelled before the commit: nothing to undo
         self.sim.metrics.histogram("jobmanager.commit_wait").observe(
             self.sim.now - created)
         self._trace("committed")
-        self.state = protocol.STAGE_IN
-        self._persist()
-        try:
-            yield from self._stage_in()
-        except RPCError as exc:
-            self._fail(f"stage-in failed: {exc}")
-            yield from self._notify_client()
-            return
-        yield from self._submit_to_lrm()
-        if self.state not in protocol.GRAM_TERMINAL:
-            yield from self._monitor_body()
+        self._move(protocol.STAGE_IN)
+        yield from self._pipeline()
+
+    def _pipeline(self):
+        """Stage in, submit to the LRM, watch: the life after the commit,
+        re-entered by a restarted JobManager (the LRM's dedup key makes a
+        raced earlier submission harmless)."""
+        if self.local_id is None:
+            try:
+                yield from self._stage_in()
+            except RPCError as exc:
+                self._fail(f"stage-in failed: {exc}")
+                self._notify_client()
+                return
+            if not (yield from self._submit_to_lrm()):
+                return
+        yield from self._monitor_body()
 
     def _stage_in(self):
         """Fetch executable and stdin from the client's GASS server."""
-        assert self.request is not None
         for url in (self.request.executable_url, self.request.stdin_url):
             if url:
                 got = yield from gass_get(self.host, url,
@@ -361,7 +377,7 @@ class JobManager(Service):
                 self._trace("staged", url=url, size=got["size"])
 
     def _submit_to_lrm(self):
-        assert self.request is not None
+        """Hand the job to the LRM; returns whether it took it."""
         spec = to_lrm_spec(self.request)
         last_error = None
         for _attempt in range(4):
@@ -375,25 +391,13 @@ class JobManager(Service):
                 last_error = exc   # dedup key makes the retry safe
         else:
             self._fail(f"local scheduler submission failed: {last_error}")
-            yield from self._notify_client()
-            return
-        self.state = protocol.PENDING
-        self._persist()
+            self._notify_client()
+            return False
+        self._move(protocol.PENDING)
         self._trace("lrm_submit", local=self.local_id,
                     lrm=self.lrm_contact)
-        yield from self._notify_client()
-
-    def _resume_submission(self):
-        """Recovery entry point for a crash inside the commit->LRM window."""
-        try:
-            yield from self._stage_in()
-        except RPCError as exc:
-            self._fail(f"stage-in failed: {exc}")
-            yield from self._notify_client()
-            return
-        yield from self._submit_to_lrm()
-        if self.state not in protocol.GRAM_TERMINAL:
-            yield from self._monitor_body()
+        self._notify_client()
+        return True
 
     def _monitor_body(self):
         # Watching asks for the job by id once, so the first view (after
@@ -405,27 +409,30 @@ class JobManager(Service):
             view = yield sweep.next_view(self.local_id)
             seen = self.sim.now
             new_state = self._map_lrm(view)
-            reached_terminal = (new_state in protocol.GRAM_TERMINAL
-                                and self.state not in protocol.GRAM_TERMINAL)
-            if reached_terminal and new_state == protocol.DONE:
+            if new_state == protocol.DONE and \
+                    self.state not in protocol.GRAM_TERMINAL:
                 # stage-out before the DONE callback: when the user hears
                 # "done", the output files are already home (GRAM order).
                 yield from self._stage_out()
+            if self.state in protocol.GRAM_TERMINAL:
+                break       # cancelled meanwhile: this view is too late
             if new_state != self.state:
-                self.state = new_state
-                self.failure_reason = view.get("failure_reason", "")
-                self.exit_code = view.get("exit_code")
-                self._persist()
-                self._count_live()
+                self._move(new_state, view.get("failure_reason", ""),
+                           view.get("exit_code"))
                 self.sim.metrics.counter("jobmanager.state_changes").inc(
                     label=new_state)
                 self.sim.metrics.histogram(
                     "jobmanager.detect_latency").observe(
                         seen - view["state_since"])
                 self._trace("state", state=new_state)
-                yield from self._notify_client()
-            behind = yield from self._pump_stdout(view["stdout_len"])
-            behind |= yield from self._pump_stderr(view["stderr_len"])
+                self._notify_client()
+            request = self.request or GramJobRequest()
+            behind = yield from self._pump_stream(
+                "read_output", "stdout_sent", view["stdout_len"],
+                request.stdout_url)
+            behind |= yield from self._pump_stream(
+                "read_error", "stderr_sent", view["stderr_len"],
+                request.stderr_url)
             if behind:
                 sweep.ask(self.local_id)   # nothing will change at the LRM
         sweep.unwatch(self.local_id)
@@ -465,16 +472,6 @@ class JobManager(Service):
         return protocol.gram_state_of(lrm_state)
 
     # -- stdout/stderr streaming ---------------------------------------------
-    def _pump_stdout(self, available: int):
-        return (yield from self._pump_stream(
-            "read_output", "stdout_sent", available,
-            self.request.stdout_url if self.request else ""))
-
-    def _pump_stderr(self, available: int):
-        return (yield from self._pump_stream(
-            "read_error", "stderr_sent", available,
-            self.request.stderr_url if self.request else ""))
-
     def _pump_stream(self, reader: str, counter: str, available: int,
                      url: str):
         """Forward new site-local bytes of one stream to the client GASS.
@@ -506,11 +503,10 @@ class JobManager(Service):
                     self.host, url, credential=self.credential)))
             except RPCError:
                 pass
-        self._persist()
         return getattr(self, counter) < available
 
     # -- callbacks ------------------------------------------------------------
-    def _notify_client(self):
+    def _notify_client(self) -> None:
         """Push a status callback (best-effort; the client's §4.2
         status probe catches a lost one)."""
         if self.client_callback is None:
@@ -520,12 +516,7 @@ class JobManager(Service):
                jmid=self.jmid, state=self.state,
                failure_reason=self.failure_reason,
                exit_code=self.exit_code)
-        if False:   # pragma: no cover - keeps this a generator
-            yield None
 
     def _fail(self, reason: str) -> None:
         if self.state not in protocol.GRAM_TERMINAL:
-            self.state = protocol.FAILED
-            self.failure_reason = reason
-            self._persist()
-            self._count_live()
+            self._move(protocol.FAILED, reason)

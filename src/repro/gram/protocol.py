@@ -1,11 +1,7 @@
 """GRAM protocol definitions (paper §3.2).
 
-Job request structure and the GRAM job state machine::
-
-    UNCOMMITTED -> STAGE_IN -> PENDING -> ACTIVE -> DONE
-                                  |  ^______|
-                                  v   (requeue after preemption)
-                               FAILED
+Job request structure and the GRAM job states; the edges between them
+are ``repro.states.GRAM_EDGES``.
 
 ``UNCOMMITTED`` is the window between the two phases of the commit
 protocol: the JobManager exists and holds the request, but nothing has

@@ -78,8 +78,8 @@ COMPLETE_STATES = frozenset({JobState.DONE, JobState.COMPLETED})
 _S = JobState
 
 #: The grid queue's transition relation (``core.job.GridJob``, paper
-#: §4.2): the only edges ``CondorGScheduler.transition`` will take, each
-#: one walked through real code by ``tests/core/test_state_relations.py``.
+#: §4.2): the only edges ``JobQueue.transition`` will take.  Every table
+#: here is walked through real code by ``tests/core/test_state_relations.py``.
 GRID_EDGES = {
     _S.UNSUBMITTED: frozenset({_S.STAGING, _S.SUBMITTING, _S.HELD,
                                _S.FAILED}),
@@ -106,8 +106,7 @@ GRID_RECOVER = {
     _S.STAGING_OUT: frozenset({_S.PENDING, _S.UNSUBMITTED}),
 }
 
-#: The pool queue's relation (``condor.jobs.CondorJob``), taken only by
-#: ``Schedd._transition``.
+#: The pool queue's relation (``condor.jobs.CondorJob``), likewise.
 POOL_EDGES = {
     _S.IDLE: frozenset({_S.MATCHED, _S.HELD, _S.REMOVED}),
     # (COMPLETED: a short job's exit can overtake the activation reply)
@@ -124,15 +123,55 @@ POOL_RECOVER = {
     _S.RUNNING: frozenset({_S.IDLE}),
 }
 
+# -- the site side: each taken only by its record's ``_move`` -----------------
+#: A GRAM JobManager (``gram.jobmanager``, paper §3.2).  A restart from its
+#: state file takes running edges only (before the commit it aborts, after
+#: it resumes), so there is no recover table.
+GRAM_EDGES = {
+    "UNCOMMITTED": frozenset({"STAGE_IN", "FAILED"}),
+    "STAGE_IN": frozenset({"PENDING", "FAILED"}),
+    # (PENDING -> DONE: a short job finishes between two sweeps)
+    "PENDING": frozenset({"ACTIVE", "DONE", "FAILED"}),
+    "ACTIVE": frozenset({"PENDING", "DONE", "FAILED"}),   # requeued
+    "DONE": frozenset(), "FAILED": frozenset(),
+}
+
+#: A Condor startd slot (``condor.startd``, paper §5).  Unclaimed is not
+#: absorbing: the slot dies by ``Startd.kill`` or shutdown, not by state.
+STARTD_EDGES = {
+    "Unclaimed": frozenset({"Claimed"}),
+    "Claimed": frozenset({"Busy", "Unclaimed"}),
+    "Busy": frozenset({"Claimed", "Unclaimed"}),
+}
+
+#: A DAG node (``dagman``); a retry re-runs the node inside RUNNING.
+DAG_EDGES = {
+    "WAITING": frozenset({"READY"}),
+    "READY": frozenset({"RUNNING"}),
+    "RUNNING": frozenset({"DONE", "FAILED"}),
+    "DONE": frozenset(), "FAILED": frozenset(),
+}
+
+#: Only loading a rescue file: a node the last run finished is done.
+DAG_RECOVER = {"WAITING": frozenset({"DONE"})}
+
+#: One flooded logical job (``core.flood``, paper §4.4).
+FLOOD_EDGES = {
+    "FLOODED": frozenset({"RUNNING", "FAILED"}),
+    "RUNNING": frozenset({"DONE", "FAILED"}),
+    "DONE": frozenset(), "FAILED": frozenset(),
+}
+
 
 class IllegalTransition(SimulationError):
-    """A job record was asked to take an edge its relation lacks."""
+    """A record was asked to take an edge its relation lacks."""
 
 
-def check_edge(edges: dict, job_id: str, old: str, new: str) -> None:
-    """Raise :class:`IllegalTransition` unless ``edges`` has old -> new."""
+def check_edge(edges: dict, record: str, old: str, new: str) -> None:
+    """Raise :class:`IllegalTransition` unless ``edges`` has old -> new
+    (`record`: a job id, ``jm:<jmid>``, ``startd:<name>``, ``dag:<node>``)."""
     if new not in edges.get(old, ()):
-        raise IllegalTransition(f"{job_id}: {old} -> {new} is not declared")
+        raise IllegalTransition(f"{record}: {old} -> {new} is not declared")
 
 
 def is_terminal(state: str) -> bool:

@@ -72,7 +72,7 @@ def test_watchdog_times_out_an_abandoned_claim():
     sim.run(until=100.0)
     assert startd.state == CLAIMED
     assert startd.claims_held == 1
-    sim.run(until=100.0 + startd.CLAIM_REUSE_TIMEOUT + 60.0)
+    sim.run(until=100.0 + startd.CLAIM_TIMEOUT + 60.0)
     assert startd.state == UNCLAIMED
     assert sim.metrics.counter("startd.claim_timeouts").value == 1
 

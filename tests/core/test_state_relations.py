@@ -1,14 +1,16 @@
-"""One writer of job state: the declared relations (``repro.states``)
-and the job queue's ``transition``, the only way a submit-side job record
-changes state.
+"""One writer per record: the declared relations (``repro.states``) and
+the one mover of each record kind -- the job queue's ``transition`` for
+submit-side jobs; ``_move`` of the JobManager, the startd slot, DAGMan
+and the flooding submitter on the site side.
 
 Pins: an undeclared edge halts the run wherever it is raised; recovery
-takes only the recover edges; nothing but the writer and the two
-``from_record``s assigns a record's ``.state``, and nothing but the queue
+takes only the recover edges; nothing anywhere under ``src/repro`` but
+the movers and loaders assigns a ``.state``, and nothing but the queue
 opens a job-record namespace; docs/PROTOCOLS.md shows the tables as they
-are; and no interleaving of the things that move a job -- remote reports,
-holds, releases, removals, shadow callbacks -- raises, leaves a terminal
-state, or leaves a stale hold reason.
+are; real code takes every declared edge; no interleaving of the things
+that move a job -- remote reports, holds, releases, removals, shadow
+callbacks -- raises, leaves a terminal state, or leaves a stale hold
+reason; and the site-side holes the relations exposed stay closed.
 """
 
 import ast
@@ -28,7 +30,7 @@ from repro.grid.config import AgentSpec, DatasetSpec, SiteSpec, \
     TestbedConfig
 from repro.sim import Host, Simulator, SimulationError
 from repro.sim.network import Network
-from repro.sim.rpc import Service, notify
+from repro.sim.rpc import Service, call, notify
 from repro.states import IllegalTransition, JobState
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -190,46 +192,132 @@ def test_the_writers_refuse_undeclared_edges_and_stale_hold_reasons():
         agent.queue.transition(job, "IDLE")
 
 
+def test_the_site_side_movers_refuse_undeclared_edges_naming_the_record():
+    from repro.condor.startd import Startd
+    from repro.core.flood import FloodingSubmitter
+    from repro.dagman import Dag, DagMan, DagNode
+
+    tb, agent = make_tb()
+    agent.submit(JobDescription(runtime=50.0), resource="wisc-gk")
+    flooder = FloodingSubmitter(agent)
+    logical = flooder.submit(JobDescription(runtime=50.0), sites=["wisc-gk"])
+
+    def slow(ctx):
+        yield ctx.sim.timeout(10**4)
+
+    dag = Dag()
+    dag.add_node(DagNode("n0", action=slow))
+    dag.add_node(DagNode("n1", action=slow))
+    dag.add_dependency("n0", "n1")        # n1 waits
+    dagman = DagMan(agent, dag)
+    slot = Startd(Host(tb.sim, "box"), "slot@box", collector="nowhere")
+    site = tb.sites["wisc"]
+    _step_until(tb, lambda: _jobmanagers(site))
+    jm, = _jobmanagers(site)
+    for move, message in (
+            (lambda: jm._move("ACTIVE"), f"jm:{jm.jmid}: UNCOMMITTED -> ACTIVE"),
+            (lambda: slot._move("Busy"), "startd:slot@box: Unclaimed -> Busy"),
+            (lambda: dagman._move(dag.nodes["n1"], "DONE"),
+             "dag:n1: WAITING -> DONE"),
+            (lambda: flooder._move(flooder.status(logical), "DONE"),
+             f"{logical}: FLOODED -> DONE")):
+        with pytest.raises(IllegalTransition, match=message):
+            move()
+    assert (jm.state, slot.state, dag.nodes["n1"].state,
+            flooder.status(logical).state) == \
+        ("UNCOMMITTED", "Unclaimed", "WAITING", "FLOODED")
+
+
 # -- one writer per record: the gate --------------------------------------------
 
-#: (file, enclosing function) pairs allowed to assign a job record's state
-WRITERS = {("condor/queue.py", "transition"), ("core/job.py", "from_record"),
-           ("condor/jobs.py", "from_record")}
-#: receivers whose ``.state`` is another record kind (startd slot, flood
-#: umbrella job), not a queue record
-OTHER_RECORDS = {"startd", "flooded"}
+#: (file, enclosing function) pairs allowed to assign a ``.state``: each
+#: record kind's mover and loader, and the LRM's own job writer
+WRITERS = {
+    ("condor/queue.py", "transition"),      # grid + pool queue records
+    ("core/job.py", "from_record"),
+    ("condor/jobs.py", "from_record"),
+    ("gram/jobmanager.py", "_move"),        # GRAM_EDGES
+    ("gram/jobmanager.py", "_recover"),
+    ("condor/startd.py", "_move"),          # STARTD_EDGES
+    ("dagman/dagman.py", "_move"),          # DAG_EDGES, DAG_RECOVER
+    ("core/flood.py", "_move"),             # FLOOD_EDGES
+    ("lrm/base.py", "_set_state"),
+}
+
+
+def _flat(targets):
+    for target in targets:
+        if isinstance(target, (ast.Tuple, ast.List)):
+            yield from _flat(target.elts)
+        elif isinstance(target, ast.Starred):
+            yield from _flat([target.value])
+        else:
+            yield target
 
 
 def _state_writes(path: Path):
+    """(innermost enclosing function, line) of every ``<x>.state = ...``,
+    tuple targets, augmented assignments and ``setattr(x, "state", v)``
+    included, anywhere in the module."""
     tree = ast.parse(path.read_text())
-    for func in ast.walk(tree):
-        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        for node in ast.walk(func):
-            targets = node.targets if isinstance(node, ast.Assign) else \
-                [node.target] if isinstance(node, (ast.AugAssign,
-                                                   ast.AnnAssign)) else []
-            for target in targets:
-                if isinstance(target, ast.Attribute) and \
-                        target.attr == "state" and \
-                        getattr(target.value, "id", "") not in OTHER_RECORDS:
-                    yield func.name, node.lineno
+    funcs = [node for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for node in ast.walk(tree):
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [node.target] if isinstance(node, (ast.AugAssign,
+                                               ast.AnnAssign)) else []
+        hit = any(isinstance(t, ast.Attribute) and t.attr == "state"
+                  for t in _flat(targets)) or (
+            isinstance(node, ast.Call) and
+            getattr(node.func, "id", "") == "setattr" and
+            len(node.args) > 1 and
+            getattr(node.args[1], "value", None) == "state")
+        if hit:
+            around = [f for f in funcs
+                      if f.lineno <= node.lineno <= f.end_lineno]
+            yield (min(around, key=lambda f: f.end_lineno - f.lineno).name
+                   if around else "<module>"), node.lineno
 
 
 def test_only_the_writers_assign_a_job_records_state():
-    files = sorted((SRC / "core").glob("*.py")) + [
-        SRC / "condor" / name for name in ("queue.py", "schedd.py",
-                                           "jobs.py", "shadow.py")]
+    """Every module under src/repro, no exemption: a ``.state`` changes
+    in its record's one mover (or loader), and each of those has exactly
+    one write site."""
     found = set()
-    for path in files:
+    for path in sorted(SRC.rglob("*.py")):
         rel = str(path.relative_to(SRC))
         for func, line in _state_writes(path):
             assert (rel, func) in WRITERS, \
                 f"{rel}:{line}: raw .state write in {func}()"
             found.add((rel, func))
-    assert found == WRITERS     # and each writer has exactly its one site
-    for rel, _func in WRITERS:
-        assert len(list(_state_writes(SRC / rel))) == 1, rel
+    assert found == WRITERS
+    for rel, func in WRITERS:
+        assert [f for f, _ in _state_writes(SRC / rel)].count(func) == 1, \
+            (rel, func)
+
+
+def test_the_gate_sees_every_way_to_write_a_state(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "x.state = 1\n"
+        "class C:\n"
+        "    def f(self):\n"
+        "        self.state, other = 1, 2\n"
+        "        def g():\n"
+        "            setattr(node, 'state', 3)\n"
+        "        a.b.state += 1\n")
+    assert sorted(_state_writes(module), key=lambda w: w[1]) == \
+        [("<module>", 1), ("f", 4), ("g", 6), ("f", 7)]
+
+
+def test_glidein_teardown_touches_no_startd_internals():
+    """The glidein manager ends a startd through ``Startd.kill`` alone."""
+    tree = ast.parse((SRC / "core" / "glidein.py").read_text())
+    private = {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and
+               node.attr.startswith("_") and
+               getattr(node.value, "id", "") == "startd"}
+    assert private == set()
 
 
 # -- one store: the queue's, opened by the queue alone ------------------------------
@@ -272,6 +360,18 @@ def test_the_executors_keep_no_writer_of_their_own():
 
 # -- the doc shows the tables as they are -----------------------------------------
 
+#: every relation ``repro.states`` declares, in the doc's order
+TABLES = ("GRID_EDGES", "GRID_RECOVER", "POOL_EDGES", "POOL_RECOVER",
+          "GRAM_EDGES", "STARTD_EDGES", "DAG_EDGES", "DAG_RECOVER",
+          "FLOOD_EDGES")
+
+
+def test_the_tables_are_all_the_relations():
+    assert set(TABLES) == {name for name, value in vars(states).items()
+                           if name.endswith(("_EDGES", "_RECOVER"))
+                           and isinstance(value, dict)}
+
+
 def _render(edges: dict) -> list[str]:
     return [f"{old} -> {' '.join(sorted(new)) or '(absorbing)'}"
             for old, new in edges.items()]
@@ -282,17 +382,23 @@ def test_protocols_doc_matches_the_declared_relations():
     block = re.search(r"## Job state relations.*?```text\n(.*?)```", text,
                       re.S).group(1)
     expected = []
-    for name in ("GRID_EDGES", "GRID_RECOVER", "POOL_EDGES", "POOL_RECOVER"):
+    for name in TABLES:
         expected += [f"{name}:"] + \
             ["  " + line for line in _render(getattr(states, name))] + [""]
     assert block.splitlines() == expected[:-1]
 
 
 def test_terminal_states_are_absorbing_in_both_relations():
-    for edges in (states.GRID_EDGES, states.POOL_EDGES):
+    """In every running relation, submit side and site side: a state is
+    absorbing exactly when it is terminal, and every successor has a
+    row (a startd slot has no terminal state: it dies, it does not end)."""
+    for name in TABLES:
+        if name.endswith("_RECOVER"):
+            continue
+        edges = getattr(states, name)
         for old, new in edges.items():
-            assert (not new) == states.is_terminal(old), old
-            assert new <= set(edges), old     # every successor has a row
+            assert (not new) == states.is_terminal(old), (name, old)
+            assert new <= set(edges), (name, old)
 
 
 # -- no interleaving breaks the relation ------------------------------------------
@@ -478,6 +584,98 @@ def test_the_user_surface_covers_every_universe():
     assert agent.schedd.queue is agent.scheduler.queue is agent.queue
 
 
+# -- the site-side holes the relations exposed ------------------------------------
+
+def _jobmanagers(site):
+    return [svc for name, svc in site.gk_host.services.items()
+            if name.startswith("jm:")]
+
+
+def _cancel(agent, jm, answers):
+    """The client's cancel RPC, sent now; its answer lands in `answers`."""
+    def send():
+        answers.append((yield from call(agent.host, jm.host.name, jm.name,
+                                        "cancel")))
+    agent.host.spawn(send())
+
+
+def test_a_cancel_in_the_commit_to_lrm_window_runs_nothing():
+    """A cancel finds the JobManager committed but without an LRM id (its
+    LRM submission in flight).  It waits for the LRM's answer and cancels
+    that job: the JobManager ends FAILED, the LRM job CANCELLED -- not
+    PENDING -> ACTIVE -> DONE over a FAILED one with the job run."""
+    tb, agent = make_tb()
+    agent.submit(JobDescription(runtime=200.0), resource="wisc-gk")
+    site = tb.sites["wisc"]
+    _step_until(tb, lambda: any(jm.state == "STAGE_IN"
+                                for jm in _jobmanagers(site)))
+    jm, = _jobmanagers(site)
+    assert jm.local_id is None
+    answers = []
+    _cancel(agent, jm, answers)
+    tb.run(until=1000.0)
+    assert answers == [True]
+    assert (jm.state, jm.failure_reason) == ("FAILED", "cancelled by client")
+    assert site.lrm.jobs[jm.local_id].state == "CANCELLED"
+
+
+def test_a_late_view_does_not_overwrite_a_cancel():
+    """The LRM job completed, the sweep has not reported it yet, and a
+    cancel lands: the JobManager is FAILED from then on, and the view
+    that arrives next is too late to turn it DONE."""
+    tb, agent = make_tb()
+    agent.submit(JobDescription(runtime=50.0), resource="wisc-gk")
+    site = tb.sites["wisc"]
+    _step_until(tb, lambda: any(job.state == "COMPLETED"
+                                for job in site.lrm.jobs.values()))
+    jm, = _jobmanagers(site)
+    assert jm.state == "ACTIVE"
+    answers = []
+    _cancel(agent, jm, answers)
+    tb.run(until=1000.0)
+    assert answers == [True]
+    assert (jm.state, jm.failure_reason) == ("FAILED", "cancelled by client")
+    assert [r.details["state"] for r in tb.sim.trace.records
+            if r.component == f"jobmanager:{jm.jmid}"
+            and r.event == "state"] == ["ACTIVE"]
+
+
+def _lose_a_claim_reply(monkeypatch):
+    """One glidein, one vanilla job, and the startd host partitioned from
+    the agent right after it grants its first claim (healed 100 s
+    later): the reply is lost and the claim is never activated."""
+    from repro.condor.startd import Startd
+
+    tb, agent = make_tb()
+    real = Startd.handle_request_claim
+
+    def request_claim(self, ctx, *args, **kwargs):
+        granted = real(self, ctx, *args, **kwargs)
+        monkeypatch.setattr(Startd, "handle_request_claim", real)
+        tb.net.partition(agent.host.name, self.host.name)
+        tb.sim.schedule(100.0, lambda: tb.net.heal(agent.host.name,
+                                                   self.host.name))
+        return granted
+
+    monkeypatch.setattr(Startd, "handle_request_claim", request_claim)
+    agent.glide_in("wisc-gk", count=1, walltime=20_000.0,
+                   idle_timeout=10_000.0)
+    jid = agent.submit(JobDescription(universe="vanilla", runtime=60.0))
+    tb.run(until=5000.0)
+    return tb, agent, jid
+
+
+def test_a_lost_claim_reply_does_not_wedge_the_slot(monkeypatch):
+    """Every entry into Claimed starts the claim's clock: the slot comes
+    back, and the job runs (it stayed IDLE for ever, the slot Claimed,
+    before)."""
+    tb, agent, jid = _lose_a_claim_reply(monkeypatch)
+    assert agent.status(jid).state == "COMPLETED"
+    assert tb.sim.metrics.counter("startd.claim_timeouts").value == 1
+    slot, = agent.glideins.live_startds
+    assert slot.state == "Unclaimed"
+
+
 # -- every declared edge is one real code takes ------------------------------------
 
 def _data_tb():
@@ -645,30 +843,147 @@ def _walk_pool(tb, agent):
     assert claimed.state == refused.state == "REMOVED"
 
 
+def _walk_site(tb, agent):
+    """The site-side edges the walks above leave: an LRM preemption, a
+    job that finishes between two sweeps, a queued job cancelled, an LRM
+    submission that fails, a JobManager restart; a DAG with a retry, a
+    failed node and a rescue; a flood won, lost and never started."""
+    from repro.core.flood import FloodingSubmitter
+    from repro.dagman import Dag, DagMan, DagNode
+    from repro.workloads import saturate
+
+    site = tb.sites["wisc"]
+
+    def submit(runtime):
+        return agent.queue.jobs[agent.submit(JobDescription(runtime=runtime),
+                                             resource="wisc-gk")]
+
+    def jobmanager(job, state):             # the JobManager of `job` ...
+        _step_until(tb, lambda: job.jmid and
+                    site.gk_host.services.get(f"jm:{job.jmid}") and
+                    site.gk_host.services[f"jm:{job.jmid}"].state == state)
+        return site.gk_host.services[f"jm:{job.jmid}"]     # ... in `state`
+
+    lrm = site.lrm
+    preempted = submit(300.0)               # ACTIVE -> PENDING
+    lrm.preempt(jobmanager(preempted, "ACTIVE").local_id)
+    lrm.free_slots -= lrm.slots             # the owners are back a while
+    tb.run(until=tb.sim.now + 30.0)
+    lrm.free_slots += lrm.slots
+    lrm._kick()
+    restarted = submit(300.0)               # a crash, then the §4.2 restart
+    jobmanager(restarted, "ACTIVE").crash()
+    short = submit(0.5)                     # PENDING -> DONE
+    tb.run_until_quiet(max_time=tb.sim.now + 5_000.0)
+    assert preempted.state == restarted.state == short.state == "DONE"
+    assert tb.sim.metrics.counter("gatekeeper.jm_restarts").value >= 1
+    unlucky = submit(50.0)                  # STAGE_IN -> FAILED
+    jobmanager(unlucky, "STAGE_IN")
+    tb.net.partition(site.gk_host.name, site.lrm.host.name)
+    tb.run(until=tb.sim.now + 200.0)
+    tb.net.heal(site.gk_host.name, site.lrm.host.name)
+    saturate(lrm, jobs=4, runtime=400.0)
+    queued = submit(50.0)                   # PENDING -> FAILED (cancel)
+    jobmanager(queued, "PENDING")
+    agent.cancel(queued.job_id)
+
+    attempts = []
+
+    def fine(ctx):
+        yield ctx.sim.timeout(1.0)
+
+    def flaky(ctx):
+        attempts.append(ctx.sim.now)
+        yield ctx.sim.timeout(1.0)
+        if len(attempts) == 1:
+            raise RuntimeError("first attempt fails")
+
+    def broken(ctx):
+        yield ctx.sim.timeout(1.0)
+        raise RuntimeError("always fails")
+
+    def dag(last):
+        dag = Dag()
+        dag.add_node(DagNode("a", action=fine))
+        dag.add_node(DagNode("b", action=flaky, retries=1))
+        dag.add_node(DagNode("c", action=last))
+        dag.add_dependency(["a", "b"], "c")
+        return dag
+
+    failed = DagMan(agent, dag(broken), name="walk")    # retry, FAILED
+    flooder = FloodingSubmitter(agent)
+    won = flooder.submit(JobDescription(runtime=60.0), sites=["wisc-gk"])
+    lost = flooder.submit(JobDescription(runtime=60.0, exit_code=1),
+                          sites=["wisc-gk"])
+    never = flooder.submit(JobDescription(runtime=60.0), sites=["wisc-gk"])
+    agent.cancel(flooder.status(never).replicas[0])
+    tb.run_until_quiet(max_time=tb.sim.now + 20_000.0)
+    tb.run(until=tb.sim.now + 100.0)
+    assert failed.finished.value is False and len(attempts) == 2
+    rescued = DagMan(agent, dag(fine), name="walk")     # WAITING -> DONE
+    tb.run(until=tb.sim.now + 100.0)
+    assert rescued.rescued_nodes == 2 and rescued.finished.value is True
+    assert [flooder.status(f).state for f in (won, lost, never)] == \
+        ["DONE", "FAILED", "FAILED"]
+    assert unlucky.attempts >= 2 and queued.state == "FAILED"
+
+
+def _walk_claim_reuse():
+    """A claim held for reuse, reactivated, then handed back."""
+    from repro.condor import Schedd, build_pool
+
+    sim = Simulator(seed=59)
+    Network(sim, latency=0.02, jitter=0.0)
+    pool = build_pool(sim, "pool", workers=1, cycle_interval=30.0)
+    schedd = Schedd(Host(sim, "submit"), name="dave",
+                    collector=pool.collector_contact, claim_reuse=True)
+    for _ in range(2):
+        schedd.submit_simple("dave", runtime=40.0)
+    sim.run(until=1000.0)
+    assert schedd.claims_reused == 1
+
+
 def test_every_declared_edge_is_taken_by_real_code(monkeypatch):
     """An edge in a table is one the code can take: these walks use only
     what moves a job in a run (user calls, remote reports, credential
-    holds, shadow callbacks) and between them take every edge of both
-    relations -- add an edge without a way to reach it and this fails."""
+    holds, shadow callbacks, LRM preemption, daemon crashes, a lost claim
+    reply) and between them take every edge of every relation, submit
+    side and site side -- add an edge without a way to reach it and this
+    fails."""
+    from repro.condor import startd
     from repro.condor.queue import JobQueue
+    from repro.core import flood
+    from repro.dagman import dagman
+    from repro.gram import jobmanager
 
-    taken = {"grid": set(), "pool": set()}
+    taken = {"GRID_EDGES": set(), "POOL_EDGES": set()}
     real = JobQueue.transition
 
     def transition(self, job, state, event="", **details):
         edge = (job.state, JobState(state))
         real(self, job, state, event, **details)
-        taken["grid" if job.universe == "grid" else "pool"].add(edge)
+        taken["GRID_EDGES" if job.universe == "grid"
+              else "POOL_EDGES"].add(edge)
 
     monkeypatch.setattr(JobQueue, "transition", transition)
+    names = {id(getattr(states, name)): name for name in TABLES}
+    for module in (jobmanager, startd, dagman, flood):
+        def check(edges, record, old, new, real=module.check_edge):
+            real(edges, record, old, new)
+            taken.setdefault(names[id(edges)], set()).add((old, new))
+        monkeypatch.setattr(module, "check_edge", check)
     tb, agent = make_tb()
     _walk_grid(tb, agent, "wisc-gk")
     _walk_pool(tb, agent)
+    _walk_site(tb, agent)
     _walk_data(*_data_tb())
-    for kind, edges in (("grid", states.GRID_EDGES),
-                        ("pool", states.POOL_EDGES)):
-        declared = {(old, new) for old, news in edges.items()
-                    for new in news}
-        assert taken[kind] <= declared
+    _walk_claim_reuse()
+    _lose_a_claim_reply(monkeypatch)        # Claimed -> Unclaimed: timeout
+    for name in TABLES:
+        if name in ("GRID_RECOVER", "POOL_RECOVER"):
+            continue        # test_from_record_* loads every recover edge
+        declared = {(old, new) for old, news in
+                    getattr(states, name).items() for new in news}
+        assert taken[name] <= declared
         assert not sorted(f"{old} -> {new}"
-                          for old, new in declared - taken[kind]), kind
+                          for old, new in declared - taken[name]), name
