@@ -1,26 +1,27 @@
 """ABLATION-MONITOR -- §5.1: at what load does a site's Grid Monitor pay?
 
 The GridManager launches a site's monitor when its own in-flight jobs
-there reach ``GridManager.MONITOR_MIN_JOBS``.  This sweep is where that
-constant comes from: the ``gram-poll`` shape of the repository benchmark
-(five sites, pbs/lsf/loadleveler, about five waves of 120-200 s jobs,
+there reach ``GridManager.MONITOR_MIN_JOBS``.  This sweep measures what
+that buys: the ``gram-poll`` shape of the repository benchmark (five
+sites, pbs/lsf/loadleveler, about five waves of 120-200 s jobs,
 round-robin placement, no MDS/GSI/streaming) at n jobs per site, once
 with an agent that never launches a monitor and once with one that
 launches from the first job, fault-free and under one gatekeeper crash
 plus one ``jm_kill``.  Three things are compared -- RPCs per job,
 simulated makespan, and the time from a fault to the ``jobmanager_
-restarted`` that repairs it (mean over the two faults) -- and the
-constant is the smallest n at which monitoring loses none of them
-(docs/PERFORMANCE.md, "The Grid Monitor", carries the table this
-prints).
+restarted`` that repairs it (mean over the two faults) -- and a row
+names those on which monitoring loses (EXPERIMENTS.md carries the
+table this prints).
 
-Why there is a crossover at all: a report stream is judged stale only
-after 2.5 intervals (75 s) where a probe notices silence within one
-(30 s), so a monitored site starts its repair later; but the probe pass
-is serial and pays two 10 s timeouts per job at a dead site, so from a
-few dozen jobs per site on one dead gatekeeper delays every other
-site's probes by minutes, while the monitored pass walks only stale
-sites and suspects.
+What it shows: nowhere does the push monitor win.  The polled agent
+asks each site once per interval about all of its jobs there, which
+costs what a report costs -- one RPC per site per interval -- and each
+site is asked by its own process, so a dead gatekeeper delays no other
+site.  A monitored site, though, is judged dead only after 2.5 report
+intervals (75 s) of silence where an ask notices within one (30 s), and
+a JobManager killed behind a fresh monitor waits for a report to miss
+it before the next pass asks.  §5.1 stays as the paper's mechanism;
+which load, if any, should launch it is open (ROADMAP).
 """
 
 import random
@@ -137,9 +138,10 @@ def test_ablation_monitor_threshold(benchmark, report):
               for key, value in row.items()
               if key.startswith("faulted ") == faulted
               or not key.endswith((" poll", " mon"))} for row in rows])
-    # the constant is the smallest swept load at which monitoring loses
-    # nothing, and it loses nothing above it either
-    clean = [row["jobs/site"] for row in rows
-             if row["monitoring loses"] == "nothing"]
-    assert clean and clean[0] == GridManager.MONITOR_MIN_JOBS, rows
-    assert clean == [n for n in PER_SITE if n >= clean[0]], rows
+    # monitoring wins nowhere: it repairs later at every load and saves
+    # no RPCs at any
+    assert all("faulted repair_s" in row["monitoring loses"]
+               for row in rows), rows
+    assert all(row[f"{key} mon"] >= row[f"{key} poll"] * (1.0 - TOLERANCE)
+               for row in rows
+               for key in ("rpcs_per_job", "faulted rpcs_per_job")), rows

@@ -8,18 +8,18 @@ remote lifecycle:
   token before phase 1 and the JobManager contact before phase 2, so a
   submit-machine crash at *any* point resumes without duplicating or
   losing the job;
-* **failure detection** by periodically asking every JobManager for
-  its ``status`` -- the §4.2 probe -- with the exact decision tree:
-  JobManager silent -> probe the Gatekeeper; Gatekeeper answers ->
-  restart the JobManager; Gatekeeper silent -> crash and partition are
-  indistinguishable, so keep probing until contact returns, then
-  restart/reconnect (the revived JobManager either resumes watching or
-  reports that the job finished during the outage);
+* **failure detection** per :class:`RemoteSite`: each site's own watch
+  process asks its gatekeeper about all of our JobManagers there in one
+  ``status`` -- the §4.2 probe.  One in the answer is alive; one left
+  out died under a live gatekeeper and is restarted; a silent site (crash
+  or partition, indistinguishable) delays only its own jobs, to the next
+  pass; a refused credential holds them (§5).  A site whose Grid Monitor
+  reports is asked only about what the report missed;
 * **resubmission** of jobs that failed for transient, non-application
   reasons;
 * **job state**, which arrives by status callback (a sink service), by
-  Grid Monitor report, or as the answer to the probe -- all three through
-  ``_apply_remote_state``.
+  Grid Monitor report, or in the answer to the probe -- all three
+  through ``_apply_remote_state``.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from ..gram.protocol import GatekeeperBusy, Refusal
 from ..sim.errors import (
     AuthenticationError,
     AuthorizationError,
+    RemoteError,
     RPCError,
-    RPCTimeout,
 )
 from ..sim.hosts import Host
 from ..sim.rpc import Service, call
@@ -55,11 +55,46 @@ def _is_transient(reason: str) -> bool:
     return any(reason.startswith(p) for p in _TRANSIENT_PREFIXES)
 
 
+class RemoteSite:
+    """What the agent knows of one gatekeeper contact.
+
+    The scheduler's index keeps `inflight` and `watchable` (job ids) in
+    step with every write; the rest is the GridManager's, and volatile
+    like it: the per-user limit the site last stated, whether a job of
+    the submit pass waits for room here, the Grid Monitor's heartbeat,
+    last launch and suspects, and the site's watch process.
+    """
+
+    def __init__(self, contact: str):
+        self.contact = contact
+        self.inflight: set[str] = set()     # STAGING..ACTIVE here
+        self.watchable: set[str] = set()    # committed PENDING/ACTIVE here
+        self.stated: Optional[int] = None
+        self.waiting = False
+        # last report or launch, and the horizon its stated interval gives
+        self.beat = (0.0, -1.0)
+        self.launched: Optional[float] = None
+        self.suspects: set[str] = set()     # jmids the last report missed
+        self.watcher = None
+        self.wake = None        # set while the watcher is parked
+
+    def room(self, cap: Optional[int]) -> bool:
+        """In flight here is below `cap` (ours) and the site's limit."""
+        if self.stated is not None and (cap is None or self.stated < cap):
+            cap = self.stated
+        return cap is None or len(self.inflight) < cap
+
+    def fresh(self, now: float) -> bool:
+        """Has the site's monitor reported (or been launched) recently?"""
+        last, horizon = self.beat
+        return now - last <= horizon
+
+
 class GridManager(Service):
     """Callback sink + the per-user submission/probing machinery."""
 
-    # The one status period (§4.2): how often each watchable job's
-    # JobManager is asked for its status.
+    # The one status period (§4.2): how often each site with watchable
+    # jobs is asked about them.
     PROBE_INTERVAL = 30.0
     # How often the submit loop looks again while an UNSUBMITTED job
     # waits on the clock (a site's retry_after, no candidate site, an
@@ -67,12 +102,12 @@ class GridManager(Service):
     SUBMIT_RETRY_INTERVAL = 20.0
     # §5.1 is the agent's answer to its own load: a site gets a Grid
     # Monitor once this many of our jobs are in flight there (the sweep
-    # in docs/PERFORMANCE.md; below it a monitor's heartbeat horizon
-    # costs more recovery time than its batching saves).
+    # in docs/PERFORMANCE.md finds its heartbeat horizon now costs
+    # recovery time at every load; the value is kept until re-chosen).
     MONITOR_MIN_JOBS = 32
     # A site's heartbeat is stale once this many of its monitor's stated
-    # report intervals pass in silence: per-job watching resumes and, at
-    # a site that still carries the load, the monitor is relaunched
+    # report intervals pass in silence: status asks resume and, at a
+    # site that still carries the load, the monitor is relaunched
     # (with a cooldown so a dead gatekeeper isn't hammered).
     MONITOR_MISS_FACTOR = 2.5
     MONITOR_START_COOLDOWN = 60.0
@@ -92,26 +127,18 @@ class GridManager(Service):
         self.scheduler = scheduler
         self.queue = scheduler.queue
         self.user = user
-        # contact -> (last report or launch, the horizon its monitor's
-        # stated interval gives it); volatile, like `_stated`
-        self._monitor_beat: dict[str, tuple[float, float]] = {}
-        self._monitor_attempt: dict[str, float] = {}  # contact -> last launch
-        self._monitor_suspect: set[str] = set()       # jmids absent from report
+        self.sites = scheduler.sites
         self.client = Gram2Client(host, credential_source=self._credential)
         self.exited = False
-        # The one throttle: contact -> per-user JobManager limit its site
-        # last stated (in any phase-1 answer); what the pass left waiting.
-        self._stated: dict[str, Optional[int]] = {}
-        self._waiting: set[str] = set()         # contacts ...
-        self._waiting_jobs: set[str] = set()    # ... and who waits there
+        self._waiting_jobs: set[str] = set()    # who waits for room
         self._again = False     # a waited-for slot freed during the pass
         self._wake = self.sim.event(name=f"gm-wake:{user}")
-        self._watch_wake = None    # set while the watch loop is parked
         self._procs = [
-            host.spawn(self._submit_loop(), name=f"gridmanager:{user}"),
-            host.spawn(self._watch_loop(), name=f"gm-watch:{user}"),
-        ]
+            host.spawn(self._submit_loop(), name=f"gridmanager:{user}")]
         self.sim.trace.log("gridmanager", "start", user=user)
+        for site in self.sites.values():
+            if site.watchable:      # recovered from the queue
+                self.watch(site)
 
     # -- plumbing -----------------------------------------------------------
     def _trace(self, event: str, **details) -> None:
@@ -123,16 +150,13 @@ class GridManager(Service):
 
     def room(self, contact: str) -> bool:
         """In flight at `contact` is below our cap and the site's."""
-        limit = self.scheduler.max_submitted_per_resource
-        stated = self._stated.get(contact)
-        if stated is not None and (limit is None or stated < limit):
-            limit = stated
-        return limit is None or self.scheduler.inflight_on(contact) < limit
+        return self.scheduler.site(contact).room(
+            self.scheduler.max_submitted_per_resource)
 
-    def slot_freed(self, contact: str) -> None:
-        """In flight at `contact` dropped, or its stated limit moved: if
-        a job waits there, look again -- now, or after the running pass."""
-        if contact in self._waiting:
+    def slot_freed(self, site: RemoteSite) -> None:
+        """In flight at `site` dropped, or its stated limit moved: if a
+        job waits there, look again -- now, or after the running pass."""
+        if site.waiting:
             self._again = True
             self.kick()
 
@@ -140,19 +164,30 @@ class GridManager(Service):
         """A slot freed at any of `contacts` wakes `job`; the throttle
         counts the first, where it would have gone, once per pass."""
         self._waiting_jobs.add(job.job_id)
-        if contacts[0] not in self._waiting:
+        sites = [self.scheduler.site(contact) for contact in contacts]
+        if not sites[0].waiting:
             self.sim.metrics.counter("gridmanager.submit_throttled").inc(
                 label=contacts[0])
-        self._waiting.update(contacts)
+        for site in sites:
+            site.waiting = True
 
     def _learn_limit(self, contact: str, limit: Optional[int]) -> None:
-        if self._stated.get(contact) != limit:
-            self._stated[contact] = limit
-            self.slot_freed(contact)    # if it rose, that is room
+        site = self.scheduler.site(contact)
+        if site.stated != limit:
+            site.stated = limit
+            self.slot_freed(site)    # if it rose, that is room
 
-    def notify_watchable(self) -> None:
-        """A job just became watchable: rouse the watch loop if parked."""
-        wake, self._watch_wake = self._watch_wake, None
+    def watch(self, site: RemoteSite) -> None:
+        """`site` just got a watchable job: start its watcher, or rouse
+        it if parked."""
+        if self.exited:
+            return
+        if site.watcher is None:
+            site.watcher = self.host.spawn(
+                self._watch_site(site),
+                name=f"gm-watch:{self.user}@{site.contact}")
+            self._procs.append(site.watcher)
+        wake, site.wake = site.wake, None
         if wake is not None:
             wake.succeed(None)
 
@@ -179,7 +214,8 @@ class GridManager(Service):
         """The UNSUBMITTED jobs as the queue stands, in job_id order,
         each into room; a broker that said "nowhere" rests until a
         submission of this pass has yielded."""
-        self._waiting.clear()
+        for site in self.sites.values():
+            site.waiting = False
         self._waiting_jobs.clear()
         nowhere = False
         for jid in sorted(self.queue.ids_in(J.UNSUBMITTED)):
@@ -253,7 +289,8 @@ class GridManager(Service):
             # for another reason, it waits as long as the site says.
             job.attempts -= 1
             ours = failure.reason == Refusal.USER_JOBMANAGERS and \
-                self.scheduler.inflight_on(contact) > failure.user_limit
+                len(self.scheduler.site(contact).inflight) > \
+                failure.user_limit
             if not ours:
                 job.backoff_until = self.sim.now + failure.retry_after
                 self._trace("gatekeeper_busy_backoff", job=job.job_id,
@@ -308,7 +345,7 @@ class GridManager(Service):
             self.sim.now - attempt_start)
         self._trace("submitted", job=job.job_id, jmid=job.jmid,
                     resource=job.resource)
-        self._ensure_monitor(job.contact)
+        self._ensure_monitor(self.scheduler.site(job.contact))
 
     # -- data placement (repro.data) -----------------------------------------
     def _credential(self, audience: str):
@@ -480,15 +517,15 @@ class GridManager(Service):
         must not touch the new attempt.  The report doubles as the
         site's liveness heartbeat, good for `interval` x the miss factor,
         and a *watchable* job whose JobManager is absent from its site's
-        report is marked suspect -- the watch loop gives exactly those
-        jobs the per-job §4.2 treatment while everything covered by the
-        monitor stays quiet.
+        report is marked suspect -- the site's next pass asks about
+        exactly those jobs while everything covered by the monitor stays
+        quiet.
         A monitor we never asked for is refused (and so retires).
         """
-        contact = ctx.caller_host
-        if contact not in self._monitor_attempt or self.exited:
+        remote = self.sites.get(ctx.caller_host)
+        if remote is None or remote.launched is None or self.exited:
             return False
-        self._heartbeat(contact, interval)
+        remote.beat = (self.sim.now, interval * self.MONITOR_MISS_FACTOR)
         self.sim.metrics.counter("gridmanager.monitor_reports").inc(
             label=site)
         self.sim.metrics.counter("gridmanager.monitor_jobs_reported").inc(
@@ -501,32 +538,23 @@ class GridManager(Service):
             self._apply_remote_state(
                 job, entry["state"], entry["failure_reason"],
                 entry["exit_code"])
-        for job in self.scheduler.watchable_jobs(contact):
+        for job in self.scheduler.watchable_jobs(remote):
             if job.jmid in reports:
-                self._monitor_suspect.discard(job.jmid)
-            elif job.jmid not in self._monitor_suspect:
+                remote.suspects.discard(job.jmid)
+            elif job.jmid not in remote.suspects:
                 # Still watchable but invisible to the site's monitor:
                 # its JobManager died (monitors see every live *and*
                 # unacked-terminal JobManager of ours).
-                self._monitor_suspect.add(job.jmid)
+                remote.suspects.add(job.jmid)
                 self.sim.metrics.counter(
                     "gridmanager.monitor_suspects").inc()
                 self._trace("monitor_missing_jm", job=job.job_id,
-                            jmid=job.jmid, contact=contact)
+                            jmid=job.jmid, contact=remote.contact)
         return True
 
     # -- grid monitor lifecycle ---------------------------------------------
-    def _heartbeat(self, contact: str, interval: float) -> None:
-        self._monitor_beat[contact] = (
-            self.sim.now, interval * self.MONITOR_MISS_FACTOR)
-
-    def _monitor_fresh(self, contact: str) -> bool:
-        """Has `contact`'s monitor reported (or been launched) recently?"""
-        last, horizon = self._monitor_beat.get(contact, (0.0, -1.0))
-        return self.sim.now - last <= horizon
-
-    def _ensure_monitor(self, contact: str) -> None:
-        """Launch (or relaunch) the Grid Monitor at `contact` if our load
+    def _ensure_monitor(self, site: RemoteSite) -> None:
+        """Launch (or relaunch) the Grid Monitor at `site` if our load
         there calls for one and none is reporting.
 
         Called on every successful submit and on every stale-heartbeat
@@ -534,40 +562,39 @@ class GridManager(Service):
         O(1) no-ops while a monitor is alive, so the steady state costs
         one ``start_monitor`` RPC per site per outage, not per job.
         Only the launch is gated on load (``grid_monitor``: from the
-        first job): a monitor that reports is never worse than probing,
-        so it lives until it retires itself.
+        first job): a report costs what the site's ask costs, so a
+        monitor lives until it retires itself.
         """
-        if self.exited or not contact or \
-                self.scheduler.inflight_on(contact) < (
-                    1 if self.scheduler.grid_monitor
-                    else self.MONITOR_MIN_JOBS) or \
-                self._monitor_fresh(contact):
+        if self.exited or len(site.inflight) < (
+                1 if self.scheduler.grid_monitor
+                else self.MONITOR_MIN_JOBS) or site.fresh(self.sim.now):
             return
-        last = self._monitor_attempt.get(contact)
-        if last is not None and \
-                self.sim.now - last < self.MONITOR_START_COOLDOWN:
+        if site.launched is not None and \
+                self.sim.now - site.launched < self.MONITOR_START_COOLDOWN:
             return
-        self._monitor_attempt[contact] = self.sim.now
-        self.host.spawn(self._start_monitor(contact),
+        site.launched = self.sim.now
+        self.host.spawn(self._start_monitor(site),
                         name=f"gm-monitor:{self.user}")
 
-    def _start_monitor(self, contact: str):
+    def _start_monitor(self, site: RemoteSite):
         starts = self.sim.metrics.counter("gridmanager.monitor_starts")
         try:
             answer = yield from self.client.start_monitor(
-                contact, callback=(self.host.name, self.callback_service))
+                site.contact,
+                callback=(self.host.name, self.callback_service))
         except RPCError as exc:
             starts.inc(label="failed")
-            self._trace("monitor_start_failed", contact=contact,
+            self._trace("monitor_start_failed", contact=site.contact,
                         reason=str(exc))
             return
         # Optimistic heartbeat: the monitor exists *now*; its first
         # report lands one interval out, well inside the staleness
-        # horizon -- so the watch loop stands down immediately instead
-        # of fanning out per-job probes while the monitor warms up.
-        self._heartbeat(contact, answer["interval"])
+        # horizon -- so the site's watcher stands down immediately
+        # instead of asking while the monitor warms up.
+        site.beat = (self.sim.now,
+                     answer["interval"] * self.MONITOR_MISS_FACTOR)
         starts.inc(label="ok")
-        self._trace("monitor_started", contact=contact)
+        self._trace("monitor_started", contact=site.contact)
 
     def _apply_remote_state(self, job: GridJob, state: str,
                             failure_reason: str,
@@ -624,108 +651,91 @@ class GridManager(Service):
             job.failure_reason = reason
             self.queue.transition(job, J.FAILED)
 
-    # -- watching: status is the §4.2 probe -----------------------------------
-    def _watch_loop(self):
-        """Every PROBE_INTERVAL, one ``status`` RPC per watchable job.
-
-        The answer is both the liveness proof and the job's state; its
-        absence enters the §4.2 decision tree.  At a site with a Grid
-        Monitor the report stream is the liveness proof instead: jobs at
-        a freshly-reporting site are skipped unless the report marked
-        them suspect, and a stale site gets the per-job treatment (and,
-        if it still carries the load, a new monitor).  Freshness is
-        decided once per site until the pass next yields -- only while
-        it waits on an answer can a report land or a horizon pass.  With
-        nothing watchable the loop parks on an event, so an idle
-        GridManager keeps nothing on the heap.
-        """
-        while not self.exited:
-            if not self.scheduler.watchable_count():
-                self._watch_wake = self.sim.event(
-                    name=f"gm-watchable:{self.user}")
-                yield self._watch_wake
+    # -- watching: one status per site is the §4.2 probe ---------------------
+    def _watch_site(self, site: RemoteSite):
+        """Every PROBE_INTERVAL, one ``status`` to `site` about its
+        watchable jobs -- only those its last report missed while its
+        Grid Monitor is fresh; a stale site may get a new monitor.  With
+        nothing watchable here the watcher parks on an event, so a quiet
+        site keeps nothing on the heap."""
+        while True:
+            if not site.watchable:
+                site.wake = self.sim.event(name=f"gm-watchable:{self.user}")
+                yield site.wake
             yield self.sim.timeout(self.PROBE_INTERVAL)
-            fresh: dict[str, bool] = {}
-            for job in self.scheduler.watchable_jobs():
-                contact = job.contact or job.resource
-                covered = fresh.get(contact)
-                if covered is None:
-                    covered = fresh[contact] = self._monitor_fresh(contact)
-                    if not covered:
-                        # No monitor, or a stale heartbeat (it, or the
-                        # whole site, is gone): watch this site's jobs
-                        # ourselves, and ask for one if the load is there.
-                        self._ensure_monitor(contact)
-                if covered:
-                    if job.jmid not in self._monitor_suspect:
-                        continue
-                    self._monitor_suspect.discard(job.jmid)
-                yield from self._watch_job(job)
-                fresh.clear()
+            jobs = self.scheduler.watchable_jobs(site)
+            if site.fresh(self.sim.now):
+                suspects, site.suspects = site.suspects, set()
+                jobs = [job for job in jobs if job.jmid in suspects]
+            else:
+                self._ensure_monitor(site)
+            if jobs:
+                yield from self._ask(site, jobs)
 
-    def _watch_job(self, job: GridJob):
+    def _ask(self, site: RemoteSite, jobs: list):
         outcomes = self.sim.metrics.counter("gridmanager.probe_outcomes")
-        # Snapshot the attempt we are asking about: every yield below
-        # can interleave with a resubmission (a failure report for THIS
-        # attempt races with the next one), after which the answer --
-        # or the silence -- is about a dead attempt and must not touch
-        # the job.
-        jmid = job.jmid
-        if not jmid or job.is_terminal:
-            return    # mutated since the pass's list was drawn
+        # Snapshot the attempts we ask about: the answer can cross a
+        # resubmission (a failure report for THIS attempt races with the
+        # next one), after which it -- or the silence -- is about a dead
+        # attempt and must not touch the job.
+        asked = [(job, job.jmid) for job in jobs]
         try:
-            status = yield from self.client.status(job.contact, jmid)
-        except AuthenticationError as exc:
-            # An expired/bad proxy gets the §5 hold-and-notify
-            # treatment -- unless the error is for a superseded
-            # attempt, which says nothing about the current one's
-            # credential.
-            if job.jmid == jmid:
-                outcomes.inc(label="credential")
-                self.scheduler.credential_problem(job, str(exc))
+            answer = yield from self.client.status(
+                site.contact, [jmid for _job, jmid in asked])
+        except (AuthenticationError, AuthorizationError) as exc:
+            self._refused(asked, exc)
             return
         except RPCError:
-            status = None    # silence: the §4.2 tree below
-        if job.jmid != jmid:
-            return
-        if status is not None:
-            outcomes.inc(label="alive")
-            self._apply_remote_state(
-                job, status["state"], status.get("failure_reason", ""),
-                status.get("exit_code"))
-            return
-        outcomes.inc(label="silent")
-        self._trace("jobmanager_silent", job=job.job_id, jmid=job.jmid)
-        try:
-            yield from self.client.ping_gatekeeper(job.contact)
-        except (RPCError, AuthenticationError):
             # Machine crash or network failure: indistinguishable (§4.2).
-            # Keep the job and retry on the next pass.
-            outcomes.inc(label="unreachable")
-            self._trace("resource_unreachable", job=job.job_id,
-                        contact=job.contact)
+            # Keep the jobs and ask again on the next pass.
+            outcomes.inc(len(asked), label="unreachable")
+            self._trace("resource_unreachable", contact=site.contact,
+                        jobs=len(asked))
             return
-        if job.jmid != jmid:
-            return
-        # Gatekeeper is alive: only the JobManager died.  Restart it.
-        yield from self._restart_jobmanager(job)
+        for job, jmid in asked:
+            if job.jmid == jmid and jmid in answer:
+                outcomes.inc(label="alive")
+                status = answer[jmid]
+                self._apply_remote_state(job, status["state"],
+                                         status["failure_reason"],
+                                         status["exit_code"])
+        # Left out of the gatekeeper's answer: only those JobManagers died.
+        for job, jmid in asked:
+            if job.jmid == jmid and jmid not in answer and \
+                    not job.is_terminal:
+                outcomes.inc(label="silent")
+                self._trace("jobmanager_silent", job=job.job_id, jmid=jmid)
+                yield from self._restart_jobmanager(job)
+
+    def _refused(self, asked: list, exc: RPCError) -> None:
+        """The gatekeeper refused our credential: the §5 hold for each
+        job still on the attempt we asked about."""
+        for job, jmid in asked:
+            if job.jmid == jmid:
+                self.sim.metrics.counter("gridmanager.probe_outcomes").inc(
+                    label="credential")
+                self.scheduler.credential_problem(job, str(exc))
 
     def _restart_jobmanager(self, job: GridJob):
-        outcomes = self.sim.metrics.counter("gridmanager.probe_outcomes")
         jmid = job.jmid
         try:
             yield from self.client.restart_jobmanager(job.contact, jmid)
-            outcomes.inc(label="restarted")
-            self._trace("jobmanager_restarted", job=job.job_id,
-                        jmid=job.jmid)
-        except RPCTimeout:
-            return    # lost it again; the next pass retries
-        except RPCError as exc:
-            # No state file: the JobManager never survived to persist.
-            outcomes.inc(label="restart_failed")
-            if job.jmid == jmid:
-                self._remote_failure(job, f"jobmanager crashed: {exc}")
+        except (AuthenticationError, AuthorizationError) as exc:
+            self._refused([(job, jmid)], exc)
             return
+        except RemoteError as exc:
+            if exc.kind == "KeyError" and job.jmid == jmid:
+                # No state file: the JobManager never survived to
+                # persist, so it ran nothing -- the one safe resubmission.
+                self.sim.metrics.counter("gridmanager.probe_outcomes").inc(
+                    label="restart_failed")
+                self._remote_failure(job, f"jobmanager crashed: {exc}")
+            return      # otherwise the gatekeeper could not say: ask again
+        except RPCError:
+            return    # lost it again; the next pass asks again
+        self.sim.metrics.counter("gridmanager.probe_outcomes").inc(
+            label="restarted")
+        self._trace("jobmanager_restarted", job=job.job_id, jmid=job.jmid)
         # Point the revived JobManager's streaming at our GASS server.
         if job.request.stdout_url:
             try:

@@ -18,7 +18,7 @@ from ..condor.queue import JobQueue
 from ..sim.errors import RPCError
 from . import job as J
 from .broker import Broker
-from .gridmanager import GridManager
+from .gridmanager import GridManager, RemoteSite
 from .job import GridJob, next_grid_job_id
 
 
@@ -60,14 +60,12 @@ class CondorGScheduler:
         # go stale); the GridManager loops read these instead of scanning
         # the whole queue.
         self._nonterminal: set[str] = set()
-        self._watchable: dict[str, str] = {}     # job_id -> its contact
-        self._watchable_at: dict[str, set[str]] = {}    # and the inverse
         self._by_jmid: dict[str, GridJob] = {}
         self._jmid_of: dict[str, str] = {}
-        # Throttle bookkeeping: resource contact -> in-flight job count,
-        # plus which resource each job is currently counted against.
-        self._inflight: dict[str, int] = {}
-        self._inflight_res: dict[str, str] = {}
+        # contact -> what the GridManager knows of that site, and the
+        # site each in-flight job is counted at
+        self.sites: dict[str, RemoteSite] = {}
+        self._site_of: dict[str, RemoteSite] = {}
         self.gridmanager: Optional[GridManager] = None
         for job in queue.attach(self, GridJob.UNIVERSES):
             self._reindex(job)
@@ -104,19 +102,6 @@ class CondorGScheduler:
             self._nonterminal.discard(jid)
         else:
             self._nonterminal.add(jid)
-        watchable = bool(job.committed and job.jmid
-                         and job.state in (J.PENDING, J.ACTIVE))
-        contact = (job.contact or job.resource) if watchable else None
-        old_contact = self._watchable.get(jid)
-        if contact != old_contact:
-            if old_contact is not None:
-                self._watchable_at[old_contact].discard(jid)
-                del self._watchable[jid]
-            if watchable:
-                self._watchable[jid] = contact
-                self._watchable_at.setdefault(contact, set()).add(jid)
-                if old_contact is None and self.gridmanager is not None:
-                    self.gridmanager.notify_watchable()
         old_jmid = self._jmid_of.get(jid, "")
         if old_jmid != job.jmid:
             if old_jmid:
@@ -124,26 +109,36 @@ class CondorGScheduler:
             if job.jmid:
                 self._by_jmid[job.jmid] = job
             self._jmid_of[jid] = job.jmid
-        # In-flight-per-resource tally (the submit throttle's input).
-        res = job.resource if (job.resource and not job.is_terminal
-                               and job.state in (J.STAGING, J.SUBMITTING,
-                                                 J.PENDING, J.ACTIVE)) \
-            else ""
-        old_res = self._inflight_res.get(jid, "")
-        if old_res != res:
-            if old_res:
-                left = self._inflight.get(old_res, 0) - 1
-                if left > 0:
-                    self._inflight[old_res] = left
-                else:
-                    self._inflight.pop(old_res, None)
-                if self.gridmanager is not None:
-                    self.gridmanager.slot_freed(old_res)
-            if res:
-                self._inflight[res] = self._inflight.get(res, 0) + 1
-                self._inflight_res[jid] = res
-            else:
-                self._inflight_res.pop(jid, None)
+        # In flight at a site (the submit throttle's input), and watchable
+        # there (committed PENDING/ACTIVE: what the site's watch asks about)
+        contact = (job.contact or job.resource) if job.state in (
+            J.STAGING, J.SUBMITTING, J.PENDING, J.ACTIVE) else ""
+        site = self._site_of.get(jid)
+        if site is not None and site.contact != contact:
+            del self._site_of[jid]
+            site.inflight.discard(jid)
+            site.watchable.discard(jid)
+            if self.gridmanager is not None:
+                self.gridmanager.slot_freed(site)
+            site = None
+        if contact and site is None:
+            site = self._site_of[jid] = self.site(contact)
+            site.inflight.add(jid)
+        if site is None:
+            return
+        if job.committed and job.jmid and job.state in (J.PENDING, J.ACTIVE):
+            if not site.watchable and self.gridmanager is not None:
+                self.gridmanager.watch(site)    # its first: rouse a watcher
+            site.watchable.add(jid)
+        else:
+            site.watchable.discard(jid)
+
+    def site(self, contact: str) -> RemoteSite:
+        """The record of `contact`, made at its first mention."""
+        site = self.sites.get(contact)
+        if site is None:
+            site = self.sites[contact] = RemoteSite(contact)
+        return site
 
     # -- submission ------------------------------------------------------------
     def submit(self, request, resource: str = "",
@@ -164,7 +159,10 @@ class CondorGScheduler:
             self.gridmanager = GridManager(self, self.user, self.host)
 
     def gridmanager_exited(self) -> None:
+        # every job is terminal: what the sites' records still hold was
+        # that GridManager's, and volatile like it
         self.gridmanager = None
+        self.sites.clear()
 
     # -- queries ------------------------------------------------------------
     def jobs_for_user(self) -> list[GridJob]:
@@ -176,22 +174,12 @@ class CondorGScheduler:
     def job_by_jmid(self, jmid: str) -> Optional[GridJob]:
         return self._by_jmid.get(jmid)
 
-    def watchable_jobs(self, contact: Optional[str] = None) -> list[GridJob]:
-        """Committed PENDING/ACTIVE jobs (all, or those at `contact`),
-        ascending job_id."""
-        jids = self._watchable if contact is None \
-            else self._watchable_at.get(contact, ())
-        return [self.queue.jobs[jid] for jid in sorted(jids)]
-
-    def watchable_count(self) -> int:
-        return len(self._watchable)
+    def watchable_jobs(self, site: RemoteSite) -> list[GridJob]:
+        """Committed PENDING/ACTIVE jobs at `site`, ascending job_id."""
+        return [self.queue.jobs[jid] for jid in sorted(site.watchable)]
 
     def nonterminal_count(self) -> int:
         return len(self._nonterminal)
-
-    def inflight_on(self, resource: str) -> int:
-        """This user's SUBMITTING/PENDING/ACTIVE jobs at `resource`."""
-        return self._inflight.get(resource, 0)
 
     # -- cancellation -----------------------------------------------------------
     def cancel(self, job_id: str):

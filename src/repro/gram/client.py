@@ -113,18 +113,15 @@ class Gram2Client:
         raise GramClientError(
             f"commit of {jmid} failed after {self.max_attempts} attempts")
 
-    def status(self, contact: str, jmid: str):
-        """The job's state, and the §4.2 liveness probe: RPCTimeout
-        means the JobManager is unresponsive."""
-        result = yield from call(self.host, contact, f"jm:{jmid}", "status",
+    def status(self, contact: str, jmids):
+        """``{jmid: status}`` for those of our JobManagers `jmids` that
+        run at `contact`, in one question to its gatekeeper: the §4.2
+        probe of the site.  RPCTimeout means the gatekeeper is
+        unresponsive; a jmid left out, that its JobManager is not."""
+        result = yield from call(self.host, contact, "gatekeeper", "status",
                                  timeout=self.rpc_timeout,
-                                 credential=self._credential(contact))
-        return result
-
-    def ping_gatekeeper(self, contact: str):
-        result = yield from call(self.host, contact, "gatekeeper", "ping",
-                                 timeout=self.rpc_timeout,
-                                 credential=self._credential(contact))
+                                 credential=self._credential(contact),
+                                 jmids=tuple(jmids))
         return result
 
     def restart_jobmanager(self, contact: str, jmid: str):

@@ -28,7 +28,7 @@ from ..sim.errors import RPCError
 from ..sim.hosts import Host
 from ..sim.rpc import Service, call
 from .jobmanager import STATE_NS, JobManager
-from .monitor import GridMonitor
+from .monitor import GridMonitor, statuses
 from .protocol import GatekeeperBusy, GramJobRequest, Refusal
 
 
@@ -170,8 +170,15 @@ class Gatekeeper(Service):
 
     # -- handlers -----------------------------------------------------------
     def handle_ping(self, ctx) -> str:
-        """Liveness probe (GridManager failure detector, §4.2)."""
+        """Liveness probe (resource brokers)."""
         return self.site
+
+    def handle_status(self, ctx, jmids: tuple) -> dict:
+        """``{jmid: status}`` for each of the caller's `jmids` registered
+        here: the §4.2 probe of the whole site.  A jmid left out has no
+        JobManager running (crashed, or lost with a reboot)."""
+        owner = ctx.principal or ctx.caller_host
+        return statuses(self._jobmanagers.get(owner, {}), jmids)
 
     def handle_submit(self, ctx, seq: int, request: GramJobRequest,
                       callback: Optional[tuple] = None) -> dict:

@@ -229,8 +229,8 @@ class JobManager(Service):
 
     def _publish(self) -> None:
         """Our status as a value, built when it is written, not when it
-        is read: the answer to ``status`` and our entry in every Grid
-        Monitor report."""
+        is read: our entry in every gatekeeper ``status`` answer and
+        Grid Monitor report."""
         self.status = FrozenDict(
             jmid=self.jmid,
             state=self.state,
@@ -275,8 +275,8 @@ class JobManager(Service):
         sweep = self._sweep(create=False)
         if sweep is not None:
             sweep.unwatch(self.local_id)   # neighbours' sweep goes on
-        self.shutdown()    # unregister the service: probes now time out
-        self._count_live()
+        self.shutdown()    # unregister the service ...
+        self._count_live()  # ... and leave the gatekeeper's status answers
 
     def _sweep(self, create: bool = True) -> Optional[LrmSweep]:
         """This machine's sweeper for our LRM; the first JobManager to
@@ -292,11 +292,6 @@ class JobManager(Service):
         if not self._committed.triggered and not self._committed._scheduled:
             self._committed.succeed(None)
         return True
-
-    def handle_status(self, ctx) -> dict:
-        """Current state; answering at all is the liveness proof the
-        GridManager's failure detector (§4.2) looks for."""
-        return self.status
 
     def handle_cancel(self, ctx):
         if self.state == protocol.STAGE_IN:

@@ -1,10 +1,10 @@
 """The Grid Monitor: batched per-site status fan-in (paper §5.1).
 
 The deployment lesson of §5.1 is that one JobManager per job -- each
-polled individually over the WAN -- is the scalability wall: a
-GridManager watching N jobs at a site pays N ``status`` RPCs (state
-and §4.2 liveness probe in one) per tick.  The production fix (the Grid
-Monitor, also SAMGrid's per-site status agents) replaces that fan-out
+polled individually over the WAN -- is the scalability wall: a client
+that polls each JobManager pays N RPCs per tick for N jobs at a site.
+The production fix (the Grid Monitor, also SAMGrid's per-site status
+agents) replaces that fan-out
 with one small daemon *at the site*: it snapshots the states of all of
 one user's JobManagers locally -- same host, no RPC per JobManager --
 and ships a single batched report per interval back to the user's
@@ -22,8 +22,8 @@ GridManager's callback service, and a JobManager whose terminal state
 has not yet been acknowledged stays in the next snapshot.  A lost
 report therefore delays nothing for ever -- the retry next interval
 carries the same terminal states, and once the heartbeat goes stale
-the GridManager's watch loop asks each JobManager itself, which covers
-the monitor dying outright.
+the GridManager asks the gatekeeper about the site's jobs itself, which
+covers the monitor dying outright.
 """
 
 from __future__ import annotations
@@ -35,6 +35,14 @@ from ..sim.fastcopy import FrozenDict
 from ..sim.hosts import Host
 from ..sim.rpc import Service, call
 from .protocol import GRAM_TERMINAL
+
+
+def statuses(jobmanagers: dict, jmids) -> FrozenDict:
+    """``{jmid: status}`` for those of `jmids` registered in one owner's
+    table `jobmanagers`, read locally: a Grid Monitor report and a
+    gatekeeper ``status`` answer alike."""
+    return FrozenDict({jmid: jobmanagers[jmid].status for jmid in jmids
+                       if jmid in jobmanagers})
 
 
 class GridMonitor(Service):
@@ -81,7 +89,7 @@ class GridMonitor(Service):
 
         The JobManagers it was watching keep running; the GridManager's
         heartbeat staleness detector notices the silence, falls back to
-        per-job ``status`` probes, and asks the gatekeeper for a fresh
+        asking the gatekeeper's ``status``, and asks it for a fresh
         monitor -- the same client-driven recovery as a JobManager.
         """
         self._trace("crash")
@@ -92,19 +100,13 @@ class GridMonitor(Service):
 
     # -- snapshot + report ---------------------------------------------------
     def _snapshot(self) -> FrozenDict:
-        """States of all of `user`'s JobManagers on this host, locally.
-
-        This is the whole point of the monitor: the scan reads the
-        gatekeeper's table, not one RPC per JobManager, and what it
-        collects are the values the JobManagers already hold, so the
-        report costs what it carries.
-        Terminal JobManagers stay in the batch until a report carrying
-        them is acknowledged, then drop out for good.
-        """
+        """States of all of `user`'s JobManagers on this host, locally,
+        so the report costs what it carries.  Terminal JobManagers stay
+        in the batch until a report carrying them is acknowledged, then
+        drop out for good."""
         acked = self._acked_terminal
-        return FrozenDict({jmid: jm.status
-                           for jmid, jm in self.jobmanagers.items()
-                           if jmid not in acked})
+        return statuses(self.jobmanagers, [
+            jmid for jmid in self.jobmanagers if jmid not in acked])
 
     def _retire(self, reason: str) -> None:
         self._trace("retire", reason=reason)
@@ -150,7 +152,7 @@ class GridMonitor(Service):
                 # client that stays silent is gone (exited, or will
                 # relaunch us when the partition heals); don't spin for
                 # ever -- terminal states survive in the JobManagers,
-                # where the client's per-job watch picks them up.
+                # where the client's status asks pick them up.
                 reports_metric.inc(label="failed")
                 failures += 1
                 if failures >= self.MAX_REPORT_FAILURES:

@@ -3,8 +3,8 @@
 1. The status path used to swallow :class:`AuthenticationError` with the
    generic RPC handler, so an expired proxy was never routed to the §5
    hold-and-notify path -- and, once it was, the error was counted even
-   when it belonged to a superseded attempt.  ``status`` is now the one
-   §4.2 probe, so there is one place to get this right.
+   when it belonged to a superseded attempt.  One ``status`` per site is
+   now the §4.2 probe, so there is one place to get this right.
 2. ``_submission_failed`` used to rewrite every failure reason as
    "local scheduler submission failed: ..." -- masking the real cause in
    the userlog *and* making the transient classification depend on the
@@ -15,14 +15,19 @@
 4. The user's cancel swallowed *any* error of the remote cancel and
    marked the job removed: a bug in the cancel path looked like a
    successful removal.  Only an RPC failure is the remote side's.
+5. A failed JobManager restart was read as "no state file" whatever
+   the error -- a refused credential included -- and resubmitted a job
+   whose LRM job still ran.  Only the gatekeeper's explicit answer
+   resubmits; a credential refusal holds; anything else waits.
 """
 
 import pytest
 
 from repro import GridTestbed, JobDescription
 from repro.gram.client import Gram2Client, GramClientError
-from repro.sim.errors import AuthenticationError, RPCTimeout, \
+from repro.sim.errors import AuthenticationError, RemoteError, RPCTimeout, \
     SimulationError
+from repro.sim.rpc import CallContext
 from repro.grid.config import AgentSpec, SiteSpec, TestbedConfig
 
 
@@ -209,6 +214,71 @@ def test_phase1_auth_failure_holds_instead_of_failing(monkeypatch):
     assert status.state == "HELD"
     assert "bad proxy signature" in status.hold_reason
     assert not tb.sim.trace.select("gridmanager", "resubmit")
+
+
+def test_restart_auth_failure_holds_instead_of_resubmitting(monkeypatch):
+    """A restart refused for the credential is not "no state file": the
+    JobManager's state file and its LRM job still exist, so resubmitting
+    ran the job twice.  It is held; released, it reconnects."""
+    tb = make_tb(seed=17)
+    agent = tb.add_agent(AgentSpec("alice"))
+    jid = agent.submit(JobDescription(runtime=300.0), resource="site-gk")
+    tb.run(until=60.0)
+    job = agent.queue.jobs[jid]
+    jmid = job.jmid
+    real_restart = Gram2Client.restart_jobmanager
+
+    def refused(self, contact, jmid):
+        raise AuthenticationError("proxy rejected on restart")
+        yield  # pragma: no cover -- generator like the real method
+
+    monkeypatch.setattr(Gram2Client, "restart_jobmanager", refused)
+    tb.sites["site"].gk_host.services[f"jm:{jmid}"].crash()
+    tb.run(until=200.0)
+
+    status = agent.status(jid)
+    assert status.state == "HELD"
+    assert "proxy rejected on restart" in status.hold_reason
+    monkeypatch.setattr(Gram2Client, "restart_jobmanager", real_restart)
+    agent.scheduler.release_credential_holds()
+    tb.run_until_quiet(max_time=5000.0)
+
+    status = agent.status(jid)
+    assert status.is_complete and status.attempts == 1
+    assert job.jmid == jmid
+    assert tb.sim.metrics.counter("gridmanager.resubmits").value == 0
+    assert [j.state for j in tb.sites["site"].lrm.jobs.values()] == \
+        ["COMPLETED"]
+
+
+def test_only_a_missing_state_file_resubmits_after_a_restart(monkeypatch):
+    """Any other failed restart waits for the next pass."""
+    tb = make_tb(seed=17)
+    agent = tb.add_agent(AgentSpec("alice"))
+    jid = agent.submit(JobDescription(runtime=300.0), resource="site-gk")
+    tb.run(until=60.0)
+    jmid = agent.queue.jobs[jid].jmid
+    real_restart, failures = Gram2Client.restart_jobmanager, []
+
+    def flaky(self, contact, jmid):
+        if len(failures) < 2:
+            failures.append(self.sim.now)
+            raise RemoteError("gatekeeper overloaded", kind="RuntimeError")
+        return (yield from real_restart(self, contact, jmid))
+
+    monkeypatch.setattr(Gram2Client, "restart_jobmanager", flaky)
+    tb.sites["site"].gk_host.services[f"jm:{jmid}"].crash()
+    tb.run_until_quiet(max_time=5000.0)
+
+    assert len(failures) == 2
+    status = agent.status(jid)
+    assert status.is_complete and status.attempts == 1
+    assert len(tb.sites["site"].lrm.jobs) == 1
+    # the gatekeeper's own "no state file" answer is what resubmits
+    gatekeeper = tb.sites["site"].gatekeeper
+    with pytest.raises(KeyError, match="no state file"):
+        gatekeeper.handle_restart_jobmanager(
+            CallContext(agent.host.name), "site-jm99")
 
 
 def _cancel_running_job(monkeypatch, remote_cancel):

@@ -3,7 +3,7 @@ its own load there calls for one (§5.1 as the agent's answer to its own
 load), and only the *launch* is gated.
 
 Below ``GridManager.MONITOR_MIN_JOBS`` in flight at a site nothing about
-the per-job §4.2 path changes -- not one RPC; at or above it the site is
+the §4.2 status asks changes -- not one RPC; at or above it the site is
 watched through one report stream, which then lives until the monitor
 retires itself.  Most tests lower the constant to 4 to stay small.
 """
@@ -68,6 +68,10 @@ def record_calls(monkeypatch, method):
     return calls
 
 
+def site(agent, contact="s0-gk"):
+    return agent.scheduler.sites[contact]
+
+
 def drain(tb, agent, cap=20_000.0):
     while tb.sim.now < cap and \
             not all(s.is_terminal for s in agent.statuses()):
@@ -121,9 +125,9 @@ def test_the_monitor_outlives_the_load_and_retires_itself(
     gk = tb.sites["s0"].gk_host
     tb.run(until=500.0)
     # three of five jobs are gone: below the constant, monitor kept
-    assert agent.scheduler.inflight_on("s0-gk") == 2
+    assert len(site(agent).inflight) == 2
     assert any(name.startswith("monitor:") for name in gk.services)
-    assert agent.scheduler.gridmanager._monitor_fresh("s0-gk")
+    assert site(agent).fresh(tb.sim.now)
     drain(tb, agent)
     # ... and its report stream carried the last two to the end
     assert len(started) == 1 and asked == []
@@ -146,12 +150,12 @@ def test_stale_below_the_constant_resumes_probes_without_relaunch(
     tb.failures.crash_service_at(150.0, tb.sites["s0"].gk_host, "monitor:")
     tb.run(until=150.0)
     assert len(started) == 1 and asked == []
-    assert agent.scheduler.inflight_on("s0-gk") == 2
+    assert len(site(agent).inflight) == 2
     drain(tb, agent)
-    # silence -> the two jobs left are probed, one each per pass; nobody
-    # asks for a second monitor for two jobs
+    # silence -> the site is asked about the two jobs left, once per
+    # pass; nobody asks for a second monitor for two jobs
     assert len(started) == 1
-    assert len(asked) >= 2 * 20 and min(t for t, _ in asked) > 150.0
+    assert len(asked) >= 20 and min(t for t, _ in asked) > 150.0
     assert tb.sim.metrics.counter("gatekeeper.monitors_started").value == 1
     assert evaluate_invariants(tb) == []
 
@@ -218,7 +222,7 @@ def test_a_report_from_a_monitor_nobody_asked_for_is_refused(four, tally):
     tb.run(until=200.0)
 
     assert tb.sim.metrics.counter("gridmanager.monitor_reports").value == 0
-    assert not gm._monitor_fresh("s0-gk")
+    assert not site(agent).fresh(tb.sim.now)
     reports = tb.sim.metrics.counter("monitor.reports")
     assert reports.labelled("failed") == GridMonitor.MAX_REPORT_FAILURES
     assert reports.labelled("ok") == 0
@@ -241,10 +245,10 @@ def test_submit_reboot_relaunches_from_the_recovered_load(
 
     # the heartbeat was volatile and is gone; the queue came back from
     # disk with five jobs in flight at s0, which is what calls for one
-    assert agent.scheduler.inflight_on("s0-gk") == 5
+    assert len(site(agent).inflight) == 5
     assert len(started) == 2 and started[1][0] > 160.0
     assert count(tally, "submit") == submits
-    assert agent.scheduler.gridmanager._monitor_fresh("s0-gk")
+    assert site(agent).fresh(tb.sim.now)
     drain(tb, agent)
     assert evaluate_invariants(tb) == []
 

@@ -64,7 +64,8 @@ class Watcher:
 
     def _look(self, name, agent):
         gm = agent.scheduler.gridmanager
-        stated = gm._stated if gm is not None else {}
+        stated = {contact: site.stated for contact, site
+                  in agent.scheduler.sites.items()}
         contacts = [site.contact for site in self.tb.sites.values()]
         room = {}
         for site in self.tb.sites.values():

@@ -17,7 +17,7 @@ def submit_and_wait(grid, request, wait=200.0):
         jmid, contact = response["jmid"], response["contact"]
         while True:
             yield grid.sim.timeout(5.0)
-            status = yield from grid.client.status(contact, jmid)
+            status = (yield from grid.client.status(contact, [jmid]))[jmid]
             if status["state"] in (DONE, FAILED):
                 return status
 
@@ -84,9 +84,8 @@ def test_cancel_running_job(grid):
         yield from grid.client.cancel(response["contact"],
                                       response["jmid"])
         yield grid.sim.timeout(10.0)
-        status = yield from grid.client.status(response["contact"],
-                                               response["jmid"])
-        return status
+        return (yield from grid.client.status(
+            response["contact"], [response["jmid"]]))[response["jmid"]]
 
     box = grid.drive(scenario())
     assert box["value"]["state"] == FAILED
@@ -117,9 +116,8 @@ def test_commit_window_aborts_uncommitted_job(grid):
             seq=999, request=GramJobRequest(runtime=5.0))
         # deliberately never send commit
         yield grid.sim.timeout(300.0)
-        status = yield from grid.client.status(response["contact"],
-                                               response["jmid"])
-        return status
+        return (yield from grid.client.status(
+            response["contact"], [response["jmid"]]))[response["jmid"]]
 
     box = grid.drive(scenario())
     assert box["value"]["state"] == FAILED
@@ -164,20 +162,51 @@ def test_different_seq_creates_different_jobs(grid):
     assert len(grid.lrm.jobs) == 2
 
 
-def test_ping_gatekeeper(grid):
+def test_gatekeeper_status_answers_for_the_callers_jobmanagers(grid):
+    """One question about many JobManagers: the caller's live ones are
+    in the answer, a crashed or unknown one is left out, and another
+    caller sees none of them."""
+    from repro.sim import Host, call
+
+    other = Host(grid.sim, "other")
+
     def scenario():
-        site = yield from grid.client.ping_gatekeeper("site-gk")
+        a = yield from grid.client.submit("site-gk",
+                                          GramJobRequest(runtime=100.0))
+        b = yield from grid.client.submit("site-gk",
+                                          GramJobRequest(runtime=100.0))
+        yield grid.sim.timeout(10.0)
+        grid.gk_host.services[f"jm:{b['jmid']}"].crash()
+        mine = yield from grid.client.status(
+            "site-gk", [a["jmid"], b["jmid"], "site-jm99"])
+        theirs = yield from call(other, "site-gk", "gatekeeper", "status",
+                                 jmids=(a["jmid"],))
+        return a["jmid"], mine, theirs
+
+    jmid, mine, theirs = grid.drive(scenario())["value"]
+    assert list(mine) == [jmid]
+    assert mine[jmid]["state"] in (PENDING, "ACTIVE")
+    assert theirs == {}
+
+
+def test_ping_gatekeeper(grid):
+    from repro.sim import call
+
+    def scenario():
+        site = yield from call(grid.submit, "site-gk", "gatekeeper", "ping")
         return site
 
     assert grid.drive(scenario())["value"] == "site"
 
 
 def test_ping_down_gatekeeper_times_out(grid):
+    from repro.sim import call
+
     grid.gk_host.crash()
 
     def scenario():
         try:
-            yield from grid.client.ping_gatekeeper("site-gk")
+            yield from call(grid.submit, "site-gk", "gatekeeper", "ping")
         except RPCTimeout:
             return "timeout"
 

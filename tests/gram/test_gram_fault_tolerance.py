@@ -31,13 +31,10 @@ def test_jobmanager_crash_does_not_kill_lrm_job(grid):
                                           GramJobRequest(runtime=100.0))
         yield grid.sim.timeout(20.0)
         get_jm(grid, r["jmid"]).crash()
-        # status -- the §4.2 probe -- now times out: the failure is
-        # observable
-        try:
-            yield from grid.client.status(r["contact"], r["jmid"])
-            results["probe"] = "alive"
-        except RPCTimeout:
-            results["probe"] = "dead"
+        # the gatekeeper's status -- the §4.2 probe -- now leaves it
+        # out: the failure is observable, and told apart from a dead site
+        answer = yield from grid.client.status(r["contact"], [r["jmid"]])
+        results["probe"] = "alive" if r["jmid"] in answer else "dead"
         yield grid.sim.timeout(150.0)
         results["lrm_states"] = [j.state for j in grid.lrm.jobs.values()]
 
@@ -60,8 +57,8 @@ def test_restarted_jobmanager_resumes_watching(grid):
         results["revived"] = revived["revived"]
         # wait for the job to finish and the revived JM to notice
         yield grid.sim.timeout(150.0)
-        status = yield from grid.client.status(r["contact"], r["jmid"])
-        results["final"] = status["state"]
+        answer = yield from grid.client.status(r["contact"], [r["jmid"]])
+        results["final"] = answer[r["jmid"]]["state"]
 
     grid.drive(scenario())
     assert results["revived"] is True
@@ -105,28 +102,29 @@ def test_gatekeeper_host_crash_and_recovery(grid):
                                           GramJobRequest(runtime=100.0))
         yield grid.sim.timeout(20.0)
         grid.gk_host.crash()
-        # while down: pings time out (client cannot tell crash from
-        # partition -- §4.2)
+        # while down: the status probe times out (client cannot tell
+        # crash from partition -- §4.2)
         try:
-            yield from grid.client.ping_gatekeeper("site-gk")
+            yield from grid.client.status("site-gk", [r["jmid"]])
             results["ping_down"] = "ok"
         except RPCTimeout:
             results["ping_down"] = "timeout"
         yield grid.sim.timeout(30.0)
         grid.gk_host.restart()
-        results["ping_up"] = yield from grid.client.ping_gatekeeper(
-            "site-gk")
+        # back up, it answers -- without the JobManager the reboot lost
+        results["ping_up"] = yield from grid.client.status(
+            "site-gk", [r["jmid"]])
         revived = yield from grid.client.restart_jobmanager(
             r["contact"], r["jmid"])
         results["revived"] = revived["revived"]
         yield grid.sim.timeout(150.0)
-        status = yield from grid.client.status(r["contact"], r["jmid"])
-        results["final"] = status["state"]
+        answer = yield from grid.client.status(r["contact"], [r["jmid"]])
+        results["final"] = answer[r["jmid"]]["state"]
         results["lrm_jobs"] = len(grid.lrm.jobs)
 
     grid.drive(scenario())
     assert results["ping_down"] == "timeout"
-    assert results["ping_up"] == "site"
+    assert results["ping_up"] == {}
     assert results["revived"] is True
     assert results["final"] == DONE
     assert results["lrm_jobs"] == 1          # no duplicate submission
@@ -144,8 +142,8 @@ def test_job_completed_during_network_outage_reported_after(grid):
         grid.net.partition("submit", "site-gk")
         yield grid.sim.timeout(100.0)        # job finishes during outage
         grid.net.heal("submit", "site-gk")
-        status = yield from grid.client.status(r["contact"], r["jmid"])
-        results["final"] = status["state"]
+        answer = yield from grid.client.status(r["contact"], [r["jmid"]])
+        results["final"] = answer[r["jmid"]]["state"]
 
     grid.drive(scenario())
     assert results["final"] == DONE

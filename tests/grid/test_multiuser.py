@@ -54,8 +54,9 @@ class TestFairShareThrottles:
         def watcher():
             while not agent.all_terminal():
                 for res in ("alpha-gk", "beta-gk"):
+                    site = agent.scheduler.sites.get(res)
                     peak["n"] = max(peak["n"],
-                                    agent.scheduler.inflight_on(res))
+                                    len(site.inflight) if site else 0)
                 yield tb.sim.timeout(5.0)
 
         tb.sim.spawn(watcher())
