@@ -1,13 +1,14 @@
 """ABLATION-MONITOR -- §5.1: at what load does a site's Grid Monitor pay?
 
-The GridManager launches a site's monitor when its own in-flight jobs
-there reach ``GridManager.MONITOR_MIN_JOBS``.  This sweep measures what
-that buys: the ``gram-poll`` shape of the repository benchmark (five
-sites, pbs/lsf/loadleveler, about five waves of 120-200 s jobs,
-round-robin placement, no MDS/GSI/streaming) at n jobs per site, once
-with an agent that never launches a monitor and once with one that
-launches from the first job, fault-free and under one gatekeeper crash
-plus one ``jm_kill``.  Three things are compared -- RPCs per job,
+An agent watches its sites by Grid Monitor report only when
+``AgentSpec.grid_monitor`` is set; every other one asks each site's
+gatekeeper.  This sweep measures what the monitor buys: the
+``gram-poll`` shape of the repository benchmark (five sites,
+pbs/lsf/loadleveler, about five waves of 120-200 s jobs, round-robin
+placement, no MDS/GSI/streaming) at n jobs per site, once with a
+default agent, which never launches a monitor, and once with one that
+launches each site's from its first job there, fault-free and under one
+gatekeeper crash plus one ``jm_kill``.  Three things are compared -- RPCs per job,
 simulated makespan, and the time from a fault to the ``jobmanager_
 restarted`` that repairs it (mean over the two faults) -- and a row
 names those on which monitoring loses (EXPERIMENTS.md carries the
@@ -20,8 +21,8 @@ site is asked by its own process, so a dead gatekeeper delays no other
 site.  A monitored site, though, is judged dead only after 2.5 report
 intervals (75 s) of silence where an ask notices within one (30 s), and
 a JobManager killed behind a fresh monitor waits for a report to miss
-it before the next pass asks.  §5.1 stays as the paper's mechanism;
-which load, if any, should launch it is open (ROADMAP).
+it before the next pass asks.  §5.1 stays as the paper's mechanism,
+run only where an agent asks for it; no load launches it.
 """
 
 import random
@@ -29,7 +30,6 @@ import statistics
 
 from repro import AgentSpec, GridTestbed, JobDescription, SiteSpec, \
     TestbedConfig
-from repro.core.gridmanager import GridManager
 from repro.sim import rpc
 
 from _scenarios import drain
@@ -48,9 +48,7 @@ TOLERANCE = 0.02
 
 def run_once(n: int, seed: int, monitored: bool, faulted: bool) -> dict:
     """One drained run: an agent that launches from the first job
-    (`monitored`) or, the constant out of reach, never."""
-    constant, GridManager.MONITOR_MIN_JOBS = \
-        GridManager.MONITOR_MIN_JOBS, 10**9
+    (`monitored`) or never."""
     rpc.RPC_STATS = {}
     try:
         tb = GridTestbed.from_config(TestbedConfig(
@@ -80,7 +78,6 @@ def run_once(n: int, seed: int, monitored: bool, faulted: bool) -> dict:
         rpcs = sum(rpc.RPC_STATS.values())
     finally:
         rpc.RPC_STATS = None
-        GridManager.MONITOR_MIN_JOBS = constant
     assert all(agent.status(j).is_complete for j in ids), (n, seed)
     row = {"rpcs_per_job": rpcs / len(ids),
            "makespan_s": max(agent.status(j).end_time for j in ids)}
@@ -125,7 +122,7 @@ def sweep() -> list[dict]:
     return rows
 
 
-def test_ablation_monitor_threshold(benchmark, report):
+def test_ablation_monitor(benchmark, report):
     rows = benchmark.pedantic(sweep, iterations=1, rounds=1)
     for faulted in (False, True):
         # one table per condition; the faulted one drops the prefix

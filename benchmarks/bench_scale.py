@@ -4,9 +4,8 @@ The paper's largest runs kept ~650 jobs in flight; this suite pushes the
 same machinery to 10k jobs over 20 x 50-cpu sites, once down the GRAM
 path (grid universe, userlist broker) and once down the GlideIn path
 (vanilla universe on 1000 glideins); ``gram-monitor`` repeats the GRAM
-cell with the §5.1 Grid Monitors launched from the first job instead of
-from the 32nd in flight at a site (at this load the two converge: the
-agent launches them by itself), ``scale-100k`` drives 100,000 monitored GRAM jobs over 25
+cell with ``grid_monitor=True``, each site watched through its §5.1 Grid
+Monitor instead of asked, ``scale-100k`` drives 100,000 monitored GRAM jobs over 25
 sites (the poll storm that made monitoring necessary), ``scale-100k-pool``
 drives 100,000 jobs through a claim-reusing personal pool, and
 ``kiloclient`` runs 1000 independent Condor-G agents against shared
@@ -16,8 +15,8 @@ fails when a fresh digest differs from the committed cell's (a kernel
 change may move wall time, never behaviour).
 
 Every run also tallies wire RPCs (``repro.sim.rpc.RPC_STATS`` -- plain
-bookkeeping, digest-neutral): per-job ``status`` RPCs and the Grid
-Monitor reports that replace them at a loaded site.
+bookkeeping, digest-neutral): the per-site ``status`` asks and the Grid
+Monitor reports that replace them where ``grid_monitor`` is set.
 
 Results land in ``BENCH_scale.json`` (committed at the repo root; CI
 regenerates a downsized cell and compares against it, see

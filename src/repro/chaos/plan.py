@@ -175,9 +175,9 @@ def fault_surface(tb: "GridTestbed") -> dict[str, list[str]]:
     # fresh instance re-derives everything from the queue and the fleet).
     factory_users = sorted(name for name, agent in tb.agents.items()
                            if agent.factory is not None)
-    # Grid Monitors (repro.gram.monitor) live on gatekeeper hosts when
-    # any agent opted into monitored status fan-in; killing one must
-    # degrade cleanly to per-job polling until the client relaunches it.
+    # Grid Monitors (repro.gram.monitor) live on gatekeeper hosts exactly
+    # when an agent sets grid_monitor; killing one must degrade cleanly
+    # to asking the site's gatekeeper until the client relaunches it.
     monitored = any(getattr(agent.scheduler, "grid_monitor", False)
                     for agent in tb.agents.values())
     return {

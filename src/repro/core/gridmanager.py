@@ -100,15 +100,10 @@ class GridManager(Service):
     # waits on the clock (a site's retry_after, no candidate site, an
     # arrival during a pass); one that waits for room waits for a slot.
     SUBMIT_RETRY_INTERVAL = 20.0
-    # §5.1 is the agent's answer to its own load: a site gets a Grid
-    # Monitor once this many of our jobs are in flight there (the sweep
-    # in docs/PERFORMANCE.md finds its heartbeat horizon now costs
-    # recovery time at every load; the value is kept until re-chosen).
-    MONITOR_MIN_JOBS = 32
-    # A site's heartbeat is stale once this many of its monitor's stated
-    # report intervals pass in silence: status asks resume and, at a
-    # site that still carries the load, the monitor is relaunched
-    # (with a cooldown so a dead gatekeeper isn't hammered).
+    # With ``grid_monitor`` set, a site's heartbeat is stale once this
+    # many of its monitor's stated report intervals pass in silence:
+    # status asks resume and, while jobs are in flight there, the monitor
+    # is relaunched (with a cooldown so a dead gatekeeper isn't hammered).
     MONITOR_MISS_FACTOR = 2.5
     MONITOR_START_COOLDOWN = 60.0
 
@@ -554,20 +549,17 @@ class GridManager(Service):
 
     # -- grid monitor lifecycle ---------------------------------------------
     def _ensure_monitor(self, site: RemoteSite) -> None:
-        """Launch (or relaunch) the Grid Monitor at `site` if our load
-        there calls for one and none is reporting.
+        """Launch (or relaunch) the Grid Monitor at `site` if this agent
+        watches its sites by report (``grid_monitor``), jobs of ours are
+        in flight there and none is reporting.
 
         Called on every successful submit and on every stale-heartbeat
         watch pass; the freshness check and launch cooldown make both
         O(1) no-ops while a monitor is alive, so the steady state costs
         one ``start_monitor`` RPC per site per outage, not per job.
-        Only the launch is gated on load (``grid_monitor``: from the
-        first job): a report costs what the site's ask costs, so a
-        monitor lives until it retires itself.
         """
-        if self.exited or len(site.inflight) < (
-                1 if self.scheduler.grid_monitor
-                else self.MONITOR_MIN_JOBS) or site.fresh(self.sim.now):
+        if self.exited or not self.scheduler.grid_monitor or \
+                not site.inflight or site.fresh(self.sim.now):
             return
         if site.launched is not None and \
                 self.sim.now - site.launched < self.MONITOR_START_COOLDOWN:

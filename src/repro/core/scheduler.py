@@ -43,9 +43,9 @@ class CondorGScheduler:
         # audience -> signing proof; the agent sets it once its
         # credential monitor exists (None: no GSI)
         self.credential_source = None
-        # Grid Monitor fan-in (§5.1): True has the GridManager launch a
-        # site's monitor from the first job instead of when its own load
-        # there calls for one (GridManager.MONITOR_MIN_JOBS).
+        # Grid Monitor fan-in (§5.1): True watches every site by report,
+        # the GridManager launching a site's monitor with its first job
+        # there; False (the default) asks each site's gatekeeper.
         self.grid_monitor = grid_monitor
         # Data-management wiring (repro.data.DataServices) or None; the
         # GridManager stages input datasets / places output datasets

@@ -60,6 +60,17 @@ class AdmissionPolicy:
     poll_interval: float = 10.0
 
 
+def _callback(value) -> tuple[str, str]:
+    """The (host, service) a client asks to be called back at, checked at
+    the door: a malformed one is the caller's error, answered now, not a
+    crash of the daemon that would later dial it."""
+    if isinstance(value, tuple) and len(value) == 2 and \
+            all(isinstance(part, str) for part in value):
+        return value
+    raise ValueError(
+        f"callback must be a (host, service) pair of str, not {value!r}")
+
+
 class Gatekeeper(Service):
     """Service ``gatekeeper`` on a site's interface machine."""
 
@@ -185,6 +196,8 @@ class Gatekeeper(Service):
         """Phase 1 of two-phase submission; idempotent on (client, seq).
         Either answer states the per-user JobManager limit in force; a
         refusal is not cached, so the same seq is accepted later."""
+        if callback is not None:
+            callback = _callback(callback)
         try:
             return self._submit(ctx, seq, request, callback)
         except GatekeeperBusy as busy:
@@ -226,7 +239,7 @@ class Gatekeeper(Service):
                 self.host, jmid,
                 lrm_contact=self.lrm_contact,
                 request=request,
-                client_callback=tuple(callback) if callback else None,
+                client_callback=callback,
                 owner=owner,
                 credential=ctx.credential,
                 live=self._live, table=self._jobmanagers,
@@ -247,12 +260,14 @@ class Gatekeeper(Service):
     def handle_submit_v1(self, ctx, request: GramJobRequest,
                          callback: Optional[tuple] = None) -> dict:
         """Legacy single-phase submission: NOT idempotent (baseline)."""
+        if callback is not None:
+            callback = _callback(callback)
         jmid = f"{self.site}-jm{next(self._ids)}"
         jm = JobManager(
             self.host, jmid,
             lrm_contact=self.lrm_contact,
             request=request,
-            client_callback=tuple(callback) if callback else None,
+            client_callback=callback,
             owner=ctx.principal or ctx.caller_host,
             credential=ctx.credential,
             live=self._live, table=self._jobmanagers,
@@ -262,8 +277,7 @@ class Gatekeeper(Service):
                     client=ctx.caller_host)
         return {"jmid": jmid, "contact": self.host.name}
 
-    def handle_start_monitor(self, ctx, callback,
-                             interval=None) -> dict:
+    def handle_start_monitor(self, ctx, callback) -> dict:
         """Launch (or find) the caller's Grid Monitor on this machine.
 
         One monitor per (user, gatekeeper) pair, idempotent: a repeated
@@ -277,14 +291,14 @@ class Gatekeeper(Service):
         adding any.  The answer states the report interval in force,
         which is what the client's staleness horizon is made of.
         """
+        callback = _callback(callback)
         owner = ctx.principal or ctx.caller_host
         monitor = self.host.get_service(f"monitor:{owner}")
         started = monitor is None
         if started:
             monitor = GridMonitor(
-                self.host, owner, tuple(callback),
-                self._jobmanagers.setdefault(owner, {}), site=self.site,
-                interval=interval)
+                self.host, owner, callback,
+                self._jobmanagers.setdefault(owner, {}), site=self.site)
             self.sim.metrics.counter("gatekeeper.monitors_started").inc()
             self._trace("monitor_started", owner=owner,
                         client=ctx.caller_host)

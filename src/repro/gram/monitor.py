@@ -28,8 +28,6 @@ covers the monitor dying outright.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..sim.errors import RPCError
 from ..sim.fastcopy import FrozenDict
 from ..sim.hosts import Host
@@ -63,15 +61,16 @@ class GridMonitor(Service):
         callback: tuple[str, str],
         jobmanagers: dict,
         site: str = "",
-        interval: Optional[float] = None,
     ):
         super().__init__(host, name=f"monitor:{user}")
         self.user = user
-        self.callback = tuple(callback)    # (host, service) of the client
+        self.callback = callback    # (host, service) of the client
         # the gatekeeper's table of `user`'s registered JobManagers
         self.jobmanagers = jobmanagers
         self.site = site or host.name
-        self.interval = float(interval) if interval else self.REPORT_INTERVAL
+        # stated in the launch answer and in every report: the client's
+        # staleness horizon is made of it
+        self.interval = self.REPORT_INTERVAL
         self.seq = 0
         # jmids whose terminal state the client has acknowledged: pruned
         # from future snapshots so the batch tracks the *live* population

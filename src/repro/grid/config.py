@@ -88,12 +88,12 @@ class AgentSpec:
     #: client-side fair-share throttle: cap on this user's in-flight
     #: (SUBMITTING/PENDING/ACTIVE) jobs per remote resource
     max_submitted_per_resource: Optional[int] = None
-    #: Grid Monitor fan-in (§5.1) is the agent's own decision: the
-    #: GridManager launches a site's status monitor once
-    #: ``GridManager.MONITOR_MIN_JOBS`` of this user's jobs are in flight
-    #: there.  True launches it from the first job instead (what the
-    #: monitored scenarios and benchmark cells pin; the field goes with
-    #: the benchmark suite's last use of it).
+    #: watch my sites by report: the GridManager launches a Grid Monitor
+    #: (§5.1) at each site with its first job there and asks the
+    #: gatekeeper only about what the reports miss.  False (the default)
+    #: asks each site's gatekeeper about all of this user's jobs there
+    #: once per pass, at every load.  The field goes with the benchmark
+    #: suite's last use of it.
     grid_monitor: bool = False
 
 

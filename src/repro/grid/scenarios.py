@@ -258,8 +258,8 @@ def scale_gram_grid(seed: int = 0, jobs: int = 10_000, n_sites: int = 20,
 
     Keeps MDS/repo off and stdout streaming disabled so the event load
     is the job-management machinery itself, not ancillary chatter.
-    ``grid_monitor=True`` launches each site's Grid Monitor (§5.1)
-    from the first job instead of from the load that calls for one.
+    ``grid_monitor=True`` watches each site through its Grid Monitor
+    (§5.1) instead of asking its gatekeeper.
     """
     config = TestbedConfig(
         seed=seed, with_mds=False, with_repo=False,
@@ -703,15 +703,6 @@ register(scale_gram_grid.scenario.with_overrides(
     fault_kinds=("crash", "partition", "isolate", "jm_kill",
                  "monitor_kill"),
     jobs=80, n_sites=4, cpus=10, grid_monitor=True))
-
-register(scale_gram_grid.scenario.with_overrides(
-    "gram-by-load",
-    description="small GRAM grid, 48 jobs queued per site: the agent "
-                "launches the Grid Monitors its own load calls for",
-    fault_horizon=1500.0,
-    cap=20_000.0,
-    chunk=1000.0,
-    jobs=96, n_sites=2, cpus=4))
 
 register(scale_gram_grid.scenario.with_overrides(
     "scale-gram-monitor",

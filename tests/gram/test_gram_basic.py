@@ -3,7 +3,7 @@
 import pytest
 
 from repro.gram import DONE, FAILED, GramJobRequest, PENDING, UNCOMMITTED
-from repro.sim import RPCTimeout
+from repro.sim import RemoteError, RPCTimeout, call
 
 from .conftest import MiniGrid
 
@@ -48,6 +48,25 @@ def test_figure1_interaction_sequence(grid):
     assert trace.contains_sequence("submit", "start", "finish",
                                    component="lrm:site-lrm")
     assert trace.select("gass:submit", "get")   # executable staged
+
+
+@pytest.mark.parametrize("method", ["submit", "submit_v1", "start_monitor"])
+def test_a_malformed_callback_is_refused_at_the_door(grid, method):
+    """The gatekeeper stores the (host, service) a client wants to be
+    called back at; a malformed one used to be taken as it came and kill
+    the simulation at the first send, on the site's machine."""
+    request = GramJobRequest(
+        executable_url=grid.gass.stage_in("sim.exe", size=10), runtime=10.0)
+    args = {"submit": dict(seq=1, request=request),
+            "submit_v1": dict(request=request),
+            "start_monitor": {}}[method]
+    box = grid.drive(call(grid.submit, "site-gk", "gatekeeper", method,
+                          callback=("submit", "gram-cb", "extra"), **args),
+                     until=400.0)
+    error = box.get("error")
+    assert isinstance(error, RemoteError) and error.kind == "ValueError", box
+    assert not [name for name in grid.gk_host.services
+                if name.startswith(("jm:", "monitor:"))]
 
 
 def test_status_callbacks_delivered(grid):

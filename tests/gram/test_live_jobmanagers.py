@@ -13,9 +13,11 @@ restart / gatekeeper reboot, at every simulated second.
 import json
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.gram import GRAM_TERMINAL, GramJobRequest
+from repro.gram.monitor import GridMonitor
 from repro.sim import Host, RPCError, call
 from repro.sim.rpc import CallContext, Service
 
@@ -169,7 +171,7 @@ def test_snapshot_from_the_table_equals_the_scan(ops, seed):
             if "monitor-sink" not in host.services:
                 Sink(host)
             grid.gatekeeper.handle_start_monitor(
-                CallContext(owner), (owner, "monitor-sink"), interval=7.0)
+                CallContext(owner), (owner, "monitor-sink"))
 
     def check(grid, where):
         if not grid.gk_host.up:
@@ -182,7 +184,9 @@ def test_snapshot_from_the_table_equals_the_scan(ops, seed):
                                    dict(monitor._snapshot()),
                                    scan_snapshot(monitor)))
 
-    grid, jmids = drive(ops, seed, monitors, check)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(GridMonitor, "REPORT_INTERVAL", 7.0)
+        grid, jmids = drive(ops, seed, monitors, check)
     assert not mismatches, mismatches[:3]
     # a batch already sent is a value: whatever its JobManagers did
     # afterwards (run, finish, crash, come back), it reads as it did
