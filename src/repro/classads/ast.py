@@ -63,10 +63,22 @@ class EvalContext:
 
 
 class Expr:
-    """Base class for ClassAd expressions."""
+    """Base class for ClassAd expressions.
+
+    A node is a value: every attribute is set in ``__init__`` and never
+    again (``tests/classads/test_sharing.py`` gates it), which is what
+    lets :func:`repro.classads.parse` hand one tree to every caller with
+    the same text.  A node renders itself once, as it is built (a
+    composite from its children's text).
+    """
+
+    __slots__ = ("_text",)
 
     def eval(self, ctx: EvalContext) -> Any:  # pragma: no cover - abstract
         raise NotImplementedError
+
+    def __str__(self) -> str:
+        return self._text
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self}>"
@@ -83,12 +95,10 @@ class Literal(Expr):
 
     def __init__(self, value: Any):
         self.value = value
+        self._text = value_repr(value)
 
     def eval(self, ctx: EvalContext) -> Any:
         return self.value
-
-    def __str__(self) -> str:
-        return value_repr(self.value)
 
 
 class AttrRef(Expr):
@@ -99,6 +109,7 @@ class AttrRef(Expr):
     def __init__(self, name: str, scope: Optional[str] = None):
         self.name = name
         self.scope = scope  # None | "my" | "target"
+        self._text = f"{scope.upper()}.{name}" if scope else name
 
     def eval(self, ctx: EvalContext) -> Any:
         name = self.name.lower()
@@ -133,11 +144,6 @@ class AttrRef(Expr):
                 ctx._in_progress.discard(key)
         return UNDEFINED
 
-    def __str__(self) -> str:
-        if self.scope:
-            return f"{self.scope.upper()}.{self.name}"
-        return self.name
-
 
 class UnaryOp(Expr):
     __slots__ = ("op", "operand")
@@ -145,6 +151,7 @@ class UnaryOp(Expr):
     def __init__(self, op: str, operand: Expr):
         self.op = op
         self.operand = operand
+        self._text = f"{op}({operand})"
 
     def eval(self, ctx: EvalContext) -> Any:
         v = self.operand.eval(ctx)
@@ -174,9 +181,6 @@ class UnaryOp(Expr):
             return ERROR
         return ERROR  # pragma: no cover - parser limits ops
 
-    def __str__(self) -> str:
-        return f"{self.op}({self.operand})"
-
 
 def _num(v: Any) -> Any:
     """Coerce bool to int for arithmetic; None if not a number."""
@@ -205,6 +209,7 @@ class BinaryOp(Expr):
         self.op = op
         self.left = left
         self.right = right
+        self._text = f"({left} {op} {right})"
 
     def eval(self, ctx: EvalContext) -> Any:
         op = self.op
@@ -256,9 +261,6 @@ class BinaryOp(Expr):
             if v is UNDEFINED:
                 return UNDEFINED
         return False
-
-    def __str__(self) -> str:
-        return f"({self.left} {self.op} {self.right})"
 
 
 def _identical(lhs: Any, rhs: Any) -> bool:
@@ -346,6 +348,7 @@ class Ternary(Expr):
         self.cond = cond
         self.then = then
         self.other = other
+        self._text = f"({cond} ? {then} : {other})"
 
     def eval(self, ctx: EvalContext) -> Any:
         c = _truth(self.cond.eval(ctx))
@@ -355,21 +358,16 @@ class Ternary(Expr):
             return self.other.eval(ctx)
         return c  # UNDEFINED or ERROR
 
-    def __str__(self) -> str:
-        return f"({self.cond} ? {self.then} : {self.other})"
-
 
 class ListExpr(Expr):
     __slots__ = ("items",)
 
     def __init__(self, items: Sequence[Expr]):
-        self.items = list(items)
+        self.items = tuple(items)
+        self._text = "{ " + ", ".join(map(str, self.items)) + " }"
 
     def eval(self, ctx: EvalContext) -> Any:
         return [item.eval(ctx) for item in self.items]
-
-    def __str__(self) -> str:
-        return "{ " + ", ".join(str(i) for i in self.items) + " }"
 
 
 class ClassAdExpr(Expr):
@@ -378,7 +376,9 @@ class ClassAdExpr(Expr):
     __slots__ = ("pairs",)
 
     def __init__(self, pairs: Sequence[tuple[str, Expr]]):
-        self.pairs = list(pairs)
+        self.pairs = tuple(pairs)
+        inner = "; ".join(f"{k} = {v}" for k, v in self.pairs)
+        self._text = f"[ {inner} ]"
 
     def eval(self, ctx: EvalContext) -> Any:
         from .classad import ClassAd
@@ -388,10 +388,6 @@ class ClassAdExpr(Expr):
             ad.set_expr(name, expr)
         return ad
 
-    def __str__(self) -> str:
-        inner = "; ".join(f"{k} = {v}" for k, v in self.pairs)
-        return f"[ {inner} ]"
-
 
 class Subscript(Expr):
     __slots__ = ("base", "index")
@@ -399,6 +395,7 @@ class Subscript(Expr):
     def __init__(self, base: Expr, index: Expr):
         self.base = base
         self.index = index
+        self._text = f"{base}[{index}]"
 
     def eval(self, ctx: EvalContext) -> Any:
         from .classad import ClassAd
@@ -419,9 +416,6 @@ class Subscript(Expr):
             return base.eval(idx, ctx=ctx)
         return ERROR
 
-    def __str__(self) -> str:
-        return f"{self.base}[{self.index}]"
-
 
 class Select(Expr):
     """`expr.attr` where expr evaluates to a nested ClassAd."""
@@ -431,6 +425,7 @@ class Select(Expr):
     def __init__(self, base: Expr, attr: str):
         self.base = base
         self.attr = attr
+        self._text = f"{base}.{attr}"
 
     def eval(self, ctx: EvalContext) -> Any:
         from .classad import ClassAd
@@ -444,16 +439,14 @@ class Select(Expr):
             return base.eval(self.attr, ctx=ctx)
         return ERROR
 
-    def __str__(self) -> str:
-        return f"{self.base}.{self.attr}"
-
 
 class FuncCall(Expr):
     __slots__ = ("name", "args")
 
     def __init__(self, name: str, args: Sequence[Expr]):
         self.name = name
-        self.args = list(args)
+        self.args = tuple(args)
+        self._text = f"{name}({', '.join(map(str, self.args))})"
 
     def eval(self, ctx: EvalContext) -> Any:
         from .builtins import BUILTINS
@@ -466,9 +459,6 @@ class FuncCall(Expr):
             return fn(ctx, self.args)
         values = [a.eval(ctx) for a in self.args]
         return fn(ctx, values)
-
-    def __str__(self) -> str:
-        return f"{self.name}({', '.join(str(a) for a in self.args)})"
 
 
 # -- static (time/RNG-free) expression analysis -------------------------------

@@ -52,16 +52,17 @@ class ClassAd:
     published, sent and stored by reference -- which is what happens to
     it the first time it crosses a wire or hits a disk
     (:mod:`repro.sim.fastcopy`).  :meth:`copy` gives an unsealed ad to
-    edit.
+    edit.  A sealed ad computes its :func:`match_signature` once.
     """
 
-    __slots__ = ("_attrs", "_case", "_sealed")
+    __slots__ = ("_attrs", "_case", "_sealed", "_signature")
 
     def __init__(self, attrs: Optional[dict[str, Any]] = None):
         # _attrs: lowercase name -> Expr;  _case: lowercase -> display name
         self._attrs: dict[str, Expr] = {}
         self._case: dict[str, str] = {}
         self._sealed = False
+        self._signature: Optional[tuple[tuple, bool]] = None
         if attrs:
             for name, value in attrs.items():
                 self[name] = value
@@ -261,8 +262,7 @@ def best_match(
     return best
 
 
-def match_signature(ad: ClassAd, cache: Optional[dict] = None
-                    ) -> tuple[tuple, bool]:
+def match_signature(ad: ClassAd) -> tuple[tuple, bool]:
     """Content signature of an ad plus whether it is match-static.
 
     The signature is a hashable value identity: two ads with the same
@@ -273,26 +273,18 @@ def match_signature(ad: ClassAd, cache: Optional[dict] = None
     :func:`repro.classads.ast.is_match_static` -- only then is it safe
     to reuse evaluations across different ``now`` values.
 
-    ``cache`` (optional) maps ``id(expr)`` to ``(text, static, expr)``;
-    holding the expr keeps its id from being recycled.  Ads routinely
-    share Expr objects (``ClassAd.copy`` is shallow), so the cache
-    collapses repeated ``str(expr)`` work across thousands of ads.
+    A sealed ad keeps its signature: it is computed once per ad, however
+    many cycles the ad is matched in.  An unsealed ad may still change,
+    so its signature is computed afresh at every call.
     """
-    parts = []
-    static = True
-    for key in sorted(ad._attrs):
-        expr = ad._attrs[key]
-        if cache is not None:
-            entry = cache.get(id(expr))
-            if entry is None or entry[2] is not expr:
-                entry = (str(expr), is_match_static(expr), expr)
-                cache[id(expr)] = entry
-            text, expr_static = entry[0], entry[1]
-        else:
-            text, expr_static = str(expr), is_match_static(expr)
-        parts.append((key, text))
-        static = static and expr_static
-    return tuple(parts), static
+    signature = ad._signature
+    if signature is None:
+        attrs = ad._attrs
+        signature = (tuple((key, str(attrs[key])) for key in sorted(attrs)),
+                     all(map(is_match_static, attrs.values())))
+        if ad._sealed:
+            ad._signature = signature
+    return signature
 
 
 __all__ = [

@@ -24,6 +24,7 @@ Grammar (precedence low to high)::
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 from .ast import (
@@ -225,8 +226,17 @@ class _Parser:
         return self.cur.kind == "EOF"
 
 
+@functools.lru_cache(maxsize=4096)
 def parse(text: str) -> Expr:
-    """Parse a single ClassAd expression."""
+    """Parse a single ClassAd expression, once per text.
+
+    The tree is hash-consed by its source: every caller with the same
+    text gets the same :class:`Expr` (nodes never change after
+    ``__init__``), so a thousand job ads built from one Requirements
+    string share one tree.  The memo keeps the 4096 texts used last; a
+    syntax error is raised every time, never remembered.
+    ``parse.__wrapped__`` is the parser itself, uncached.
+    """
     parser = _Parser(text)
     expr = parser.parse_expr()
     if not parser.at_end():

@@ -139,10 +139,6 @@ class Collector(Service):
         # (adtype, attr) -> _EqIndex, built lazily on first indexed
         # query for that attribute, maintained thereafter.
         self._eq_index: dict[tuple[str, str], _EqIndex] = {}
-        # constraint text -> (expr, eq_pattern-or-None); parsing is
-        # pure, like the GIIS query cache.
-        self._parse_cache: dict[str, tuple[Any, Optional[tuple]]] = {}
-        self.parse_cache_hits = 0
         # Soonest expiry across the registry: the lazy-sweep trigger.
         self._soonest_expiry = float("inf")
         self.expired_reaped = 0
@@ -230,14 +226,8 @@ class Collector(Service):
     def handle_query(self, ctx, adtype: str,
                      constraint: str = "true") -> list[ClassAd]:
         self._reap()
-        cached = self._parse_cache.get(constraint)
-        if cached is None:
-            expr = parse(constraint)
-            cached = (expr, _eq_pattern(expr))
-            self._parse_cache[constraint] = cached
-        else:
-            self.parse_cache_hits += 1
-        expr, pattern = cached
+        expr = parse(constraint)
+        pattern = _eq_pattern(expr)
         if pattern is not None:
             self.indexed_queries += 1
             names = self._ensure_eq_index(adtype, pattern[0]) \

@@ -44,12 +44,11 @@ class _CycleMatcher:
     ``best_match``'s "first machine with maximal rank" choice exactly.
     """
 
-    def __init__(self, machines: list[ClassAd], sig_cache: dict):
+    def __init__(self, machines: list[ClassAd]):
         self.machines = machines
         self.alive = [True] * len(machines)
         self.remaining = len(machines)
-        self.sig_cache = sig_cache
-        sigs = [match_signature(m, sig_cache) for m in machines]
+        sigs = [match_signature(m) for m in machines]
         self.static_idx = [i for i, (_, st) in enumerate(sigs) if st]
         self.dynamic_idx = [i for i, (_, st) in enumerate(sigs) if not st]
         # static job signature -> rank-sorted [(rank, machine index)]
@@ -63,7 +62,7 @@ class _CycleMatcher:
 
     def best(self, job_ad: ClassAd, now: float) -> int | None:
         """Index of the machine ``best_match`` would pick, or None."""
-        sig, static = match_signature(job_ad, self.sig_cache)
+        sig, static = match_signature(job_ad)
         if not static:
             return self._scan(job_ad, now, range(len(self.machines)))
         lst = self._candidates.get(sig)
@@ -145,10 +144,6 @@ class Negotiator(Service):
         # cycle, orders who negotiates first (lowest usage wins).
         self.usage: dict[str, float] = {}
         self.usage_half_life_cycles = 20.0
-        # id(expr) -> (text, static, expr): shared-Expr signature cache
-        # for the memoized matcher (ads share Expr objects across RPC
-        # copies, so this persists usefully across cycles).
-        self._sig_cache: dict[int, tuple] = {}
         # memo introspection for tests (not in metrics/trace)
         self.memo_hits = 0
         host.spawn(self._cycle_loop(), name="negotiator")
@@ -207,9 +202,7 @@ class Negotiator(Service):
             named.append((name, ad))
         # fair-share order: least-served submitter negotiates first
         named.sort(key=lambda pair: self.usage.get(pair[0], 0.0))
-        if len(self._sig_cache) > 250_000:
-            self._sig_cache.clear()
-        matcher = _CycleMatcher(list(machines), self._sig_cache)
+        matcher = _CycleMatcher(list(machines))
         for submitter_name, submitter in named:
             schedd_host = submitter.get("ScheddHost")
             if not schedd_host:
@@ -223,8 +216,7 @@ class Negotiator(Service):
                     "negotiator.submitter_errors").inc()
                 self._trace("submitter_error", submitter=submitter_name)
                 continue
-            for entry in idle:
-                job_ad = entry["ad"]
+            for job_id, job_ad in idle:
                 if not matcher.remaining:
                     self.memo_hits = matcher.memo_hits
                     return
@@ -237,7 +229,7 @@ class Negotiator(Service):
                     ok = yield from call(
                         self.host, schedd_host, "schedd", "matched",
                         credential=self.credential,
-                        job_id=entry["job_id"],
+                        job_id=job_id,
                         startd_name=chosen.get("Name"),
                         startd_host=chosen.get("StartdHost"),
                         startd_ad=chosen)
@@ -247,6 +239,6 @@ class Negotiator(Service):
                     self.matches_made += 1
                     self.usage[submitter_name] = \
                         self.usage.get(submitter_name, 0.0) + 1.0
-                    self._trace("match", job=entry["job_id"],
+                    self._trace("match", job=job_id,
                                 machine=chosen.get("Name"))
         self.memo_hits = matcher.memo_hits

@@ -66,6 +66,7 @@ class Schedd(Service):
     ):
         super().__init__(host, name="schedd")
         self.schedd_name = name or f"schedd@{host.name}"
+        self._component = f"schedd:{self.schedd_name}"     # trace records
         # The owning agent's queue; a pool-side schedd with no user
         # behind it keeps its own (no user log, no notifications).
         self.queue = queue or JobQueue(host, self.schedd_name, (CondorJob,))
@@ -78,6 +79,9 @@ class Schedd(Service):
         # entries are skipped at pop time.
         self._idle_heap: list[tuple[int, float, int, str]] = []
         self._idle_seq = itertools.count()
+        # job id -> its place in queue order (the last tie-break of the
+        # idle jobs offered to the negotiator)
+        self._place: dict[str, int] = {}
         # startd name -> (host, machine ad) for claims we may reuse
         self._claim_ads: dict[str, tuple[str, ClassAd]] = {}
         self.claims_reused = 0
@@ -89,7 +93,7 @@ class Schedd(Service):
             host.spawn(self._advertise_loop(), name="schedd-advertise")
 
     def _trace(self, event: str, **details) -> None:
-        self.sim.trace.log(f"schedd:{self.schedd_name}", event, **details)
+        self.sim.trace.log(self._component, event, **details)
 
     def _job(self, job_id: str) -> Optional[CondorJob]:
         """The pool job `job_id` of the queue, for the user's calls (a
@@ -100,8 +104,10 @@ class Schedd(Service):
     # -- the queue's callback -------------------------------------------------------
     def moved(self, job: CondorJob, was: Optional[str]) -> None:
         """`job` was just written (`was`: its state before, None when it
-        entered the queue): keep the ``schedd.running`` gauge and the
-        idle heap in step."""
+        entered the queue): keep the queue places, the
+        ``schedd.running`` gauge and the idle heap in step."""
+        if was is None:
+            self._place[job.job_id] = len(self._place)
         if (was == RUNNING) != (job.state == RUNNING):
             self.sim.metrics.gauge("schedd.running").inc(
                 1 if job.state == RUNNING else -1)
@@ -217,13 +223,15 @@ class Schedd(Service):
             pass    # slot unreachable: the shadow lease handles it
 
     # -- RPC handlers (negotiator-facing) ----------------------------------------
-    def handle_get_idle_jobs(self, ctx) -> list[dict]:
-        # higher JobPrio negotiates first (condor_prio), FIFO within
-        # (only pool jobs are ever IDLE)
-        return [{"job_id": j.job_id, "ad": j.ad}
-                for j in sorted(
-                    (j for j in self.queue.jobs.values() if j.state == IDLE),
-                    key=lambda j: (-_job_prio(j), j.submit_time))]
+    def handle_get_idle_jobs(self, ctx) -> tuple[tuple[str, ClassAd], ...]:
+        """``(job_id, sealed ad)`` of every idle job: higher JobPrio
+        negotiates first (condor_prio), FIFO by submit time within, queue
+        order last (only pool jobs are ever IDLE)."""
+        jobs = self.queue.jobs
+        idle = sorted((jobs[job_id] for job_id in self.queue.ids_in(IDLE)),
+                      key=lambda j: (-_job_prio(j), j.submit_time,
+                                     self._place[j.job_id]))
+        return tuple((j.job_id, j.ad) for j in idle)
 
     def set_job_prio(self, job_id: str, prio: int) -> bool:
         """condor_prio: reorder this queue's idle jobs."""

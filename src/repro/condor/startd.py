@@ -101,8 +101,11 @@ class Startd(Service):
         super().__init__(host, name=f"startd:{name}")
         self.startd_name = name
         self.collector = collector
-        self.ad = ad if ad is not None else machine_ad(
-            name, site=host.site, glidein=glidein)
+        # the machine's own attributes, a value: State and StartdHost
+        # are added to a copy at each change (_current_ad)
+        self.ad = (ad if ad is not None else machine_ad(
+            name, site=host.site, glidein=glidein)).sealed()
+        self._advert: Optional[tuple[tuple[str, str], ClassAd]] = None
         self.glidein = glidein
         self.idle_timeout = idle_timeout
         self.credential = credential
@@ -115,11 +118,20 @@ class Startd(Service):
         # bumped by every move, so a starter that no longer owns the slot
         # never moves it
         self._claim_epoch = 0
-        self._procs = [host.spawn(self._advertise_loop(),
-                                  name=f"startd:{name}")]
+        self._procs = []
+        self._spawn(self._advertise_loop(), name=f"startd:{name}")
 
     def _trace(self, event: str, **details) -> None:
-        self.sim.trace.log(f"startd:{self.startd_name}", event, **details)
+        self.sim.trace.log(self.name, event, **details)
+
+    def _spawn(self, gen, name: str):
+        """Start a process that dies with the startd (:meth:`kill`),
+        dropping the finished ones: a startd holds only live processes,
+        however many jobs it has run."""
+        proc = self.host.spawn(gen, name=name)
+        self._procs = [p for p in self._procs if p.alive]
+        self._procs.append(proc)
+        return proc
 
     def _move(self, state: str) -> None:
         """The one writer (``STARTD_EDGES``).  Leaving Busy drops the
@@ -155,10 +167,15 @@ class Startd(Service):
 
     # -- advertising ------------------------------------------------------------
     def _current_ad(self) -> ClassAd:
-        ad = self.ad.copy()
-        ad["State"] = self.state
-        ad["StartdHost"] = self.host.name
-        return ad.seal()
+        """The sealed machine ad to advertise: the one sent last while
+        the slot's State and host are unchanged."""
+        key = (self.state, self.host.name)
+        if self._advert is None or self._advert[0] != key:
+            ad = self.ad.copy()
+            ad["State"] = self.state
+            ad["StartdHost"] = self.host.name
+            self._advert = (key, ad.seal())
+        return self._advert[1]
 
     def _advertise_loop(self):
         while True:
@@ -198,9 +215,8 @@ class Startd(Service):
         slots refuse -- the factory only reaps idle capacity."""
         if not self.glidein or self.state != UNCLAIMED:
             return False
-        self._procs.append(self.host.spawn(
-            self._graceful_shutdown("factory retire"),
-            name=f"retire:{self.startd_name}"))
+        self._spawn(self._graceful_shutdown("factory retire"),
+                    name=f"retire:{self.startd_name}")
         return True
 
     # -- claim protocol -----------------------------------------------------------
@@ -234,10 +250,9 @@ class Startd(Service):
         desc = dict(self.claimed_by)
         desc.update(jobdesc)
         self.current_job_id = desc.get("job_id", "")
-        self._starter = self.host.spawn(
+        self._starter = self._spawn(
             self._run_starter(desc, self._claim_epoch),
             name=f"starter:{self.startd_name}")
-        self._procs.append(self._starter)
         return True
 
     def handle_release_claim(self, ctx) -> bool:
@@ -286,15 +301,11 @@ class Startd(Service):
                 shadow, progress if standard else 0.0,
                 interval=self.CHECKPOINT_INTERVAL)
             if program is not None:
-                body = self.sim.spawn(
-                    program(WorkerContext(self, desc)),
-                    name=f"app:{desc['job_id']}", host=self.host)
-                beat = self.host.spawn(
-                    self._heartbeat_loop(shadow),
-                    name=f"heartbeat:{desc['job_id']}")
                 # children die with the startd (hard kill of _procs)
-                self._procs.append(body)
-                self._procs.append(beat)
+                body = self._spawn(program(WorkerContext(self, desc)),
+                                   name=f"app:{desc['job_id']}")
+                beat = self._spawn(self._heartbeat_loop(shadow),
+                                   name=f"heartbeat:{desc['job_id']}")
                 code = yield body
                 beat.kill(cause="job finished")
                 progress = runtime

@@ -24,10 +24,6 @@ class GIIS(Service):
         self.default_ttl = default_ttl
         # name -> (ad, expiry_time)
         self._registry: dict[str, tuple[ClassAd, float]] = {}
-        # constraint text -> parsed expression.  Brokers re-issue the
-        # same handful of constraint strings every probe round; parsing
-        # is pure, so the cache cannot change query results.
-        self._parse_cache: dict[str, object] = {}
 
     # -- GRRP ---------------------------------------------------------------
     def handle_register(self, ctx, ad: ClassAd,
@@ -46,9 +42,7 @@ class GIIS(Service):
     # -- GRIP ---------------------------------------------------------------
     def handle_query(self, ctx, constraint: str = "true") -> list[ClassAd]:
         """All live ads whose attributes satisfy `constraint`."""
-        expr = self._parse_cache.get(constraint)
-        if expr is None:
-            expr = self._parse_cache[constraint] = parse(constraint)
+        expr = parse(constraint)
         out = []
         for name, (ad, expiry) in sorted(self._registry.items()):
             if expiry < self.sim.now:

@@ -1,4 +1,4 @@
-"""Collector tests: expiry reaping, indexed queries, parse caching."""
+"""Collector tests: expiry reaping, indexed queries, the parse memo."""
 
 import random
 
@@ -154,25 +154,32 @@ def test_index_tracks_updates_and_invalidation():
     assert q() == ["b"]
 
 
-# -- parse cache --------------------------------------------------------------
+# -- parse memo ----------------------------------------------------------------
 
-def test_constraint_parse_cache_hits():
+def _memo_counts():
+    info = parse.cache_info()
+    return info.hits, info.misses
+
+
+def test_constraint_parse_is_memoised_by_text():
     sim, coll = make_collector()
     coll.handle_advertise(None, "startd", ad("s0", State="Unclaimed"))
-    assert coll.parse_cache_hits == 0
-    coll.handle_query(None, "startd", 'State == "Unclaimed"')
-    assert coll.parse_cache_hits == 0           # first sight: a miss
+    # texts no other test parses, so the first sight is a miss
+    hits, misses = _memo_counts()
+    coll.handle_query(None, "startd", 'State == "memo-test"')
+    assert _memo_counts() == (hits, misses + 1)
     for _ in range(3):
-        coll.handle_query(None, "startd", 'State == "Unclaimed"')
-    assert coll.parse_cache_hits == 3
-    coll.handle_query(None, "startd", "Mips > 0")
-    assert coll.parse_cache_hits == 3           # new text: another miss
+        coll.handle_query(None, "startd", 'State == "memo-test"')
+    assert _memo_counts() == (hits + 3, misses + 1)
+    coll.handle_query(None, "startd", "Mips > 12345")
+    assert _memo_counts() == (hits + 3, misses + 2)
 
 
-def test_parse_cache_is_mode_independent():
+def test_parse_memo_is_mode_independent():
     for constraint in QUERY_MODES:
         sim, coll = make_collector()
         coll.handle_advertise(None, "startd", ad("s0"))
         coll.handle_query(None, "startd", constraint)
+        hits, misses = _memo_counts()
         coll.handle_query(None, "startd", constraint)
-        assert coll.parse_cache_hits == 1, constraint
+        assert _memo_counts() == (hits + 1, misses), constraint

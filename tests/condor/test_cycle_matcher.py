@@ -79,7 +79,7 @@ def _sequential_best_match(jobs, machines):
 
 
 def _memoized(jobs, machines):
-    matcher = _CycleMatcher(list(machines), {})
+    matcher = _CycleMatcher(list(machines))
     picks = []
     for job in jobs:
         index = matcher.best(job, NOW) if matcher.remaining else None

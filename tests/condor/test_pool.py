@@ -210,3 +210,27 @@ def test_remove_idle_job():
     assert schedd.remove(jid)
     sim.run(until=200.0)
     assert schedd.status(jid).state == "REMOVED"
+
+
+def test_idle_jobs_go_by_priority_then_submit_time_then_queue_order():
+    """What the negotiator is offered: higher JobPrio first, then earlier
+    submission, then queue order -- not job-id string order ("10.0" <
+    "2.0") -- as immutable (job_id, sealed ad) pairs."""
+    sim = Simulator(seed=2)
+    Network(sim, latency=0.02, jitter=0.0)
+    schedd = Schedd(Host(sim, "submit"))
+    early = [schedd.submit_simple("alice", runtime=10.0) for _ in range(12)]
+    sim.run(until=5.0)
+    late = [schedd.submit_simple("alice", runtime=10.0) for _ in range(3)]
+    schedd.set_job_prio(late[1], 5)
+    schedd.set_job_prio(early[7], 5)
+    schedd.hold(early[2])
+    schedd.release(early[2])        # idle again, at its place in the queue
+    schedd.hold(early[4])           # not idle
+    answer = schedd.handle_get_idle_jobs(None)
+    assert [job_id for job_id, _ad in answer] == (
+        [early[7], late[1]]
+        + [jid for i, jid in enumerate(early) if i not in (4, 7)]
+        + [late[0], late[2]])
+    assert isinstance(answer, tuple)
+    assert all(ad is schedd.status(jid).ad for jid, ad in answer)

@@ -1,0 +1,55 @@
+"""Startd tests: the processes it holds and the ad it advertises."""
+
+from repro.condor import COMPLETED, Schedd, build_pool
+from repro.condor.startd import BUSY, CLAIMED, UNCLAIMED
+from repro.sim import Host, Network, Simulator
+
+
+def make_env(workers=1, seed=3):
+    sim = Simulator(seed=seed)
+    Network(sim, latency=0.02, jitter=0.0)
+    pool = build_pool(sim, "pool", workers=workers, cycle_interval=10.0)
+    schedd = Schedd(Host(sim, "submit"), collector=pool.collector_contact)
+    return sim, pool, schedd
+
+
+def test_startd_drops_finished_processes():
+    """Every job spawns a starter; the finished ones are dropped at the
+    next spawn, so what a startd holds does not grow with the jobs it
+    has run: its advertise loop and at most the last starter."""
+    sim, pool, schedd = make_env()
+    [startd] = pool.startds
+    ids = [schedd.submit_simple("alice", runtime=20.0) for _ in range(25)]
+    sim.run(until=4000.0)
+    assert all(schedd.status(i).state == COMPLETED for i in ids)
+    assert len(startd._procs) <= 2
+    assert startd._procs[0].name == f"startd:{startd.startd_name}"
+
+
+def _advertised(pool, startd):
+    return pool.collector._ads[("startd", startd.startd_name)][0]
+
+
+def test_unchanged_startd_resends_the_same_ad():
+    sim, pool, _schedd = make_env()
+    [startd] = pool.startds
+    sim.run(until=1.0)
+    first = _advertised(pool, startd)
+    assert first["State"] == UNCLAIMED and first is startd._current_ad()
+    sim.run(until=3 * startd.ADVERTISE_INTERVAL + 1.0)
+    assert _advertised(pool, startd) is first
+
+
+def test_state_change_sends_a_new_ad():
+    sim, pool, _schedd = make_env()
+    [startd] = pool.startds
+    unclaimed = startd._current_ad()
+    assert startd.handle_request_claim(None, "submit", "1.0", "shadow:1.0")
+    claimed = startd._current_ad()
+    assert claimed is not unclaimed and claimed["State"] == CLAIMED
+    assert unclaimed["State"] == UNCLAIMED          # the sent ad is a value
+    assert startd._current_ad() is claimed
+    startd.handle_release_claim(None)
+    again = startd._current_ad()
+    assert again is not unclaimed and again == unclaimed
+    assert startd.state != BUSY
