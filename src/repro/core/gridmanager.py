@@ -60,9 +60,10 @@ class RemoteSite:
 
     The scheduler's index keeps `inflight` and `watchable` (job ids) in
     step with every write; the rest is the GridManager's, and volatile
-    like it: the per-user limit the site last stated, whether a job of
-    the submit pass waits for room here, the Grid Monitor's heartbeat,
-    last launch and suspects, and the site's watch process.
+    like it: the per-user limit the site last stated, until when a
+    refusal our own count cannot explain closed it, whether a job of the
+    submit pass waits for room here, the Grid Monitor's heartbeat, last
+    launch and suspects, and the site's watch process.
     """
 
     def __init__(self, contact: str):
@@ -70,6 +71,7 @@ class RemoteSite:
         self.inflight: set[str] = set()     # STAGING..ACTIVE here
         self.watchable: set[str] = set()    # committed PENDING/ACTIVE here
         self.stated: Optional[int] = None
+        self.busy_until = 0.0
         self.waiting = False
         # last report or launch, and the horizon its stated interval gives
         self.beat = (0.0, -1.0)
@@ -78,8 +80,11 @@ class RemoteSite:
         self.watcher = None
         self.wake = None        # set while the watcher is parked
 
-    def room(self, cap: Optional[int]) -> bool:
-        """In flight here is below `cap` (ours) and the site's limit."""
+    def room(self, cap: Optional[int], now: float) -> bool:
+        """The site is open at `now`, and in flight here is below `cap`
+        (ours) and the site's limit."""
+        if now < self.busy_until:
+            return False
         if self.stated is not None and (cap is None or self.stated < cap):
             cap = self.stated
         return cap is None or len(self.inflight) < cap
@@ -96,9 +101,9 @@ class GridManager(Service):
     # The one status period (§4.2): how often each site with watchable
     # jobs is asked about them.
     PROBE_INTERVAL = 30.0
-    # How often the submit loop looks again while an UNSUBMITTED job
-    # waits on the clock (a site's retry_after, no candidate site, an
-    # arrival during a pass); one that waits for room waits for a slot.
+    # How often the submit loop asks the broker again while a job waits
+    # on it (it named no site with room); a job that waits for room
+    # waits for a slot, or for its closed site to reopen.
     SUBMIT_RETRY_INTERVAL = 20.0
     # With ``grid_monitor`` set, a site's heartbeat is stale once this
     # many of its monitor's stated report intervals pass in silence:
@@ -126,6 +131,7 @@ class GridManager(Service):
         self.client = Gram2Client(host, credential_source=self._credential)
         self.exited = False
         self._waiting_jobs: set[str] = set()    # who waits for room
+        self._on_broker = False     # one of them waits on the broker
         self._again = False     # a waited-for slot freed during the pass
         self._wake = self.sim.event(name=f"gm-wake:{user}")
         self._procs = [
@@ -146,7 +152,7 @@ class GridManager(Service):
     def room(self, contact: str) -> bool:
         """In flight at `contact` is below our cap and the site's."""
         return self.scheduler.site(contact).room(
-            self.scheduler.max_submitted_per_resource)
+            self.scheduler.max_submitted_per_resource, self.sim.now)
 
     def slot_freed(self, site: RemoteSite) -> None:
         """In flight at `site` dropped, or its stated limit moved: if a
@@ -189,21 +195,35 @@ class GridManager(Service):
     # -- submission ------------------------------------------------------------
     def _submit_loop(self):
         while not self.exited:
-            self._again = False
+            self._again = self._on_broker = False
             yield from self._submit_pass()
             if self._check_all_done():
                 return
-            if self._again:
-                continue    # a slot someone waits for freed meanwhile
+            if self._again or \
+                    self.queue.ids_in(J.UNSUBMITTED) - self._waiting_jobs:
+                # a slot someone waits for freed, or a job (re)entered
+                # UNSUBMITTED, while the pass ran: its kick found no one
+                continue
             self._wake = self.sim.event(name=f"gm-wake:{self.user}")
-            if self.queue.ids_in(J.UNSUBMITTED) <= self._waiting_jobs:
+            until = self._next_look()
+            if until is None:
                 # Every transition into UNSUBMITTED and every freed slot
                 # kicks the wake event: a pure wait cannot miss work.
                 yield self._wake
             else:
                 yield self.sim.any_of(
-                    [self._wake,
-                     self.sim.timeout(self.SUBMIT_RETRY_INTERVAL)])
+                    [self._wake, self.sim.timeout(until - self.sim.now)])
+
+    def _next_look(self) -> Optional[float]:
+        """When the submit loop looks again unkicked: the earliest time a
+        closed site some job waits at reopens, or the broker's retry
+        tick; None when no job waits on the clock."""
+        now = self.sim.now
+        times = [site.busy_until for site in self.sites.values()
+                 if site.waiting and site.busy_until > now]
+        if self._on_broker:
+            times.append(now + self.SUBMIT_RETRY_INTERVAL)
+        return min(times, default=None)
 
     def _submit_pass(self):
         """The UNSUBMITTED jobs as the queue stands, in job_id order,
@@ -215,8 +235,7 @@ class GridManager(Service):
         nowhere = False
         for jid in sorted(self.queue.ids_in(J.UNSUBMITTED)):
             job = self.queue.jobs[jid]
-            if job.state != J.UNSUBMITTED or \
-                    self.sim.now < job.backoff_until:
+            if job.state != J.UNSUBMITTED:
                 continue
             if job.resource and not self.room(job.resource):
                 if self.scheduler.broker is None:
@@ -224,9 +243,9 @@ class GridManager(Service):
                     continue
                 job.resource = ""   # full: the broker may know better
             if not job.resource:
-                if self.scheduler.broker is None:
-                    continue    # nowhere to send it (yet)
-                if nowhere:
+                if self.scheduler.broker is None or nowhere:
+                    # nowhere to send it: a kick (a submission that
+                    # yielded, a freed slot, a user) brings it back
                     self._waiting_jobs.add(job.job_id)
                     continue
                 asked: dict[str, bool] = {}     # contact -> had room
@@ -239,6 +258,9 @@ class GridManager(Service):
                             not any(asked.values()):
                         self._wait_for_room(job, *asked)
                         nowhere = True
+                    else:
+                        self._waiting_jobs.add(job.job_id)
+                        self._on_broker = True
                     continue
                 job.resource = resource
             yield from self._submit_one(job)
@@ -277,22 +299,22 @@ class GridManager(Service):
             self._trace("submit_superseded", job=job.job_id, seq=job.seq)
             return
         if isinstance(failure, GatekeeperBusy):
-            # Congestion, not failure: no attempt is consumed.  At the
-            # per-user limit the job waits for room, i.e. for one of our
-            # JobManagers to finish; if the site counts more of them than
-            # we do (a held job's, a superseded attempt's), or refused
-            # for another reason, it waits as long as the site says.
+            # Congestion, not failure: no attempt is consumed, and the
+            # job waits for room here.  At the per-user limit with as
+            # many of ours in flight, that is one of our JobManagers
+            # finishing.  Any other refusal -- the site counts more of
+            # ours than we do (a held job's, a superseded attempt's), or
+            # refused for another reason -- closes the site for as long
+            # as it says, and the rest of the pass sends nothing there.
             job.attempts -= 1
-            ours = failure.reason == Refusal.USER_JOBMANAGERS and \
-                len(self.scheduler.site(contact).inflight) > \
-                failure.user_limit
-            if not ours:
-                job.backoff_until = self.sim.now + failure.retry_after
+            site = self.scheduler.site(contact)
+            if failure.reason != Refusal.USER_JOBMANAGERS or \
+                    len(site.inflight) <= failure.user_limit:
+                site.busy_until = self.sim.now + failure.retry_after
                 self._trace("gatekeeper_busy_backoff", job=job.job_id,
-                            until=job.backoff_until)
+                            contact=contact, until=site.busy_until)
             self.queue.transition(job, J.UNSUBMITTED)
-            if ours:
-                self._wait_for_room(job, contact)
+            self._wait_for_room(job, contact)
             return
         if failure is not None:
             self._submission_failed(job, failure, phase="phase1")
@@ -360,9 +382,11 @@ class GridManager(Service):
             staged = yield from self._stage_inputs(job)
         except (RPCError, RuntimeError) as exc:
             # Same transient treatment as a remote stage-in failure,
-            # plus a breather so a dead SE/catalog is not hammered.
+            # plus a breather so a dead SE/catalog is not hammered: the
+            # SE is the site's, so the site closes.
             job.attempts += 1
-            job.backoff_until = self.sim.now + 30.0
+            self.scheduler.site(job.resource).busy_until = \
+                self.sim.now + 30.0
             self._remote_failure(job, f"stage-in failed: {exc}")
             return False
         if job.state != J.STAGING:

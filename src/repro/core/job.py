@@ -72,7 +72,6 @@ class GridJob(QueueRecord):
     hold_reason: str = ""
     attempts: int = 0             # resubmissions after remote failures
     max_attempts: int = 5
-    backoff_until: float = 0.0    # congestion backoff (gatekeeper busy)
     committed: bool = False       # two-phase commit completed
     universe: str = "grid"
 
@@ -104,7 +103,6 @@ class GridJob(QueueRecord):
             hold_reason=self.hold_reason,
             attempts=self.attempts,
             max_attempts=self.max_attempts,
-            backoff_until=self.backoff_until,
             committed=self.committed,
             universe=self.universe,
         )

@@ -75,7 +75,7 @@ class Gatekeeper(Service):
     """Service ``gatekeeper`` on a site's interface machine."""
 
     service_name = "gatekeeper"
-    RETRY_AFTER = 60.0     # what a refusal tells the client to wait
+    RETRY_AFTER = 60.0     # the wait a JobManager-cap refusal states
 
     def __init__(
         self,
@@ -119,6 +119,7 @@ class Gatekeeper(Service):
         self._tokens = float(admission.burst) if admission else 0.0
         self._token_stamp = self.sim.now
         self._lrm_depth = 0
+        self._next_sample = self.sim.now    # the depth loop's, when due
         if admission is not None and admission.max_queue is not None:
             self.host.spawn(self._admission_depth_loop(),
                             name=f"gk-admission:{self.site}")
@@ -138,17 +139,17 @@ class Gatekeeper(Service):
                 self._lrm_depth = info["queued_jobs"]
             except RPCError:
                 pass          # keep the last sample; retry next period
+            self._next_sample = self.sim.now + self.admission.poll_interval
             yield self.sim.timeout(self.admission.poll_interval)
 
-    def _busy(self, reason: Refusal, text: str,
+    def _busy(self, reason: Refusal, text: str, retry_after: float,
               owner: Optional[str] = None) -> GatekeeperBusy:
         """The refusal to raise, charged to `owner` if it is theirs."""
         if owner is not None:       # SITE_JOBMANAGERS blames no user
             self.sim.metrics.counter(
                 "gatekeeper.rejects_by_user").inc(label=owner)
         return GatekeeperBusy(reason, self.max_user_jobmanagers,
-                              self.RETRY_AFTER,
-                              f"gatekeeper {self.site} {text}")
+                              retry_after, f"gatekeeper {self.site} {text}")
 
     def _admit(self, owner: str, seq: int, client: str) -> None:
         """Both admission gates; raises GatekeeperBusy on rejection."""
@@ -161,8 +162,13 @@ class Gatekeeper(Service):
                 label="depth")
             self._trace("admission_rejected_depth", seq=seq, client=client,
                         owner=owner, depth=self._lrm_depth)
+            # until the next sample (one in flight lands within a round
+            # trip: the one after it is sure)
+            wait = self._next_sample - self.sim.now
             raise self._busy(Refusal.DEPTH, "backpressure: LRM queue depth "
-                             f"{self._lrm_depth} >= {policy.max_queue}", owner)
+                             f"{self._lrm_depth} >= {policy.max_queue}",
+                             wait if wait > 0 else policy.poll_interval,
+                             owner)
         if policy.rate is not None:
             now = self.sim.now
             self._tokens = min(float(policy.burst),
@@ -175,7 +181,8 @@ class Gatekeeper(Service):
                 self._trace("admission_rejected_rate", seq=seq,
                             client=client, owner=owner)
                 raise self._busy(Refusal.RATE, "submission rate limit "
-                                 f"({policy.rate}/s)", owner)
+                                 f"({policy.rate}/s)",
+                                 (1.0 - self._tokens) / policy.rate, owner)
             self._tokens -= 1.0
         self.sim.metrics.counter("gatekeeper.admission_admits").inc()
 
@@ -221,7 +228,8 @@ class Gatekeeper(Service):
                             client=ctx.caller_host, live=self._live[None])
                 raise self._busy(
                     Refusal.SITE_JOBMANAGERS,
-                    f"has all {self.max_jobmanagers} JobManagers it may")
+                    f"has all {self.max_jobmanagers} JobManagers it may",
+                    self.RETRY_AFTER)
             if self.max_user_jobmanagers is not None and \
                     self._live[owner] >= self.max_user_jobmanagers:
                 self.rejected_user_busy += 1
@@ -232,7 +240,8 @@ class Gatekeeper(Service):
                             live=self._live[owner])
                 raise self._busy(
                     Refusal.USER_JOBMANAGERS, f"has all {owner}'s "
-                    f"{self.max_user_jobmanagers} JobManagers", owner)
+                    f"{self.max_user_jobmanagers} JobManagers",
+                    self.RETRY_AFTER, owner)
             jmid = f"{self.site}-jm{next(self._ids)}"
             self._seen[key] = jmid
             JobManager(

@@ -17,7 +17,7 @@ properties are sampled every simulated half second:
 * every job completes exactly once.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import GridTestbed, JobDescription
 from repro.chaos.invariants import check_exactly_once
@@ -90,8 +90,7 @@ class Watcher:
         if gm is None or gm.exited or not _parked_on_bare_wake(gm):
             return
         for job in agent.scheduler.jobs_for_user():
-            if job.state != J.UNSUBMITTED or \
-                    job.backoff_until > self.tb.sim.now:
+            if job.state != J.UNSUBMITTED:
                 continue
             may_go = [job.resource] if job.resource else contacts
             if any(room[contact] for contact in may_go):
@@ -118,6 +117,12 @@ faults = st.one_of(
                      min_size=3, max_size=8),
        fault=faults, seed=st.integers(0, 10**6))
 @settings(max_examples=40, deadline=None)
+# A held job's JobManager still counts at the capped site: its refusal
+# is not ours to explain, so it closes the site and the rest of the pass
+# sends nothing there (it drew 5 refusals against a bound of 4 when the
+# refusal was charged to the one job and the pass went on sending).
+@example(site_caps=[1, None], client_cap=1, users=1, broker="userlist",
+         jobs=[(None, 40.0)] * 7, fault=("hold", 6.0, 20.0), seed=0)
 def test_submissions_go_into_room_and_nothing_waits_beside_it(
         site_caps, client_cap, users, broker, jobs, fault, seed):
     tb = GridTestbed(TestbedConfig(seed=seed, with_mds=False))

@@ -49,13 +49,17 @@ def test_admission_refusals_are_typed(policy, reason):
                 yield from grid.client.submit_phase1(
                     "site-gk", GramJobRequest(runtime=10.0), seq=seq)
             except GatekeeperBusy as busy:
-                refusals.append(busy)
+                refusals.append((busy, grid.gatekeeper._tokens))
 
     grid.drive(scenario())
-    assert refusals and {busy.reason for busy in refusals} == {reason}
-    assert {busy.retry_after for busy in refusals} == \
-        {grid.gatekeeper.RETRY_AFTER}
-    assert {busy.user_limit for busy in refusals} == {None}
+    assert refusals and {busy.reason for busy, _ in refusals} == {reason}
+    # the wait is exact: the gap until the next token; with no depth
+    # loop running here, the next sample is one poll interval away
+    for busy, tokens in refusals:
+        assert busy.retry_after == pytest.approx(
+            (1.0 - tokens) / policy.rate if reason == Refusal.RATE
+            else policy.poll_interval)
+    assert {busy.user_limit for busy, _ in refusals} == {None}
 
 
 def test_rate_limit_rejects_then_all_jobs_complete():
@@ -120,3 +124,32 @@ def test_no_admission_policy_means_no_gating():
     rejects = tb.sim.metrics.counter("gatekeeper.admission_rejects")
     assert rejects.value == 0
     assert tb.sim.metrics.counter("gatekeeper.admission_admits").value == 0
+
+
+def test_a_rate_refusal_closes_the_site_until_the_next_token():
+    """The first job takes the bucket's one token; the second is refused
+    and told the exact gap until the next token.  The refusal closes the
+    site: the third job is not sent in that pass, and the second goes
+    again only once the token is there, so it is admitted."""
+    policy = AdmissionPolicy(rate=0.01, burst=1)
+    tb, agent = make_tb(policy)
+    first, second, third = (agent.queue.jobs[j]
+                            for j in _burst(agent, 3))
+    gk = "gatekeeper:busy"
+    tb.run(until=50.0)
+    admitted = tb.sim.trace.select(gk, "jobmanager_created")
+    refused = tb.sim.trace.select(gk, "admission_rejected_rate")
+    assert len(admitted) == 1 and len(refused) == 1
+    assert (second.state, third.state) == ("UNSUBMITTED", "UNSUBMITTED")
+    # tokens at the refusal: what accrued since the first took the last
+    next_token = admitted[0].time + 1.0 / policy.rate
+    [closed] = tb.sim.trace.select("gridmanager", "gatekeeper_busy_backoff")
+    site = agent.scheduler.sites["busy-gk"]
+    assert site.busy_until == closed.details["until"]
+    assert site.busy_until - closed.time == pytest.approx(
+        next_token - refused[0].time)
+    tb.run(until=next_token + 5.0)
+    assert second.state in ("PENDING", "ACTIVE")
+    assert len(tb.sim.trace.select(gk, "admission_rejected_rate")) == 2
+    tb.run_until_quiet()
+    assert all(job.state == "DONE" for job in (first, second, third))
