@@ -56,30 +56,34 @@ def check_exactly_once(tb: "GridTestbed") -> list[Violation]:
     """At most one COMPLETED site-scheduler execution per logical job.
 
     Joins three trace layers: gatekeeper ``jobmanager_created`` /
-    ``duplicate_submit`` records map a GRAM sequence number (which embeds
-    the logical job id) to a jmid; each JobManager's ``lrm_submit``
-    record maps its jmid to the LRM job it created; the LRM's ``finish``
-    records say which of those actually ran to completion.
+    ``duplicate_submit`` records map the submitting ``client`` host and
+    a GRAM sequence number (which embeds the job id) to a jmid; each
+    JobManager's ``lrm_submit`` record maps its jmid to the LRM job it
+    created; the LRM's ``finish`` records say which of those actually
+    ran to completion.
 
-    Logical job ids are globally unique (one process-wide counter), so
-    the join is safe across agents; every violation carries the owning
-    user so multi-tenant campaigns can attribute blame.
+    Job ids are unique per queue, so a logical job is its agent's host
+    plus its job id; every violation carries the owning user so
+    multi-tenant campaigns can attribute blame.
     """
     trace = tb.sim.trace
-    owner = {job.job_id: name for name, agent in tb.agents.items()
+    owner = {(agent.host.name, job.job_id): name
+             for name, agent in tb.agents.items()
              for job in agent.scheduler.jobs_for_user()}
-    jm_to_logical: dict[str, str] = {}
+    jm_to_logical: dict[str, tuple[str, str]] = {}
     for event in ("jobmanager_created", "duplicate_submit"):
         for rec in trace.select(None, event):
             seq = str(rec.details.get("seq", ""))
             if "/" in seq:
-                jm_to_logical[rec.details["jmid"]] = seq.rsplit("/", 1)[0]
+                jm_to_logical[rec.details["jmid"]] = (
+                    str(rec.details.get("client", "")),
+                    seq.rsplit("/", 1)[0])
 
     # jmid -> the (lrm host, local id) execution it owns.  Replayed
     # submissions reuse the dedup key, so re-logging the same pair is
     # expected; two *different* pairs under one jmid would itself be a
     # dedup failure.
-    executions: dict[tuple[str, str], set[str]] = {}
+    executions: dict[tuple[str, str], set[tuple[str, str]]] = {}
     out: list[Violation] = []
     for jmid, logical in jm_to_logical.items():
         for rec in trace.select(f"jobmanager:{jmid}", "lrm_submit"):
@@ -87,7 +91,8 @@ def check_exactly_once(tb: "GridTestbed") -> list[Violation]:
                    str(rec.details.get("local", "")))
             executions.setdefault(key, set()).add(logical)
 
-    completed_by_logical: dict[str, list[tuple[str, str]]] = {}
+    completed_by_logical: dict[tuple[str, str],
+                               list[tuple[str, str]]] = {}
     for (lrm, local), logicals in executions.items():
         if len(logicals) > 1:
             out.append(Violation(
@@ -110,17 +115,18 @@ def check_exactly_once(tb: "GridTestbed") -> list[Violation]:
         if len(runs) > 1:
             out.append(Violation(
                 "exactly_once",
-                f"{logical} ran to completion {len(runs)} times: {runs}",
-                {"job": logical, "executions": runs,
-                 "user": owner.get(logical, "?")}))
+                f"{logical[1]} of {logical[0]} ran to completion "
+                f"{len(runs)} times: {runs}",
+                {"job": logical[1], "client": logical[0],
+                 "executions": runs, "user": owner.get(logical, "?")}))
 
     # A job the agent reports DONE must have exactly one completion on
     # record (a DONE with zero executions means a completion was faked
     # or the completion chain is broken).
     for name, agent in tb.agents.items():
         for job in agent.scheduler.jobs_for_user():
-            if job.state == JobState.DONE and \
-                    not completed_by_logical.get(job.job_id):
+            if job.state == JobState.DONE and not \
+                    completed_by_logical.get((agent.host.name, job.job_id)):
                 out.append(Violation(
                     "exactly_once",
                     f"{job.job_id} is DONE but no completed LRM "

@@ -17,7 +17,6 @@ from .jobs import (
     REMOVED,
     RUNNING,
     job_ad,
-    next_cluster_id,
 )
 from .negotiator import Negotiator
 from .pool import CondorPool, build_pool
@@ -29,5 +28,4 @@ __all__ = [
     "COMPLETED", "CondorJob", "CondorPool", "Collector", "HELD", "IDLE",
     "MATCHED", "Negotiator", "REMOVED", "RUNNING", "Schedd", "Shadow",
     "Startd", "WorkerContext", "build_pool", "job_ad", "machine_ad",
-    "next_cluster_id",
 ]

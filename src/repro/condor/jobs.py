@@ -18,7 +18,6 @@ communicate with the master").
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -35,19 +34,6 @@ RUNNING = JobState.RUNNING
 COMPLETED = JobState.COMPLETED
 REMOVED = JobState.REMOVED
 HELD = JobState.HELD
-
-_ids = itertools.count(1)
-
-
-def next_cluster_id() -> str:
-    return f"{next(_ids)}.0"
-
-
-def reset_cluster_ids() -> None:
-    """Restart cluster numbering (testbed isolation helper)."""
-    global _ids
-    _ids = itertools.count(1)
-
 
 @dataclass
 class CondorJob(QueueRecord):

@@ -14,6 +14,7 @@ the universes differ, the record type declares it (:class:`QueueRecord`).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import ClassVar, Iterator, Optional
 
@@ -90,6 +91,9 @@ class JobQueue:
     `owner` names it on disk and in ``scheduler`` trace records; `kinds`
     are the record types it holds; `userlog` and `notifier` are the
     user's §4.1 surface (a pool Schedd with no user behind it has none).
+    It numbers every record it holds, in every universe, from one
+    counter (:meth:`new_id`): ids are unique per queue, so a join across
+    agents keys by owner.
     """
 
     def __init__(self, host: Host, owner: str, kinds: tuple,
@@ -106,7 +110,9 @@ class JobQueue:
         self._frozen = host.stable.namespace(f"{FROZEN_NS}:{owner}")
         record_type = {universe: kind for kind in kinds
                        for universe in kind.UNIVERSES}
+        last = 0
         for key, record in self._progress.items():
+            last = max(last, int(key.partition(".")[0]))
             kind = record_type[record["universe"]]
             job = kind.from_record(
                 {**record, kind.FROZEN: self._frozen.get(key)})
@@ -118,6 +124,9 @@ class JobQueue:
                 evicted = job.evicted_by_crash(record["state"])
                 if evicted is not None:
                     self.log(job, "evicted", **evicted)
+        # numbering continues past the highest id on disk, so a
+        # rebooted submit machine never reissues one
+        self._ids = itertools.count(last + 1)
 
     # -- executors ---------------------------------------------------------
     def attach(self, executor, universes: tuple) -> list:
@@ -133,6 +142,10 @@ class JobQueue:
         return (job for job in self.jobs.values() if job.universe in universes)
 
     # -- the one writer ------------------------------------------------------
+    def new_id(self) -> str:
+        """The next job id, ``"N.0"`` (Condor's cluster.proc)."""
+        return f"{next(self._ids)}.0"
+
     def submit(self, job: QueueRecord, **details) -> str:
         """Enter `job`: its frozen part goes to disk now and never again;
         ``queued`` is logged with `details`."""

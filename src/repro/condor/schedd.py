@@ -38,7 +38,6 @@ from .jobs import (
     REMOVED,
     RUNNING,
     job_ad,
-    next_cluster_id,
 )
 from .queue import JobQueue
 from .shadow import Shadow
@@ -162,7 +161,7 @@ class Schedd(Service):
                       requirements: str = "true", rank: str = "0",
                       **ad_extra) -> str:
         job = CondorJob(
-            job_id=next_cluster_id(),
+            job_id=self.queue.new_id(),
             ad=job_ad(owner, requirements=requirements, rank=rank,
                       **ad_extra),
             runtime=runtime,

@@ -22,7 +22,6 @@ from .job import (
     PENDING,
     SUBMITTING,
     UNSUBMITTED,
-    next_grid_job_id,
 )
 from .scheduler import CondorGScheduler
 from .submitfile import SubmitFileError, parse_submit_file, \
@@ -38,6 +37,6 @@ __all__ = [
     "JobStatus", "LogEvent", "MDSBroker", "Notifier", "PENDING",
     "QueueAwareBroker", "SUBMITTING", "UNSUBMITTED", "UserListBroker",
     "SubmitFileError", "UserLog", "assemble_chunks", "condor_history",
-    "condor_q", "condor_status", "gcat_wrap", "next_grid_job_id",
+    "condor_q", "condor_status", "gcat_wrap",
     "parse_submit_file", "submit_from_file",
 ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from ..condor import CondorJob, Schedd, job_ad, next_cluster_id
+from ..condor import CondorJob, Schedd, job_ad
 from ..condor.collector import Collector
 from ..condor.negotiator import Negotiator
 from ..condor.queue import JobQueue, JobStatus
@@ -22,7 +22,6 @@ from ..gass.server import GassServer
 from ..gram.protocol import GramJobRequest
 from ..gsi.proxy import ProxyCredential
 from ..sim.hosts import Host
-from . import job as J
 from .broker import Broker
 from .credmon import PROXY_NS, CredentialMonitor
 from .gcat import gcat_wrap
@@ -160,7 +159,7 @@ class CondorGAgent:
         return self._submit_condor(description)
 
     def _submit_grid(self, d: JobDescription, resource: str) -> str:
-        job_id = J.next_grid_job_id()
+        job_id = self.queue.new_id()     # GASS paths are named by it
         exe_url = self.gass.stage_in(f"{job_id}/{d.executable}",
                                      size=d.input_size)
         stdin_url = ""
@@ -206,7 +205,7 @@ class CondorGAgent:
         if self.schedd is None:
             raise RuntimeError("agent built without a personal pool")
         job = CondorJob(
-            job_id=next_cluster_id(),
+            job_id=self.queue.new_id(),
             ad=job_ad(self.user, requirements=d.requirements, rank=d.rank),
             runtime=d.runtime,
             universe=d.universe,

@@ -13,7 +13,6 @@ resubmitting).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -33,19 +32,6 @@ STAGING_OUT = JobState.STAGING_OUT
 DONE = JobState.DONE
 FAILED = JobState.FAILED
 HELD = JobState.HELD
-
-_ids = itertools.count(1)
-
-
-def next_grid_job_id() -> str:
-    return f"gridjob-{next(_ids)}"
-
-
-def reset_grid_job_ids() -> None:
-    """Restart job numbering (testbed isolation helper)."""
-    global _ids
-    _ids = itertools.count(1)
-
 
 @dataclass
 class GridJob(QueueRecord):

@@ -19,7 +19,7 @@ from ..sim.errors import RPCError
 from . import job as J
 from .broker import Broker
 from .gridmanager import GridManager, RemoteSite
-from .job import GridJob, next_grid_job_id
+from .job import GridJob
 
 
 class CondorGScheduler:
@@ -143,7 +143,7 @@ class CondorGScheduler:
     # -- submission ------------------------------------------------------------
     def submit(self, request, resource: str = "",
                job_id: str = "") -> str:
-        job = GridJob(job_id=job_id or next_grid_job_id(),
+        job = GridJob(job_id=job_id or self.queue.new_id(),
                       request=request, resource=resource)
         self.queue.submit(job, resource=resource or "(broker)")
         self.sim.metrics.counter("scheduler.jobs_queued").inc()

@@ -29,7 +29,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from ..condor import CondorJob, job_ad, next_cluster_id
+from ..condor import CondorJob, job_ad
 from ..core.api import CondorGAgent
 from .lap import BBNode, QAPBranchAndBound, QAPInstance
 
@@ -161,7 +161,7 @@ class Master:
         ids = []
         for _ in range(count):
             job = CondorJob(
-                job_id=next_cluster_id(),
+                job_id=self.schedd.queue.new_id(),
                 ad=job_ad(self.agent.user, requirements=requirements),
                 runtime=1.0,     # unused: the program decides when to stop
                 universe=universe,

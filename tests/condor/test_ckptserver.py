@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.condor import CondorJob, Schedd, build_pool, job_ad, \
-    next_cluster_id
+from repro.condor import CondorJob, Schedd, build_pool, job_ad
 from repro.condor.ckptserver import CheckpointServer
 from repro.sim import Host, Network, Simulator
 
@@ -21,7 +20,7 @@ def make_env(ckpt_server=True, seed=57):
 
 
 def submit_job(schedd, server, runtime=400.0, ckpt_bytes=0):
-    job = CondorJob(job_id=next_cluster_id(), ad=job_ad("alice"),
+    job = CondorJob(job_id=schedd.queue.new_id(), ad=job_ad("alice"),
                     runtime=runtime, universe="standard",
                     ckpt_bytes=ckpt_bytes,
                     ckpt_server="ckpt-host" if server else "")

@@ -10,7 +10,6 @@ from repro.condor import (
     Schedd,
     build_pool,
     job_ad,
-    next_cluster_id,
 )
 from repro.sim import Host, Network, Simulator
 
@@ -146,7 +145,7 @@ def test_worker_host_crash_triggers_lease_recovery():
 
 def test_remote_syscalls_counted():
     sim, pool, submit, schedd = make_env(workers=1)
-    job = CondorJob(job_id=next_cluster_id(),
+    job = CondorJob(job_id=schedd.queue.new_id(),
                     ad=job_ad("alice"),
                     runtime=100.0, universe="standard",
                     io_interval=10.0, io_bytes=1024)
@@ -169,7 +168,7 @@ def test_program_job_runs_application_body():
         events.append(result)
         return 0
 
-    job = CondorJob(job_id=next_cluster_id(), ad=job_ad("alice"),
+    job = CondorJob(job_id=schedd.queue.new_id(), ad=job_ad("alice"),
                     runtime=30.0, universe="standard", program=app)
     jid = schedd.submit(job)
     sim.run(until=400.0)

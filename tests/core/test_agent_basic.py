@@ -135,13 +135,17 @@ def test_two_agents_isolated(tb):
     bob = tb.add_agent(AgentSpec("bob"))
     a = alice.submit(JobDescription(runtime=30.0),
                      resource=tb.sites["wisc"].contact)
-    b = bob.submit(JobDescription(runtime=30.0),
-                   resource=tb.sites["wisc"].contact)
+    b, b2 = (bob.submit(JobDescription(runtime=30.0),
+                        resource=tb.sites["wisc"].contact)
+             for _ in range(2))
     tb.run_until_quiet()
     assert alice.status(a).is_complete
-    assert bob.status(b).is_complete
+    assert bob.status(b).is_complete and bob.status(b2).is_complete
+    # each queue numbers its own jobs, and holds only its own
+    assert a == b
+    assert [s.job_id for s in alice.statuses()] == [a]
     with pytest.raises(KeyError):
-        alice.status(b)
+        alice.status(b2)
 
 
 def test_gsi_enforced_when_enabled():
@@ -167,3 +171,25 @@ def test_unmapped_user_rejected():
     status = agent.status(jid)
     assert status.state in ("FAILED", "HELD", "UNSUBMITTED")
     assert not tb.sites["wisc"].lrm.jobs     # nothing ran
+
+
+def test_two_testbeds_in_one_process_number_their_jobs_apart():
+    """Building a testbed resets nothing another one holds: each queue
+    numbers its own jobs, and the first testbed can still submit."""
+    def build():
+        tb = GridTestbed(TestbedConfig(seed=5))
+        tb.add_site(SiteSpec("wisc", scheduler="pbs", cpus=4))
+        return tb, tb.add_agent(AgentSpec("alice", personal_pool=False))
+
+    tb1, one = build()
+    assert one.submit(JobDescription(runtime=30.0),
+                      resource="wisc-gk") == "1.0"
+    tb2, two = build()
+    assert two.submit(JobDescription(runtime=30.0),
+                      resource="wisc-gk") == "1.0"
+    assert one.submit(JobDescription(runtime=30.0),
+                      resource="wisc-gk") == "2.0"
+    for tb, agent in ((tb1, one), (tb2, two)):
+        tb.run_until_quiet()
+        assert all(s.is_complete for s in agent.statuses())
+    assert [s.job_id for s in one.statuses()] == ["1.0", "2.0"]

@@ -13,10 +13,10 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.condor.jobs import CondorJob, job_ad, next_cluster_id
+from repro.condor.jobs import CondorJob, job_ad
 from repro.condor.queue import JobQueue
 from repro.core import job as J
-from repro.core.job import GridJob, next_grid_job_id
+from repro.core.job import GridJob
 from repro.core.userlog import UserLog
 from repro.gram.protocol import GramJobRequest
 from repro.gass.files import FileStore, SimFile
@@ -140,11 +140,11 @@ def _boot_queue(host):
     return queue
 
 
-def _new_job(universe):
+def _new_job(queue, universe):
     if universe == "grid":
-        return GridJob(job_id=next_grid_job_id(),
+        return GridJob(job_id=queue.new_id(),
                        request=GramJobRequest(runtime=1.0))
-    return CondorJob(job_id=next_cluster_id(), ad=job_ad("alice"),
+    return CondorJob(job_id=queue.new_id(), ad=job_ad("alice"),
                      runtime=1.0, universe=universe)
 
 
@@ -207,8 +207,9 @@ def test_mixed_queue_survives_submit_machine_reboots(steps, crash_points):
                     pre = replace(pre, state=post.state, resource=(
                         pre.resource if grid else ""))
                 assert post == pre
-            # the next submission in each id space is a fresh id
-            fresh = [_new_job(universe) for universe in ("grid", "vanilla")]
+            # the rebooted queue numbers on past every id it holds
+            fresh = [_new_job(queue, universe)
+                     for universe in ("grid", "vanilla")]
             for job in fresh:
                 assert job.job_id not in queue.jobs
                 queue.submit(job)
@@ -224,7 +225,7 @@ def test_mixed_queue_survives_submit_machine_reboots(steps, crash_points):
                  if s.universe != "grid" and s.state == "RUNNING"] + \
                 [(job.job_id, "queued") for job in fresh]
         if step[0] == "submit":
-            queue.submit(_new_job(step[1]))
+            queue.submit(_new_job(queue, step[1]))
         elif step[0] == "move" and queue.jobs:
             ids = sorted(queue.jobs)
             _move(queue, queue.jobs[ids[step[1] % len(ids)]], step[2])

@@ -510,22 +510,25 @@ def test_removing_a_running_vanilla_job_is_final_and_frees_the_slot():
     tb = get_scenario("pool-reuse").build(1)
     agent = tb.agents["dave"]
     tb.run(until=153.0)
-    victim = agent.status("1.0")
+    # the first vanilla job (the glidein pilots were queued before it)
+    first = next(job.job_id for job in agent.queue.jobs.values()
+                 if job.universe == "vanilla")
+    victim = agent.status(first)
     assert victim.state == "RUNNING"
-    agent.cancel("1.0")
+    agent.cancel(first)
     tb.run(until=160.0)
     slot = next(s for s in agent.glideins.live_startds
                 if s.startd_name == victim.resource)
-    assert slot.current_job_id != "1.0"     # Unclaimed, or someone else's
+    assert slot.current_job_id != first     # Unclaimed, or someone else's
     tb.run_until_quiet(max_time=20_000.0)
-    status = agent.status("1.0")
+    status = agent.status(first)
     assert (status.state, status.end_time, status.exit_code) == \
         ("REMOVED", 153.0, None)
-    assert [e.event for e in agent.logs("1.0")] == \
+    assert [e.event for e in agent.logs(first)] == \
         ["queued", "execute", "removed"]
     assert tb.sim.metrics.gauge("schedd.running").value == 0
     others = [s for s in agent.statuses()
-              if s.universe == "vanilla" and s.job_id != "1.0"]
+              if s.universe == "vanilla" and s.job_id != first]
     assert len(others) == 39 and all(s.is_complete for s in others)
 
 
@@ -539,14 +542,14 @@ def test_a_job_held_midflight_leaves_held_with_an_event():
     tb = get_scenario("quickstart").build(1)
     agent = tb.agents["alice"]
     tb.run(until=130.0)
-    job = agent.queue.jobs["gridjob-1"]
+    job = agent.queue.jobs["1.0"]
     assert job.state == "ACTIVE"
     agent.scheduler.credential_problem(job, "proxy expired")
-    assert agent.status("gridjob-1").hold_reason.startswith("credential")
+    assert agent.status("1.0").hold_reason.startswith("credential")
     tb.run_until_quiet(max_time=20_000.0)
-    status = agent.status("gridjob-1")
+    status = agent.status("1.0")
     assert (status.state, status.hold_reason) == ("DONE", "")
-    assert [e.event for e in agent.logs("gridjob-1")] == [
+    assert [e.event for e in agent.logs("1.0")] == [
         "queued", "submit", "execute", "held", "released", "terminate"]
     assert "credential" not in condor_history(agent)
     assert len(tb.sites["wisc"].lrm.jobs) == 2      # nothing ran twice

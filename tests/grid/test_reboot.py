@@ -144,3 +144,25 @@ def test_class3_submit_reboot_keeps_a_vanilla_jobs_view(use_gsi):
     reboot(agent.host)
     assert agent.status(jid) == status
     assert "-" not in condor_history(agent).splitlines()[-1].split()[3:5]
+
+
+def test_a_rebooted_submit_machine_continues_its_numbering():
+    """The queue numbers every job it holds, in every universe, from one
+    counter that continues past the highest id on its disk: a reboot
+    never reissues an id, and a job submitted after it is a new job."""
+    tb = make_tb()
+    agent = tb.agents["alice"]
+    first = [agent.submit(JobDescription(runtime=50.0), resource="wisc-gk"),
+             agent.submit(JobDescription(universe="vanilla", runtime=50.0)),
+             agent.submit(JobDescription(runtime=50.0), resource="wisc-gk")]
+    assert first == ["1.0", "2.0", "3.0"]
+    tb.run(until=20.0)
+    reboot(agent.host)
+    after = [agent.submit(JobDescription(universe="vanilla",
+                                         runtime=50.0)),
+             agent.submit(JobDescription(runtime=50.0), resource="wisc-gk")]
+    assert after == ["4.0", "5.0"]
+    tb.run_until_quiet()
+    # (the vanilla jobs wait for a glidein nobody asked for)
+    assert [str(agent.status(j).state) for j in first + after] == \
+        ["DONE", "IDLE", "DONE", "IDLE", "DONE"]
