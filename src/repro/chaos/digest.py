@@ -54,8 +54,8 @@ def trace_fingerprint(tb: "GridTestbed") -> list[str]:
 
 
 def queue_state(tb: "GridTestbed") -> dict:
-    """Terminal queue state of every agent's grid jobs (pool jobs join at
-    the next digest epoch) and of every site LRM."""
+    """Terminal queue state of every record in every agent's queue, in
+    every universe, and of every site LRM."""
     agents = {}
     for name, agent in sorted(tb.agents.items()):
         agents[name] = {
@@ -67,7 +67,7 @@ def queue_state(tb: "GridTestbed") -> dict:
                 "hold_reason": job.hold_reason,
                 "failure_reason": job.failure_reason,
             }
-            for job in agent.scheduler.jobs_for_user()
+            for job in agent.queue.statuses()
         }
     sites = {}
     for name, site in sorted(tb.sites.items()):

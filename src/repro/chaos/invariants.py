@@ -231,7 +231,15 @@ def check_conservation(tb: "GridTestbed") -> list[Violation]:
             {"counter": queued, "queued": in_queues}))
 
     finished = _counter_value(metrics, "scheduler.jobs_finished")
-    removed = len(tb.sim.trace.select("scheduler", "removed"))
+    # the removals of grid jobs: the set the finish counters count
+    removed_by_user: dict[str, int] = {}
+    for rec in tb.sim.trace.select("scheduler", "removed"):
+        user = str(rec.details.get("user", ""))
+        agent = tb.agents.get(user)
+        job = agent and agent.queue.jobs.get(rec.details.get("job"))
+        if job and job.universe == "grid":
+            removed_by_user[user] = removed_by_user.get(user, 0) + 1
+    removed = sum(removed_by_user.values())
     terminal = sum(1 for agent in tb.agents.values()
                    for job in agent.scheduler.jobs_for_user()
                    if job.is_terminal)
@@ -248,10 +256,6 @@ def check_conservation(tb: "GridTestbed") -> list[Violation]:
     # another user's surplus in the global sums above.
     queued_by_user = metrics.get("scheduler.user_jobs_queued")
     finished_by_user = metrics.get("scheduler.user_jobs_finished")
-    removed_by_user: dict[str, int] = {}
-    for rec in tb.sim.trace.select("scheduler", "removed"):
-        user = str(rec.details.get("user", ""))
-        removed_by_user[user] = removed_by_user.get(user, 0) + 1
     for name, agent in sorted(tb.agents.items()):
         grid_jobs = agent.scheduler.jobs_for_user()
         in_queue = len(grid_jobs)

@@ -65,8 +65,6 @@ class QueueRecord:
     EDGES: ClassVar[dict]
     #: the key ``from_record`` expects the frozen part under
     FROZEN: ClassVar[str]
-    #: transitions also go to the trace as ``scheduler`` records
-    TRACED: ClassVar[bool] = False
     #: states only the user moves a record out of: a queue whose records
     #: are all terminal or parked has nothing left to run
     PARKED: ClassVar[frozenset] = frozenset()
@@ -224,13 +222,12 @@ class JobQueue:
         ids.add(job.job_id)
 
     def log(self, job: QueueRecord, event: str, **details) -> None:
-        """One user-log record (and ``scheduler`` trace record, for a
-        traced record type) about `job`."""
+        """One user-log record and one ``scheduler`` trace record about
+        `job`."""
         if self.userlog is not None:
             self.userlog.add(self.sim.now, job.job_id, event, **details)
-        if job.TRACED:
-            self.sim.trace.log("scheduler", event, user=self.owner,
-                               job=job.job_id, **details)
+        self.sim.trace.log("scheduler", event, user=self.owner,
+                           job=job.job_id, **details)
 
     # -- user operations -----------------------------------------------------
     def remove(self, job_id: str) -> None:

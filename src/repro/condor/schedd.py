@@ -152,8 +152,6 @@ class Schedd(Service):
         job.ad = job.ad.sealed()    # the queue's ad, not the submitter's
         self.queue.submit(job, universe=job.universe)
         self.sim.metrics.counter("schedd.jobs").inc(label="submitted")
-        self._trace("submit", job=job.job_id, universe=job.universe,
-                    owner=job.owner)
         return job.job_id
 
     def submit_simple(self, owner: str, runtime: float,
@@ -189,7 +187,6 @@ class Schedd(Service):
             return False
         job.hold_reason = reason
         self.queue.transition(job, HELD, "held", reason=reason)
-        self._trace("hold", job=job_id, reason=reason)
         return True
 
     def release(self, job_id: str) -> bool:
@@ -197,7 +194,6 @@ class Schedd(Service):
         if job is None or job.state != HELD:
             return False
         self.queue.transition(job, IDLE, "released")
-        self._trace("release", job=job_id)
         return True
 
     def vacate_job(self, job_id: str) -> bool:
@@ -330,7 +326,6 @@ class Schedd(Service):
         if job.start_time is None:
             job.start_time = self.sim.now
         self.queue.transition(job, RUNNING, "execute", resource=startd_name)
-        self._trace("job_running", job=job.job_id, startd=startd_name)
         return True
 
     # -- claim reuse ---------------------------------------------------------
@@ -384,7 +379,6 @@ class Schedd(Service):
         if shadow is not None:
             job.remote_syscalls += shadow.syscall_count
         self.queue.transition(job, COMPLETED, "terminate", exit_code=code)
-        self._trace("job_completed", job=job_id, code=code)
         if self.claim_reuse and job.matched_to in self._claim_ads:
             self.host.spawn(self._reuse_claim(job.matched_to),
                             name=f"claim-reuse:{job.matched_to}")
@@ -405,7 +399,6 @@ class Schedd(Service):
             job.remote_syscalls += shadow.syscall_count
         job.matched_to = ""
         self.queue.transition(job, IDLE, "evicted", checkpoint=job.progress)
-        self._trace("job_vacated", job=job_id, checkpoint=job.progress)
         for hook in self.vacate_hooks:
             hook(job)
 

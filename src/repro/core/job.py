@@ -40,8 +40,6 @@ class GridJob(QueueRecord):
     UNIVERSES = ("grid",)
     EDGES = GRID_EDGES
     FROZEN = "request"
-    # until the next digest epoch, only grid transitions are traced
-    TRACED = True
 
     job_id: str
     request: GramJobRequest

@@ -200,6 +200,26 @@ class TestConservation:
         violations = check_conservation(tb)
         assert any("terminal" in v.detail for v in violations)
 
+    def test_a_removed_pool_job_next_to_grid_jobs_conserves(
+            self, small_grid):
+        """Every universe is traced: a pool job's removal writes its
+        ``scheduler removed`` record like a grid job's, and the finish
+        counters (grid jobs only) are checked against grid removals."""
+        tb, _site, agent = small_grid
+        grid = [agent.submit(JobDescription(runtime=80.0),
+                             resource="site-gk") for _ in range(2)]
+        pool = agent.submit(JobDescription(universe="vanilla",
+                                           runtime=80.0))
+        tb.sim.run(until=5.0)
+        agent.cancel(pool)
+        agent.cancel(grid[1])
+        _drain(tb, agent, grid + [pool])
+        removed = tb.sim.trace.select("scheduler", "removed")
+        assert sorted(rec.details["job"] for rec in removed) == \
+            sorted([grid[1], pool])
+        assert str(agent.status(pool).state) == "REMOVED"
+        assert check_conservation(tb) == []
+
 
 def test_suite_runs_every_invariant(small_grid):
     tb, _site, agent = small_grid
