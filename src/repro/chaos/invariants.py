@@ -22,6 +22,7 @@ paper's headline claims:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, TYPE_CHECKING
 
@@ -56,34 +57,33 @@ def check_exactly_once(tb: "GridTestbed") -> list[Violation]:
     """At most one COMPLETED site-scheduler execution per logical job.
 
     Joins three trace layers: gatekeeper ``jobmanager_created`` /
-    ``duplicate_submit`` records map the submitting ``client`` host and
-    a GRAM sequence number (which embeds the job id) to a jmid; each
+    ``duplicate_submit`` records map the ``client`` host and a GRAM
+    sequence number (which embeds the job id) to a jmid; each
     JobManager's ``lrm_submit`` record maps its jmid to the LRM job it
     created; the LRM's ``finish`` records say which of those actually
     ran to completion.
 
-    Job ids are unique per queue, so a logical job is its agent's host
-    plus its job id; every violation carries the owning user so
+    Job ids are unique per queue, so a logical job is ``client:job_id``,
+    keyed by its owner; every violation carries the owning user so
     multi-tenant campaigns can attribute blame.
     """
     trace = tb.sim.trace
-    owner = {(agent.host.name, job.job_id): name
+    owner = {f"{agent.host.name}:{job.job_id}": name
              for name, agent in tb.agents.items()
              for job in agent.scheduler.jobs_for_user()}
-    jm_to_logical: dict[str, tuple[str, str]] = {}
+    jm_to_logical: dict[str, str] = {}
     for event in ("jobmanager_created", "duplicate_submit"):
         for rec in trace.select(None, event):
             seq = str(rec.details.get("seq", ""))
             if "/" in seq:
-                jm_to_logical[rec.details["jmid"]] = (
-                    str(rec.details.get("client", "")),
-                    seq.rsplit("/", 1)[0])
+                jm_to_logical[rec.details["jmid"]] = \
+                    f"{rec.details['client']}:{seq.rsplit('/', 1)[0]}"
 
     # jmid -> the (lrm host, local id) execution it owns.  Replayed
     # submissions reuse the dedup key, so re-logging the same pair is
     # expected; two *different* pairs under one jmid would itself be a
     # dedup failure.
-    executions: dict[tuple[str, str], set[tuple[str, str]]] = {}
+    executions: dict[tuple[str, str], set[str]] = {}
     out: list[Violation] = []
     for jmid, logical in jm_to_logical.items():
         for rec in trace.select(f"jobmanager:{jmid}", "lrm_submit"):
@@ -91,8 +91,7 @@ def check_exactly_once(tb: "GridTestbed") -> list[Violation]:
                    str(rec.details.get("local", "")))
             executions.setdefault(key, set()).add(logical)
 
-    completed_by_logical: dict[tuple[str, str],
-                               list[tuple[str, str]]] = {}
+    completed_by_logical: dict[str, list[tuple[str, str]]] = {}
     for (lrm, local), logicals in executions.items():
         if len(logicals) > 1:
             out.append(Violation(
@@ -115,18 +114,18 @@ def check_exactly_once(tb: "GridTestbed") -> list[Violation]:
         if len(runs) > 1:
             out.append(Violation(
                 "exactly_once",
-                f"{logical[1]} of {logical[0]} ran to completion "
-                f"{len(runs)} times: {runs}",
-                {"job": logical[1], "client": logical[0],
-                 "executions": runs, "user": owner.get(logical, "?")}))
+                f"{logical} ran to completion {len(runs)} times: {runs}",
+                {"job": logical, "executions": runs,
+                 "user": owner.get(logical, "?")}))
 
     # A job the agent reports DONE must have exactly one completion on
     # record (a DONE with zero executions means a completion was faked
     # or the completion chain is broken).
     for name, agent in tb.agents.items():
         for job in agent.scheduler.jobs_for_user():
-            if job.state == JobState.DONE and not \
-                    completed_by_logical.get((agent.host.name, job.job_id)):
+            logical = f"{agent.host.name}:{job.job_id}"
+            if job.state == JobState.DONE and \
+                    not completed_by_logical.get(logical):
                 out.append(Violation(
                     "exactly_once",
                     f"{job.job_id} is DONE but no completed LRM "
@@ -231,14 +230,12 @@ def check_conservation(tb: "GridTestbed") -> list[Violation]:
             {"counter": queued, "queued": in_queues}))
 
     finished = _counter_value(metrics, "scheduler.jobs_finished")
-    # the removals of grid jobs: the set the finish counters count
-    removed_by_user: dict[str, int] = {}
+    # removals of grid jobs: the set the finish counters count
+    removed_by_user: Counter = Counter()
     for rec in tb.sim.trace.select("scheduler", "removed"):
-        user = str(rec.details.get("user", ""))
-        agent = tb.agents.get(user)
-        job = agent and agent.queue.jobs.get(rec.details.get("job"))
-        if job and job.universe == "grid":
-            removed_by_user[user] = removed_by_user.get(user, 0) + 1
+        agent = tb.agents.get(rec.details["user"])
+        if agent and agent.queue.jobs[rec.details["job"]].universe == "grid":
+            removed_by_user[rec.details["user"]] += 1
     removed = sum(removed_by_user.values())
     terminal = sum(1 for agent in tb.agents.values()
                    for job in agent.scheduler.jobs_for_user()

@@ -176,13 +176,6 @@ class ClassAd:
             return default
         return self.eval(name)
 
-    def evaluate_expr(self, source: str,
-                      target: Optional["ClassAd"] = None) -> Any:
-        """Parse and evaluate an expression with this ad as MY."""
-        from .parser import parse
-
-        return parse(source).eval(EvalContext(my=self, target=target))
-
     # -- rendering -----------------------------------------------------------
     def __str__(self) -> str:
         inner = "; ".join(f"{self._case[k]} = {v}"

@@ -27,9 +27,6 @@ class CondorPool:
     def collector_contact(self) -> str:
         return self.central_host.name
 
-    def busy_count(self) -> int:
-        return sum(1 for s in self.startds if s.state == "Busy")
-
 
 def build_pool(
     sim: Simulator,

@@ -61,9 +61,9 @@ class RemoteSite:
     The scheduler's index keeps `inflight` and `watchable` (job ids) in
     step with every write; the rest is the GridManager's, and volatile
     like it: the per-user limit the site last stated, until when a
-    refusal our own count cannot explain closed it, whether a job of the
-    submit pass waits for room here, the Grid Monitor's heartbeat, last
-    launch and suspects, and the site's watch process.
+    refusal closed it, whether a job of the submit pass waits for room
+    here, the Grid Monitor's heartbeat, last launch and suspects, and
+    the site's watch process.
     """
 
     def __init__(self, contact: str):
@@ -150,7 +150,8 @@ class GridManager(Service):
             self._wake.succeed(None)
 
     def room(self, contact: str) -> bool:
-        """In flight at `contact` is below our cap and the site's."""
+        """`contact` is open, and in flight there is below our cap and
+        the site's."""
         return self.scheduler.site(contact).room(
             self.scheduler.max_submitted_per_resource, self.sim.now)
 
@@ -199,31 +200,23 @@ class GridManager(Service):
             yield from self._submit_pass()
             if self._check_all_done():
                 return
-            if self._again or \
-                    self.queue.ids_in(J.UNSUBMITTED) - self._waiting_jobs:
+            if self._again or not (self.queue.ids_in(J.UNSUBMITTED)
+                                   <= self._waiting_jobs):
                 # a slot someone waits for freed, or a job (re)entered
                 # UNSUBMITTED, while the pass ran: its kick found no one
                 continue
             self._wake = self.sim.event(name=f"gm-wake:{self.user}")
-            until = self._next_look()
-            if until is None:
-                # Every transition into UNSUBMITTED and every freed slot
-                # kicks the wake event: a pure wait cannot miss work.
-                yield self._wake
-            else:
-                yield self.sim.any_of(
-                    [self._wake, self.sim.timeout(until - self.sim.now)])
-
-    def _next_look(self) -> Optional[float]:
-        """When the submit loop looks again unkicked: the earliest time a
-        closed site some job waits at reopens, or the broker's retry
-        tick; None when no job waits on the clock."""
-        now = self.sim.now
-        times = [site.busy_until for site in self.sites.values()
-                 if site.waiting and site.busy_until > now]
-        if self._on_broker:
-            times.append(now + self.SUBMIT_RETRY_INTERVAL)
-        return min(times, default=None)
+            # Every transition into UNSUBMITTED and every freed slot kicks
+            # the wake event: a pure wait cannot miss work.  One timer
+            # covers the rest: the earliest reopening of a closed site
+            # some job waits at, or the broker's retry tick.
+            now = self.sim.now
+            times = [site.busy_until for site in self.sites.values()
+                     if site.waiting and site.busy_until > now]
+            if self._on_broker:
+                times.append(now + self.SUBMIT_RETRY_INTERVAL)
+            yield self.sim.any_of([self._wake, self.sim.timeout(
+                min(times) - now)]) if times else self._wake
 
     def _submit_pass(self):
         """The UNSUBMITTED jobs as the queue stands, in job_id order,
@@ -299,13 +292,10 @@ class GridManager(Service):
             self._trace("submit_superseded", job=job.job_id, seq=job.seq)
             return
         if isinstance(failure, GatekeeperBusy):
-            # Congestion, not failure: no attempt is consumed, and the
-            # job waits for room here.  At the per-user limit with as
-            # many of ours in flight, that is one of our JobManagers
-            # finishing.  Any other refusal -- the site counts more of
-            # ours than we do (a held job's, a superseded attempt's), or
-            # refused for another reason -- closes the site for as long
-            # as it says, and the rest of the pass sends nothing there.
+            # Congestion, not failure: no attempt is consumed; the job
+            # waits for room here.  A refusal our count cannot explain
+            # (the site counts a held job's JobManager, or refused for
+            # another reason) closes the site for as long as it says.
             job.attempts -= 1
             site = self.scheduler.site(contact)
             if failure.reason != Refusal.USER_JOBMANAGERS or \
@@ -385,8 +375,7 @@ class GridManager(Service):
             # plus a breather so a dead SE/catalog is not hammered: the
             # SE is the site's, so the site closes.
             job.attempts += 1
-            self.scheduler.site(job.resource).busy_until = \
-                self.sim.now + 30.0
+            self.scheduler.site(job.resource).busy_until = self.sim.now + 30
             self._remote_failure(job, f"stage-in failed: {exc}")
             return False
         if job.state != J.STAGING:

@@ -37,7 +37,6 @@ class SiteSpec:
     memory: int = 512
     allocation_cost: float = 0.0
     register_mds: bool = True
-    mds_interval: float = 60.0
     #: gatekeeper admission caps: total live JobManagers on the
     #: interface machine, and per-user fair-share cap (None = unlimited)
     max_jobmanagers: Optional[int] = None
@@ -102,8 +101,7 @@ class TestbedConfig:
     """A whole grid-in-a-box, as a value.
 
     ``sites`` and ``agents`` are built in declaration order, matching the
-    equivalent sequence of ``add_site`` / ``add_agent`` calls;
-    ``extra_users`` adds plain users (no agent) before any agents.
+    equivalent sequence of ``add_site`` / ``add_agent`` calls.
     Workload submission stays imperative -- a config describes the grid,
     not the jobs.
     """
@@ -121,14 +119,11 @@ class TestbedConfig:
     trace_max_records: Optional[int] = None
     sites: tuple[SiteSpec, ...] = ()
     agents: tuple[AgentSpec, ...] = ()
-    extra_users: tuple[str, ...] = ()
     #: logical datasets pre-placed at t=0; non-empty (or any site with
     #: ``storage``) brings up the replica catalog + transfer scheduler
     datasets: tuple[DatasetSpec, ...] = ()
     #: WAN bandwidth the transfer scheduler paces each SE->SE link to
     data_link_bandwidth: float = 5_000_000.0
-    #: concurrent third-party streams allowed per SE->SE link
-    data_max_streams: int = 2
     #: bursty grid-user submission process replayed into the agents
     #: (None = workloads stay imperative, the historical default)
     traffic: Optional[TrafficProfile] = None
@@ -142,6 +137,3 @@ class TestbedConfig:
 
     def with_agents(self, *agents: AgentSpec) -> "TestbedConfig":
         return replace(self, agents=self.agents + agents)
-
-    def with_datasets(self, *datasets: DatasetSpec) -> "TestbedConfig":
-        return replace(self, datasets=self.datasets + datasets)

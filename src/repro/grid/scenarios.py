@@ -438,7 +438,7 @@ def data_cms_config(cms: DataCMSConfig,
     return TestbedConfig(
         seed=seed, with_mds=False, with_repo=False,
         sites=sites, datasets=tuple(datasets),
-        data_link_bandwidth=2_000_000.0, data_max_streams=2,
+        data_link_bandwidth=2_000_000.0,
         agents=(AgentSpec("phys", broker_kind=broker_kind,
                           personal_pool=False),),
     )
@@ -460,11 +460,6 @@ def data_cms_grid(seed: int = 0, cms: DataCMSConfig = STAGING_BOUND_CMS,
     for description in build_data_cms_jobs(cms):
         agent.submit(description)
     return tb
-
-
-def data_cms_compute_grid(seed: int = 0) -> GridTestbed:
-    """Compute-bound sibling of ``data-cms`` (same topology/catalog)."""
-    return data_cms_grid(seed, cms=COMPUTE_BOUND_CMS)
 
 
 # -- multi-tenant scenarios (benchmarks/bench_multiuser.py) --------------------

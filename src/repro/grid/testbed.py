@@ -140,12 +140,10 @@ class GridTestbed:
         if config.with_myproxy:
             self.myproxy = MyProxyServer(Host(self.sim, MYPROXY_HOST))
         # Declarative topology: sites first (agents' brokers snapshot
-        # site contacts), then plain users, then agents.
+        # site contacts), then agents.
         for site_spec in config.sites:
             self.add_site(site_spec)
         self._seed_datasets(config.datasets)
-        for user_name in config.extra_users:
-            self.add_user(user_name)
         for agent_spec in config.agents:
             self.add_agent(agent_spec)
         if config.traffic is not None:
@@ -201,8 +199,7 @@ class GridTestbed:
             self.data_services.se_of[gk_host.name] = site.se_host.name
         if spec.register_mds and self.config.with_mds:
             gk_host.boot(lambda h: ResourceRegistrar(
-                h, GIIS_HOST, lambda: self._site_ad(site),
-                interval=spec.mds_interval, ttl=spec.mds_interval * 2.5))
+                h, GIIS_HOST, lambda: self._site_ad(site)))
         self.sites[name] = site
         return site
 
@@ -219,8 +216,7 @@ class GridTestbed:
         Host(self.sim, CATALOG_HOST).boot(ReplicaCatalog)
         Host(self.sim, DTS_HOST).boot(lambda h: TransferScheduler(
             h, catalog_host=CATALOG_HOST,
-            link_bandwidth=config.data_link_bandwidth,
-            max_streams=config.data_max_streams))
+            link_bandwidth=config.data_link_bandwidth))
 
     @property
     def replica_catalog(self) -> Optional[ReplicaCatalog]:

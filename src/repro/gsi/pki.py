@@ -101,14 +101,6 @@ class CertificateAuthority:
         )
         return cert, private
 
-    def self_certificate(self, horizon: float = 10**10) -> Certificate:
-        """The CA's self-signed certificate (trust anchor form)."""
-        return make_certificate(
-            subject=self.dn, issuer=self.dn, public_key=self.public_key,
-            issuer_private_key=self._keys[1],
-            not_before=0.0, not_after=horizon,
-        )
-
 
 def verify_chain(
     chain: list[Certificate],

@@ -28,6 +28,12 @@ class GIIS(Service):
     # -- GRRP ---------------------------------------------------------------
     def handle_register(self, ctx, ad: ClassAd,
                         ttl: Optional[float] = None) -> bool:
+        """Register (or renew) `ad` for `ttl`.  Only a ClassAd is kept:
+        anything else is the caller's error, answered now, not a crash
+        of every broker that would later query it."""
+        if not isinstance(ad, ClassAd):
+            raise TypeError(
+                f"a registration carries a ClassAd, not {type(ad).__name__}")
         name = ad.get("Name")
         if not isinstance(name, str) or not name:
             raise ValueError("resource ad needs a string Name")

@@ -584,9 +584,3 @@ class Simulator:
             return True
         return False
 
-    def peek(self) -> Optional[float]:
-        while self._heap and self._heap[0][2]._cancelled:
-            heapq.heappop(self._heap)
-            if self._tombstones > 0:
-                self._tombstones -= 1
-        return self._heap[0][0] if self._heap else None

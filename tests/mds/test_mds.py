@@ -179,3 +179,30 @@ def test_resource_ad_estimated_wait():
     busy = make_ad("busy", free=0, queued=16)
     assert idle.eval("EstimatedWait") == 0.0
     assert busy.eval("EstimatedWait") == pytest.approx(2.0)
+
+
+def test_a_plain_dict_is_refused_at_the_door(env):
+    sim, giis, client = env
+
+    def scenario():
+        from repro.sim import call
+        yield from call(client, "giis-host", "giis", "register",
+                        ad={"Name": "evil"})
+
+    box = drive(sim, scenario())
+    assert "error" in box and giis.live_count() == 0
+
+
+def test_a_refused_registration_leaves_the_brokers_running():
+    """The dict a GIIS kept used to kill the next broker query (and with
+    it the user's GridManager) with an AttributeError."""
+    from repro.grid.scenarios import get_scenario
+    from repro.grid.testbed import GIIS_HOST
+
+    tb = get_scenario("quickstart").build(0)
+    giis = tb.sim.hosts[GIIS_HOST].get_service("giis")
+    with pytest.raises(TypeError):
+        giis.handle_register(None, ad={"Name": "evil"})
+    tb.run(until=4000.0)
+    statuses = tb.agents["alice"].statuses()
+    assert statuses and all(s.is_complete for s in statuses)
