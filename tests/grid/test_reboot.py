@@ -162,7 +162,7 @@ def test_a_rebooted_submit_machine_continues_its_numbering():
                                          runtime=50.0)),
              agent.submit(JobDescription(runtime=50.0), resource="wisc-gk")]
     assert after == ["4.0", "5.0"]
-    tb.run_until_quiet()
+    tb.run(until=1000.0)
     # (the vanilla jobs wait for a glidein nobody asked for)
     assert [str(agent.status(j).state) for j in first + after] == \
         ["DONE", "IDLE", "DONE", "IDLE", "DONE"]
