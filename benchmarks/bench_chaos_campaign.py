@@ -14,7 +14,8 @@ import os
 
 import pytest
 
-from repro.chaos import FaultPlan, PlannedFault, run_campaign, shrink_plan
+from repro.chaos import FaultPlan, PlannedFault, run_campaign, shrink_plan, \
+    violation_predicate
 from repro.sim.snapshot import ForkPoint
 
 SCENARIOS = ("credential", "three-site")
@@ -88,10 +89,12 @@ def test_shrink_from_snapshot(report):
     fork_stats: dict = {}
     minimal_zero, _ = shrink_plan(
         "shrink-lab", SHRINK_SEED, SHRINK_PLAN, invariants=invariants,
+        reproduces=violation_predicate("shrink-lab", SHRINK_SEED,
+                                       invariants, stats=zero_stats),
         stats=zero_stats)
     minimal_fork, _ = shrink_plan(
         "shrink-lab", SHRINK_SEED, SHRINK_PLAN, invariants=invariants,
-        from_snapshot=True, stats=fork_stats)
+        stats=fork_stats)
 
     assert minimal_zero.to_dict() == minimal_fork.to_dict()
     assert len(minimal_fork) == 1

@@ -40,15 +40,15 @@ def run_broker(kind: str):
     tb = build_tb()
     agent = tb.add_agent(AgentSpec("user"))
     if kind == "user list":
-        agent.scheduler.broker = UserListBroker(
+        agent.gridmanager.broker = UserListBroker(
             [s.contact for s in tb.sites.values()
              if s.arch == "INTEL"])      # the user curates arch by hand
     elif kind == "mds":
-        agent.scheduler.broker = MDSBroker(
+        agent.gridmanager.broker = MDSBroker(
             agent.host, "mds", requirements='Arch == "INTEL"',
             rank="-EstimatedWait")
     elif kind == "mds+cost":
-        agent.scheduler.broker = MDSBroker(
+        agent.gridmanager.broker = MDSBroker(
             agent.host, "mds", requirements='Arch == "INTEL"',
             rank="-EstimatedWait * 100.0 - AllocationCost")
     tb.run(until=150.0)       # MDS registrations warm up

@@ -68,11 +68,11 @@ def run_strategy(strategy: str):
     agent = tb.add_agent(AgentSpec("user"))
     contacts = [s.contact for s in tb.sites.values()]
     if strategy == "direct round-robin":
-        agent.scheduler.broker = UserListBroker(contacts)
+        agent.gridmanager.broker = UserListBroker(contacts)
         ids = [agent.submit(JobDescription(runtime=RUNTIME))
                for _ in range(N_JOBS)]
     elif strategy == "queue-aware":
-        agent.scheduler.broker = QueueAwareBroker(agent.host, contacts)
+        agent.gridmanager.broker = QueueAwareBroker(agent.host, contacts)
         ids = [agent.submit(JobDescription(runtime=RUNTIME))
                for _ in range(N_JOBS)]
     elif strategy == "job flood":

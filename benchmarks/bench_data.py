@@ -102,7 +102,7 @@ def _out_path() -> Path:
 
 def _nonterminal(tb) -> int:
     return sum(1 for agent in tb.agents.values()
-               for j in agent.scheduler.jobs_for_user()
+               for j in agent.gridmanager.jobs_for_user()
                if not j.is_terminal)
 
 

@@ -81,7 +81,7 @@ def _nonterminal(tb) -> int:
     for agent in tb.agents.values():
         payloads = [job for job in agent.queue.jobs.values()
                     if job.universe != "grid"] \
-            or agent.scheduler.jobs_for_user()
+            or agent.gridmanager.jobs_for_user()
         count += sum(1 for job in payloads if not job.is_terminal)
     return count
 

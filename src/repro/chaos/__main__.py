@@ -9,7 +9,8 @@ Subcommands
 ``repro <scenario> <seed>``
     Re-run one cell from its coordinates (optionally with a stored plan
     via ``--plan``), print its plan, violations, and digest; ``--shrink``
-    delta-debugs a violating plan down to a minimal schedule.
+    delta-debugs a violating plan down to a minimal schedule (forking a
+    pre-fault snapshot per candidate where ``os.fork`` exists).
 ``scenarios``
     List the registered scenarios.
 """
@@ -78,8 +79,7 @@ def _cmd_repro(args: argparse.Namespace) -> int:
         stats: dict = {}
         minimal, replays = shrink_plan(
             args.scenario, args.seed, FaultPlan.from_dict(result.plan),
-            invariants=names, from_snapshot=args.from_snapshot,
-            stats=stats)
+            invariants=names, stats=stats)
         print(f"shrunk to {len(minimal)} event(s) in {replays} replays "
               f"[{stats['mode']}: "
               f"{stats.get('replayed_sim_seconds', 0.0):.0f} sim-seconds "
@@ -127,10 +127,6 @@ def main(argv=None) -> int:
     repro_p.add_argument("--shrink", action="store_true",
                          help="delta-debug a violating plan to a "
                               "minimal schedule")
-    repro_p.add_argument("--from-snapshot", action="store_true",
-                         help="evaluate shrink candidates by forking a "
-                              "pre-fault snapshot instead of replaying "
-                              "from t=0")
     repro_p.set_defaults(func=_cmd_repro)
 
     sc_p = sub.add_parser("scenarios", help="list registered scenarios")

@@ -70,7 +70,7 @@ def check_exactly_once(tb: "GridTestbed") -> list[Violation]:
     trace = tb.sim.trace
     owner = {f"{agent.host.name}:{job.job_id}": name
              for name, agent in tb.agents.items()
-             for job in agent.scheduler.jobs_for_user()}
+             for job in agent.gridmanager.jobs_for_user()}
     jm_to_logical: dict[str, str] = {}
     for event in ("jobmanager_created", "duplicate_submit"):
         for rec in trace.select(None, event):
@@ -122,7 +122,7 @@ def check_exactly_once(tb: "GridTestbed") -> list[Violation]:
     # record (a DONE with zero executions means a completion was faked
     # or the completion chain is broken).
     for name, agent in tb.agents.items():
-        for job in agent.scheduler.jobs_for_user():
+        for job in agent.gridmanager.jobs_for_user():
             logical = f"{agent.host.name}:{job.job_id}"
             if job.state == JobState.DONE and \
                     not completed_by_logical.get(logical):
@@ -164,7 +164,7 @@ def check_credential_hold_notify(tb: "GridTestbed") -> list[Violation]:
     out = []
     for name, agent in tb.agents.items():
         credential_holds = [
-            job for job in agent.scheduler.jobs_for_user()
+            job for job in agent.gridmanager.jobs_for_user()
             if job.state == JobState.HELD
             and _credentialish(job.hold_reason)]
         if credential_holds and \
@@ -175,7 +175,7 @@ def check_credential_hold_notify(tb: "GridTestbed") -> list[Violation]:
                 f"but user {name} was never e-mailed",
                 {"agent": name,
                  "jobs": [j.job_id for j in credential_holds]}))
-        for job in agent.scheduler.jobs_for_user():
+        for job in agent.gridmanager.jobs_for_user():
             if job.state == JobState.FAILED \
                     and _credentialish(job.failure_reason):
                 out.append(Violation(
@@ -220,7 +220,7 @@ def check_conservation(tb: "GridTestbed") -> list[Violation]:
     out = []
     metrics = tb.sim.metrics
     queued = _counter_value(metrics, "scheduler.jobs_queued")
-    in_queues = sum(len(agent.scheduler.jobs_for_user())
+    in_queues = sum(len(agent.gridmanager.jobs_for_user())
                     for agent in tb.agents.values())
     if queued != in_queues:
         out.append(Violation(
@@ -238,7 +238,7 @@ def check_conservation(tb: "GridTestbed") -> list[Violation]:
             removed_by_user[rec.details["user"]] += 1
     removed = sum(removed_by_user.values())
     terminal = sum(1 for agent in tb.agents.values()
-                   for job in agent.scheduler.jobs_for_user()
+                   for job in agent.gridmanager.jobs_for_user()
                    if job.is_terminal)
     if finished + removed != terminal:
         out.append(Violation(
@@ -254,7 +254,7 @@ def check_conservation(tb: "GridTestbed") -> list[Violation]:
     queued_by_user = metrics.get("scheduler.user_jobs_queued")
     finished_by_user = metrics.get("scheduler.user_jobs_finished")
     for name, agent in sorted(tb.agents.items()):
-        grid_jobs = agent.scheduler.jobs_for_user()
+        grid_jobs = agent.gridmanager.jobs_for_user()
         in_queue = len(grid_jobs)
         if queued_by_user is not None and \
                 queued_by_user.labelled(name) != in_queue:
@@ -352,7 +352,7 @@ def check_durable_outputs(tb: "GridTestbed") -> list[Violation]:
         return []
     out: list[Violation] = []
     for name, agent in sorted(tb.agents.items()):
-        for job in agent.scheduler.jobs_for_user():
+        for job in agent.gridmanager.jobs_for_user():
             if job.state != JobState.DONE:
                 continue
             for ds_name, _size in job.request.output_datasets:

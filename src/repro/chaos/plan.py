@@ -178,7 +178,7 @@ def fault_surface(tb: "GridTestbed") -> dict[str, list[str]]:
     # Grid Monitors (repro.gram.monitor) live on gatekeeper hosts exactly
     # when an agent sets grid_monitor; killing one must degrade cleanly
     # to asking the site's gatekeeper until the client relaunches it.
-    monitored = any(getattr(agent.scheduler, "grid_monitor", False)
+    monitored = any(agent.gridmanager.grid_monitor
                     for agent in tb.agents.values())
     return {
         "crash": gk_hosts + se_hosts,

@@ -8,20 +8,21 @@ plan that still reproduces a violation, until no single event can be
 removed.  Because runs are deterministic, "still reproduces" is a pure
 function of the plan -- no flake management needed.
 
-Candidate replays come in two flavors:
+Candidate replays come in two flavors, and :func:`shrink_plan` picks:
 
-* **from zero** (the default) -- every candidate rebuilds the scenario
-  and replays the whole run, exactly like the campaign cell did.
-* **from snapshot** (``from_snapshot=True``) -- the pre-fault prefix
-  ``[0, t0)`` (``t0`` just before the plan's earliest fault) is
+* **from snapshot** (wherever ``os.fork`` exists) -- the pre-fault
+  prefix ``[0, t0)`` (``t0`` just before the plan's earliest fault) is
   simulated *once*; every ddmin candidate is then evaluated in an
   ``os.fork()`` child of that parked simulation
   (:class:`repro.sim.snapshot.ForkPoint`), so only the post-fault
   suffix is ever re-simulated.  Fault arming is absolute-time
   (:class:`~repro.sim.failures.FailureInjector`), so a candidate armed
   at ``t0`` fires at the exact instants it would have armed at zero,
-  and ddmin converges to the same minimal plan.  Platforms without
-  ``os.fork`` fall back to the from-zero path.
+  and ddmin converges to the same minimal plan.
+* **from zero** (:func:`violation_predicate`) -- every candidate
+  rebuilds the scenario and replays the whole run, exactly like the
+  campaign cell did: the fallback without ``os.fork`` (or for an empty
+  plan), and the reference the fork path is checked against.
 """
 
 from __future__ import annotations
@@ -58,9 +59,12 @@ def violation_predicate(
 
     ``invariants`` restricts the check to the named invariant(s), so the
     minimizer cannot wander off to a *different* failure mode while
-    shrinking.  ``stats`` (if given) accumulates ``replays`` and
-    ``replayed_sim_seconds``.
+    shrinking.  ``stats`` (if given) records ``mode`` and accumulates
+    ``replays`` and ``replayed_sim_seconds``.
     """
+    if stats is not None:
+        stats["mode"] = "from-zero"
+
     def reproduces(plan: FaultPlan) -> bool:
         tb, _ = build_and_run(scenario_name, seed, plan=plan)
         if stats is not None:
@@ -97,6 +101,7 @@ def snapshot_predicate(
     tb.run(until=t0)
     point = ForkPoint()
     if stats is not None:
+        stats["mode"] = "fork"
         stats["prefix_time"] = t0
         stats["replayed_sim_seconds"] = \
             stats.get("replayed_sim_seconds", 0.0) + t0
@@ -150,7 +155,6 @@ def shrink_plan(
     invariants: Optional[set[str]] = None,
     max_runs: int = 200,
     reproduces: Optional[Predicate] = None,
-    from_snapshot: bool = False,
     stats: Optional[dict] = None,
 ) -> tuple[FaultPlan, int]:
     """Shrink `plan` to a minimal schedule that still violates.
@@ -158,27 +162,24 @@ def shrink_plan(
     Returns ``(minimal_plan, replay_count)``.  If the original plan does
     not reproduce any violation, it is returned unchanged with count 1.
 
-    ``from_snapshot=True`` evaluates candidates from a pre-fault
-    snapshot via ``os.fork`` instead of replaying from t=0 (same
-    minimal plan, much less re-simulation; see the module docstring).
-    ``stats`` (a dict, filled in place) records ``mode``, ``replays``,
-    ``replayed_sim_seconds``, ``wall_seconds``, and -- in snapshot mode
-    -- ``prefix_time``.
+    Unless `reproduces` is given, candidates are evaluated from a
+    pre-fault snapshot via ``os.fork`` where the platform has it and the
+    plan has events, else replayed from t=0 (same minimal plan; see the
+    module docstring).  ``stats`` (a dict, filled in place) records
+    ``mode``, ``replays``, ``replayed_sim_seconds``, ``wall_seconds``,
+    and -- in snapshot mode -- ``prefix_time``.
     """
     if stats is None:
         stats = {}
     started = time.perf_counter()
     if reproduces is None:
-        if from_snapshot and plan.events and ForkPoint.supported():
-            stats["mode"] = "fork"
+        if plan.events and ForkPoint.supported():
             reproduces = snapshot_predicate(
                 scenario_name, seed, plan, invariants, stats=stats)
         else:
-            stats["mode"] = "from-zero"
             reproduces = violation_predicate(
                 scenario_name, seed, invariants, stats=stats)
-    else:
-        stats.setdefault("mode", "custom")
+    stats.setdefault("mode", "custom")
     try:
         if not reproduces(plan):
             return plan, 1

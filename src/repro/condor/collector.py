@@ -1,7 +1,7 @@
 """The Condor Collector: the pool's soft-state ad registry.
 
 Startds, schedds, and (glided-in) daemons advertise ClassAds here; the
-Negotiator and the Condor-G Scheduler query it.  Identical in spirit to
+Negotiator queries it.  Identical in spirit to
 the MDS GIIS, but holding Condor ads keyed by (ad type, name) and
 supporting invalidation -- a startd that shuts down gracefully withdraws
 its ad, one that dies silently ages out.
@@ -17,8 +17,9 @@ equality buckets instead of a full evaluate-every-ad scan, and every
 query iterates a maintained name-sorted list instead of re-sorting the
 registry per call.  Candidates coming out of a bucket are still
 evaluated against the full constraint, so the index can only narrow the
-scan, never change a result.  Constraint parsing is cached (parsing is
-pure), mirroring the GIIS query cache.
+scan, never change a result.  A constraint is parsed at every query;
+:func:`~repro.classads.parse` memoizes by source text, so a repeated
+constraint costs a lookup.
 """
 
 from __future__ import annotations

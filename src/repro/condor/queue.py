@@ -6,9 +6,9 @@ for every universe (§4.1, Figure 2).  :class:`JobQueue` keeps every
 record on the submit machine's disk (the frozen request or ad once, the
 progress record at every change), reads them back after a crash, is the
 one writer of their state and builds every :class:`JobStatus`.  What
-runs the jobs is each universe's *executor* -- the GridManager's
-``CondorGScheduler`` for ``grid``, the ``Schedd``'s claims and shadows
-for ``vanilla``/``standard`` -- called back after every change.  Where
+runs the jobs is each universe's *executor* -- the ``GridManager`` for
+``grid``, the ``Schedd``'s claims and shadows for ``vanilla``/``standard``
+-- called back after every change.  Where
 the universes differ, the record type declares it (:class:`QueueRecord`).
 """
 

@@ -23,14 +23,13 @@ from .job import (
     SUBMITTING,
     UNSUBMITTED,
 )
-from .scheduler import CondorGScheduler
 from .submitfile import SubmitFileError, parse_submit_file, \
     submit_from_file
 from .tools import condor_history, condor_q, condor_status
 from .userlog import Email, LogEvent, Notifier, UserLog
 
 __all__ = [
-    "ACTIVE", "Broker", "CondorGAgent", "CondorGScheduler",
+    "ACTIVE", "Broker", "CondorGAgent",
     "CredentialMonitor", "DONE", "Email", "FAILED", "GlideInManager",
     "FloodedJob", "FloodingSubmitter", "GlideInSpec", "GridJob",
     "GridManager", "HELD", "JobDescription", "MatchmakingBroker",

@@ -4,7 +4,7 @@
 resource", with operations to submit jobs, query status, cancel, get
 callbacks/e-mail on termination, and read detailed logs.  The
 :class:`CondorGAgent` is that personal desktop agent: everything it
-spawns (Scheduler, GridManager, GASS server, personal Collector/
+spawns (job queue, GridManager, GASS server, personal Collector/
 Negotiator/Schedd for GlideIns, credential monitor) lives on the user's
 submit machine.
 """
@@ -26,8 +26,8 @@ from .broker import Broker
 from .credmon import PROXY_NS, CredentialMonitor
 from .gcat import gcat_wrap
 from .glidein import GlideInManager, GlideInSpec
+from .gridmanager import GridManager
 from .job import GridJob
-from .scheduler import CondorGScheduler
 from .userlog import Notifier, UserLog
 
 USERLOG_NS = "condorg-userlog"    # the user log file
@@ -68,7 +68,7 @@ class CondorGAgent:
     The object is the user's durable handle; the daemons behind it are
     what the submit machine's last boot built, each recovering what its
     own persistence holds (job queue, user log, proxy file, GASS store),
-    so ``queue`` (every job of every universe), ``scheduler`` (runs its
+    so ``queue`` (every job of every universe), ``gridmanager`` (runs its
     grid jobs), ``schedd`` (its vanilla/standard ones), ``gass``,
     ``credmon`` ... always name the live ones.  ``on_termination``
     subscribers are callables, live in no file, and are gone after a
@@ -106,7 +106,7 @@ class CondorGAgent:
                 userlog=UserLog(host.stable.namespace(
                     f"{USERLOG_NS}:{user}")),
                 notifier=self.notifier)
-            self.scheduler = CondorGScheduler(
+            self.gridmanager = GridManager(
                 self.queue, broker=broker,
                 max_submitted_per_resource=max_submitted_per_resource,
                 data_services=data_services,
@@ -115,9 +115,9 @@ class CondorGAgent:
             self.credmon: Optional[CredentialMonitor] = None
             if proxy is not None:
                 self.credmon = CredentialMonitor(
-                    self.scheduler, host, user,
+                    self.gridmanager, host, user,
                     warn_threshold=warn_threshold, myproxy=myproxy)
-                self.scheduler.credential_source = \
+                self.gridmanager.credential_source = \
                     self.credmon.credential_source
 
             # The user's GASS server: staging source + stdout sink.
@@ -141,8 +141,8 @@ class CondorGAgent:
                                      claim_reuse=claim_reuse,
                                      queue=self.queue)
                 self.glideins = GlideInManager(
-                    self.scheduler, collector_host=host.name,
-                    credential_source=self.scheduler.credential_source,
+                    self.gridmanager, collector_host=host.name,
+                    credential_source=self.gridmanager.credential_source,
                     binaries_url=glidein_binaries_url)
 
         host.boot(start)
@@ -178,7 +178,7 @@ class CondorGAgent:
         if d.gcat_mss_url and program is not None:
             program = gcat_wrap(
                 program, d.gcat_mss_url,
-                credential_source=self.scheduler.credential_source)
+                credential_source=self.gridmanager.credential_source)
         env = dict(d.env)
         if stdout_url:
             env.setdefault("GASS_URL", stdout_url)
@@ -198,7 +198,7 @@ class CondorGAgent:
             input_datasets=tuple(d.input_datasets),
             output_datasets=tuple(tuple(o) for o in d.output_datasets),
         )
-        return self.scheduler.submit(request, resource=resource,
+        return self.gridmanager.submit(request, resource=resource,
                                      job_id=job_id)
 
     def _submit_condor(self, d: JobDescription) -> str:

@@ -9,8 +9,7 @@ lays them out:
   information about user authorization, application requirements and
   resource status (obtained from MDS)": queries the GIIS, filters with a
   ClassAd Requirements expression, ranks candidates (e.g. by expected
-  wait or allocation cost), optionally double-checks the chosen site's
-  live queue before committing.
+  wait or allocation cost).
 * :class:`QueueAwareBroker` -- the flooding/tuning flavour: polls every
   candidate's gatekeeper for live queue depth and picks the emptiest,
   which is the "monitor queuing times to tune where to submit subsequent
@@ -38,6 +37,14 @@ if TYPE_CHECKING:  # pragma: no cover
 class Broker:
     """Interface: yield-from `pick(job, has_room)` returning a contact
     for which ``has_room`` holds, or None."""
+
+    #: audience -> signing proof for GSI-protected services (None: no GSI)
+    credential_source = None
+
+    def _credential(self, audience: str):
+        if self.credential_source is None:
+            return None
+        return self.credential_source(audience)
 
     def pick(self, job: "GridJob", has_room):  # pragma: no cover - interface
         raise NotImplementedError
@@ -78,7 +85,6 @@ class MDSBroker(Broker):
         requirements: str = "true",
         rank: str = "-EstimatedWait",
         credential_source=None,
-        verify_live: bool = False,
     ):
         self.host = host
         self.sim = host.sim
@@ -86,12 +92,6 @@ class MDSBroker(Broker):
         self.requirements = requirements
         self.rank_expr = parse(rank)
         self.credential_source = credential_source
-        self.verify_live = verify_live
-
-    def _credential(self, audience: str):
-        if self.credential_source is None:
-            return None
-        return self.credential_source(audience)
 
     def candidates(self):
         ads = yield from grip_query(
@@ -115,17 +115,7 @@ class MDSBroker(Broker):
                 best, best_rank = ad, float(value)
         if best is None:
             return None
-        contact = best.get("Contact")
-        if self.verify_live and contact:
-            # "These resources will be queried to determine their current
-            # status" -- double-check the MDS picture before submitting.
-            try:
-                yield from call(self.host, contact, "gatekeeper", "ping",
-                                timeout=10.0,
-                                credential=self._credential(contact))
-            except RPCError:
-                return None
-        return contact
+        return best.get("Contact")
 
 
 class MatchmakingBroker(Broker):
@@ -160,11 +150,6 @@ class MatchmakingBroker(Broker):
         self.rank = rank
         self.owner = owner
         self.credential_source = credential_source
-
-    def _credential(self, audience: str):
-        if self.credential_source is None:
-            return None
-        return self.credential_source(audience)
 
     def job_ad(self, job: "GridJob") -> ClassAd:
         ad = ClassAd()
@@ -202,11 +187,6 @@ class QueueAwareBroker(Broker):
         self.host = host
         self.resources = list(resources)
         self.credential_source = credential_source
-
-    def _credential(self, audience: str):
-        if self.credential_source is None:
-            return None
-        return self.credential_source(audience)
 
     def pick(self, job: "GridJob", has_room):
         best, best_score = None, None

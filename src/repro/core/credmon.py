@@ -17,7 +17,7 @@ from ..sim.hosts import Host
 from ..sim.rpc import call
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .scheduler import CondorGScheduler
+    from .gridmanager import GridManager
 
 PROXY_NS = "condorg-proxy"    # the proxy file grid-proxy-init writes
 
@@ -29,7 +29,7 @@ class CredentialMonitor:
 
     def __init__(
         self,
-        scheduler: "CondorGScheduler",
+        gridmanager: "GridManager",
         host: Host,
         user: str,
         email: str = "",
@@ -37,7 +37,7 @@ class CredentialMonitor:
         myproxy: Optional[dict] = None,    # {host, username, passphrase,
                                            #  lifetime}
     ):
-        self.scheduler = scheduler
+        self.gridmanager = gridmanager
         self.host = host
         self.sim = host.sim
         self.user = user
@@ -94,7 +94,7 @@ class CredentialMonitor:
                 yield from self._handle_expired()
             elif remaining < self.warn_threshold and not self._warned:
                 self._warned = True
-                self.scheduler.queue.notifier.email(
+                self.gridmanager.queue.notifier.email(
                     self.sim.now, self.email,
                     subject="credential expiry warning",
                     body=f"proxy expires in {remaining:.0f}s; refresh soon")
@@ -102,10 +102,10 @@ class CredentialMonitor:
                                    remaining=remaining)
 
     def _handle_expired(self):
-        held = self.scheduler.hold_for_credentials(
+        held = self.gridmanager.hold_for_credentials(
             "proxy credential expired")
         if held:
-            self.scheduler.queue.notifier.email(
+            self.gridmanager.queue.notifier.email(
                 self.sim.now, self.email,
                 subject="jobs held: credential expired",
                 body=f"{held} job(s) cannot run again until you refresh "
@@ -136,7 +136,7 @@ class CredentialMonitor:
 
     def _reforward_and_release(self):
         """Re-forward the fresh proxy to all remote JobManagers (§4.3)."""
-        for job in self.scheduler.jobs_for_user():
+        for job in self.gridmanager.jobs_for_user():
             if job.committed and job.jmid and not job.is_terminal:
                 try:
                     yield from call(
@@ -147,4 +147,4 @@ class CredentialMonitor:
                                        job=job.job_id)
                 except RPCError:
                     pass
-        self.scheduler.release_credential_holds()
+        self.gridmanager.release_credential_holds()

@@ -33,7 +33,7 @@ from ..gridftp.client import gridftp_get
 from ..sim.errors import RPCError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .scheduler import CondorGScheduler
+    from .gridmanager import GridManager
 
 
 @dataclass
@@ -58,20 +58,20 @@ class GlideInManager:
 
     def __init__(
         self,
-        scheduler: "CondorGScheduler",
+        gridmanager: "GridManager",
         collector_host: str,
         credential_source=None,
         binaries_url: str = "",
     ):
-        self.scheduler = scheduler
-        self.sim = scheduler.sim
+        self.gridmanager = gridmanager
+        self.sim = gridmanager.sim
         self.collector_host = collector_host
         self.credential_source = credential_source
         self.binaries_url = binaries_url
         # Glideins are jobs in the agent's grid queue, which is what a
         # manager built after a reboot knows of its predecessor's.
         self.submitted: list[str] = [         # grid job ids
-            job.job_id for job in scheduler.jobs_for_user()
+            job.job_id for job in gridmanager.jobs_for_user()
             if job.request.label.startswith("glidein-")]
         self._ids = itertools.count(len(self.submitted) + 1)
         self.live_startds: list[Startd] = []
@@ -89,7 +89,7 @@ class GlideInManager:
                 cpus=spec.cpus_per_glidein,
                 program=self._bootstrap_program(spec, n),
             )
-            job_id = self.scheduler.submit(request, resource=spec.site)
+            job_id = self.gridmanager.submit(request, resource=spec.site)
             job_ids.append(job_id)
         self.submitted.extend(job_ids)
         self.sim.metrics.counter("glidein.submitted").inc(spec.count)

@@ -1,8 +1,15 @@
-"""The GridManager daemon (paper §4.2, Figure 1).
+"""The GridManager (paper §4.2, Figure 1): the grid universe's executor.
 
-One GridManager per user, created by the Scheduler when grid-universe
-jobs enter the queue, terminating when none remain.  It owns the whole
-remote lifecycle:
+The persistent queue -- the Scheduler of Figure 1 -- is the agent's
+:class:`~repro.condor.queue.JobQueue`, shared with its personal pool's
+Schedd.  Each boot of the submit machine attaches one GridManager to it
+for the grid universe.  It keeps the indexes its loops read and holds
+and releases jobs when the user's credential lapses; and it "handles all
+jobs for a single user and terminates once all jobs are complete": it
+starts when grid work appears (a submit, a release, or a recovered queue
+-- where it reconnects to, or safely resubmits, every job: the §4.2
+"protect against local failure" story) and stops when none is left.
+While it runs it owns the whole remote lifecycle:
 
 * **submission** via the two-phase GRAM protocol, persisting the sequence
   token before phase 1 and the JobManager contact before phase 2, so a
@@ -24,8 +31,9 @@ remote lifecycle:
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
+from typing import Optional
 
+from ..condor.queue import JobQueue
 from ..gram.client import Gram2Client, GramClientError
 from ..gram.protocol import GatekeeperBusy, Refusal
 from ..sim.errors import (
@@ -34,13 +42,10 @@ from ..sim.errors import (
     RemoteError,
     RPCError,
 )
-from ..sim.hosts import Host
 from ..sim.rpc import Service, call
 from . import job as J
+from .broker import Broker
 from .job import GridJob
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .scheduler import CondorGScheduler
 
 # Failure reasons worth resubmitting (infrastructure, not the app).
 _TRANSIENT_PREFIXES = (
@@ -56,14 +61,14 @@ def _is_transient(reason: str) -> bool:
 
 
 class RemoteSite:
-    """What the agent knows of one gatekeeper contact.
+    """What the GridManager knows of one gatekeeper contact.
 
-    The scheduler's index keeps `inflight` and `watchable` (job ids) in
-    step with every write; the rest is the GridManager's, and volatile
-    like it: the per-user limit the site last stated, until when a
-    refusal closed it, whether a job of the submit pass waits for room
-    here, the Grid Monitor's heartbeat, last launch and suspects, and
-    the site's watch process.
+    `inflight` and `watchable` (job ids) are its indexes, kept in step
+    with every write; the rest is volatile, gone when it stops: the
+    per-user limit the site last stated, until when a refusal closed it,
+    whether a job of the submit pass waits for room here, the Grid
+    Monitor's heartbeat, last launch and suspects, and the site's watch
+    process.
     """
 
     def __init__(self, contact: str):
@@ -96,7 +101,9 @@ class RemoteSite:
 
 
 class GridManager(Service):
-    """Callback sink + the per-user submission/probing machinery."""
+    """The grid executor over one user's job queue: the indexes its
+    loops read, credential holds, and -- while it runs -- the callback
+    sink ``gramcb:<user>`` and the submission/watch machinery."""
 
     # The one status period (§4.2): how often each site with watchable
     # jobs is asked about them.
@@ -114,46 +121,241 @@ class GridManager(Service):
 
     def __init__(
         self,
-        scheduler: "CondorGScheduler",
-        user: str,
-        host: Host,
+        queue: JobQueue,
+        broker: Optional[Broker] = None,
+        max_submitted_per_resource: Optional[int] = None,
+        data_services=None,
+        grid_monitor: bool = False,
     ):
-        self.callback_service = f"gramcb:{user}"
-        super().__init__(host, name=self.callback_service)
-        # The scheduler owns the agent's configuration -- credential
-        # source, fair-share throttle, data services -- and is read at
-        # each use: a GridManager spawned by queue recovery exists
-        # before the agent finishes wiring it.
-        self.scheduler = scheduler
-        self.queue = scheduler.queue
-        self.user = user
-        self.sites = scheduler.sites
-        self.client = Gram2Client(host, credential_source=self._credential)
-        self.exited = False
+        # (no Service.__init__: the callback sink is registered only
+        # while the GridManager runs, from _start to _check_all_done)
+        self.host = queue.host
+        self.sim = queue.sim
+        self.user = queue.owner
+        self.name = self.callback_service = f"gramcb:{self.user}"
+        self.authorizer = None
+        self.queue = queue
+        self.broker = broker
+        # audience -> signing proof; the agent sets it once its
+        # credential monitor exists (None: no GSI)
+        self.credential_source = None
+        # Grid Monitor fan-in (§5.1): True watches every site by report,
+        # launching a site's monitor with the first job there; False
+        # (the default) asks each site's gatekeeper.
+        self.grid_monitor = grid_monitor
+        # Data-management wiring (repro.data.DataServices) or None: input
+        # datasets are staged / output datasets placed through these.
+        self.data_services = data_services
+        # Fair-share throttle: cap this user's in-flight jobs
+        # (STAGING..ACTIVE) per remote resource, so one agent cannot
+        # monopolize a gatekeeper in a multi-tenant grid.
+        self.max_submitted_per_resource = max_submitted_per_resource
+        self.client = Gram2Client(self.host,
+                                  credential_source=self._credential)
+        self.running = False
         self._waiting_jobs: set[str] = set()    # who waits for room
         self._on_broker = False     # one of them waits on the broker
         self._again = False     # a waited-for slot freed during the pass
-        self._wake = self.sim.event(name=f"gm-wake:{user}")
-        self._procs = [
-            host.spawn(self._submit_loop(), name=f"gridmanager:{user}")]
-        self.sim.trace.log("gridmanager", "start", user=user)
+        # Incremental views of the grid records, refreshed by moved()
+        # after every write (every mutation is written, so they can never
+        # go stale); the loops read these instead of scanning the queue.
+        self._nonterminal: set[str] = set()
+        self._by_jmid: dict[str, GridJob] = {}
+        self._jmid_of: dict[str, str] = {}
+        # contact -> what we know of that site, and the site each
+        # in-flight job is counted at
+        self.sites: dict[str, RemoteSite] = {}
+        self._site_of: dict[str, RemoteSite] = {}
+        for job in queue.attach(self, GridJob.UNIVERSES):
+            self._reindex(job)
+        # The grid-wide gauge still carries what our predecessor last
+        # added to it, which is this depth: every change was written.
+        self._last_depth = len(self._nonterminal)
+        if self._nonterminal:
+            self.sim.trace.log("scheduler", "recovered", user=self.user,
+                               jobs=len(self._nonterminal))
+            self._start()
+
+    def _start(self) -> None:
+        """Grid work appeared -- a submit, a release, or a recovered
+        queue: run, unless running already."""
+        if self.running:
+            return
+        self.host.register_service(self.name, self)
+        self.running = True
+        self._wake = self.sim.event(name=f"gm-wake:{self.user}")
+        self._procs = [self.host.spawn(self._submit_loop(),
+                                       name=f"gridmanager:{self.user}")]
+        self._trace("start")
         for site in self.sites.values():
             if site.watchable:      # recovered from the queue
                 self.watch(site)
+
+    # -- the queue's callbacks ---------------------------------------------------
+    def moved(self, job: GridJob, was: Optional[str]) -> None:
+        """`job` was just written (`was`: its state before, None when it
+        entered the queue): bring the indexes and the depth gauge in
+        step, and look again if the job ended."""
+        self._reindex(job)
+        depth = len(self._nonterminal)
+        # Applied as a delta so N concurrent per-user agents sharing one
+        # registry yield a true grid-wide depth instead of whichever
+        # agent wrote last clobbering the gauge.
+        self.sim.metrics.gauge("scheduler.queue_depth").inc(
+            depth - self._last_depth)
+        self._last_depth = depth
+        if job.is_terminal:
+            self.kick()
+
+    def remove(self, job_id: str) -> None:
+        # bound to the submit machine: a crash ends the removal with it
+        self.host.spawn(self.cancel(job_id), name=f"cancel:{job_id}")
+
+    def _reindex(self, job: GridJob) -> None:
+        jid = job.job_id
+        if job.is_terminal:
+            self._nonterminal.discard(jid)
+        else:
+            self._nonterminal.add(jid)
+        old_jmid = self._jmid_of.get(jid, "")
+        if old_jmid != job.jmid:
+            if old_jmid:
+                self._by_jmid.pop(old_jmid, None)
+            if job.jmid:
+                self._by_jmid[job.jmid] = job
+            self._jmid_of[jid] = job.jmid
+        # In flight at a site (the submit throttle's input), and watchable
+        # there (committed PENDING/ACTIVE: what the site's watch asks about)
+        contact = (job.contact or job.resource) if job.state in (
+            J.STAGING, J.SUBMITTING, J.PENDING, J.ACTIVE) else ""
+        site = self._site_of.get(jid)
+        if site is not None and site.contact != contact:
+            del self._site_of[jid]
+            site.inflight.discard(jid)
+            site.watchable.discard(jid)
+            self.slot_freed(site)
+            site = None
+        if contact and site is None:
+            site = self._site_of[jid] = self.site(contact)
+            site.inflight.add(jid)
+        if site is None:
+            return
+        if job.committed and job.jmid and job.state in (J.PENDING, J.ACTIVE):
+            if not site.watchable:
+                self.watch(site)    # its first: rouse a watcher
+            site.watchable.add(jid)
+        else:
+            site.watchable.discard(jid)
+
+    def site(self, contact: str) -> RemoteSite:
+        """The record of `contact`, made at its first mention."""
+        site = self.sites.get(contact)
+        if site is None:
+            site = self.sites[contact] = RemoteSite(contact)
+        return site
+
+    # -- the user's operations ------------------------------------------------
+    def submit(self, request, resource: str = "",
+               job_id: str = "") -> str:
+        job = GridJob(job_id=job_id or self.queue.new_id(),
+                      request=request, resource=resource)
+        self.queue.submit(job, resource=resource or "(broker)")
+        self.sim.metrics.counter("scheduler.jobs_queued").inc()
+        self.sim.metrics.counter("scheduler.user_jobs_queued").inc(
+            label=self.user)
+        self._start()
+        self.kick()
+        return job.job_id
+
+    def jobs_for_user(self) -> list[GridJob]:
+        """Every grid job of this user, ascending job_id."""
+        return sorted(self.queue.of(GridJob.UNIVERSES),
+                      key=lambda job: job.job_id)
+
+    def job_by_jmid(self, jmid: str) -> Optional[GridJob]:
+        return self._by_jmid.get(jmid)
+
+    def _watchable(self, site: RemoteSite) -> list[GridJob]:
+        """Committed PENDING/ACTIVE jobs at `site`, ascending job_id."""
+        return [self.queue.jobs[jid] for jid in sorted(site.watchable)]
+
+    def cancel(self, job_id: str):
+        """Generator: cancel a job locally and remotely."""
+        job = self.queue.jobs.get(job_id)
+        if job is None or job.is_terminal:
+            return False
+        if job.committed and job.jmid and self.running:
+            try:
+                yield from self.client.cancel(job.contact, job.jmid)
+            except RPCError:
+                pass    # best effort: the remote side may be gone
+            if job.is_terminal:
+                return False    # finished while the remote cancel ran
+        job.failure_reason = "removed by user"
+        self.queue.transition(job, J.FAILED, "removed")
+        return True
+
+    # -- holds ---------------------------------------------------------------
+    def hold_for_credentials(self, reason: str = "") -> int:
+        held = 0
+        for job in self.queue.of(GridJob.UNIVERSES):
+            if job.state == J.UNSUBMITTED:
+                job.hold_reason = reason
+                self.queue.transition(job, J.HELD, "held", reason=reason)
+                held += 1
+        return held
+
+    def release_credential_holds(self) -> int:
+        released = 0
+        for job in self.queue.of(GridJob.UNIVERSES):
+            if job.state == J.HELD:
+                # A job held *mid-flight* (credential error discovered by
+                # the status probe) still has a committed remote JobManager
+                # that may be running -- or have finished -- the job.  Release
+                # it back to PENDING so we reconnect to the same jmid;
+                # resubmitting (UNSUBMITTED) would mint a new sequence
+                # number and run the job a second time.
+                if job.committed and job.jmid:
+                    self.queue.transition(job, J.PENDING, "released")
+                else:
+                    # Held between the two phases: that JobManager was
+                    # never committed and aborts itself; forget it, so
+                    # its reports cannot touch the next attempt.
+                    job.jmid = job.contact = ""
+                    self.queue.transition(job, J.UNSUBMITTED, "released")
+                released += 1
+        if released:
+            self._start()
+            self.kick()
+        return released
+
+    def credential_problem(self, job: GridJob, reason: str) -> None:
+        """A GRAM operation failed authentication: hold the job."""
+        if job.is_terminal or job.state in (J.HELD, J.STAGING_OUT):
+            return    # nothing (more) a hold would stop
+        self.sim.metrics.counter("scheduler.credential_holds").inc()
+        job.hold_reason = f"credential problem: {reason}"
+        self.queue.transition(job, J.HELD, "held", reason=job.hold_reason)
+        self.queue.notifier.email(
+            self.sim.now, f"{self.user}@example.edu",
+            subject="job held: credential problem",
+            body=f"{job.job_id}: {reason}")
 
     # -- plumbing -----------------------------------------------------------
     def _trace(self, event: str, **details) -> None:
         self.sim.trace.log("gridmanager", event, user=self.user, **details)
 
     def kick(self) -> None:
-        if not self._wake.triggered and not self._wake._scheduled:
+        """Wake the submit loop; nothing while stopped."""
+        if self.running and not self._wake.triggered and \
+                not self._wake._scheduled:
             self._wake.succeed(None)
 
     def room(self, contact: str) -> bool:
         """`contact` is open, and in flight there is below our cap and
         the site's."""
-        return self.scheduler.site(contact).room(
-            self.scheduler.max_submitted_per_resource, self.sim.now)
+        return self.site(contact).room(
+            self.max_submitted_per_resource, self.sim.now)
 
     def slot_freed(self, site: RemoteSite) -> None:
         """In flight at `site` dropped, or its stated limit moved: if a
@@ -166,7 +368,7 @@ class GridManager(Service):
         """A slot freed at any of `contacts` wakes `job`; the throttle
         counts the first, where it would have gone, once per pass."""
         self._waiting_jobs.add(job.job_id)
-        sites = [self.scheduler.site(contact) for contact in contacts]
+        sites = [self.site(contact) for contact in contacts]
         if not sites[0].waiting:
             self.sim.metrics.counter("gridmanager.submit_throttled").inc(
                 label=contacts[0])
@@ -174,7 +376,7 @@ class GridManager(Service):
             site.waiting = True
 
     def _learn_limit(self, contact: str, limit: Optional[int]) -> None:
-        site = self.scheduler.site(contact)
+        site = self.site(contact)
         if site.stated != limit:
             site.stated = limit
             self.slot_freed(site)    # if it rose, that is room
@@ -182,7 +384,7 @@ class GridManager(Service):
     def watch(self, site: RemoteSite) -> None:
         """`site` just got a watchable job: start its watcher, or rouse
         it if parked."""
-        if self.exited:
+        if not self.running:
             return
         if site.watcher is None:
             site.watcher = self.host.spawn(
@@ -195,7 +397,7 @@ class GridManager(Service):
 
     # -- submission ------------------------------------------------------------
     def _submit_loop(self):
-        while not self.exited:
+        while self.running:
             self._again = self._on_broker = False
             yield from self._submit_pass()
             if self._check_all_done():
@@ -231,18 +433,18 @@ class GridManager(Service):
             if job.state != J.UNSUBMITTED:
                 continue
             if job.resource and not self.room(job.resource):
-                if self.scheduler.broker is None:
+                if self.broker is None:
                     self._wait_for_room(job, job.resource)
                     continue
                 job.resource = ""   # full: the broker may know better
             if not job.resource:
-                if self.scheduler.broker is None or nowhere:
+                if self.broker is None or nowhere:
                     # nowhere to send it: a kick (a submission that
                     # yielded, a freed slot, a user) brings it back
                     self._waiting_jobs.add(job.job_id)
                     continue
                 asked: dict[str, bool] = {}     # contact -> had room
-                resource = yield from self.scheduler.broker.pick(
+                resource = yield from self.broker.pick(
                     job, lambda c: asked.setdefault(c, self.room(c)))
                 if resource is None or not self.room(resource):
                     # All candidates full: a freed slot wakes us.  None,
@@ -261,7 +463,7 @@ class GridManager(Service):
 
     def _submit_one(self, job: GridJob):
         if job.request.input_datasets and \
-                self.scheduler.data_services is not None:
+                self.data_services is not None:
             ok = yield from self._stage_inputs_for(job)
             if not ok:
                 return
@@ -288,7 +490,7 @@ class GridManager(Service):
             # it (it is UNSUBMITTED again, or terminal).  Walk away -- a
             # JobManager we just created is uncommitted, so it times
             # out and cleans up site-side; committing it here would
-            # pin the job to an attempt the scheduler has disowned.
+            # pin the job to an attempt the queue has disowned.
             self._trace("submit_superseded", job=job.job_id, seq=job.seq)
             return
         if isinstance(failure, GatekeeperBusy):
@@ -297,7 +499,7 @@ class GridManager(Service):
             # (the site counts a held job's JobManager, or refused for
             # another reason) closes the site for as long as it says.
             job.attempts -= 1
-            site = self.scheduler.site(contact)
+            site = self.site(contact)
             if failure.reason != Refusal.USER_JOBMANAGERS or \
                     len(site.inflight) <= failure.user_limit:
                 site.busy_until = self.sim.now + failure.retry_after
@@ -324,7 +526,7 @@ class GridManager(Service):
             self._trace("submit_superseded", job=job.job_id, seq=job.seq)
             return
         if isinstance(failure, (AuthenticationError, AuthorizationError)):
-            self.scheduler.credential_problem(job, str(failure))
+            self.credential_problem(job, str(failure))
             return
         job.committed = True
         if job.state == J.SUBMITTING:
@@ -352,11 +554,11 @@ class GridManager(Service):
             self.sim.now - attempt_start)
         self._trace("submitted", job=job.job_id, jmid=job.jmid,
                     resource=job.resource)
-        self._ensure_monitor(self.scheduler.site(job.contact))
+        self._ensure_monitor(self.site(job.contact))
 
     # -- data placement (repro.data) -----------------------------------------
     def _credential(self, audience: str):
-        source = self.scheduler.credential_source
+        source = self.credential_source
         return None if source is None else source(audience)
 
     def _stage_inputs_for(self, job: GridJob):
@@ -375,7 +577,7 @@ class GridManager(Service):
             # plus a breather so a dead SE/catalog is not hammered: the
             # SE is the site's, so the site closes.
             job.attempts += 1
-            self.scheduler.site(job.resource).busy_until = self.sim.now + 30
+            self.site(job.resource).busy_until = self.sim.now + 30
             self._remote_failure(job, f"stage-in failed: {exc}")
             return False
         if job.state != J.STAGING:
@@ -394,7 +596,7 @@ class GridManager(Service):
         bytes actually transferred (0 = everything was already local)."""
         from ..data.catalog import dataset_path
 
-        data = self.scheduler.data_services
+        data = self.data_services
         se = data.storage_element(job.resource)
         if not se:
             raise RuntimeError(f"no storage element at {job.resource}")
@@ -437,7 +639,7 @@ class GridManager(Service):
         from ..data.catalog import dataset_path
         from ..gass.files import file_digest
 
-        data = self.scheduler.data_services
+        data = self.data_services
         se = data.storage_element(job.resource)
         if not se:
             # Misconfiguration (dataset job matched to an SE-less site):
@@ -493,7 +695,7 @@ class GridManager(Service):
     def _submission_failed(self, job: GridJob, exc: Exception,
                            phase: str = "phase1") -> None:
         if isinstance(exc, (AuthenticationError, AuthorizationError)):
-            self.scheduler.credential_problem(job, str(exc))
+            self.credential_problem(job, str(exc))
             return
         self.sim.metrics.counter("gridmanager.submit_failures").inc(
             label=phase)
@@ -509,7 +711,7 @@ class GridManager(Service):
     def handle_gram_callback(self, ctx, jmid: str, state: str,
                              failure_reason: str = "",
                              exit_code: Optional[int] = None) -> bool:
-        job = self.scheduler.job_by_jmid(jmid)
+        job = self.job_by_jmid(jmid)
         if job is None:
             return False
         self._apply_remote_state(job, state, failure_reason, exit_code)
@@ -531,7 +733,7 @@ class GridManager(Service):
         A monitor we never asked for is refused (and so retires).
         """
         remote = self.sites.get(ctx.caller_host)
-        if remote is None or remote.launched is None or self.exited:
+        if remote is None or remote.launched is None or not self.running:
             return False
         remote.beat = (self.sim.now, interval * self.MONITOR_MISS_FACTOR)
         self.sim.metrics.counter("gridmanager.monitor_reports").inc(
@@ -539,14 +741,14 @@ class GridManager(Service):
         self.sim.metrics.counter("gridmanager.monitor_jobs_reported").inc(
             len(reports))
         for jmid in sorted(reports):
-            job = self.scheduler.job_by_jmid(jmid)
+            job = self.job_by_jmid(jmid)
             if job is None or job.jmid != jmid:
                 continue    # superseded attempt: drop the stale entry
             entry = reports[jmid]
             self._apply_remote_state(
                 job, entry["state"], entry["failure_reason"],
                 entry["exit_code"])
-        for job in self.scheduler.watchable_jobs(remote):
+        for job in self._watchable(remote):
             if job.jmid in reports:
                 remote.suspects.discard(job.jmid)
             elif job.jmid not in remote.suspects:
@@ -571,7 +773,7 @@ class GridManager(Service):
         O(1) no-ops while a monitor is alive, so the steady state costs
         one ``start_monitor`` RPC per site per outage, not per job.
         """
-        if self.exited or not self.scheduler.grid_monitor or \
+        if not self.running or not self.grid_monitor or \
                 not site.inflight or site.fresh(self.sim.now):
             return
         if site.launched is not None and \
@@ -620,7 +822,7 @@ class GridManager(Service):
         elif state == "DONE":
             job.exit_code = exit_code if exit_code is not None else 0
             if job.request.output_datasets and \
-                    self.scheduler.data_services is not None:
+                    self.data_services is not None:
                 # Archive declared outputs at the site's storage element
                 # before the job is allowed to go terminal.
                 self.queue.transition(
@@ -646,7 +848,7 @@ class GridManager(Service):
             job.jmid = ""
             job.contact = ""
             job.committed = False
-            if self.scheduler.broker is not None:
+            if self.broker is not None:
                 job.resource = ""
             self.queue.transition(job, J.UNSUBMITTED)
             self.sim.metrics.counter("gridmanager.resubmits").inc()
@@ -668,7 +870,7 @@ class GridManager(Service):
                 site.wake = self.sim.event(name=f"gm-watchable:{self.user}")
                 yield site.wake
             yield self.sim.timeout(self.PROBE_INTERVAL)
-            jobs = self.scheduler.watchable_jobs(site)
+            jobs = self._watchable(site)
             if site.fresh(self.sim.now):
                 suspects, site.suspects = site.suspects, set()
                 jobs = [job for job in jobs if job.jmid in suspects]
@@ -719,7 +921,7 @@ class GridManager(Service):
             if job.jmid == jmid:
                 self.sim.metrics.counter("gridmanager.probe_outcomes").inc(
                     label="credential")
-                self.scheduler.credential_problem(job, str(exc))
+                self.credential_problem(job, str(exc))
 
     def _restart_jobmanager(self, job: GridJob):
         jmid = job.jmid
@@ -752,13 +954,15 @@ class GridManager(Service):
 
     # -- exit ---------------------------------------------------------------
     def _check_all_done(self) -> bool:
-        if self.scheduler.nonterminal_count():
+        if self._nonterminal:
             return False
-        self.exited = True
-        self._trace("exit", jobs=len(self.scheduler.jobs_for_user()))
+        self.running = False
+        self._trace("exit", jobs=len(self.jobs_for_user()))
         self.shutdown()
         for proc in self._procs:
             if proc.alive:
                 proc.kill(cause="gridmanager exit")
-        self.scheduler.gridmanager_exited()
+        # every job is terminal: what the sites' records still hold was
+        # this run's, and volatile like it
+        self.sites.clear()
         return True

@@ -47,11 +47,6 @@ class DataAwareBroker(Broker):
         self.credential_source = credential_source
         self.wait_per_queued_cpu = wait_per_queued_cpu
 
-    def _credential(self, audience: str):
-        if self.credential_source is None:
-            return None
-        return self.credential_source(audience)
-
     def _dataset_entries(self, job: "GridJob"):
         """One catalog lookup per input dataset (shared across sites)."""
         entries = {}

@@ -357,7 +357,7 @@ def kiloclient_grid(seed: int = 0, users: int = 1000,
                     jobs_per_user: int = 10, n_sites: int = 20,
                     cpus: int = 50) -> GridTestbed:
     """The 1000-agent cell: every user runs their own Condor-G agent
-    (scheduler + GridManager + submit machine), spraying a small GRAM
+    (job queue + GridManager + submit machine), spraying a small GRAM
     workload over shared fair-share sites.  Stresses the many-client
     side of the system the way scale-100k stresses the many-job side.
     """
@@ -488,7 +488,7 @@ def multiuser_gram_grid(seed: int = 0, users: int = 50,
                         cpus: int = 25, max_user_jobmanagers: int = 6,
                         max_submitted_per_resource: int = 4) -> GridTestbed:
     """The multi-tenant GRAM cell: `users` concurrent Condor-G agents
-    (one scheduler + GridManager + submit machine each, as §3 requires)
+    (one job queue + GridManager + submit machine each, as §3 requires)
     spraying `jobs_per_user` grid jobs over the same `n_sites` sites.
 
     Both fair-share layers are on: each gatekeeper caps live JobManagers

@@ -309,7 +309,7 @@ class GridTestbed:
         # credential: the live credential monitor's, whichever boot of
         # the submit machine built it.
         if broker is not None and agent.credmon is not None and \
-                getattr(broker, "credential_source", False) is None:
+                broker.credential_source is None:
             broker.credential_source = \
                 lambda audience: agent.credmon.credential_source(audience)
         # Factory-managed sites: every personal-pool agent gets its own

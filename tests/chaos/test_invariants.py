@@ -63,7 +63,7 @@ class TestExactlyOnce:
         job.jmid = ""
         job.contact = ""
         agent.queue.persist(job)
-        agent.scheduler.gridmanager.kick()
+        agent.gridmanager.kick()
         _drain(tb, agent, [jid])
 
         violations = check_exactly_once(tb)
@@ -126,10 +126,10 @@ class TestCredentialHoldNotify:
 
     def test_expiry_yields_hold_and_notification(self):
         tb, agent = self._held_run()
-        held = [j for j in agent.scheduler.jobs_for_user()
+        held = [j for j in agent.gridmanager.jobs_for_user()
                 if j.state == "HELD"]
         assert held, [(j.job_id, j.state)
-                      for j in agent.scheduler.jobs_for_user()]
+                      for j in agent.gridmanager.jobs_for_user()]
         assert all(j.hold_reason for j in held)
         assert agent.notifier.emails_about("credential")
         assert check_credential_hold_notify(tb) == []
@@ -142,7 +142,7 @@ class TestCredentialHoldNotify:
 
     def test_catches_credential_failure(self):
         tb, agent = self._held_run()
-        job = next(iter(agent.scheduler.jobs_for_user()))
+        job = next(iter(agent.gridmanager.jobs_for_user()))
         job.state = "FAILED"
         job.failure_reason = "proxy credential expired"
         violations = check_credential_hold_notify(tb)

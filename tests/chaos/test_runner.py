@@ -52,7 +52,7 @@ class TestRunOne:
         assert tb.sim.hosts["submit-carol"].crash_count == 1
         assert evaluate_invariants(tb) == []
         states = [job.state for job in
-                  tb.agents["carol"].scheduler.jobs_for_user()]
+                  tb.agents["carol"].gridmanager.jobs_for_user()]
         assert states == ["DONE"] * 4
 
     def test_pool_submit_machine_reboot_is_survivable(self):

@@ -9,8 +9,9 @@ JobManagers' sweeps go unanswered for ever and ``terminal_or_held``
 fires -- and the three decoy faults after it are noise ddmin must strip.
 
 The regression: evaluating ddmin candidates by forking a pre-fault
-snapshot (``from_snapshot=True``) must converge to the *same* minimal
-plan as replaying every candidate from t=0, while replaying under half
+snapshot (what ``shrink_plan`` does wherever ``os.fork`` exists) must
+converge to the *same* minimal plan as replaying every candidate from
+t=0 (``violation_predicate``, the fallback), while replaying under half
 the simulated seconds (the wall-clock win is larger still; the
 benchmark suite measures it).
 """
@@ -23,6 +24,7 @@ from repro.chaos.shrink import (
     SNAPSHOT_MARGIN,
     shrink_plan,
     snapshot_predicate,
+    violation_predicate,
 )
 from repro.sim.snapshot import ForkPoint
 
@@ -58,10 +60,12 @@ def test_fork_path_finds_the_same_minimal_plan():
     stats_fork: dict = {}
     minimal_zero, replays_zero = shrink_plan(
         "shrink-lab", SEED, SEEDED_PLAN, invariants=INVARIANTS,
+        reproduces=violation_predicate("shrink-lab", SEED, INVARIANTS,
+                                       stats=stats_zero),
         stats=stats_zero)
     minimal_fork, replays_fork = shrink_plan(
         "shrink-lab", SEED, SEEDED_PLAN, invariants=INVARIANTS,
-        from_snapshot=True, stats=stats_fork)
+        stats=stats_fork)
 
     assert minimal_zero.to_dict() == minimal_fork.to_dict()
     assert [e.to_dict() for e in minimal_fork.events] == [CULPRIT.to_dict()]

@@ -206,7 +206,7 @@ def test_transient_remote_failure_resubmitted_elsewhere():
 
     request = GramJobRequest(executable_url="gass://nowhere/gass/x",
                              runtime=10.0)
-    jid = agent.scheduler.submit(request, resource="wisc-gk")
+    jid = agent.gridmanager.submit(request, resource="wisc-gk")
     tb.run_until_quiet(max_time=20000.0)
     job = agent.queue.jobs[jid]
     assert job.state == "FAILED"

@@ -47,7 +47,7 @@ def test_mds_broker_requirements_filter():
     tb.add_site(SiteSpec("intel", scheduler="pbs", cpus=4, arch="INTEL"))
     tb.add_site(SiteSpec("sparc", scheduler="pbs", cpus=4, arch="SPARC"))
     agent = tb.add_agent(AgentSpec("alice"))
-    agent.scheduler.broker = MDSBroker(
+    agent.gridmanager.broker = MDSBroker(
         agent.host, "mds", requirements='Arch == "SPARC"')
     tb.run(until=200.0)
     jid = agent.submit(JobDescription(runtime=10.0))
@@ -60,7 +60,7 @@ def test_mds_broker_ranks_by_cost():
     tb.add_site(SiteSpec("pricey", scheduler="pbs", cpus=8, allocation_cost=10.0))
     tb.add_site(SiteSpec("cheap", scheduler="pbs", cpus=8, allocation_cost=1.0))
     agent = tb.add_agent(AgentSpec("alice"))
-    agent.scheduler.broker = MDSBroker(
+    agent.gridmanager.broker = MDSBroker(
         agent.host, "mds", rank="-AllocationCost")
     tb.run(until=200.0)
     jid = agent.submit(JobDescription(runtime=10.0))
@@ -72,7 +72,7 @@ def test_queue_aware_broker_picks_emptiest_live_queue():
     tb = make_tb()
     load_site(tb, "busy", jobs=30)
     agent = tb.add_agent(AgentSpec("alice"), broker=QueueAwareBroker(None, ["busy-gk", "idle-gk"]))
-    agent.scheduler.broker.host = agent.host
+    agent.gridmanager.broker.host = agent.host
     ids = [agent.submit(JobDescription(runtime=20.0)) for _ in range(4)]
     tb.run_until_quiet(max_time=40000.0)
     assert all(agent.status(j).resource == "idle-gk" for j in ids)
@@ -83,7 +83,7 @@ def test_broker_none_candidate_keeps_job_queued():
     tb = GridTestbed(TestbedConfig(seed=31))
     tb.add_site(SiteSpec("intel", scheduler="pbs", cpus=4, arch="INTEL"))
     agent = tb.add_agent(AgentSpec("alice"))
-    agent.scheduler.broker = MDSBroker(
+    agent.gridmanager.broker = MDSBroker(
         agent.host, "mds", requirements='Arch == "ALPHA"')
     tb.run(until=100.0)
     jid = agent.submit(JobDescription(runtime=10.0))

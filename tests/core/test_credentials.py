@@ -119,7 +119,7 @@ def test_midflight_hold_release_does_not_duplicate_execution():
     """A job held *while committed and running* must reconnect on
     release, not resubmit: resubmission would mint a new GRAM sequence
     number and run the payload twice (see
-    CondorGScheduler.release_credential_holds)."""
+    GridManager.release_credential_holds)."""
     tb = make_tb()
     agent = tb.add_agent(AgentSpec("alice"))
     jid = agent.submit(JobDescription(runtime=400.0), resource="wisc-gk")
@@ -128,7 +128,7 @@ def test_midflight_hold_release_does_not_duplicate_execution():
     assert job.state == "ACTIVE" and job.committed and job.jmid
 
     # A probe/poll discovers a credential error mid-flight.
-    agent.scheduler.credential_problem(job, "proxy credential expired")
+    agent.gridmanager.credential_problem(job, "proxy credential expired")
     assert job.state == "HELD"
 
     fresh = tb.users["alice"].proxy(now=tb.sim.now, lifetime=12 * 3600.0)

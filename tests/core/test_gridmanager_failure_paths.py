@@ -240,7 +240,7 @@ def test_restart_auth_failure_holds_instead_of_resubmitting(monkeypatch):
     assert status.state == "HELD"
     assert "proxy rejected on restart" in status.hold_reason
     monkeypatch.setattr(Gram2Client, "restart_jobmanager", real_restart)
-    agent.scheduler.release_credential_holds()
+    agent.gridmanager.release_credential_holds()
     tb.run_until_quiet(max_time=5000.0)
 
     status = agent.status(jid)

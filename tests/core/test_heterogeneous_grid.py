@@ -59,7 +59,7 @@ def test_per_site_identity_mapping_is_transparent(tb):
 
 def test_architecture_constraint_across_heterogeneous_sites(tb):
     agent = tb.add_agent(AgentSpec("alice"))
-    agent.scheduler.broker = MDSBroker(
+    agent.gridmanager.broker = MDSBroker(
         agent.host, "mds", requirements='Arch == "SPARC"')
     tb.run(until=200.0)
     jid = agent.submit(JobDescription(runtime=30.0))

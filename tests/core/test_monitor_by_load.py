@@ -38,7 +38,7 @@ def record_calls(monkeypatch, method):
 
 
 def site(agent, contact="s0-gk"):
-    return agent.scheduler.sites[contact]
+    return agent.gridmanager.sites[contact]
 
 
 def drain(tb, agent, cap=20_000.0):

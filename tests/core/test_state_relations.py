@@ -52,7 +52,7 @@ def test_illegal_edge_in_a_gram_callback_stops_the_run(monkeypatch):
     DONE -> ACTIVE, and that is not an RPC error the JobManager's notify
     throws away -- ``run()`` ends there, naming the job and the edge."""
     def forced(self, ctx, jmid, state, failure_reason="", exit_code=None):
-        self.queue.transition(self.scheduler.job_by_jmid(jmid), state)
+        self.queue.transition(self.job_by_jmid(jmid), state)
         return True
 
     tb, agent = make_tb()
@@ -62,7 +62,7 @@ def test_illegal_edge_in_a_gram_callback_stops_the_run(monkeypatch):
     job = agent.queue.jobs[done]
     assert job.state == "DONE"
     monkeypatch.setattr(GridManager, "handle_gram_callback", forced)
-    gm = agent.scheduler.gridmanager
+    gm = agent.gridmanager
     notify(tb.sites["wisc"].gk_host, agent.host.name, gm.callback_service,
            "gram_callback", jmid=job.jmid, state="ACTIVE")
     with pytest.raises(IllegalTransition,
@@ -350,9 +350,8 @@ def test_only_the_queue_opens_a_job_record_namespace():
 
 def test_the_executors_keep_no_writer_of_their_own():
     from repro.condor.schedd import Schedd
-    from repro.core.scheduler import CondorGScheduler
 
-    for executor in (CondorGScheduler, Schedd):
+    for executor in (GridManager, Schedd):
         assert not {"transition", "_transition", "persist", "_persist",
                     "_persist_ad", "_recover_queue", "log", "_log",
                     "jobs"} & set(vars(executor)), executor
@@ -416,22 +415,21 @@ STEP = st.tuples(st.sampled_from(["grid", "pool"]), GRID_OPS, POOL_OPS,
 
 
 def _apply_grid(tb, agent, job, op, jmids):
-    scheduler = agent.scheduler
+    gm = agent.gridmanager
     if op[0] == "report":
-        gm = scheduler.gridmanager
         jmid = job.jmid if op[2] == "current" else \
             next((j for j in jmids if j != job.jmid), "jm-never")
-        if gm is not None and jmid:
+        if gm.running and jmid:
             gm.handle_gram_callback(
                 None, jmid, op[1],
                 failure_reason="jobmanager crashed" if op[1] == "FAILED" else "",
                 exit_code=0 if op[1] == "DONE" else None)
     elif op[0] == "credential_problem":
-        scheduler.credential_problem(job, "proxy expired")
+        gm.credential_problem(job, "proxy expired")
     elif op[0] == "release":
-        scheduler.release_credential_holds()
+        gm.release_credential_holds()
     elif op[0] == "hold_queued":
-        scheduler.hold_for_credentials("proxy credential expired")
+        gm.hold_for_credentials("proxy credential expired")
     else:
         agent.cancel(job.job_id)
 
@@ -492,7 +490,7 @@ def test_no_interleaving_raises_or_leaves_a_terminal_state(steps, warmup):
         check()
         tb.run(until=tb.sim.now + dt)      # strict: a dead process raises
         check()
-    agent.scheduler.release_credential_holds()
+    agent.gridmanager.release_credential_holds()
     agent.schedd.release(cid)
     tb.run_until_quiet(max_time=tb.sim.now + 20_000.0)
     check()
@@ -544,7 +542,7 @@ def test_a_job_held_midflight_leaves_held_with_an_event():
     tb.run(until=130.0)
     job = agent.queue.jobs["1.0"]
     assert job.state == "ACTIVE"
-    agent.scheduler.credential_problem(job, "proxy expired")
+    agent.gridmanager.credential_problem(job, "proxy expired")
     assert agent.status("1.0").hold_reason.startswith("credential")
     tb.run_until_quiet(max_time=20_000.0)
     status = agent.status("1.0")
@@ -584,7 +582,7 @@ def test_the_user_surface_covers_every_universe():
     # one file, one sequence: every record of both queues, in time order
     times = [e.time for e in agent.userlog.events]
     assert times == sorted(times)
-    assert agent.schedd.queue is agent.scheduler.queue is agent.queue
+    assert agent.schedd.queue is agent.gridmanager.queue is agent.queue
 
 
 # -- the site-side holes the relations exposed ------------------------------------
@@ -706,7 +704,7 @@ def _step_until(tb, predicate, limit=200_000):
 def _walk_grid(tb, agent, resource, **description):
     """Drive jobs along every grid edge that needs no data services (and,
     with ``output_datasets``, the ones into and out of STAGING_OUT)."""
-    scheduler = agent.scheduler
+    gm = agent.gridmanager
 
     def submit(runtime=2000.0):
         jid = agent.submit(JobDescription(runtime=runtime, **description),
@@ -714,7 +712,7 @@ def _walk_grid(tb, agent, resource, **description):
         return agent.queue.jobs[jid]
 
     def report(job, state, reason=""):
-        scheduler.gridmanager.handle_gram_callback(
+        gm.handle_gram_callback(
             None, job.jmid, state, failure_reason=reason,
             exit_code=0 if state == "DONE" else None)
 
@@ -723,7 +721,7 @@ def _walk_grid(tb, agent, resource, **description):
                     (bool(job.jmid) or not jmid))
 
     def hold(job):
-        scheduler.credential_problem(job, "proxy expired")
+        gm.credential_problem(job, "proxy expired")
         assert job.state == "HELD"
 
     queued = agent.queue.jobs[agent.submit(     # UNSUBMITTED -> FAILED
@@ -763,8 +761,8 @@ def _walk_grid(tb, agent, resource, **description):
     bouncing = submit()                     # ACTIVE -> UNSUBMITTED -> HELD
     until(bouncing, "ACTIVE")
     report(bouncing, "FAILED", "jobmanager crashed")
-    assert scheduler.hold_for_credentials("proxy credential expired") >= 1
-    scheduler.release_credential_holds()    # HELD -> UNSUBMITTED
+    assert gm.hold_for_credentials("proxy credential expired") >= 1
+    gm.release_credential_holds()    # HELD -> UNSUBMITTED
     until(bouncing, "ACTIVE")
     report(bouncing, "PENDING")             # ACTIVE -> PENDING
     report(bouncing, "FAILED", "jobmanager crashed")      # PENDING -> UNSUBMITTED
@@ -776,7 +774,7 @@ def _walk_grid(tb, agent, resource, **description):
     midflight = submit()                    # HELD -> PENDING (release)
     until(midflight, "ACTIVE")
     hold(midflight)
-    scheduler.release_credential_holds()
+    gm.release_credential_holds()
     tb.run(until=tb.sim.now + 60.0)
     assert running.state == "FAILED" and queued.state == "FAILED"
 

@@ -29,7 +29,7 @@ COMMITTED = (J.PENDING, J.ACTIVE)
 
 
 def _count(agent, contact, states):
-    return sum(1 for job in agent.scheduler.jobs_for_user()
+    return sum(1 for job in agent.gridmanager.jobs_for_user()
                if job.resource == contact and job.state in states)
 
 
@@ -63,9 +63,9 @@ class Watcher:
             yield self.tb.sim.timeout(0.5)
 
     def _look(self, name, agent):
-        gm = agent.scheduler.gridmanager
+        gm = agent.gridmanager
         stated = {contact: site.stated for contact, site
-                  in agent.scheduler.sites.items()}
+                  in agent.gridmanager.sites.items()}
         contacts = [site.contact for site in self.tb.sites.values()]
         room = {}
         for site in self.tb.sites.values():
@@ -87,9 +87,9 @@ class Watcher:
                     ("site cap", self.tb.sim.now, key, live))
             limit = _limit(self.client_cap, stated.get(contact))
             room[contact] = limit is None or inflight < limit
-        if gm is None or gm.exited or not _parked_on_bare_wake(gm):
+        if not gm.running or not _parked_on_bare_wake(gm):
             return
-        for job in agent.scheduler.jobs_for_user():
+        for job in agent.gridmanager.jobs_for_user():
             if job.state != J.UNSUBMITTED:
                 continue
             may_go = [job.resource] if job.resource else contacts
@@ -154,9 +154,9 @@ def test_submissions_go_into_room_and_nothing_waits_beside_it(
                 break
 
     def hold_one_in_flight():
-        for job in victim.scheduler.jobs_for_user():
+        for job in victim.gridmanager.jobs_for_user():
             if job.state in COMMITTED:
-                victim.scheduler.credential_problem(job, "proxy expired")
+                victim.gridmanager.credential_problem(job, "proxy expired")
                 break
 
     def raise_cap():
@@ -172,7 +172,7 @@ def test_submissions_go_into_room_and_nothing_waits_beside_it(
     elif kind == "hold":
         act((when, hold_one_in_flight))
         act((when + duration,
-             lambda: victim.scheduler.release_credential_holds()))
+             lambda: victim.gridmanager.release_credential_holds()))
     elif kind == "raise_cap":
         act((when, raise_cap))
 
@@ -233,12 +233,12 @@ def test_a_held_jobs_slot_is_used_at_once():
     first, second = sorted((agent.queue.jobs[j] for j in ids),
                            key=lambda job: job.state != J.ACTIVE)
     assert first.state == J.ACTIVE and second.state == J.UNSUBMITTED
-    gm = agent.scheduler.gridmanager
+    gm = agent.gridmanager
     assert _parked_on_bare_wake(gm)         # no tick is coming
-    agent.scheduler.credential_problem(first, "proxy expired")
+    agent.gridmanager.credential_problem(first, "proxy expired")
     tb.run(until=32.0)                      # a submit round trip, no more
     assert first.state == J.HELD and second.state in COMMITTED
-    agent.scheduler.release_credential_holds()
+    agent.gridmanager.release_credential_holds()
     tb.run_until_quiet(max_time=10**4)
     assert all(agent.status(j).is_complete for j in ids)
 
@@ -260,7 +260,7 @@ def test_a_slot_freed_while_a_pass_runs_is_not_lost():
     assert [a.job_id, c.job_id, d.job_id, e.job_id] == \
         sorted(agent.queue.jobs)
     tb.run(until=30.0)
-    gm = agent.scheduler.gridmanager
+    gm = agent.gridmanager
     assert (d.state, e.state) == (J.UNSUBMITTED, J.UNSUBMITTED)
     assert _parked_on_bare_wake(gm)
 

@@ -93,7 +93,7 @@ class TestMatchmakingBroker:
 
         tb._site_ad = ad_source
         agent = tb.add_agent(AgentSpec("alice"))
-        agent.scheduler.broker = MatchmakingBroker(
+        agent.gridmanager.broker = MatchmakingBroker(
             agent.host, "mds", rank="-AllocationCost")
         tb.run(until=200.0)
         wide = agent.submit(JobDescription(runtime=50.0, cpus=8))
@@ -108,7 +108,7 @@ class TestMatchmakingBroker:
         tb.add_site(SiteSpec("intel", scheduler="pbs", cpus=8, arch="INTEL"))
         tb.add_site(SiteSpec("sparc", scheduler="pbs", cpus=8, arch="SPARC"))
         agent = tb.add_agent(AgentSpec("alice"))
-        agent.scheduler.broker = MatchmakingBroker(
+        agent.gridmanager.broker = MatchmakingBroker(
             agent.host, "mds", requirements='TARGET.Arch == "SPARC"')
         tb.run(until=200.0)
         jid = agent.submit(JobDescription(runtime=50.0))
@@ -119,7 +119,7 @@ class TestMatchmakingBroker:
         tb = GridTestbed(TestbedConfig(seed=97))
         tb.add_site(SiteSpec("intel", scheduler="pbs", cpus=8))
         agent = tb.add_agent(AgentSpec("alice"))
-        agent.scheduler.broker = MatchmakingBroker(
+        agent.gridmanager.broker = MatchmakingBroker(
             agent.host, "mds", requirements='TARGET.Arch == "ALPHA"')
         tb.run(until=200.0)
         jid = agent.submit(JobDescription(runtime=50.0))

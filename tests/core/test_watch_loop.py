@@ -74,13 +74,13 @@ def test_idle_watch_loop_keeps_nothing_on_the_heap(monkeypatch):
     # ends long after the test: no callback moves the held job
     jid = agent.submit(JobDescription(runtime=50_000.0), resource="site-gk")
     tb.run(until=60.0)
-    gm = agent.scheduler.gridmanager
-    site = agent.scheduler.sites["site-gk"]
+    gm = agent.gridmanager
+    site = agent.gridmanager.sites["site-gk"]
     [watcher] = [p for p in gm._procs if p.name.startswith("gm-watch")]
     assert site.watcher is watcher and len(gm._procs) == 2
     # HELD is nonterminal (the GridManager stays) but not watchable
     job = agent.queue.jobs[jid]
-    agent.scheduler.credential_problem(job, "parked by the test")
+    agent.gridmanager.credential_problem(job, "parked by the test")
     assert not site.watchable
     asked.clear()
 
@@ -93,7 +93,7 @@ def test_idle_watch_loop_keeps_nothing_on_the_heap(monkeypatch):
     assert asked == []
 
     released = tb.sim.now
-    agent.scheduler.release_credential_holds()
+    agent.gridmanager.release_credential_holds()
     tb.run(until=10_100.0)
     assert agent.status(jid).state in ("PENDING", "ACTIVE")
     # roused by the job becoming watchable again, then one plain
@@ -108,7 +108,7 @@ def test_dropped_done_callback_is_recovered_by_the_next_pass():
     site = tb.sites["site"]
     agent = tb.add_agent(AgentSpec("alice"))
     jid = agent.submit(JobDescription(runtime=100.0), resource="site-gk")
-    rpc_timeout = agent.scheduler.gridmanager.client.rpc_timeout
+    rpc_timeout = agent.gridmanager.client.rpc_timeout
     # the partition swallows the DONE callback (~t=105) ...
     healed = 50.0 + 250.0
     tb.failures.partition_at(50.0, agent.host.name, site.gk_host.name,

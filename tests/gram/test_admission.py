@@ -80,7 +80,7 @@ def test_rejected_submission_consumes_no_attempt():
     # resubmits without burning the bounded retry budget, so nothing
     # ends up HELD
     assert all(agent.status(j).is_complete for j in jids)
-    assert not [j for j in agent.scheduler.jobs_for_user()
+    assert not [j for j in agent.gridmanager.jobs_for_user()
                 if j.state == "HELD"]
     assert tb.sim.trace.select("gatekeeper:busy",
                                "admission_rejected_rate")
@@ -144,7 +144,7 @@ def test_a_rate_refusal_closes_the_site_until_the_next_token():
     # tokens at the refusal: what accrued since the first took the last
     next_token = admitted[0].time + 1.0 / policy.rate
     [closed] = tb.sim.trace.select("gridmanager", "gatekeeper_busy_backoff")
-    site = agent.scheduler.sites["busy-gk"]
+    site = agent.gridmanager.sites["busy-gk"]
     assert site.busy_until == closed.details["until"]
     assert site.busy_until - closed.time == pytest.approx(
         next_token - refused[0].time)

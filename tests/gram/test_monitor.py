@@ -93,7 +93,7 @@ def test_a_default_agent_asks_its_site_and_never_launches_a_monitor(
     tb, agent = make_tb(cpus=16, grid_monitor=False)
     submit_jobs(tb, agent, 64, runtime=900.0, step=1.0)
     tb.run(until=100.0)
-    assert len(agent.scheduler.sites["s0-gk"].inflight) == 64
+    assert len(agent.gridmanager.sites["s0-gk"].inflight) == 64
     tb.run(until=600.0)
 
     assert started == []
@@ -119,13 +119,13 @@ def test_monitor_reports_replace_site_asks_one_for_one():
                 tb.run(until=tb.sim.now + 500.0)
                 agent = tb.agents["scale"]
                 if not any(not j.is_terminal
-                           for j in agent.scheduler.jobs_for_user()):
+                           for j in agent.gridmanager.jobs_for_user()):
                     break
             stats = rpc.RPC_STATS
         finally:
             rpc.RPC_STATS = None
         agent = tb.agents["scale"]
-        done = sum(1 for j in agent.scheduler.jobs_for_user()
+        done = sum(1 for j in agent.gridmanager.jobs_for_user()
                    if j.state == "DONE")
         assert not [key for key in stats if key[0].startswith("jm:")
                     and key[1] == "status"]
@@ -265,7 +265,7 @@ def test_stale_heartbeat_resumes_asks_and_relaunches_once_a_cooldown(
                              heal_after=500.0)
     tb.run(until=100.0)
     assert len(started) == 1 and asked == []
-    ids = [job.job_id for job in agent.scheduler.jobs_for_user()]
+    ids = [job.job_id for job in agent.gridmanager.jobs_for_user()]
     run_to_terminal(tb, agent, ids)
     assert all(agent.status(j).is_complete for j in ids)
 
@@ -305,7 +305,7 @@ def test_a_report_from_a_monitor_nobody_asked_for_is_refused(monkeypatch):
     tb, agent = make_tb(seed=31, cpus=8, grid_monitor=False)
     ids = submit_jobs(tb, agent, 2, runtime=600.0, step=0.0)
     tb.run(until=20.0)
-    gm = agent.scheduler.gridmanager
+    gm = agent.gridmanager
     # somebody else's doing: a monitor for alice, reporting to her callback
     gatekeeper = tb.sites["s0"].gatekeeper
     gatekeeper.handle_start_monitor(
@@ -313,7 +313,7 @@ def test_a_report_from_a_monitor_nobody_asked_for_is_refused(monkeypatch):
     tb.run(until=200.0)
 
     assert tb.sim.metrics.counter("gridmanager.monitor_reports").value == 0
-    assert not agent.scheduler.sites["s0-gk"].fresh(tb.sim.now)
+    assert not agent.gridmanager.sites["s0-gk"].fresh(tb.sim.now)
     reports = tb.sim.metrics.counter("monitor.reports")
     assert reports.labelled("failed") == GridMonitor.MAX_REPORT_FAILURES
     assert reports.labelled("ok") == 0
@@ -336,7 +336,7 @@ def test_submit_reboot_relaunches_the_monitor(monkeypatch):
 
     # the heartbeat was volatile and is gone; the queue came back from
     # disk with five jobs in flight at s0, which a monitor is launched for
-    site = agent.scheduler.sites["s0-gk"]
+    site = agent.gridmanager.sites["s0-gk"]
     assert len(site.inflight) == 5
     assert len(started) == 2 and started[1][0] > 160.0
     assert tb.sim.metrics.counter("gatekeeper.submits").value == submits
@@ -356,7 +356,7 @@ def test_monitor_kill_crash_and_partition_from_the_committed_plan(seed):
     plan = FaultPlan.from_json(PLAN.read_text())
     tb, _ = build_and_run("monitored-gram", seed, plan=plan)
     assert evaluate_invariants(tb) == []
-    jobs = tb.agents["scale"].scheduler.jobs_for_user()
+    jobs = tb.agents["scale"].gridmanager.jobs_for_user()
     assert [job.state for job in jobs] == ["DONE"] * 80
     ran = sum(len([j for j in site.lrm.jobs.values()
                    if j.state == "COMPLETED"])

@@ -80,7 +80,7 @@ def _grid():
     (lambda: _grid().add_site("wisc", scheduler="pbs", cpus=2), "SiteSpec"),
     (lambda: _grid().add_agent("alice"), "AgentSpec"),
     (lambda: _grid().add_agent(AgentSpec("alice"))
-        .scheduler.jobs_for_user("alice"), "jobs_for_user"),
+        .gridmanager.jobs_for_user("alice"), "jobs_for_user"),
 ], ids=["GridTestbed", "add_site", "add_agent", "jobs_for_user"])
 def test_kwargs_entry_points_raise_type_error(call, names):
     """The pre-config call forms are gone; the error says what to build."""

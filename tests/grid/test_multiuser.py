@@ -54,7 +54,7 @@ class TestFairShareThrottles:
         def watcher():
             while not agent.all_terminal():
                 for res in ("alpha-gk", "beta-gk"):
-                    site = agent.scheduler.sites.get(res)
+                    site = agent.gridmanager.sites.get(res)
                     peak["n"] = max(peak["n"],
                                     len(site.inflight) if site else 0)
                 yield tb.sim.timeout(5.0)
@@ -125,34 +125,33 @@ class TestPerUserAccounting:
 
 
 class TestSchedulerIdentityShims:
-    """The single-user-era `user` arguments are gone: a scheduler is bound
-    to one user, and handing it an identity is a TypeError, so N-agent
-    wiring bugs cannot pass silently."""
+    """The single-user-era `user` arguments are gone: a GridManager is
+    bound to one user, and handing it an identity is a TypeError, so
+    N-agent wiring bugs cannot pass silently."""
 
-    def _scheduler(self):
+    def _gridmanager(self):
         tb, _ = _small_grid(users=1, jobs=1)
-        return tb.agents["u0"].scheduler
+        return tb.agents["u0"].gridmanager
 
     def test_modern_calls_do_not_warn(self):
-        sched = self._scheduler()
+        gm = self._gridmanager()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sched.jobs_for_user()
-            sched.release_credential_holds()
+            gm.jobs_for_user()
+            gm.release_credential_holds()
 
     def test_cross_wired_identity_raises(self):
-        sched = self._scheduler()
-        for call in (lambda: sched.jobs_for_user("mallory"),
-                     lambda: sched.gridmanager_exited("mallory"),
-                     lambda: sched.release_credential_holds("mallory")):
+        gm = self._gridmanager()
+        for call in (lambda: gm.jobs_for_user("mallory"),
+                     lambda: gm.release_credential_holds("mallory")):
             with pytest.raises(TypeError):
                 call()
 
     def test_hold_for_credentials_legacy_signature(self):
-        sched = self._scheduler()
+        gm = self._gridmanager()
         with pytest.raises(TypeError):
-            sched.hold_for_credentials("u0", reason="proxy expired")
-        assert all(j.hold_reason == "" for j in sched.jobs_for_user())
+            gm.hold_for_credentials("u0", reason="proxy expired")
+        assert all(j.hold_reason == "" for j in gm.jobs_for_user())
 
 
 class TestMultiuserScenarios:

@@ -43,7 +43,7 @@ def test_nothing_survives_a_reboot_by_aliasing(use_gsi):
     def named():
         return {"site.gatekeeper": site.gatekeeper, "site.se": site.se,
                 "agent.queue": agent.queue,
-                "agent.scheduler": agent.scheduler, "agent.gass": agent.gass,
+                "agent.gridmanager": agent.gridmanager, "agent.gass": agent.gass,
                 "agent.credmon": agent.credmon, "agent.schedd": agent.schedd}
 
     hosts = (site.gk_host, site.se_host, agent.host)
@@ -65,7 +65,7 @@ def test_nothing_survives_a_reboot_by_aliasing(use_gsi):
     assert sorted(job.universe for job in agent.queue.jobs.values()) == \
         ["grid", "vanilla"]
     tb.run(until=2000.0)
-    assert [job.state for job in agent.scheduler.jobs_for_user()] == ["DONE"]
+    assert [job.state for job in agent.gridmanager.jobs_for_user()] == ["DONE"]
 
 
 def test_rebooting_twice_grows_nothing_and_reissues_no_jmid():
@@ -166,3 +166,48 @@ def test_a_rebooted_submit_machine_continues_its_numbering():
     # (the vanilla jobs wait for a glidein nobody asked for)
     assert [str(agent.status(j).state) for j in first + after] == \
         ["DONE", "IDLE", "DONE", "IDLE", "DONE"]
+
+
+# -- a grid condor_rm lives and dies with its submit machine -------------------
+
+def _active_grid_job():
+    tb = GridTestbed.from_config(TestbedConfig(
+        seed=3, sites=(SiteSpec("wisc", scheduler="pbs", cpus=4),),
+        agents=(AgentSpec("alice"),)))
+    agent = tb.agents["alice"]
+    jid = agent.submit(JobDescription(runtime=2000.0), resource="wisc-gk")
+    tb.run(until=200.0)
+    assert agent.status(jid).state == "ACTIVE"
+    return tb, agent, jid
+
+
+def test_a_removal_dies_with_a_submit_machine_that_crashes_at_once():
+    """The user's condor_rm and the crash land at the same instant: the
+    removal was never written, so it dies with the machine instead of
+    running on a host that is down, and the rebooted agent reconnects
+    to the job and sees it through."""
+    tb, agent, jid = _active_grid_job()
+    agent.cancel(jid)
+    agent.host.crash()
+    tb.sim.schedule(60.0, agent.host.restart)
+    tb.run_until_quiet()
+    assert agent.status(jid).state == "DONE"
+    assert "removed" not in [event.event for event in agent.logs(jid)]
+
+
+def test_a_down_submit_machine_writes_no_removal():
+    """The machine crashes while the removal's remote cancel is in
+    flight: nothing reaches its disk or its user log while it is down."""
+    tb, agent, jid = _active_grid_job()
+    agent.cancel(jid)
+    tb.run(until=200.000001)
+    agent.host.crash()
+    tb.run(until=259.0)
+    record = agent.host.stable.namespace("job-queue:alice").get(jid)
+    assert record["state"] == "ACTIVE"
+    assert [event.event for event in agent.logs(jid)] == \
+        ["queued", "submit", "execute"]
+    agent.host.restart()
+    tb.run_until_quiet()
+    assert agent.status(jid).is_terminal
+    assert all(event.time >= 259.0 for event in agent.logs(jid)[3:])

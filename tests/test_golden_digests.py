@@ -117,7 +117,7 @@ def _open_payloads(tb) -> int:
     for agent in tb.agents.values():
         payloads = [job for job in agent.queue.jobs.values()
                     if job.universe != "grid"] \
-            or agent.scheduler.jobs_for_user()
+            or agent.gridmanager.jobs_for_user()
         count += sum(1 for job in payloads if not job.is_terminal)
     return count
 
@@ -241,7 +241,7 @@ def diff() -> None:
         if "queues" in parts:
             outcomes += 1
             states = Counter(str(job.state) for agent in tb.agents.values()
-                             for job in agent.scheduler.jobs_for_user())
+                             for job in agent.gridmanager.jobs_for_user())
             tally = ", ".join(f"{n} {s}" for s, n in sorted(states.items()))
             print(f"    QUEUES MOVED -- outcomes differ: {tally}; "
                   f"{len(evaluate_invariants(tb))} invariant violation(s)")
