@@ -28,7 +28,7 @@ from .network import Network
 from .rng import RngRegistry
 from .rpc import CallContext, Service, call, notify
 from .stats import Counter, Gauge, Histogram, MetricsRegistry
-from .sync import Lock, Semaphore, Store
+from .sync import Semaphore
 from .trace import Trace, TraceRecord
 
 __all__ = [
@@ -37,7 +37,7 @@ __all__ = [
     "Gauge", "Histogram", "Host", "HostDown", "Interrupt",
     "MetricsRegistry", "Network", "Process", "ProcessKilled",
     "RemoteError", "RngRegistry", "RPCError", "RPCTimeout",
-    "Lock", "Semaphore", "Service", "ServiceUnavailable",
+    "Semaphore", "Service", "ServiceUnavailable",
     "SimulationError", "Simulator", "StableNamespace", "StableStorage",
-    "Store", "Timeout", "Trace", "TraceRecord", "call", "notify",
+    "Timeout", "Trace", "TraceRecord", "call", "notify",
 ]

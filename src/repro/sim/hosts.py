@@ -165,6 +165,6 @@ class Host:
         for fn in list(self.boot_actions):
             fn(self)
 
-    def spawn(self, gen, name: str = "", daemon: bool = False) -> "Process":
+    def spawn(self, gen, name: str = "") -> "Process":
         """Start a process bound to this host (dies if the host crashes)."""
-        return self.sim.spawn(gen, name=name, host=self, daemon=daemon)
+        return self.sim.spawn(gen, name=name, host=self)

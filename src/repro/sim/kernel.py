@@ -9,8 +9,10 @@ protocol simulation:
   (or other processes) and is resumed with the event's value when it fires.
   A process is itself an event that fires when the generator returns.
 * :class:`Simulator` -- the event loop: a binary heap of ``(time, seq,
-  event)`` entries.  ``seq`` makes ordering total and the whole simulation
-  deterministic.
+  item)`` rows.  ``seq`` makes ordering total and the whole simulation
+  deterministic.  An item is an :class:`Event` whose callbacks run, or a
+  bare :class:`Entry` -- one call ``fn(arg)`` -- for what nobody waits on:
+  network legs, process boots and resumes, ``Simulator.schedule``.
 
 Design notes
 ------------
@@ -59,7 +61,7 @@ class Event:
     # -- state ----------------------------------------------------------
     @property
     def triggered(self) -> bool:
-        return self._value is not _UNSET or self._exc is not None
+        return self._value is not _UNSET     # fail() sets it too
 
     @property
     def ok(self) -> bool:
@@ -80,7 +82,8 @@ class Event:
         if self._scheduled or self.triggered:
             raise SimulationError(f"event {self} triggered twice")
         self._value = value
-        self.sim._schedule_event(self)
+        self._scheduled = True
+        self.sim._push(self.sim.now, self)
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -90,7 +93,8 @@ class Event:
             raise TypeError("fail() needs an exception instance")
         self._exc = exc
         self._value = None
-        self.sim._schedule_event(self)
+        self._scheduled = True
+        self.sim._push(self.sim.now, self)
         return self
 
     def cancel(self) -> None:
@@ -130,9 +134,7 @@ class Event:
             self.sim._note_tombstone()
 
     def _run_callbacks(self) -> None:
-        if self._cancelled:
-            self.callbacks.clear()
-            return
+        # Never called on a cancelled event: the loop skips tombstones.
         callbacks, self.callbacks = self.callbacks, []
         for cb in callbacks:
             cb(self)
@@ -140,6 +142,33 @@ class Event:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "triggered" if self.triggered else "pending"
         return f"<{type(self).__name__} {self.name or hex(id(self))} {state}>"
+
+
+class Entry:
+    """A bare heap item: one call, ``fn(arg)``, with no value, callbacks
+    or name.  ``cancel()`` leaves a tombstone as :meth:`Event.cancel` does.
+    """
+
+    __slots__ = ("sim", "fn", "arg", "_cancelled")
+
+    def __init__(self, sim: "Simulator", fn: Callable[[Any], None],
+                 arg: Any):
+        self.sim = sim
+        self.fn = fn
+        self.arg = arg
+        self._cancelled = False
+
+    def cancel(self) -> None:
+        if not self._cancelled:
+            self._cancelled = True
+            self.sim._note_tombstone()
+
+    def _run_callbacks(self) -> None:
+        self.fn(self.arg)
+
+
+def _call(fn: Callable[[], None]) -> None:
+    fn()
 
 
 class Timeout(Event):
@@ -150,28 +179,24 @@ class Timeout(Event):
     reaches it.
     """
 
-    __slots__ = ("delay", "_pending_value")
+    __slots__ = ("_pending_value",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None,
                  at: Optional[float] = None):
-        if at is not None:
+        if at is None:
+            at = sim.now + delay
+        else:
             delay = at - sim.now
         if delay < 0:
             raise ValueError(f"negative timeout {delay!r}")
-        # Static name: formatting f"timeout({delay})" per instance was
-        # measurable on the hot path; __repr__ still shows the delay.
-        super().__init__(sim, name="timeout")
-        self.delay = delay
+        Event.__init__(self, sim, "timeout")   # a static name: hot path
         self._pending_value = value if value is not None else delay
-        sim._schedule_event(self, delay=delay, at=at)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "triggered" if self.triggered else "pending"
-        return f"<Timeout delay={self.delay} {state}>"
+        self._scheduled = True
+        sim._push(at, self)
 
     def _run_callbacks(self) -> None:
         self._value = self._pending_value
-        super()._run_callbacks()
+        Event._run_callbacks(self)
 
 
 class AnyOf(Event):
@@ -183,27 +208,22 @@ class AnyOf(Event):
     count as unhandled).
     """
 
-    __slots__ = ("events", "_done")
+    __slots__ = ("events",)
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]):
         super().__init__(sim, name="any_of")
         self.events = list(events)
-        self._done = False
         if not self.events:
             raise ValueError("AnyOf needs at least one event")
         for i, ev in enumerate(self.events):
             if ev.triggered:
                 self._on_child(i, ev)
                 break
-            ev.callbacks.append(self._make_cb(i))
-
-    def _make_cb(self, index: int) -> Callable[[Event], None]:
-        return lambda ev: self._on_child(index, ev)
+            ev.callbacks.append(lambda ev, i=i: self._on_child(i, ev))
 
     def _on_child(self, index: int, ev: Event) -> None:
-        if self._done:
+        if self.triggered:
             return
-        self._done = True
         for other in self.events:
             if other is not ev:
                 _defuse(other)
@@ -219,17 +239,15 @@ class AllOf(Event):
     Fails fast with the first child failure (other children are defused).
     """
 
-    __slots__ = ("events", "_pending", "_failed")
+    __slots__ = ("events", "_pending")
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]):
         super().__init__(sim, name="all_of")
         self.events = list(events)
-        self._failed = False
         self._pending = 0
-        for i, ev in enumerate(self.events):
+        for ev in self.events:
             if ev.triggered:
                 if not ev.ok:
-                    self._failed = True
                     self.fail(ev._exc)  # type: ignore[arg-type]
                     return
             else:
@@ -239,10 +257,9 @@ class AllOf(Event):
             self.succeed([ev._value for ev in self.events])
 
     def _on_child(self, ev: Event) -> None:
-        if self._failed or self.triggered:
+        if self.triggered:
             return
         if not ev.ok:
-            self._failed = True
             for other in self.events:
                 if other is not ev:
                     _defuse(other)
@@ -253,12 +270,12 @@ class AllOf(Event):
             self.succeed([e._value for e in self.events])
 
 
+def _sink(_ev: Event) -> None:
+    return None
+
+
 def _defuse(ev: Event) -> None:
     """Mark a pending/failed event as handled so its failure is not fatal."""
-
-    def _sink(_e: Event) -> None:
-        return None
-
     ev.callbacks.append(_sink)
 
 
@@ -274,7 +291,7 @@ class Process(Event):
     with ordinary ``try/except``.
     """
 
-    __slots__ = ("gen", "host", "_target", "_alive", "daemon", "_had_waiter")
+    __slots__ = ("gen", "host", "_target", "_alive", "_had_waiter")
 
     def __init__(
         self,
@@ -282,7 +299,6 @@ class Process(Event):
         gen: ProcessGen,
         name: str = "",
         host: Optional[object] = None,
-        daemon: bool = False,
     ):
         if not hasattr(gen, "send"):
             raise TypeError(
@@ -292,16 +308,13 @@ class Process(Event):
         super().__init__(sim, name=name or getattr(gen, "__name__", "proc"))
         self.gen = gen
         self.host = host
-        self.daemon = daemon
         self._target: Optional[Event] = None
         self._alive = True
         self._had_waiter = False
         if host is not None:
             host._attach_process(self)
         # Kick off at the current time.
-        boot = Event(sim, name=f"boot:{self.name}")
-        boot.callbacks.append(self._resume)
-        boot.succeed(None)
+        sim.call_at(sim.now, self._resume, _BOOT)
 
     @property
     def alive(self) -> bool:
@@ -313,7 +326,7 @@ class Process(Event):
             return
         self._target = None
         try:
-            if event.ok:
+            if event._exc is None:
                 target = self.gen.send(event._value)
             else:
                 target = self.gen.throw(event._exc)  # type: ignore[arg-type]
@@ -326,31 +339,19 @@ class Process(Event):
         self._bind(target)
 
     def _bind(self, target: Any) -> None:
+        sim = self.sim
+        if not isinstance(target, Event) or target.sim is not sim:
+            self._finish(exc=SimulationError(
+                f"process {self.name} yielded {target!r}, which is not an "
+                "event of its simulator"))
+            return
+        if target._value is _UNSET:           # pending
+            self._target = target
+            target.callbacks.append(self._resume)
+        else:   # fired: resume in heap order, cancellable as the target
+            self._target = sim.call_at(sim.now, self._resume, target)
         if isinstance(target, Process):
             target._had_waiter = True
-        if not isinstance(target, Event):
-            self._finish(
-                exc=SimulationError(
-                    f"process {self.name} yielded non-event {target!r}"
-                )
-            )
-            return
-        if target.sim is not self.sim:
-            self._finish(
-                exc=SimulationError("yielded event belongs to another simulator")
-            )
-            return
-        self._target = target
-        if target.triggered:
-            # Re-schedule immediately so resumption stays in heap order.
-            relay = Event(self.sim, name=f"relay:{self.name}")
-            relay.callbacks.append(self._resume)
-            if target.ok:
-                relay.succeed(target._value)
-            else:
-                relay.fail(target._exc)  # type: ignore[arg-type]
-        else:
-            target.callbacks.append(self._resume)
 
     def _finish(
         self, value: Any = None, exc: Optional[BaseException] = None
@@ -376,10 +377,15 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at the current time."""
         if not self._alive:
             return
-        self._unhook()
         relay = Event(self.sim, name=f"interrupt:{self.name}")
-        relay.callbacks.append(self._resume)
+        relay.callbacks.append(self._interrupted)
         relay.fail(Interrupt(cause))
+
+    def _interrupted(self, relay: Event) -> None:
+        # Unhook at delivery, not at the interrupt() call: a boot or a
+        # resume already on the heap may have bound a new target since.
+        self._unhook()
+        self._resume(relay)
 
     def kill(self, cause: object = None) -> None:
         """Destroy the process (host crash semantics).
@@ -398,17 +404,24 @@ class Process(Event):
         except BaseException:  # noqa: BLE001 - generator misbehaved on close
             pass
         if not self.triggered:
+            # Never noted as a failure: a killed process is expected
+            # collateral, never a test failure.
             self.fail(ProcessKilled(self.name, cause))
-            # A killed process is expected collateral, never a test failure.
-            self.sim._forgive(self)
 
     def _unhook(self) -> None:
-        if self._target is not None:
+        target, self._target = self._target, None
+        if type(target) is Entry:
+            target.cancel()
+        elif target is not None:
             try:
-                self._target.callbacks.remove(self._resume)
+                target.callbacks.remove(self._resume)
             except ValueError:
                 pass
-            self._target = None
+
+
+#: What a booting process is resumed with: a triggered event of value None.
+_BOOT = Event(None, name="boot")  # type: ignore[arg-type]
+_BOOT._value = None
 
 
 class Simulator:
@@ -428,12 +441,11 @@ class Simulator:
         from .trace import Trace
 
         self.now: float = 0.0
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[tuple[float, int, Event | Entry]] = []
         self._seq = 0
         self._tombstones = 0       # cancelled events still in the heap
         self.strict = strict
         self._failures: list[tuple[Process, BaseException]] = []
-        self._forgiven: set[int] = set()
         self.rng = RngRegistry(seed)
         self.trace = Trace(self, max_records=trace_max_records)
         self.metrics = MetricsRegistry(self)
@@ -441,19 +453,22 @@ class Simulator:
         self.network = None  # set by Network.__init__
 
     # -- scheduling -------------------------------------------------------
-    def _schedule_event(self, ev: Event, delay: float = 0.0,
-                        at: Optional[float] = None) -> None:
-        if ev._scheduled:
-            return
-        ev._scheduled = True
+    def _push(self, t: float, item: "Event | Entry") -> None:
+        """The one place anything enters the heap: the next ``seq``."""
         self._seq += 1
-        t = self.now + delay if at is None else at
-        heapq.heappush(self._heap, (t, self._seq, ev))
+        heapq.heappush(self._heap, (t, self._seq, item))
+
+    def call_at(self, t: float, fn: Callable[[Any], None],
+                arg: Any = None) -> Entry:
+        """Run ``fn(arg)`` at absolute time ``t`` (``>= now``)."""
+        entry = Entry(self, fn, arg)
+        self._push(t, entry)
+        return entry
 
     def _note_tombstone(self) -> None:
         """A scheduled event was cancelled; compact once tombstones win.
 
-        Tombstones hold their ``(time, seq, event)`` triple in the heap
+        Tombstones hold their ``(time, seq, item)`` row in the heap
         until popped; a workload that cancels most of its timers (every
         answered generator-handler RPC abandons its timeout) can leave
         the heap mostly dead.
@@ -463,14 +478,10 @@ class Simulator:
         """
         self._tombstones += 1
         if self._tombstones > 256 and self._tombstones * 2 > len(self._heap):
-            # In-place: run() may hold a local alias to the heap list.
-            self._heap[:] = [entry for entry in self._heap
-                             if not entry[2]._cancelled]
-            heapq.heapify(self._heap)
-            self._tombstones = 0
+            self.compact_heap()
 
     def schedule(self, delay: float, fn: Callable[[], None],
-                 at: Optional[float] = None) -> Event:
+                 at: Optional[float] = None) -> Entry:
         """Run a plain callback after ``delay`` seconds.
 
         With ``at`` the callback fires at that *absolute* time instead
@@ -478,9 +489,13 @@ class Simulator:
         a callback armed mid-run fires at exactly the same instant as
         one armed at t=0.
         """
-        ev = Timeout(self, delay, at=at)
-        ev.callbacks.append(lambda _e: fn())
-        return ev
+        if at is None:
+            at = self.now + delay
+        else:
+            delay = at - self.now
+        if delay < 0:
+            raise ValueError(f"negative delay {delay!r}")
+        return self.call_at(at, _call, fn)
 
     def compact_heap(self) -> int:
         """Drop cancelled entries from the heap; returns how many went.
@@ -493,6 +508,7 @@ class Simulator:
         """
         dropped = self._tombstones
         if dropped:
+            # In-place: run() may hold a local alias to the heap list.
             self._heap[:] = [entry for entry in self._heap
                              if not entry[2]._cancelled]
             heapq.heapify(self._heap)
@@ -516,9 +532,8 @@ class Simulator:
         gen: ProcessGen,
         name: str = "",
         host: Optional[object] = None,
-        daemon: bool = False,
     ) -> Process:
-        return Process(self, gen, name=name, host=host, daemon=daemon)
+        return Process(self, gen, name=name, host=host)
 
     # -- failure bookkeeping -----------------------------------------------
     def _note_process_failure(self, proc: Process, exc: BaseException) -> None:
@@ -526,18 +541,9 @@ class Simulator:
         # record now, filter at run() time.
         self._failures.append((proc, exc))
 
-    def _forgive(self, proc: Process) -> None:
-        self._forgiven.add(id(proc))
-
     def unhandled_failures(self) -> list[tuple[Process, BaseException]]:
-        out = []
-        for proc, exc in self._failures:
-            if id(proc) in self._forgiven:
-                continue
-            if proc._had_waiter:
-                continue
-            out.append((proc, exc))
-        return out
+        return [(proc, exc) for proc, exc in self._failures
+                if not proc._had_waiter]
 
     # -- main loop ----------------------------------------------------------
     def run(self, until: Optional[float] = None) -> None:
@@ -545,14 +551,12 @@ class Simulator:
         heap = self._heap
         heappop = heapq.heappop
         while heap:
-            entry = heap[0]
-            ev = entry[2]
+            t, _seq, ev = heap[0]
             if ev._cancelled:
                 heappop(heap)
                 if self._tombstones > 0:
                     self._tombstones -= 1
                 continue
-            t = entry[0]
             if until is not None and t > until:
                 self.now = until
                 break

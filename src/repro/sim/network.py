@@ -20,7 +20,6 @@ import math
 from typing import Any, Callable, Optional, TYPE_CHECKING
 
 from .errors import SimulationError
-from .kernel import Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from .hosts import Host
@@ -114,10 +113,10 @@ class Network:
 
     # -- delivery -------------------------------------------------------------
     def send_leg(self, src: "Host", dst: str, service: str,
-                 on_arrive: Callable[[Any], None],
+                 on_arrive: Callable[[Any], None], arg: Any = None,
                  deadline: float = math.inf,
                  on_miss: Optional[Callable[[], None]] = None) -> None:
-        """Send one one-way leg; ``on_arrive(event)`` runs when it lands.
+        """Send one one-way leg; ``on_arrive(arg)`` runs when it lands.
 
         Counts the leg ``sent``; drops it here -- silently, counted
         ``dropped`` -- when the source is down, a partition separates the
@@ -125,7 +124,8 @@ class Network:
         ``latency + U(0, jitter)``: one loss roll and one jitter draw per
         leg, in send order.  The leg carries a callback, not a message:
         what crosses the wire, and what the landing does (starting with
-        :meth:`land_leg`), is the sender's business.
+        :meth:`land_leg`), is the sender's business.  In flight it is one
+        bare heap entry (:class:`~repro.sim.kernel.Entry`), not an event.
 
         ``on_miss()`` tells a sender that waits until ``deadline`` that
         this leg cannot make it: it is called on a drop and -- *before*
@@ -150,7 +150,7 @@ class Network:
             + self._rng.uniform(0.0, self.jitter)
         if on_miss is not None and sim.now + latency >= deadline:
             on_miss()
-        Timeout(sim, latency).callbacks.append(on_arrive)
+        sim.call_at(sim.now + latency, on_arrive, arg)
 
     def _drop(self, on_miss: Optional[Callable[[], None]]) -> None:
         self.dropped += 1

@@ -36,7 +36,7 @@ from .errors import (
     SimulationError,
 )
 from .fastcopy import fast_deepcopy
-from .kernel import Event, Timeout, _UNSET
+from .kernel import Entry, Event, _UNSET
 
 if TYPE_CHECKING:  # pragma: no cover
     from .hosts import Host
@@ -60,14 +60,15 @@ class CallContext:
 # -- the one path -------------------------------------------------------------
 #
 # Every request -- plain or generator handler, authorized or not, call or
-# notify -- is served by its request leg's arrival callback (``arrive`` in
-# ``_request``): landing checks -> the service registered under that name
-# *now* -> its authorizer, if any -> the handler.  A plain call costs two
-# kernel events: the request's arrival, inside which the handler runs, and
-# the reply's arrival, inside which the caller resumes (a notify costs
-# one).  A handler result that is a generator is finished by a process on
-# the service's host, which answers through the same reply leg.  What a
-# caller or a run digest can observe:
+# notify -- is one ``_Request`` record, and is served by its request leg's
+# arrival (``_Request.arrive``): landing checks -> the service registered
+# under that name *now* -> its authorizer, if any -> the handler.  A plain
+# call allocates that record, the ``_Reply`` its caller waits on and two
+# bare heap entries: the request's arrival, inside which the handler
+# runs, and the reply's arrival, inside which the caller resumes (a
+# notify: the record and one entry).  A handler result that is a
+# generator is finished by a process on the service's host, which answers
+# through the same reply leg.  What a caller or a run digest can observe:
 #
 # * RNG draws -- one loss roll and one jitter draw per leg from the shared
 #   "network" stream, in send order (``Network.send_leg``);
@@ -122,20 +123,23 @@ class _Reply(Event):
     def __init__(self, sim, deadline: float):
         super().__init__(sim, name="rpc")
         self.deadline = deadline
-        self.timer: Optional[Timeout] = None
+        self.timer: Optional[Entry] = None
 
     def fire(self, value: Any) -> None:
         if self._value is _UNSET:
             self._value = value
             if self.timer is not None:
-                self.timer.cancel()     # no-op from inside the timer
+                self.timer.cancel()
             self._run_callbacks()
 
     def expire(self) -> None:
         """The reply may not arrive in time: arm the caller's timeout."""
         if self.timer is None and self._value is _UNSET:
-            self.timer = Timeout(self.sim, 0.0, at=self.deadline)
-            self.timer.callbacks.append(lambda _ev: self.fire(None))
+            self.timer = self.sim.call_at(self.deadline, self._timed_out)
+
+    def _timed_out(self, _arg: None) -> None:
+        self.timer = None               # popped: nothing left to cancel
+        self.fire(None)
 
 
 def _error(exc: Exception) -> dict:
@@ -155,30 +159,48 @@ def _finish(gen: GeneratorType, svc: "Service",
     respond(svc, value, error)
 
 
-def _request(src: "Host", dst: str, service: str, method: str,
-             credential: Any, args: dict,
-             reply: Optional[_Reply] = None) -> None:
-    """Send one request; for a call, ``reply`` fires with its response."""
-    net = src.sim.network
-    caller = src.name
-    crash_count = src.crash_count
-    # What crosses the wire is fixed now, whatever the caller does next.
-    req_args = fast_deepcopy(args) if args else args
-    req_cred = credential if credential is None else fast_deepcopy(credential)
+class _Request:
+    """One request, sent when it is made, and all both legs need: its
+    bound methods are their arrival callbacks.  For a call, ``reply``
+    fires with the response."""
 
-    def arrive(_ev) -> None:
-        svc = net.land_leg(caller, dst, service)
+    __slots__ = ("net", "caller", "crash_count", "dst", "service", "method",
+                 "args", "credential", "reply")
+
+    def __init__(self, src: "Host", dst: str, service: str, method: str,
+                 credential: Any, args: dict, reply: Optional[_Reply]):
+        self.net = src.sim.network
+        self.caller = src.name
+        self.crash_count = src.crash_count
+        self.dst = dst
+        self.service = service
+        self.method = method
+        # What crosses the wire is fixed now, whatever the caller does next.
+        self.args = fast_deepcopy(args) if args else args
+        self.credential = credential if credential is None \
+            else fast_deepcopy(credential)
+        self.reply = reply
+        if reply is None:
+            self.net.send_leg(src, dst, service, self.arrive)
+        else:
+            self.net.send_leg(src, dst, service, self.arrive, None,
+                              reply.deadline, reply.expire)
+
+    def arrive(self, _arg: None) -> None:
+        reply = self.reply
+        svc = self.net.land_leg(self.caller, self.dst, self.service)
         if svc is None:
             if reply is not None:
                 reply.expire()
             return
+        caller, cred, method = self.caller, self.credential, self.method
         value, error = None, None
         try:
             if svc.authorizer is not None:
-                ctx = CallContext(caller, req_cred, svc.authorizer.authorize(
-                    req_cred, svc.sim.now))
-            elif req_cred is not None:
-                ctx = CallContext(caller, req_cred)
+                ctx = CallContext(caller, cred, svc.authorizer.authorize(
+                    cred, svc.sim.now))
+            elif cred is not None:
+                ctx = CallContext(caller, cred)
             else:
                 ctx = _CTX_CACHE.get(caller)
                 if ctx is None:
@@ -187,7 +209,7 @@ def _request(src: "Host", dst: str, service: str, method: str,
             if handler is None:
                 raise ServiceUnavailable(
                     f"service {svc.name} has no method {method!r}")
-            value = handler(ctx, **req_args)
+            value = handler(ctx, **self.args)
         except SimulationError:
             raise   # an inconsistency in the simulation is nobody's reply
         except Exception as exc:  # noqa: BLE001 - marshalled to the caller
@@ -197,31 +219,29 @@ def _request(src: "Host", dst: str, service: str, method: str,
             # will finish is unknown, so the caller's timer starts now.
             if reply is not None:
                 reply.expire()
-            svc.host.spawn(_finish(value, svc, respond),
+            svc.host.spawn(_finish(value, svc, self.respond),
                            name=f"{svc.name}.{method}@{svc.host.name}")
         else:
-            respond(svc, value, error)
+            self.respond(svc, value, error)
 
-    def respond(svc: "Service", value: Any, error: Optional[dict]) -> None:
+    def respond(self, svc: "Service", value: Any,
+                error: Optional[dict]) -> None:
+        reply = self.reply
         if reply is None:       # a notify: nobody waits for the outcome
             return
         if type(value) not in _ATOMS:
             value = fast_deepcopy(value)
         response = {"ok": error is None, "value": value, "error": error}
+        self.net.send_leg(svc.host, self.caller, _REPLY_LEG,
+                          self.reply_arrive, response, reply.deadline,
+                          reply.expire)
 
-        def reply_arrive(_ev) -> None:
-            if net.land_leg(dst, caller, crash_count=crash_count) is None:
-                reply.expire()
-            else:
-                reply.fire(response)
-
-        net.send_leg(svc.host, caller, _REPLY_LEG, reply_arrive,
-                     reply.deadline, reply.expire)
-
-    if reply is None:
-        net.send_leg(src, dst, service, arrive)
-    else:
-        net.send_leg(src, dst, service, arrive, reply.deadline, reply.expire)
+    def reply_arrive(self, response: dict) -> None:
+        if self.net.land_leg(self.dst, self.caller,
+                             crash_count=self.crash_count) is None:
+            self.reply.expire()
+        else:
+            self.reply.fire(response)
 
 
 def _tally(src: "Host", service: str, method: str) -> None:
@@ -251,9 +271,11 @@ def call(
     _tally(src, service, method)
     if not src.up:
         raise HostDown(f"host {src.name} is down")
+    if timeout < 0:
+        raise ValueError(f"negative timeout {timeout!r}")
     sim = src.sim
     reply = _Reply(sim, sim.now + timeout)
-    _request(src, dst, service, method, credential, args, reply)
+    _Request(src, dst, service, method, credential, args, reply)
     value = yield reply
     if value is None:
         raise RPCTimeout(f"{service}.{method} on {dst} (after {timeout}s)")
@@ -279,7 +301,7 @@ def notify(
     From a downed host it is sent and dropped, silently.
     """
     _tally(src, service, method)
-    _request(src, dst, service, method, credential, args)
+    _Request(src, dst, service, method, credential, args, None)
 
 
 class Service:

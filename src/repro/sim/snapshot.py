@@ -52,7 +52,7 @@ from typing import Any, Callable, Optional, TYPE_CHECKING
 from .errors import SimulationError
 from .failures import FailureInjector
 from .hosts import Host, StableStorage
-from .kernel import Event, Process, Simulator, Timeout, _UNSET
+from .kernel import Entry, Event, Process, Simulator, Timeout, _UNSET
 from .network import Network
 from .rng import RngRegistry
 from .stats import MetricsRegistry
@@ -61,7 +61,7 @@ from .trace import Trace
 if TYPE_CHECKING:  # pragma: no cover
     from ..grid.testbed import GridTestbed
 
-SNAPSHOT_VERSION = 6
+SNAPSHOT_VERSION = 7
 
 #: structures deeper than this are fingerprinted as a type tag; the cap
 #: is generous (daemon state sits well above it) and deterministic, so
@@ -138,6 +138,8 @@ def _canon(obj: Any, memo: dict[int, bool], depth: int = 0) -> Any:
     if isinstance(obj, Event):
         state = "triggered" if obj.triggered else "pending"
         return f"<{type(obj).__name__} {obj.name} {state}>"
+    if isinstance(obj, Entry):
+        return f"<Entry {_entry_name(obj)} {obj._cancelled}>"
     if isinstance(obj, itertools.count):
         return repr(obj)           # "count(42)": deterministic
     if isinstance(obj, BaseException):
@@ -187,8 +189,24 @@ def _canon(obj: Any, memo: dict[int, bool], depth: int = 0) -> Any:
 
 # -- fingerprint sections -----------------------------------------------------
 
-def _event_value_tag(ev: Event) -> Any:
-    value = ev._pending_value if isinstance(ev, Timeout) else ev._value
+def _entry_name(entry: Entry) -> str:
+    """The callback a bare entry runs, and the process it resumes."""
+    fn, owner = entry.fn, getattr(entry.fn, "__self__", None)
+    name = getattr(fn, "__qualname__", type(fn).__name__)
+    return f"{name}:{owner.name}" if isinstance(owner, Process) else name
+
+
+def _heap_row(t: float, seq: int, item: Any) -> list:
+    if isinstance(item, Entry):
+        return [repr(t), seq, "Entry", _entry_name(item),
+                _value_tag(item.arg)]
+    value = item._pending_value if isinstance(item, Timeout) else item._value
+    return [repr(t), seq, type(item).__name__, item.name, _value_tag(value)]
+
+
+def _value_tag(value: Any) -> Any:
+    if isinstance(value, Event):     # a process resumed with its target
+        return f"<{type(value).__name__} {value.name}>"
     if value is _UNSET or value is None:
         return None
     if isinstance(value, (bool, int, str)):
@@ -207,10 +225,8 @@ def kernel_fingerprint(sim: Simulator) -> dict:
     automatic compaction last ran.
     """
     sim.compact_heap()
-    heap = [[repr(t), seq, type(ev).__name__, ev.name,
-             _event_value_tag(ev)]
-            for t, seq, ev in sorted(sim._heap,
-                                     key=lambda entry: entry[:2])]
+    heap = [_heap_row(*row)
+            for row in sorted(sim._heap, key=lambda row: row[:2])]
     return {
         "now": repr(sim.now),
         "seq": sim._seq,

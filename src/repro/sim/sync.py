@@ -1,19 +1,14 @@
-"""Synchronization primitives for simulation processes.
+"""Synchronization for simulation processes: :class:`Semaphore`, a
+counted resource with FIFO waiters in the style of SimPy's resources.
 
-Small, deterministic building blocks in the style of SimPy's resources:
-
-* :class:`Semaphore` -- counted resource with FIFO waiters;
-* :class:`Lock` -- a semaphore of one;
-* :class:`Store` -- an unbounded FIFO of items with blocking get.
-
-All waits are events, so they compose with ``any_of``/timeouts like
+Its waits are events, so they compose with ``any_of``/timeouts like
 everything else in the kernel.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 from .errors import SimulationError
 
@@ -73,40 +68,3 @@ class Semaphore:
             self._waiters.popleft()
             self._available -= n
             ev.succeed(n)
-
-
-class Lock(Semaphore):
-    """A mutex."""
-
-    def __init__(self, sim: "Simulator", name: str = ""):
-        super().__init__(sim, capacity=1, name=name or "lock")
-
-
-class Store:
-    """Unbounded FIFO of items; `get` blocks until something arrives."""
-
-    def __init__(self, sim: "Simulator", name: str = ""):
-        self.sim = sim
-        self.name = name or "store"
-        self._items: deque[Any] = deque()
-        self._getters: deque["Event"] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        while self._getters:
-            ev = self._getters.popleft()
-            if ev.triggered or ev._cancelled:
-                continue
-            ev.succeed(item)
-            return
-        self._items.append(item)
-
-    def get(self) -> "Event":
-        ev = self.sim.event(name=f"{self.name}.get")
-        if self._items:
-            ev.succeed(self._items.popleft())
-        else:
-            self._getters.append(ev)
-        return ev

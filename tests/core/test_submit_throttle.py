@@ -53,7 +53,7 @@ class Watcher:
         self.tb, self.client_cap, self.slack = tb, client_cap, slack
         self.violations = []
         self.peak = {}      # (user, contact) -> most PENDING/ACTIVE seen
-        self.process = tb.sim.spawn(self._run(), daemon=True)
+        self.process = tb.sim.spawn(self._run())
 
     def _run(self):
         while True:

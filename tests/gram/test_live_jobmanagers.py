@@ -100,7 +100,7 @@ def drive(ops, seed, setup, check):
         yield grid.sim.timeout(600.0)   # everything left runs out
         check(grid, "end")
 
-    watcher = grid.sim.spawn(every_second(), daemon=True)
+    watcher = grid.sim.spawn(every_second())
     grid.sim.spawn(driver())
     grid.sim.run(until=25 * 200.0 + 700.0)
     watcher.kill(cause="test over")

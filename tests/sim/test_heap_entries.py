@@ -1,0 +1,159 @@
+"""What sits in the kernel heap, and what one RPC allocates.
+
+A network leg, a process boot and the resume of a process that yielded
+an already-fired event are bare :class:`~repro.sim.kernel.Entry` items:
+one call and no :class:`~repro.sim.kernel.Event`.  A plain ``call`` builds
+one event (the reply its caller waits on) and one request record whose
+bound methods are both legs' callbacks -- no closure per call.  Every push
+goes through the kernel, so ``Simulator._seq`` numbers every heap row.
+"""
+
+import ast
+from pathlib import Path
+
+import repro
+from repro.sim import Event, Host, Network, Service, Simulator, Timeout, call
+from repro.sim.kernel import Entry
+
+SRC = Path(repro.__file__).parent
+
+
+class Echo(Service):
+    service_name = "svc"
+
+    def handle_ping(self, ctx, text):
+        return text.upper()
+
+
+def _count_events(monkeypatch):
+    """Every Event built from now on, once each, by class name."""
+    made = []
+    for cls in (Event, Timeout):
+        real = cls.__init__
+
+        def init(self, *args, _real=real, **kw):
+            if not made or made[-1] is not self:
+                made.append(self)
+            _real(self, *args, **kw)
+
+        monkeypatch.setattr(cls, "__init__", init)
+    return lambda: [type(ev).__name__ for ev in made]
+
+
+def _items(sim):
+    return [item for _t, _seq, item in sorted(sim._heap, key=lambda r: r[:2])
+            if not item._cancelled]
+
+
+def test_a_plain_call_builds_one_event_and_pushes_two_entries(monkeypatch):
+    sim = Simulator(seed=1)
+    Network(sim, latency=0.1, jitter=0.0)
+    client, server = Host(sim, "client"), Host(sim, "server")
+    Echo(server)
+    seen = {}
+
+    def caller():
+        yield sim.timeout(1.0)
+        seen["seq"] = sim._seq
+        made = _count_events(monkeypatch)
+        seen["value"] = yield from call(client, "server", "svc", "ping",
+                                        text="x")
+        seen["made"] = made()
+        seen["pushed"] = sim._seq - seen["seq"]
+
+    client.spawn(caller())
+    sim.run(until=1.05)
+    [leg] = _items(sim)                     # the request, in flight
+    assert type(leg) is Entry
+    assert type(leg.fn.__self__).__name__ == "_Request"
+    assert leg.fn.__func__.__closure__ is None
+    request = leg.fn.__self__
+    sim.run(until=1.15)
+    [leg] = _items(sim)                     # the reply, in flight
+    assert type(leg) is Entry and leg.fn.__self__ is request
+    assert leg.arg == {"ok": True, "value": "X", "error": None}
+    sim.run()
+    assert seen["value"] == "X"
+    assert seen["made"] == ["_Reply"]
+    assert seen["pushed"] == 2
+
+
+def test_spawn_pushes_one_entry_and_no_event(monkeypatch):
+    sim = Simulator()
+
+    def idle():
+        yield sim.timeout(1.0)
+
+    made = _count_events(monkeypatch)
+    proc = sim.spawn(idle(), name="idle")
+    assert made() == ["Process"]            # the process itself, only
+    assert sim._seq == 1
+    [boot] = _items(sim)
+    assert type(boot) is Entry and boot.fn == proc._resume
+
+
+def test_yielding_a_fired_event_pushes_one_entry_and_no_event(monkeypatch):
+    sim = Simulator()
+    done = sim.event().succeed("done")
+    got = []
+
+    def waiter():
+        got.append((yield done))
+
+    sim.spawn(waiter())
+    sim.step()                              # done fires, nobody waits
+    made = _count_events(monkeypatch)
+    seq = sim._seq
+    sim.step()                              # the boot: yields `done`
+    assert made() == [] and sim._seq == seq + 1
+    [resume] = _items(sim)
+    assert type(resume) is Entry and resume.arg is done
+    sim.run()
+    assert got == ["done"]
+
+
+def _pushes_outside_the_kernel(tree):
+    """Heap writes and ``_seq`` writes on something other than ``self``."""
+    parent = {}
+    for node in ast.walk(tree):
+        for child in ast.iter_child_nodes(node):
+            parent[child] = node
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        up = parent.get(node)
+        if node.attr == "_heap":
+            if not isinstance(node.ctx, ast.Load) \
+                    or isinstance(up, ast.Attribute) \
+                    or (isinstance(up, ast.Subscript)
+                        and not isinstance(up.ctx, ast.Load)) \
+                    or (isinstance(up, ast.Call) and node in up.args
+                        and ast.unparse(up.func).rsplit(".", 1)[-1]
+                        .startswith("heap")):
+                yield node.lineno, ast.unparse(up or node)
+        elif node.attr == "_seq" and not isinstance(node.ctx, ast.Load) \
+                and ast.unparse(node.value) != "self":
+            yield node.lineno, ast.unparse(up or node)
+
+
+def test_only_the_kernel_pushes_onto_the_heap():
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        if rel == "sim/kernel.py":
+            continue
+        tree = ast.parse(path.read_text())
+        found += [f"{rel}:{line}: {text}"
+                  for line, text in _pushes_outside_the_kernel(tree)]
+    assert found == []
+
+
+def test_the_gate_sees_a_push():
+    tree = ast.parse("import heapq\n"
+                     "heapq.heappush(sim._heap, (0.0, 1, ev))\n"
+                     "sim._heap.append(row)\n"
+                     "sim._heap[0] = row\n"
+                     "sim._seq += 1\n"
+                     "rows = sorted(sim._heap)\n")
+    assert sorted(line for line, _ in _pushes_outside_the_kernel(tree)) \
+        == [2, 3, 4, 5]

@@ -182,6 +182,44 @@ def test_interrupt_is_catchable_and_process_continues():
     assert log == [("interrupted", 2.0, "hurry"), ("done", 3.0)]
 
 
+def test_interrupt_right_after_spawn_reaches_the_new_target_only():
+    """The boot runs before the interrupt lands and binds a new target;
+    delivery unhooks that one, so the 10 s timer resumes nobody."""
+    sim = Simulator()
+    got = []
+
+    def victim():
+        try:
+            got.append((yield sim.timeout(10.0, "t10")))
+        except Interrupt:
+            got.append(((yield sim.timeout(50.0, "t50")), sim.now))
+
+    proc = sim.spawn(victim())
+    proc.interrupt()
+    sim.run()
+    assert got == [("t50", 50.0)]
+
+
+def test_interrupt_cancels_a_pending_resume():
+    """The process waits on an event that has already fired, so its
+    resume is on the heap when the interrupt lands: delivery cancels it
+    and the stale value is never sent."""
+    sim = Simulator()
+    done = sim.event().succeed("done")
+    got = []
+
+    def victim():
+        try:
+            got.append((yield done))
+        except Interrupt:
+            got.append(((yield sim.timeout(50.0, "t50")), sim.now))
+
+    proc = sim.spawn(victim())
+    proc.interrupt()
+    sim.run()
+    assert got == [("t50", 50.0)]
+
+
 def test_kill_raises_processkilled_in_joiner():
     sim = Simulator()
     caught = []

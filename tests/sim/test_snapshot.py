@@ -12,7 +12,7 @@ import pytest
 
 from repro.chaos.digest import run_digest
 from repro.grid.scenarios import get_scenario
-from repro.sim import Simulator
+from repro.sim import Simulator, notify
 from repro.sim.rng import RngRegistry
 from repro.sim.snapshot import (
     SNAPSHOT_VERSION,
@@ -217,17 +217,19 @@ class TestCaptureVerify:
         good = capture(_testbed(), scenario="three-site").to_dict()
         pre_bump = {**good, "version": SNAPSHOT_VERSION - 1,
                     "perf_flags": {"rpc_inline": True}}
-        # Versions 2 to 5 have this version's key set but fingerprint
+        # Versions 2 to 6 have this version's key set but fingerprint
         # another heap or host table (an in-flight inline RPC; the
         # GridManager's `gm-poll` process; `kernel.rpc_tokens` and the
         # per-host `_rpc` service; boot actions, testbed roots and the
-        # submit machine's disk before `Host.boot`): refused, not
+        # submit machine's disk before `Host.boot`; legs, boots and
+        # resumes as `Timeout`/`boot:`/`relay:` events): refused, not
         # mis-verified.
-        assert SNAPSHOT_VERSION == 6
+        assert SNAPSHOT_VERSION == 7
         v2 = {**good, "version": 2}
         v3 = {**good, "version": 3}
         v4 = {**good, "version": 4}
         v5 = {**good, "version": 5}
+        v6 = {**good, "version": 6}
         truncated = {k: v for k, v in good.items() if k != "fingerprint"}
         unknown = {**good, "perf_flags": {}}
         for doc, needle in ((pre_bump, "version"),
@@ -235,6 +237,7 @@ class TestCaptureVerify:
                             (v3, "version"),
                             (v4, "version"),
                             (v5, "version"),
+                            (v6, "version"),
                             (truncated, "fingerprint"),
                             (unknown, "perf_flags"),
                             ([good], "JSON object")):
@@ -294,6 +297,40 @@ class TestForkPoint:
         assert sim.now == 0.0 and fired == []
         assert point.eval(future) == (10.0, 1)
         assert point.evaluations == 2
+
+    def test_entries_in_flight_fingerprint_stably_across_a_fork(self):
+        """A boot, a resume of a process that yielded a fired event and a
+        network leg are bare heap entries: the kernel fingerprint and the
+        state digest taken while they are in flight name them, are
+        stable, and a forked child reproduces both -- at the fork
+        instant and after running on."""
+        tb = _testbed()
+        sim = tb.sim
+        done = sim.event().succeed("done")
+
+        def waiter():
+            yield done
+            yield sim.timeout(5.0)
+
+        sim.spawn(waiter(), name="waiter")
+        sim.step()                      # `done` fires, nobody waits on it
+        sim.step()                      # the boot: yields `done`
+        sim.spawn(waiter(), name="late")
+        src = next(h for _n, h in sorted(sim.hosts.items()) if h.up)
+        notify(src, "nowhere", "svc", "ping")
+        entries = {row[3] for row in kernel_fingerprint(sim)["heap"]
+                   if row[2] == "Entry"}
+        assert {"Process._resume:waiter", "Process._resume:late",
+                "_Request.arrive"} <= entries
+        fp, digest = kernel_fingerprint(sim), state_digest(tb)
+        assert (kernel_fingerprint(sim), state_digest(tb)) == (fp, digest)
+        point = ForkPoint()
+        assert point.eval(lambda: (kernel_fingerprint(sim),
+                                   state_digest(tb))) == (fp, digest)
+        ahead = point.eval(lambda: (tb.run(until=600.0), state_digest(tb)))
+        tb.run(until=600.0)
+        assert ahead[1] == state_digest(tb)
+        assert (kernel_fingerprint(sim), state_digest(tb)) != (fp, digest)
 
     def test_child_exception_surfaces_as_snapshot_error(self):
         point = ForkPoint()

@@ -1,9 +1,9 @@
-"""Tests for Semaphore / Lock / Store primitives."""
+"""Tests for the Semaphore primitive."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import Lock, Semaphore, SimulationError, Simulator, Store
+from repro.sim import Semaphore, SimulationError, Simulator
 
 
 def test_semaphore_grants_up_to_capacity():
@@ -73,62 +73,6 @@ def test_semaphore_over_release_rejected():
     sem = Semaphore(sim, capacity=1)
     with pytest.raises(SimulationError):
         sem.release()
-
-
-def test_lock_is_mutually_exclusive():
-    sim = Simulator()
-    lock = Lock(sim)
-    inside = {"n": 0, "max": 0}
-
-    def critical(_i):
-        yield lock.acquire()
-        inside["n"] += 1
-        inside["max"] = max(inside["max"], inside["n"])
-        yield sim.timeout(1.0)
-        inside["n"] -= 1
-        lock.release()
-
-    for i in range(5):
-        sim.spawn(critical(i))
-    sim.run()
-    assert inside["max"] == 1
-
-
-def test_store_fifo():
-    sim = Simulator()
-    store = Store(sim)
-    got = []
-
-    def consumer():
-        for _ in range(3):
-            item = yield store.get()
-            got.append((item, sim.now))
-
-    def producer():
-        for i in range(3):
-            yield sim.timeout(2.0)
-            store.put(i)
-
-    sim.spawn(consumer())
-    sim.spawn(producer())
-    sim.run()
-    assert [i for i, _ in got] == [0, 1, 2]
-    assert got[0][1] == 2.0
-
-
-def test_store_buffered_items_served_immediately():
-    sim = Simulator()
-    store = Store(sim)
-    store.put("x")
-    got = []
-
-    def consumer():
-        item = yield store.get()
-        got.append((item, sim.now))
-
-    sim.spawn(consumer())
-    sim.run()
-    assert got == [("x", 0.0)]
 
 
 @given(st.lists(st.tuples(st.integers(1, 4),
