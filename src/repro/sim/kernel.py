@@ -9,10 +9,9 @@ protocol simulation:
   (or other processes) and is resumed with the event's value when it fires.
   A process is itself an event that fires when the generator returns.
 * :class:`Simulator` -- the event loop: a binary heap of ``(time, seq,
-  item)`` rows.  ``seq`` makes ordering total and the whole simulation
-  deterministic.  An item is an :class:`Event` whose callbacks run, or a
-  bare :class:`Entry` -- one call ``fn(arg)`` -- for what nobody waits on:
-  network legs, process boots and resumes, ``Simulator.schedule``.
+  item)`` rows, an item being an :class:`Event` or a bare :class:`Entry`
+  (one call, for network legs, process boots and resumes).  ``seq`` makes
+  ordering total and the whole simulation deterministic.
 
 Design notes
 ------------
@@ -146,8 +145,8 @@ class Event:
 
 class Entry:
     """A bare heap item: one call, ``fn(arg)``, with no value, callbacks
-    or name.  ``cancel()`` leaves a tombstone as :meth:`Event.cancel` does.
-    """
+    or name.  ``cancel()``, before it runs, leaves a tombstone as
+    :meth:`Event.cancel` does."""
 
     __slots__ = ("sim", "fn", "arg", "_cancelled")
 
@@ -308,7 +307,7 @@ class Process(Event):
         super().__init__(sim, name=name or getattr(gen, "__name__", "proc"))
         self.gen = gen
         self.host = host
-        self._target: Optional[Event] = None
+        self._target: Optional[Event | Entry] = None
         self._alive = True
         self._had_waiter = False
         if host is not None:

@@ -130,6 +130,7 @@ class _Reply(Event):
             self._value = value
             if self.timer is not None:
                 self.timer.cancel()
+                self.timer = None       # no cycle through its callback
             self._run_callbacks()
 
     def expire(self) -> None:
