@@ -76,7 +76,7 @@ def _smoke_flash(seed):
 
 #: name -> (builder, sim-time cap, provision-ratio bound or None).
 #: Flash cells must hold the issue's 1.5x over-provisioning guard; the
-#: diurnal cell gets headroom for the deliberate wait_boost (1.5x) on
+#: diurnal cell gets headroom for the deliberate WAIT_BOOST (1.5x) on
 #: top of a moving target, and the overload cell has no factory at all.
 CELLS = {
     "flash": (_flash, 20_000.0, 1.5),

@@ -25,6 +25,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional, TYPE_CHECKING
 
+from ..factory.daemon import GlideInFactory
+
 if TYPE_CHECKING:  # pragma: no cover
     from ..grid.scenarios import Scenario
     from ..grid.testbed import GridTestbed
@@ -240,10 +242,11 @@ def _apply_factory_kill(tb: "GridTestbed", ev: PlannedFault) -> None:
 
     def restart() -> None:
         agent = tb.agents[user]
-        if agent.factory is not None and \
-                agent.host.get_service(agent.factory.name) is None:
-            fresh = agent.factory.restarted()
-            tb.factories[user] = fresh
+        dead = agent.factory
+        if dead is not None and agent.host.get_service(dead.name) is None:
+            # what the testbed's boot action builds, over the same sites
+            agent.factory = GlideInFactory(agent, dead.sites)
+            tb.sim.trace.log(dead.name, "restarted")
 
     tb.failures.custom_at(ev.time + (ev.duration or 120.0),
                           "factory_restart", user, restart)

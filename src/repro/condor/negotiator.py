@@ -146,7 +146,7 @@ class Negotiator(Service):
         self.usage_half_life_cycles = 20.0
         # memo introspection for tests (not in metrics/trace)
         self.memo_hits = 0
-        host.spawn(self._cycle_loop(), name="negotiator")
+        self.spawn(self._cycle_loop(), name="negotiator")
 
     def _trace(self, event: str, **details) -> None:
         self.sim.trace.log("negotiator", event, **details)

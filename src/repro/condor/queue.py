@@ -197,8 +197,7 @@ class JobQueue:
                                reason=job.failure_reason)
             if state == JobState.FAILED:
                 self.notifier.email(
-                    self.sim.now, f"{self.owner}@example.edu",
-                    subject=f"job failed: {job.job_id}",
+                    self.sim.now, subject=f"job failed: {job.job_id}",
                     body=job.failure_reason)
 
     def persist(self, job: QueueRecord, frozen: bool = False) -> None:

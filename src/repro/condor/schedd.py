@@ -89,7 +89,7 @@ class Schedd(Service):
         self.shadows: dict[str, Shadow] = {}
         self.vacate_hooks: list[Callable[[CondorJob], None]] = []
         if collector is not None:
-            host.spawn(self._advertise_loop(), name="schedd-advertise")
+            self.spawn(self._advertise_loop(), name="schedd-advertise")
 
     def _trace(self, event: str, **details) -> None:
         self.sim.trace.log(self._component, event, **details)
@@ -177,7 +177,7 @@ class Schedd(Service):
             return False
         if job.state == RUNNING:
             # condor_rm: the slot stops computing for a job nobody wants
-            self.host.spawn(self._send_vacate(job), name="rm:" + job_id)
+            self.spawn(self._send_vacate(job), name="rm:" + job_id)
         self.queue.transition(job, REMOVED, "removed")
         return True
 
@@ -205,8 +205,7 @@ class Schedd(Service):
             return False
         self._trace("vacate_requested", job=job_id,
                     startd=job.matched_to)
-        self.host.spawn(self._send_vacate(job),
-                        name=f"vacate:{job_id}")
+        self.spawn(self._send_vacate(job), name=f"vacate:{job_id}")
         return True
 
     def _send_vacate(self, job: CondorJob):
@@ -314,14 +313,13 @@ class Schedd(Service):
             activated = False
         if not activated:
             shadow.finished = True
-            shadow._teardown()
+            shadow.crash("shadow done")
             self.shadows.pop(job.job_id, None)
             return False
         if job.state != MATCHED:
             # vacated or removed meanwhile: a removed job's slot must stop
             if job.state == REMOVED:
-                self.host.spawn(self._send_vacate(job),
-                                name="rm:" + job.job_id)
+                self.spawn(self._send_vacate(job), name="rm:" + job.job_id)
             return True
         if job.start_time is None:
             job.start_time = self.sim.now
@@ -380,8 +378,8 @@ class Schedd(Service):
             job.remote_syscalls += shadow.syscall_count
         self.queue.transition(job, COMPLETED, "terminate", exit_code=code)
         if self.claim_reuse and job.matched_to in self._claim_ads:
-            self.host.spawn(self._reuse_claim(job.matched_to),
-                            name=f"claim-reuse:{job.matched_to}")
+            self.spawn(self._reuse_claim(job.matched_to),
+                       name=f"claim-reuse:{job.matched_to}")
 
     def _job_vacated(self, job_id: str, checkpoint: float) -> None:
         job = self.queue.jobs.get(job_id)

@@ -40,8 +40,7 @@ class Shadow(Service):
         self.syscall_count = 0
         self.bytes_moved = 0
         self.finished = False
-        self._lease_proc = host.spawn(self._lease_watch(),
-                                      name=f"shadow:{job_id}")
+        self.spawn(self._lease_watch(), name=f"shadow:{job_id}")
 
     # -- handlers -----------------------------------------------------------
     WAN_BANDWIDTH = 1_000_000.0      # bytes/s for checkpoint shipping
@@ -91,7 +90,7 @@ class Shadow(Service):
         if self.finished:
             return True
         self.finished = True
-        self._teardown()
+        self.crash("shadow done")
         self.on_exit(self.job_id, code)
         return True
 
@@ -109,10 +108,5 @@ class Shadow(Service):
 
     def _finish_vacated(self) -> None:
         self.finished = True
-        self._teardown()
+        self.crash("shadow done")
         self.on_vacated(self.job_id, self.last_checkpoint)
-
-    def _teardown(self) -> None:
-        self.shutdown()
-        if self._lease_proc is not None and self._lease_proc.alive:
-            self._lease_proc.kill(cause="shadow done")

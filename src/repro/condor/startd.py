@@ -16,7 +16,7 @@ which point the Shadow's lease timeout notices the silence.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from ..classads import ClassAd
 from ..sim.errors import Interrupt, RPCError
@@ -118,20 +118,10 @@ class Startd(Service):
         # bumped by every move, so a starter that no longer owns the slot
         # never moves it
         self._claim_epoch = 0
-        self._procs = []
-        self._spawn(self._advertise_loop(), name=f"startd:{name}")
+        self.spawn(self._advertise_loop(), name=f"startd:{name}")
 
     def _trace(self, event: str, **details) -> None:
         self.sim.trace.log(self.name, event, **details)
-
-    def _spawn(self, gen, name: str):
-        """Start a process that dies with the startd (:meth:`kill`),
-        dropping the finished ones: a startd holds only live processes,
-        however many jobs it has run."""
-        proc = self.host.spawn(gen, name=name)
-        self._procs = [p for p in self._procs if p.alive]
-        self._procs.append(proc)
-        return proc
 
     def _move(self, state: str) -> None:
         """The one writer (``STARTD_EDGES``).  Leaving Busy drops the
@@ -151,19 +141,15 @@ class Startd(Service):
         elif state == CLAIMED:
             self._claimed_at = self.sim.now
 
-    def kill(self, cause: str) -> None:
-        """Die at once with the allocation, like ``JobManager.crash``:
-        the job dies too, and its Shadow's lease notices the silence."""
+    def crash(self, cause: str = "crash") -> None:
+        """Die at once (with the allocation, say): the job dies too, and
+        its Shadow's lease notices the silence."""
         if self.state == BUSY:
             if self.current_job_id:
                 self._trace("job_vacated", job=self.current_job_id,
                             progress=0.0)
             self._move(UNCLAIMED)
-        if self.host.get_service(self.name) is self:
-            self.shutdown()
-        for proc in self._procs:
-            if proc.alive:
-                proc.kill(cause=cause)
+        super().crash(cause)
 
     # -- advertising ------------------------------------------------------------
     def _current_ad(self) -> ClassAd:
@@ -215,8 +201,8 @@ class Startd(Service):
         slots refuse -- the factory only reaps idle capacity."""
         if not self.glidein or self.state != UNCLAIMED:
             return False
-        self._spawn(self._graceful_shutdown("factory retire"),
-                    name=f"retire:{self.startd_name}")
+        self.spawn(self._graceful_shutdown("factory retire"),
+                   name=f"retire:{self.startd_name}")
         return True
 
     # -- claim protocol -----------------------------------------------------------
@@ -250,7 +236,7 @@ class Startd(Service):
         desc = dict(self.claimed_by)
         desc.update(jobdesc)
         self.current_job_id = desc.get("job_id", "")
-        self._starter = self._spawn(
+        self._starter = self.spawn(
             self._run_starter(desc, self._claim_epoch),
             name=f"starter:{self.startd_name}")
         return True
@@ -301,11 +287,11 @@ class Startd(Service):
                 shadow, progress if standard else 0.0,
                 interval=self.CHECKPOINT_INTERVAL)
             if program is not None:
-                # children die with the startd (hard kill of _procs)
-                body = self._spawn(program(WorkerContext(self, desc)),
-                                   name=f"app:{desc['job_id']}")
-                beat = self._spawn(self._heartbeat_loop(shadow),
-                                   name=f"heartbeat:{desc['job_id']}")
+                # children die with the startd (its crash)
+                body = self.spawn(program(WorkerContext(self, desc)),
+                                  name=f"app:{desc['job_id']}")
+                beat = self.spawn(self._heartbeat_loop(shadow),
+                                  name=f"heartbeat:{desc['job_id']}")
                 code = yield body
                 beat.kill(cause="job finished")
                 progress = runtime

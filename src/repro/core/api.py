@@ -100,7 +100,7 @@ class CondorGAgent:
         mailbox: list = []      # the user's mail is kept elsewhere
 
         def start(host: Host) -> None:
-            self.notifier = Notifier(mailbox)
+            self.notifier = Notifier(user, mailbox)
             self.queue = JobQueue(
                 host, user, (GridJob, CondorJob),
                 userlog=UserLog(host.stable.namespace(

@@ -32,7 +32,6 @@ class CredentialMonitor:
         gridmanager: "GridManager",
         host: Host,
         user: str,
-        email: str = "",
         warn_threshold: float = 3600.0,
         myproxy: Optional[dict] = None,    # {host, username, passphrase,
                                            #  lifetime}
@@ -45,7 +44,6 @@ class CredentialMonitor:
         # monitor built after a reboot reads whichever proxy was current.
         self._file = host.stable.namespace(f"{PROXY_NS}:{user}")
         self._proxy: ProxyCredential = self._file.get("proxy")
-        self.email = email or f"{user}@example.edu"
         self.warn_threshold = warn_threshold
         self.myproxy = myproxy
         self._warned = False
@@ -95,8 +93,7 @@ class CredentialMonitor:
             elif remaining < self.warn_threshold and not self._warned:
                 self._warned = True
                 self.gridmanager.queue.notifier.email(
-                    self.sim.now, self.email,
-                    subject="credential expiry warning",
+                    self.sim.now, subject="credential expiry warning",
                     body=f"proxy expires in {remaining:.0f}s; refresh soon")
                 self.sim.trace.log("credmon", "warn", user=self.user,
                                    remaining=remaining)
@@ -106,8 +103,7 @@ class CredentialMonitor:
             "proxy credential expired")
         if held:
             self.gridmanager.queue.notifier.email(
-                self.sim.now, self.email,
-                subject="jobs held: credential expired",
+                self.sim.now, subject="jobs held: credential expired",
                 body=f"{held} job(s) cannot run again until you refresh "
                      f"your credentials (grid-proxy-init or MyProxy)")
         if self.myproxy is not None:

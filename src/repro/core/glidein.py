@@ -24,13 +24,12 @@ case the Shadow lease machinery reschedules anything they were running.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Optional, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..condor.startd import Startd, machine_ad
 from ..gram.protocol import GramJobRequest
 from ..gridftp.client import gridftp_get
-from ..sim.errors import RPCError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .gridmanager import GridManager
@@ -44,7 +43,6 @@ class GlideInSpec:
     count: int = 1
     walltime: float = 3600.0       # allocation length at the remote site
     idle_timeout: float = 600.0    # self-shutdown after this much idleness
-    cpus_per_glidein: int = 1
     binaries_url: str = ""         # GridFTP URL of the condor executables
     arch: str = "INTEL"
     mips: int = 100
@@ -86,7 +84,6 @@ class GlideInManager:
                 label=f"glidein-{n}",
                 runtime=spec.walltime,       # runs until killed/idle
                 walltime=spec.walltime,
-                cpus=spec.cpus_per_glidein,
                 program=self._bootstrap_program(spec, n),
             )
             job_id = self.gridmanager.submit(request, resource=spec.site)
@@ -163,7 +160,7 @@ class GlideInManager:
             finally:
                 # Synchronous teardown works even under a hard kill
                 # (GeneratorExit): daemons die with the allocation.
-                startd.kill(cause="glidein allocation ended")
+                startd.crash("glidein allocation ended")
                 manager.live_startds.remove(startd)
                 ctx.sim.metrics.gauge("glidein.live").dec()
                 ctx.sim.trace.log("glidein", "startd_down", name=name)

@@ -134,6 +134,7 @@ class GridManager(Service):
         self.user = queue.owner
         self.name = self.callback_service = f"gramcb:{self.user}"
         self.authorizer = None
+        self._procs = []
         self.queue = queue
         self.broker = broker
         # audience -> signing proof; the agent sets it once its
@@ -184,8 +185,7 @@ class GridManager(Service):
         self.host.register_service(self.name, self)
         self.running = True
         self._wake = self.sim.event(name=f"gm-wake:{self.user}")
-        self._procs = [self.host.spawn(self._submit_loop(),
-                                       name=f"gridmanager:{self.user}")]
+        self.spawn(self._submit_loop(), name=f"gridmanager:{self.user}")
         self._trace("start")
         for site in self.sites.values():
             if site.watchable:      # recovered from the queue
@@ -208,8 +208,7 @@ class GridManager(Service):
             self.kick()
 
     def remove(self, job_id: str) -> None:
-        # bound to the submit machine: a crash ends the removal with it
-        self.host.spawn(self.cancel(job_id), name=f"cancel:{job_id}")
+        self.spawn(self.cancel(job_id), name=f"cancel:{job_id}")
 
     def _reindex(self, job: GridJob) -> None:
         jid = job.job_id
@@ -337,8 +336,7 @@ class GridManager(Service):
         job.hold_reason = f"credential problem: {reason}"
         self.queue.transition(job, J.HELD, "held", reason=job.hold_reason)
         self.queue.notifier.email(
-            self.sim.now, f"{self.user}@example.edu",
-            subject="job held: credential problem",
+            self.sim.now, subject="job held: credential problem",
             body=f"{job.job_id}: {reason}")
 
     # -- plumbing -----------------------------------------------------------
@@ -387,10 +385,9 @@ class GridManager(Service):
         if not self.running:
             return
         if site.watcher is None:
-            site.watcher = self.host.spawn(
+            site.watcher = self.spawn(
                 self._watch_site(site),
                 name=f"gm-watch:{self.user}@{site.contact}")
-            self._procs.append(site.watcher)
         wake, site.wake = site.wake, None
         if wake is not None:
             wake.succeed(None)
@@ -780,8 +777,7 @@ class GridManager(Service):
                 self.sim.now - site.launched < self.MONITOR_START_COOLDOWN:
             return
         site.launched = self.sim.now
-        self.host.spawn(self._start_monitor(site),
-                        name=f"gm-monitor:{self.user}")
+        self.spawn(self._start_monitor(site), name=f"gm-monitor:{self.user}")
 
     def _start_monitor(self, site: RemoteSite):
         starts = self.sim.metrics.counter("gridmanager.monitor_starts")
@@ -828,8 +824,8 @@ class GridManager(Service):
                 self.queue.transition(
                     job, J.STAGING_OUT, "stage_out", resource=job.resource,
                     datasets=len(job.request.output_datasets))
-                self.host.spawn(self._stage_out_datasets(job),
-                                name=f"stageout:{job.job_id}")
+                self.spawn(self._stage_out_datasets(job),
+                           name=f"stageout:{job.job_id}")
                 return
             self.queue.transition(job, J.DONE)
         elif state == "FAILED":
@@ -956,13 +952,13 @@ class GridManager(Service):
     def _check_all_done(self) -> bool:
         if self._nonterminal:
             return False
-        self.running = False
         self._trace("exit", jobs=len(self.jobs_for_user()))
-        self.shutdown()
-        for proc in self._procs:
-            if proc.alive:
-                proc.kill(cause="gridmanager exit")
-        # every job is terminal: what the sites' records still hold was
-        # this run's, and volatile like it
-        self.sites.clear()
+        self.crash("gridmanager exit")
         return True
+
+    def crash(self, cause: str = "crash") -> None:
+        """Stop: the next grid work starts us again (:meth:`_start`).
+        What the sites' records hold is volatile, like the run."""
+        self.running = False
+        super().crash(cause)
+        self.sites.clear()

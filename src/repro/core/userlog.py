@@ -60,20 +60,20 @@ class Email:
 
 
 class Notifier:
-    """Simulated e-mail plus synchronous callbacks.
+    """Simulated e-mail to `user` plus synchronous callbacks.
 
     ``inbox`` is the user's mailbox, which is not on the submit machine:
     an agent built again after a reboot hands over the same list, while
     the in-process ``callbacks`` start empty.
     """
 
-    def __init__(self, inbox: Optional[list] = None) -> None:
+    def __init__(self, user: str, inbox: Optional[list] = None) -> None:
+        self.address = f"{user}@example.edu"
         self.inbox: list[Email] = [] if inbox is None else inbox
         self.callbacks: list[Callable[[str, str, dict], None]] = []
 
-    def email(self, time: float, to: str, subject: str,
-              body: str = "") -> None:
-        self.inbox.append(Email(time, to, subject, body))
+    def email(self, time: float, subject: str, body: str = "") -> None:
+        self.inbox.append(Email(time, self.address, subject, body))
 
     def subscribe(self, fn: Callable[[str, str, dict], None]) -> None:
         """fn(job_id, event, details) on every job transition."""

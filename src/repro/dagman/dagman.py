@@ -46,21 +46,19 @@ class DagMan:
     POLL_INTERVAL = 15.0
 
     def __init__(self, agent: CondorGAgent, dag: Dag, name: str = "dag",
-                 maxjobs: Optional[int] = None, rescue: bool = True):
+                 maxjobs: Optional[int] = None):
         dag.validate()
         self.agent = agent
         self.sim = agent.sim
         self.dag = dag
         self.name = name
         self.maxjobs = maxjobs
-        self.rescue = rescue
         self.finished = self.sim.event(name="dag-finished")
         self._outstanding = 0
         self._rescue_ns = agent.host.stable.namespace(
             f"dagman-rescue:{name}")
         self.rescued_nodes = 0
-        if rescue:
-            self._load_rescue()
+        self._load_rescue()
         self.sim.spawn(self._run(), name="dagman")
 
     def _trace(self, event: str, **details) -> None:
@@ -131,11 +129,10 @@ class DagMan:
 
     def _finish(self, success: bool) -> None:
         self._trace("finished", success=success, **self.dag.counts())
-        if self.rescue:
-            if success:
-                self._rescue_ns.delete("rescue")
-            else:
-                self._write_rescue()
+        if success:
+            self._rescue_ns.delete("rescue")
+        else:
+            self._write_rescue()
         if not self.finished.triggered and not self.finished._scheduled:
             self.finished.succeed(success)
 

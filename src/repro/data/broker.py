@@ -36,8 +36,7 @@ class DataAwareBroker(Broker):
     """Pick the site where (queue wait + input staging) ends soonest."""
 
     def __init__(self, host: Host, resources: list[str],
-                 data: DataServices, credential_source=None,
-                 wait_per_queued_cpu: float = WAIT_PER_QUEUED_CPU):
+                 data: DataServices, credential_source=None):
         if not resources:
             raise ValueError("need at least one resource contact")
         self.host = host
@@ -45,7 +44,6 @@ class DataAwareBroker(Broker):
         self.resources = list(resources)
         self.data = data
         self.credential_source = credential_source
-        self.wait_per_queued_cpu = wait_per_queued_cpu
 
     def _dataset_entries(self, job: "GridJob"):
         """One catalog lookup per input dataset (shared across sites)."""
@@ -89,7 +87,7 @@ class DataAwareBroker(Broker):
                 continue
             free = max(info.get("free_slots", 0), 0)
             queued = max(info.get("queued_cpus", 0), 0)
-            wait = 0.0 if free > 0 else queued * self.wait_per_queued_cpu
+            wait = 0.0 if free > 0 else queued * WAIT_PER_QUEUED_CPU
             missing = self.missing_bytes(entries, contact)
             score = (wait + missing / bandwidth, -free)
             if best_score is None or score < best_score:

@@ -42,6 +42,10 @@ if TYPE_CHECKING:  # pragma: no cover
 class GlideInFactory(Service):
     """Service ``factory:<user>`` on the user's submit machine."""
 
+    #: demand multiplier once the oldest idle job waits past the
+    #: policy's ``wait_target``
+    WAIT_BOOST = 1.5
+
     def __init__(self, agent: "CondorGAgent",
                  sites: dict[str, tuple[str, FactoryPolicy]]):
         """`sites` maps site name -> (gatekeeper contact, policy)."""
@@ -60,26 +64,13 @@ class GlideInFactory(Service):
         #: state: lost on factory restart, worst case one extra renewal)
         self._renewed: set[str] = set()
         self.cycles = 0
-        self._procs = [agent.host.spawn(self._run(),
-                                        name=f"factory:{self.user}")]
+        self.spawn(self._run(), name=f"factory:{self.user}")
 
-    # -- lifecycle ----------------------------------------------------------
-    def crash(self) -> None:
+    def crash(self, cause: str = "crash") -> None:
         """Kill the daemon (chaos ``factory_kill``): loop dies, service
         drops off the host.  Provisioned glideins are unaffected."""
         self.sim.trace.log(f"factory:{self.user}", "crashed")
-        for proc in self._procs:
-            if proc.alive:
-                proc.kill(cause="factory crashed")
-        if self.host.get_service(self.name) is self:
-            self.shutdown()
-
-    def restarted(self) -> "GlideInFactory":
-        """Operator restart: a fresh factory over the same wiring."""
-        fresh = GlideInFactory(self.agent, self.sites)
-        fresh.sim.trace.log(f"factory:{self.user}", "restarted")
-        self.agent.factory = fresh
-        return fresh
+        super().crash(cause)
 
     # -- RPC surface --------------------------------------------------------
     def handle_status(self, ctx) -> dict:
@@ -170,8 +161,7 @@ class GlideInFactory(Service):
         effective = demand
         if demand and oldest_wait > min(
                 p.wait_target for _, p in self.sites.values()):
-            effective = math.ceil(demand * max(
-                p.wait_boost for _, p in self.sites.values()))
+            effective = math.ceil(demand * self.WAIT_BOOST)
         covered = sum(
             (idle[name] + max(0, supply[name] - live[name]) + adds[name])
             * self.sites[name][1].jobs_per_glidein
@@ -284,8 +274,7 @@ class GlideInFactory(Service):
         spec = GlideInSpec(
             site=contact, count=count,
             walltime=policy.lease,
-            idle_timeout=policy.idle_timeout,
-            advertise_interval=policy.advertise_interval)
+            idle_timeout=policy.idle_timeout)
         job_ids = self.agent.glideins.glide_in(spec)
         self.sim.metrics.counter("factory.provisioned").inc(
             count, label=site)

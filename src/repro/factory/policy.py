@@ -23,7 +23,8 @@ class FactoryPolicy:
     ``interval`` seconds), at most once per ``scale_up_cooldown``.
     Demand is ``ceil(idle_jobs / jobs_per_glidein)``; when the oldest
     idle job has waited longer than ``wait_target`` (the
-    time-to-first-job signal), demand is multiplied by ``wait_boost``.
+    time-to-first-job signal), demand is multiplied by the factory's
+    ``WAIT_BOOST``.
 
     Shrinking: with no idle jobs queued, glideins idle longer than
     ``idle_grace`` beyond an ``idle_reserve`` floor are retired early
@@ -61,6 +62,3 @@ class FactoryPolicy:
     interval: float = 30.0
     #: time-to-first-job target: older queued work boosts demand
     wait_target: float = 300.0
-    wait_boost: float = 1.5
-    #: advertise cadence handed to each provisioned startd
-    advertise_interval: float = 15.0

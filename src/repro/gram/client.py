@@ -32,17 +32,17 @@ class GramClientError(Exception):
 class Gram2Client:
     """Two-phase-commit GRAM client bound to one host + credential."""
 
+    rpc_timeout = 10.0
+
     def __init__(
         self,
         host: Host,
         credential_source=None,
-        rpc_timeout: float = 10.0,
         max_attempts: int = 8,
     ):
         self.host = host
         self.sim = host.sim
         self.credential_source = credential_source
-        self.rpc_timeout = rpc_timeout
         self.max_attempts = max_attempts
         self._seq = itertools.count(1)
 
@@ -169,13 +169,14 @@ class Gram1Client:
     (at-most-once: may lose).
     """
 
+    rpc_timeout = 10.0
+
     def __init__(self, host: Host, retry: bool, credential_source=None,
-                 rpc_timeout: float = 10.0, max_attempts: int = 8):
+                 max_attempts: int = 8):
         self.host = host
         self.sim = host.sim
         self.retry = retry
         self.credential_source = credential_source
-        self.rpc_timeout = rpc_timeout
         self.max_attempts = max_attempts if retry else 1
 
     def _credential(self, audience: str):

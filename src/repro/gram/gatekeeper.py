@@ -71,6 +71,15 @@ def _callback(value) -> tuple[str, str]:
         f"callback must be a (host, service) pair of str, not {value!r}")
 
 
+def _request(value) -> GramJobRequest:
+    """The job a client asks for, checked at the door like its callback:
+    the JobManager that would run anything else dies at its commit."""
+    if isinstance(value, GramJobRequest):
+        return value
+    raise TypeError(
+        f"request must be a GramJobRequest, not {type(value).__name__}")
+
+
 class Gatekeeper(Service):
     """Service ``gatekeeper`` on a site's interface machine."""
 
@@ -121,8 +130,8 @@ class Gatekeeper(Service):
         self._lrm_depth = 0
         self._next_sample = self.sim.now    # the depth loop's, when due
         if admission is not None and admission.max_queue is not None:
-            self.host.spawn(self._admission_depth_loop(),
-                            name=f"gk-admission:{self.site}")
+            self.spawn(self._admission_depth_loop(),
+                       name=f"gk-admission:{self.site}")
 
     def _trace(self, event: str, **details) -> None:
         self.sim.trace.log(f"gatekeeper:{self.site}", event, **details)
@@ -131,8 +140,7 @@ class Gatekeeper(Service):
     def _admission_depth_loop(self):
         """Sample the LRM's queue depth for the backpressure gate."""
         assert self.admission is not None
-        me = self
-        while self.host.get_service(self.name) is me and self.host.up:
+        while True:
             try:
                 info = yield from call(self.host, self.lrm_contact, "lrm",
                                        "queue_info")
@@ -203,6 +211,7 @@ class Gatekeeper(Service):
         """Phase 1 of two-phase submission; idempotent on (client, seq).
         Either answer states the per-user JobManager limit in force; a
         refusal is not cached, so the same seq is accepted later."""
+        request = _request(request)
         if callback is not None:
             callback = _callback(callback)
         try:
@@ -269,6 +278,7 @@ class Gatekeeper(Service):
     def handle_submit_v1(self, ctx, request: GramJobRequest,
                          callback: Optional[tuple] = None) -> dict:
         """Legacy single-phase submission: NOT idempotent (baseline)."""
+        request = _request(request)
         if callback is not None:
             callback = _callback(callback)
         jmid = f"{self.site}-jm{next(self._ids)}"

@@ -33,7 +33,7 @@ from collections import Counter
 from typing import Optional
 
 from ..gass.client import gass_append, gass_get, gass_received
-from ..sim.errors import RPCError, RPCTimeout
+from ..sim.errors import RPCError
 from ..sim.fastcopy import FrozenDict
 from ..sim.hosts import Host
 from ..sim.kernel import Event
@@ -70,7 +70,7 @@ class LrmSweep(Service):
         self.watching: dict[str, Optional[Event]] = {}
         self.views: dict[str, dict] = {}    # newest view not yet taken
         self.by_id: list[str] = []          # report these regardless
-        host.spawn(self._loop(), name=self.name)
+        self.spawn(self._loop(), name=self.name)
         self.sim.trace.log(self.name, "start", host=host.name)
 
     def watch(self, local_id: str) -> None:
@@ -167,7 +167,6 @@ class JobManager(Service):
         self._settled: Optional[Event] = None   # a cancel awaits the LRM
         self._store = host.stable.namespace(STATE_NS)
         self._requests = host.stable.namespace(REQUEST_NS)
-        self._procs = []
         # our creator's tally of live JobManagers, and whether we are in;
         # its table owner -> {jmid: registered JobManager}, likewise
         self._live_tally = Counter() if live is None else live
@@ -178,8 +177,7 @@ class JobManager(Service):
         else:
             self._persist_request()
             self._persist()
-            self._procs.append(
-                host.spawn(self._lifecycle(), name=f"jobmanager:{jmid}"))
+            self.spawn(self._lifecycle(), name=f"jobmanager:{jmid}")
         self._count_live()
 
     def _count_live(self) -> None:
@@ -255,13 +253,12 @@ class JobManager(Service):
             # Crash before commit: nothing was submitted; abort cleanly.
             self._fail("jobmanager crashed before commit")
         elif self.state not in protocol.GRAM_TERMINAL:
-            self._procs.append(self.host.spawn(
-                self._pipeline(), name=f"jobmanager:{self.jmid}"))
+            self.spawn(self._pipeline(), name=f"jobmanager:{self.jmid}")
 
     def _trace(self, event: str, **details) -> None:
         self.sim.trace.log(f"jobmanager:{self.jmid}", event, **details)
 
-    def crash(self) -> None:
+    def crash(self, cause: str = "crash") -> None:
         """Kill just this daemon (failure class 1 of §4.2).
 
         The state file stays on disk; the LRM job, if any, keeps running.
@@ -269,14 +266,11 @@ class JobManager(Service):
         gatekeeper to restart us.
         """
         self._trace("crash")
-        for proc in self._procs:
-            proc.kill(cause="jobmanager crash")
-        self._procs.clear()
+        super().crash(cause)
         sweep = self._sweep(create=False)
         if sweep is not None:
             sweep.unwatch(self.local_id)   # neighbours' sweep goes on
-        self.shutdown()    # unregister the service ...
-        self._count_live()  # ... and leave the gatekeeper's status answers
+        self._count_live()  # leave the gatekeeper's status answers
 
     def _sweep(self, create: bool = True) -> Optional[LrmSweep]:
         """This machine's sweeper for our LRM; the first JobManager to

@@ -76,14 +76,13 @@ class GridMonitor(Service):
         # from future snapshots so the batch tracks the *live* population
         # instead of every JobManager this host ever ran.
         self._acked_terminal: set[str] = set()
-        self._procs = [
-            host.spawn(self._report_loop(), name=f"gridmonitor:{user}")]
+        self.spawn(self._report_loop(), name=f"gridmonitor:{user}")
         self._trace("start", site=self.site, interval=self.interval)
 
     def _trace(self, event: str, **details) -> None:
         self.sim.trace.log(f"monitor:{self.user}", event, **details)
 
-    def crash(self) -> None:
+    def crash(self, cause: str = "crash") -> None:
         """Kill just this daemon (the `monitor_kill` chaos fault).
 
         The JobManagers it was watching keep running; the GridManager's
@@ -92,10 +91,7 @@ class GridMonitor(Service):
         monitor -- the same client-driven recovery as a JobManager.
         """
         self._trace("crash")
-        for proc in self._procs:
-            proc.kill(cause="monitor crash")
-        self._procs.clear()
-        self.shutdown()
+        super().crash(cause)
 
     # -- snapshot + report ---------------------------------------------------
     def _snapshot(self) -> FrozenDict:
@@ -109,7 +105,6 @@ class GridMonitor(Service):
 
     def _retire(self, reason: str) -> None:
         self._trace("retire", reason=reason)
-        self._procs.clear()
         self.shutdown()
 
     def _report_loop(self):
@@ -119,8 +114,6 @@ class GridMonitor(Service):
         idle = 0
         while True:
             yield self.sim.timeout(self.interval)
-            if self.host.services.get(self.name) is not self:
-                return    # superseded by a relaunch while we slept
             batch = self._snapshot()
             if not batch:
                 # Nothing of the user's here right now: stay quiet, and

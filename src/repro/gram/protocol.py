@@ -94,7 +94,6 @@ class GramJobRequest(Immutable):
     runtime: float = 1.0
     walltime: Optional[float] = None
     cpus: int = 1
-    queue_priority: int = 0
     env: FrozenDict = field(default_factory=FrozenDict)
     program: Optional[Callable] = None
     exit_code: int = 0
@@ -113,7 +112,6 @@ def to_lrm_spec(request: GramJobRequest):
         runtime=request.runtime,
         walltime=request.walltime,
         cpus=request.cpus,
-        priority=request.queue_priority,
         env=request.env,
         program=request.program,
         exit_code=request.exit_code,

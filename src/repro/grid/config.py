@@ -34,7 +34,6 @@ class SiteSpec:
     scheduler: str = "pbs"
     cpus: int = 16
     arch: str = "INTEL"
-    memory: int = 512
     allocation_cost: float = 0.0
     register_mds: bool = True
     #: gatekeeper admission caps: total live JobManagers on the

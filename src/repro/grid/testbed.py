@@ -12,7 +12,7 @@ This is the module the examples and benchmarks drive; see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..core.api import CondorGAgent
@@ -46,6 +46,8 @@ GIIS_HOST = "mds"
 REPO_HOST = "condor-repo"
 MYPROXY_HOST = "myproxy"
 CONDOR_BINARIES = "condor/binaries.tar"
+#: memory (MB) every site's resource ad advertises
+SITE_MEMORY = 512
 
 
 @dataclass
@@ -59,7 +61,6 @@ class Site:
     gridmap: GridMap
     cpus: int
     arch: str = "INTEL"
-    memory: int = 512
     allocation_cost: float = 0.0
     #: the site's storage element (repro.data), if configured
     se_host: Optional[Host] = None
@@ -126,7 +127,6 @@ class GridTestbed:
         self.sites: dict[str, Site] = {}
         self.users: dict[str, GridUser] = {}
         self.agents: dict[str, CondorGAgent] = {}
-        self.factories: dict[str, GlideInFactory] = {}
         self.traffic: Optional[SyntheticTraffic] = None
         self.myproxy: Optional[MyProxyServer] = None
         self.data_services: Optional[DataServices] = None
@@ -185,7 +185,7 @@ class GridTestbed:
             admission=spec.admission))
         site = Site(name=name, gk_host=gk_host, lrm_host=lrm_host,
                     lrm=lrm, gridmap=gridmap,
-                    cpus=spec.cpus, arch=spec.arch, memory=spec.memory,
+                    cpus=spec.cpus, arch=spec.arch,
                     allocation_cost=spec.allocation_cost,
                     factory_policy=spec.factory)
         if spec.storage:
@@ -255,7 +255,7 @@ class GridTestbed:
             free_cpus=info["free_slots"],
             queued_jobs=info["queued_jobs"],
             arch=site.arch,
-            memory=site.memory,
+            memory=SITE_MEMORY,
             site=site.name,
             allocation_cost=site.allocation_cost,
         )
@@ -320,8 +320,7 @@ class GridTestbed:
                    if site.factory_policy is not None}
         if managed and spec.personal_pool:
             def start_factory(_host: Host) -> None:
-                agent.factory = self.factories[name] = GlideInFactory(
-                    agent, managed)
+                agent.factory = GlideInFactory(agent, managed)
 
             host.boot(start_factory)
         self.agents[name] = agent

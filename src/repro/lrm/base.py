@@ -180,7 +180,7 @@ class LocalResourceManager(Service):
         # preempt-requeue and stdout/stderr growth, in order.  A poll
         # cursor is a position in it.
         self._changes: list[str] = []
-        host.spawn(self._scheduler_loop(), name=f"lrm:{host.name}")
+        self.spawn(self._scheduler_loop(), name=f"lrm:{host.name}")
 
     # -- identity ------------------------------------------------------------
     @property
@@ -382,8 +382,7 @@ class LocalResourceManager(Service):
         job.start_time = self.sim.now
         if job.remaining is None:
             job.remaining = job.spec.runtime
-        proc = self.host.spawn(self._run_body(job),
-                               name=f"job:{job.local_id}")
+        proc = self.spawn(self._run_body(job), name=f"job:{job.local_id}")
         self.running[job.local_id] = proc
         self.sim.metrics.counter("lrm.jobs").inc(label="started")
         self.sim.metrics.gauge("lrm.busy_slots").inc(job.spec.cpus)
@@ -399,9 +398,8 @@ class LocalResourceManager(Service):
         body = None
         try:
             if spec.program is not None:
-                body = self.sim.spawn(
-                    spec.program(ExecutionContext(self, job)),
-                    name=f"body:{job.local_id}", host=self.host)
+                body = self.spawn(spec.program(ExecutionContext(self, job)),
+                                  name=f"body:{job.local_id}")
                 if spec.walltime is not None:
                     index, value = yield self.sim.any_of(
                         [body, self.sim.timeout(spec.walltime)])

@@ -104,7 +104,7 @@ class CondorPoolLRM(LocalResourceManager):
         if owner_mtbf > 0:
             rng = self.sim.rng.stream(f"condorpool:{host.name}")
             for slot in range(slots):
-                host.spawn(self._owner_activity(slot, rng),
+                self.spawn(self._owner_activity(slot, rng),
                            name=f"owner:{host.name}:{slot}")
 
     def _owner_activity(self, slot: int, rng):

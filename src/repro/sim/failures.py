@@ -162,11 +162,7 @@ class FailureInjector:
                 service = host.services[name]
                 self.injected.append(FailureEvent(
                     self.sim.now, "crash_service", f"{host.name}:{name}"))
-                crash = getattr(service, "crash", None)
-                if crash is not None:
-                    crash()
-                else:  # plain service: silently drop off the network
-                    host.unregister_service(name)
+                service.crash()
                 return
         self.injected.append(FailureEvent(
             self.sim.now, "crash_service_miss", f"{host.name}:{prefix}"))

@@ -7,6 +7,11 @@ crashes:
 * its registered network services (unregistered -- peers see silence),
 * its volatile state (dropped by whoever held it).
 
+One daemon can also die while its machine stays up (§4.2's first
+failure class): a daemon's processes are its
+:class:`~repro.sim.rpc.Service`'s -- started with ``Service.spawn`` --
+and ``Service.crash`` kills just those and unregisters just it.
+
 What survives is :class:`StableStorage` -- a per-host key/value store that
 models disk.  Condor-G's entire fault-tolerance story (persistent job
 queue, client-side GRAM logs, redirect files) lives in stable storage, so
@@ -29,6 +34,7 @@ from .fastcopy import fast_deepcopy
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kernel import Process, Simulator
+    from .rpc import Service
 
 
 class StableStorage:
@@ -107,7 +113,7 @@ class Host:
         self.up = True
         self.stable = StableStorage()
         self.processes: set["Process"] = set()
-        self.services: dict[str, object] = {}
+        self.services: dict[str, "Service"] = {}
         self.boot_actions: list[Callable[["Host"], Any]] = []
         self.crash_count = 0
         sim.hosts[name] = self
@@ -124,7 +130,7 @@ class Host:
     def _detach_process(self, proc: "Process") -> None:
         self.processes.discard(proc)
 
-    def register_service(self, name: str, service: object) -> None:
+    def register_service(self, name: str, service: "Service") -> None:
         if not self.up:
             raise HostDown(f"host {self.name} is down")
         self.services[name] = service
@@ -132,7 +138,7 @@ class Host:
     def unregister_service(self, name: str) -> None:
         self.services.pop(name, None)
 
-    def get_service(self, name: str) -> Optional[object]:
+    def get_service(self, name: str) -> Optional["Service"]:
         return self.services.get(name) if self.up else None
 
     def boot(self, make: Callable[["Host"], Any]) -> Any:

@@ -18,6 +18,13 @@ Usage::
     # inside a process generator:
     value = yield from call(my_host, "server-host", "echo", "ping",
                             timeout=5.0, text="hi")
+
+A :class:`Service` is also a daemon's unit of failure: the processes it
+starts with :meth:`Service.spawn` are its own, and :meth:`Service.crash`
+is how one daemon dies while its machine stays up -- they are killed, in
+the order they were spawned, and the service leaves the network.  The
+processes that finish a generator handler's request stay bound to the
+host, not to the service.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from .errors import (
     SimulationError,
 )
 from .fastcopy import fast_deepcopy
-from .kernel import Entry, Event, _UNSET
+from .kernel import Entry, Event, Process, _UNSET
 
 if TYPE_CHECKING:  # pragma: no cover
     from .hosts import Host
@@ -306,13 +313,18 @@ def notify(
 
 
 class Service:
-    """Base class for RPC services.
+    """Base class for RPC services, and a daemon's unit of failure.
 
     Subclasses define ``handle_<method>(self, ctx, **kwargs)``; handlers may
     be plain methods or generators (which can do simulated work / nested
     RPCs).  Setting ``authorizer`` enforces GSI-style authentication on
     every request; on success the mapped local principal is available as
     ``ctx.principal``.
+
+    A daemon starts its loops and its per-job work with :meth:`spawn`, so
+    they are its processes: :meth:`crash` -- one daemon dying while its
+    machine stays up -- kills them and takes the service off the
+    network.  A subclass extends ``crash`` only with what is its own.
 
     Arguments and results cross the wire through
     :func:`~repro.sim.fastcopy.fast_deepcopy`: a handler that returns an
@@ -328,7 +340,28 @@ class Service:
         if not self.name:
             raise ValueError("service needs a name")
         self.authorizer = authorizer
+        self._procs: list[Process] = []
         host.register_service(self.name, self)
 
     def shutdown(self) -> None:
         self.host.unregister_service(self.name)
+
+    def spawn(self, gen: Generator[Any, Any, Any], name: str) -> Process:
+        """Start a process on our host that dies with us (:meth:`crash`),
+        dropping the finished ones: a daemon holds only live processes,
+        however much work it has done."""
+        proc = self.host.spawn(gen, name=name)
+        self._procs = [p for p in self._procs if p.alive]
+        self._procs.append(proc)
+        return proc
+
+    def crash(self, cause: str = "crash") -> None:
+        """Die at once while the machine stays up (a daemon whose work is
+        done stops the same way): kill our processes in the order they
+        were spawned, and leave the network if we are still the service
+        registered under our name."""
+        procs, self._procs = self._procs, []
+        for proc in procs:
+            proc.kill(cause=cause)
+        if self.host.services.get(self.name) is self:
+            self.shutdown()

@@ -61,7 +61,7 @@ from .trace import Trace
 if TYPE_CHECKING:  # pragma: no cover
     from ..grid.testbed import GridTestbed
 
-SNAPSHOT_VERSION = 7
+SNAPSHOT_VERSION = 8
 
 #: structures deeper than this are fingerprinted as a type tag; the cap
 #: is generous (daemon state sits well above it) and deterministic, so
@@ -307,7 +307,6 @@ def state_roots(tb: "GridTestbed") -> dict[str, Any]:
         "sites": tb.sites,
         "users": tb.users,
         "agents": tb.agents,
-        "factories": tb.factories,
         "traffic": tb.traffic,
         "myproxy": tb.myproxy,
         "data_services": tb.data_services,

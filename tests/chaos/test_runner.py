@@ -22,6 +22,9 @@ SUBMIT_REBOOT_PLAN = Path(__file__).parent / "plans" / "submit_reboot.json"
 #: submit machine of the `pool-reuse` personal pool down 300-450 s
 POOL_SUBMIT_REBOOT_PLAN = SUBMIT_REBOOT_PLAN.with_name(
     "pool_submit_reboot.json")
+#: user burst's factory killed at 650 s and restarted 200 s later, and a
+#: JobManager killed at 700 s, on `burst-flash`
+FACTORY_KILL_PLAN = SUBMIT_REBOOT_PLAN.with_name("factory_kill.json")
 
 
 class TestRunOne:
@@ -66,6 +69,13 @@ class TestRunOne:
         pool = [s for s in tb.agents["dave"].statuses()
                 if s.universe == "vanilla"]
         assert len(pool) == 40 and all(s.is_complete for s in pool)
+
+    def test_factory_kill_and_restart_is_survivable(self):
+        """Both crashes go through ``Service.crash`` and the operator
+        restart builds a fresh factory: the audited replay is clean."""
+        plan = FaultPlan.from_json(FACTORY_KILL_PLAN.read_text())
+        result = run_one("burst-flash", 0, plan=plan, audit=True)
+        assert result.ok and result.divergence == {}, result.violations
 
     def test_errors_are_reported_not_raised(self):
         result = run_one("no-such-scenario", 0)

@@ -69,6 +69,22 @@ def test_a_malformed_callback_is_refused_at_the_door(grid, method):
                 if name.startswith(("jm:", "monitor:"))]
 
 
+@pytest.mark.parametrize("method", ["submit", "submit_v1"])
+@pytest.mark.parametrize("request_", [{"runtime": 5}, None, "a.out"],
+                         ids=["dict", "none", "str"])
+def test_a_malformed_request_is_refused_at_the_door(grid, method, request_):
+    """Anything but a GramJobRequest used to be answered with a jmid,
+    and the JobManager created for it killed the run at its commit."""
+    args = {"submit": dict(seq=1), "submit_v1": {}}[method]
+    box = grid.drive(call(grid.submit, "site-gk", "gatekeeper", method,
+                          request=request_, **args), until=400.0)
+    error = box.get("error")
+    assert isinstance(error, RemoteError) and error.kind == "TypeError", box
+    assert not [name for name in grid.gk_host.services
+                if name.startswith("jm:")]
+    assert not grid.sim.trace.select("gatekeeper:site", "jobmanager_created")
+
+
 def test_status_callbacks_delivered(grid):
     url = grid.gass.stage_in("sim.exe", size=10)
     submit_and_wait(grid, GramJobRequest(executable_url=url, runtime=10.0))
