@@ -25,7 +25,8 @@ regenerates a downsized cell and compares against it, see
 Environment knobs:
 
 * ``BENCH_SCALE_CELLS`` -- comma-separated subset of cells to run
-  (default: all).  CI sets ``smoke-gram,smoke-gram-monitor,smoke-pool``.
+  (default: all).  CI sets
+  ``smoke-gram,smoke-gram-monitor,smoke-pool,glidein``.
 * ``BENCH_SCALE_OUT``   -- where to write the JSON (default: the
   committed ``BENCH_scale.json`` at the repo root).
 """

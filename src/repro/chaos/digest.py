@@ -80,7 +80,9 @@ def queue_state(tb: "GridTestbed") -> dict:
 
 
 def digest_parts(tb: "GridTestbed") -> dict:
-    """The three sanitized components the digest hashes."""
+    """The five sanitized components the digest hashes: the trace
+    fingerprint, the count of dropped trace records, the metrics
+    snapshot, the terminal queue state and the final simulated time."""
     return {
         "trace": trace_fingerprint(tb),
         "trace_dropped": tb.sim.trace.dropped,

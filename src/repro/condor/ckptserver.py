@@ -56,9 +56,6 @@ class CheckpointServer(Service):
         yield self._pay(nbytes)
         return progress
 
-    def handle_evict(self, ctx, job_id: str) -> bool:
-        return self._images.pop(job_id, None) is not None
-
     def stored_progress(self, job_id: str):
         image = self._images.get(job_id)
         return None if image is None else image[0]

@@ -43,7 +43,6 @@ class GlideInSpec:
     count: int = 1
     walltime: float = 3600.0       # allocation length at the remote site
     idle_timeout: float = 600.0    # self-shutdown after this much idleness
-    binaries_url: str = ""         # GridFTP URL of the condor executables
     arch: str = "INTEL"
     mips: int = 100
     #: how often each glidein startd re-advertises to the collector;
@@ -117,7 +116,7 @@ class GlideInManager:
             # Step 1: fetch the Condor binaries for this architecture from
             # the central repository, unless a previous glidein on this
             # machine already cached them.
-            url = spec.binaries_url or manager.binaries_url
+            url = manager.binaries_url
             if url:
                 cache = ctx.host.stable.namespace("glidein-cache")
                 if cache.get(url) is None:

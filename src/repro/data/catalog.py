@@ -39,26 +39,23 @@ class ReplicaCatalog(Service):
 
     service_name = "rls"
 
-    def __init__(self, host: Host, persistent: bool = True):
+    def __init__(self, host: Host):
         super().__init__(host)
-        self._stable = host.stable.namespace(CATALOG_NS) \
-            if persistent else None
+        self._stable = host.stable.namespace(CATALOG_NS)
         self._datasets: dict[str, dict] = {}
-        if self._stable is not None:
-            for name, record in self._stable.items():
-                self._datasets[name] = {
-                    "size": record["size"],
-                    "checksum": record["checksum"],
-                    "replicas": dict(record["replicas"]),
-                }
+        for name, record in self._stable.items():
+            self._datasets[name] = {
+                "size": record["size"],
+                "checksum": record["checksum"],
+                "replicas": dict(record["replicas"]),
+            }
 
     # -- local plumbing ------------------------------------------------------
     def _persist(self, name: str) -> None:
-        if self._stable is not None:
-            entry = self._datasets[name]
-            self._stable.put(name, {"size": entry["size"],
-                                    "checksum": entry["checksum"],
-                                    "replicas": dict(entry["replicas"])})
+        entry = self._datasets[name]
+        self._stable.put(name, {"size": entry["size"],
+                                "checksum": entry["checksum"],
+                                "replicas": dict(entry["replicas"])})
 
     def seed(self, name: str, size: int, checksum: str,
              replicas: Optional[dict[str, str]] = None) -> None:
@@ -114,6 +111,3 @@ class ReplicaCatalog(Service):
         self.sim.trace.log("rls", "invalidate", dataset=name, se=se_host,
                            replicas=len(entry["replicas"]))
         return True
-
-    def handle_list(self, ctx) -> list[str]:
-        return sorted(self._datasets)

@@ -58,10 +58,7 @@ class FileStore:
         self._stable = stable_ns
         if stable_ns is not None:
             for path, record in stable_ns.items():
-                record = dict(record)
-                # Records written before checksums existed rehydrate fine:
-                # __post_init__ recomputes the digest either way.
-                record.pop("checksum", None)
+                # __post_init__ recomputes the stored checksum
                 self._files[path] = SimFile(**record)
 
     def put(self, file: SimFile) -> None:

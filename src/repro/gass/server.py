@@ -53,13 +53,10 @@ class GassServer(Service):
         name: str = "",
         authorizer=None,
         bandwidth: float = DEFAULT_BANDWIDTH,
-        persistent: bool = True,
     ):
         super().__init__(host, name=name or self.service_name,
                          authorizer=authorizer)
-        stable_ns = host.stable.namespace(f"gass:{self.name}") \
-            if persistent else None
-        self.files = FileStore(stable_ns)
+        self.files = FileStore(host.stable.namespace(f"gass:{self.name}"))
         self.bandwidth = bandwidth
 
     # -- address -----------------------------------------------------------
@@ -131,12 +128,6 @@ class GassServer(Service):
     def handle_received(self, ctx, path: str) -> int:
         """How many bytes of `path` this server already has."""
         return self.files.get(path).size if self.files.exists(path) else 0
-
-    def handle_exists(self, ctx, path: str) -> bool:
-        return self.files.exists(path)
-
-    def handle_list(self, ctx) -> list[str]:
-        return self.files.list()
 
     # -- local convenience ----------------------------------------------------
     def stage_in(self, path: str, size: int = 0, data: str = "") -> str:

@@ -34,12 +34,10 @@ class GridFTPServer(Service):
         host: Host,
         authorizer=None,
         bandwidth: float = DEFAULT_BANDWIDTH,
-        persistent: bool = True,
     ):
         super().__init__(host, authorizer=authorizer)
         # Rebuilt from the same on-disk namespace by whoever boots us.
-        stable_ns = host.stable.namespace("gridftp") if persistent else None
-        self.files = FileStore(stable_ns)
+        self.files = FileStore(host.stable.namespace("gridftp"))
         self.bandwidth = bandwidth
         self._corrupt_pending = 0
 
@@ -128,9 +126,6 @@ class GridFTPServer(Service):
         existed = self.files.exists(path)
         self.files.delete(path)
         return existed
-
-    def handle_list(self, ctx) -> list[str]:
-        return self.files.list()
 
     def handle_fetch_from(self, ctx, src_url: str, dst_path: str):
         """Third-party transfer: pull `src_url` into this server.

@@ -30,10 +30,11 @@ class MyProxyServer(Service):
     """
 
     service_name = "myproxy"
+    #: lifetime of a delegation asked for without one
+    DEFAULT_LIFETIME = 12 * 3600.0
 
-    def __init__(self, host, default_lifetime: float = 12 * 3600.0):
+    def __init__(self, host):
         super().__init__(host)
-        self.default_lifetime = default_lifetime
         # username -> (passphrase, ProxyCredential); survives in memory
         # only (a crash of the MyProxy host loses deposits, as in life).
         self._store: dict[str, tuple[str, ProxyCredential]] = {}
@@ -61,7 +62,7 @@ class MyProxyServer(Service):
         if credential.expired(self.sim.now):
             raise AuthenticationError("stored credential has expired")
         short = delegate(credential, self.sim.now,
-                         lifetime or self.default_lifetime)
+                         lifetime or self.DEFAULT_LIFETIME)
         self.sim.trace.log("myproxy", "issue", user=username,
                            expires=short.not_after)
         return short

@@ -42,9 +42,6 @@ class GIIS(Service):
         self.sim.trace.log("giis", "register", name=name, expiry=expiry)
         return True
 
-    def handle_unregister(self, ctx, name: str) -> bool:
-        return self._registry.pop(name, None) is not None
-
     # -- GRIP ---------------------------------------------------------------
     def handle_query(self, ctx, constraint: str = "true") -> list[ClassAd]:
         """All live ads whose attributes satisfy `constraint`."""

@@ -1,8 +1,10 @@
 """Failure injection.
 
-Experiments schedule crashes, restarts, and network partitions either at
-fixed times or stochastically.  All schedules draw from named RNG streams,
-so a failure scenario is fully determined by the simulator seed.
+Experiments schedule crashes, restarts, and network partitions at fixed
+simulated times; there are no stochastic schedules here.  A seed-drawn
+fault schedule is a :class:`~repro.chaos.plan.FaultPlan` (``generate``),
+which replays through these same ``*_at`` methods, so a failure scenario
+is fully determined by the simulator seed.
 
 The four failure classes of Condor-G (§4.2) map onto:
 
@@ -95,40 +97,6 @@ class FailureInjector:
             action()
 
         self._at(time, fire)
-
-    # -- stochastic schedules ---------------------------------------------
-    def random_crashes(
-        self,
-        host: "Host",
-        mtbf: float,
-        downtime: float,
-        horizon: float,
-        stream: str = "failures",
-    ) -> None:
-        """Poisson crash process: exponential(mtbf) up-times, fixed downtime."""
-        rng = self.sim.rng.stream(f"{stream}:{host.name}")
-        t = self.sim.now + rng.expovariate(1.0 / mtbf)
-        while t < horizon:
-            self.crash_host_at(t, host, down_for=downtime)
-            t += downtime + rng.expovariate(1.0 / mtbf)
-
-    def random_partitions(
-        self,
-        a: str,
-        b: str,
-        mtbf: float,
-        duration: float,
-        horizon: float,
-        stream: str = "failures",
-    ) -> None:
-        """Poisson partition process between two hosts: exponential(mtbf)
-        connected periods, fixed-length outages (the stochastic sibling of
-        :meth:`random_crashes`)."""
-        rng = self.sim.rng.stream(f"{stream}:{a}|{b}")
-        t = self.sim.now + rng.expovariate(1.0 / mtbf)
-        while t < horizon:
-            self.partition_at(t, a, b, heal_after=duration)
-            t += duration + rng.expovariate(1.0 / mtbf)
 
     # -- internals ------------------------------------------------------------
     def _crash(self, host: "Host") -> None:

@@ -77,6 +77,10 @@ def saturate(lrm: LocalResourceManager, jobs: int, runtime: float,
 
 # -- bursty grid-user traffic ------------------------------------------------
 
+#: tail index of the bounded-Pareto job runtimes
+RUNTIME_ALPHA = 2.0
+
+
 @dataclass(frozen=True)
 class TrafficProfile:
     """A non-homogeneous Poisson submission process.
@@ -90,7 +94,7 @@ class TrafficProfile:
 
     Flash windows start at each time in ``flash_at`` and last
     ``flash_duration``.  Job runtimes follow a bounded Pareto
-    (``runtime_min``, tail index ``runtime_alpha``, truncated at
+    (``runtime_min``, tail index :data:`RUNTIME_ALPHA`, truncated at
     ``runtime_cap``) -- heavy-tailed, like real grid workloads.
     Each arrival is attributed to one of ``users`` virtual users,
     chosen uniformly.
@@ -106,7 +110,6 @@ class TrafficProfile:
     flash_multiplier: float = 5.0
     flash_duration: float = 300.0
     runtime_min: float = 30.0
-    runtime_alpha: float = 2.0          # Pareto tail index
     runtime_cap: float = 3600.0
     input_size: int = 1000
     universe: str = "vanilla"           # vanilla -> glidein pool; grid -> GRAM
@@ -166,7 +169,7 @@ def generate_arrivals(rng, profile: TrafficProfile) -> list[Arrival]:
         u = rng.random()
         runtime = min(profile.runtime_cap,
                       profile.runtime_min * (1.0 - u) **
-                      (-1.0 / profile.runtime_alpha))
+                      (-1.0 / RUNTIME_ALPHA))
         out.append(Arrival(time=t, user=user, runtime=runtime))
     return out
 

@@ -1,12 +1,15 @@
-"""Collector tests: expiry reaping, indexed queries, the parse memo."""
+"""Collector tests: expiry reaping, query answers, the parse memo, the
+advertise door."""
 
 import random
 
 import pytest
 
+from repro import GridTestbed, JobDescription
 from repro.classads import ClassAd, EvalContext, is_true, parse
 from repro.condor import Collector
-from repro.sim import Host, Network, Simulator
+from repro.grid.config import AgentSpec, SiteSpec, TestbedConfig
+from repro.sim import Host, Network, RemoteError, Simulator, call
 
 
 def make_collector(default_ttl=180.0):
@@ -62,21 +65,7 @@ def test_renewal_prevents_reaping():
     assert coll.expired_reaped == 0
 
 
-#: one constraint per query mode: answered by a full scan / from the index
-QUERY_MODES = ("true", 'State == "x"')
-
-
-def test_reaping_is_mode_independent():
-    for constraint in QUERY_MODES:
-        sim, coll = make_collector(default_ttl=60.0)
-        for i in range(4):
-            coll.handle_advertise(None, "startd", ad(f"s{i}"))
-        advance(sim, 200.0)
-        coll.handle_query(None, "startd", constraint)
-        assert coll.expired_reaped == 4, constraint
-
-
-# -- indexed vs scan equivalence ----------------------------------------------
+# -- answers against a reference scan ------------------------------------------
 
 STATES = ("Unclaimed", "Claimed", "Busy")
 ARCHES = ("INTEL", "SPARC", "ALPHA")
@@ -89,7 +78,7 @@ CONSTRAINTS = (
     "Mips == 100",
     "HasCache == true",                # bool/number coercion
     "HasCache == 1",
-    'State == "Unclaimed" && Mips > 50',   # not an eq pattern: full scan
+    'State == "Unclaimed" && Mips > 50',
     "Mips > 150",
     "true",
     'Missing == "nope"',
@@ -108,7 +97,7 @@ def randomized_ads(rng, n):
         else:
             extra["State"] = rng.choice(STATES)
         if rng.random() < 0.1:
-            # non-literal attribute: lands in the residual set
+            # an attribute that is an expression, not a literal
             a = ad(f"m{i:03d}", Arch=rng.choice(ARCHES),
                    Mips=rng.choice((50, 100, 200)), **extra)
             a.set_expression("HasCache", "Mips > 99")
@@ -121,33 +110,38 @@ def randomized_ads(rng, n):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_indexed_query_matches_full_scan_on_random_ads(seed):
+def test_query_matches_reference_scan_on_random_ads(seed):
+    """Answers are every ad of the asked type that satisfies the
+    constraint, in name order, whatever the advertise order; an ad of
+    another type under the same name never leaks in."""
     rng = random.Random(seed)
-    ads = randomized_ads(rng, 60)
+    registry = {"startd": randomized_ads(rng, 60),
+                "submitter": randomized_ads(rng, 20)}
+    adverts = [(adtype, a) for adtype, ads in registry.items() for a in ads]
+    rng.shuffle(adverts)
 
     sim, coll = make_collector()
-    for a in ads:
-        coll.handle_advertise(None, "startd", a)
-    for constraint in CONSTRAINTS:
-        # the reference: evaluate the constraint against every live ad
-        expr = parse(constraint)
-        full_scan = [a.get("Name") for a in coll.live_ads("startd")
-                     if is_true(expr.eval(EvalContext(my=a, now=sim.now)))]
-        got = [m.get("Name")
-               for m in coll.handle_query(None, "startd", constraint)]
-        assert got == full_scan, constraint
-    assert coll.indexed_queries and coll.scanned_queries
+    for adtype, a in adverts:
+        coll.handle_advertise(None, adtype, a)
+    for adtype, ads in registry.items():
+        in_name_order = sorted(ads, key=lambda a: a.get("Name"))
+        for constraint in CONSTRAINTS:
+            expr = parse(constraint)
+            expected = [a for a in in_name_order
+                        if is_true(expr.eval(EvalContext(my=a, now=sim.now)))]
+            got = coll.handle_query(None, adtype, constraint)
+            assert [id(a) for a in got] == [id(a) for a in expected], \
+                (adtype, constraint)
 
 
-def test_index_tracks_updates_and_invalidation():
+def test_answers_follow_updates_and_invalidation():
     sim, coll = make_collector()
     coll.handle_advertise(None, "startd", ad("a", State="Unclaimed"))
     coll.handle_advertise(None, "startd", ad("b", State="Claimed"))
     q = lambda: [m.get("Name") for m in
                  coll.handle_query(None, "startd", 'State == "Unclaimed"')]
     assert q() == ["a"]
-    assert coll.indexed_queries == 1
-    # state flip must move the ad between buckets
+    # a re-advertise replaces the ad the next answer is drawn from
     coll.handle_advertise(None, "startd", ad("b", State="Unclaimed"))
     assert q() == ["a", "b"]
     coll.handle_invalidate(None, "startd", "a")
@@ -175,11 +169,38 @@ def test_constraint_parse_is_memoised_by_text():
     assert _memo_counts() == (hits + 3, misses + 2)
 
 
-def test_parse_memo_is_mode_independent():
-    for constraint in QUERY_MODES:
-        sim, coll = make_collector()
-        coll.handle_advertise(None, "startd", ad("s0"))
-        coll.handle_query(None, "startd", constraint)
-        hits, misses = _memo_counts()
-        coll.handle_query(None, "startd", constraint)
-        assert _memo_counts() == (hits + 1, misses), constraint
+# -- the advertise door ----------------------------------------------------------
+
+@pytest.mark.parametrize("adtype, forged", [
+    ("submitter", {"Name": "evil", "ScheddHost": "mallory"}),
+    ("startd", {"Name": "evil", "ScheddHost": "mallory"}),
+    (7, ClassAd({"Name": "evil"})),
+], ids=["dict-submitter", "dict-startd", "int-adtype"])
+def test_a_malformed_advertisement_is_refused_at_the_door(adtype, forged):
+    """A foreign host's plain-dict ad used to be kept: as a submitter ad
+    it failed every later negotiation cycle and left the pool's job
+    idle; as a startd ad it was answered with an error but stored
+    anyway.  An ad type that is not a str was kept as well."""
+    tb = GridTestbed(TestbedConfig(seed=21))
+    tb.add_site(SiteSpec("wisc", scheduler="pbs", cpus=4))
+    agent = tb.add_agent(AgentSpec("alice"))
+    agent.glide_in("wisc-gk", count=1, walltime=50000.0)
+    job = agent.submit(JobDescription(runtime=100.0, universe="vanilla"))
+    mallory = Host(tb.sim, "mallory")
+    box = {}
+
+    def forge():
+        try:
+            box["value"] = yield from call(
+                mallory, agent.host.name, "collector", "advertise",
+                adtype=adtype, ad=forged, ttl=1e9)
+        except RemoteError as exc:
+            box["error"] = exc
+
+    mallory.spawn(forge(), "forge")
+    tb.run(until=3000.0)
+    error = box.get("error")
+    assert isinstance(error, RemoteError) and error.kind == "TypeError", box
+    assert (adtype, "evil") not in agent.collector._ads
+    assert tb.sim.metrics.counter("negotiator.cycle_errors").value == 0
+    assert agent.status(job).is_complete

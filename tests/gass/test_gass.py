@@ -157,19 +157,6 @@ def test_files_survive_host_restart():
     assert box["value"] == 777
 
 
-def test_nonpersistent_server_loses_files_on_crash():
-    sim = Simulator(seed=5)
-    Network(sim, latency=0.01, jitter=0.0)
-    submit = Host(sim, "submit")
-    remote = Host(sim, "remote")
-    server = GassServer(submit, persistent=False)
-    server.stage_in("volatile", size=1)
-    submit.crash()
-    submit.restart()
-    server2 = GassServer(submit, persistent=False)
-    assert not server2.files.exists("volatile")
-
-
 def test_simfile_append_tracks_size():
     f = SimFile("x", data="ab")
     assert f.size == 2

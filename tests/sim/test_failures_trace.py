@@ -74,40 +74,6 @@ class TestFailureInjector:
         assert sim.trace.select("failures", "proxy_expire",
                                 target="alice")
 
-    def test_random_crashes_deterministic(self):
-        def one_run():
-            sim = Simulator(seed=77)
-            Network(sim, latency=0.01, jitter=0.0)
-            host = Host(sim, "x")
-            inj = FailureInjector(sim)
-            inj.random_crashes(host, mtbf=100.0, downtime=10.0,
-                               horizon=1000.0)
-            sim.run(until=1000.0)
-            return [(e.time, e.kind) for e in inj.injected]
-
-        first = one_run()
-        assert first == one_run()
-        assert any(kind == "crash" for _t, kind in first)
-
-    def test_random_partitions_deterministic(self):
-        def one_run():
-            sim = Simulator(seed=31)
-            net = Network(sim, latency=0.01, jitter=0.0)
-            Host(sim, "a")
-            Host(sim, "b")
-            inj = FailureInjector(sim)
-            inj.random_partitions("a", "b", mtbf=100.0, duration=20.0,
-                                  horizon=1000.0)
-            sim.run(until=1050.0)      # past the last possible heal
-            return net, [(e.time, e.kind) for e in inj.injected]
-
-        net, first = one_run()
-        assert first == one_run()[1]
-        kinds = [kind for _t, kind in first]
-        assert "partition" in kinds
-        assert kinds.count("partition") == kinds.count("heal")
-        assert net.reachable("a", "b")      # every outage healed
-
 
 class TestTrace:
     def test_select_filters(self, env):
