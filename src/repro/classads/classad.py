@@ -195,10 +195,6 @@ class ClassAd:
         return hash(tuple(sorted((k, str(v))
                                  for k, v in self._attrs.items())))
 
-    def __deepcopy__(self, memo: dict) -> "ClassAd":
-        # Exprs are immutable once built; sharing them is safe and fast.
-        return self if self._sealed else self.copy()
-
 
 # -- matchmaking --------------------------------------------------------------
 

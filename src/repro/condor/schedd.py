@@ -241,7 +241,8 @@ class Schedd(Service):
         return True
 
     def handle_matched(self, ctx, job_id: str, startd_name: str,
-                       startd_host: str, startd_ad=None):
+                       startd_host: str,
+                       startd_ad: Optional[ClassAd] = None):
         """The negotiator found us a machine: claim and activate it."""
         job = self.queue.jobs.get(job_id)
         if job is None or job.state != IDLE:

@@ -296,7 +296,7 @@ class Gatekeeper(Service):
                     client=ctx.caller_host)
         return {"jmid": jmid, "contact": self.host.name}
 
-    def handle_start_monitor(self, ctx, callback) -> dict:
+    def handle_start_monitor(self, ctx, callback: tuple[str, str]) -> dict:
         """Launch (or find) the caller's Grid Monitor on this machine.
 
         One monitor per (user, gatekeeper) pair, idempotent: a repeated
@@ -343,5 +343,4 @@ class Gatekeeper(Service):
         """Expose the local scheduler's load (used by resource brokers)."""
         info = yield from call(self.host, self.lrm_contact, "lrm",
                                "queue_info")
-        info["site"] = self.site
-        return info
+        return {**info, "site": self.site}

@@ -108,7 +108,7 @@ class LrmSweep(Service):
             try:
                 reply = yield from call(self.host, self.lrm_contact, "lrm",
                                         "poll", since=self.cursor,
-                                        local_ids=by_id)
+                                        local_ids=tuple(by_id))
             except RPCError:
                 polls.inc(label="failed")
                 self.by_id = by_id + self.by_id   # same question next time
@@ -301,7 +301,7 @@ class JobManager(Service):
         self._fail("cancelled by client")
         return True
 
-    def handle_update_env(self, ctx, name: str, value) -> object:
+    def handle_update_env(self, ctx, name: str, value: str) -> object:
         """Rewrite the job's environment file (GASS redirect, §4.2)."""
         if self.local_id is None:
             # Not yet submitted: mutate the pending request.

@@ -210,7 +210,7 @@ class LocalResourceManager(Service):
         return local_id
 
     def handle_poll(self, ctx, since: Optional[int] = None,
-                    local_ids=()) -> dict:
+                    local_ids: tuple[str, ...] = ()) -> dict:
         """One status sweep: views of every job that changed after cursor
         `since`, plus `local_ids` regardless (unknown ids are omitted).
 

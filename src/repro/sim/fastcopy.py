@@ -1,39 +1,39 @@
 """What crosses a wire or hits a disk: the value contract.
 
-Nothing a sender or a writer does after the crossing may be visible on
-the other side (no object sharing across hosts; aliasing can never
-masquerade as persistence).  :func:`fast_deepcopy` is the one function
-the three boundaries call -- ``rpc`` for arguments, credential and
-result, ``StableStorage`` on write and on read -- and it enforces that
-in the cheapest way that is still true:
+What crosses is ``freeze(value)``.  Nothing a sender or a writer does
+after the crossing is visible on the other side, and a receiver or a
+reader cannot change what it got (no object sharing across hosts that
+either side could edit; aliasing can never masquerade as persistence).
+:func:`fast_deepcopy` -- a name kept from when it copied -- is the one
+function the three boundaries call: ``rpc`` for each argument, the
+credential and the result, ``StableStorage`` on write.  A stored value
+is read back as the very object that was stored.  How :func:`freeze`
+treats each kind of value:
 
-* an **immutable value** crosses *by reference*: atoms (``str``, numbers,
-  ``None``, ``bytes``, ``Enum`` members, plain functions -- what
-  ``copy.deepcopy`` also returns as itself), a tuple of such values, and
-  every *declared* type -- a frozen dataclass deriving from
-  :class:`Immutable`, whose fields are frozen at construction, and
-  :class:`FrozenDict`, the mapping those fields and the persisted
-  progress records are made of;
+* an **immutable value** crosses *by reference*: atoms (``str``,
+  numbers, ``None``, ``bytes``, ``Enum`` members, plain functions), a
+  tuple of such values, and every *declared* type -- a frozen dataclass
+  deriving from :class:`Immutable`, whose fields are frozen at
+  construction, and :class:`FrozenDict`, the mapping those fields and
+  the persisted progress records are made of;
 * a **sealable** type -- one with a ``__sealed__()`` method, i.e.
   ``ClassAd`` -- crosses as its sealed form: copied and sealed the first
   time, by reference ever after;
-* plain ``dict``/``list``/``tuple`` trees are copied structurally
-  (reference cycles through them are not supported: payloads are trees
-  by construction);
-* anything else takes ``copy.deepcopy``, ~10x slower.  That is the safety
-  path for a type nobody declared, and it is on no benchmarked path
-  (``tests/sim/test_value_gates.py``).
+* a plain ``dict`` becomes a :class:`FrozenDict` and a ``list`` or
+  ``tuple`` a tuple, recursively: the one copy, made once, at the
+  crossing (payloads are trees by construction; a cycle through plain
+  containers is not supported);
+* anything else is refused with ``TypeError``.
 
 To declare a type, make it true: derive a ``@dataclass(frozen=True)``
 from :class:`Immutable` (containers handed to its constructor are then
-frozen by :func:`freeze`, undeclared objects refused), or give a builder
-type a one-way ``seal()`` and a ``__sealed__()``.  There is no opt-out:
-a value that is immutable needs none, and one that is not must be copied.
+frozen, undeclared objects refused), or give a builder type a one-way
+``seal()`` and a ``__sealed__()``.  There is no opt-out: a value that
+cannot change needs none, and one that can must not cross.
 """
 
 from __future__ import annotations
 
-import copy
 from enum import Enum
 from types import BuiltinFunctionType, FunctionType
 from typing import Any, NoReturn
@@ -44,18 +44,13 @@ from typing import Any, NoReturn
 _SHARED = {str, int, float, bool, bytes, type(None),
            FunctionType, BuiltinFunctionType}
 
-_UNDECLARED = object()
 
-
-def _declared(obj: Any, cls: type) -> Any:
-    """The by-reference form of a non-container `obj`, or ``_UNDECLARED``."""
-    sealed = getattr(cls, "__sealed__", None)
-    if sealed is not None:
-        return sealed(obj)
+def _enum(cls: type) -> bool:
+    """Whether `cls` is an ``Enum`` class (which then joins ``_SHARED``)."""
     if issubclass(cls, Enum):
         _SHARED.add(cls)
-        return obj
-    return _UNDECLARED
+        return True
+    return False
 
 
 def _refuse(self, *_args: Any, **_kwargs: Any) -> NoReturn:
@@ -76,7 +71,8 @@ class FrozenDict(dict):
     def __init__(self, mapping: Any = (), /, **kwargs: Any):
         if mapping:
             dict.update(self, mapping)
-            if not _SHARED.issuperset(map(type, self)):
+            if not _SHARED.issuperset(map(type, self)) and not all(
+                    type(key) in _SHARED or _enum(type(key)) for key in self):
                 raise TypeError("FrozenDict keys must be atoms")
         if kwargs:
             dict.update(self, kwargs)
@@ -87,9 +83,6 @@ class FrozenDict(dict):
 
     __setitem__ = __delitem__ = __ior__ = _refuse
     clear = pop = popitem = setdefault = update = _refuse
-
-    def __deepcopy__(self, memo: dict) -> "FrozenDict":
-        return self
 
     def __reduce__(self) -> tuple:     # pickle must not go through setitem
         return (FrozenDict, (dict(self),))
@@ -119,15 +112,12 @@ class Immutable:
                 if value.__class__ not in _SHARED:
                     state[name] = freeze(value)
 
-    def __deepcopy__(self, memo: dict) -> "Immutable":
-        return self
-
 
 def freeze(obj: Any) -> Any:
     """`obj` as an immutable value: dicts become :class:`FrozenDict`,
     lists and tuples become tuples, recursively; a sealable object is
     sealed (copied first if it was not); an object of an undeclared type
-    is refused."""
+    is refused with ``TypeError``."""
     cls = obj.__class__
     if cls in _SHARED:
         return obj
@@ -137,37 +127,19 @@ def freeze(obj: Any) -> Any:
         return obj
     if cls is list or cls is tuple:
         return tuple(map(freeze, obj))
-    value = _declared(obj, cls)
-    if value is _UNDECLARED:
-        raise TypeError(f"{cls.__name__} is not declared immutable "
-                        "(see repro.sim.fastcopy)")
-    return value
-
-
-def _walk(obj: Any) -> Any:
-    cls = obj.__class__
-    if cls in _SHARED:
+    sealed = getattr(cls, "__sealed__", None)
+    if sealed is not None:
+        return sealed(obj)
+    if _enum(cls):
         return obj
-    if cls is dict:
-        return {_walk(k): _walk(v) for k, v in obj.items()}
-    if cls is list:
-        return [_walk(v) for v in obj]
-    if cls is tuple:
-        if _SHARED.issuperset(map(type, obj)):
-            return obj
-        return tuple(_walk(v) for v in obj)
-    value = _declared(obj, cls)
-    if value is _UNDECLARED:
-        return copy.deepcopy(obj)
-    return value
+    raise TypeError(f"{cls.__name__} is not declared immutable "
+                    "(see repro.sim.fastcopy)")
 
 
 def fast_deepcopy(obj: Any) -> Any:
-    """What the far side of a boundary gets for `obj`: immutable values
-    by reference, sealable ones sealed, plain containers copied
-    structurally, the rest via ``copy.deepcopy``.
+    """What the far side of a boundary gets for `obj`: ``freeze(obj)``.
 
     Not itself recursive, so a profile's call count for this function is
     the number of payloads that crossed.
     """
-    return _walk(obj)
+    return freeze(obj)

@@ -42,11 +42,11 @@ class StableStorage:
 
     In-memory aliasing can never masquerade as persistence (a classic
     simulation bug: "recovering" state that would really have been lost):
-    nothing the writer does to a value after ``put``, and nothing a reader
-    does to what ``get``/``items`` returned, changes what is stored.
-    Immutable values keep that promise by construction and are stored and
-    returned by reference; anything else is copied on write and on read
-    (:mod:`repro.sim.fastcopy`).
+    ``put`` stores ``freeze(value)`` (:mod:`repro.sim.fastcopy`), so
+    nothing the writer does to its value afterwards changes what is
+    stored, and ``get``/``items`` return the stored object itself, which
+    no reader can edit.  A caller that changes a record builds a new one
+    and puts it.
     """
 
     def __init__(self) -> None:
@@ -59,7 +59,7 @@ class StableStorage:
         self._data.setdefault(ns, {})[key] = fast_deepcopy(value)
 
     def get(self, ns: str, key: str, default: Any = None) -> Any:
-        return fast_deepcopy(self._data.get(ns, {}).get(key, default))
+        return self._data.get(ns, {}).get(key, default)
 
     def delete(self, ns: str, key: str) -> None:
         self._data.get(ns, {}).pop(key, None)
@@ -68,8 +68,7 @@ class StableStorage:
         return sorted(self._data.get(ns, {}).keys())
 
     def items(self, ns: str) -> list[tuple[str, Any]]:
-        return [(k, fast_deepcopy(v))
-                for k, v in sorted(self._data.get(ns, {}).items())]
+        return sorted(self._data.get(ns, {}).items())
 
     def clear(self, ns: str) -> None:
         self._data.pop(ns, None)

@@ -81,9 +81,12 @@ class CallContext:
 #   "network" stream, in send order (``Network.send_leg``);
 # * counters -- ``Network.sent`` moves at each send, ``delivered`` or
 #   ``dropped`` at each landing or sender-side drop;
-# * isolation -- args and credential cross at send, the result when the
-#   handler returns, each through ``fast_deepcopy``: immutable values by
-#   reference, everything else copied (``repro.sim.fastcopy``);
+# * isolation -- each argument and the credential cross at send, the
+#   result when the handler returns, each as ``freeze(value)``
+#   (``repro.sim.fastcopy``): immutable values by reference, plain
+#   containers frozen, anything else refused with ``TypeError`` -- at the
+#   caller's ``call``/``notify`` for an argument, as a ``RemoteError``
+#   for a result;
 # * failure windows -- host, partition and service state, and the
 #   credential, are judged at each leg's *arrival*.  A service replaced in
 #   flight by a crash + restart is simply served by the new instance; a
@@ -105,7 +108,7 @@ class CallContext:
 #: never changes a run's digest.
 RPC_STATS: Optional[dict] = None
 
-# Result types (most handlers answer with one) not worth the call.
+# Argument and result types (most are one) not worth the call.
 _ATOMS = frozenset((type(None), bool, int, float, str))
 
 # CallContext is frozen, so unauthenticated contexts are shareable; one
@@ -160,6 +163,8 @@ def _finish(gen: GeneratorType, svc: "Service",
     value, error = None, None
     try:
         value = yield from gen
+        if type(value) not in _ATOMS:
+            value = fast_deepcopy(value)
     except SimulationError:
         raise       # an inconsistency in the simulation is nobody's reply
     except Exception as exc:  # noqa: BLE001 - marshalled to the caller
@@ -183,8 +188,12 @@ class _Request:
         self.dst = dst
         self.service = service
         self.method = method
-        # What crosses the wire is fixed now, whatever the caller does next.
-        self.args = fast_deepcopy(args) if args else args
+        # What crosses the wire is fixed now, whatever the caller does
+        # next.  ``args`` is the call's own ``**`` dict: freeze in place.
+        for key, value in args.items():
+            if type(value) not in _ATOMS:
+                args[key] = fast_deepcopy(value)
+        self.args = args
         self.credential = credential if credential is None \
             else fast_deepcopy(credential)
         self.reply = reply
@@ -218,11 +227,14 @@ class _Request:
                 raise ServiceUnavailable(
                     f"service {svc.name} has no method {method!r}")
             value = handler(ctx, **self.args)
+            cls = type(value)
+            if cls not in _ATOMS and cls is not GeneratorType:
+                value = fast_deepcopy(value)
         except SimulationError:
             raise   # an inconsistency in the simulation is nobody's reply
         except Exception as exc:  # noqa: BLE001 - marshalled to the caller
             error = _error(exc)
-        if isinstance(value, GeneratorType):
+        if type(value) is GeneratorType:
             # Bound to the service's host: it dies with it.  When it
             # will finish is unknown, so the caller's timer starts now.
             if reply is not None:
@@ -237,8 +249,6 @@ class _Request:
         reply = self.reply
         if reply is None:       # a notify: nobody waits for the outcome
             return
-        if type(value) not in _ATOMS:
-            value = fast_deepcopy(value)
         response = {"ok": error is None, "value": value, "error": error}
         self.net.send_leg(svc.host, self.caller, _REPLY_LEG,
                           self.reply_arrive, response, reply.deadline,
@@ -326,9 +336,12 @@ class Service:
     machine stays up -- kills them and takes the service off the
     network.  A subclass extends ``crash`` only with what is its own.
 
-    Arguments and results cross the wire through
-    :func:`~repro.sim.fastcopy.fast_deepcopy`: a handler that returns an
-    immutable value hands it over by reference, anything else is copied.
+    Arguments and results cross the wire frozen
+    (:func:`~repro.sim.fastcopy.freeze`): a handler receives values it
+    cannot edit, and one that returns an immutable value hands it over by
+    reference; a plain container is frozen once, and a result of an
+    undeclared type is answered as a ``RemoteError`` of kind
+    ``TypeError``.
     """
 
     service_name: str = ""

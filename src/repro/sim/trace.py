@@ -46,10 +46,8 @@ class TraceRecord:
 class Trace:
     """Indexed (and optionally bounded) log of :class:`TraceRecord`."""
 
-    def __init__(self, sim: "Simulator", enabled: bool = True,
-                 max_records: Optional[int] = None):
+    def __init__(self, sim: "Simulator", max_records: Optional[int] = None):
         self.sim = sim
-        self.enabled = enabled
         self.max_records = max_records
         self.dropped = 0
         self._records: deque[TraceRecord] = deque()
@@ -72,8 +70,6 @@ class Trace:
         return len(self._records)
 
     def log(self, component: str, event: str, **details: Any) -> None:
-        if not self.enabled:
-            return
         self._seq += 1
         rec = TraceRecord(self.sim.now, component, event, details, self._seq)
         self._records.append(rec)

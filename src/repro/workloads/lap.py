@@ -16,10 +16,12 @@ algorithm" -- the NUG/QAP runs of Anstreicher, Brixius, Goux & Linderoth
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+
+from ..sim.fastcopy import Immutable
 
 
 def lap_solve(cost: np.ndarray) -> tuple[np.ndarray, float]:
@@ -170,9 +172,10 @@ def gilmore_lawler_bound(inst: QAPInstance, partial: dict[int, int]
     return base + value, laps
 
 
-@dataclass
-class BBNode:
-    """A branch-and-bound node: a partial assignment plus its bound."""
+@dataclass(frozen=True)
+class BBNode(Immutable):
+    """A branch-and-bound node: a partial assignment plus its bound (a
+    value: it crosses the wire as a master-worker task)."""
 
     partial: dict[int, int]
     bound: float = 0.0
@@ -199,7 +202,7 @@ class QAPBranchAndBound:
 
     def root(self) -> BBNode:
         bound, _ = gilmore_lawler_bound(self.inst, {})
-        return BBNode(partial={}, bound=bound, depth=0)
+        return BBNode(partial={}, bound=float(bound), depth=0)
 
     def expand(self, node: BBNode, incumbent: float
                ) -> tuple[list[BBNode], int, list[tuple[float, list[int]]]]:
@@ -222,7 +225,7 @@ class QAPBranchAndBound:
             bound, nl = gilmore_lawler_bound(inst, partial)
             laps += nl
             if bound < incumbent:
-                children.append(BBNode(partial=partial, bound=bound,
+                children.append(BBNode(partial=partial, bound=float(bound),
                                        depth=node.depth + 1))
         return children, laps, solutions
 

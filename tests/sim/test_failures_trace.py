@@ -102,12 +102,6 @@ class TestTrace:
         sim.trace.log("c", "hello")
         assert seen == ["hello"]
 
-    def test_disabled_trace_records_nothing(self):
-        sim = Simulator()
-        sim.trace.enabled = False
-        sim.trace.log("c", "ev")
-        assert sim.trace.records == []
-
     def test_dump_format(self, env):
         sim, net, a, b = env
         sim.trace.log("comp", "boom", why="because")

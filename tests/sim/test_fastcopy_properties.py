@@ -1,16 +1,18 @@
 """The value contract of ``repro.sim.fastcopy``, property-based.
 
-:func:`repro.sim.fastcopy.fast_deepcopy` is what every RPC payload and
-every stable-storage record goes through.  For plain trees and for
-undeclared types (sets, dataclasses, ``__deepcopy__`` objects) the
-contract is total semantic equivalence with ``copy.deepcopy``, the
-reference: equal values, no shared mutable structure.  A declared
-immutable value -- ``FrozenDict``, a frozen dataclass deriving from
-``Immutable``, a sealed ``ClassAd`` -- crosses by reference, which is
-only sound if it really cannot change: the second half of this file
-holds every declared type to that, and then checks end to end, through
-``rpc.call``, ``rpc.notify`` and ``StableStorage``, that nothing either
-side does after a crossing is visible on the other.  Hypothesis
+What crosses every RPC and every stable-storage write is
+``freeze(value)`` (:func:`repro.sim.fastcopy.fast_deepcopy`).  A plain
+tree -- ``dict``/``list``/``tuple`` over atoms -- comes out as a frozen
+copy (``FrozenDict`` and tuples) with the same content as
+``copy.deepcopy`` would give, sharing nothing editable with the
+original.  A declared immutable value -- ``FrozenDict``, a frozen
+dataclass deriving from ``Immutable``, a sealed ``ClassAd`` -- crosses
+by reference, which is only sound if it really cannot change: the
+middle of this file holds every declared type to that.  Any other type
+is refused.  The end checks the rule through ``rpc.call``,
+``rpc.notify`` and ``StableStorage``: an edit the sender or writer makes
+after the crossing stays invisible, an edit the receiver or reader
+tries raises, and ``get`` returns the stored object.  Hypothesis
 generates the payload trees.
 """
 
@@ -29,6 +31,7 @@ from repro.gsi.pki import Certificate
 from repro.gsi.proxy import ProxyCredential
 from repro.lrm.base import JobSpec
 from repro.sim import Host, Network, Service, Simulator, call, notify
+from repro.sim import fastcopy
 from repro.sim.fastcopy import FrozenDict, Immutable, fast_deepcopy, freeze
 from repro.states import JobState
 
@@ -72,23 +75,21 @@ _trees = st.recursive(
 
 @dataclass
 class _Record:
-    """Exercises the fallback: not a plain container, holds mutables."""
+    """Not a plain container and not declared: holds mutables."""
 
     name: str = "x"
     payload: list = field(default_factory=list)
 
 
 class _SelfCopier:
-    """Object with a custom ``__deepcopy__`` the fallback must honor."""
+    """An object that knows how to deep-copy itself -- which declares
+    nothing about whether it can change."""
 
     def __init__(self, tag):
         self.tag = tag
-        self.copies = 0
 
     def __deepcopy__(self, memo):
-        clone = _SelfCopier(copy.deepcopy(self.tag, memo))
-        clone.copies = self.copies + 1
-        return clone
+        return _SelfCopier(copy.deepcopy(self.tag, memo))
 
 
 def _assert_no_shared_mutables(a, b):
@@ -102,16 +103,31 @@ def _assert_no_shared_mutables(a, b):
         assert a is not b
         for k in a:
             _assert_no_shared_mutables(a[k], b[k])
-    elif isinstance(a, set):
-        assert a is not b
+
+
+def _image(obj):
+    """What `obj` holds, in plain lists and dicts: freezing turns lists
+    into tuples and dicts into ``FrozenDict``, and keeps the image."""
+    if isinstance(obj, ClassAd):
+        return ("ad", str(obj))
+    if isinstance(obj, (list, tuple)):
+        return [_image(item) for item in obj]
+    if isinstance(obj, dict):
+        return {key: _image(item) for key, item in obj.items()}
+    if isinstance(obj, Immutable):
+        return (type(obj).__name__,
+                {f.name: _image(getattr(obj, f.name)) for f in fields(obj)})
+    return obj
 
 
 @given(_trees)
 @settings(max_examples=200, deadline=None)
 def test_matches_deepcopy_on_payload_trees(tree):
+    """Same content as ``copy.deepcopy`` gives, frozen, sharing nothing
+    the original could still change."""
     fast = fast_deepcopy(tree)
-    slow = copy.deepcopy(tree)
-    assert fast == slow == tree
+    assert _image(fast) == _image(copy.deepcopy(tree)) == _image(tree)
+    _assert_immutable(fast)
     _assert_no_shared_mutables(tree, fast)
 
 
@@ -123,74 +139,80 @@ def test_enum_members_keep_their_identity(member, tree):
     re-built instance or its bare mixin value."""
     payload = {"state": member, member: [member, tree], "t": (member, tree)}
     fast = fast_deepcopy(payload)
-    slow = copy.deepcopy(payload)
-    assert fast == slow == payload
-    for clone in (fast, slow):
-        assert clone["state"] is member
-        assert clone[member][0] is member and clone["t"][0] is member
-        assert any(key is member for key in clone)
+    assert _image(fast) == _image(payload)
+    assert fast["state"] is member
+    assert fast[member][0] is member and fast["t"][0] is member
+    assert any(key is member for key in fast)
     _assert_no_shared_mutables(payload, fast)
 
 
+def test_an_enum_key_is_an_atom_before_any_member_crossed():
+    """Whether a ``FrozenDict`` takes an ``Enum`` key must not depend on
+    whether a member of its class crossed as a value before."""
+    class Fresh(enum.Enum):
+        A = 1
+        B = 2
+
+    assert FrozenDict({Fresh.A: 1}) == {Fresh.A: 1}
+    assert fast_deepcopy({Fresh.B: [Fresh.A]}) == {Fresh.B: (Fresh.A,)}
+    with pytest.raises(TypeError, match="keys"):
+        FrozenDict({Fresh.A: 1, (Fresh.B,): 2})
+
+
 def test_enum_leaves_do_not_reach_the_deepcopy_fallback(monkeypatch):
-    """A queue record is a plain tree over atoms and ``JobState``: it
-    must be walked structurally, not handed to ``copy.deepcopy``."""
+    """A queue record is a plain tree over atoms and ``JobState``: it is
+    frozen structurally, and ``copy.deepcopy`` is never called -- the
+    value contract has no fallback to reach."""
     def fallback(obj, memo=None):
         raise AssertionError(f"fell back to copy.deepcopy for {obj!r}")
 
     monkeypatch.setattr(copy, "deepcopy", fallback)
     record = {"job_id": "gridjob-1", "state": JobState.ACTIVE,
               "history": [(0.5, "queued", {"level": _Level.HIGH})]}
-    clone = fast_deepcopy(record)
-    assert clone == record and clone["history"] is not record["history"]
+    frozen = fast_deepcopy(record)
+    assert _image(frozen) == _image(record)
+    assert frozen["history"][0][2]["level"] is _Level.HIGH
+    assert not hasattr(fastcopy, "copy")
 
 
 @given(_trees)
 @settings(max_examples=100, deadline=None)
 def test_mutating_the_copy_never_touches_the_original(tree):
+    """The frozen copy refuses every edit, and an edit of the original
+    does not reach it."""
     original = copy.deepcopy(tree)
-    clone = fast_deepcopy(tree)
-    _vandalize(clone)
+    frozen = fast_deepcopy(tree)
+    _vandalize(frozen)
     assert tree == original
+    _vandalize(tree)
+    assert _image(frozen) == _image(original)
 
 
 @given(st.lists(_atoms, max_size=5), st.sets(st.integers(), max_size=5))
 @settings(max_examples=100, deadline=None)
-def test_fallback_for_sets_and_dataclasses(payload, numbers):
-    """Non-container shapes route through copy.deepcopy, deeply."""
-    rec = _Record(name="rec", payload=[payload, numbers])
-    wrapped = {"outer": [rec], "set": numbers}
-    clone = fast_deepcopy(wrapped)
-    assert clone == wrapped
-    assert clone["outer"][0] is not rec
-    assert clone["outer"][0].payload is not rec.payload
-    assert clone["set"] is not numbers
-    clone["outer"][0].payload.append("x")
-    assert len(rec.payload) == 2
-
-
-@given(st.text(max_size=8))
-@settings(max_examples=50, deadline=None)
-def test_fallback_honors_custom_deepcopy(tag):
-    obj = _SelfCopier(tag)
-    clone = fast_deepcopy({"obj": obj})["obj"]
-    assert clone is not obj
-    assert clone.tag == tag
-    assert clone.copies == 1   # went through __deepcopy__, not __dict__ copy
+def test_undeclared_types_are_refused(payload, numbers):
+    """There is no fallback copy: a set, a plain dataclass, an object
+    with its own ``__deepcopy__`` or a ``bytearray`` -- anywhere in a
+    tree -- is refused, not copied."""
+    for bad in (numbers, _Record("rec", [payload]), _SelfCopier("tag"),
+                bytearray(b"x")):
+        with pytest.raises(TypeError, match="not declared immutable"):
+            fast_deepcopy({"outer": [payload, bad]})
+        with pytest.raises(TypeError, match="not declared immutable"):
+            fast_deepcopy(bad)
 
 
 @given(_trees)
 @settings(max_examples=50, deadline=None)
 def test_tuple_subclasses_are_not_flattened(tree):
-    """A namedtuple-ish subclass must keep its type (fallback path)."""
+    """A tuple subclass is not a tuple: it is refused, never turned
+    into a plain one that has lost its type."""
 
     class Point(tuple):
         pass
 
-    p = Point((1, tree))
-    clone = fast_deepcopy([p])
-    assert type(clone[0]) is Point
-    assert clone[0] == p
+    with pytest.raises(TypeError, match="Point is not declared immutable"):
+        fast_deepcopy([Point((1, tree))])
 
 
 # -- declared-immutable values ---------------------------------------------------
@@ -291,7 +313,6 @@ def test_declared_values_cannot_change_and_cross_by_reference(value):
     _assert_immutable(value)
     assert fast_deepcopy(value) is value
     assert fast_deepcopy({"in": [value]})["in"][0] is value
-    assert copy.deepcopy(value) is value
     assert freeze(value) is value
     after = repr(value) if not isinstance(value, ClassAd) else str(value)
     assert after == before
@@ -385,7 +406,7 @@ _payloads = st.one_of(_trees, _values, _ad_builders,
 
 def _vandalize(obj):
     """Do to `obj`, and to everything reachable from it, whatever it
-    lets us do."""
+    lets us do: a frozen value must refuse every edit."""
     if isinstance(obj, FrozenDict) or isinstance(obj, Immutable):
         for mutate in _mutators(obj):
             with pytest.raises(_REFUSALS):
@@ -394,10 +415,11 @@ def _vandalize(obj):
                      else [getattr(obj, f.name) for f in fields(obj)]):
             _vandalize(item)
     elif isinstance(obj, ClassAd):
-        try:
+        if obj.sealed() is obj:
+            with pytest.raises(TypeError):
+                obj["Vandalized"] = True
+        else:
             obj["Vandalized"] = True
-        except TypeError:
-            pass
     elif isinstance(obj, list):
         for item in obj:
             _vandalize(item)
@@ -429,7 +451,7 @@ def _grid():
 @given(_payloads)
 @settings(max_examples=150, deadline=None)
 def test_rpc_call_isolates_both_directions(payload):
-    sent = copy.deepcopy(payload)
+    sent = _image(payload)
     sim, client, keeper = _grid()
     box = {}
 
@@ -440,29 +462,29 @@ def test_rpc_call_isolates_both_directions(payload):
     client.spawn(caller())
     sim.schedule(0.05, lambda: _vandalize(payload))   # sent, not yet landed
     sim.run()
-    assert keeper.kept == sent and box["got"] == sent
-    _vandalize(keeper.kept)             # the server edits what it returned
-    assert box["got"] == sent
-    server_side = copy.deepcopy(keeper.kept)
-    _vandalize(box["got"])              # the caller edits what it got
-    assert keeper.kept == server_side
+    assert _image(keeper.kept) == _image(box["got"]) == sent
+    for crossed in (keeper.kept, box["got"]):
+        _assert_immutable(crossed)
+        _vandalize(crossed)             # neither side can edit what it got
+    assert _image(keeper.kept) == _image(box["got"]) == sent
 
 
 @given(_payloads)
 @settings(max_examples=100, deadline=None)
 def test_rpc_notify_fixes_the_payload_at_send(payload):
-    sent = copy.deepcopy(payload)
+    sent = _image(payload)
     sim, client, keeper = _grid()
     notify(client, "server", "keeper", "keep", data=payload)
     _vandalize(payload)
     sim.run()
-    assert keeper.kept == sent
+    assert _image(keeper.kept) == sent
+    _assert_immutable(keeper.kept)
 
 
 @given(_payloads)
 @settings(max_examples=150, deadline=None)
 def test_stable_storage_isolates_writer_disk_and_readers(payload):
-    written = copy.deepcopy(payload)
+    written = _image(payload)
     sim = Simulator(seed=3)
     host = Host(sim, "disk")
     host.stable.put("ns", "key", payload)
@@ -470,10 +492,10 @@ def test_stable_storage_isolates_writer_disk_and_readers(payload):
     host.crash()
     host.restart()
     first = host.stable.get("ns", "key")
-    assert first == written
-    _vandalize(first)                         # a reader edits what it read
-    assert host.stable.get("ns", "key") == written
+    assert _image(first) == written
+    _assert_immutable(first)
+    _vandalize(first)                         # a reader cannot edit it
+    assert host.stable.get("ns", "key") is first
     (key, listed), = host.stable.items("ns")
-    assert (key, listed) == ("key", written)
-    _vandalize(listed)
-    assert host.stable.namespace("ns").get("key") == written
+    assert key == "key" and listed is first
+    assert host.stable.namespace("ns").get("key") is first

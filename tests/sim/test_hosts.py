@@ -86,14 +86,18 @@ def test_stable_storage_survives_crash(sim):
 
 
 def test_stable_storage_deep_copies():
+    """``put`` stores a frozen deep copy; reads return that very object."""
     store = StableStorage()
     record = {"nested": [1, 2]}
     store.put("ns", "k", record)
     record["nested"].append(3)          # mutating the original...
     got = store.get("ns", "k")
-    assert got == {"nested": [1, 2]}    # ...must not leak into "disk"
-    got["nested"].append(99)            # nor mutating what we read back
-    assert store.get("ns", "k") == {"nested": [1, 2]}
+    assert got == {"nested": (1, 2)}    # ...must not leak into "disk"
+    with pytest.raises(TypeError):
+        got["nested"] = [99]            # nor can a reader edit it
+    assert store.get("ns", "k") is got
+    (key, listed), = store.items("ns")
+    assert key == "k" and listed is got
 
 
 def test_stable_namespace_listing_sorted():

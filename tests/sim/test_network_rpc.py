@@ -175,11 +175,13 @@ def test_payloads_are_copied_not_shared():
 
     proc = sim.spawn(sender())
     # Mutate after the send executes (t=0) but before delivery (t=0.1):
-    # without serialization-copy the receiver would see the mutation.
+    # without the frozen copy the receiver would see the mutation.
     sim.schedule(0.05, lambda: payload["values"].append(3))
     sim.run()
     assert proc.ok
-    assert received == [{"values": [1, 2]}]
+    assert received == [{"values": (1, 2)}]
+    with pytest.raises(TypeError):
+        received[0]["values"] = [3]     # and the receiver cannot edit it
 
 
 def test_notify_is_one_way(net_pair):

@@ -1,4 +1,4 @@
-"""Mechanics of the hot-path structures: heap compaction, structural copy.
+"""Mechanics of the hot-path structures: heap compaction, freezing.
 
 Whether these structures leave a whole run untouched is pinned by the
 golden digests (``tests/test_golden_digests.py``); the tests here check
@@ -7,7 +7,9 @@ the structures themselves.
 
 from __future__ import annotations
 
-from repro.sim.fastcopy import fast_deepcopy
+import pytest
+
+from repro.sim.fastcopy import FrozenDict, fast_deepcopy
 from repro.sim.kernel import Simulator
 
 
@@ -37,18 +39,17 @@ def test_compaction_keeps_live_events_firing():
     assert fired == list(range(50))
 
 
-def test_fast_deepcopy_structural_and_fallback():
+def test_fast_deepcopy_freezes_and_refuses():
     payload = {"a": [1, 2, {"b": (3, "x")}], "c": None}
-    copied = fast_deepcopy(payload)
-    assert copied == payload
-    assert copied is not payload
-    assert copied["a"][2] is not payload["a"][2]
+    frozen = fast_deepcopy(payload)
+    assert frozen == {"a": (1, 2, {"b": (3, "x")}), "c": None}
+    assert type(frozen) is FrozenDict and type(frozen["a"][2]) is FrozenDict
+    assert frozen["a"][2]["b"] is payload["a"][2]["b"]   # atoms only: shared
+    assert fast_deepcopy(frozen) is frozen
 
     class Weird:
         def __init__(self):
             self.v = [1]
 
-    obj = {"w": Weird()}
-    copied = fast_deepcopy(obj)
-    assert copied["w"] is not obj["w"]
-    assert copied["w"].v == [1]
+    with pytest.raises(TypeError, match="Weird is not declared immutable"):
+        fast_deepcopy({"w": Weird()})

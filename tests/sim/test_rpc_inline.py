@@ -2,14 +2,14 @@
 
 ``tests/test_golden_digests.py`` pins whole-scenario digests; these
 tests pin the individual semantics every request shares, whatever its
-handler (plain or generator, authorized or not) -- isolation (an
-immutable value crosses by reference, anything else is copied; no
-service can opt out), in-flight failure windows, RNG draws and timing --
-and the event budget: two kernel events per plain call and no timer
-unless the call may time out.  (Test names that speak of "inline", "fall
-back" or "the datagram path" date from when a second path existed; what
-they check is unchanged, and they keep their names because the driver's
-test floor lists them.)
+handler (plain or generator, authorized or not) -- isolation (what
+crosses is frozen: an immutable value by reference, a plain container
+as a frozen copy, an undeclared type refused; no service can opt out),
+in-flight failure windows, RNG draws and timing -- and the event budget:
+two kernel events per plain call and no timer unless the call may time
+out.  (Test names that speak of "inline", "fall back" or "the datagram
+path" date from when a second path existed; what they check is
+unchanged.)
 """
 
 import pytest
@@ -73,7 +73,7 @@ class Inlineable(Service):
         raise ValueError("kaboom")
 
     def handle_state(self, ctx):
-        # Aliases server state: must reach the caller as a copy.
+        # Aliases server state: must reach the caller as a frozen copy.
         self.state["hits"] += 1
         return self.state
 
@@ -87,6 +87,13 @@ class Inlineable(Service):
 
     def handle_record(self, ctx, data):
         self.state["data"] = data
+
+    def handle_undeclared(self, ctx):
+        return {1, 2}       # a set is not a value that can cross
+
+    def handle_undeclared_gen(self, ctx):
+        yield self.sim.timeout(1.0)
+        return {1, 2}
 
     def handle_gen(self, ctx, duration):
         yield self.sim.timeout(duration)
@@ -141,8 +148,10 @@ def test_result_aliasing_server_state_is_copied(pool):
     sim, client, server, svc = pool
     box = run_call(sim, call(client, "server", "svc", "state"))
     assert box["value"] == {"hits": 1}
-    box["value"]["hits"] = 99
-    assert svc.state["hits"] == 1  # caller got an isolated copy
+    with pytest.raises(TypeError):
+        box["value"]["hits"] = 99       # the caller cannot edit it ...
+    svc.state["hits"] = 7
+    assert box["value"] == {"hits": 1}  # ... nor see the server's edits
 
 
 def test_immutable_result_crosses_by_reference_a_mutable_one_is_copied(pool):
@@ -152,15 +161,16 @@ def test_immutable_result_crosses_by_reference_a_mutable_one_is_copied(pool):
     plain = run_call(sim, call(client, "server", "svc", "built",
                                frozen=False))["value"]
     assert frozen == plain == {"built": "per-call"}
-    # The immutable value is the very object the handler built -- and the
-    # caller cannot change it; the plain dict is the caller's own copy,
-    # however freshly the handler built it.
+    # The immutable value is the very object the handler built; the
+    # plain dict crossed as a frozen copy, however freshly the handler
+    # built it.  The caller can change neither.
     assert frozen is svc.last_results[0]
-    with pytest.raises(TypeError):
-        frozen["built"] = "by the caller"
-    assert plain is not svc.last_results[1]
-    plain["built"] = "by the caller"
-    assert svc.last_results[1] == {"built": "per-call"}
+    assert plain is not svc.last_results[1] and type(plain) is FrozenDict
+    for value in (frozen, plain):
+        with pytest.raises(TypeError):
+            value["built"] = "by the caller"
+    svc.last_results[1]["built"] = "by the server"
+    assert plain == {"built": "per-call"}
 
 
 def test_inline_args_are_snapshotted_at_send_time(pool):
@@ -174,7 +184,33 @@ def test_inline_args_are_snapshotted_at_send_time(pool):
     # Mutate after the send (t=0) but before arrival (t=0.1).
     sim.schedule(0.05, lambda: payload["values"].append(3))
     sim.run()
-    assert svc.state["data"] == {"values": [1, 2]}
+    assert svc.state["data"] == {"values": (1, 2)}
+    with pytest.raises(TypeError):
+        svc.state["data"]["values"] = [9]   # the receiver cannot edit it
+
+
+@pytest.mark.parametrize("send", ["call", "notify"])
+def test_an_undeclared_argument_is_refused_at_the_send(pool, send):
+    sim, client, server, svc = pool
+    with pytest.raises(TypeError, match="not declared immutable"):
+        if send == "call":
+            next(call(client, "server", "svc", "record", data={1, 2}))
+        else:
+            notify(client, "server", "svc", "record", data=[{1, 2}])
+    sim.run()
+    assert sim.network.sent == 0 and "data" not in svc.state
+
+
+@pytest.mark.parametrize("method", ["undeclared", "undeclared_gen"])
+def test_an_undeclared_result_is_a_typed_error_and_the_run_goes_on(
+        pool, method):
+    sim, client, server, svc = pool
+    box = run_call(sim, call(client, "server", "svc", method))
+    assert isinstance(box["error"], RemoteError)
+    assert box["error"].kind == "TypeError"
+    assert "not declared immutable" in str(box["error"])
+    box = run_call(sim, call(client, "server", "svc", "ping", text="on"))
+    assert box["value"] == "ON"
 
 
 def test_generator_handler_falls_back_to_real_path(pool):

@@ -113,10 +113,3 @@ def test_end_time_and_clear():
     assert sim.trace.dropped == 0
     assert sim.trace.select("a") == []
     assert sim.trace.end_time() is None
-
-
-def test_disabled_trace_logs_nothing():
-    sim = Simulator()
-    sim.trace.enabled = False
-    sim.trace.log("a", "x")
-    assert len(sim.trace) == 0

@@ -1,14 +1,20 @@
 """Gates on the value contract (``repro.sim.fastcopy``).
 
-Two ways the contract erodes without any test noticing: a module starts
-copying on its own (a second boundary, or a private opt-out), or a new
-payload type silently rides the ``copy.deepcopy`` fallback -- correct,
-~10x slower, and visible only in a benchmark.  The first is gated by
-reading the source, the second by running the shapes the suite
-benchmarks with the fallback turned into an error.
+Three ways the contract erodes without any test noticing: a module
+starts copying on its own (a second boundary, or a private opt-out), an
+undeclared type is sent where its refusal is swallowed (a refused reply
+reaches its caller as a ``RemoteError`` a daemon may treat as a lost
+answer), or a handler parameter has no declared type.  The first and
+the last are gated by reading the source, the second by running the
+shapes the suite benchmarks and four scenarios while every refusal is
+recorded.  (Test names that speak of "the fallback" date from when an
+undeclared type was deep-copied instead of refused.)
 """
 
 import ast
+import importlib
+import inspect
+import pkgutil
 from pathlib import Path
 
 import pytest
@@ -18,7 +24,7 @@ from repro.chaos.invariants import evaluate_invariants
 from repro.chaos.runner import build_and_run
 from repro.grid.scenarios import get_scenario, multiuser_gram_grid, \
     scale_glidein_grid, scale_gram_grid
-from repro.sim import fastcopy
+from repro.sim import fastcopy, rpc
 
 from ..test_golden_digests import _open_payloads
 
@@ -40,24 +46,62 @@ def _callers(name: str) -> set:
 
 def test_only_the_boundaries_copy_and_nothing_opts_out():
     assert _callers("fast_deepcopy") == {"sim/hosts.py", "sim/rpc.py"}
-    assert _callers("deepcopy") == {"sim/fastcopy.py"}
+    assert _callers("deepcopy") == set()
+    assert "import copy" not in (SRC / "sim" / "fastcopy.py").read_text()
     assert [path.relative_to(SRC).as_posix() for path in SRC.rglob("*.py")
             if "rpc_fresh_results" in path.read_text()] == []
 
 
-# -- nothing benchmarked takes the fallback -----------------------------------------
+def _services() -> set:
+    """Every ``Service`` subclass defined under ``src/repro``."""
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not info.name.endswith("__main__"):
+            importlib.import_module(info.name)
+    found, todo = set(), [rpc.Service]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("repro."):
+                found.add(sub)
+    return found
+
+
+def test_every_handler_parameter_is_annotated():
+    """A handler's signature is the contract of what may cross into it:
+    every parameter after ``ctx`` says what its senders pass."""
+    handlers, missing = 0, []
+    for cls in _services():
+        for name, fn in vars(cls).items():
+            if not name.startswith("handle_"):
+                continue
+            handlers += 1
+            params = list(inspect.signature(fn).parameters.values())[2:]
+            missing += [f"{cls.__name__}.{name}({param.name})"
+                        for param in params
+                        if param.annotation is inspect.Parameter.empty]
+    assert handlers > 50
+    assert missing == []
+
+
+# -- nothing benchmarked sends an undeclared type -----------------------------
 
 @pytest.fixture
 def no_fallback(monkeypatch):
-    class _Refuse:
-        @staticmethod
-        def deepcopy(obj, memo=None):
-            raise AssertionError(
-                f"{type(obj).__name__} took the copy.deepcopy fallback: "
-                "declare it immutable (repro.sim.fastcopy) or send plain "
-                "containers")
+    """Record every refusal of an undeclared type, wherever it was
+    caught, and fail the test at its end if there was one."""
+    refused, real = set(), fastcopy.freeze
 
-    monkeypatch.setattr(fastcopy, "copy", _Refuse)
+    def watched(obj):
+        try:
+            return real(obj)
+        except TypeError as exc:
+            refused.add(str(exc))
+            raise
+
+    monkeypatch.setattr(fastcopy, "freeze", watched)
+    yield
+    assert refused == set(), "declare it immutable (repro.sim.fastcopy) " \
+        "or send plain containers"
 
 
 def _drain(tb, cap: float = 40_000.0):
@@ -118,32 +162,31 @@ def test_scenarios_never_reach_the_fallback(no_fallback, scenario):
 
 def test_a_monitor_report_crosses_with_zero_structural_copies(
         no_fallback, monkeypatch):
-    """A report is a value: whatever the batch holds, sending it walks
-    the four arguments of the call and nothing below them."""
-    from repro.sim import rpc
+    """A report is a value: whatever the batch holds, sending it freezes
+    the one argument of the call that is not an atom -- by reference --
+    and nothing below it."""
+    freezes, crossings = [0], []
+    real_freeze, real_init = fastcopy.freeze, rpc._Request.__init__
 
-    walks, crossings = [0], []
-    real_walk, real_copy = fastcopy._walk, rpc.fast_deepcopy
+    def counted_freeze(obj):
+        freezes[0] += 1
+        return real_freeze(obj)
 
-    def counted_walk(obj):
-        walks[0] += 1
-        return real_walk(obj)
+    def counted_init(self, src, dst, service, method, credential, args,
+                     reply):
+        if method != "monitor_report":
+            return real_init(self, src, dst, service, method, credential,
+                             args, reply)
+        reports, before = args["reports"], freezes[0]
+        real_init(self, src, dst, service, method, credential, args, reply)
+        crossings.append((freezes[0] - before, len(reports),
+                          self.args["reports"] is reports))
 
-    def counted_copy(obj):
-        if not (isinstance(obj, dict) and "reports" in obj):
-            return real_copy(obj)
-        before = walks[0]
-        out = real_copy(obj)
-        crossings.append((walks[0] - before, len(obj["reports"]),
-                          out["reports"] is obj["reports"]))
-        return out
-
-    monkeypatch.setattr(fastcopy, "_walk", counted_walk)
-    monkeypatch.setattr(rpc, "fast_deepcopy", counted_copy)
+    monkeypatch.setattr(fastcopy, "freeze", counted_freeze)
+    monkeypatch.setattr(rpc._Request, "__init__", counted_init)
     tb = _drain(SHAPES["gram-monitored"]())
     assert tb.sim.metrics.counter("gridmanager.monitor_reports").value > 20
-    sizes = {size for _walks, size, _same in crossings}
+    sizes = {size for _freezes, size, _same in crossings}
     assert len(crossings) > 20 and max(sizes) >= 10 and len(sizes) > 3
-    # the call's own kwargs dict, then each key and each value: 1 + 2 x 4
-    assert {n for n, _size, _same in crossings} == {9}
-    assert all(same for _walks, _size, same in crossings)
+    assert {n for n, _size, _same in crossings} == {1}
+    assert all(same for _freezes, _size, same in crossings)
