@@ -188,18 +188,29 @@ def test_mutating_the_copy_never_touches_the_original(tree):
     assert _image(frozen) == _image(original)
 
 
+def _assert_refused(payload, bad):
+    """`bad` is refused on its own and anywhere in a tree."""
+    with pytest.raises(TypeError, match="not declared immutable"):
+        fast_deepcopy({"outer": [payload, bad]})
+    with pytest.raises(TypeError, match="not declared immutable"):
+        fast_deepcopy(bad)
+
+
 @given(st.lists(_atoms, max_size=5), st.sets(st.integers(), max_size=5))
 @settings(max_examples=100, deadline=None)
-def test_undeclared_types_are_refused(payload, numbers):
-    """There is no fallback copy: a set, a plain dataclass, an object
-    with its own ``__deepcopy__`` or a ``bytearray`` -- anywhere in a
-    tree -- is refused, not copied."""
-    for bad in (numbers, _Record("rec", [payload]), _SelfCopier("tag"),
-                bytearray(b"x")):
-        with pytest.raises(TypeError, match="not declared immutable"):
-            fast_deepcopy({"outer": [payload, bad]})
-        with pytest.raises(TypeError, match="not declared immutable"):
-            fast_deepcopy(bad)
+def test_sets_and_dataclasses_are_refused(payload, numbers):
+    """There is no fallback copy: a set, a plain dataclass or a
+    ``bytearray`` is refused, not copied."""
+    for bad in (numbers, _Record("rec", [payload]), bytearray(b"x")):
+        _assert_refused(payload, bad)
+
+
+@given(st.lists(_atoms, max_size=5), st.text(max_size=5))
+@settings(max_examples=50, deadline=None)
+def test_a_custom_deepcopy_is_refused(payload, tag):
+    """An object with its own ``__deepcopy__`` declares nothing about
+    whether it can change, so it is refused like any undeclared type."""
+    _assert_refused(payload, _SelfCopier(tag))
 
 
 @given(_trees)
