@@ -10,6 +10,7 @@ Condor-G resource broker.
 from .ast import AttrRef, EvalContext, Expr, Literal, is_match_static
 from .classad import (
     ClassAd,
+    SealedClassAd,
     best_match,
     match_signature,
     rank_value,
@@ -22,8 +23,8 @@ from .values import ERROR, UNDEFINED, is_false, is_true, value_repr
 
 __all__ = [
     "ERROR", "UNDEFINED", "AttrRef", "ClassAd", "ClassAdSyntaxError",
-    "EvalContext", "Expr", "Literal", "best_match", "is_false", "is_true",
-    "is_match_static", "match_signature",
+    "EvalContext", "Expr", "Literal", "SealedClassAd", "best_match",
+    "is_false", "is_true", "is_match_static", "match_signature",
     "parse", "parse_ad_pairs", "rank_value", "requirements_met",
     "symmetric_match", "value_repr",
 ]

@@ -446,7 +446,7 @@ BUILTINS: dict[str, tuple[Callable, bool]] = {
     "isboolean": (_type_check(lambda v: isinstance(v, bool)), False),
     "islist": (_type_check(lambda v: isinstance(v, list)), False),
     "isclassad": (_type_check(
-        lambda v: type(v).__name__ == "ClassAd"), False),
+        lambda v: type(v).__name__ in ("ClassAd", "SealedClassAd")), False),
     "member": (_member, False),
     "stringlistmember": (_string_list_member, False),
     "stringlistsize": (_string_list_size, False),

@@ -20,7 +20,10 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Optional
 
-from .ast import AttrRef, EvalContext, Expr, Literal, is_match_static
+from ..sim.fastcopy import declare
+from .ast import ClassAdExpr, EvalContext, Expr, ListExpr, Literal, \
+    is_match_static
+from .parser import parse, parse_ad_pairs
 from .values import ERROR, UNDEFINED, is_true, value_repr
 
 
@@ -29,12 +32,8 @@ def _to_expr(value: Any) -> Expr:
     if isinstance(value, Expr):
         return value
     if isinstance(value, ClassAd):
-        from .ast import ClassAdExpr
-
         return ClassAdExpr([(k, v) for k, v in value.expr_items()])
     if isinstance(value, list):
-        from .ast import ListExpr
-
         return ListExpr([_to_expr(v) for v in value])
     if value is None:
         return Literal(UNDEFINED)
@@ -47,21 +46,20 @@ def _to_expr(value: Any) -> Expr:
 class ClassAd:
     """An attribute -> expression record with lazy evaluation.
 
-    An ad is a builder until it is *sealed* (:meth:`seal`, one way):
-    after that every mutator raises, so the ad is a value that may be
+    An ad is a builder until it is *sealed* (:meth:`seal`, one way),
+    which makes it a :class:`SealedClassAd`: a value that may be
     published, sent and stored by reference -- which is what happens to
     it the first time it crosses a wire or hits a disk
     (:mod:`repro.sim.fastcopy`).  :meth:`copy` gives an unsealed ad to
-    edit.  A sealed ad computes its :func:`match_signature` once.
+    edit.
     """
 
-    __slots__ = ("_attrs", "_case", "_sealed", "_signature")
+    __slots__ = ("_attrs", "_case", "_signature")
 
     def __init__(self, attrs: Optional[dict[str, Any]] = None):
         # _attrs: lowercase name -> Expr;  _case: lowercase -> display name
         self._attrs: dict[str, Expr] = {}
         self._case: dict[str, str] = {}
-        self._sealed = False
         self._signature: Optional[tuple[tuple, bool]] = None
         if attrs:
             for name, value in attrs.items():
@@ -71,8 +69,6 @@ class ClassAd:
     @classmethod
     def parse(cls, text: str) -> "ClassAd":
         """Parse `[a = 1; b = 2]` or old-style `a = 1` line format."""
-        from .parser import parse_ad_pairs
-
         ad = cls()
         for name, expr in parse_ad_pairs(text):
             ad.set_expr(name, expr)
@@ -86,21 +82,17 @@ class ClassAd:
         return dup
 
     # -- sealing ------------------------------------------------------------
-    def seal(self) -> "ClassAd":
+    def seal(self) -> "SealedClassAd":
         """Make this ad immutable, for good; returns it."""
-        self._sealed = True
+        self.__class__ = SealedClassAd
         return self
 
-    def sealed(self) -> "ClassAd":
+    def sealed(self) -> "SealedClassAd":
         """This ad if sealed, else a sealed copy (the caller keeps its
         builder): the form in which an ad crosses a boundary."""
-        return self if self._sealed else self.copy().seal()
+        return self if type(self) is SealedClassAd else self.copy().seal()
 
     __sealed__ = sealed     # the hook repro.sim.fastcopy looks for
-
-    def _check_unsealed(self) -> None:
-        if self._sealed:
-            raise TypeError("this ClassAd is sealed; edit a copy()")
 
     def update(self, other: "ClassAd") -> None:
         for name, expr in other.expr_items():
@@ -114,15 +106,12 @@ class ClassAd:
         if isinstance(expr, str):
             raise TypeError("set_expr needs an Expr; use set_expression "
                             "for source text")
-        self._check_unsealed()
         key = name.lower()
         self._attrs[key] = expr
         self._case[key] = name
 
     def set_expression(self, name: str, source: str) -> None:
         """Assign an attribute from ClassAd source text (kept lazy)."""
-        from .parser import parse
-
         self.set_expr(name, parse(source))
 
     def lookup(self, name: str) -> Optional[Expr]:
@@ -133,7 +122,6 @@ class ClassAd:
         return name.lower() in self._attrs
 
     def __delitem__(self, name: str) -> None:
-        self._check_unsealed()
         key = name.lower()
         del self._attrs[key]
         del self._case[key]
@@ -194,6 +182,19 @@ class ClassAd:
     def __hash__(self) -> int:
         return hash(tuple(sorted((k, str(v))
                                  for k, v in self._attrs.items())))
+
+
+@declare
+class SealedClassAd(ClassAd):
+    """A sealed ad: a value (every mutator raises) that crosses by
+    reference and computes its :func:`match_signature` once."""
+
+    __slots__ = ()
+
+    def _refuse(self, *_args: Any) -> None:
+        raise TypeError("this ClassAd is sealed; edit a copy()")
+
+    __setitem__ = __delitem__ = set_expr = set_expression = update = _refuse
 
 
 # -- matchmaking --------------------------------------------------------------
@@ -271,12 +272,12 @@ def match_signature(ad: ClassAd) -> tuple[tuple, bool]:
         attrs = ad._attrs
         signature = (tuple((key, str(attrs[key])) for key in sorted(attrs)),
                      all(map(is_match_static, attrs.values())))
-        if ad._sealed:
+        if type(ad) is SealedClassAd:
             ad._signature = signature
     return signature
 
 
 __all__ = [
-    "ClassAd", "best_match", "match_signature", "rank_value",
+    "ClassAd", "SealedClassAd", "best_match", "match_signature", "rank_value",
     "requirements_met", "symmetric_match", "value_repr",
 ]

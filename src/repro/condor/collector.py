@@ -74,9 +74,13 @@ class Collector(Service):
     # -- handlers -----------------------------------------------------------
     def handle_advertise(self, ctx, adtype: str, ad: ClassAd,
                          ttl: Optional[float] = None) -> bool:
-        """Store (or renew) `ad` for `ttl`.  Only a ClassAd under a str
-        ad type is kept: anything else is the caller's error, answered
-        now, not a failure of every later query or negotiation cycle."""
+        """Store (or renew) `ad` for `ttl` seconds.  Only a ClassAd under a
+        str ad type, for a finite positive ttl, is kept: anything else is
+        the caller's error, answered now, not a failure of every later
+        query or negotiation cycle."""
+        ttl = self.default_ttl if ttl is None else ttl
+        if type(ttl) not in (int, float) or not 0 < ttl < float("inf"):
+            raise ValueError(f"a ttl is a finite positive number, not {ttl!r}")
         if not isinstance(adtype, str):
             raise TypeError(
                 f"an ad type is a str, not {type(adtype).__name__}")
@@ -87,7 +91,7 @@ class Collector(Service):
         if not isinstance(name, str) or not name:
             raise ValueError("ad needs a string Name attribute")
         self._reap()
-        expiry = self.sim.now + (ttl or self.default_ttl)
+        expiry = self.sim.now + ttl
         self._ads[(adtype, name)] = (ad, expiry)
         self._soonest_expiry = min(self._soonest_expiry, expiry)
         return True

@@ -138,11 +138,8 @@ def job_ad(
     **extra: Any,
 ) -> ClassAd:
     """Build a job ad with the conventional attributes."""
-    ad = ClassAd()
-    ad["Owner"] = owner
-    ad["ImageSize"] = image_size
+    ad = ClassAd({"Owner": owner, "ImageSize": image_size})
     ad.set_expression("Requirements", requirements)
     ad.set_expression("Rank", rank)
-    for key, value in extra.items():
-        ad[key] = value
+    ad.update(ClassAd(extra))
     return ad

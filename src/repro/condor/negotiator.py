@@ -64,7 +64,8 @@ class _CycleMatcher:
         """Index of the machine ``best_match`` would pick, or None."""
         sig, static = match_signature(job_ad)
         if not static:
-            return self._scan(job_ad, now, range(len(self.machines)))
+            found = self._scan_pair(job_ad, now, range(len(self.machines)))
+            return found[1] if found is not None else None
         lst = self._candidates.get(sig)
         if lst is None:
             lst = []
@@ -121,10 +122,6 @@ class _CycleMatcher:
             elif rank > best[0]:
                 best = (rank, i)
         return best
-
-    def _scan(self, job_ad: ClassAd, now: float, indices) -> int | None:
-        found = self._scan_pair(job_ad, now, indices)
-        return found[1] if found is not None else None
 
 
 class Negotiator(Service):
@@ -216,7 +213,7 @@ class Negotiator(Service):
                     "negotiator.submitter_errors").inc()
                 self._trace("submitter_error", submitter=submitter_name)
                 continue
-            for job_id, job_ad in idle:
+            for job_id, job_ad in idle.items():
                 if not matcher.remaining:
                     self.memo_hits = matcher.memo_hits
                     return

@@ -83,6 +83,11 @@ class QueueRecord:
         return None
 
 
+def job_number(job_id: str) -> int:
+    """The ``N`` of a queue's job id ``"N.0"``: the order of submission."""
+    return int(job_id.partition(".")[0])
+
+
 class JobQueue:
     """One persistent queue of job records, with one writer.
 
@@ -110,7 +115,7 @@ class JobQueue:
                        for universe in kind.UNIVERSES}
         last = 0
         for key, record in self._progress.items():
-            last = max(last, int(key.partition(".")[0]))
+            last = max(last, job_number(key))
             kind = record_type[record["universe"]]
             job = kind.from_record(
                 {**record, kind.FROZEN: self._frozen.get(key)})
@@ -257,5 +262,6 @@ class JobQueue:
             max_attempts=job.max_attempts)
 
     def statuses(self) -> list[JobStatus]:
-        """Every job, in job-id order."""
-        return [self.status(job_id) for job_id in sorted(self.jobs)]
+        """Every job, in job-id order (``"2.0"`` before ``"10.0"``)."""
+        return [self.status(job_id)
+                for job_id in sorted(self.jobs, key=job_number)]

@@ -27,6 +27,7 @@ from typing import Callable, Optional
 
 from ..classads import ClassAd, symmetric_match
 from ..sim.errors import RPCError
+from ..sim.fastcopy import FrozenDict
 from ..sim.hosts import Host
 from ..sim.rpc import Service, call
 from .jobs import (
@@ -39,13 +40,8 @@ from .jobs import (
     RUNNING,
     job_ad,
 )
-from .queue import JobQueue
+from .queue import JobQueue, job_number
 from .shadow import Shadow
-
-
-def _job_prio(job: CondorJob) -> int:
-    value = job.ad.get("JobPrio", 0)
-    return value if isinstance(value, int) else 0
 
 
 class Schedd(Service):
@@ -78,9 +74,9 @@ class Schedd(Service):
         # entries are skipped at pop time.
         self._idle_heap: list[tuple[int, float, int, str]] = []
         self._idle_seq = itertools.count()
-        # job id -> its place in queue order (the last tie-break of the
-        # idle jobs offered to the negotiator)
-        self._place: dict[str, int] = {}
+        # job id -> (-JobPrio, submit time, job number), taken when the
+        # job last became idle: the order it is offered to the negotiator
+        self._idle_order: dict[str, tuple[int, float, int]] = {}
         # startd name -> (host, machine ad) for claims we may reuse
         self._claim_ads: dict[str, tuple[str, ClassAd]] = {}
         self.claims_reused = 0
@@ -103,10 +99,8 @@ class Schedd(Service):
     # -- the queue's callback -------------------------------------------------------
     def moved(self, job: CondorJob, was: Optional[str]) -> None:
         """`job` was just written (`was`: its state before, None when it
-        entered the queue): keep the queue places, the
-        ``schedd.running`` gauge and the idle heap in step."""
-        if was is None:
-            self._place[job.job_id] = len(self._place)
+        entered the queue): keep the ``schedd.running`` gauge and the
+        idle order in step."""
         if (was == RUNNING) != (job.state == RUNNING):
             self.sim.metrics.gauge("schedd.running").inc(
                 1 if job.state == RUNNING else -1)
@@ -114,12 +108,14 @@ class Schedd(Service):
             self._push_idle(job)
 
     def _push_idle(self, job: CondorJob) -> None:
-        heapq.heappush(self._idle_heap,
-                       (-_job_prio(job), job.submit_time,
-                        next(self._idle_seq), job.job_id))
+        prio = job.ad.get("JobPrio", 0)
+        neg_prio = -prio if isinstance(prio, int) else 0
+        self._idle_order[job.job_id] = (neg_prio, job.submit_time,
+                                        job_number(job.job_id))
+        heapq.heappush(self._idle_heap, (neg_prio, job.submit_time,
+                                         next(self._idle_seq), job.job_id))
 
-    def _pop_reusable(self, machine_ad: Optional[ClassAd]
-                      ) -> Optional[CondorJob]:
+    def _pop_reusable(self, machine_ad: ClassAd) -> Optional[CondorJob]:
         """Highest-priority idle job compatible with ``machine_ad``.
 
         Pops lazily: entries invalidated by state or priority changes
@@ -134,12 +130,11 @@ class Schedd(Service):
             neg_prio, _submit_time, _seq, job_id = entry
             job = self.queue.jobs.get(job_id)
             if (job is None or job.state != IDLE
-                    or -_job_prio(job) != neg_prio
+                    or self._idle_order[job_id][0] != neg_prio
                     or job_id in seen):
                 continue    # stale or duplicate entry
             seen.add(job_id)
-            if machine_ad is None or symmetric_match(
-                    job.ad, machine_ad, now=self.sim.now):
+            if symmetric_match(job.ad, machine_ad, now=self.sim.now):
                 chosen = job
                 break
             buffer.append(entry)
@@ -217,15 +212,15 @@ class Schedd(Service):
             pass    # slot unreachable: the shadow lease handles it
 
     # -- RPC handlers (negotiator-facing) ----------------------------------------
-    def handle_get_idle_jobs(self, ctx) -> tuple[tuple[str, ClassAd], ...]:
-        """``(job_id, sealed ad)`` of every idle job: higher JobPrio
-        negotiates first (condor_prio), FIFO by submit time within, queue
-        order last (only pool jobs are ever IDLE)."""
+    def handle_get_idle_jobs(self, ctx) -> FrozenDict:
+        """``{job_id: sealed ad}`` of every idle job, in the order they
+        negotiate: higher JobPrio first (condor_prio), FIFO by submit
+        time within, queue order (the job number) last (only pool jobs
+        are ever IDLE)."""
         jobs = self.queue.jobs
-        idle = sorted((jobs[job_id] for job_id in self.queue.ids_in(IDLE)),
-                      key=lambda j: (-_job_prio(j), j.submit_time,
-                                     self._place[j.job_id]))
-        return tuple((j.job_id, j.ad) for j in idle)
+        return FrozenDict(
+            (job_id, jobs[job_id].ad) for job_id in sorted(
+                self.queue.ids_in(IDLE), key=self._idle_order.__getitem__))
 
     def set_job_prio(self, job_id: str, prio: int) -> bool:
         """condor_prio: reorder this queue's idle jobs."""
@@ -403,11 +398,9 @@ class Schedd(Service):
 
     # -- advertising ------------------------------------------------------------
     def _submitter_ad(self) -> ClassAd:
-        ad = ClassAd()
-        ad["Name"] = self.schedd_name
-        ad["ScheddHost"] = self.host.name
-        ad["IdleJobs"] = len(self.queue.ids_in(IDLE))
-        return ad.seal()
+        return ClassAd({"Name": self.schedd_name,
+                        "ScheddHost": self.host.name,
+                        "IdleJobs": len(self.queue.ids_in(IDLE))}).seal()
 
     def _advertise_loop(self):
         targets = [self.collector] + self.flock_to

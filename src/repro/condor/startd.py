@@ -42,19 +42,12 @@ def machine_ad(
     rank: str = "0",
     **extra: Any,
 ) -> ClassAd:
-    ad = ClassAd()
-    ad["Name"] = name
-    ad["Arch"] = arch
-    ad["OpSys"] = opsys
-    ad["Memory"] = memory
-    ad["Disk"] = disk
-    ad["Mips"] = mips
-    ad["Site"] = site
-    ad["GlideIn"] = glidein
+    ad = ClassAd({"Name": name, "Arch": arch, "OpSys": opsys,
+                  "Memory": memory, "Disk": disk, "Mips": mips,
+                  "Site": site, "GlideIn": glidein})
     ad.set_expression("Requirements", requirements)
     ad.set_expression("Rank", rank)
-    for key, value in extra.items():
-        ad[key] = value
+    ad.update(ClassAd(extra))
     return ad
 
 
@@ -102,10 +95,10 @@ class Startd(Service):
         self.startd_name = name
         self.collector = collector
         # the machine's own attributes, a value: State and StartdHost
-        # are added to a copy at each change (_current_ad)
+        # are added to a copy, once per (State, host) (_current_ad)
         self.ad = (ad if ad is not None else machine_ad(
             name, site=host.site, glidein=glidein)).sealed()
-        self._advert: Optional[tuple[tuple[str, str], ClassAd]] = None
+        self._adverts: dict[tuple[str, str], ClassAd] = {}
         self.glidein = glidein
         self.idle_timeout = idle_timeout
         self.credential = credential
@@ -153,15 +146,14 @@ class Startd(Service):
 
     # -- advertising ------------------------------------------------------------
     def _current_ad(self) -> ClassAd:
-        """The sealed machine ad to advertise: the one sent last while
-        the slot's State and host are unchanged."""
+        """The sealed machine ad to advertise: built the first time the
+        slot is in this State on this host, the same ad ever after."""
         key = (self.state, self.host.name)
-        if self._advert is None or self._advert[0] != key:
+        if key not in self._adverts:
             ad = self.ad.copy()
-            ad["State"] = self.state
-            ad["StartdHost"] = self.host.name
-            self._advert = (key, ad.seal())
-        return self._advert[1]
+            ad["State"], ad["StartdHost"] = key
+            self._adverts[key] = ad.seal()
+        return self._adverts[key]
 
     def _advertise_loop(self):
         while True:

@@ -28,16 +28,20 @@ class GIIS(Service):
     # -- GRRP ---------------------------------------------------------------
     def handle_register(self, ctx, ad: ClassAd,
                         ttl: Optional[float] = None) -> bool:
-        """Register (or renew) `ad` for `ttl`.  Only a ClassAd is kept:
-        anything else is the caller's error, answered now, not a crash
-        of every broker that would later query it."""
+        """Register (or renew) `ad` for `ttl` seconds.  Only a ClassAd, for
+        a finite positive ttl, is kept: anything else is the caller's
+        error, answered now, not a crash of every broker that would
+        later query it."""
+        ttl = self.default_ttl if ttl is None else ttl
+        if type(ttl) not in (int, float) or not 0 < ttl < float("inf"):
+            raise ValueError(f"a ttl is a finite positive number, not {ttl!r}")
         if not isinstance(ad, ClassAd):
             raise TypeError(
                 f"a registration carries a ClassAd, not {type(ad).__name__}")
         name = ad.get("Name")
         if not isinstance(name, str) or not name:
             raise ValueError("resource ad needs a string Name")
-        expiry = self.sim.now + (ttl or self.default_ttl)
+        expiry = self.sim.now + ttl
         self._registry[name] = (ad, expiry)
         self.sim.trace.log("giis", "register", name=name, expiry=expiry)
         return True

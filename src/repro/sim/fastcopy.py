@@ -14,11 +14,11 @@ treats each kind of value:
   numbers, ``None``, ``bytes``, ``Enum`` members, plain functions), a
   tuple of such values, and every *declared* type -- a frozen dataclass
   deriving from :class:`Immutable`, whose fields are frozen at
-  construction, and :class:`FrozenDict`, the mapping those fields and
-  the persisted progress records are made of;
-* a **sealable** type -- one with a ``__sealed__()`` method, i.e.
-  ``ClassAd`` -- crosses as its sealed form: copied and sealed the first
-  time, by reference ever after;
+  construction, :class:`FrozenDict`, the mapping those fields and the
+  persisted progress records are made of, and a sealed ``ClassAd``;
+* a **sealable** builder -- one with a ``__sealed__()`` method, i.e. an
+  unsealed ``ClassAd`` -- crosses as a sealed copy; the sender keeps
+  its builder;
 * a plain ``dict`` becomes a :class:`FrozenDict` and a ``list`` or
   ``tuple`` a tuple, recursively: the one copy, made once, at the
   crossing (payloads are trees by construction; a cycle through plain
@@ -28,8 +28,9 @@ treats each kind of value:
 To declare a type, make it true: derive a ``@dataclass(frozen=True)``
 from :class:`Immutable` (containers handed to its constructor are then
 frozen, undeclared objects refused), or give a builder type a one-way
-``seal()`` and a ``__sealed__()``.  There is no opt-out: a value that
-cannot change needs none, and one that can must not cross.
+``seal()`` to a :func:`declare`-d type whose mutators raise, and a
+``__sealed__()``.  There is no opt-out: a value that cannot change
+needs none, and one that can must not cross.
 """
 
 from __future__ import annotations
@@ -39,10 +40,16 @@ from types import BuiltinFunctionType, FunctionType
 from typing import Any, NoReturn
 
 #: Exact types whose instances cross by reference.  Declarations add to
-#: it (``Immutable.__init_subclass__``), as does the first member seen
-#: of each ``Enum`` class.
+#: it (:func:`declare`, ``Immutable.__init_subclass__``), as does the
+#: first member seen of each ``Enum`` class.
 _SHARED = {str, int, float, bool, bytes, type(None),
            FunctionType, BuiltinFunctionType}
+
+
+def declare(cls: type) -> type:
+    """Class decorator: instances of exactly `cls` cross by reference."""
+    _SHARED.add(cls)
+    return cls
 
 
 def _enum(cls: type) -> bool:
@@ -58,6 +65,7 @@ def _refuse(self, *_args: Any, **_kwargs: Any) -> NoReturn:
                     "edit a dict(...) copy and build a new one")
 
 
+@declare
 class FrozenDict(dict):
     """A dict that refuses mutation and holds only immutable values.
 
@@ -88,9 +96,6 @@ class FrozenDict(dict):
         return (FrozenDict, (dict(self),))
 
 
-_SHARED.add(FrozenDict)
-
-
 class Immutable:
     """Base of a ``@dataclass(frozen=True)`` declared an immutable value:
     ``__post_init__`` (which ``dataclasses.replace`` also runs) freezes
@@ -100,7 +105,7 @@ class Immutable:
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
-        _SHARED.add(cls)
+        declare(cls)
 
     def __post_init__(self) -> None:
         if not self.__dataclass_params__.frozen:
@@ -115,17 +120,17 @@ class Immutable:
 
 def freeze(obj: Any) -> Any:
     """`obj` as an immutable value: dicts become :class:`FrozenDict`,
-    lists and tuples become tuples, recursively; a sealable object is
-    sealed (copied first if it was not); an object of an undeclared type
-    is refused with ``TypeError``."""
+    lists and tuples become tuples, recursively; a sealable builder
+    becomes a sealed copy; an object of an undeclared type is refused
+    with ``TypeError``."""
     cls = obj.__class__
     if cls in _SHARED:
         return obj
     if cls is dict:
         return FrozenDict(obj)
-    if cls is tuple and _SHARED.issuperset(map(type, obj)):
-        return obj
-    if cls is list or cls is tuple:
+    if cls is tuple or cls is list:
+        if _SHARED.issuperset(map(type, obj)):
+            return obj if cls is tuple else tuple(obj)
         return tuple(map(freeze, obj))
     sealed = getattr(cls, "__sealed__", None)
     if sealed is not None:

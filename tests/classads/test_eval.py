@@ -240,6 +240,13 @@ class TestBuiltins:
         assert ev("isList({1})") is True
         assert ev("isClassAd([ a = 1 ])") is True
 
+    def test_is_classad_holds_for_a_sealed_ad(self):
+        from repro.classads.builtins import BUILTINS
+
+        is_classad, _lazy = BUILTINS["isclassad"]
+        assert is_classad(None, [ClassAd({"a": 1}).seal()]) is True
+        assert is_classad(None, [ClassAd({"a": 1})]) is True
+
     def test_member(self):
         assert ev('member("b", {"a", "B"})') is True
         assert ev("member(2, {1, 2.0, 3})") is True

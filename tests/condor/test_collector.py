@@ -204,3 +204,34 @@ def test_a_malformed_advertisement_is_refused_at_the_door(adtype, forged):
     assert (adtype, "evil") not in agent.collector._ads
     assert tb.sim.metrics.counter("negotiator.cycle_errors").value == 0
     assert agent.status(job).is_complete
+
+
+_BAD_TTLS = [float("nan"), float("inf"), 0.0, -5.0, True, "60"]
+
+
+@pytest.mark.parametrize("ttl", _BAD_TTLS, ids=repr)
+def test_a_ttl_that_is_not_a_finite_positive_number_is_refused(ttl):
+    """A NaN ttl used to make an ad immortal -- never reaped, in every
+    answer, and every later touch rescanned the registry -- and a zero
+    one silently became the default."""
+    sim, coll = make_collector()
+    coll.handle_advertise(None, "startd", ad("s0"), ttl=60)
+    before = (dict(coll._ads), coll._soonest_expiry)
+    client = Host(sim, "client")
+    box = {}
+
+    def advertise():
+        try:
+            box["value"] = yield from call(
+                client, "cm", "collector", "advertise",
+                adtype="startd", ad=ad("s1"), ttl=ttl)
+        except RemoteError as exc:
+            box["error"] = exc
+
+    client.spawn(advertise(), "advertise")
+    sim.run(until=1.0)
+    error = box.get("error")
+    assert isinstance(error, RemoteError) and error.kind == "ValueError", box
+    assert (dict(coll._ads), coll._soonest_expiry) == before
+    assert coll.handle_advertise(None, "startd", ad("s1"))    # None: default
+    assert coll._ads[("startd", "s1")][1] == sim.now + coll.default_ttl

@@ -12,6 +12,7 @@ from repro.condor import (
     job_ad,
 )
 from repro.sim import Host, Network, Simulator
+from repro.sim.fastcopy import FrozenDict
 
 
 def make_env(workers=3, cycle=10.0, seed=2):
@@ -214,7 +215,7 @@ def test_remove_idle_job():
 def test_idle_jobs_go_by_priority_then_submit_time_then_queue_order():
     """What the negotiator is offered: higher JobPrio first, then earlier
     submission, then queue order -- not job-id string order ("10.0" <
-    "2.0") -- as immutable (job_id, sealed ad) pairs."""
+    "2.0") -- as one immutable {job_id: sealed ad} mapping."""
     sim = Simulator(seed=2)
     Network(sim, latency=0.02, jitter=0.0)
     schedd = Schedd(Host(sim, "submit"))
@@ -227,9 +228,37 @@ def test_idle_jobs_go_by_priority_then_submit_time_then_queue_order():
     schedd.release(early[2])        # idle again, at its place in the queue
     schedd.hold(early[4])           # not idle
     answer = schedd.handle_get_idle_jobs(None)
-    assert [job_id for job_id, _ad in answer] == (
+    assert list(answer) == (
         [early[7], late[1]]
         + [jid for i, jid in enumerate(early) if i not in (4, 7)]
         + [late[0], late[2]])
-    assert isinstance(answer, tuple)
-    assert all(ad is schedd.status(jid).ad for jid, ad in answer)
+    assert isinstance(answer, FrozenDict)
+    assert all(ad is schedd.status(jid).ad for jid, ad in answer.items())
+
+
+def test_a_prio_raised_while_held_orders_the_job_after_release():
+    """The idle order is kept per job from when it last became idle: a
+    condor_prio on a held job takes effect when it is released."""
+    sim = Simulator(seed=2)
+    Network(sim, latency=0.02, jitter=0.0)
+    schedd = Schedd(Host(sim, "submit"))
+    ids = [schedd.submit_simple("alice", runtime=10.0) for _ in range(4)]
+    schedd.hold(ids[3])
+    schedd.set_job_prio(ids[3], 7)
+    assert list(schedd.handle_get_idle_jobs(None)) == ids[:3]
+    schedd.release(ids[3])
+    assert list(schedd.handle_get_idle_jobs(None)) == [ids[3]] + ids[:3]
+    assert schedd.handle_get_idle_jobs(None)[ids[3]]["JobPrio"] == 7
+
+
+def test_a_vacated_job_is_offered_again_at_its_queue_place():
+    sim, pool, submit, schedd = make_env(workers=1, cycle=10.0)
+    ids = [schedd.submit_simple("alice", runtime=500.0) for _ in range(4)]
+    sim.run(until=60.0)
+    [running] = [jid for jid in ids if schedd.status(jid).state == RUNNING]
+    assert running == ids[0]
+    assert list(schedd.handle_get_idle_jobs(None)) == ids[1:]
+    assert schedd.vacate_job(running)
+    sim.run(until=61.0)
+    assert schedd.status(running).state == IDLE
+    assert list(schedd.handle_get_idle_jobs(None)) == ids

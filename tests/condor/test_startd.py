@@ -1,5 +1,6 @@
 """Startd tests: the processes it holds and the ad it advertises."""
 
+from repro.classads import match_signature
 from repro.condor import COMPLETED, Schedd, build_pool
 from repro.condor.startd import BUSY, CLAIMED, UNCLAIMED
 from repro.sim import Host, Network, Simulator
@@ -40,7 +41,7 @@ def test_unchanged_startd_resends_the_same_ad():
     assert _advertised(pool, startd) is first
 
 
-def test_state_change_sends_a_new_ad():
+def test_state_change_sends_the_ad_of_that_state():
     sim, pool, _schedd = make_env()
     [startd] = pool.startds
     unclaimed = startd._current_ad()
@@ -51,5 +52,27 @@ def test_state_change_sends_a_new_ad():
     assert startd._current_ad() is claimed
     startd.handle_release_claim(None)
     again = startd._current_ad()
-    assert again is not unclaimed and again == unclaimed
+    assert again is unclaimed and again == unclaimed
     assert startd.state != BUSY
+
+
+def test_a_slot_resends_each_state_ad_it_already_built():
+    """Unclaimed -> Claimed -> Busy -> Unclaimed -> Claimed builds three
+    ads, one per state, each with its match signature kept."""
+    sim, pool, _schedd = make_env()
+    [startd] = pool.startds
+    unclaimed = startd._current_ad()
+    signature = match_signature(unclaimed)
+    seen = []
+    for _ in range(2):
+        assert startd.handle_request_claim(None, "submit", "1.0",
+                                           "shadow:1.0")
+        seen.append(startd._current_ad())
+        startd._move(BUSY)
+        seen.append(startd._current_ad())
+        startd._move(UNCLAIMED)
+        seen.append(startd._current_ad())
+    assert [ad["State"] for ad in seen[:3]] == [CLAIMED, BUSY, UNCLAIMED]
+    assert all(a is b for a, b in zip(seen[:3], seen[3:]))
+    assert seen[2] is unclaimed and match_signature(seen[2]) is signature
+    assert len(startd._adverts) == 3

@@ -46,6 +46,17 @@ class TestTools:
         assert " C " in lines[ok]
         assert " X " in lines[bad]
 
+    def test_jobs_submitted_together_list_in_job_id_order(self):
+        """``"10.0"`` sorts before ``"2.0"`` as a string: statuses() and
+        condor_q used to list a dozen jobs 1, 10, 11, 12, 2, 3, ..."""
+        tb, agent = self.make()
+        ids = [agent.submit(JobDescription(runtime=500.0),
+                            resource="wisc-gk") for _ in range(12)]
+        assert ids[9:] == ["10.0", "11.0", "12.0"]
+        assert [s.job_id for s in agent.statuses()] == ids
+        rows = condor_q(agent).splitlines()[1:13]
+        assert [row.split()[0] for row in rows] == ids
+
     def test_condor_status_lists_glideins(self):
         tb, agent = self.make()
         agent.glide_in("wisc-gk", count=2, walltime=10**4)

@@ -206,3 +206,28 @@ def test_a_refused_registration_leaves_the_brokers_running():
     tb.run(until=4000.0)
     statuses = tb.agents["alice"].statuses()
     assert statuses and all(s.is_complete for s in statuses)
+
+
+@pytest.mark.parametrize("ttl", [float("nan"), float("inf"), 0.0, -5.0,
+                                 True, "60"], ids=repr)
+def test_a_ttl_that_is_not_a_finite_positive_number_is_refused(env, ttl):
+    """A NaN ttl used to make a registration immortal, and a zero one
+    silently became the default."""
+    from repro.sim import RemoteError, call
+
+    sim, giis, client = env
+
+    def scenario():
+        yield from call(client, "giis-host", "giis", "register",
+                        ad=make_ad("wisc"), ttl=60.0)
+        before = dict(giis._registry)
+        try:
+            yield from call(client, "giis-host", "giis", "register",
+                            ad=make_ad("anl"), ttl=ttl)
+        except RemoteError as exc:
+            return before, exc
+
+    box = drive(sim, scenario())
+    before, error = box["value"]
+    assert error.kind == "ValueError"
+    assert giis._registry == before and list(before) == ["wisc"]

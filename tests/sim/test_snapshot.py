@@ -217,16 +217,17 @@ class TestCaptureVerify:
         good = capture(_testbed(), scenario="three-site").to_dict()
         pre_bump = {**good, "version": SNAPSHOT_VERSION - 1,
                     "perf_flags": {"rpc_inline": True}}
-        # Versions 2 to 8 have this version's key set but fingerprint
+        # Versions 2 to 9 have this version's key set but fingerprint
         # another heap or host table (an in-flight inline RPC; the
         # GridManager's `gm-poll` process; `kernel.rpc_tokens` and the
         # per-host `_rpc` service; boot actions, testbed roots and the
         # submit machine's disk before `Host.boot`; legs, boots and
         # resumes as `Timeout`/`boot:`/`relay:` events; services without
         # their process lists, and a `factories` root; a Collector with
-        # an equality index and sorted name lists): refused, not
-        # mis-verified.
-        assert SNAPSHOT_VERSION == 9
+        # an equality index and sorted name lists), and version 9 names
+        # sealed ads `ClassAd` and keeps one Startd ad and no Schedd
+        # idle order: refused, not mis-verified.
+        assert SNAPSHOT_VERSION == 10
         v2 = {**good, "version": 2}
         v3 = {**good, "version": 3}
         v4 = {**good, "version": 4}
@@ -234,6 +235,7 @@ class TestCaptureVerify:
         v6 = {**good, "version": 6}
         v7 = {**good, "version": 7}
         v8 = {**good, "version": 8}
+        v9 = {**good, "version": 9}
         truncated = {k: v for k, v in good.items() if k != "fingerprint"}
         unknown = {**good, "perf_flags": {}}
         for doc, needle in ((pre_bump, "version"),
@@ -244,6 +246,7 @@ class TestCaptureVerify:
                             (v6, "version"),
                             (v7, "version"),
                             (v8, "version"),
+                            (v9, "version"),
                             (truncated, "fingerprint"),
                             (unknown, "perf_flags"),
                             ([good], "JSON object")):

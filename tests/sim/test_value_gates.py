@@ -8,7 +8,9 @@ answer), or a handler parameter has no declared type.  The first and
 the last are gated by reading the source, the second by running the
 shapes the suite benchmarks and four scenarios while every refusal is
 recorded.  (Test names that speak of "the fallback" date from when an
-undeclared type was deep-copied instead of refused.)
+undeclared type was deep-copied instead of refused.)  The last tests pin
+that a sealed ClassAd is a value type: sealed ads, and a tuple or a
+``FrozenDict`` of them, cross by reference with no ``freeze`` call per ad.
 """
 
 import ast
@@ -21,10 +23,12 @@ import pytest
 
 import repro
 from repro.chaos.invariants import evaluate_invariants
+from repro.classads import ClassAd, Literal, SealedClassAd
 from repro.chaos.runner import build_and_run
 from repro.grid.scenarios import get_scenario, multiuser_gram_grid, \
     scale_glidein_grid, scale_gram_grid
-from repro.sim import fastcopy, rpc
+from repro.condor import Schedd
+from repro.sim import Host, Network, Simulator, fastcopy, rpc
 
 from ..test_golden_digests import _open_payloads
 
@@ -160,17 +164,25 @@ def test_scenarios_never_reach_the_fallback(no_fallback, scenario):
     assert _open_payloads(tb) == 0
 
 
+def _counted_freezes(monkeypatch):
+    """A one-item list that counts every ``freeze`` call from now on."""
+    count, real = [0], fastcopy.freeze
+
+    def counted(obj):
+        count[0] += 1
+        return real(obj)
+
+    monkeypatch.setattr(fastcopy, "freeze", counted)
+    return count
+
+
 def test_a_monitor_report_crosses_with_zero_structural_copies(
         no_fallback, monkeypatch):
     """A report is a value: whatever the batch holds, sending it freezes
     the one argument of the call that is not an atom -- by reference --
     and nothing below it."""
-    freezes, crossings = [0], []
-    real_freeze, real_init = fastcopy.freeze, rpc._Request.__init__
-
-    def counted_freeze(obj):
-        freezes[0] += 1
-        return real_freeze(obj)
+    crossings, real_init = [], rpc._Request.__init__
+    freezes = _counted_freezes(monkeypatch)
 
     def counted_init(self, src, dst, service, method, credential, args,
                      reply):
@@ -182,7 +194,6 @@ def test_a_monitor_report_crosses_with_zero_structural_copies(
         crossings.append((freezes[0] - before, len(reports),
                           self.args["reports"] is reports))
 
-    monkeypatch.setattr(fastcopy, "freeze", counted_freeze)
     monkeypatch.setattr(rpc._Request, "__init__", counted_init)
     tb = _drain(SHAPES["gram-monitored"]())
     assert tb.sim.metrics.counter("gridmanager.monitor_reports").value > 20
@@ -190,3 +201,108 @@ def test_a_monitor_report_crosses_with_zero_structural_copies(
     assert len(crossings) > 20 and max(sizes) >= 10 and len(sizes) > 3
     assert {n for n, _size, _same in crossings} == {1}
     assert all(same for _freezes, _size, same in crossings)
+
+
+# -- a sealed ClassAd is a value type -----------------------------------------
+
+class _Echo(rpc.Service):
+    service_name = "echo"
+
+    def __init__(self, host):
+        super().__init__(host)
+        self.got = []
+
+    def handle_echo(self, ctx, value: object) -> object:
+        self.got.append(value)
+        return value
+
+
+def _ask(sim, src, dst, service, method, **args):
+    """The answer to one real RPC from `src`, run to quiescence."""
+    answers = []
+
+    def asking():
+        answers.append((yield from rpc.call(src, dst, service, method,
+                                            **args)))
+
+    src.spawn(asking(), name="ask")
+    sim.run()
+    return answers[0]
+
+
+def _echo_pair():
+    sim = Simulator(seed=1)
+    Network(sim, latency=0.01, jitter=0.0)
+    client, server = Host(sim, "client"), Host(sim, "server")
+    return sim, client, _Echo(server)
+
+
+def test_a_list_of_sealed_ads_crosses_by_reference(monkeypatch):
+    """One ``freeze`` call per crossing, however many ads: the list
+    becomes a tuple of the very ads sent, and the answer is that tuple."""
+    freezes = _counted_freezes(monkeypatch)
+    calls = []
+    for n in (10, 1000):
+        sim, client, echo = _echo_pair()
+        ads = [ClassAd({"Name": f"slot{i}", "Memory": i}).seal()
+               for i in range(n)]
+        before = freezes[0]
+        back = _ask(sim, client, "server", "echo", "echo", value=ads)
+        calls.append(freezes[0] - before)
+        [got] = echo.got
+        assert type(got) is tuple and len(got) == n
+        assert all(a is b for a, b in zip(got, ads))
+        assert back is got
+    assert calls[0] == calls[1] <= 2
+
+
+def test_an_idle_jobs_answer_crosses_by_reference(monkeypatch):
+    answers, real = [], Schedd.handle_get_idle_jobs
+
+    def recorded(self, ctx):
+        answers.append(real(self, ctx))
+        return answers[-1]
+
+    monkeypatch.setattr(Schedd, "handle_get_idle_jobs", recorded)
+    freezes = _counted_freezes(monkeypatch)
+    calls = []
+    for n in (10, 1000):
+        sim = Simulator(seed=1)
+        Network(sim, latency=0.01, jitter=0.0)
+        schedd = Schedd(Host(sim, "submit"))
+        ids = [schedd.submit_simple("alice", runtime=10.0)
+               for _ in range(n)]
+        before = freezes[0]
+        got = _ask(sim, Host(sim, "cm"), "submit", "schedd",
+                   "get_idle_jobs")
+        calls.append(freezes[0] - before)
+        assert got is answers[-1] and list(got) == ids
+        assert all(ad is schedd.status(jid).ad for jid, ad in got.items())
+    assert calls[0] == calls[1] <= 1
+
+
+def test_an_unsealed_ad_crosses_as_a_sealed_copy():
+    sim, client, echo = _echo_pair()
+    builder = ClassAd({"Name": "slot1"})
+    back = _ask(sim, client, "server", "echo", "echo", value=builder)
+    [got] = echo.got
+    assert got is not builder and got == builder
+    assert type(got) is SealedClassAd and back is got
+    builder["Memory"] = 64                  # the sender's stays editable
+    assert type(builder) is ClassAd and "Memory" not in got
+
+
+def test_a_sealed_ad_refuses_every_mutator():
+    ad = ClassAd({"Name": "slot1"}).seal()
+    assert type(ad) is SealedClassAd and ad.seal() is ad
+    for mutate in (lambda: ad.__setitem__("Memory", 1),
+                   lambda: ad.set_expr("Memory", Literal(1)),
+                   lambda: ad.set_expression("Memory", "1"),
+                   lambda: ad.update(ClassAd({"Memory": 1})),
+                   lambda: ad.__delitem__("Name")):
+        with pytest.raises(TypeError, match="sealed"):
+            mutate()
+    assert str(ad) == "[ Name = \"slot1\" ]"
+    edited = ad.copy()
+    edited["Memory"] = 1
+    assert type(edited) is ClassAd and "Memory" not in ad
