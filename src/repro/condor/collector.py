@@ -28,6 +28,12 @@ from typing import Optional
 from ..classads import ClassAd, EvalContext, is_true, parse
 from ..sim.hosts import Host
 from ..sim.rpc import Service
+from ..sim.stats import fold
+
+
+# The collector's metric that restates its record (repro.sim.stats).
+fold("collector", "reap", "counter", "collector.expired_reaped",
+     lambda c, r: c.inc(r.details["count"]))
 
 
 class Collector(Service):

@@ -31,6 +31,7 @@ from ..classads import ClassAd, match_signature, rank_value, \
 from ..sim.errors import RPCError
 from ..sim.hosts import Host
 from ..sim.rpc import Service, call
+from ..sim.stats import fold
 
 _NEG_INF = float("-inf")
 
@@ -122,6 +123,13 @@ class _CycleMatcher:
             elif rank > best[0]:
                 best = (rank, i)
         return best
+
+
+# The negotiator's metrics that restate its records (repro.sim.stats).
+for _event, _name in (("cycle_error", "negotiator.cycle_errors"),
+                      ("nameless_submitter", "negotiator.nameless_submitters"),
+                      ("submitter_error", "negotiator.submitter_errors")):
+    fold("negotiator", _event, "counter", _name, lambda c, r: c.inc())
 
 
 class Negotiator(Service):

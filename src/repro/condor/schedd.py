@@ -30,6 +30,7 @@ from ..sim.errors import RPCError
 from ..sim.fastcopy import FrozenDict
 from ..sim.hosts import Host
 from ..sim.rpc import Service, call
+from ..sim.stats import fold
 from .jobs import (
     COMPLETED,
     CondorJob,
@@ -42,6 +43,11 @@ from .jobs import (
 )
 from .queue import JobQueue, job_number
 from .shadow import Shadow
+
+
+# The schedd's metric that restates its record (repro.sim.stats).
+fold("schedd", "claim_reuse", "counter", "schedd.claims_reused",
+     lambda c, r: c.inc())
 
 
 class Schedd(Service):

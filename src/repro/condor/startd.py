@@ -22,6 +22,7 @@ from ..classads import ClassAd
 from ..sim.errors import Interrupt, RPCError
 from ..sim.hosts import Host
 from ..sim.rpc import Service, call, notify
+from ..sim.stats import fold
 from ..states import STARTD_EDGES, check_edge
 
 UNCLAIMED = "Unclaimed"
@@ -67,6 +68,11 @@ class WorkerContext:
             self.jobdesc["shadow_service"], "syscall",
             op=op, nbytes=nbytes, payload=payload)
         return result
+
+
+# The startd's metric that restates its record (repro.sim.stats).
+fold("startd", "claim_timeout", "counter", "startd.claim_timeouts",
+     lambda c, r: c.inc())
 
 
 class Startd(Service):

@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING
 from ..condor.startd import Startd, machine_ad
 from ..gram.protocol import GramJobRequest
 from ..gridftp.client import gridftp_get
+from ..sim.stats import fold
 
 if TYPE_CHECKING:  # pragma: no cover
     from .gridmanager import GridManager
@@ -48,6 +49,13 @@ class GlideInSpec:
     #: how often each glidein startd re-advertises to the collector;
     #: large fleets raise this to bound collector traffic
     advertise_interval: float = 15.0
+
+
+# GlideIn metrics that restate ``glidein`` records (repro.sim.stats).
+fold("glidein", "submitted", "counter", "glidein.submitted",
+     lambda c, r: c.inc(r.details["count"]))
+fold("glidein", "startd_up", "gauge", "glidein.live", lambda g, r: g.inc())
+fold("glidein", "startd_down", "gauge", "glidein.live", lambda g, r: g.dec())
 
 
 class GlideInManager:

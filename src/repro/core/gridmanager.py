@@ -43,6 +43,7 @@ from ..sim.errors import (
     RPCError,
 )
 from ..sim.rpc import Service, call
+from ..sim.stats import fold
 from . import job as J
 from .broker import Broker
 from .job import GridJob
@@ -98,6 +99,25 @@ class RemoteSite:
         """Has the site's monitor reported (or been launched) recently?"""
         last, horizon = self.beat
         return now - last <= horizon
+
+
+# The GridManager's metrics that restate its records (repro.sim.stats).
+fold("gridmanager", "submitted", "counter", "gridmanager.submits",
+     lambda c, r: c.inc())
+fold("gridmanager", "staged_in", "counter", "gridmanager.stage_in_bytes",
+     lambda c, r: c.inc(r.details["moved"], label=r.details["resource"]),
+     when=lambda r: r.details["moved"])
+fold("gridmanager", "stage_out_corrupt", "counter",
+     "gridmanager.stage_out_corrupt",
+     lambda c, r: c.inc(label=r.details["se"]))
+fold("gridmanager", "monitor_missing_jm", "counter",
+     "gridmanager.monitor_suspects", lambda c, r: c.inc())
+fold("gridmanager", "monitor_start_failed", "counter",
+     "gridmanager.monitor_starts", lambda c, r: c.inc(label="failed"))
+fold("gridmanager", "monitor_started", "counter",
+     "gridmanager.monitor_starts", lambda c, r: c.inc(label="ok"))
+fold("gridmanager", "resubmit", "counter", "gridmanager.resubmits",
+     lambda c, r: c.inc())
 
 
 class GridManager(Service):

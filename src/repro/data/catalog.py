@@ -19,6 +19,7 @@ from typing import Optional
 from ..gridftp.server import make_gsiftp_url
 from ..sim.hosts import Host
 from ..sim.rpc import Service
+from ..sim.stats import fold
 
 CATALOG_HOST = "rls"
 CATALOG_NS = "replica-catalog"
@@ -32,6 +33,13 @@ def dataset_path(name: str) -> str:
     across sites.
     """
     return f"datasets/{name}"
+
+
+# The catalog's metrics that restate its records (repro.sim.stats).
+fold("rls", "register", "counter", "catalog.registrations",
+     lambda c, r: c.inc(label=r.details["dataset"]))
+fold("rls", "invalidate", "counter", "catalog.invalidations",
+     lambda c, r: c.inc(label=r.details["dataset"]))
 
 
 class ReplicaCatalog(Service):

@@ -22,10 +22,29 @@ from ..gridftp.server import make_gsiftp_url, parse_gsiftp_url
 from ..sim.errors import RPCError
 from ..sim.hosts import Host
 from ..sim.rpc import Service, call
+from ..sim.stats import fold
 from ..sim.sync import Semaphore
 from .catalog import CATALOG_HOST
 
 DTS_HOST = "dts"
+
+
+def _link(rec) -> str:
+    """The ``src->dst`` host pair a ``dts`` record's URLs name."""
+    return (f"{parse_gsiftp_url(rec.details['src'])[0]}->"
+            f"{parse_gsiftp_url(rec.details['dst'])[0]}")
+
+
+# The transfer scheduler's metrics that restate its records
+# (repro.sim.stats).
+fold("dts", "checksum_mismatch", "counter", "dts.checksum_mismatch",
+     lambda c, r: c.inc(label=_link(r)))
+fold("dts", "transfer", "counter", "dts.transfers",
+     lambda c, r: c.inc(label=_link(r)))
+fold("dts", "transfer", "counter", "dts.bytes_moved",
+     lambda c, r: c.inc(r.details["size"], label=_link(r)))
+fold("dts", "transfer_failed", "counter", "dts.failures",
+     lambda c, r: c.inc(label=_link(r)))
 
 
 class TransferScheduler(Service):

@@ -32,11 +32,24 @@ from ..condor.startd import UNCLAIMED
 from ..core.glidein import GlideInSpec
 from ..sim.errors import RPCError
 from ..sim.rpc import Service, call
+from ..sim.stats import fold
 from ..states import JobState
 from .policy import FactoryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.api import CondorGAgent
+
+
+# The factory's metrics that restate its records (repro.sim.stats).  A
+# renewal provisions one glidein without a ``provisioned`` record.
+fold("factory", "reaped", "counter", "factory.reaped",
+     lambda c, r: c.inc(label=r.details["site"]))
+fold("factory", "lease_renewed", "counter", "factory.renewals",
+     lambda c, r: c.inc(label=r.details["site"]))
+fold("factory", "lease_renewed", "counter", "factory.provisioned",
+     lambda c, r: c.inc(1, label=r.details["site"]))
+fold("factory", "provisioned", "counter", "factory.provisioned",
+     lambda c, r: c.inc(r.details["count"], label=r.details["site"]))
 
 
 class GlideInFactory(Service):

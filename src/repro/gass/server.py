@@ -17,6 +17,7 @@ from typing import Optional
 
 from ..sim.hosts import Host
 from ..sim.rpc import Service
+from ..sim.stats import fold
 from .files import FileStore, SimFile
 
 DEFAULT_BANDWIDTH = 1_000_000.0   # bytes per simulated second
@@ -35,6 +36,16 @@ def parse_url(url: str) -> tuple[str, str, str]:
     if len(parts) < 3:
         raise ValueError(f"gass URL needs host/service/path: {url!r}")
     return parts[0], parts[1], parts[2]
+
+
+# The server's byte totals restate its records (repro.sim.stats), by
+# server host; a put or append record does not name its peer, so
+# ``gass.transfers`` is kept by hand.
+for _event, _direction in (("get", "sent"), ("put", "received"),
+                           ("append", "received")):
+    fold("gass", _event, "counter", f"gass.bytes_{_direction}",
+         lambda c, r: c.inc(r.details["size"],
+                            label=r.component.partition(":")[2]))
 
 
 class GassServer(Service):

@@ -27,6 +27,7 @@ from typing import Optional
 from ..sim.errors import RPCError
 from ..sim.hosts import Host
 from ..sim.rpc import Service, call
+from ..sim.stats import fold
 from .jobmanager import STATE_NS, JobManager
 from .monitor import GridMonitor, statuses
 from .protocol import GatekeeperBusy, GramJobRequest, Refusal
@@ -78,6 +79,27 @@ def _request(value) -> GramJobRequest:
         return value
     raise TypeError(
         f"request must be a GramJobRequest, not {type(value).__name__}")
+
+
+# The gatekeeper's metrics that restate its records (repro.sim.stats).
+for _event, _label in (("admission_rejected_depth", "depth"),
+                       ("admission_rejected_rate", "rate")):
+    fold("gatekeeper", _event, "counter", "gatekeeper.admission_rejects",
+         lambda c, r, label=_label: c.inc(label=label))
+for _event in ("admission_rejected_depth", "admission_rejected_rate",
+               "submit_rejected_user_busy"):
+    fold("gatekeeper", _event, "counter", "gatekeeper.rejects_by_user",
+         lambda c, r: c.inc(label=r.details["owner"]))
+for _event, _label in (("submit_rejected_busy", "rejected_busy"),
+                       ("submit_rejected_user_busy", "rejected_user_busy"),
+                       ("jobmanager_created", "new"),
+                       ("duplicate_submit", "duplicate")):
+    fold("gatekeeper", _event, "counter", "gatekeeper.submits",
+         lambda c, r, label=_label: c.inc(label=label))
+fold("gatekeeper", "monitor_started", "counter",
+     "gatekeeper.monitors_started", lambda c, r: c.inc())
+fold("gatekeeper", "jobmanager_restarted", "counter",
+     "gatekeeper.jm_restarts", lambda c, r: c.inc())
 
 
 class Gatekeeper(Service):

@@ -38,6 +38,7 @@ from ..sim.fastcopy import FrozenDict
 from ..sim.hosts import Host
 from ..sim.kernel import Event
 from ..sim.rpc import Service, call, notify
+from ..sim.stats import fold
 from ..states import GRAM_EDGES, check_edge
 from . import protocol
 from .protocol import GramJobRequest, to_lrm_spec
@@ -128,6 +129,13 @@ class LrmSweep(Service):
                     event.succeed(view)
         self.sim.trace.log(self.name, "stop", host=self.host.name)
         self.shutdown()
+
+
+# The JobManager's metrics that restate its records (repro.sim.stats).
+fold("jobmanager", "commit_timeout", "counter", "jobmanager.commit_expired",
+     lambda c, r: c.inc())
+fold("jobmanager", "state", "counter", "jobmanager.state_changes",
+     lambda c, r: c.inc(label=r.details["state"]))
 
 
 class JobManager(Service):

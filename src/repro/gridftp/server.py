@@ -5,6 +5,7 @@ from __future__ import annotations
 from ..gass.files import FileStore, SimFile
 from ..sim.hosts import Host
 from ..sim.rpc import Service, call
+from ..sim.stats import fold
 
 DEFAULT_BANDWIDTH = 10_000_000.0   # bulk-transfer pipes are fat
 
@@ -22,6 +23,26 @@ def parse_gsiftp_url(url: str) -> tuple[str, str]:
     if not host or not path:
         raise ValueError(f"gsiftp URL needs host and path: {url!r}")
     return host, path
+
+
+def _server(rec) -> str:
+    """The host a ``gridftp:<host>`` record is about."""
+    return rec.component.partition(":")[2]
+
+
+# The server's metrics that restate its records (repro.sim.stats): bytes
+# by server host, transfers by peer.
+for _event, _direction, _peer in (
+        ("retr", "sent", lambda r: r.details["to"]),
+        ("stor", "received", lambda r: r.details["source"]),
+        ("third_party", "received",
+         lambda r: parse_gsiftp_url(r.details["src"])[0])):
+    fold("gridftp", _event, "counter", f"gridftp.bytes_{_direction}",
+         lambda c, r: c.inc(r.details["size"], label=_server(r)))
+    fold("gridftp", _event, "counter", "gridftp.transfers",
+         lambda c, r, peer=_peer: c.inc(label=peer(r)))
+fold("gridftp", "corrupted", "counter", "gridftp.corruptions",
+     lambda c, r: c.inc(label=_server(r)))
 
 
 class GridFTPServer(Service):

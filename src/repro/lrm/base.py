@@ -24,6 +24,7 @@ from ..sim.fastcopy import FrozenDict, Immutable
 from ..sim.hosts import Host
 from ..sim.kernel import Simulator
 from ..sim.rpc import Service
+from ..sim.stats import fold
 from ..states import JobState
 
 # -- job model ------------------------------------------------------------------
@@ -144,6 +145,17 @@ class ExecutionContext:
 
 
 # -- the batch system ----------------------------------------------------------
+
+# The LRM's metrics that restate its records (repro.sim.stats).
+fold("lrm", "submit", "counter", "lrm.jobs",
+     lambda c, r: c.inc(label="submitted"))
+fold("lrm", "start", "counter", "lrm.jobs",
+     lambda c, r: c.inc(label="started"))
+fold("lrm", "start", "histogram", "lrm.queue_wait",
+     lambda h, r: h.observe(r.details["waited"]))
+fold("lrm", "finish", "counter", "lrm.jobs",
+     lambda c, r: c.inc(label=r.details["state"].lower()))
+
 
 class LocalResourceManager(Service):
     """Base batch system: slots, a queue, and a scheduling policy.

@@ -14,11 +14,16 @@ to replay the whole event log.  Three instrument kinds:
   sample reservoir.
 
 Every :class:`~repro.sim.kernel.Simulator` owns a
-:class:`MetricsRegistry` as ``sim.metrics``; daemons call
-``sim.metrics.counter("gridmanager.resubmits").inc()`` and similar from
-their hot paths.  All state advances on ``sim.now`` only -- no wall
-clock, no global randomness -- so identical seeds produce identical
-snapshots and determinism of the simulation is preserved.
+:class:`MetricsRegistry` as ``sim.metrics``.  A metric that restates a
+trace record is a *fold*: one :func:`fold` row, declared next to the
+module's ``_trace`` helper, says which ``(component family, event)``
+record updates it and how, and the registry -- subscribed to the trace
+-- applies the row to every such record as it is logged (evicted ones
+of a bounded trace included).  Only a metric no record carries is
+kept by hand: ``sim.metrics.histogram("gridmanager.submit_latency")
+.observe(...)`` at its site.  All state advances on ``sim.now`` only --
+no wall clock, no global randomness -- so identical seeds produce
+identical snapshots and determinism of the simulation is preserved.
 
 The JSON snapshot (:meth:`MetricsRegistry.snapshot` /
 :meth:`MetricsRegistry.to_json`) is the export format consumed by the
@@ -28,12 +33,13 @@ benchmark harness and by :mod:`repro.grid.metrics`.
 from __future__ import annotations
 
 import json
-from typing import Any, Optional, TYPE_CHECKING
+from typing import Any, Callable, NamedTuple, Optional, TYPE_CHECKING
 
 from .errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kernel import Simulator
+    from .trace import TraceRecord
 
 
 class Counter:
@@ -62,18 +68,6 @@ class Counter:
 
     def labelled(self, label: str) -> float:
         return self._by_label.get(str(label), 0.0)
-
-    def share(self, label: str) -> float:
-        """`label`'s fraction of the labelled total (fair-share view).
-
-        The denominator is the sum over labels, not ``value``: callers
-        may also ``inc()`` without a label, and an unlabelled increment
-        should not dilute every tenant's share.
-        """
-        denom = sum(self._by_label.values())
-        if denom == 0.0:
-            return 0.0
-        return self._by_label.get(str(label), 0.0) / denom
 
     @property
     def labels(self) -> dict[str, float]:
@@ -259,9 +253,21 @@ class MetricsRegistry:
     (it would silently fork the statistic).
     """
 
-    def __init__(self, sim: "Simulator"):
+    def __init__(self, sim: "Simulator", folds: bool = True):
         self.sim = sim
         self._metrics: dict[str, Any] = {}
+        if folds:
+            sim.trace.subscribe(self._fold)
+
+    def _fold(self, rec: "TraceRecord") -> None:
+        """Apply the fold rows of `rec`'s family and event (keyed by the
+        family, never the whole component: ``jobmanager:<jmid>`` is one
+        per job)."""
+        rows = FOLDS.get((rec.component.partition(":")[0], rec.event))
+        if rows is not None:
+            for row in rows:
+                if row.when is None or row.when(rec):
+                    row.update(row.accessor(self, row.name), rec)
 
     def _get(self, name: str, kind: type, *args: Any) -> Any:
         metric = self._metrics.get(name)
@@ -281,15 +287,7 @@ class MetricsRegistry:
         return self._get(name, Gauge, self.sim)
 
     def histogram(self, name: str, max_samples: int = 4096) -> Histogram:
-        hist = self._metrics.get(name)
-        if hist is None:
-            hist = Histogram(name, max_samples=max_samples)
-            self._metrics[name] = hist
-        elif not isinstance(hist, Histogram):
-            raise SimulationError(
-                f"metric {name!r} already registered as {hist.kind}, "
-                "requested as histogram")
-        return hist
+        return self._get(name, Histogram, max_samples)
 
     def get(self, name: str) -> Optional[Any]:
         return self._metrics.get(name)
@@ -312,3 +310,37 @@ class MetricsRegistry:
     def to_json(self, prefix: str = "", indent: Optional[int] = 2) -> str:
         return json.dumps(self.snapshot(prefix=prefix), indent=indent,
                           sort_keys=True)
+
+
+class Fold(NamedTuple):
+    """One fold row: metric `name`, got through `accessor` (the
+    registry's ``counter``, ``gauge`` or ``histogram``), updated by
+    ``update(metric, record)`` for each record that passes `when`."""
+
+    accessor: Callable[..., Any]
+    name: str
+    update: Callable[[Any, "TraceRecord"], None]
+    when: Optional[Callable[["TraceRecord"], Any]] = None
+
+
+_ACCESSORS = {"counter": MetricsRegistry.counter,
+              "gauge": MetricsRegistry.gauge,
+              "histogram": MetricsRegistry.histogram}
+
+#: (component family, event) -> its fold rows, in declaration order
+FOLDS: dict[tuple[str, str], tuple[Fold, ...]] = {}
+
+
+def fold(family: str, event: str, kind: str, name: str,
+         update: Callable[[Any, "TraceRecord"], None],
+         when: Optional[Callable[["TraceRecord"], Any]] = None) -> None:
+    """Declare that every `event` record of a `family` component updates
+    the `kind` metric `name` by ``update(metric, record)`` -- only those
+    records for which ``when(record)`` is true, if `when` is given (the
+    metric does not exist until a record updates it).
+
+    Declared in the module that writes the record, so one module knows
+    each record's shape.  A metric is a fold or kept by hand, never both.
+    """
+    row = Fold(_ACCESSORS[kind], name, update, when)
+    FOLDS[(family, event)] = FOLDS.get((family, event), ()) + (row,)

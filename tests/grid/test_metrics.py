@@ -6,15 +6,19 @@ from repro import GridTestbed, JobDescription
 from repro.grid.metrics import concurrency, concurrency_from_snapshot, \
     percentile, queue_waits, registry_concurrency, timeline
 from repro.sim import Simulator
+from repro.sim.trace import Trace
 from repro.grid.config import AgentSpec, SiteSpec, TestbedConfig
 
 
 def make_trace(records):
+    """A trace of hand-written records, with no metrics registry folding
+    them (they carry only the fields the replays read)."""
     sim = Simulator()
+    trace = Trace(sim)
     for t, component, event, details in records:
         sim.now = t
-        sim.trace.log(component, event, **details)
-    return sim.trace
+        trace.log(component, event, **details)
+    return trace
 
 
 def test_concurrency_single_interval():
