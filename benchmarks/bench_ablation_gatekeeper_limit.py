@@ -40,7 +40,8 @@ def run_limit(limit):
         "done": f"{done}/{N_JOBS}",
         "makespan (s)": max(ends) - min(agent.status(j).submit_time
                                         for j in ids) if ends else -1.0,
-        "busy rejections": site.gatekeeper.rejected_busy,
+        "busy rejections": len(tb.sim.trace.select(
+            f"gatekeeper:{site.name}", "submit_rejected_busy")),
         "LRM executions": executed,
     }
 

@@ -61,7 +61,8 @@ def run_policy(policy: str):
     held = sum(1 for j in ids if agent.status(j).state == "HELD")
     warn = len(agent.notifier.emails_about("credential expiry warning"))
     held_mail = len(agent.notifier.emails_about("held"))
-    refreshes = agent.credmon.refresh_count
+    refreshes = sum(len(tb.sim.trace.select("credmon", event, user="user"))
+                    for event in ("refreshed", "myproxy_refreshed"))
     reforwards = len(tb.sim.trace.select("credmon", "reforwarded"))
     return {
         "policy": policy,

@@ -52,7 +52,9 @@ def main() -> None:
     print(f"  events reconstructed  = {books.events_reconstructed:,}")
     print(f"  buffer peak           = {books.buffer_peak:,} events "
           f"(limit {config.buffer_limit_events:,}; never overflowed)")
-    print(f"  bytes at the MSS      = {mss.bytes_received:,}")
+    received = testbed.sim.metrics.counter("gridftp.bytes_received")
+    print(f"  bytes at the MSS      = "
+          f"{int(received.labelled(mss.host.name)):,}")
     print(f"  reconstruction ran at = {reco.resource} "
           f"({config.reco_cpus} cpus)")
     print(f"  total elapsed         = {testbed.sim.now:,.0f} simulated s")

@@ -30,9 +30,7 @@ from ..sim.hosts import Host
 from ..sim.rpc import Service
 from ..sim.stats import fold
 
-
-# The collector's metric that restates its record (repro.sim.stats).
-fold("collector", "reap", "counter", "collector.expired_reaped",
+fold("collector", "reap", "collector.expired_reaped",
      lambda c, r: c.inc(r.details["count"]))
 
 
@@ -48,7 +46,6 @@ class Collector(Service):
         # A lower bound on every expiry in the registry: the lazy-sweep
         # trigger.
         self._soonest_expiry = float("inf")
-        self.expired_reaped = 0
 
     def _reap(self) -> None:
         """Drop every expired ad once the soonest expiry has passed.
@@ -68,9 +65,6 @@ class Collector(Service):
             (expiry for _, expiry in self._ads.values()),
             default=float("inf"))
         if expired:
-            self.expired_reaped += len(expired)
-            self.sim.metrics.counter(
-                "collector.expired_reaped").inc(len(expired))
             self._trace("reap", count=len(expired))
 
     def _trace(self, event: str, **details) -> None:

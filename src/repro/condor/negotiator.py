@@ -33,6 +33,10 @@ from ..sim.hosts import Host
 from ..sim.rpc import Service, call
 from ..sim.stats import fold
 
+fold("negotiator", "cycle_error", "negotiator.cycle_errors")
+fold("negotiator", "nameless_submitter", "negotiator.nameless_submitters")
+fold("negotiator", "submitter_error", "negotiator.submitter_errors")
+
 _NEG_INF = float("-inf")
 
 
@@ -125,13 +129,6 @@ class _CycleMatcher:
         return best
 
 
-# The negotiator's metrics that restate its records (repro.sim.stats).
-for _event, _name in (("cycle_error", "negotiator.cycle_errors"),
-                      ("nameless_submitter", "negotiator.nameless_submitters"),
-                      ("submitter_error", "negotiator.submitter_errors")):
-    fold("negotiator", _event, "counter", _name, lambda c, r: c.inc())
-
-
 class Negotiator(Service):
     service_name = "negotiator"
 
@@ -141,16 +138,10 @@ class Negotiator(Service):
         self.collector = collector
         self.cycle_interval = cycle_interval
         self.credential = credential
-        self.cycles = 0
-        self.matches_made = 0
-        self.cycle_errors = 0
-        self.nameless_skipped = 0
         # Fair-share state: matches granted per submitter, decayed each
         # cycle, orders who negotiates first (lowest usage wins).
         self.usage: dict[str, float] = {}
         self.usage_half_life_cycles = 20.0
-        # memo introspection for tests (not in metrics/trace)
-        self.memo_hits = 0
         self.spawn(self._cycle_loop(), name="negotiator")
 
     def _trace(self, event: str, **details) -> None:
@@ -164,14 +155,11 @@ class Negotiator(Service):
                 # collector briefly unreachable; try next cycle -- but
                 # never silently: chaos invariants watch for dropped
                 # cycles through this counter and trace event.
-                self.cycle_errors += 1
-                self.sim.metrics.counter("negotiator.cycle_errors").inc()
                 self._trace("cycle_error", error=type(exc).__name__,
                             detail=str(exc))
             yield self.sim.timeout(self.cycle_interval)
 
     def _one_cycle(self):
-        self.cycles += 1
         # exponential decay so old usage is eventually forgiven; fully
         # decayed entries are dropped so the dict cannot grow without
         # bound across submitter churn in multi-tenant runs
@@ -198,9 +186,6 @@ class Negotiator(Service):
             if not isinstance(name, str) or not name:
                 # a nameless submitter ad would corrupt fair-share
                 # accounting (every such ad collapsing onto one key)
-                self.nameless_skipped += 1
-                self.sim.metrics.counter(
-                    "negotiator.nameless_submitters").inc()
                 self._trace("nameless_submitter",
                             schedd_host=str(ad.get("ScheddHost")))
                 continue
@@ -217,13 +202,10 @@ class Negotiator(Service):
                                        "get_idle_jobs",
                                        credential=self.credential)
             except RPCError:
-                self.sim.metrics.counter(
-                    "negotiator.submitter_errors").inc()
                 self._trace("submitter_error", submitter=submitter_name)
                 continue
             for job_id, job_ad in idle.items():
                 if not matcher.remaining:
-                    self.memo_hits = matcher.memo_hits
                     return
                 index = matcher.best(job_ad, self.sim.now)
                 if index is None:
@@ -241,9 +223,7 @@ class Negotiator(Service):
                 except RPCError:
                     ok = False
                 if ok:
-                    self.matches_made += 1
                     self.usage[submitter_name] = \
                         self.usage.get(submitter_name, 0.0) + 1.0
                     self._trace("match", job=job_id,
                                 machine=chosen.get("Name"))
-        self.memo_hits = matcher.memo_hits

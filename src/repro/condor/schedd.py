@@ -44,10 +44,7 @@ from .jobs import (
 from .queue import JobQueue, job_number
 from .shadow import Shadow
 
-
-# The schedd's metric that restates its record (repro.sim.stats).
-fold("schedd", "claim_reuse", "counter", "schedd.claims_reused",
-     lambda c, r: c.inc())
+fold("schedd", "claim_reuse", "schedd.claims_reused")
 
 
 class Schedd(Service):
@@ -85,7 +82,6 @@ class Schedd(Service):
         self._idle_order: dict[str, tuple[int, float, int]] = {}
         # startd name -> (host, machine ad) for claims we may reuse
         self._claim_ads: dict[str, tuple[str, ClassAd]] = {}
-        self.claims_reused = 0
         for job in self.queue.attach(self, CondorJob.UNIVERSES):
             self.moved(job, None)
         self.shadows: dict[str, Shadow] = {}
@@ -356,8 +352,6 @@ class Schedd(Service):
         job.matched_to = startd_name
         job.matched_host = startd_host
         self.queue.transition(job, MATCHED)
-        self.claims_reused += 1
-        self.sim.metrics.counter("schedd.claims_reused").inc()
         self._trace("claim_reuse", job=job.job_id, startd=startd_name)
         ok = yield from self._activate(job, startd_name, startd_host)
         if not ok:

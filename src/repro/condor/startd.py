@@ -25,6 +25,8 @@ from ..sim.rpc import Service, call, notify
 from ..sim.stats import fold
 from ..states import STARTD_EDGES, check_edge
 
+fold("startd", "claim_timeout", "startd.claim_timeouts")
+
 UNCLAIMED = "Unclaimed"
 CLAIMED = "Claimed"
 BUSY = "Busy"
@@ -70,11 +72,6 @@ class WorkerContext:
         return result
 
 
-# The startd's metric that restates its record (repro.sim.stats).
-fold("startd", "claim_timeout", "counter", "startd.claim_timeouts",
-     lambda c, r: c.inc())
-
-
 class Startd(Service):
     """One slot; service name ``startd:<name>``."""
 
@@ -113,7 +110,6 @@ class Startd(Service):
         self._idle_since = self.sim.now
         self.stopped = self.sim.event(name=f"startd-stop:{name}")
         self.current_job_id = ""
-        self.claims_held = 0
         # bumped by every move, so a starter that no longer owns the slot
         # never moves it
         self._claim_epoch = 0
@@ -166,7 +162,6 @@ class Startd(Service):
             if self.state == CLAIMED and \
                     self.sim.now - self._claimed_at >= self.CLAIM_TIMEOUT:
                 self._trace("claim_timeout")
-                self.sim.metrics.counter("startd.claim_timeouts").inc()
                 self._move(UNCLAIMED)
             try:
                 yield from call(self.host, self.collector, "collector",
@@ -344,7 +339,6 @@ class Startd(Service):
         # no vacate/release can interrupt the report below.
         if desc.get("keep_claim") and self._claim_epoch == epoch:
             self._move(CLAIMED)
-            self.claims_held += 1
             self._trace("claim_held", by=self.claimed_by["schedd_host"])
         try:
             yield from call(self.host, shadow[0], shadow[1], "job_exit",

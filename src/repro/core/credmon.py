@@ -47,7 +47,6 @@ class CredentialMonitor:
         self.warn_threshold = warn_threshold
         self.myproxy = myproxy
         self._warned = False
-        self.refresh_count = 0
         host.spawn(self._scan_loop(), name=f"credmon:{user}")
 
     @property
@@ -77,7 +76,6 @@ class CredentialMonitor:
     def refresh(self, proxy: ProxyCredential) -> None:
         """The user ran the 'simple tool' to create a fresh proxy."""
         self.proxy = proxy
-        self.refresh_count += 1
         self._warned = False
         self.sim.trace.log("credmon", "refreshed", user=self.user,
                            expires=proxy.not_after)
@@ -121,7 +119,6 @@ class CredentialMonitor:
                                error=str(exc))
             return
         self.proxy = fresh
-        self.refresh_count += 1
         self._warned = False
         self.sim.trace.log("credmon", "myproxy_refreshed", user=self.user,
                            expires=fresh.not_after)

@@ -35,6 +35,12 @@ from ..sim.stats import fold
 if TYPE_CHECKING:  # pragma: no cover
     from .gridmanager import GridManager
 
+fold("glidein", "submitted", "glidein.submitted",
+     lambda c, r: c.inc(r.details["count"]))
+fold("glidein", "startd_up", "glidein.live", kind="gauge")
+fold("glidein", "startd_down", "glidein.live", lambda g, r: g.dec(),
+     kind="gauge")
+
 
 @dataclass
 class GlideInSpec:
@@ -49,13 +55,6 @@ class GlideInSpec:
     #: how often each glidein startd re-advertises to the collector;
     #: large fleets raise this to bound collector traffic
     advertise_interval: float = 15.0
-
-
-# GlideIn metrics that restate ``glidein`` records (repro.sim.stats).
-fold("glidein", "submitted", "counter", "glidein.submitted",
-     lambda c, r: c.inc(r.details["count"]))
-fold("glidein", "startd_up", "gauge", "glidein.live", lambda g, r: g.inc())
-fold("glidein", "startd_down", "gauge", "glidein.live", lambda g, r: g.dec())
 
 
 class GlideInManager:
@@ -96,7 +95,6 @@ class GlideInManager:
             job_id = self.gridmanager.submit(request, resource=spec.site)
             job_ids.append(job_id)
         self.submitted.extend(job_ids)
-        self.sim.metrics.counter("glidein.submitted").inc(spec.count)
         self.sim.trace.log("glidein", "submitted", site=spec.site,
                            count=spec.count)
         return job_ids
@@ -155,7 +153,6 @@ class GlideInManager:
             )
             startd.ADVERTISE_INTERVAL = spec.advertise_interval
             manager.live_startds.append(startd)
-            ctx.sim.metrics.gauge("glidein.live").inc()
             ctx.sim.metrics.histogram("glidein.binding_delay").observe(
                 ctx.sim.now - submitted_at)
             ctx.sim.trace.log("glidein", "startd_up", name=name,
@@ -169,7 +166,6 @@ class GlideInManager:
                 # (GeneratorExit): daemons die with the allocation.
                 startd.crash("glidein allocation ended")
                 manager.live_startds.remove(startd)
-                ctx.sim.metrics.gauge("glidein.live").dec()
                 ctx.sim.trace.log("glidein", "startd_down", name=name)
             return 0
 

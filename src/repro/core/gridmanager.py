@@ -43,10 +43,23 @@ from ..sim.errors import (
     RPCError,
 )
 from ..sim.rpc import Service, call
-from ..sim.stats import fold
+from ..sim.stats import by, fold
 from . import job as J
 from .broker import Broker
 from .job import GridJob
+
+fold("gridmanager", "submitted", "gridmanager.submits")
+fold("gridmanager", "staged_in", "gridmanager.stage_in_bytes",
+     lambda c, r: c.inc(r.details["moved"], label=r.details["resource"]),
+     when=lambda r: r.details["moved"])
+fold("gridmanager", "stage_out_corrupt", "gridmanager.stage_out_corrupt",
+     by("se"))
+fold("gridmanager", "monitor_missing_jm", "gridmanager.monitor_suspects")
+fold("gridmanager", "monitor_start_failed", "gridmanager.monitor_starts",
+     lambda c, r: c.inc(label="failed"))
+fold("gridmanager", "monitor_started", "gridmanager.monitor_starts",
+     lambda c, r: c.inc(label="ok"))
+fold("gridmanager", "resubmit", "gridmanager.resubmits")
 
 # Failure reasons worth resubmitting (infrastructure, not the app).
 _TRANSIENT_PREFIXES = (
@@ -99,25 +112,6 @@ class RemoteSite:
         """Has the site's monitor reported (or been launched) recently?"""
         last, horizon = self.beat
         return now - last <= horizon
-
-
-# The GridManager's metrics that restate its records (repro.sim.stats).
-fold("gridmanager", "submitted", "counter", "gridmanager.submits",
-     lambda c, r: c.inc())
-fold("gridmanager", "staged_in", "counter", "gridmanager.stage_in_bytes",
-     lambda c, r: c.inc(r.details["moved"], label=r.details["resource"]),
-     when=lambda r: r.details["moved"])
-fold("gridmanager", "stage_out_corrupt", "counter",
-     "gridmanager.stage_out_corrupt",
-     lambda c, r: c.inc(label=r.details["se"]))
-fold("gridmanager", "monitor_missing_jm", "counter",
-     "gridmanager.monitor_suspects", lambda c, r: c.inc())
-fold("gridmanager", "monitor_start_failed", "counter",
-     "gridmanager.monitor_starts", lambda c, r: c.inc(label="failed"))
-fold("gridmanager", "monitor_started", "counter",
-     "gridmanager.monitor_starts", lambda c, r: c.inc(label="ok"))
-fold("gridmanager", "resubmit", "counter", "gridmanager.resubmits",
-     lambda c, r: c.inc())
 
 
 class GridManager(Service):
@@ -566,7 +560,6 @@ class GridManager(Service):
             self._trace("commit_unacknowledged", job=job.job_id,
                         jmid=jmid, reason=str(failure))
             return
-        self.sim.metrics.counter("gridmanager.submits").inc()
         self.sim.metrics.histogram("gridmanager.submit_latency").observe(
             self.sim.now - attempt_start)
         self._trace("submitted", job=job.job_id, jmid=job.jmid,
@@ -601,9 +594,6 @@ class GridManager(Service):
             return False    # cancelled/held while transfers ran
         self.sim.metrics.histogram("gridmanager.stage_in_time").observe(
             self.sim.now - started)
-        if staged:
-            self.sim.metrics.counter("gridmanager.stage_in_bytes").inc(
-                staged, label=job.resource)
         self._trace("staged_in", job=job.job_id, resource=job.resource,
                     moved=staged)
         return True
@@ -681,8 +671,6 @@ class GridManager(Service):
                         self.host, se, "gridftp", "checksum", timeout=60.0,
                         credential=self._credential(se), path=path)
                     if actual != expected:
-                        self.sim.metrics.counter(
-                            "gridmanager.stage_out_corrupt").inc(label=se)
                         self._trace("stage_out_corrupt", job=job.job_id,
                                     dataset=name, se=se)
                         yield from call(
@@ -773,8 +761,6 @@ class GridManager(Service):
                 # its JobManager died (monitors see every live *and*
                 # unacked-terminal JobManager of ours).
                 remote.suspects.add(job.jmid)
-                self.sim.metrics.counter(
-                    "gridmanager.monitor_suspects").inc()
                 self._trace("monitor_missing_jm", job=job.job_id,
                             jmid=job.jmid, contact=remote.contact)
         return True
@@ -800,13 +786,11 @@ class GridManager(Service):
         self.spawn(self._start_monitor(site), name=f"gm-monitor:{self.user}")
 
     def _start_monitor(self, site: RemoteSite):
-        starts = self.sim.metrics.counter("gridmanager.monitor_starts")
         try:
             answer = yield from self.client.start_monitor(
                 site.contact,
                 callback=(self.host.name, self.callback_service))
         except RPCError as exc:
-            starts.inc(label="failed")
             self._trace("monitor_start_failed", contact=site.contact,
                         reason=str(exc))
             return
@@ -816,7 +800,6 @@ class GridManager(Service):
         # instead of asking while the monitor warms up.
         site.beat = (self.sim.now,
                      answer["interval"] * self.MONITOR_MISS_FACTOR)
-        starts.inc(label="ok")
         self._trace("monitor_started", contact=site.contact)
 
     def _apply_remote_state(self, job: GridJob, state: str,
@@ -867,7 +850,6 @@ class GridManager(Service):
             if self.broker is not None:
                 job.resource = ""
             self.queue.transition(job, J.UNSUBMITTED)
-            self.sim.metrics.counter("gridmanager.resubmits").inc()
             self._trace("resubmit", job=job.job_id, reason=reason)
             self.kick()
         else:

@@ -19,7 +19,10 @@ from typing import Optional
 from ..gridftp.server import make_gsiftp_url
 from ..sim.hosts import Host
 from ..sim.rpc import Service
-from ..sim.stats import fold
+from ..sim.stats import by, fold
+
+fold("rls", "register", "catalog.registrations", by("dataset"))
+fold("rls", "invalidate", "catalog.invalidations", by("dataset"))
 
 CATALOG_HOST = "rls"
 CATALOG_NS = "replica-catalog"
@@ -33,13 +36,6 @@ def dataset_path(name: str) -> str:
     across sites.
     """
     return f"datasets/{name}"
-
-
-# The catalog's metrics that restate its records (repro.sim.stats).
-fold("rls", "register", "counter", "catalog.registrations",
-     lambda c, r: c.inc(label=r.details["dataset"]))
-fold("rls", "invalidate", "counter", "catalog.invalidations",
-     lambda c, r: c.inc(label=r.details["dataset"]))
 
 
 class ReplicaCatalog(Service):
@@ -94,7 +90,6 @@ class ReplicaCatalog(Service):
         entry["replicas"][se_host] = url or make_gsiftp_url(
             se_host, dataset_path(name))
         self._persist(name)
-        self.sim.metrics.counter("catalog.registrations").inc(label=name)
         self.sim.trace.log("rls", "register", dataset=name, se=se_host,
                            replicas=len(entry["replicas"]))
         return {"replicas": len(entry["replicas"])}
@@ -115,7 +110,6 @@ class ReplicaCatalog(Service):
             return False
         del entry["replicas"][se_host]
         self._persist(name)
-        self.sim.metrics.counter("catalog.invalidations").inc(label=name)
         self.sim.trace.log("rls", "invalidate", dataset=name, se=se_host,
                            replicas=len(entry["replicas"]))
         return True

@@ -26,6 +26,14 @@ from ..sim.stats import fold
 from ..sim.sync import Semaphore
 from .catalog import CATALOG_HOST
 
+fold("dts", "checksum_mismatch", "dts.checksum_mismatch",
+     lambda c, r: c.inc(label=_link(r)))
+fold("dts", "transfer", "dts.transfers", lambda c, r: c.inc(label=_link(r)))
+fold("dts", "transfer", "dts.bytes_moved",
+     lambda c, r: c.inc(r.details["size"], label=_link(r)))
+fold("dts", "transfer_failed", "dts.failures",
+     lambda c, r: c.inc(label=_link(r)))
+
 DTS_HOST = "dts"
 
 
@@ -33,18 +41,6 @@ def _link(rec) -> str:
     """The ``src->dst`` host pair a ``dts`` record's URLs name."""
     return (f"{parse_gsiftp_url(rec.details['src'])[0]}->"
             f"{parse_gsiftp_url(rec.details['dst'])[0]}")
-
-
-# The transfer scheduler's metrics that restate its records
-# (repro.sim.stats).
-fold("dts", "checksum_mismatch", "counter", "dts.checksum_mismatch",
-     lambda c, r: c.inc(label=_link(r)))
-fold("dts", "transfer", "counter", "dts.transfers",
-     lambda c, r: c.inc(label=_link(r)))
-fold("dts", "transfer", "counter", "dts.bytes_moved",
-     lambda c, r: c.inc(r.details["size"], label=_link(r)))
-fold("dts", "transfer_failed", "counter", "dts.failures",
-     lambda c, r: c.inc(label=_link(r)))
 
 
 class TransferScheduler(Service):
@@ -124,8 +120,6 @@ class TransferScheduler(Service):
                         actual = yield from gridftp_checksum(
                             self.host, to_url, credential=ctx.credential)
                         if actual != expected_checksum:
-                            metrics.counter("dts.checksum_mismatch").inc(
-                                label=link_label)
                             self.sim.trace.log("dts", "checksum_mismatch",
                                                src=src_url, dst=to_url,
                                                attempt=attempt)
@@ -153,15 +147,11 @@ class TransferScheduler(Service):
                     yield self.sim.timeout(
                         self.retry_backoff * (2 ** (attempt - 1)))
                     continue
-                metrics.counter("dts.transfers").inc(label=link_label)
-                metrics.counter("dts.bytes_moved").inc(size,
-                                                       label=link_label)
                 metrics.histogram("dts.transfer_time").observe(
                     self.sim.now - started)
                 self.sim.trace.log("dts", "transfer", src=src_url,
                                    dst=to_url, size=size, attempts=attempt)
                 return {"size": size, "attempts": attempt}
-            metrics.counter("dts.failures").inc(label=link_label)
             self.sim.trace.log("dts", "transfer_failed", src=src_url,
                                dst=to_url, reason=last_error)
             raise RPCError(

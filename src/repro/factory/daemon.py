@@ -32,23 +32,18 @@ from ..condor.startd import UNCLAIMED
 from ..core.glidein import GlideInSpec
 from ..sim.errors import RPCError
 from ..sim.rpc import Service, call
-from ..sim.stats import fold
+from ..sim.stats import by, fold
 from ..states import JobState
 from .policy import FactoryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.api import CondorGAgent
 
-
-# The factory's metrics that restate its records (repro.sim.stats).  A
-# renewal provisions one glidein without a ``provisioned`` record.
-fold("factory", "reaped", "counter", "factory.reaped",
-     lambda c, r: c.inc(label=r.details["site"]))
-fold("factory", "lease_renewed", "counter", "factory.renewals",
-     lambda c, r: c.inc(label=r.details["site"]))
-fold("factory", "lease_renewed", "counter", "factory.provisioned",
-     lambda c, r: c.inc(1, label=r.details["site"]))
-fold("factory", "provisioned", "counter", "factory.provisioned",
+# A renewal provisions one glidein without a ``provisioned`` record.
+fold("factory", "reaped", "factory.reaped", by("site"))
+fold("factory", "lease_renewed", "factory.renewals", by("site"))
+fold("factory", "lease_renewed", "factory.provisioned", by("site"))
+fold("factory", "provisioned", "factory.provisioned",
      lambda c, r: c.inc(r.details["count"], label=r.details["site"]))
 
 
@@ -145,8 +140,6 @@ class GlideInFactory(Service):
                 except RPCError:
                     ok = False
                 if ok:
-                    self.sim.metrics.counter("factory.reaped").inc(
-                        label=site)
                     self.sim.trace.log(f"factory:{self.user}", "reaped",
                                        site=site, startd=service_name)
             yield self.sim.timeout(tick)
@@ -274,7 +267,6 @@ class GlideInFactory(Service):
             if demand == 0 and busy == 0:
                 continue      # nothing left to serve: let the lease lapse
             self._renewed.add(job_id)
-            self.sim.metrics.counter("factory.renewals").inc(label=site)
             self.sim.trace.log(f"factory:{self.user}", "lease_renewed",
                                site=site, job=job_id)
             # Renewal is exempt from max_glideins: the expiring
@@ -289,8 +281,6 @@ class GlideInFactory(Service):
             walltime=policy.lease,
             idle_timeout=policy.idle_timeout)
         job_ids = self.agent.glideins.glide_in(spec)
-        self.sim.metrics.counter("factory.provisioned").inc(
-            count, label=site)
         if traced:
             self.sim.trace.log(f"factory:{self.user}", "provisioned",
                                site=site, count=count, reason=reason)

@@ -20,6 +20,14 @@ from ..sim.rpc import Service
 from ..sim.stats import fold
 from .files import FileStore, SimFile
 
+# Bytes by server host, in the registry.  A put or append record does not
+# name its peer, so ``gass.transfers`` is kept by hand.
+for _event, _direction in (("get", "sent"), ("put", "received"),
+                           ("append", "received")):
+    fold("gass", _event, f"gass.bytes_{_direction}",
+         lambda c, r: c.inc(r.details["size"],
+                            label=r.component.partition(":")[2]))
+
 DEFAULT_BANDWIDTH = 1_000_000.0   # bytes per simulated second
 
 
@@ -36,16 +44,6 @@ def parse_url(url: str) -> tuple[str, str, str]:
     if len(parts) < 3:
         raise ValueError(f"gass URL needs host/service/path: {url!r}")
     return parts[0], parts[1], parts[2]
-
-
-# The server's byte totals restate its records (repro.sim.stats), by
-# server host; a put or append record does not name its peer, so
-# ``gass.transfers`` is kept by hand.
-for _event, _direction in (("get", "sent"), ("put", "received"),
-                           ("append", "received")):
-    fold("gass", _event, "counter", f"gass.bytes_{_direction}",
-         lambda c, r: c.inc(r.details["size"],
-                            label=r.component.partition(":")[2]))
 
 
 class GassServer(Service):
@@ -79,27 +77,11 @@ class GassServer(Service):
             return self.sim.timeout(nbytes / self.bandwidth)
         return self.sim.timeout(0.0)
 
-    def _account(self, direction: str, nbytes: int, peer: str) -> None:
-        m = self.sim.metrics
-        m.counter(f"gass.bytes_{direction}").inc(nbytes,
-                                                 label=self.host.name)
-        m.counter("gass.transfers").inc(label=peer)
-
-    @property
-    def bytes_sent(self) -> int:
-        counter = self.sim.metrics.counter("gass.bytes_sent")
-        return int(counter.labelled(self.host.name))
-
-    @property
-    def bytes_received(self) -> int:
-        counter = self.sim.metrics.counter("gass.bytes_received")
-        return int(counter.labelled(self.host.name))
-
     # -- handlers -----------------------------------------------------------
     def handle_get(self, ctx, path: str):
         f = self.files.get(path)
         yield self._pay(f.size)
-        self._account("sent", f.size, ctx.caller_host)
+        self.sim.metrics.counter("gass.transfers").inc(label=ctx.caller_host)
         self.sim.trace.log(f"gass:{self.host.name}", "get", path=path,
                            size=f.size, to=ctx.caller_host)
         return {"path": f.path, "size": f.size, "data": f.data,
@@ -109,7 +91,7 @@ class GassServer(Service):
         f = SimFile(path, size=size, data=data)
         yield self._pay(f.size)
         self.files.put(f)
-        self._account("received", f.size, ctx.caller_host)
+        self.sim.metrics.counter("gass.transfers").inc(label=ctx.caller_host)
         self.sim.trace.log(f"gass:{self.host.name}", "put", path=path,
                            size=f.size)
         return f.size
@@ -131,7 +113,8 @@ class GassServer(Service):
         yield self._pay(len(data))
         f = self.files.append(path, data)
         if data:
-            self._account("received", len(data), ctx.caller_host)
+            self.sim.metrics.counter("gass.transfers").inc(
+                label=ctx.caller_host)
             self.sim.trace.log(f"gass:{self.host.name}", "append",
                                path=path, size=len(data), total=f.size)
         return f.size

@@ -27,10 +27,26 @@ from typing import Optional
 from ..sim.errors import RPCError
 from ..sim.hosts import Host
 from ..sim.rpc import Service, call
-from ..sim.stats import fold
+from ..sim.stats import by, fold
 from .jobmanager import STATE_NS, JobManager
 from .monitor import GridMonitor, statuses
 from .protocol import GatekeeperBusy, GramJobRequest, Refusal
+
+for _event in ("admission_rejected_depth", "admission_rejected_rate",
+               "submit_rejected_user_busy"):
+    fold("gatekeeper", _event, "gatekeeper.rejects_by_user", by("owner"))
+for _event, _label in (("admission_rejected_depth", "depth"),
+                       ("admission_rejected_rate", "rate")):
+    fold("gatekeeper", _event, "gatekeeper.admission_rejects",
+         lambda c, r, label=_label: c.inc(label=label))
+for _event, _label in (("submit_rejected_busy", "rejected_busy"),
+                       ("submit_rejected_user_busy", "rejected_user_busy"),
+                       ("jobmanager_created", "new"),
+                       ("duplicate_submit", "duplicate")):
+    fold("gatekeeper", _event, "gatekeeper.submits",
+         lambda c, r, label=_label: c.inc(label=label))
+fold("gatekeeper", "monitor_started", "gatekeeper.monitors_started")
+fold("gatekeeper", "jobmanager_restarted", "gatekeeper.jm_restarts")
 
 
 @dataclass(frozen=True)
@@ -81,27 +97,6 @@ def _request(value) -> GramJobRequest:
         f"request must be a GramJobRequest, not {type(value).__name__}")
 
 
-# The gatekeeper's metrics that restate its records (repro.sim.stats).
-for _event, _label in (("admission_rejected_depth", "depth"),
-                       ("admission_rejected_rate", "rate")):
-    fold("gatekeeper", _event, "counter", "gatekeeper.admission_rejects",
-         lambda c, r, label=_label: c.inc(label=label))
-for _event in ("admission_rejected_depth", "admission_rejected_rate",
-               "submit_rejected_user_busy"):
-    fold("gatekeeper", _event, "counter", "gatekeeper.rejects_by_user",
-         lambda c, r: c.inc(label=r.details["owner"]))
-for _event, _label in (("submit_rejected_busy", "rejected_busy"),
-                       ("submit_rejected_user_busy", "rejected_user_busy"),
-                       ("jobmanager_created", "new"),
-                       ("duplicate_submit", "duplicate")):
-    fold("gatekeeper", _event, "counter", "gatekeeper.submits",
-         lambda c, r, label=_label: c.inc(label=label))
-fold("gatekeeper", "monitor_started", "counter",
-     "gatekeeper.monitors_started", lambda c, r: c.inc())
-fold("gatekeeper", "jobmanager_restarted", "counter",
-     "gatekeeper.jm_restarts", lambda c, r: c.inc())
-
-
 class Gatekeeper(Service):
     """Service ``gatekeeper`` on a site's interface machine."""
 
@@ -128,8 +123,6 @@ class Gatekeeper(Service):
         # unthrottled submissions overloaded a gatekeeper for everyone).
         self.max_jobmanagers = max_jobmanagers
         self.max_user_jobmanagers = max_user_jobmanagers
-        self.rejected_busy = 0
-        self.rejected_user_busy = 0
         # live JobManagers per owner (None: in all), and every registered
         # one as owner -> {jmid: JobManager}; both kept by themselves
         self._live: Counter = Counter()
@@ -172,12 +165,9 @@ class Gatekeeper(Service):
             self._next_sample = self.sim.now + self.admission.poll_interval
             yield self.sim.timeout(self.admission.poll_interval)
 
-    def _busy(self, reason: Refusal, text: str, retry_after: float,
-              owner: Optional[str] = None) -> GatekeeperBusy:
-        """The refusal to raise, charged to `owner` if it is theirs."""
-        if owner is not None:       # SITE_JOBMANAGERS blames no user
-            self.sim.metrics.counter(
-                "gatekeeper.rejects_by_user").inc(label=owner)
+    def _busy(self, reason: Refusal, text: str,
+              retry_after: float) -> GatekeeperBusy:
+        """The refusal to raise (its record charges the owner it names)."""
         return GatekeeperBusy(reason, self.max_user_jobmanagers,
                               retry_after, f"gatekeeper {self.site} {text}")
 
@@ -188,8 +178,6 @@ class Gatekeeper(Service):
             return
         if policy.max_queue is not None and \
                 self._lrm_depth >= policy.max_queue:
-            self.sim.metrics.counter("gatekeeper.admission_rejects").inc(
-                label="depth")
             self._trace("admission_rejected_depth", seq=seq, client=client,
                         owner=owner, depth=self._lrm_depth)
             # until the next sample (one in flight lands within a round
@@ -197,8 +185,7 @@ class Gatekeeper(Service):
             wait = self._next_sample - self.sim.now
             raise self._busy(Refusal.DEPTH, "backpressure: LRM queue depth "
                              f"{self._lrm_depth} >= {policy.max_queue}",
-                             wait if wait > 0 else policy.poll_interval,
-                             owner)
+                             wait if wait > 0 else policy.poll_interval)
         if policy.rate is not None:
             now = self.sim.now
             self._tokens = min(float(policy.burst),
@@ -206,13 +193,11 @@ class Gatekeeper(Service):
                                + (now - self._token_stamp) * policy.rate)
             self._token_stamp = now
             if self._tokens < 1.0:
-                self.sim.metrics.counter(
-                    "gatekeeper.admission_rejects").inc(label="rate")
                 self._trace("admission_rejected_rate", seq=seq,
                             client=client, owner=owner)
                 raise self._busy(Refusal.RATE, "submission rate limit "
                                  f"({policy.rate}/s)",
-                                 (1.0 - self._tokens) / policy.rate, owner)
+                                 (1.0 - self._tokens) / policy.rate)
             self._tokens -= 1.0
         self.sim.metrics.counter("gatekeeper.admission_admits").inc()
 
@@ -252,9 +237,6 @@ class Gatekeeper(Service):
             self._admit(owner, seq, ctx.caller_host)
             if self.max_jobmanagers is not None and \
                     self._live[None] >= self.max_jobmanagers:
-                self.rejected_busy += 1
-                self.sim.metrics.counter("gatekeeper.submits").inc(
-                    label="rejected_busy")
                 self._trace("submit_rejected_busy", seq=seq,
                             client=ctx.caller_host, live=self._live[None])
                 raise self._busy(
@@ -263,16 +245,13 @@ class Gatekeeper(Service):
                     self.RETRY_AFTER)
             if self.max_user_jobmanagers is not None and \
                     self._live[owner] >= self.max_user_jobmanagers:
-                self.rejected_user_busy += 1
-                self.sim.metrics.counter("gatekeeper.submits").inc(
-                    label="rejected_user_busy")
                 self._trace("submit_rejected_user_busy", seq=seq,
                             client=ctx.caller_host, owner=owner,
                             live=self._live[owner])
                 raise self._busy(
                     Refusal.USER_JOBMANAGERS, f"has all {owner}'s "
                     f"{self.max_user_jobmanagers} JobManagers",
-                    self.RETRY_AFTER, owner)
+                    self.RETRY_AFTER)
             jmid = f"{self.site}-jm{next(self._ids)}"
             self._seen[key] = jmid
             JobManager(
@@ -284,14 +263,11 @@ class Gatekeeper(Service):
                 credential=ctx.credential,
                 live=self._live, table=self._jobmanagers,
             )
-            self.sim.metrics.counter("gatekeeper.submits").inc(label="new")
             self.sim.metrics.counter("gatekeeper.submits_by_user").inc(
                 label=owner)
             self._trace("jobmanager_created", jmid=jmid, seq=seq,
                         client=ctx.caller_host, owner=ctx.principal)
         else:
-            self.sim.metrics.counter("gatekeeper.submits").inc(
-                label="duplicate")
             self._trace("duplicate_submit", jmid=jmid, seq=seq,
                         client=ctx.caller_host)
         return {"jmid": jmid, "contact": self.host.name, "seq": seq,
@@ -340,7 +316,6 @@ class Gatekeeper(Service):
             monitor = GridMonitor(
                 self.host, owner, callback,
                 self._jobmanagers.setdefault(owner, {}), site=self.site)
-            self.sim.metrics.counter("gatekeeper.monitors_started").inc()
             self._trace("monitor_started", owner=owner,
                         client=ctx.caller_host)
         return {"monitor": monitor.name, "site": self.site,
@@ -357,7 +332,6 @@ class Gatekeeper(Service):
         JobManager(self.host, jmid, lrm_contact=self.lrm_contact,
                    credential=ctx.credential, restarted=True,
                    live=self._live, table=self._jobmanagers)
-        self.sim.metrics.counter("gatekeeper.jm_restarts").inc()
         self._trace("jobmanager_restarted", jmid=jmid)
         return {"jmid": jmid, "contact": self.host.name, "revived": True}
 

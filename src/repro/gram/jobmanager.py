@@ -38,10 +38,13 @@ from ..sim.fastcopy import FrozenDict
 from ..sim.hosts import Host
 from ..sim.kernel import Event
 from ..sim.rpc import Service, call, notify
-from ..sim.stats import fold
+from ..sim.stats import by, fold
 from ..states import GRAM_EDGES, check_edge
 from . import protocol
 from .protocol import GramJobRequest, to_lrm_spec
+
+fold("jobmanager", "commit_timeout", "jobmanager.commit_expired")
+fold("jobmanager", "state", "jobmanager.state_changes", by("state"))
 
 STATE_NS = "gram-jm"          # stable-storage namespace on the gatekeeper
 REQUEST_NS = "gram-jm-request"   # the job request, written once per change
@@ -129,13 +132,6 @@ class LrmSweep(Service):
                     event.succeed(view)
         self.sim.trace.log(self.name, "stop", host=self.host.name)
         self.shutdown()
-
-
-# The JobManager's metrics that restate its records (repro.sim.stats).
-fold("jobmanager", "commit_timeout", "counter", "jobmanager.commit_expired",
-     lambda c, r: c.inc())
-fold("jobmanager", "state", "counter", "jobmanager.state_changes",
-     lambda c, r: c.inc(label=r.details["state"]))
 
 
 class JobManager(Service):
@@ -338,7 +334,6 @@ class JobManager(Service):
         index, _ = yield self.sim.any_of(
             [self._committed, self.sim.timeout(self.COMMIT_WINDOW)])
         if index == 1:
-            self.sim.metrics.counter("jobmanager.commit_expired").inc()
             self._fail("commit window expired (two-phase abort)")
             self._trace("commit_timeout")
             return
@@ -416,8 +411,6 @@ class JobManager(Service):
             if new_state != self.state:
                 self._move(new_state, view.get("failure_reason", ""),
                            view.get("exit_code"))
-                self.sim.metrics.counter("jobmanager.state_changes").inc(
-                    label=new_state)
                 self.sim.metrics.histogram(
                     "jobmanager.detect_latency").observe(
                         seen - view["state_since"])

@@ -15,7 +15,7 @@ agent of a testbed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, TYPE_CHECKING
+from typing import Iterable, TYPE_CHECKING
 
 import numpy as np
 
@@ -51,8 +51,15 @@ _EVENT_SETS = {
 }
 
 
-def _lrm_intervals(trace: Trace, component_prefix: str = "lrm:",
-                   job_filter: Optional[str] = None
+def _replay(trace: Trace, component_prefix: str):
+    """The records under ``component_prefix``: all of them, or none."""
+    if trace.dropped:
+        raise ValueError(f"the trace dropped {trace.dropped} records: read "
+                         "registry_concurrency or lrm.queue_wait instead")
+    return trace.iter_prefix(component_prefix)
+
+
+def _lrm_intervals(trace: Trace, component_prefix: str = "lrm:"
                    ) -> list[tuple[float, float]]:
     """(start, end) pairs of job executions from trace records.
 
@@ -63,11 +70,8 @@ def _lrm_intervals(trace: Trace, component_prefix: str = "lrm:",
                                               _EVENT_SETS["lrm:"])
     starts: dict[tuple[str, str], float] = {}
     intervals: list[tuple[float, float]] = []
-    for rec in trace.iter_prefix(component_prefix):
-        job = rec.details.get("job", "")
-        if job_filter is not None and job_filter not in str(job):
-            continue
-        key = (rec.component, job)
+    for rec in _replay(trace, component_prefix):
+        key = (rec.component, rec.details.get("job", ""))
         if rec.event == start_event:
             starts[key] = rec.time
         elif rec.event in end_events and key in starts:
@@ -80,10 +84,10 @@ def _lrm_intervals(trace: Trace, component_prefix: str = "lrm:",
     return intervals
 
 
-def concurrency(trace: Trace, component_prefix: str = "lrm:",
-                job_filter: Optional[str] = None) -> ConcurrencyStats:
+def concurrency(trace: Trace, component_prefix: str = "lrm:"
+                ) -> ConcurrencyStats:
     """Busy-CPU statistics over the run (1 cpu per interval assumed)."""
-    intervals = _lrm_intervals(trace, component_prefix, job_filter)
+    intervals = _lrm_intervals(trace, component_prefix)
     if not intervals:
         return ConcurrencyStats(0.0, 0.0, 0, 0.0, 0.0)
     events: list[tuple[float, int]] = []
@@ -146,12 +150,10 @@ def registry_concurrency(sim, gauge: str = "lrm.busy_slots"
     return concurrency_from_snapshot(sim.metrics.snapshot(), gauge=gauge)
 
 
-def timeline(trace: Trace, bucket: float,
-             component_prefix: str = "lrm:",
-             job_filter: Optional[str] = None
+def timeline(trace: Trace, bucket: float, component_prefix: str = "lrm:"
              ) -> tuple[np.ndarray, np.ndarray]:
     """(bucket_times, busy_cpus) sampled series for plotting/tables."""
-    intervals = _lrm_intervals(trace, component_prefix, job_filter)
+    intervals = _lrm_intervals(trace, component_prefix)
     if not intervals:
         return np.array([]), np.array([])
     t0 = min(s for s, _ in intervals)
@@ -173,7 +175,7 @@ def queue_waits(trace: Trace, component_prefix: str = "lrm:"
                 ) -> list[float]:
     """Per-job queue wait times (from LRM 'start' records)."""
     return [rec.details["waited"]
-            for rec in trace.iter_prefix(component_prefix)
+            for rec in _replay(trace, component_prefix)
             if rec.event == "start" and "waited" in rec.details]
 
 
@@ -186,17 +188,11 @@ def percentile(values: Iterable[float], q: float) -> float:
 
 # -- per-user accounting (multi-tenant runs) -----------------------------------
 
-def _labels_about(counter, user: str) -> float:
-    """Sum a counter's labels that belong to `user`.
-
-    Gatekeepers label by the submitting identity, which is either the
-    user's submit host (``submit-<user>``) or a site-local gridmap
-    account (``<site>_<user>``); both embed the user name, the same
-    convention :meth:`GridTestbed.cost_report` applies to LRM accounts.
-    """
+def _labels_about(counter, names: set[str]) -> float:
+    """Sum the labels of `counter` that are one of a user's `names`."""
     if counter is None:
         return 0.0
-    return sum(v for label, v in counter.labels.items() if user in label)
+    return sum(v for label, v in counter.labels.items() if label in names)
 
 
 def user_rollup(tb: "GridTestbed") -> dict[str, dict]:
@@ -222,10 +218,11 @@ def user_rollup(tb: "GridTestbed") -> dict[str, dict]:
         by_state: dict[str, int] = {}
         for job in jobs:
             by_state[str(job.state)] = by_state.get(str(job.state), 0) + 1
+        names = tb.identities(name)
         cpu_seconds = sum(
             usage for site in tb.sites.values()
             for account, usage in site.lrm.user_usage.items()
-            if name in account)
+            if account in names)
         cost = tb.cost_report(name)
         out[name] = {
             "jobs": len(jobs),
@@ -239,8 +236,8 @@ def user_rollup(tb: "GridTestbed") -> dict[str, dict]:
                                if queued_c is not None else 0.0),
             "finished_counter": (finished_c.labelled(name)
                                  if finished_c is not None else 0.0),
-            "gatekeeper_submits": _labels_about(gk_submits, name),
-            "gatekeeper_rejects": _labels_about(gk_rejects, name),
+            "gatekeeper_submits": _labels_about(gk_submits, names),
+            "gatekeeper_rejects": _labels_about(gk_rejects, names),
             "cpu_seconds": cpu_seconds,
             "cpu_hours": cpu_seconds / 3600.0,
             "cost": cost["total"],

@@ -390,6 +390,11 @@ class GridTestbed:
     def total_cpu_seconds(self) -> float:
         return sum(site.lrm.total_busy_time for site in self.sites.values())
 
+    def identities(self, user: str) -> set[str]:
+        """`user`'s names at the sites: submit host and gridmap accounts."""
+        hosts = {self.agents[user].host.name} if user in self.agents else set()
+        return hosts | {f"{site}_{user}" for site in self.sites}
+
     def cost_report(self, user: str) -> dict:
         """Per-site and total cost for one user (§1: users "do care...
         how much these tasks will cost").
@@ -397,11 +402,12 @@ class GridTestbed:
         Each site charges ``allocation_cost`` per CPU-hour consumed by
         the user's site-local account(s).
         """
+        names = self.identities(user)
         per_site: dict[str, float] = {}
         for site in self.sites.values():
             cpu_seconds = sum(
                 usage for account, usage in site.lrm.user_usage.items()
-                if user in account)
+                if account in names)
             per_site[site.name] = (cpu_seconds / 3600.0
                                    * site.allocation_cost)
         per_site["total"] = sum(per_site.values())

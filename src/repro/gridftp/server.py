@@ -7,6 +7,20 @@ from ..sim.hosts import Host
 from ..sim.rpc import Service, call
 from ..sim.stats import fold
 
+# Bytes and corruptions by server host, transfers by peer.
+for _event, _direction, _peer in (
+        ("retr", "sent", lambda r: r.details["to"]),
+        ("stor", "received", lambda r: r.details["source"]),
+        ("third_party", "received",
+         lambda r: parse_gsiftp_url(r.details["src"])[0])):
+    fold("gridftp", _event, f"gridftp.bytes_{_direction}",
+         lambda c, r: c.inc(r.details["size"],
+                            label=r.component.partition(":")[2]))
+    fold("gridftp", _event, "gridftp.transfers",
+         lambda c, r, peer=_peer: c.inc(label=peer(r)))
+fold("gridftp", "corrupted", "gridftp.corruptions",
+     lambda c, r: c.inc(label=r.component.partition(":")[2]))
+
 DEFAULT_BANDWIDTH = 10_000_000.0   # bulk-transfer pipes are fat
 
 
@@ -23,26 +37,6 @@ def parse_gsiftp_url(url: str) -> tuple[str, str]:
     if not host or not path:
         raise ValueError(f"gsiftp URL needs host and path: {url!r}")
     return host, path
-
-
-def _server(rec) -> str:
-    """The host a ``gridftp:<host>`` record is about."""
-    return rec.component.partition(":")[2]
-
-
-# The server's metrics that restate its records (repro.sim.stats): bytes
-# by server host, transfers by peer.
-for _event, _direction, _peer in (
-        ("retr", "sent", lambda r: r.details["to"]),
-        ("stor", "received", lambda r: r.details["source"]),
-        ("third_party", "received",
-         lambda r: parse_gsiftp_url(r.details["src"])[0])):
-    fold("gridftp", _event, "counter", f"gridftp.bytes_{_direction}",
-         lambda c, r: c.inc(r.details["size"], label=_server(r)))
-    fold("gridftp", _event, "counter", "gridftp.transfers",
-         lambda c, r, peer=_peer: c.inc(label=peer(r)))
-fold("gridftp", "corrupted", "counter", "gridftp.corruptions",
-     lambda c, r: c.inc(label=_server(r)))
 
 
 class GridFTPServer(Service):
@@ -70,27 +64,6 @@ class GridFTPServer(Service):
             return self.sim.timeout(nbytes / self.bandwidth)
         return self.sim.timeout(0.0)
 
-    # -- accounting ----------------------------------------------------------
-    # Totals live in the simulator's MetricsRegistry (split by server host
-    # and by peer) so grid.metrics rollups can read them; the properties
-    # keep the old `server.bytes_sent` attribute API working.
-
-    def _account(self, direction: str, nbytes: int, peer: str) -> None:
-        m = self.sim.metrics
-        m.counter(f"gridftp.bytes_{direction}").inc(nbytes,
-                                                    label=self.host.name)
-        m.counter("gridftp.transfers").inc(label=peer)
-
-    @property
-    def bytes_sent(self) -> int:
-        counter = self.sim.metrics.counter("gridftp.bytes_sent")
-        return int(counter.labelled(self.host.name))
-
-    @property
-    def bytes_received(self) -> int:
-        counter = self.sim.metrics.counter("gridftp.bytes_received")
-        return int(counter.labelled(self.host.name))
-
     # -- chaos hook ----------------------------------------------------------
     def corrupt_next(self, n: int = 1) -> None:
         """Silently truncate the next `n` inbound stores by one byte.
@@ -107,8 +80,6 @@ class GridFTPServer(Service):
         self._corrupt_pending -= 1
         damaged = SimFile(f.path, size=f.size - 1,
                           data=f.data[:-1] if f.data else "")
-        self.sim.metrics.counter("gridftp.corruptions").inc(
-            label=self.host.name)
         self.sim.trace.log(f"gridftp:{self.host.name}", "corrupted",
                            path=f.path, size=damaged.size)
         return damaged
@@ -117,7 +88,6 @@ class GridFTPServer(Service):
     def handle_retr(self, ctx, path: str):
         f = self.files.get(path)
         yield self._pay(f.size)
-        self._account("sent", f.size, ctx.caller_host)
         self.sim.trace.log(f"gridftp:{self.host.name}", "retr", path=path,
                            size=f.size, to=ctx.caller_host)
         return {"path": f.path, "size": f.size, "data": f.data,
@@ -128,7 +98,6 @@ class GridFTPServer(Service):
         yield self._pay(f.size)
         f = self._maybe_corrupt(f)
         self.files.put(f)
-        self._account("received", f.size, ctx.caller_host)
         self.sim.trace.log(f"gridftp:{self.host.name}", "stor", path=path,
                            size=f.size, source=ctx.caller_host)
         return f.size
@@ -164,7 +133,6 @@ class GridFTPServer(Service):
         yield self._pay(f.size)
         f = self._maybe_corrupt(f)
         self.files.put(f)
-        self._account("received", f.size, src_host)
         self.sim.trace.log(f"gridftp:{self.host.name}", "third_party",
                            src=src_url, dst=dst_path, size=f.size)
         return f.size

@@ -27,6 +27,13 @@ from ..sim.rpc import Service
 from ..sim.stats import fold
 from ..states import JobState
 
+fold("lrm", "submit", "lrm.jobs", lambda c, r: c.inc(label="submitted"))
+fold("lrm", "start", "lrm.jobs", lambda c, r: c.inc(label="started"))
+fold("lrm", "start", "lrm.queue_wait",
+     lambda h, r: h.observe(r.details["waited"]), kind="histogram")
+fold("lrm", "finish", "lrm.jobs",
+     lambda c, r: c.inc(label=r.details["state"].lower()))
+
 # -- job model ------------------------------------------------------------------
 
 # Module-level aliases: the enum members compare and serialize exactly
@@ -146,17 +153,6 @@ class ExecutionContext:
 
 # -- the batch system ----------------------------------------------------------
 
-# The LRM's metrics that restate its records (repro.sim.stats).
-fold("lrm", "submit", "counter", "lrm.jobs",
-     lambda c, r: c.inc(label="submitted"))
-fold("lrm", "start", "counter", "lrm.jobs",
-     lambda c, r: c.inc(label="started"))
-fold("lrm", "start", "histogram", "lrm.queue_wait",
-     lambda h, r: h.observe(r.details["waited"]))
-fold("lrm", "finish", "counter", "lrm.jobs",
-     lambda c, r: c.inc(label=r.details["state"].lower()))
-
-
 class LocalResourceManager(Service):
     """Base batch system: slots, a queue, and a scheduling policy.
 
@@ -268,7 +264,6 @@ class LocalResourceManager(Service):
         self.jobs[local_id] = job
         self.queue.append(local_id)
         self.queued_cpus += spec.cpus
-        self.sim.metrics.counter("lrm.jobs").inc(label="submitted")
         self.sim.metrics.gauge("lrm.queue_depth").inc()
         self._trace("submit", job=local_id, owner=owner,
                     cpus=spec.cpus, runtime=spec.runtime)
@@ -396,10 +391,7 @@ class LocalResourceManager(Service):
             job.remaining = job.spec.runtime
         proc = self.spawn(self._run_body(job), name=f"job:{job.local_id}")
         self.running[job.local_id] = proc
-        self.sim.metrics.counter("lrm.jobs").inc(label="started")
         self.sim.metrics.gauge("lrm.busy_slots").inc(job.spec.cpus)
-        self.sim.metrics.histogram("lrm.queue_wait").observe(
-            self.sim.now - job.submit_time)
         self._trace("start", job=job.local_id, owner=job.owner,
                     waited=self.sim.now - job.submit_time)
 
@@ -489,7 +481,6 @@ class LocalResourceManager(Service):
         job.end_time = self.sim.now
         job.failure_reason = reason
         self._env_overrides.pop(job.local_id, None)
-        self.sim.metrics.counter("lrm.jobs").inc(label=state.lower())
         self._trace("finish", job=job.local_id, state=state, reason=reason)
 
     # -- preemption (used by the Condor-pool flavor) ----------------------------

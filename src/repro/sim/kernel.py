@@ -447,8 +447,7 @@ class Simulator:
         self._failures: list[tuple[Process, BaseException]] = []
         self.rng = RngRegistry(seed)
         self.trace = Trace(self, max_records=trace_max_records)
-        self.metrics = MetricsRegistry(self, folds=False)
-        self.folded_metrics = MetricsRegistry(self)
+        self.metrics = MetricsRegistry(self)
         self.hosts: dict[str, object] = {}
         self.network = None  # set by Network.__init__
 

@@ -13,17 +13,11 @@ to replay the whole event log.  Three instrument kinds:
   wait) with count/sum/min/max and percentile estimates from a bounded
   sample reservoir.
 
-Every :class:`~repro.sim.kernel.Simulator` owns a
-:class:`MetricsRegistry` as ``sim.metrics``.  A metric that restates a
-trace record is a *fold*: one :func:`fold` row, declared next to the
-module's ``_trace`` helper, says which ``(component family, event)``
-record updates it and how, and the registry -- subscribed to the trace
--- applies the row to every such record as it is logged (evicted ones
-of a bounded trace included).  Only a metric no record carries is
-kept by hand: ``sim.metrics.histogram("gridmanager.submit_latency")
-.observe(...)`` at its site.  All state advances on ``sim.now`` only --
-no wall clock, no global randomness -- so identical seeds produce
-identical snapshots and determinism of the simulation is preserved.
+Every :class:`~repro.sim.kernel.Simulator` owns a :class:`MetricsRegistry`
+as ``sim.metrics``, subscribed to its trace: a metric that restates a trace
+record is a :func:`fold` row, applied to every such record as it is logged,
+and only what no record carries is kept by hand.  All state advances on
+``sim.now`` only, so identical seeds produce identical snapshots.
 
 The JSON snapshot (:meth:`MetricsRegistry.snapshot` /
 :meth:`MetricsRegistry.to_json`) is the export format consumed by the
@@ -33,13 +27,12 @@ benchmark harness and by :mod:`repro.grid.metrics`.
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, NamedTuple, Optional, TYPE_CHECKING
+from typing import Any, Callable, Optional, TYPE_CHECKING
 
 from .errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kernel import Simulator
-    from .trace import TraceRecord
 
 
 class Counter:
@@ -253,21 +246,18 @@ class MetricsRegistry:
     (it would silently fork the statistic).
     """
 
-    def __init__(self, sim: "Simulator", folds: bool = True):
+    def __init__(self, sim: "Simulator"):
         self.sim = sim
         self._metrics: dict[str, Any] = {}
-        if folds:
-            sim.trace.subscribe(self._fold)
+        sim.trace.subscribe(self._fold)
 
-    def _fold(self, rec: "TraceRecord") -> None:
-        """Apply the fold rows of `rec`'s family and event (keyed by the
-        family, never the whole component: ``jobmanager:<jmid>`` is one
-        per job)."""
-        rows = FOLDS.get((rec.component.partition(":")[0], rec.event))
-        if rows is not None:
-            for row in rows:
-                if row.when is None or row.when(rec):
-                    row.update(row.accessor(self, row.name), rec)
+    def _fold(self, rec) -> None:
+        families = FOLDS.get(rec.event)
+        if families is not None:    # by family, not the per-job component
+            for get, name, update, when in families.get(
+                    rec.component.partition(":")[0], ()):
+                if when is None or when(rec):
+                    update(self._metrics.get(name) or get(self, name), rec)
 
     def _get(self, name: str, kind: type, *args: Any) -> Any:
         metric = self._metrics.get(name)
@@ -292,9 +282,6 @@ class MetricsRegistry:
     def get(self, name: str) -> Optional[Any]:
         return self._metrics.get(name)
 
-    def names(self) -> list[str]:
-        return sorted(self._metrics)
-
     # -- export ------------------------------------------------------------
     def snapshot(self, prefix: str = "") -> dict:
         """JSON-ready snapshot of every metric (optionally name-filtered)."""
@@ -312,35 +299,21 @@ class MetricsRegistry:
                           sort_keys=True)
 
 
-class Fold(NamedTuple):
-    """One fold row: metric `name`, got through `accessor` (the
-    registry's ``counter``, ``gauge`` or ``histogram``), updated by
-    ``update(metric, record)`` for each record that passes `when`."""
-
-    accessor: Callable[..., Any]
-    name: str
-    update: Callable[[Any, "TraceRecord"], None]
-    when: Optional[Callable[["TraceRecord"], Any]] = None
+#: event -> component family -> rows ``(get, name, update, when)``
+FOLDS: dict[str, dict[str, tuple]] = {}
 
 
-_ACCESSORS = {"counter": MetricsRegistry.counter,
-              "gauge": MetricsRegistry.gauge,
-              "histogram": MetricsRegistry.histogram}
+def fold(family: str, event: str, name: str,
+         update: Callable = lambda metric, rec: metric.inc(),
+         kind: str = "counter", when: Optional[Callable] = None) -> None:
+    """Every `event` record of a `family` component (that passes `when`)
+    updates the `kind` metric `name` by ``update(metric, record)``.  Rows
+    of one name share its kind; a metric is a fold or kept by hand."""
+    rows = FOLDS.setdefault(event, {})
+    rows[family] = rows.get(family, ()) + (
+        (getattr(MetricsRegistry, kind), name, update, when),)
 
-#: (component family, event) -> its fold rows, in declaration order
-FOLDS: dict[tuple[str, str], tuple[Fold, ...]] = {}
 
-
-def fold(family: str, event: str, kind: str, name: str,
-         update: Callable[[Any, "TraceRecord"], None],
-         when: Optional[Callable[["TraceRecord"], Any]] = None) -> None:
-    """Declare that every `event` record of a `family` component updates
-    the `kind` metric `name` by ``update(metric, record)`` -- only those
-    records for which ``when(record)`` is true, if `when` is given (the
-    metric does not exist until a record updates it).
-
-    Declared in the module that writes the record, so one module knows
-    each record's shape.  A metric is a fold or kept by hand, never both.
-    """
-    row = Fold(_ACCESSORS[kind], name, update, when)
-    FOLDS[(family, event)] = FOLDS.get((family, event), ()) + (row,)
+def by(key: str) -> Callable:
+    """The update that counts a record under its `key` detail."""
+    return lambda counter, rec: counter.inc(label=rec.details[key])

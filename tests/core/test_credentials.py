@@ -80,7 +80,9 @@ def test_myproxy_auto_refresh_keeps_long_run_going():
     late = agent.submit(JobDescription(runtime=200.0), resource="wisc-gk")
     tb.run_until_quiet(max_time=30000.0)
     assert all(agent.status(j).is_complete for j in ids + [late])
-    assert agent.credmon.refresh_count >= 1
+    assert len(tb.sim.trace.select("credmon", "refreshed", user="alice")) \
+        + len(tb.sim.trace.select("credmon", "myproxy_refreshed",
+                                  user="alice")) >= 1
     assert tb.sim.trace.select("credmon", "myproxy_refreshed")
 
 

@@ -34,8 +34,8 @@ def test_glidein_bootstrap_fetches_binaries_from_repo():
     # binaries fetched once per machine (cached for the second glidein)
     fetches = tb.sim.trace.select("glidein", "binaries_fetched")
     assert len(fetches) == 1
-    repo = tb.sim.hosts["condor-repo"].get_service("gridftp")
-    assert repo.bytes_sent == 5_000_000
+    sent = tb.sim.metrics.counter("gridftp.bytes_sent")
+    assert sent.labelled("condor-repo") == 5_000_000
 
 
 def test_figure2_job_runs_on_glidein():

@@ -941,7 +941,7 @@ def _walk_claim_reuse():
     for _ in range(2):
         schedd.submit_simple("dave", runtime=40.0)
     sim.run(until=1000.0)
-    assert schedd.claims_reused == 1
+    assert len(sim.trace.select("schedd:dave", "claim_reuse")) == 1
 
 
 def test_every_declared_edge_is_taken_by_real_code(monkeypatch):

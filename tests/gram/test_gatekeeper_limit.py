@@ -10,6 +10,11 @@ from repro.grid.config import AgentSpec, SiteSpec, TestbedConfig
 from .conftest import MiniGrid
 
 
+def refusals(sim, site: str, event: str) -> int:
+    """How many `event` refusals the gatekeeper of `site` recorded."""
+    return len(sim.trace.select(f"gatekeeper:{site}", event))
+
+
 def test_limit_rejects_excess_submissions():
     grid = MiniGrid(seed=5, slots=8)
     grid.gatekeeper.max_jobmanagers = 2
@@ -31,7 +36,9 @@ def test_limit_rejects_excess_submissions():
 
     grid.drive(scenario())
     assert results == {"ok": 2, "busy": 2}
-    assert grid.gatekeeper.rejected_busy == 2
+    assert refusals(grid.sim, "site", "submit_rejected_busy") == 2
+    submits = grid.sim.metrics.get("gatekeeper.submits")
+    assert submits.labels == {"new": 2.0, "rejected_busy": 2.0}
 
 
 def test_a_refusal_is_an_answer_and_is_never_cached():
@@ -98,7 +105,8 @@ def test_agent_backs_off_and_eventually_runs_everything():
     tb.run_until_quiet(max_time=3 * 10**4)
     done = [j for j in ids if agent.status(j).is_complete]
     assert len(done) == 9
-    assert site.gatekeeper.rejected_busy > 0     # the limit really bit
+    # the limit really bit
+    assert refusals(tb.sim, "wisc", "submit_rejected_busy") > 0
     # exactly-once held through the rejections
     assert len([j for j in site.lrm.jobs.values()
                 if j.state == "COMPLETED"]) == 9
@@ -141,8 +149,9 @@ def test_per_user_limit_rejects_only_the_hog():
 
     grid.drive(scenario())
     assert results == {"ok": 2, "user_busy": 2, "other_ok": 2}
-    assert grid.gatekeeper.rejected_user_busy == 2
-    assert grid.gatekeeper.rejected_busy == 0    # global cap untouched
+    assert refusals(grid.sim, "site", "submit_rejected_user_busy") == 2
+    # global cap untouched
+    assert refusals(grid.sim, "site", "submit_rejected_busy") == 0
     rejects = grid.sim.metrics.get("gatekeeper.rejects_by_user")
     assert rejects.labels == {"submit": 2.0}
     submits = grid.sim.metrics.get("gatekeeper.submits_by_user")
@@ -165,7 +174,7 @@ def test_per_user_slots_free_up_when_jobmanagers_finish():
 
     grid.drive(scenario())
     assert outcome["second"]
-    assert grid.gatekeeper.rejected_user_busy == 0
+    assert refusals(grid.sim, "site", "submit_rejected_user_busy") == 0
 
 
 def test_two_agents_drain_behind_per_user_caps():
@@ -194,7 +203,8 @@ def test_two_agents_drain_behind_per_user_caps():
     assert all(hog.status(j).is_complete for j in hog_ids)
     assert all(light.status(j).is_complete for j in light_ids)
     assert peak["hog"] == 2                         # the cap really bit
-    assert site.gatekeeper.rejected_user_busy == 0  # ... without a refusal
+    # ... without a refusal
+    assert refusals(tb.sim, "wisc", "submit_rejected_user_busy") == 0
     throttled = tb.sim.metrics.get("gridmanager.submit_throttled")
     assert throttled.labelled("wisc-gk") > 0
     assert len([j for j in site.lrm.jobs.values()
@@ -215,7 +225,7 @@ def test_a_lowered_cap_is_relearned_from_one_refusal():
     site.gatekeeper.max_user_jobmanagers = 1
     tb.run_until_quiet(max_time=3 * 10**4)
     assert all(agent.status(j).is_complete for j in ids)
-    assert site.gatekeeper.rejected_user_busy == 1
+    assert refusals(tb.sim, "wisc", "submit_rejected_user_busy") == 1
     assert not tb.sim.trace.select("gridmanager", "gatekeeper_busy_backoff")
 
 

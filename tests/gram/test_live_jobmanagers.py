@@ -127,7 +127,8 @@ def test_tally_equals_the_scan(ops, user_cap, site_cap, seed):
     grid, jmids = drive(ops, seed, caps, check)
     assert not mismatches, mismatches[:3]
     assert jmids or all(op[0] != "submit" for op in ops) or \
-        grid.gatekeeper.rejected_busy + grid.gatekeeper.rejected_user_busy
+        grid.sim.trace.select("gatekeeper:site", "submit_rejected_busy") or \
+        grid.sim.trace.select("gatekeeper:site", "submit_rejected_user_busy")
 
 
 # -- the same table is what a Grid Monitor reports from ------------------------------

@@ -63,3 +63,27 @@ def test_set_prio_unknown_job():
     Network(sim, latency=0.02, jitter=0.0)
     schedd = Schedd(Host(sim, "s"))
     assert schedd.set_job_prio("404.0", 5) is False
+
+
+@pytest.mark.parametrize("use_gsi", [False, True])
+def test_accounting_matches_a_user_by_identity_not_by_substring(use_gsi):
+    """``u1`` is a substring of ``u10``'s submit host and gridmap
+    account; only ``u10`` runs, so only ``u10`` is charged."""
+    from repro.grid.metrics import grid_cost_report, user_rollup
+
+    tb = GridTestbed(TestbedConfig(seed=77, use_gsi=use_gsi))
+    tb.add_site(SiteSpec("s", scheduler="pbs", cpus=4, allocation_cost=1.0))
+    tb.add_agent(AgentSpec("u1"))
+    u10 = tb.add_agent(AgentSpec("u10"))
+    u10.submit(JobDescription(runtime=3600.0), resource="s-gk")
+    tb.run_until_quiet(max_time=10**5)
+    assert tb.cost_report("u1") == {"s": 0.0, "total": 0.0}
+    assert tb.cost_report("u10")["s"] == pytest.approx(1.0, rel=0.01)
+    rollup = user_rollup(tb)
+    assert rollup["u1"]["cpu_seconds"] == 0.0
+    assert rollup["u1"]["gatekeeper_submits"] == 0.0
+    assert rollup["u10"]["cpu_seconds"] == pytest.approx(3600.0, rel=0.01)
+    assert rollup["u10"]["gatekeeper_submits"] == 1.0
+    report = grid_cost_report(tb)
+    assert report["total"] == pytest.approx(1.0, rel=0.01)
+    assert report["per_site"]["s"] == report["total"]

@@ -86,17 +86,6 @@ def test_startd_prefix_uses_sandbox_events():
     assert stats.peak_busy == 1
 
 
-def test_job_filter():
-    trace = make_trace([
-        (0.0, "lrm:a", "start", {"job": "condor.1"}),
-        (10.0, "lrm:a", "finish", {"job": "condor.1"}),
-        (0.0, "lrm:a", "start", {"job": "pbs.1"}),
-        (30.0, "lrm:a", "finish", {"job": "pbs.1"}),
-    ])
-    stats = concurrency(trace, job_filter="condor")
-    assert stats.cpu_seconds == pytest.approx(10.0)
-
-
 def test_timeline_buckets():
     trace = make_trace([
         (0.0, "lrm:a", "start", {"job": "j1"}),
@@ -163,6 +152,37 @@ def test_registry_concurrency_matches_trace_replay():
     snap = json.loads(tb.sim.metrics.to_json())
     assert concurrency_from_snapshot(snap).cpu_seconds == \
         pytest.approx(from_trace.cpu_seconds)
+
+
+def _twelve_jobs(trace_max_records=None):
+    tb = GridTestbed(TestbedConfig(seed=77,
+                                   trace_max_records=trace_max_records))
+    tb.add_site(SiteSpec("site", scheduler="pbs", cpus=4))
+    agent = tb.add_agent(AgentSpec("user"))
+    ids = [agent.submit(JobDescription(runtime=300.0 + 10 * i),
+                        resource="site-gk") for i in range(12)]
+    tb.sim.run(until=4000.0)
+    assert all(agent.status(j).is_complete for j in ids)
+    return tb
+
+
+def test_a_replay_of_a_bounded_trace_is_refused():
+    """A ring that evicted records would replay a short run: the
+    replays refuse, and point at the folded metrics, which saw every
+    record."""
+    full = _twelve_jobs()
+    tb = _twelve_jobs(trace_max_records=60)
+    assert tb.sim.trace.dropped > 0
+    for replay in (lambda t: concurrency(t), lambda t: timeline(t, 60.0),
+                   lambda t: queue_waits(t)):
+        with pytest.raises(ValueError, match="registry_concurrency"):
+            replay(tb.sim.trace)
+    assert registry_concurrency(tb.sim) == registry_concurrency(full.sim)
+    assert registry_concurrency(tb.sim).cpu_seconds == \
+        pytest.approx(concurrency(full.sim.trace).cpu_seconds)
+    waits = tb.sim.metrics.get("lrm.queue_wait")
+    assert waits.count == 12
+    assert waits.total == pytest.approx(sum(queue_waits(full.sim.trace)))
 
 
 def test_percentile():

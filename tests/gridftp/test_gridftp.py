@@ -73,8 +73,10 @@ def test_third_party_transfer_moves_between_servers(env):
     box = drive(sim, scenario())
     assert box["value"] == 500_000
     assert sb.files.get("repo/run1.dat").size == 500_000
-    assert sa.bytes_sent == 500_000
-    assert sb.bytes_received == 500_000
+    m = sim.metrics
+    assert m.counter("gridftp.bytes_sent").labelled(sa.host.name) == 500_000
+    assert m.counter("gridftp.bytes_received").labelled(sb.host.name) == \
+        500_000
 
 
 def test_gsi_protected_server_requires_credential():

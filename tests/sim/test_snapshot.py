@@ -226,8 +226,9 @@ class TestCaptureVerify:
         # their process lists, and a `factories` root; a Collector with
         # an equality index and sorted name lists), and version 9 names
         # sealed ads `ClassAd` and keeps one Startd ad and no Schedd
-        # idle order: refused, not mis-verified.
-        assert SNAPSHOT_VERSION == 10
+        # idle order, and version 10 holds per-daemon tallies that
+        # restate trace records: refused, not mis-verified.
+        assert SNAPSHOT_VERSION == 11
         v2 = {**good, "version": 2}
         v3 = {**good, "version": 3}
         v4 = {**good, "version": 4}
@@ -236,6 +237,7 @@ class TestCaptureVerify:
         v7 = {**good, "version": 7}
         v8 = {**good, "version": 8}
         v9 = {**good, "version": 9}
+        v10 = {**good, "version": 10}
         truncated = {k: v for k, v in good.items() if k != "fingerprint"}
         unknown = {**good, "perf_flags": {}}
         for doc, needle in ((pre_bump, "version"),
@@ -247,6 +249,7 @@ class TestCaptureVerify:
                             (v7, "version"),
                             (v8, "version"),
                             (v9, "version"),
+                            (v10, "version"),
                             (truncated, "fingerprint"),
                             (unknown, "perf_flags"),
                             ([good], "JSON object")):
