@@ -96,8 +96,8 @@ def snapshot_predicate(
         raise ValueError("snapshot_predicate needs a non-empty plan")
     scenario = get_scenario(scenario_name)
     first_fault = min(ev.time for ev in plan.events)
-    t0 = max(0.0, first_fault - SNAPSHOT_MARGIN)
     tb = scenario.build(seed)
+    t0 = max(tb.sim.now, first_fault - SNAPSHOT_MARGIN)
     tb.run(until=t0)
     point = ForkPoint()
     if stats is not None:

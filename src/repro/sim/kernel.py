@@ -10,8 +10,10 @@ protocol simulation:
   A process is itself an event that fires when the generator returns.
 * :class:`Simulator` -- the event loop: a binary heap of ``(time, seq,
   item)`` rows, an item being an :class:`Event` or a bare :class:`Entry`
-  (one call, for network legs, process boots and resumes).  ``seq`` makes
-  ordering total and the whole simulation deterministic.
+  (one call, for process boots, resumes and timers).  An item is anything
+  with ``_cancelled`` and ``_run_callbacks()``; an RPC in flight is its
+  own event (:mod:`repro.sim.rpc`).  ``seq`` makes ordering total and
+  the whole simulation deterministic.
 
 Design notes
 ------------
@@ -546,7 +548,13 @@ class Simulator:
 
     # -- main loop ----------------------------------------------------------
     def run(self, until: Optional[float] = None) -> None:
-        """Run until the heap drains or simulated time passes ``until``."""
+        """Run until the heap drains or simulated time passes ``until``.
+
+        ``until`` may not lie before ``now``: the clock never goes back.
+        """
+        if until is not None and until < self.now:
+            raise ValueError(
+                f"run(until={until!r}) is before now ({self.now!r})")
         heap = self._heap
         heappop = heapq.heappop
         while heap:

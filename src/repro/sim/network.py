@@ -38,6 +38,13 @@ class Network:
     ):
         if sim.network is not None:
             raise SimulationError("simulator already has a network")
+        for field, value in (("latency", latency), ("jitter", jitter)):
+            if not 0.0 <= value < math.inf:
+                raise ValueError(
+                    f"{field} must be finite and >= 0, got {value!r}")
+        if not 0.0 <= loss_rate <= 1.0:
+            raise ValueError(
+                f"loss_rate must be within [0, 1], got {loss_rate!r}")
         self.sim = sim
         self.latency = latency
         self.jitter = jitter
@@ -50,8 +57,6 @@ class Network:
         self._partitions: set[frozenset[str]] = set()
         # Per-host-name isolation (cuts a host off from everyone).
         self._isolated: set[str] = set()
-        # Per-pair latency overrides (host or site names, unordered).
-        self._link_latency: dict[frozenset[str], float] = {}
         self.sent = 0
         self.delivered = 0
         self.dropped = 0
@@ -85,96 +90,51 @@ class Network:
             return False
         return frozenset((src, dst)) not in self._partitions
 
-    # -- topology -------------------------------------------------------------
-    def set_link_latency(self, a: str, b: str, latency: float) -> None:
-        """Override the one-way latency between two hosts *or sites*.
-
-        Lookup precedence at send time: host-pair override, then
-        site-pair override, then the LAN factor (same site), then the
-        global WAN default.
-        """
-        self._link_latency[frozenset((a, b))] = latency
-
-    def _base_latency(self, src: "Host", dst: Optional["Host"],
-                      dst_name: str) -> float:
-        if self._link_latency:
-            override = self._link_latency.get(
-                frozenset((src.name, dst_name)))
-            if override is not None:
-                return override
-            if dst is not None and src.site and dst.site:
-                override = self._link_latency.get(
-                    frozenset((src.site, dst.site)))
-                if override is not None:
-                    return override
-        if dst is not None and src.site and src.site == dst.site:
-            return self.latency * self.lan_factor
-        return self.latency
-
     # -- delivery -------------------------------------------------------------
-    def send_leg(self, src: "Host", dst: str, service: str,
-                 on_arrive: Callable[[Any], None], arg: Any = None,
+    def send_leg(self, src: "Host", dst: str, service: str, item: Any,
                  deadline: float = math.inf,
-                 on_miss: Optional[Callable[[], None]] = None) -> None:
-        """Send one one-way leg; ``on_arrive(arg)`` runs when it lands.
+                 on_miss: Optional[Callable[[Any], None]] = None) -> None:
+        """Send one one-way leg: ``item`` enters the heap at its landing.
 
         Counts the leg ``sent``; drops it here -- silently, counted
         ``dropped`` -- when the source is down, a partition separates the
         endpoints, or the loss roll eats it.  Otherwise it lands after
         ``latency + U(0, jitter)``: one loss roll and one jitter draw per
-        leg, in send order.  The leg carries a callback, not a message:
-        what crosses the wire, and what the landing does (starting with
-        :meth:`land_leg`), is the sender's business.  In flight it is one
-        bare heap entry (:class:`~repro.sim.kernel.Entry`), not an event.
+        leg, in send order.  ``item`` is the kernel's heap item (its
+        ``_run_callbacks()`` is the landing): what crosses the wire, what
+        the landing checks and the ``delivered``/``dropped`` count there
+        are the sender's business.
 
-        ``on_miss()`` tells a sender that waits until ``deadline`` that
-        this leg cannot make it: it is called on a drop and -- *before*
-        the landing is scheduled, so that a timer it arms wins a tie --
-        when the leg will land at or after ``deadline``.
+        ``on_miss(item)`` tells a sender that waits until ``deadline``
+        that this leg cannot make it: it is called on a drop and --
+        *before* the landing is pushed, so that a timer it arms wins a
+        tie -- when the leg will land at or after ``deadline``.
         """
         self.sent += 1
         if not src.up or not self.reachable(src.name, dst):
-            return self._drop(on_miss)
+            return self._drop(item, on_miss)
         # Loss models the WAN: traffic inside one site (same non-empty
-        # `site` tag) rides the LAN and is not subject to random loss.
+        # `site` tag) rides the LAN at `lan_factor` of the WAN latency
+        # and is not subject to random loss.
         sim = self.sim
         dst_host = sim.hosts.get(dst)
-        same_site = (dst_host is not None and src.site
-                     and src.site == dst_host.site)
-        if not same_site and self.loss_rate > 0.0 and \
-                self._rng.random() < self.loss_rate:
-            sim.trace.log("network", "loss", src=src.name, dst=dst,
-                          service=service)
-            return self._drop(on_miss)
-        latency = self._base_latency(src, dst_host, dst) \
-            + self._rng.uniform(0.0, self.jitter)
-        if on_miss is not None and sim.now + latency >= deadline:
-            on_miss()
-        sim.call_at(sim.now + latency, on_arrive, arg)
+        if dst_host is not None and src.site and src.site == dst_host.site:
+            latency = self.latency * self.lan_factor
+        else:
+            if self.loss_rate > 0.0 and self._rng.random() < self.loss_rate:
+                sim.trace.log("network", "loss", src=src.name, dst=dst,
+                              service=service)
+                return self._drop(item, on_miss)
+            latency = self.latency
+        # ``uniform(0.0, jitter)`` is exactly this float for a finite
+        # jitter >= 0, which __init__ guarantees.
+        at = sim.now + (latency + self.jitter * self._rng.random())
+        if on_miss is not None and at >= deadline:
+            on_miss(item)
+        sim._push(at, item)
 
-    def _drop(self, on_miss: Optional[Callable[[], None]]) -> None:
+    def _drop(self, item: Any,
+              on_miss: Optional[Callable[[Any], None]]) -> None:
         self.dropped += 1
         if on_miss is not None:
-            on_miss()
-
-    def land_leg(self, src: str, dst: str, service: Optional[str] = None,
-                 crash_count: int = -1) -> Any:
-        """A leg lands: who on ``dst`` receives it, or None (``dropped``).
-
-        Partitions and crashes that happened in flight still stop
-        delivery, so everything is judged now.  A request is received by
-        whatever is registered as ``service`` *now*; a reply
-        (``service=None``) returns to a process, not to a service, so it
-        is received by the host itself provided the host has not crashed
-        since the request left, when it had this ``crash_count``.
-        """
-        if self.reachable(src, dst):
-            host = self.sim.hosts.get(dst)
-            if host is not None and host.up:
-                receiver = host.services.get(service) if service is not None \
-                    else (host if host.crash_count == crash_count else None)
-                if receiver is not None:
-                    self.delivered += 1
-                    return receiver
-        self.dropped += 1
-        return None
+            on_miss(item)

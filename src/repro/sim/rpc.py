@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import GeneratorType
-from typing import Any, Callable, Generator, Optional, TYPE_CHECKING
+from typing import Any, Generator, Optional, TYPE_CHECKING
 
 from .errors import (
     AuthenticationError,
@@ -67,15 +67,17 @@ class CallContext:
 # -- the one path -------------------------------------------------------------
 #
 # Every request -- plain or generator handler, authorized or not, call or
-# notify -- is one ``_Request`` record, and is served by its request leg's
-# arrival (``_Request.arrive``): landing checks -> the service registered
-# under that name *now* -> its authorizer, if any -> the handler.  A plain
-# call allocates that record, the ``_Reply`` its caller waits on and two
-# bare heap entries: the request's arrival, inside which the handler
-# runs, and the reply's arrival, inside which the caller resumes (a
-# notify: the record and one entry).  A handler result that is a
-# generator is finished by a process on the service's host, which answers
-# through the same reply leg.  What a caller or a run digest can observe:
+# notify -- is one ``_Request``, and it is the whole RPC: the event its
+# caller waits on, and the kernel's heap item of whichever of its two
+# legs is in flight (they never are at once).  The request leg's landing
+# (``_Request._request_lands``) runs the landing checks -> the service
+# registered under that name *now* -> its authorizer, if any -> the
+# handler, whose outcome the request carries back as the reply leg;
+# that leg's landing (``_Request._reply_lands``) resumes the caller.  A
+# plain call therefore allocates one object and pushes two heap rows (a
+# notify: one).  A handler result that is a generator is finished by a
+# process on the service's host, which answers through the same reply
+# leg.  What a caller or a run digest can observe:
 #
 # * RNG draws -- one loss roll and one jitter draw per leg from the shared
 #   "network" stream, in send order (``Network.send_leg``);
@@ -86,18 +88,18 @@ class CallContext:
 #   (``repro.sim.fastcopy``): immutable values by reference, plain
 #   containers frozen, anything else refused with ``TypeError`` -- at the
 #   caller's ``call``/``notify`` for an argument, as a ``RemoteError``
-#   for a result;
+#   for a result; of a handler's exception only its kind and message;
 # * failure windows -- host, partition and service state, and the
 #   credential, are judged at each leg's *arrival*.  A service replaced in
 #   flight by a crash + restart is simply served by the new instance; a
-#   reply lands only on a caller host that has not crashed since the send.
-#   The handler never runs in the caller's process, so a caller crash
-#   after the send cannot un-send it, and a generator handler dies with
-#   the host it runs on;
+#   reply lands only on a caller host that is up and has not crashed
+#   since the send.  The handler never runs in the caller's process, so
+#   a caller crash after the send cannot un-send it, and a generator
+#   handler dies with the host it runs on;
 # * the timeout -- ``RPCTimeout`` is raised at exactly ``t0 + timeout``.
 #   The timer is lazy: it is armed, at that absolute time, when a leg is
 #   dropped, *before* a leg that will land at or past the deadline is
-#   scheduled (a tie goes to the timeout), and when a generator handler
+#   pushed (a tie goes to the timeout), and when a generator handler
 #   is spawned (its finish time is unknown); a reply that wins cancels
 #   it.  A reply that lands past the deadline is counted and discarded.
 
@@ -119,46 +121,19 @@ _CTX_CACHE: dict[str, CallContext] = {}
 _REPLY_LEG = "_rpc"
 
 
-class _Reply(Event):
-    """What a caller waits on.
-
-    Fires once and never through the heap: with the response dict from
-    inside the reply leg's arrival, or with None from inside the timer
-    at ``deadline`` -- whichever runs first -- so the caller resumes in
-    the very callback that carries the outcome.
-    """
-
-    __slots__ = ("deadline", "timer")
-
-    def __init__(self, sim, deadline: float):
-        super().__init__(sim, name="rpc")
-        self.deadline = deadline
-        self.timer: Optional[Entry] = None
-
-    def fire(self, value: Any) -> None:
-        if self._value is _UNSET:
-            self._value = value
-            if self.timer is not None:
-                self.timer.cancel()
-                self.timer = None       # no cycle through its callback
-            self._run_callbacks()
-
-    def expire(self) -> None:
-        """The reply may not arrive in time: arm the caller's timeout."""
-        if self.timer is None and self._value is _UNSET:
-            self.timer = self.sim.call_at(self.deadline, self._timed_out)
-
-    def _timed_out(self, _arg: None) -> None:
-        self.timer = None               # popped: nothing left to cancel
-        self.fire(None)
-
-
-def _error(exc: Exception) -> dict:
-    return {"kind": type(exc).__name__, "message": str(exc)}
+def _remote(exc: Exception) -> Exception:
+    """What the caller raises for a handler's exception: only its kind
+    and message cross, as the kind itself when the caller knows it by
+    type, else as a ``RemoteError`` naming it."""
+    kind = type(exc).__name__
+    typed = _ERROR_KINDS.get(kind)
+    if typed is None:
+        return RemoteError(str(exc), kind=kind)
+    return typed(str(exc))
 
 
 def _finish(gen: GeneratorType, svc: "Service",
-            respond: Callable) -> Generator[Any, Any, None]:
+            request: "_Request") -> Generator[Any, Any, None]:
     """Process body: run a handler's generator to its end, then answer."""
     value, error = None, None
     try:
@@ -168,21 +143,31 @@ def _finish(gen: GeneratorType, svc: "Service",
     except SimulationError:
         raise       # an inconsistency in the simulation is nobody's reply
     except Exception as exc:  # noqa: BLE001 - marshalled to the caller
-        error = _error(exc)
-    respond(svc, value, error)
+        error = _remote(exc)
+    request.respond(svc, value, error)
 
 
-class _Request:
-    """One request, sent when it is made, and all both legs need: its
-    bound methods are their arrival callbacks.  For a call, ``reply``
-    fires with the response."""
+class _Request(Event):
+    """One RPC, sent when it is made: the event a :func:`call` yields and
+    the heap item of the leg in flight.
+
+    The kernel runs ``_run_callbacks`` when that leg lands; ``name`` says
+    which one it is, ``"request"`` or ``"reply"``.  The reply leg carries
+    the handler's outcome in ``result`` and ``error`` (None, or the
+    exception the caller raises).  The caller resumes from inside the
+    reply's landing or the timer at ``deadline``, whichever runs first;
+    the timer leaves ``error`` at ``RPCTimeout``.  A notify has no
+    ``deadline``: nobody waits, and no reply leg is sent.
+    """
 
     __slots__ = ("net", "caller", "crash_count", "dst", "service", "method",
-                 "args", "credential", "reply")
+                 "args", "credential", "deadline", "timer", "result",
+                 "error")
 
     def __init__(self, src: "Host", dst: str, service: str, method: str,
-                 credential: Any, args: dict, reply: Optional[_Reply]):
-        self.net = src.sim.network
+                 credential: Any, args: dict, deadline: Optional[float]):
+        Event.__init__(self, src.sim, "request")
+        self.net = net = src.sim.network
         self.caller = src.name
         self.crash_count = src.crash_count
         self.dst = dst
@@ -196,21 +181,32 @@ class _Request:
         self.args = args
         self.credential = credential if credential is None \
             else fast_deepcopy(credential)
-        self.reply = reply
-        if reply is None:
-            self.net.send_leg(src, dst, service, self.arrive)
+        self.deadline = deadline
+        self.timer: Optional[Entry] = None
+        self.result = self.error = None
+        if deadline is None:
+            net.send_leg(src, dst, service, self)
         else:
-            self.net.send_leg(src, dst, service, self.arrive, None,
-                              reply.deadline, reply.expire)
+            net.send_leg(src, dst, service, self, deadline, _Request.expire)
 
-    def arrive(self, _arg: None) -> None:
-        reply = self.reply
-        svc = self.net.land_leg(self.caller, self.dst, self.service)
+    def _run_callbacks(self) -> None:
+        if self.name == "request":
+            self._request_lands()
+        else:
+            self._reply_lands()
+
+    def _request_lands(self) -> None:
+        net, caller, dst = self.net, self.caller, self.dst
+        host = self.sim.hosts.get(dst)
+        svc = host.services.get(self.service) \
+            if host is not None and host.up and net.reachable(caller, dst) \
+            else None
         if svc is None:
-            if reply is not None:
-                reply.expire()
+            net.dropped += 1
+            self.expire()
             return
-        caller, cred, method = self.caller, self.credential, self.method
+        net.delivered += 1
+        cred, method = self.credential, self.method
         value, error = None, None
         try:
             if svc.authorizer is not None:
@@ -233,33 +229,56 @@ class _Request:
         except SimulationError:
             raise   # an inconsistency in the simulation is nobody's reply
         except Exception as exc:  # noqa: BLE001 - marshalled to the caller
-            error = _error(exc)
+            error = _remote(exc)
         if type(value) is GeneratorType:
             # Bound to the service's host: it dies with it.  When it
             # will finish is unknown, so the caller's timer starts now.
-            if reply is not None:
-                reply.expire()
-            svc.host.spawn(_finish(value, svc, self.respond),
+            self.expire()
+            svc.host.spawn(_finish(value, svc, self),
                            name=f"{svc.name}.{method}@{svc.host.name}")
         else:
             self.respond(svc, value, error)
 
     def respond(self, svc: "Service", value: Any,
-                error: Optional[dict]) -> None:
-        reply = self.reply
-        if reply is None:       # a notify: nobody waits for the outcome
+                error: Optional[Exception]) -> None:
+        if self.deadline is None:   # a notify: nobody waits for the outcome
             return
-        response = {"ok": error is None, "value": value, "error": error}
-        self.net.send_leg(svc.host, self.caller, _REPLY_LEG,
-                          self.reply_arrive, response, reply.deadline,
-                          reply.expire)
+        self.name, self.result, self.error = "reply", value, error
+        self.net.send_leg(svc.host, self.caller, _REPLY_LEG, self,
+                          self.deadline, _Request.expire)
 
-    def reply_arrive(self, response: dict) -> None:
-        if self.net.land_leg(self.dst, self.caller,
-                             crash_count=self.crash_count) is None:
-            self.reply.expire()
-        else:
-            self.reply.fire(response)
+    def _reply_lands(self) -> None:
+        net, caller = self.net, self.caller
+        host = self.sim.hosts.get(caller)
+        if host is None or not host.up \
+                or host.crash_count != self.crash_count \
+                or not net.reachable(self.dst, caller):
+            net.dropped += 1
+            self.expire()
+            return
+        net.delivered += 1
+        if self._value is _UNSET:     # else it is late: nobody waits
+            self._fire(self.result)
+
+    def _fire(self, value: Any) -> None:
+        """The caller resumes now, inside the callback that decided."""
+        self._value = value
+        if self.timer is not None:
+            self.timer.cancel()
+            self.timer = None
+        Event._run_callbacks(self)
+
+    def expire(self) -> None:
+        """The reply may not land in time: arm the caller's timer."""
+        if self.timer is None and self._value is _UNSET \
+                and self.deadline is not None:
+            self.timer = self.sim.call_at(self.deadline,
+                                          _Request._timed_out, self)
+
+    def _timed_out(self) -> None:
+        self.timer = None               # popped: nothing left to cancel
+        self.error = RPCTimeout
+        self._fire(None)
 
 
 def _tally(src: "Host", service: str, method: str) -> None:
@@ -291,19 +310,15 @@ def call(
         raise HostDown(f"host {src.name} is down")
     if timeout < 0:
         raise ValueError(f"negative timeout {timeout!r}")
-    sim = src.sim
-    reply = _Reply(sim, sim.now + timeout)
-    _Request(src, dst, service, method, credential, args, reply)
-    value = yield reply
-    if value is None:
+    request = _Request(src, dst, service, method, credential, args,
+                       src.sim.now + timeout)
+    value = yield request
+    error = request.error
+    if error is None:
+        return value
+    if error is RPCTimeout:
         raise RPCTimeout(f"{service}.{method} on {dst} (after {timeout}s)")
-    if value["ok"]:
-        return value["value"]
-    err = value["error"]
-    exc_type = _ERROR_KINDS.get(err["kind"], RemoteError)
-    if exc_type is RemoteError:
-        raise RemoteError(err["message"], kind=err["kind"])
-    raise exc_type(err["message"])
+    raise error
 
 
 def notify(

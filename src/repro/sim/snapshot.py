@@ -61,7 +61,7 @@ from .trace import Trace
 if TYPE_CHECKING:  # pragma: no cover
     from ..grid.testbed import GridTestbed
 
-SNAPSHOT_VERSION = 11
+SNAPSHOT_VERSION = 12
 
 #: structures deeper than this are fingerprinted as a type tag; the cap
 #: is generous (daemon state sits well above it) and deterministic, so
@@ -197,6 +197,8 @@ def _entry_name(entry: Entry) -> str:
 
 
 def _heap_row(t: float, seq: int, item: Any) -> list:
+    """One heap row; an RPC in flight is a ``_Request`` row named by the
+    leg in flight, ``request`` or ``reply``."""
     if isinstance(item, Entry):
         return [repr(t), seq, "Entry", _entry_name(item),
                 _value_tag(item.arg)]
@@ -260,8 +262,6 @@ def _network_fingerprint(net: Optional[Network]) -> Optional[dict]:
         "partitions": sorted("|".join(sorted(pair))
                              for pair in net._partitions),
         "isolated": sorted(net._isolated),
-        "link_latency": {"|".join(sorted(pair)): repr(value)
-                         for pair, value in net._link_latency.items()},
         "sent": net.sent,
         "delivered": net.delivered,
         "dropped": net.dropped,
@@ -403,6 +403,10 @@ class SimSnapshot:
         if not isinstance(data, dict):
             raise SnapshotError("snapshot document is not a JSON object")
         version = data.get("version")
+        if version == 11:
+            raise SnapshotError(
+                "unsupported snapshot version 11: an RPC leg in flight is "
+                "an Entry row there and a _Request row now; re-capture it")
         if version != SNAPSHOT_VERSION:
             raise SnapshotError(f"unsupported snapshot version {version!r}")
         expected = {f.name for f in fields(cls)}

@@ -69,6 +69,14 @@ def test_config_and_kwargs_are_mutually_exclusive():
         tb.add_agent(AgentSpec("u"), personal_pool=False)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("latency", -5.0), ("jitter", float("nan")), ("loss_rate", 2.0)])
+def test_a_bad_network_config_fails_at_build_naming_the_field(field, value):
+    config = TestbedConfig(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        GridTestbed.from_config(config)
+
+
 def _grid():
     tb = GridTestbed(TestbedConfig(seed=3))
     tb.add_site(SiteSpec("s", scheduler="pbs", cpus=2))

@@ -1,11 +1,12 @@
 """What sits in the kernel heap, and what one RPC allocates.
 
-A network leg, a process boot and the resume of a process that yielded
-an already-fired event are bare :class:`~repro.sim.kernel.Entry` items:
-one call and no :class:`~repro.sim.kernel.Event`.  A plain ``call`` builds
-one event (the reply its caller waits on) and one request record whose
-bound methods are both legs' callbacks -- no closure per call.  Every push
-goes through the kernel, so ``Simulator._seq`` numbers every heap row.
+A process boot, the resume of a process that yielded an already-fired
+event and a timer are bare :class:`~repro.sim.kernel.Entry` items: one
+call and no :class:`~repro.sim.kernel.Event`.  A plain ``call`` builds
+one event, its request, which is both what its caller waits on and the
+heap item of whichever leg is in flight -- no entry and no closure per
+call.  Every push goes through the kernel, so ``Simulator._seq`` numbers
+every heap row.
 """
 
 import ast
@@ -25,10 +26,11 @@ class Echo(Service):
         return text.upper()
 
 
-def _count_events(monkeypatch):
-    """Every Event built from now on, once each, by class name."""
+def _count_events(monkeypatch, classes=(Event, Timeout)):
+    """Every Event (or instance of `classes`) built from now on, once
+    each, by class name."""
     made = []
-    for cls in (Event, Timeout):
+    for cls in classes:
         real = cls.__init__
 
         def init(self, *args, _real=real, **kw):
@@ -55,7 +57,7 @@ def test_a_plain_call_builds_one_event_and_pushes_two_entries(monkeypatch):
     def caller():
         yield sim.timeout(1.0)
         seen["seq"] = sim._seq
-        made = _count_events(monkeypatch)
+        made = _count_events(monkeypatch, (Event, Timeout, Entry))
         seen["value"] = yield from call(client, "server", "svc", "ping",
                                         text="x")
         seen["made"] = made()
@@ -64,17 +66,15 @@ def test_a_plain_call_builds_one_event_and_pushes_two_entries(monkeypatch):
     client.spawn(caller())
     sim.run(until=1.05)
     [leg] = _items(sim)                     # the request, in flight
-    assert type(leg) is Entry
-    assert type(leg.fn.__self__).__name__ == "_Request"
-    assert leg.fn.__func__.__closure__ is None
-    request = leg.fn.__self__
+    assert type(leg).__name__ == "_Request" and isinstance(leg, Event)
+    assert (leg.name, leg.triggered) == ("request", False)
     sim.run(until=1.15)
-    [leg] = _items(sim)                     # the reply, in flight
-    assert type(leg) is Entry and leg.fn.__self__ is request
-    assert leg.arg == {"ok": True, "value": "X", "error": None}
+    [reply] = _items(sim)                   # the reply, in flight
+    assert reply is leg and (leg.name, leg.triggered) == ("reply", False)
+    assert (leg.result, leg.error) == ("X", None)
     sim.run()
-    assert seen["value"] == "X"
-    assert seen["made"] == ["_Reply"]
+    assert seen["value"] == "X" and leg.value == "X"
+    assert seen["made"] == ["_Request"]     # no Entry, no other Event
     assert seen["pushed"] == 2
 
 

@@ -347,6 +347,29 @@ def test_run_until_stops_clock():
     assert sim.now == 5.5
 
 
+def test_run_until_before_now_is_refused():
+    """The clock never goes back: with a timeout pending, or none."""
+    sim = Simulator()
+    fired = []
+    sim.timeout(20.0).callbacks.append(lambda ev: fired.append(sim.now))
+    sim.run(until=15.0)
+    with pytest.raises(ValueError, match="before now"):
+        sim.run(until=5.0)
+    assert sim.now == 15.0
+    sim.run(until=15.0)             # `until == now` stays legal
+    sim.run()
+    assert (fired, sim.now) == ([20.0], 20.0)
+
+    empty = Simulator()
+    empty.run(until=10.0)
+    with pytest.raises(ValueError, match="before now"):
+        empty.run(until=3.0)
+    assert empty.now == 10.0
+    late = empty.timeout(1.0)
+    empty.run()
+    assert late.triggered and empty.now == 11.0
+
+
 def test_deterministic_ordering_same_timestamp():
     """Events scheduled at the same instant run in scheduling order."""
     sim = Simulator()

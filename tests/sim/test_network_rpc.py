@@ -57,6 +57,20 @@ def run_call(sim, gen):
     return box
 
 
+@pytest.mark.parametrize("field, value", [
+    ("latency", -5.0), ("latency", float("nan")), ("latency", float("inf")),
+    ("jitter", -0.01), ("jitter", float("nan")), ("jitter", float("inf")),
+    ("loss_rate", -0.1), ("loss_rate", 1.5), ("loss_rate", float("nan")),
+])
+def test_a_network_that_would_send_legs_into_the_past_is_refused(
+        field, value):
+    sim = Simulator()
+    with pytest.raises(ValueError, match=field):
+        Network(sim, **{field: value})
+    assert sim.network is None
+    Network(sim, latency=0.0, jitter=0.0, loss_rate=1.0)   # the bounds
+
+
 def test_basic_call_roundtrip(net_pair):
     sim, net, client, server = net_pair
     box = run_call(sim, call(client, "server", "echo", "ping", text="hi"))

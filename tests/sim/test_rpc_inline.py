@@ -27,6 +27,7 @@ from repro.sim import (
     notify,
 )
 from repro.sim.fastcopy import FrozenDict
+from repro.sim.rpc import _Request
 
 
 class Gate:
@@ -102,6 +103,23 @@ class Inlineable(Service):
     def handle_lazy(self, ctx, duration):
         # A plain handler, yet its result is a generator.
         return self.handle_gen(ctx, duration)
+
+
+def legs_conserved(sim):
+    """Every leg sent is delivered, dropped, or in flight: on the heap
+    as its request, which carries one leg at a time."""
+    net = sim.network
+    in_flight = sum(1 for _t, _s, item in sim._heap
+                    if isinstance(item, _Request) and not item._cancelled)
+    return net.sent == net.delivered + net.dropped + in_flight
+
+
+def run_checked(sim):
+    """``sim.run()``, checking leg conservation after every heap row."""
+    assert legs_conserved(sim)
+    while sim.step():
+        assert legs_conserved(sim), sim.now
+    sim.run()       # the heap is empty: only the strict failure check
 
 
 def run_call(sim, gen):
@@ -335,7 +353,7 @@ def test_inline_and_real_paths_agree_on_rng_and_timing():
                 events.append((sim.now, value))
 
         sim.spawn(proc())
-        sim.run()
+        run_checked(sim)
         return events, net.sent, net.delivered, net.dropped
 
     first, *others = [one_run(*variant) for variant in VARIANTS.values()]
@@ -387,8 +405,9 @@ def _crash(host_name, at, restart=False):
 
 def _slow_link(at):
     def disturb(sim, net, client, server):
-        sim.schedule(
-            0, lambda: net.set_link_latency("client", "server", 3.0), at=at)
+        def slow():
+            net.latency = 3.0
+        sim.schedule(0, slow, at=at)
     return disturb
 
 
@@ -416,10 +435,10 @@ WINDOWS = {
 }
 
 
-def run_window(variant, disturb):
+def run_window(variant, disturb, jitter=0.0, loss_rate=0.0):
     method, authorizer = VARIANTS[variant]
     sim = Simulator(seed=5)
-    net = Network(sim, latency=0.1, jitter=0.0)
+    net = Network(sim, latency=0.1, jitter=jitter, loss_rate=loss_rate)
     client = Host(sim, "client")
     server = Host(sim, "server")
     Inlineable(server, authorizer=authorizer)
@@ -437,7 +456,7 @@ def run_window(variant, disturb):
 
     client.spawn(caller())       # bound to the host: dies with it
     disturb(sim, net, client, server)
-    sim.run()
+    run_checked(sim)
     return (seen["outcome"], seen["at"],
             len(sim.trace.select("svc", "served")),
             (net.sent, net.delivered, net.dropped), sim.now)
@@ -455,6 +474,17 @@ def test_failure_window_matches_the_datagram_path(window):
     # ... and the same legs counted, and the same last event, whoever
     # served the call.
     assert all(run[3:] == runs["plain"][3:] for run in runs.values())
+
+
+@pytest.mark.parametrize("window", sorted(WINDOWS))
+def test_every_leg_is_delivered_dropped_or_in_flight(window):
+    """Leg conservation under jitter and loss, in every failure window
+    and whatever serves the call (``run_window`` checks it after every
+    heap row; the windows above check it without either)."""
+    disturb = WINDOWS[window][0]
+    for variant in VARIANTS:
+        for jitter, loss in ((0.05, 0.0), (0.05, 0.5), (0.3, 0.3)):
+            run_window(variant, disturb, jitter=jitter, loss_rate=loss)
 
 
 def test_late_reply_is_counted_and_discarded():

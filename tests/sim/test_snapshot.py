@@ -227,8 +227,9 @@ class TestCaptureVerify:
         # an equality index and sorted name lists), and version 9 names
         # sealed ads `ClassAd` and keeps one Startd ad and no Schedd
         # idle order, and version 10 holds per-daemon tallies that
-        # restate trace records: refused, not mis-verified.
-        assert SNAPSHOT_VERSION == 11
+        # restate trace records; version 11 names an RPC leg in flight
+        # as an `Entry` row: refused, not mis-verified.
+        assert SNAPSHOT_VERSION == 12
         v2 = {**good, "version": 2}
         v3 = {**good, "version": 3}
         v4 = {**good, "version": 4}
@@ -238,6 +239,7 @@ class TestCaptureVerify:
         v8 = {**good, "version": 8}
         v9 = {**good, "version": 9}
         v10 = {**good, "version": 10}
+        v11 = {**good, "version": 11}
         truncated = {k: v for k, v in good.items() if k != "fingerprint"}
         unknown = {**good, "perf_flags": {}}
         for doc, needle in ((pre_bump, "version"),
@@ -250,6 +252,8 @@ class TestCaptureVerify:
                             (v8, "version"),
                             (v9, "version"),
                             (v10, "version"),
+                            (v11, "version 11: an RPC leg in flight is an "
+                                  "Entry row there"),
                             (truncated, "fingerprint"),
                             (unknown, "perf_flags"),
                             ([good], "JSON object")):
@@ -311,11 +315,12 @@ class TestForkPoint:
         assert point.evaluations == 2
 
     def test_entries_in_flight_fingerprint_stably_across_a_fork(self):
-        """A boot, a resume of a process that yielded a fired event and a
-        network leg are bare heap entries: the kernel fingerprint and the
-        state digest taken while they are in flight name them, are
-        stable, and a forked child reproduces both -- at the fork
-        instant and after running on."""
+        """A boot and a resume of a process that yielded a fired event
+        are bare heap entries, and an RPC leg in flight is its request:
+        the kernel fingerprint and the state digest taken while they are
+        in flight name them -- the request row by its leg --, are stable,
+        and a forked child reproduces both -- at the fork instant and
+        after running on."""
         tb = _testbed()
         sim = tb.sim
         done = sim.event().succeed("done")
@@ -330,10 +335,11 @@ class TestForkPoint:
         sim.spawn(waiter(), name="late")
         src = next(h for _n, h in sorted(sim.hosts.items()) if h.up)
         notify(src, "nowhere", "svc", "ping")
-        entries = {row[3] for row in kernel_fingerprint(sim)["heap"]
-                   if row[2] == "Entry"}
-        assert {"Process._resume:waiter", "Process._resume:late",
-                "_Request.arrive"} <= entries
+        heap = kernel_fingerprint(sim)["heap"]
+        entries = {row[3] for row in heap if row[2] == "Entry"}
+        assert {"Process._resume:waiter", "Process._resume:late"} <= entries
+        assert [row[2:] for row in heap if row[2] == "_Request"] \
+            == [["_Request", "request", None]]
         fp, digest = kernel_fingerprint(sim), state_digest(tb)
         assert (kernel_fingerprint(sim), state_digest(tb)) == (fp, digest)
         point = ForkPoint()

@@ -35,6 +35,13 @@ SCENARIOS = {
 _baselines: dict = {}
 
 
+def _boundary(built: float, frac: float, horizon: float) -> float:
+    """`frac` of the way from where the build left the clock (`built`:
+    a build may warm the testbed up) to `horizon`, so that a boundary
+    is never in the past."""
+    return round(built + frac * (horizon - built), 3)
+
+
 def _baseline_digest(scenario: str, seed: int) -> str:
     """The uninterrupted run(0, T) digest, cached per cell."""
     key = (scenario, seed)
@@ -52,11 +59,11 @@ def _baseline_digest(scenario: str, seed: int) -> str:
        frac=st.floats(min_value=0.05, max_value=0.95))
 def test_segmented_run_matches_uninterrupted(scenario, seed, frac):
     horizon = SCENARIOS[scenario]
-    boundary = round(frac * horizon, 3)
     baseline = _baseline_digest(scenario, seed)
 
     # resume flavor: capture mid-run, keep going on the live object.
     tb = get_scenario(scenario).build(seed)
+    boundary = _boundary(tb.sim.now, frac, horizon)
     tb.run(until=boundary)
     snap = capture(tb, scenario=scenario)
     tb.run(until=horizon)
@@ -80,9 +87,8 @@ def test_segmented_run_matches_uninterrupted(scenario, seed, frac):
        frac=st.floats(min_value=0.05, max_value=0.95))
 def test_capture_does_not_perturb_state(scenario, seed, frac):
     """capture() at any boundary leaves the state digest unchanged."""
-    boundary = round(frac * SCENARIOS[scenario], 3)
     tb = get_scenario(scenario).build(seed)
-    tb.run(until=boundary)
+    tb.run(until=_boundary(tb.sim.now, frac, SCENARIOS[scenario]))
     before = state_digest(tb)
     snap = capture(tb, scenario=scenario)
     assert snap.digest == before
@@ -100,8 +106,9 @@ def test_repeated_boundaries_compose(seed, fracs):
     horizon = SCENARIOS["three-site"]
     baseline = _baseline_digest("three-site", seed)
     tb = get_scenario("three-site").build(seed)
+    built = tb.sim.now
     for frac in sorted(fracs):
-        tb.run(until=round(frac * horizon, 3))
+        tb.run(until=_boundary(built, frac, horizon))
         capture(tb, scenario="three-site")
     tb.run(until=horizon)
     assert run_digest(tb) == baseline

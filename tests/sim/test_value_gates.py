@@ -185,12 +185,13 @@ def test_a_monitor_report_crosses_with_zero_structural_copies(
     freezes = _counted_freezes(monkeypatch)
 
     def counted_init(self, src, dst, service, method, credential, args,
-                     reply):
+                     deadline):
         if method != "monitor_report":
             return real_init(self, src, dst, service, method, credential,
-                             args, reply)
+                             args, deadline)
         reports, before = args["reports"], freezes[0]
-        real_init(self, src, dst, service, method, credential, args, reply)
+        real_init(self, src, dst, service, method, credential, args,
+                  deadline)
         crossings.append((freezes[0] - before, len(reports),
                           self.args["reports"] is reports))
 
