@@ -15,7 +15,7 @@ architecture requirement; brokers must (a) never pick the wrong arch,
 import pytest
 
 from repro import GridTestbed, JobDescription
-from repro.core.broker import MDSBroker, UserListBroker
+from repro.core.broker import MatchmakingBroker, UserListBroker
 from repro.workloads import saturate
 from repro.grid.config import AgentSpec, SiteSpec, TestbedConfig
 
@@ -44,11 +44,11 @@ def run_broker(kind: str):
             [s.contact for s in tb.sites.values()
              if s.arch == "INTEL"])      # the user curates arch by hand
     elif kind == "mds":
-        agent.gridmanager.broker = MDSBroker(
+        agent.gridmanager.broker = MatchmakingBroker(
             agent.host, "mds", requirements='Arch == "INTEL"',
             rank="-EstimatedWait")
     elif kind == "mds+cost":
-        agent.gridmanager.broker = MDSBroker(
+        agent.gridmanager.broker = MatchmakingBroker(
             agent.host, "mds", requirements='Arch == "INTEL"',
             rank="-EstimatedWait * 100.0 - AllocationCost")
     tb.run(until=150.0)       # MDS registrations warm up

@@ -1,15 +1,17 @@
-"""The Condor Collector: the pool's soft-state ad registry.
+"""The Collector: the one soft-state ad registry, the pool's and the grid's.
 
-Startds, schedds, and (glided-in) daemons advertise ClassAds here; the
-Negotiator queries it.  Identical in spirit to
-the MDS GIIS, but holding Condor ads keyed by (ad type, name) and
-supporting invalidation -- a startd that shuts down gracefully withdraws
-its ad, one that dies silently ages out.
+Startds, schedds, and (glided-in) daemons advertise ClassAds here and
+the Negotiator queries it; on the MDS index host (``GIIS_HOST``) sites
+advertise their resource ads under the ``Grid`` ad type (GRRP) and
+personal brokers query them (GRIP).  Ads are keyed by (ad type, name)
+and carry a ttl; a daemon that shuts down gracefully withdraws its ad,
+one that dies silently ages out.
 
 Expired ads are *reaped*, not just filtered: a sweep runs lazily on the
 advertise/query paths whenever the soonest-known expiry has passed, so
-the registry cannot grow without bound across glidein churn.  The sweep
-is surfaced through the ``collector.expired_reaped`` metrics counter.
+the registry cannot grow without bound across glidein or site churn.
+The sweep is surfaced through the ``collector.expired_reaped`` metrics
+counter.
 
 A query evaluates its constraint against every live ad of the asked
 type, in name order (the Negotiator breaks ties by machine order).  No

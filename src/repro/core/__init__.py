@@ -4,7 +4,6 @@ from .api import CondorGAgent, JobDescription, JobStatus
 from .broker import (
     Broker,
     MatchmakingBroker,
-    MDSBroker,
     QueueAwareBroker,
     UserListBroker,
 )
@@ -33,7 +32,7 @@ __all__ = [
     "CredentialMonitor", "DONE", "Email", "FAILED", "GlideInManager",
     "FloodedJob", "FloodingSubmitter", "GlideInSpec", "GridJob",
     "GridManager", "HELD", "JobDescription", "MatchmakingBroker",
-    "JobStatus", "LogEvent", "MDSBroker", "Notifier", "PENDING",
+    "JobStatus", "LogEvent", "Notifier", "PENDING",
     "QueueAwareBroker", "SUBMITTING", "UNSUBMITTED", "UserListBroker",
     "SubmitFileError", "UserLog", "assemble_chunks", "condor_history",
     "condor_q", "condor_status", "gcat_wrap",

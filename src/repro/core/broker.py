@@ -5,11 +5,12 @@ lays them out:
 
 * :class:`UserListBroker` -- "a user-supplied list of GRAM servers...
   a good starting point": round-robin over a static list.
-* :class:`MDSBroker` -- "a personal resource broker that combines
-  information about user authorization, application requirements and
-  resource status (obtained from MDS)": queries the GIIS, filters with a
-  ClassAd Requirements expression, ranks candidates (e.g. by expected
-  wait or allocation cost).
+* :class:`MatchmakingBroker` -- "a personal resource broker that
+  combines information about user authorization, application
+  requirements and resource status (obtained from MDS)": asks the MDS
+  index's Collector for every ``Grid`` ad and matches a job ad carrying
+  the user's Requirements and Rank (e.g. expected wait or allocation
+  cost) against them, bilaterally, as Condor matchmaking does.
 * :class:`QueueAwareBroker` -- the flooding/tuning flavour: polls every
   candidate's gatekeeper for live queue depth and picks the emptiest,
   which is the "monitor queuing times to tune where to submit subsequent
@@ -22,10 +23,10 @@ submit throttle -- holds; with every candidate full the answer is None.
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
-from ..classads import ClassAd, EvalContext, is_true, parse
-from ..mds.giis import grip_query
+from ..classads import ClassAd, best_match, symmetric_match
+from ..mds.schema import GRID_ADTYPE
 from ..sim.errors import RPCError
 from ..sim.hosts import Host
 from ..sim.rpc import call
@@ -70,54 +71,6 @@ class UserListBroker(Broker):
         yield  # pragma: no cover - generator protocol
 
 
-class MDSBroker(Broker):
-    """Query MDS, filter by Requirements, take the Rank-best candidate.
-
-    ``requirements`` and ``rank`` are ClassAd expressions evaluated with
-    the resource ad as MY (e.g. ``rank="-EstimatedWait - AllocationCost"``
-    prefers idle, cheap sites).
-    """
-
-    def __init__(
-        self,
-        host: Host,
-        giis_host: str,
-        requirements: str = "true",
-        rank: str = "-EstimatedWait",
-        credential_source=None,
-    ):
-        self.host = host
-        self.sim = host.sim
-        self.giis_host = giis_host
-        self.requirements = requirements
-        self.rank_expr = parse(rank)
-        self.credential_source = credential_source
-
-    def candidates(self):
-        ads = yield from grip_query(
-            self.host, self.giis_host, constraint=self.requirements,
-            credential=self._credential(self.giis_host))
-        return ads
-
-    def pick(self, job: "GridJob", has_room):
-        try:
-            ads = yield from self.candidates()
-        except RPCError:
-            return None
-        best, best_rank = None, float("-inf")
-        for ad in ads:
-            value = self.rank_expr.eval(EvalContext(my=ad, now=self.sim.now))
-            if isinstance(value, bool):
-                value = float(value)
-            if not isinstance(value, (int, float)):
-                continue
-            if value > best_rank and has_room(ad.get("Contact")):
-                best, best_rank = ad, float(value)
-        if best is None:
-            return None
-        return best.get("Contact")
-
-
 class MatchmakingBroker(Broker):
     """Bilateral ClassAd matchmaking over MDS resource ads (§4.4).
 
@@ -128,10 +81,11 @@ class MatchmakingBroker(Broker):
     resources for use with Condor-G."
 
     Each grid job is described by a ClassAd (built from its request plus
-    user-supplied Requirements/Rank); resource ads come from the GIIS;
-    the match is *bilateral* -- a resource ad may carry its own
-    Requirements (e.g. refusing jobs above a cpu count), which the
-    simpler :class:`MDSBroker` ignores.
+    user-supplied Requirements/Rank, evaluated with the resource ad as
+    TARGET, so ``rank="-EstimatedWait - AllocationCost"`` prefers idle,
+    cheap sites); resource ads are the ``Grid`` ads of the index's
+    Collector; the match is *bilateral* -- a resource ad may carry its
+    own Requirements (e.g. refusing jobs above a cpu count).
     """
 
     def __init__(
@@ -162,16 +116,19 @@ class MatchmakingBroker(Broker):
         return ad
 
     def pick(self, job: "GridJob", has_room):
-        from ..classads import best_match
-
         try:
-            ads = yield from grip_query(
-                self.host, self.giis_host, constraint="true",
-                credential=self._credential(self.giis_host))
+            ads = yield from call(
+                self.host, self.giis_host, "collector", "query",
+                timeout=30.0, credential=self._credential(self.giis_host),
+                adtype=GRID_ADTYPE)
         except RPCError:
             return None
-        ads = [ad for ad in ads if has_room(ad.get("Contact"))]
-        chosen = best_match(self.job_ad(job), ads, now=self.sim.now)
+        job_ad, now = self.job_ad(job), self.sim.now
+        # Room is asked only where the job matches, so a job whose every
+        # match is full waits for a slot there, not on the retry tick.
+        ads = [ad for ad in ads if symmetric_match(job_ad, ad, now=now)
+               and has_room(ad.get("Contact"))]
+        chosen = best_match(job_ad, ads, now=now)
         if chosen is None:
             return None
         return chosen.get("Contact")

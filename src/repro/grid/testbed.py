@@ -15,8 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from ..condor.collector import Collector
 from ..core.api import CondorGAgent
-from ..core.broker import Broker, MDSBroker, QueueAwareBroker, UserListBroker
+from ..core.broker import (Broker, MatchmakingBroker, QueueAwareBroker,
+                           UserListBroker)
 from ..data.broker import DataAwareBroker
 from ..factory.daemon import GlideInFactory
 from ..factory.policy import FactoryPolicy
@@ -33,7 +35,7 @@ from ..gsi.pki import CertificateAuthority
 from ..gsi.proxy import GridUser
 from ..lrm.base import LocalResourceManager
 from ..lrm.flavors import make_lrm
-from ..mds.giis import GIIS, ResourceRegistrar
+from ..mds.giis import ResourceRegistrar
 from ..mds.schema import resource_ad
 from ..sim.failures import FailureInjector
 from ..sim.hosts import Host
@@ -42,6 +44,7 @@ from ..sim.network import Network
 from ..workloads.synthetic import SyntheticTraffic
 from .config import AgentSpec, SiteSpec, TestbedConfig
 
+#: the MDS index host: a Collector holding every site's "Grid" ad
 GIIS_HOST = "mds"
 REPO_HOST = "condor-repo"
 MYPROXY_HOST = "myproxy"
@@ -133,7 +136,7 @@ class GridTestbed:
         # Every daemon of a long-lived machine is installed with
         # Host.boot, so it is built again when its machine restarts.
         if config.with_mds:
-            Host(self.sim, GIIS_HOST).boot(GIIS)
+            Host(self.sim, GIIS_HOST).boot(Collector)
         if config.with_repo:
             Host(self.sim, REPO_HOST).boot(GridFTPServer).publish(
                 CONDOR_BINARIES, size=5_000_000)
@@ -331,7 +334,7 @@ class GridTestbed:
         if kind == "userlist":
             return UserListBroker([s.contact for s in self.sites.values()])
         if kind == "mds":
-            return MDSBroker(host, GIIS_HOST, **kwargs)
+            return MatchmakingBroker(host, GIIS_HOST, **kwargs)
         if kind == "queue-aware":
             return QueueAwareBroker(
                 host, [s.contact for s in self.sites.values()], **kwargs)

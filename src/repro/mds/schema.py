@@ -8,9 +8,10 @@ pool startds also work against MDS resource ads.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..classads import ClassAd
+
+#: The ad type a resource ad is advertised under in the index's Collector.
+GRID_ADTYPE = "Grid"
 
 
 def resource_ad(

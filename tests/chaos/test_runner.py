@@ -14,7 +14,8 @@ from repro.chaos import (
 from repro.chaos.__main__ import main as chaos_main
 from repro.chaos.invariants import evaluate_invariants
 from repro.chaos.report import format_report
-from repro.chaos.runner import build_and_run
+from repro.chaos.runner import build_and_run, drive_to_quiescence
+from repro.grid.scenarios import get_scenario
 
 #: submit machine down 200-350 s, a JobManager killed while it is away,
 #: then a partition: the plan CI's chaos-smoke job replays
@@ -25,6 +26,9 @@ POOL_SUBMIT_REBOOT_PLAN = SUBMIT_REBOOT_PLAN.with_name(
 #: user burst's factory killed at 650 s and restarted 200 s later, and a
 #: JobManager killed at 700 s, on `burst-flash`
 FACTORY_KILL_PLAN = SUBMIT_REBOOT_PLAN.with_name("factory_kill.json")
+#: the MDS index host down 120-420 s while three `quickstart` jobs wait
+#: for a broker pick, then anl's gatekeeper down 560-620 s under them
+INDEX_CRASH_PLAN = SUBMIT_REBOOT_PLAN.with_name("index_crash.json")
 
 
 class TestRunOne:
@@ -76,6 +80,44 @@ class TestRunOne:
         plan = FaultPlan.from_json(FACTORY_KILL_PLAN.read_text())
         result = run_one("burst-flash", 0, plan=plan, audit=True)
         assert result.ok and result.divergence == {}, result.violations
+
+    def test_index_crash_holds_broker_picks_until_sites_register_again(
+            self):
+        """While the index is down a broker-placed job stays unsubmitted;
+        the index host's boot action builds a fresh (empty) Collector,
+        and the job is placed once the sites' registrars advertise to
+        it again."""
+        from repro.condor import Collector
+        from repro.grid.testbed import GIIS_HOST
+        from repro.mds.schema import GRID_ADTYPE
+
+        scenario = get_scenario("quickstart")
+        plan = FaultPlan.from_json(INDEX_CRASH_PLAN.read_text())
+        tb = scenario.build(0)
+        plan.apply(tb)
+        agent, index = tb.agents["alice"], tb.sim.hosts[GIIS_HOST]
+        brokered = [s.job_id for s in agent.statuses()
+                    if s.job_id not in ("1.0", "2.0")]   # 1.0, 2.0 named
+        before = index.get_service("collector")
+        tb.run(until=410.0)
+        assert index.get_service("collector") is None
+        assert [agent.status(j).state for j in brokered] == \
+            ["UNSUBMITTED"] * 3
+        tb.run(until=425.0)
+        rebuilt = index.get_service("collector")
+        assert isinstance(rebuilt, Collector) and rebuilt is not before
+        assert rebuilt.count(GRID_ADTYPE) == 0
+        assert [agent.status(j).state for j in brokered] == \
+            ["UNSUBMITTED"] * 3
+        drive_to_quiescence(tb, scenario, plan)
+        assert rebuilt.count(GRID_ADTYPE) == 2
+        assert evaluate_invariants(tb) == []
+        assert all(agent.status(j).is_complete for j in brokered)
+        assert {agent.status(j).resource for j in brokered} == {"anl-gk"}
+        placed = [r.time for r in tb.sim.trace.select("gridmanager",
+                                                      "submitted")
+                  if r.details["job"] in brokered]
+        assert len(placed) == 3 and min(placed) > 420.0
 
     def test_errors_are_reported_not_raised(self):
         result = run_one("no-such-scenario", 0)

@@ -9,6 +9,7 @@ from repro import GridTestbed, JobDescription
 from repro.classads import ClassAd, EvalContext, is_true, parse
 from repro.condor import Collector
 from repro.grid.config import AgentSpec, SiteSpec, TestbedConfig
+from repro.mds.schema import GRID_ADTYPE
 from repro.sim import Host, Network, RemoteError, Simulator, call
 
 
@@ -219,7 +220,8 @@ _BAD_TTLS = [float("nan"), float("inf"), 0.0, -5.0, True, "60"]
 def test_a_ttl_that_is_not_a_finite_positive_number_is_refused(ttl):
     """A NaN ttl used to make an ad immortal -- never reaped, in every
     answer, and every later touch rescanned the registry -- and a zero
-    one silently became the default."""
+    one silently became the default.  A site's ``Grid`` ad on the MDS
+    index is refused the same as a startd's."""
     sim, coll = make_collector()
     coll.handle_advertise(None, "startd", ad("s0"), ttl=60)
     before = (dict(coll._ads), coll._soonest_expiry)
@@ -227,17 +229,20 @@ def test_a_ttl_that_is_not_a_finite_positive_number_is_refused(ttl):
     box = {}
 
     def advertise():
-        try:
-            box["value"] = yield from call(
-                client, "cm", "collector", "advertise",
-                adtype="startd", ad=ad("s1"), ttl=ttl)
-        except RemoteError as exc:
-            box["error"] = exc
+        for adtype in ("startd", GRID_ADTYPE):
+            try:
+                box[adtype] = yield from call(
+                    client, "cm", "collector", "advertise",
+                    adtype=adtype, ad=ad("s1"), ttl=ttl)
+            except RemoteError as exc:
+                box[adtype] = exc
 
     client.spawn(advertise(), "advertise")
     sim.run(until=1.0)
-    error = box.get("error")
-    assert isinstance(error, RemoteError) and error.kind == "ValueError", box
+    for adtype in ("startd", GRID_ADTYPE):
+        error = box.get(adtype)
+        assert isinstance(error, RemoteError) and \
+            error.kind == "ValueError", box
     assert (dict(coll._ads), coll._soonest_expiry) == before
     assert coll.handle_advertise(None, "startd", ad("s1"))    # None: default
     assert coll._ads[("startd", "s1")][1] == sim.now + coll.default_ttl

@@ -3,7 +3,8 @@
 import pytest
 
 from repro import GridTestbed, JobDescription
-from repro.core.broker import MDSBroker, QueueAwareBroker, UserListBroker
+from repro.core.broker import MatchmakingBroker, QueueAwareBroker, \
+    UserListBroker
 from repro.grid.config import AgentSpec, SiteSpec, TestbedConfig
 
 
@@ -47,7 +48,7 @@ def test_mds_broker_requirements_filter():
     tb.add_site(SiteSpec("intel", scheduler="pbs", cpus=4, arch="INTEL"))
     tb.add_site(SiteSpec("sparc", scheduler="pbs", cpus=4, arch="SPARC"))
     agent = tb.add_agent(AgentSpec("alice"))
-    agent.gridmanager.broker = MDSBroker(
+    agent.gridmanager.broker = MatchmakingBroker(
         agent.host, "mds", requirements='Arch == "SPARC"')
     tb.run(until=200.0)
     jid = agent.submit(JobDescription(runtime=10.0))
@@ -60,12 +61,42 @@ def test_mds_broker_ranks_by_cost():
     tb.add_site(SiteSpec("pricey", scheduler="pbs", cpus=8, allocation_cost=10.0))
     tb.add_site(SiteSpec("cheap", scheduler="pbs", cpus=8, allocation_cost=1.0))
     agent = tb.add_agent(AgentSpec("alice"))
-    agent.gridmanager.broker = MDSBroker(
+    agent.gridmanager.broker = MatchmakingBroker(
         agent.host, "mds", rank="-AllocationCost")
     tb.run(until=200.0)
     jid = agent.submit(JobDescription(runtime=10.0))
     tb.run_until_quiet(max_time=20000.0)
     assert agent.status(jid).resource == "cheap-gk"
+
+
+def test_a_job_whose_only_match_is_full_waits_for_a_slot_there():
+    """Room is asked only where the job matches: with the one INTEL site
+    full and a SPARC site idle, the waiting jobs wait for a freed INTEL
+    slot instead of asking the index again at every 20 s retry tick
+    (asking about every site made that 161 queries in 1 600 s)."""
+    from repro.sim import rpc
+
+    tb = GridTestbed(TestbedConfig(seed=31))
+    tb.add_site(SiteSpec("intel", scheduler="pbs", cpus=8, arch="INTEL"))
+    tb.add_site(SiteSpec("sparc", scheduler="pbs", cpus=8, arch="SPARC"))
+    agent = tb.add_agent(AgentSpec("alice", personal_pool=False,
+                                   max_submitted_per_resource=1))
+    agent.gridmanager.broker = MatchmakingBroker(
+        agent.host, "mds", requirements='Arch == "INTEL"')
+    tb.run(until=200.0)
+    ids = [agent.submit(JobDescription(runtime=2000.0)) for _ in range(3)]
+    rpc.RPC_STATS = {}
+    try:
+        tb.run(until=1800.0)
+        queries = rpc.RPC_STATS.get(("collector", "query"), 0)
+    finally:
+        rpc.RPC_STATS = None
+    assert queries == 2
+    assert [agent.status(j).state for j in ids] == \
+        ["ACTIVE", "UNSUBMITTED", "UNSUBMITTED"]
+    tb.run_until_quiet(max_time=20000.0)
+    assert all(agent.status(j).is_complete for j in ids)
+    assert {agent.status(j).resource for j in ids} == {"intel-gk"}
 
 
 def test_queue_aware_broker_picks_emptiest_live_queue():
@@ -83,7 +114,7 @@ def test_broker_none_candidate_keeps_job_queued():
     tb = GridTestbed(TestbedConfig(seed=31))
     tb.add_site(SiteSpec("intel", scheduler="pbs", cpus=4, arch="INTEL"))
     agent = tb.add_agent(AgentSpec("alice"))
-    agent.gridmanager.broker = MDSBroker(
+    agent.gridmanager.broker = MatchmakingBroker(
         agent.host, "mds", requirements='Arch == "ALPHA"')
     tb.run(until=100.0)
     jid = agent.submit(JobDescription(runtime=10.0))
@@ -111,8 +142,6 @@ CONTACTS = ("a-gk", "b-gk", "c-gk")
 
 
 def _broker_grid(kind):
-    from repro.core.broker import MatchmakingBroker
-
     tb = GridTestbed(TestbedConfig(seed=31))
     for name in "abc":
         tb.add_site(SiteSpec(name, scheduler="pbs", cpus=4, storage=1e8))

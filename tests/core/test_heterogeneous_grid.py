@@ -9,7 +9,7 @@ and mixed architectures, through a single uniform interface.
 import pytest
 
 from repro import GridTestbed, JobDescription
-from repro.core.broker import MDSBroker
+from repro.core.broker import MatchmakingBroker
 from repro.grid.config import AgentSpec, SiteSpec, TestbedConfig
 
 
@@ -59,7 +59,7 @@ def test_per_site_identity_mapping_is_transparent(tb):
 
 def test_architecture_constraint_across_heterogeneous_sites(tb):
     agent = tb.add_agent(AgentSpec("alice"))
-    agent.gridmanager.broker = MDSBroker(
+    agent.gridmanager.broker = MatchmakingBroker(
         agent.host, "mds", requirements='Arch == "SPARC"')
     tb.run(until=200.0)
     jid = agent.submit(JobDescription(runtime=30.0))

@@ -87,8 +87,8 @@ class TestTools:
 
 class TestMatchmakingBroker:
     def test_bilateral_resource_requirements_respected(self):
-        """A resource ad can refuse wide jobs -- the MDSBroker cannot
-        express that; the MatchmakingBroker honours it."""
+        """A resource ad can refuse wide jobs: the match is bilateral,
+        and the MatchmakingBroker honours the ad's own Requirements."""
         tb = GridTestbed(TestbedConfig(seed=97))
         tb.add_site(SiteSpec("small", scheduler="pbs", cpus=16))
         tb.add_site(SiteSpec("big", scheduler="pbs", cpus=16))

@@ -1,10 +1,17 @@
-"""Tests for MDS-2: GRRP soft-state registration and GRIP queries."""
+"""Tests for MDS-2: GRRP soft-state registration and GRIP queries, both
+spoken to the Collector on the index host."""
+
+from types import SimpleNamespace
 
 import pytest
 
 from repro.classads import ClassAd
-from repro.mds import GIIS, ResourceRegistrar, grip_query, resource_ad
-from repro.sim import Host, Network, Simulator
+from repro.condor import Collector
+from repro.grid.testbed import GIIS_HOST
+from repro.mds import ResourceRegistrar, resource_ad
+from repro.mds.schema import GRID_ADTYPE
+from repro.sim import Host, Network, Simulator, call
+from repro.sim.errors import SimulationError
 
 
 def drive(sim, gen, until=None):
@@ -21,14 +28,33 @@ def drive(sim, gen, until=None):
     return box
 
 
+def index(sim, **kwargs) -> Collector:
+    """The MDS index: a Collector on the index host."""
+    return Host(sim, GIIS_HOST).boot(lambda h: Collector(h, **kwargs))
+
+
 @pytest.fixture
 def env():
     sim = Simulator(seed=11)
     Network(sim, latency=0.01, jitter=0.0)
-    index_host = Host(sim, "giis-host")
-    giis = GIIS(index_host, default_ttl=100.0)
+    index(sim, default_ttl=100.0)
     client = Host(sim, "client")
-    return sim, giis, client
+    return sim, collector(sim), client
+
+
+def collector(sim) -> Collector:
+    """The index host's live Collector (a restart builds a new one)."""
+    return sim.hosts[GIIS_HOST].get_service("collector")
+
+
+def register(client, ad, ttl=None):
+    return call(client, GIIS_HOST, "collector", "advertise",
+                adtype=GRID_ADTYPE, ad=ad, ttl=ttl)
+
+
+def query(client, constraint="true"):
+    return call(client, GIIS_HOST, "collector", "query",
+                adtype=GRID_ADTYPE, constraint=constraint)
 
 
 def make_ad(name, free=4, lrm="pbs", queued=0):
@@ -37,15 +63,12 @@ def make_ad(name, free=4, lrm="pbs", queued=0):
 
 
 def test_register_and_query_all(env):
-    sim, giis, client = env
+    sim, _, client = env
 
     def scenario():
-        from repro.sim import call
-        yield from call(client, "giis-host", "giis", "register",
-                        ad=make_ad("wisc"))
-        yield from call(client, "giis-host", "giis", "register",
-                        ad=make_ad("anl"))
-        ads = yield from grip_query(client, "giis-host")
+        yield from register(client, make_ad("wisc"))
+        yield from register(client, make_ad("anl"))
+        ads = yield from query(client)
         return sorted(ad.eval("Name") for ad in ads)
 
     box = drive(sim, scenario())
@@ -53,16 +76,12 @@ def test_register_and_query_all(env):
 
 
 def test_query_with_constraint(env):
-    sim, giis, client = env
+    sim, _, client = env
 
     def scenario():
-        from repro.sim import call
-        yield from call(client, "giis-host", "giis", "register",
-                        ad=make_ad("busy", free=0, queued=40))
-        yield from call(client, "giis-host", "giis", "register",
-                        ad=make_ad("idle", free=8))
-        ads = yield from grip_query(client, "giis-host",
-                                    constraint="FreeCpus > 0")
+        yield from register(client, make_ad("busy", free=0, queued=40))
+        yield from register(client, make_ad("idle", free=8))
+        ads = yield from query(client, constraint="FreeCpus > 0")
         return [ad.eval("Name") for ad in ads]
 
     box = drive(sim, scenario())
@@ -70,16 +89,13 @@ def test_query_with_constraint(env):
 
 
 def test_constraint_by_lrm_type(env):
-    sim, giis, client = env
+    sim, _, client = env
 
     def scenario():
-        from repro.sim import call
         for name, lrm in [("a", "pbs"), ("b", "condor"), ("c", "lsf")]:
-            yield from call(client, "giis-host", "giis", "register",
-                            ad=make_ad(name, lrm=lrm))
-        ads = yield from grip_query(
-            client, "giis-host",
-            constraint='LRMType == "condor" || LRMType == "pbs"')
+            yield from register(client, make_ad(name, lrm=lrm))
+        ads = yield from query(
+            client, constraint='LRMType == "condor" || LRMType == "pbs"')
         return sorted(ad.eval("Name") for ad in ads)
 
     box = drive(sim, scenario())
@@ -87,14 +103,12 @@ def test_constraint_by_lrm_type(env):
 
 
 def test_registration_expires_without_renewal(env):
-    sim, giis, client = env
+    sim, _, client = env
 
     def scenario():
-        from repro.sim import call
-        yield from call(client, "giis-host", "giis", "register",
-                        ad=make_ad("ephemeral"), ttl=10.0)
+        yield from register(client, make_ad("ephemeral"), ttl=10.0)
         yield sim.timeout(50.0)
-        ads = yield from grip_query(client, "giis-host")
+        ads = yield from query(client)
         return len(ads)
 
     box = drive(sim, scenario())
@@ -104,8 +118,7 @@ def test_registration_expires_without_renewal(env):
 def test_registrar_renews_and_crash_ages_out():
     sim = Simulator(seed=11)
     Network(sim, latency=0.01, jitter=0.0)
-    index_host = Host(sim, "giis-host")
-    giis = GIIS(index_host)
+    index(sim)
     resource = Host(sim, "wisc-gk")
     counter = {"n": 0}
 
@@ -113,19 +126,19 @@ def test_registrar_renews_and_crash_ages_out():
         counter["n"] += 1
         return make_ad("wisc", free=counter["n"])
 
-    ResourceRegistrar(resource, "giis-host", ad_source,
+    ResourceRegistrar(resource, GIIS_HOST, ad_source,
                       interval=30.0, ttl=80.0)
     results = {}
 
     def observer():
         client = Host(sim, "client")
         yield sim.timeout(100.0)
-        ads = yield from grip_query(client, "giis-host")
+        ads = yield from query(client)
         results["alive"] = len(ads)
         results["dynamic_free"] = ads[0].eval("FreeCpus") if ads else None
         resource.crash()
         yield sim.timeout(200.0)
-        ads = yield from grip_query(client, "giis-host")
+        ads = yield from query(client)
         results["after_crash"] = len(ads)
 
     sim.spawn(observer())
@@ -138,11 +151,10 @@ def test_registrar_renews_and_crash_ages_out():
 def test_registrar_returns_after_host_restart():
     sim = Simulator(seed=11)
     Network(sim, latency=0.01, jitter=0.0)
-    index_host = Host(sim, "giis-host")
-    GIIS(index_host)
+    index(sim)
     resource = Host(sim, "wisc-gk")
     resource.boot(lambda h: ResourceRegistrar(
-        h, "giis-host", lambda: make_ad("wisc"), interval=20.0, ttl=50.0))
+        h, GIIS_HOST, lambda: make_ad("wisc"), interval=20.0, ttl=50.0))
     sim.schedule(10.0, resource.crash)
     sim.schedule(200.0, resource.restart)
     results = {}
@@ -150,10 +162,10 @@ def test_registrar_returns_after_host_restart():
     def observer():
         client = Host(sim, "client")
         yield sim.timeout(150.0)
-        ads = yield from grip_query(client, "giis-host")
+        ads = yield from query(client)
         results["while_down"] = len(ads)
         yield sim.timeout(150.0)
-        ads = yield from grip_query(client, "giis-host")
+        ads = yield from query(client)
         results["after_restart"] = len(ads)
 
     sim.spawn(observer())
@@ -162,13 +174,55 @@ def test_registrar_returns_after_host_restart():
     assert results["after_restart"] == 1
 
 
+def test_a_crashed_sites_ad_is_reaped_once_its_ttl_lapses():
+    """The index reaps what it no longer answers with: a crashed site's
+    ad leaves the registry once its ttl lapses, and the reap is counted
+    by ``collector.expired_reaped``."""
+    sim = Simulator(seed=11)
+    Network(sim, latency=0.01, jitter=0.0)
+    index(sim)
+    sites = {name: Host(sim, f"{name}-gk") for name in ("anl", "wisc")}
+    for name, host in sites.items():
+        ResourceRegistrar(host, GIIS_HOST, lambda name=name: make_ad(name),
+                          interval=30.0, ttl=80.0)
+    sim.run(until=100.0)
+    assert len(collector(sim)._ads) == 2
+    sites["wisc"].crash()       # last renewed at ~90 s: lapses at ~170 s
+    sim.run(until=175.0)
+    reaped = sim.metrics.counter("collector.expired_reaped").value
+    assert len(collector(sim)._ads) == 2 and reaped == 0    # lazy sweep
+    sim.run(until=185.0)        # anl's renewal at ~180 s sweeps the registry
+    assert list(collector(sim)._ads) == [(GRID_ADTYPE, "anl")]
+    assert sim.metrics.counter("collector.expired_reaped").value == 1
+
+
+@pytest.mark.parametrize("bad_source", ["raises", "undeclared-type"])
+def test_a_local_fault_stops_the_registrar_instead_of_being_retried(
+        bad_source):
+    """Only a lost or refused registration is retried.  An ad source that
+    raises, or returns a value of a type that may not cross a wire, is
+    the resource's own fault: it used to be swallowed and retried every
+    60 s, and now ends the registrar like any daemon fault."""
+    sim = Simulator(seed=11)
+    Network(sim, latency=0.01, jitter=0.0)
+    index(sim)
+
+    def ad_source():
+        if bad_source == "raises":
+            raise SimulationError("the LRM has no queue_info")
+        return SimpleNamespace(Name="wisc")
+
+    ResourceRegistrar(Host(sim, "wisc-gk"), GIIS_HOST, ad_source)
+    with pytest.raises(SimulationError, match="grrp:wisc-gk"):
+        sim.run(until=300.0)
+    assert collector(sim)._ads == {}
+
+
 def test_bad_ad_rejected(env):
-    sim, giis, client = env
+    sim, _, client = env
 
     def scenario():
-        from repro.sim import call
-        yield from call(client, "giis-host", "giis", "register",
-                        ad=ClassAd({"NotAName": 1}))
+        yield from register(client, ClassAd({"NotAName": 1}))
 
     box = drive(sim, scenario())
     assert "error" in box
@@ -182,52 +236,24 @@ def test_resource_ad_estimated_wait():
 
 
 def test_a_plain_dict_is_refused_at_the_door(env):
-    sim, giis, client = env
+    sim, coll, client = env
 
     def scenario():
-        from repro.sim import call
-        yield from call(client, "giis-host", "giis", "register",
-                        ad={"Name": "evil"})
+        yield from register(client, {"Name": "evil"})
 
     box = drive(sim, scenario())
-    assert "error" in box and giis.live_count() == 0
+    assert "error" in box and coll.count(GRID_ADTYPE) == 0
 
 
 def test_a_refused_registration_leaves_the_brokers_running():
-    """The dict a GIIS kept used to kill the next broker query (and with
-    it the user's GridManager) with an AttributeError."""
+    """The dict an index kept used to kill the next broker query (and
+    with it the user's GridManager) with an AttributeError."""
     from repro.grid.scenarios import get_scenario
-    from repro.grid.testbed import GIIS_HOST
 
     tb = get_scenario("quickstart").build(0)
-    giis = tb.sim.hosts[GIIS_HOST].get_service("giis")
+    coll = collector(tb.sim)
     with pytest.raises(TypeError):
-        giis.handle_register(None, ad={"Name": "evil"})
+        coll.handle_advertise(None, GRID_ADTYPE, ad={"Name": "evil"})
     tb.run(until=4000.0)
     statuses = tb.agents["alice"].statuses()
     assert statuses and all(s.is_complete for s in statuses)
-
-
-@pytest.mark.parametrize("ttl", [float("nan"), float("inf"), 0.0, -5.0,
-                                 True, "60"], ids=repr)
-def test_a_ttl_that_is_not_a_finite_positive_number_is_refused(env, ttl):
-    """A NaN ttl used to make a registration immortal, and a zero one
-    silently became the default."""
-    from repro.sim import RemoteError, call
-
-    sim, giis, client = env
-
-    def scenario():
-        yield from call(client, "giis-host", "giis", "register",
-                        ad=make_ad("wisc"), ttl=60.0)
-        before = dict(giis._registry)
-        try:
-            yield from call(client, "giis-host", "giis", "register",
-                            ad=make_ad("anl"), ttl=ttl)
-        except RemoteError as exc:
-            return before, exc
-
-    box = drive(sim, scenario())
-    before, error = box["value"]
-    assert error.kind == "ValueError"
-    assert giis._registry == before and list(before) == ["wisc"]
