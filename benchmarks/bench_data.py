@@ -126,7 +126,6 @@ def _run_cell(cell: str) -> dict:
         "transfers": rollup["transfers"],
         "stage_in_hits": rollup["stage_in_hits"],
         "stage_out_bytes": rollup["stage_out_bytes"],
-        "locality": rollup["broker_locality"],
     }
     del tb
     gc.collect()

@@ -14,7 +14,8 @@ lays them out:
 * :class:`QueueAwareBroker` -- the flooding/tuning flavour: polls every
   candidate's gatekeeper for live queue depth and picks the emptiest,
   which is the "monitor queuing times to tune where to submit subsequent
-  jobs" idea in its simplest form.
+  jobs" idea in its simplest form; with data services it also weighs
+  the time to stage a job's missing inputs (the data-aware broker).
 
 All `pick()` methods are generators (they may consult remote services)
 and place a job only where ``has_room(contact)`` -- the GridManager's
@@ -33,6 +34,9 @@ from ..sim.rpc import call
 
 if TYPE_CHECKING:  # pragma: no cover
     from .job import GridJob
+
+#: Pessimistic queue-wait estimate per queued CPU ahead of us (seconds).
+WAIT_PER_QUEUED_CPU = 30.0
 
 
 class Broker:
@@ -135,29 +139,68 @@ class MatchmakingBroker(Broker):
 
 
 class QueueAwareBroker(Broker):
-    """Poll each candidate's live queue depth; pick the least loaded."""
+    """Poll each candidate's live queue depth; pick where work starts soonest.
 
-    def __init__(self, host: Host, resources: list[str],
+    Each candidate scores ``(wait + missing_bytes / bandwidth, -free)``,
+    lowest first.  With ``data`` (:class:`~repro.data.DataServices`) a
+    job's input datasets add the staging term: bytes not yet at the
+    site's storage element, from one catalog lookup per dataset.
+    """
+
+    def __init__(self, host: Host, resources: list[str], data=None,
                  credential_source=None):
         if not resources:
             raise ValueError("need at least one resource contact")
         self.host = host
         self.resources = list(resources)
+        self.data = data
         self.credential_source = credential_source
 
+    def _dataset_entries(self, job: "GridJob"):
+        """One catalog lookup per input dataset (shared across sites)."""
+        entries = {}
+        for name in job.request.input_datasets if self.data else ():
+            try:
+                entries[name] = yield from call(
+                    self.host, self.data.catalog_host, "rls", "lookup",
+                    timeout=30.0,
+                    credential=self._credential(self.data.catalog_host),
+                    name=name)
+            except RPCError:
+                # Unknown dataset or catalog outage: no locality signal
+                # for this dataset; staging will surface the real error.
+                continue
+        return entries
+
+    def missing_bytes(self, entries: dict, contact: str) -> float:
+        """Input bytes not yet present at `contact`'s storage element."""
+        if not entries:
+            return 0.0
+        se = self.data.storage_element(contact)
+        if not se:
+            return float("inf")     # nowhere to stage a data job to
+        return float(sum(entry["size"] for entry in entries.values()
+                         if se not in entry["replicas"]))
+
     def pick(self, job: "GridJob", has_room):
+        candidates = list(filter(has_room, self.resources))
+        if not candidates:
+            return None     # nowhere to go: no catalog or queue look-ups
+        entries = yield from self._dataset_entries(job)
+        bandwidth = (self.data.link_bandwidth or 1.0) if entries else 1.0
         best, best_score = None, None
-        for contact in filter(has_room, self.resources):
+        for contact in candidates:
             try:
                 info = yield from call(
                     self.host, contact, "gatekeeper", "queue_info",
                     timeout=10.0, credential=self._credential(contact))
             except RPCError:
                 continue
-            # Fewer queued cpus per free slot = likely shorter wait.
             free = max(info.get("free_slots", 0), 0)
-            queued = info.get("queued_cpus", 0)
-            score = (0, -free) if free > 0 else (1, queued)
+            queued = max(info.get("queued_cpus", 0), 0)
+            wait = 0.0 if free > 0 else queued * WAIT_PER_QUEUED_CPU
+            score = (wait + self.missing_bytes(entries, contact) / bandwidth,
+                     -free)
             if best_score is None or score < best_score:
                 best, best_score = contact, score
         return best

@@ -11,22 +11,19 @@ reproduction:
 * :class:`TransferScheduler` -- queues third-party GridFTP moves per
   network link, paces them under per-link bandwidth and stream caps,
   retries with backoff, and verifies checksums on arrival.
-* :class:`DataAwareBroker` -- scores candidate sites by compute
-  availability *minus* estimated transfer cost, so jobs land where
-  their inputs already are.
 * :class:`DataServices` -- the wiring record (catalog host, transfer
   host, site -> storage-element map) that the testbed threads through
-  the Condor-G agent into the GridManager.
+  the Condor-G agent into the GridManager, and into the queue-aware
+  broker, whose staging term sends jobs where their inputs already are.
 
 See ``docs/DATA.md`` for the full design.
 """
 
-from .broker import DataAwareBroker
 from .catalog import CATALOG_HOST, ReplicaCatalog, dataset_path
 from .services import DataServices
 from .transfer import DTS_HOST, TransferScheduler
 
 __all__ = [
-    "CATALOG_HOST", "DTS_HOST", "DataAwareBroker", "DataServices",
-    "ReplicaCatalog", "TransferScheduler", "dataset_path",
+    "CATALOG_HOST", "DTS_HOST", "DataServices", "ReplicaCatalog",
+    "TransferScheduler", "dataset_path",
 ]

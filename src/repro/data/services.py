@@ -3,7 +3,7 @@
 A testbed that enables data management builds one :class:`DataServices`
 value and hands it to every agent; the agent threads it through the
 scheduler into the GridManager (input staging, output registration) and
-into the data-aware broker (transfer-cost scoring).  ``se_of`` is a
+into the queue-aware broker (its staging term).  ``se_of`` is a
 *live* dict owned by the testbed: sites added after construction appear
 in it automatically.
 """

@@ -282,7 +282,6 @@ def data_rollup(tb: "GridTestbed") -> dict:
         "stage_in_hits": total_of("gridmanager.stage_in_hits"),
         "stage_out_bytes": total_of("gridmanager.stage_out_bytes"),
         "stage_out_corrupt": total_of("gridmanager.stage_out_corrupt"),
-        "broker_locality": labels_of("broker.data_locality"),
         "replica_counts": replicas,
     }
 

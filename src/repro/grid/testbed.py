@@ -19,7 +19,6 @@ from ..condor.collector import Collector
 from ..core.api import CondorGAgent
 from ..core.broker import (Broker, MatchmakingBroker, QueueAwareBroker,
                            UserListBroker)
-from ..data.broker import DataAwareBroker
 from ..factory.daemon import GlideInFactory
 from ..factory.policy import FactoryPolicy
 from ..data.catalog import CATALOG_HOST, ReplicaCatalog, dataset_path
@@ -334,18 +333,21 @@ class GridTestbed:
         if kind == "userlist":
             return UserListBroker([s.contact for s in self.sites.values()])
         if kind == "mds":
+            if not self.config.with_mds:
+                raise ValueError(
+                    "mds broker needs the MDS index; build the testbed "
+                    "with with_mds=True")
             return MatchmakingBroker(host, GIIS_HOST, **kwargs)
+        contacts = [s.contact for s in self.sites.values()]
         if kind == "queue-aware":
-            return QueueAwareBroker(
-                host, [s.contact for s in self.sites.values()], **kwargs)
+            return QueueAwareBroker(host, contacts, **kwargs)
         if kind == "data-aware":
             if self.data_services is None:
                 raise ValueError(
                     "data-aware broker needs data services; give at "
                     "least one site SiteSpec.storage")
-            return DataAwareBroker(
-                host, [s.contact for s in self.sites.values()],
-                self.data_services, **kwargs)
+            return QueueAwareBroker(host, contacts, data=self.data_services,
+                                    **kwargs)
         raise ValueError(f"unknown broker kind {kind!r}")
 
     @property

@@ -10,6 +10,10 @@ from ..sim.hosts import Host
 from ..sim.rpc import call
 from .schema import GRID_ADTYPE
 
+#: Seconds before a lost or refused registration is tried again, so a
+#: restarted index hears from every live site well before its next renewal.
+RETRY = 10.0
+
 
 class ResourceRegistrar:
     """A resource-side process renewing its GRRP registration.
@@ -20,8 +24,9 @@ class ResourceRegistrar:
     the process dies with it, registrations age out, and the resource
     vanishes from broker candidate lists -- until a registrar installed
     with ``Host.boot`` is built again at restart.  Only a lost or
-    refused registration is retried at the next renewal; a fault of the
-    resource's own (an ad that cannot be built or sent) ends the process.
+    refused registration is retried, after :data:`RETRY` seconds; a
+    fault of the resource's own (an ad that cannot be built or sent)
+    ends the process.
     """
 
     def __init__(
@@ -51,5 +56,6 @@ class ResourceRegistrar:
                                 adtype=GRID_ADTYPE, ad=self.ad_source(),
                                 ttl=self.ttl)
             except RPCError:
-                pass    # soft state: the next renewal tries again
+                yield self.sim.timeout(RETRY)   # soft state: try again soon
+                continue
             yield self.sim.timeout(self.interval)

@@ -86,7 +86,7 @@ class TestRunOne:
         """While the index is down a broker-placed job stays unsubmitted;
         the index host's boot action builds a fresh (empty) Collector,
         and the job is placed once the sites' registrars advertise to
-        it again."""
+        it again -- on their short retry, not their next 60 s renewal."""
         from repro.condor import Collector
         from repro.grid.testbed import GIIS_HOST
         from repro.mds.schema import GRID_ADTYPE
@@ -109,6 +109,8 @@ class TestRunOne:
         assert rebuilt.count(GRID_ADTYPE) == 0
         assert [agent.status(j).state for j in brokered] == \
             ["UNSUBMITTED"] * 3
+        tb.run(until=460.0)
+        assert all(agent.status(j).state != "UNSUBMITTED" for j in brokered)
         drive_to_quiescence(tb, scenario, plan)
         assert rebuilt.count(GRID_ADTYPE) == 2
         assert evaluate_invariants(tb) == []

@@ -1,6 +1,7 @@
 """Resource brokering strategies (§4.4)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import GridTestbed, JobDescription
 from repro.core.broker import MatchmakingBroker, QueueAwareBroker, \
@@ -219,3 +220,57 @@ def test_queue_aware_broker_does_not_probe_a_full_site():
     finally:
         rpc.RPC_STATS = None
     assert contact == "b-gk" and probes == 1
+
+
+# -- the staging term leaves queue-aware placement as it was ---------------------
+
+def _queue_aware_key_pick(answers):
+    """The queue-aware broker's key before it gained a staging term: a
+    site with a free cpu by most free, else by fewest queued cpus."""
+    best, best_score = None, None
+    for contact, info in answers:
+        if info is None:        # the probe failed: not a candidate
+            continue
+        free = max(info.get("free_slots", 0), 0)
+        queued = info.get("queued_cpus", 0)
+        score = (0, -free) if free > 0 else (1, queued)
+        if best_score is None or score < best_score:
+            best, best_score = contact, score
+    return best
+
+
+ANSWER = st.one_of(
+    st.none(),
+    st.fixed_dictionaries({"free_slots": st.integers(0, 64),
+                           "queued_cpus": st.integers(0, 500)}))
+
+
+@given(st.lists(ANSWER, min_size=1, max_size=5))
+@settings(max_examples=300, deadline=None)
+def test_queue_aware_pick_without_data_matches_the_queue_key(answers):
+    import repro.core.broker as broker_module
+    from repro.core.job import GridJob
+    from repro.gram import GramJobRequest
+    from repro.sim.errors import RPCTimeout
+
+    answers = [(f"s{i}-gk", info) for i, info in enumerate(answers)]
+    by_contact = dict(answers)
+
+    def queue_info(host, contact, service, method, **kwargs):
+        assert (service, method) == ("gatekeeper", "queue_info")
+        if by_contact[contact] is None:
+            raise RPCTimeout(contact)
+        return by_contact[contact]
+        yield   # pragma: no cover - generator protocol
+
+    broker = QueueAwareBroker(None, list(by_contact))
+    real = broker_module.call
+    broker_module.call = queue_info
+    try:
+        pick = broker.pick(GridJob("gridjob-x", GramJobRequest()),
+                           lambda contact: True)
+        with pytest.raises(StopIteration) as stop:
+            next(pick)
+    finally:
+        broker_module.call = real
+    assert stop.value.value == _queue_aware_key_pick(answers)

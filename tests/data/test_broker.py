@@ -1,12 +1,14 @@
-"""Data-aware broker: locality scoring against live testbeds."""
+"""Data-aware placement: the queue-aware broker's staging term against
+live testbeds."""
 
 import pytest
 
 from repro.core.api import JobDescription
-from repro.data.broker import DataAwareBroker
+from repro.core.broker import QueueAwareBroker
 from repro.grid.config import AgentSpec, DatasetSpec, SiteSpec, \
     TestbedConfig
 from repro.grid.testbed import GridTestbed
+from repro.sim import rpc
 from repro.workloads.synthetic import saturate
 
 
@@ -30,30 +32,29 @@ def test_broker_prefers_replica_site():
     """Both sites idle: the only signal is where d1 already lives."""
     tb = build_tb()
     agent = tb.agents["u"]
-    agent.submit(JobDescription(executable="reco", runtime=100.0,
-                                input_datasets=("d1",)))
+    jid = agent.submit(JobDescription(executable="reco", runtime=100.0,
+                                      input_datasets=("d1",)))
     tb.run_until_quiet(max_time=20_000.0)
     assert agent.all_terminal()
-    metrics = tb.sim.metrics
-    assert metrics.counter("broker.data_picks").labelled("alpha-gk") == 1
-    assert metrics.counter("broker.data_locality").labelled("hit") == 1
+    assert agent.status(jid).resource == "alpha-gk"
     # nothing crossed the WAN: the input was already in place
-    moved = metrics.get("dts.bytes_moved")
+    moved = tb.sim.metrics.get("dts.bytes_moved")
     assert moved is None or moved.value == 0
 
 
-def test_broker_without_datasets_skips_locality_scoring():
-    """No declared inputs: the pick happens, the locality counter does
-    not move (there was nothing to be local *to*)."""
+def test_broker_without_datasets_skips_locality_scoring(monkeypatch):
+    """No declared inputs: the pick happens without one catalog look-up
+    (there was nothing to be local *to*)."""
+    stats = {}
+    monkeypatch.setattr(rpc, "RPC_STATS", stats)
     tb = build_tb()
     agent = tb.agents["u"]
-    agent.submit(JobDescription(executable="plain", runtime=50.0))
+    jid = agent.submit(JobDescription(executable="plain", runtime=50.0))
     tb.run_until_quiet(max_time=20_000.0)
     assert agent.all_terminal()
-    metrics = tb.sim.metrics
-    assert sum(metrics.counter("broker.data_picks").labels.values()) == 1
-    locality = metrics.get("broker.data_locality")
-    assert locality is None or sum(locality.labels.values()) == 0
+    assert agent.status(jid).resource in ("alpha-gk", "beta-gk")
+    assert stats[("gatekeeper", "queue_info")] > 0
+    assert stats.get(("rls", "lookup"), 0) == 0
 
 
 def test_busy_replica_site_loses_to_cold_transfer():
@@ -65,25 +66,23 @@ def test_busy_replica_site_loses_to_cold_transfer():
     # estimated wait far larger than that.
     saturate(tb.sites["alpha"].lrm, jobs=8, runtime=5000.0)
     agent = tb.agents["u"]
-    agent.submit(JobDescription(executable="reco", runtime=100.0,
-                                input_datasets=("d1",)))
+    jid = agent.submit(JobDescription(executable="reco", runtime=100.0,
+                                      input_datasets=("d1",)))
     tb.run_until_quiet(max_time=40_000.0)
     assert agent.all_terminal()
-    metrics = tb.sim.metrics
-    assert metrics.counter("broker.data_picks").labelled("beta-gk") == 1
-    assert metrics.counter("broker.data_locality").labelled("cold") == 1
+    assert agent.status(jid).resource == "beta-gk"
     # the cold pick pulled the replica over; the catalog now knows it
     entry = tb.replica_catalog.entry("d1")
     assert "beta-se" in entry["replicas"]
-    assert metrics.counter("dts.bytes_moved").value == 4_000_000
+    assert tb.sim.metrics.counter("dts.bytes_moved").value == 4_000_000
 
 
 def test_missing_bytes_infinite_without_storage_element():
     """A data job cannot land where there is nowhere to stage to."""
     tb = build_tb()
-    broker = DataAwareBroker(tb.sim.hosts["submit-u"],
-                             ["alpha-gk", "nowhere-gk"],
-                             tb.data_services)
+    broker = QueueAwareBroker(tb.sim.hosts["submit-u"],
+                              ["alpha-gk", "nowhere-gk"],
+                              data=tb.data_services)
     entries = {"d1": {"size": 1000,
                       "replicas": {"alpha-se": "gsiftp://alpha-se/x"}}}
     assert broker.missing_bytes(entries, "nowhere-gk") == float("inf")
@@ -92,13 +91,23 @@ def test_missing_bytes_infinite_without_storage_element():
     assert broker.missing_bytes({}, "nowhere-gk") == 0.0
 
 
-def test_data_aware_broker_requires_data_services():
-    config = TestbedConfig(
+def _solo_config(broker_kind):
+    return TestbedConfig(
         seed=1, with_mds=False, with_repo=False,
         sites=(SiteSpec("solo", scheduler="pbs", cpus=1,
                         register_mds=False),),
-        agents=(AgentSpec("u", broker_kind="data-aware",
+        agents=(AgentSpec("u", broker_kind=broker_kind,
                           personal_pool=False),),
     )
+
+
+def test_data_aware_broker_requires_data_services():
     with pytest.raises(ValueError, match="data-aware"):
-        GridTestbed.from_config(config)
+        GridTestbed.from_config(_solo_config("data-aware"))
+
+
+def test_mds_broker_requires_the_index():
+    """Without an index every pick would ask a host that does not exist
+    and the job would wait forever: refused at build instead."""
+    with pytest.raises(ValueError, match="with_mds"):
+        GridTestbed.from_config(_solo_config("mds"))
