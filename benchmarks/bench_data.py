@@ -14,8 +14,12 @@ Cells:
   correctness machinery (staging, checksums, registration) still runs
 * ``smoke-data``    -- downsized aware-vs-blind pair for CI
 
-Every cell runs once and records its
-:func:`repro.chaos.digest.run_digest` (docs/PERFORMANCE.md).
+Every cell records its :func:`repro.chaos.digest.run_digest`
+(docs/PERFORMANCE.md) and its wall time in seconds to four decimals.  A
+cell whose run takes under a second (the ``smoke-*`` pair takes ~0.02 s,
+where one scheduler hiccup doubles a single reading) is timed as the
+median of :data:`REPEATS` same-seed runs, which must all end with the
+same digest.
 ``test_locality_reduces_bytes_moved`` then asserts the headline claim:
 the data-aware broker moves strictly fewer bytes than the blind one.
 
@@ -36,6 +40,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -50,6 +55,8 @@ from repro.workloads.cms import DataCMSConfig
 SEED = 811
 CAP = 100_000.0
 CHUNK = 2000.0
+#: runs of a sub-second cell; its wall time is their median
+REPEATS = 5
 
 #: the full-size staging-bound pass: 96 jobs over 12 run files
 BENCH_STAGING = DataCMSConfig(
@@ -107,7 +114,20 @@ def _nonterminal(tb) -> int:
 
 
 def _run_cell(cell: str) -> dict:
-    """One timed end-to-end run of `cell`; returns wall/digest/rollup."""
+    """Time `cell` end to end; returns wall/digest/rollup.  A run under
+    a second is repeated: the wall time is the median of REPEATS runs of
+    one digest."""
+    result = _run_once(cell)
+    if result["wall_s"] < 1.0:
+        runs = [result] + [_run_once(cell) for _ in range(REPEATS - 1)]
+        digests = {run["digest"] for run in runs}
+        assert len(digests) == 1, f"{cell}: same seed, digests {digests}"
+        result["wall_s"] = statistics.median(run["wall_s"] for run in runs)
+    result["wall_s"] = round(result["wall_s"], 4)
+    return result
+
+
+def _run_once(cell: str) -> dict:
     spec = CELLS[cell]
     gc.collect()
     wall0 = time.perf_counter()
@@ -118,7 +138,7 @@ def _run_cell(cell: str) -> dict:
     wall = time.perf_counter() - wall0
     rollup = data_rollup(tb)
     result = {
-        "wall_s": round(wall, 2),
+        "wall_s": wall,
         "digest": run_digest(tb),
         "sim_end": tb.sim.now,
         "unfinished": _nonterminal(tb),

@@ -56,12 +56,12 @@ def main(argv=None) -> int:
         fresh_s = cell["wall_s"]
         limit = args.factor * base["wall_s"]
         verdict = "OK" if fresh_s <= limit else "REGRESSION"
-        print(f"{name}: {fresh_s:.2f}s (baseline {base['wall_s']:.2f}s, "
-              f"limit {limit:.2f}s) {verdict}")
+        print(f"{name}: {fresh_s:.4f}s (baseline {base['wall_s']:.4f}s, "
+              f"limit {limit:.4f}s) {verdict}")
         if fresh_s > limit:
             failures.append(
-                f"{name}: {fresh_s:.2f}s > {args.factor:.1f}x baseline "
-                f"({base['wall_s']:.2f}s)")
+                f"{name}: {fresh_s:.4f}s > {args.factor:.1f}x baseline "
+                f"({base['wall_s']:.4f}s)")
     for name in sorted(set(baseline) - set(fresh)):
         print(f"{name}: in baseline only; not re-measured")
 

@@ -310,7 +310,6 @@ class Schedd(Service):
         except RPCError:
             activated = False
         if not activated:
-            shadow.finished = True
             shadow.crash("shadow done")
             self.shadows.pop(job.job_id, None)
             return False

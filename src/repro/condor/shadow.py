@@ -39,8 +39,7 @@ class Shadow(Service):
         self.last_checkpoint = 0.0
         self.syscall_count = 0
         self.bytes_moved = 0
-        self.finished = False
-        self.spawn(self._lease_watch(), name=f"shadow:{job_id}")
+        self.call_at(self.sim.now, self._lease_watch)
 
     # -- handlers -----------------------------------------------------------
     WAN_BANDWIDTH = 1_000_000.0      # bytes/s for checkpoint shipping
@@ -57,8 +56,7 @@ class Shadow(Service):
         transfer, which is the cost the checkpoint server removes.
         """
         if nbytes > 0 and self.WAN_BANDWIDTH:
-            yield self.sim.timeout(nbytes / self.WAN_BANDWIDTH)
-            self.bytes_moved += nbytes
+            return self._ship(progress, interval, nbytes)
         self.last_heartbeat = self.sim.now
         if interval > 0.0:
             self.lease_timeout = max(self.lease_timeout, 3.0 * interval)
@@ -66,47 +64,44 @@ class Shadow(Service):
             self.last_checkpoint = progress
         return True
 
+    def _ship(self, progress: float, interval: float, nbytes: int):
+        yield self.sim.timeout(nbytes / self.WAN_BANDWIDTH)
+        self.bytes_moved += nbytes
+        return self.handle_checkpoint(None, progress, interval=interval)
+
     def handle_syscall(self, ctx, op: str, nbytes: int = 0,
                        payload: Any = None):
         self.last_heartbeat = self.sim.now
         self.syscall_count += 1
         self.bytes_moved += nbytes
         if self.syscall_handler is not None:
-            result = self.syscall_handler(op, nbytes, payload)
-            if hasattr(result, "send"):     # generator handler
-                result = yield from result
-            return result
+            return self.syscall_handler(op, nbytes, payload)
         return {"ok": True}
 
     def handle_vacated(self, ctx, progress: float = 0.0) -> bool:
-        if self.finished:
-            return True
         if progress > self.last_checkpoint:
             self.last_checkpoint = progress
         self._finish_vacated()
         return True
 
     def handle_job_exit(self, ctx, code: int) -> bool:
-        if self.finished:
-            return True
-        self.finished = True
         self.crash("shadow done")
         self.on_exit(self.job_id, code)
         return True
 
     # -- lease ----------------------------------------------------------------
-    def _lease_watch(self):
-        while not self.finished:
-            yield self.sim.timeout(self.lease_timeout / 4)
-            if self.finished:
-                return
-            if self.sim.now - self.last_heartbeat > self.lease_timeout:
-                self.sim.trace.log(f"shadow:{self.job_id}", "lease_expired",
-                                   last_heartbeat=self.last_heartbeat)
-                self._finish_vacated()
-                return
+    def _lease_watch(self, _=None) -> None:
+        """Look again in a quarter of the lease."""
+        self.call_at(self.sim.now + self.lease_timeout / 4, self._lease_check)
+
+    def _lease_check(self, _=None) -> None:
+        if self.sim.now - self.last_heartbeat > self.lease_timeout:
+            self.sim.trace.log(f"shadow:{self.job_id}", "lease_expired",
+                               last_heartbeat=self.last_heartbeat)
+            self._finish_vacated()
+        else:
+            self._lease_watch()
 
     def _finish_vacated(self) -> None:
-        self.finished = True
         self.crash("shadow done")
         self.on_vacated(self.job_id, self.last_checkpoint)

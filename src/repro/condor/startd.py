@@ -113,7 +113,7 @@ class Startd(Service):
         # bumped by every move, so a starter that no longer owns the slot
         # never moves it
         self._claim_epoch = 0
-        self.spawn(self._advertise_loop(), name=f"startd:{name}")
+        self.call_at(self.sim.now, self._tick)
 
     def _trace(self, event: str, **details) -> None:
         self.sim.trace.log(self.name, event, **details)
@@ -157,36 +157,36 @@ class Startd(Service):
             self._adverts[key] = ad.seal()
         return self._adverts[key]
 
-    def _advertise_loop(self):
-        while True:
-            if self.state == CLAIMED and \
-                    self.sim.now - self._claimed_at >= self.CLAIM_TIMEOUT:
-                self._trace("claim_timeout")
-                self._move(UNCLAIMED)
-            try:
-                yield from call(self.host, self.collector, "collector",
-                                "advertise", credential=self.credential,
-                                adtype="startd", ad=self._current_ad(),
-                                ttl=self.ADVERTISE_INTERVAL * 3)
-            except RPCError:
-                pass
-            if self.idle_timeout is not None and self.state == UNCLAIMED \
-                    and self.sim.now - self._idle_since >= self.idle_timeout:
-                yield from self._graceful_shutdown("idle timeout")
-                return
-            yield self.sim.timeout(self.ADVERTISE_INTERVAL)
+    def _tick(self, _=None) -> None:
+        """Every ``ADVERTISE_INTERVAL``: release a claim older than
+        ``CLAIM_TIMEOUT``, then advertise."""
+        if self.state == CLAIMED and \
+                self.sim.now - self._claimed_at >= self.CLAIM_TIMEOUT:
+            self._trace("claim_timeout")
+            self._move(UNCLAIMED)
+        self.call_then(self.collector, "collector", "advertise",
+                       self._advertised, credential=self.credential,
+                       adtype="startd", ad=self._current_ad(),
+                       ttl=self.ADVERTISE_INTERVAL * 3)
 
-    def _graceful_shutdown(self, reason: str):
+    def _advertised(self, _request) -> None:
+        """Answered or not: a glidein idle too long leaves the pool."""
+        if self.idle_timeout is not None and self.state == UNCLAIMED \
+                and self.sim.now - self._idle_since >= self.idle_timeout:
+            self._retire("idle timeout")
+        else:
+            self.call_at(self.sim.now + self.ADVERTISE_INTERVAL, self._tick)
+
+    def _retire(self, reason: str) -> None:
+        """Withdraw our ad, then stop (``stopped`` fires)."""
         self._trace("shutdown", reason=reason)
-        try:
-            yield from call(self.host, self.collector, "collector",
-                            "invalidate", credential=self.credential,
-                            adtype="startd", name=self.startd_name)
-        except RPCError:
-            pass
+        self.call_then(self.collector, "collector", "invalidate",
+                       self._stop, credential=self.credential,
+                       adtype="startd", name=self.startd_name)
+
+    def _stop(self, _request) -> None:
         self.shutdown()
-        if not self.stopped.triggered and not self.stopped._scheduled:
-            self.stopped.succeed(reason)
+        self.stopped.succeed()
 
     def handle_retire(self, ctx) -> bool:
         """Factory-initiated early scale-down: an unclaimed glidein runs
@@ -194,8 +194,7 @@ class Startd(Service):
         slots refuse -- the factory only reaps idle capacity."""
         if not self.glidein or self.state != UNCLAIMED:
             return False
-        self.spawn(self._graceful_shutdown("factory retire"),
-                   name=f"retire:{self.startd_name}")
+        self.call_at(self.sim.now, self._retire, "factory retire")
         return True
 
     # -- claim protocol -----------------------------------------------------------

@@ -24,7 +24,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from ..sim.errors import RPCError
 from ..sim.hosts import Host
 from ..sim.rpc import Service, call
 from ..sim.stats import by, fold
@@ -143,27 +142,24 @@ class Gatekeeper(Service):
         self._tokens = float(admission.burst) if admission else 0.0
         self._token_stamp = self.sim.now
         self._lrm_depth = 0
-        self._next_sample = self.sim.now    # the depth loop's, when due
+        self._next_sample = self.sim.now    # the depth sample's, when due
         if admission is not None and admission.max_queue is not None:
-            self.spawn(self._admission_depth_loop(),
-                       name=f"gk-admission:{self.site}")
+            self.call_at(self.sim.now, self._sample_depth)
 
     def _trace(self, event: str, **details) -> None:
         self.sim.trace.log(f"gatekeeper:{self.site}", event, **details)
 
     # -- admission control ---------------------------------------------------
-    def _admission_depth_loop(self):
+    def _sample_depth(self, _=None) -> None:
         """Sample the LRM's queue depth for the backpressure gate."""
-        assert self.admission is not None
-        while True:
-            try:
-                info = yield from call(self.host, self.lrm_contact, "lrm",
-                                       "queue_info")
-                self._lrm_depth = info["queued_jobs"]
-            except RPCError:
-                pass          # keep the last sample; retry next period
-            self._next_sample = self.sim.now + self.admission.poll_interval
-            yield self.sim.timeout(self.admission.poll_interval)
+        self.call_then(self.lrm_contact, "lrm", "queue_info", self._sampled)
+
+    def _sampled(self, request) -> None:
+        if request.error is None:
+            self._lrm_depth = request.value["queued_jobs"]
+        # else keep the last sample; retry next period
+        self._next_sample = self.sim.now + self.admission.poll_interval
+        self.call_at(self._next_sample, self._sample_depth)
 
     def _busy(self, reason: Refusal, text: str,
               retry_after: float) -> GatekeeperBusy:

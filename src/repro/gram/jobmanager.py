@@ -74,7 +74,9 @@ class LrmSweep(Service):
         self.watching: dict[str, Optional[Event]] = {}
         self.views: dict[str, dict] = {}    # newest view not yet taken
         self.by_id: list[str] = []          # report these regardless
-        self.spawn(self._loop(), name=self.name)
+        self._polls = self.sim.metrics.counter("lrm_sweep.polls")
+        self._batch = self.sim.metrics.histogram("lrm_sweep.batch")
+        self.call_at(self.sim.now, self._wait)
         self.sim.trace.log(self.name, "start", host=host.name)
 
     def watch(self, local_id: str) -> None:
@@ -101,24 +103,27 @@ class LrmSweep(Service):
             self.watching[local_id] = event
         return event
 
-    def _loop(self):
-        polls = self.sim.metrics.counter("lrm_sweep.polls")
-        batch = self.sim.metrics.histogram("lrm_sweep.batch")
-        while True:
-            yield self.sim.timeout(JobManager.POLL_INTERVAL)
-            if not self.watching:
-                break
-            by_id, self.by_id = self.by_id, []
-            try:
-                reply = yield from call(self.host, self.lrm_contact, "lrm",
-                                        "poll", since=self.cursor,
-                                        local_ids=tuple(by_id))
-            except RPCError:
-                polls.inc(label="failed")
-                self.by_id = by_id + self.by_id   # same question next time
-                continue
-            polls.inc(label="ok")
-            batch.observe(len(reply["views"]))
+    def _wait(self, _=None) -> None:
+        self.call_at(self.sim.now + JobManager.POLL_INTERVAL, self._poll)
+
+    def _poll(self, _=None) -> None:
+        if not self.watching:
+            self.sim.trace.log(self.name, "stop", host=self.host.name)
+            self.shutdown()
+            return
+        by_id, self.by_id = self.by_id, []
+        self.call_then(self.lrm_contact, "lrm", "poll", self._polled,
+                       since=self.cursor, local_ids=tuple(by_id))
+
+    def _polled(self, request) -> None:
+        if request.error is not None:
+            self._polls.inc(label="failed")
+            # the same question next time
+            self.by_id = list(request.args["local_ids"]) + self.by_id
+        else:
+            self._polls.inc(label="ok")
+            reply = request.value
+            self._batch.observe(len(reply["views"]))
             self.cursor = reply["cursor"]
             for view in reply["views"]:
                 local_id = view["local_id"]
@@ -130,8 +135,7 @@ class LrmSweep(Service):
                 else:
                     self.watching[local_id] = None
                     event.succeed(view)
-        self.sim.trace.log(self.name, "stop", host=self.host.name)
-        self.shutdown()
+        self._wait()
 
 
 class JobManager(Service):

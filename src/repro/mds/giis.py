@@ -5,9 +5,8 @@ from __future__ import annotations
 from typing import Callable
 
 from ..classads import ClassAd
-from ..sim.errors import RPCError
 from ..sim.hosts import Host
-from ..sim.rpc import call
+from ..sim.rpc import Service
 from .schema import GRID_ADTYPE
 
 #: Seconds before a lost or refused registration is tried again, so a
@@ -15,18 +14,19 @@ from .schema import GRID_ADTYPE
 RETRY = 10.0
 
 
-class ResourceRegistrar:
-    """A resource-side process renewing its GRRP registration.
+class ResourceRegistrar(Service):
+    """A resource-side daemon renewing its GRRP registration;
+    ``grrp:<host>``.
 
     ``ad_source`` is called at each renewal to produce the *current*
     resource ad (dynamic load included), advertised to the index host's
     Collector as a ``Grid`` ad for ``ttl`` seconds.  If the host crashes
-    the process dies with it, registrations age out, and the resource
+    the registrar dies with it, registrations age out, and the resource
     vanishes from broker candidate lists -- until a registrar installed
     with ``Host.boot`` is built again at restart.  Only a lost or
     refused registration is retried, after :data:`RETRY` seconds; a
     fault of the resource's own (an ad that cannot be built or sent)
-    ends the process.
+    stops the run.
     """
 
     def __init__(
@@ -38,24 +38,21 @@ class ResourceRegistrar:
         ttl: float = 150.0,
         credential=None,
     ):
-        self.host = host
-        self.sim = host.sim
+        super().__init__(host, name=f"grrp:{host.name}")
         self.giis_host = giis_host
         self.ad_source = ad_source
         self.interval = interval
         self.ttl = ttl
         self.credential = credential
-        host.spawn(self._loop(), name=f"grrp:{host.name}")
+        self.call_at(self.sim.now, self._register)
 
-    def _loop(self):
-        while True:
-            try:
-                yield from call(self.host, self.giis_host, "collector",
-                                "advertise", timeout=30.0,
-                                credential=self.credential,
-                                adtype=GRID_ADTYPE, ad=self.ad_source(),
-                                ttl=self.ttl)
-            except RPCError:
-                yield self.sim.timeout(RETRY)   # soft state: try again soon
-                continue
-            yield self.sim.timeout(self.interval)
+    def _register(self, _=None) -> None:
+        self.call_then(self.giis_host, "collector", "advertise",
+                       self._registered, timeout=30.0,
+                       credential=self.credential, adtype=GRID_ADTYPE,
+                       ad=self.ad_source(), ttl=self.ttl)
+
+    def _registered(self, request) -> None:
+        # soft state: a lost registration is tried again soon
+        wait = self.interval if request.error is None else RETRY
+        self.call_at(self.sim.now + wait, self._register)

@@ -7,7 +7,9 @@ protocol simulation:
 * :class:`Timeout` -- an event that fires after a simulated delay.
 * :class:`Process` -- wraps a generator; the generator ``yield``\\ s events
   (or other processes) and is resumed with the event's value when it fires.
-  A process is itself an event that fires when the generator returns.
+  A process is itself an event that fires when the generator returns; an
+  end nobody waits for takes its value at once and pushes no heap row (a
+  failure always does, so strict mode still sees it).
 * :class:`Simulator` -- the event loop: a binary heap of ``(time, seq,
   item)`` rows, an item being an :class:`Event` or a bare :class:`Entry`
   (one call, for process boots, resumes and timers).  An item is anything
@@ -363,7 +365,10 @@ class Process(Event):
         if self.host is not None:
             self.host._detach_process(self)
         if exc is None:
-            self.succeed(value)
+            if self.callbacks:
+                self.succeed(value)
+            else:   # nobody waits: no heap row, a later waiter sees it fired
+                self._value, self._scheduled = value, True
         else:
             self.fail(exc)
             self.sim._note_process_failure(self, exc)

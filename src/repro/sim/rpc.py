@@ -18,20 +18,24 @@ Usage::
     # inside a process generator:
     value = yield from call(my_host, "server-host", "echo", "ping",
                             timeout=5.0, text="hi")
+    # or, the callback form, from a service's timer or handler:
+    self.call_then("server-host", "echo", "ping", self.on_answer, text="hi")
 
 A :class:`Service` is also a daemon's unit of failure: the processes it
 starts with :meth:`Service.spawn` are its own, and :meth:`Service.crash`
 is how one daemon dies while its machine stays up -- they are killed, in
-the order they were spawned, and the service leaves the network.  The
-processes that finish a generator handler's request stay bound to the
-host, not to the service.
+the order they were spawned, and the service leaves the network.  Its
+timers and reply callbacks (:meth:`Service.call_at`,
+:meth:`Service.call_then`) need no killing: they run only while it is
+the live service under its name.  The processes that finish a generator
+handler's request stay bound to the host, not to the service.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from types import GeneratorType
-from typing import Any, Generator, Optional, TYPE_CHECKING
+from typing import Any, Callable, Generator, Optional, TYPE_CHECKING
 
 from .errors import (
     AuthenticationError,
@@ -66,10 +70,12 @@ class CallContext:
 
 # -- the one path -------------------------------------------------------------
 #
-# Every request -- plain or generator handler, authorized or not, call or
-# notify -- is one ``_Request``, and it is the whole RPC: the event its
-# caller waits on, and the kernel's heap item of whichever of its two
-# legs is in flight (they never are at once).  The request leg's landing
+# Every request -- plain or generator handler, authorized or not, call,
+# callback form or notify -- is one ``_Request``, and it is the whole
+# RPC: the event its caller waits on (``call`` yields it, the callback
+# form ``Service.call_then`` puts a callback on it; both start in
+# ``_send``), and the kernel's heap item of whichever of its two legs is
+# in flight (they never are at once).  The request leg's landing
 # (``_Request._request_lands``) runs the landing checks -> the service
 # registered under that name *now* -> its authorizer, if any -> the
 # handler, whose outcome the request carries back as the reply leg;
@@ -281,13 +287,24 @@ class _Request(Event):
         self._fire(None)
 
 
-def _tally(src: "Host", service: str, method: str) -> None:
-    """Where every ``call()``/``notify()`` starts."""
+def _send(src: "Host", dst: str, service: str, method: str,
+          timeout: Optional[float], credential: Any,
+          args: dict) -> _Request:
+    """Where every call, in either form, and every notify (``timeout``
+    None: from a downed host it is sent and dropped) starts."""
     if src.sim.network is None:
         raise RuntimeError("simulation has no Network")
     if RPC_STATS is not None:
         key = (service, method)
         RPC_STATS[key] = RPC_STATS.get(key, 0) + 1
+    if timeout is None:
+        return _Request(src, dst, service, method, credential, args, None)
+    if not src.up:
+        raise HostDown(f"host {src.name} is down")
+    if timeout < 0:
+        raise ValueError(f"negative timeout {timeout!r}")
+    return _Request(src, dst, service, method, credential, args,
+                    src.sim.now + timeout)
 
 
 def call(
@@ -305,13 +322,7 @@ def call(
     simulated seconds, a typed error mirroring the remote exception, or
     :class:`HostDown` at once when ``src`` itself is down.
     """
-    _tally(src, service, method)
-    if not src.up:
-        raise HostDown(f"host {src.name} is down")
-    if timeout < 0:
-        raise ValueError(f"negative timeout {timeout!r}")
-    request = _Request(src, dst, service, method, credential, args,
-                       src.sim.now + timeout)
+    request = _send(src, dst, service, method, timeout, credential, args)
     value = yield request
     error = request.error
     if error is None:
@@ -333,8 +344,27 @@ def notify(
 
     From a downed host it is sent and dropped, silently.
     """
-    _tally(src, service, method)
-    _Request(src, dst, service, method, credential, args, None)
+    _send(src, dst, service, method, None, credential, args)
+
+
+class _Guarded(Entry):
+    """A service's timer, ``fn(arg)``, or reply callback, ``fn(request)``
+    (``fn`` its method): it runs only while the service is registered
+    under its name (a crashed host holds none), and a fault in it stops
+    the run as a failed process does."""
+
+    __slots__ = ()
+
+    def _run_callbacks(self, request: Any = _UNSET) -> None:
+        svc = self.fn.__self__
+        if svc.host.services.get(svc.name) is svc:
+            try:
+                self.fn(self.arg if request is _UNSET else request)
+            except Exception as exc:  # noqa: BLE001 - the daemon's own
+                raise SimulationError(
+                    f"{svc.name}: {type(exc).__name__}: {exc}") from exc
+
+    __call__ = _run_callbacks
 
 
 class Service:
@@ -346,10 +376,12 @@ class Service:
     every request; on success the mapped local principal is available as
     ``ctx.principal``.
 
-    A daemon starts its loops and its per-job work with :meth:`spawn`, so
-    they are its processes: :meth:`crash` -- one daemon dying while its
-    machine stays up -- kills them and takes the service off the
-    network.  A subclass extends ``crash`` only with what is its own.
+    A daemon starts its per-job work with :meth:`spawn`, so it is its
+    processes: :meth:`crash` -- one daemon dying while its machine stays
+    up -- kills them and takes the service off the network.  A periodic
+    tick that sends at most one request is a timer (:meth:`call_at`,
+    :meth:`call_then`) that runs only while the service is live, so it
+    needs no killing.  A subclass extends ``crash`` only with its own.
 
     Arguments and results cross the wire frozen
     (:func:`~repro.sim.fastcopy.freeze`): a handler receives values it
@@ -382,6 +414,20 @@ class Service:
         self._procs = [p for p in self._procs if p.alive]
         self._procs.append(proc)
         return proc
+
+    def call_at(self, t: float, fn: Callable[[Any], None],
+                arg: Any = None) -> None:
+        """Run ``fn(arg)`` at absolute time ``t`` if we are live then."""
+        self.sim._push(t, _Guarded(self.sim, fn, arg))
+
+    def call_then(self, dst: str, service: str, method: str,
+                  then: Callable[[_Request], None], timeout: float = 10.0,
+                  credential: Any = None, **args: Any) -> None:
+        """:func:`call` in callback form: ``then(request)`` runs, if we
+        are live, when ``request.error`` is None (the answer is
+        ``request.value``), the remote error or ``RPCTimeout``."""
+        _send(self.host, dst, service, method, timeout, credential,
+              args).callbacks.append(_Guarded(self.sim, then, None))
 
     def crash(self, cause: str = "crash") -> None:
         """Die at once while the machine stays up (a daemon whose work is

@@ -17,14 +17,43 @@ def make_env(workers=1, seed=3):
 def test_startd_drops_finished_processes():
     """Every job spawns a starter; the finished ones are dropped at the
     next spawn, so what a startd holds does not grow with the jobs it
-    has run: its advertise loop and at most the last starter."""
+    has run: a startd holds at most its last starter (its advertise
+    tick is a timer, not a process)."""
     sim, pool, schedd = make_env()
     [startd] = pool.startds
     ids = [schedd.submit_simple("alice", runtime=20.0) for _ in range(25)]
     sim.run(until=4000.0)
     assert all(schedd.status(i).state == COMPLETED for i in ids)
-    assert len(startd._procs) <= 2
-    assert startd._procs[0].name == f"startd:{startd.startd_name}"
+    assert [p.name for p in startd._procs] \
+        in ([], [f"starter:{startd.startd_name}"])
+
+
+def test_a_crashed_startd_stops_advertising_and_its_ad_is_reaped(
+        monkeypatch):
+    sim, pool, _schedd = make_env(workers=2)
+    victim, other = pool.startds
+    key = ("startd", victim.startd_name)
+    sent = []
+    send_leg = Network.send_leg
+
+    def spy(net, src, dst, service, item, *rest):
+        if item.name == "request" and item.method == "advertise":
+            sent.append((item.caller, item.args["ad"]["Name"]))
+        return send_leg(net, src, dst, service, item, *rest)
+
+    monkeypatch.setattr(Network, "send_leg", spy)
+    sim.run(until=100.0)
+    assert (victim.host.name, victim.startd_name) in sent
+    assert key in pool.collector._ads
+    victim.crash()
+    crashed = len(sent)
+    ttl = 3 * victim.ADVERTISE_INTERVAL
+    sim.run(until=100.0 + ttl + 2 * other.ADVERTISE_INTERVAL)
+    assert [name for _host, name in sent[crashed:]
+            if name == victim.startd_name] == []
+    assert ("startd", other.startd_name) in pool.collector._ads
+    assert key not in pool.collector._ads
+    assert sim.metrics.counter("collector.expired_reaped").value >= 1
 
 
 def _advertised(pool, startd):

@@ -85,6 +85,21 @@ def test_poll_rpcs_do_not_grow_with_the_number_of_jobs(tally):
     assert SWEEP not in grid100.gk_host.services     # stopped when idle
 
 
+def test_a_sweep_stopped_for_want_of_watchers_is_rebuilt_by_the_next_watch(
+        grid, tally):
+    first = submit_all(grid, [GramJobRequest(runtime=30.0)])
+    grid.sim.run()
+    assert SWEEP not in grid.gk_host.services
+    polls = tally[("lrm", "poll")]
+    second = submit_all(grid, [GramJobRequest(runtime=30.0)])
+    grid.sim.run()
+    assert_all_done_exactly_once(grid, first + second)
+    assert [r.event for r in grid.sim.trace.records
+            if r.component == SWEEP] == ["start", "stop", "start", "stop"]
+    assert SWEEP not in grid.gk_host.services
+    assert tally[("lrm", "poll")] > polls     # the new one swept
+
+
 def test_no_stream_rpc_for_a_job_that_wrote_nothing(grid, tally):
     def chatty(ctx):
         ctx.write_output("hello\n")

@@ -119,3 +119,40 @@ def test_crash_trace_recorded(sim):
     host.restart()
     assert sim.trace.contains_sequence("crash", "restart",
                                        component="host:gatekeeper")
+
+
+def test_a_service_timer_runs_only_while_its_instance_is_live():
+    """A guarded tick stops with ``Service.crash``, ``shutdown`` and a
+    host crash, and a rebooted successor's ticks are its own."""
+    from repro.sim import Network, Service
+
+    class Ticker(Service):
+        service_name = "ticker"
+
+        def __init__(self, host, log):
+            super().__init__(host)
+            self.log = log
+            self.call_at(self.sim.now, self.tick)
+
+        def tick(self, _=None):
+            self.log.append((self.sim.now, id(self)))
+            self.call_at(self.sim.now + 10.0, self.tick)
+
+    sim = Simulator(seed=1)
+    Network(sim, latency=0.01, jitter=0.0)
+    log = []
+    host = Host(sim, "h")
+    first = host.boot(lambda h: Ticker(h, log))
+    sim.schedule(15.0, host.crash)
+    sim.schedule(32.0, host.restart)
+    sim.run(until=55.0)
+    second = host.services["ticker"]
+    assert second is not first
+    assert log == [(0.0, id(first)), (10.0, id(first)),
+                   (32.0, id(second)), (42.0, id(second)),
+                   (52.0, id(second))]
+    second.crash()
+    other = Ticker(Host(sim, "g"), log)
+    other.shutdown()
+    sim.run(until=100.0)
+    assert log[-1] == (52.0, id(second))

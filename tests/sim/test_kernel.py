@@ -117,6 +117,46 @@ def test_join_already_finished_process():
     assert results == ["done"]
 
 
+def test_an_unwaited_end_pushes_no_row_and_is_still_joinable():
+    """A process that succeeds with nobody waiting gets its value at
+    once and pushes no heap row; whoever asks later still sees it."""
+    sim = Simulator()
+    seen = []
+
+    def quick(sim):
+        yield sim.timeout(1.0)
+        return "v"
+
+    def late(sim, proc):
+        yield sim.timeout(5.0)
+        seen.append((yield proc))
+        seen.append((yield sim.any_of([proc])))
+        seen.append((yield sim.all_of([proc])))
+
+    proc = sim.spawn(quick(sim))
+    sim.spawn(late(sim, proc))
+    sim.run(until=0.5)
+    pushed = sim._seq
+    sim.run(until=2.0)
+    assert proc.triggered and proc.value == "v" and not proc.alive
+    assert sim._seq == pushed       # the end was no heap row
+    sim.run()
+    assert seen == ["v", (0, "v"), ["v"]]
+
+
+def test_an_unwaited_failure_still_trips_strict_mode():
+    sim = Simulator()
+
+    def bad(sim):
+        yield sim.timeout(1.0)
+        raise RuntimeError("nobody listens")
+
+    proc = sim.spawn(bad(sim))
+    with pytest.raises(SimulationError, match="nobody listens"):
+        sim.run()
+    assert proc.triggered and not proc.ok
+
+
 def test_process_exception_propagates_to_joiner():
     sim = Simulator()
     caught = []

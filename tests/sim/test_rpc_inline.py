@@ -535,8 +535,8 @@ def test_generator_handler_call_leaves_no_live_timer(pool, authorizer):
     pushed, heap = _budget(sim, client, "gen", n=1, timeout=100.0,
                            credential="ok", duration=5.0)
     # Request arrival, the timer armed at the spawn, the process's boot,
-    # its sleep, its end, the reply arrival.
-    assert pushed == 6
+    # its sleep, the reply arrival.  Its end is no row: nobody waits.
+    assert pushed == 5
     assert [ev for _t, _s, ev in heap if not ev._cancelled] == []
     assert sim.now == pytest.approx(5.2)     # ... and nothing held the clock
 

@@ -228,9 +228,10 @@ class TestCaptureVerify:
         # sealed ads `ClassAd` and keeps one Startd ad and no Schedd
         # idle order, and version 10 holds per-daemon tallies that
         # restate trace records; version 11 names an RPC leg in flight
-        # as an `Entry` row, and version 12 runs a GIIS on the MDS index
-        # host: refused, not mis-verified.
-        assert SNAPSHOT_VERSION == 13
+        # as an `Entry` row, version 12 runs a GIIS on the MDS index
+        # host, and version 13 runs periodic daemon ticks as processes:
+        # refused, not mis-verified.
+        assert SNAPSHOT_VERSION == 14
         v2 = {**good, "version": 2}
         v3 = {**good, "version": 3}
         v4 = {**good, "version": 4}
@@ -242,6 +243,7 @@ class TestCaptureVerify:
         v10 = {**good, "version": 10}
         v11 = {**good, "version": 11}
         v12 = {**good, "version": 12}
+        v13 = {**good, "version": 13}
         truncated = {k: v for k, v in good.items() if k != "fingerprint"}
         unknown = {**good, "perf_flags": {}}
         for doc, needle in ((pre_bump, "version"),
@@ -257,6 +259,7 @@ class TestCaptureVerify:
                             (v11, "version 11: an RPC leg in flight is an "
                                   "Entry row there"),
                             (v12, "version"),
+                            (v13, "version"),
                             (truncated, "fingerprint"),
                             (unknown, "perf_flags"),
                             ([good], "JSON object")):
