@@ -190,7 +190,7 @@ class Timeout(Event):
             at = sim.now + delay
         else:
             delay = at - sim.now
-        if delay < 0:
+        if not delay >= 0:     # NaN too
             raise ValueError(f"negative timeout {delay!r}")
         Event.__init__(self, sim, "timeout")   # a static name: hot path
         self._pending_value = value if value is not None else delay
@@ -206,9 +206,9 @@ class AnyOf(Event):
     """Fires when the *first* of the child events fires.
 
     Succeeds with ``(index, value)`` of the first successful child; fails
-    with the first child's exception if that child failed.  Remaining
-    children are left un-consumed (their failures are defused so they do not
-    count as unhandled).
+    with the first child's exception if that child failed.  A losing
+    :class:`Timeout` nobody else waits on is cancelled (it would only hold
+    the clock open); other losers are defused (not counted as unhandled).
     """
 
     __slots__ = ("events",)
@@ -218,20 +218,22 @@ class AnyOf(Event):
         self.events = list(events)
         if not self.events:
             raise ValueError("AnyOf needs at least one event")
-        for i, ev in enumerate(self.events):
+        for ev in self.events:
             if ev.triggered:
-                self._on_child(i, ev)
+                self._on_child(ev)
                 break
-            ev.callbacks.append(lambda ev, i=i: self._on_child(i, ev))
+            ev.callbacks.append(self._on_child)
 
-    def _on_child(self, index: int, ev: Event) -> None:
+    def _on_child(self, ev: Event) -> None:
         if self.triggered:
             return
         for other in self.events:
-            if other is not ev:
+            if type(other) is Timeout and other.callbacks == [self._on_child]:
+                other.cancel()      # nobody but this AnyOf waits for it
+            elif other is not ev:
                 _defuse(other)
         if ev.ok:
-            self.succeed((index, ev._value))
+            self.succeed((self.events.index(ev), ev._value))
         else:
             self.fail(ev._exc)  # type: ignore[arg-type]
 
@@ -499,7 +501,7 @@ class Simulator:
             at = self.now + delay
         else:
             delay = at - self.now
-        if delay < 0:
+        if not delay >= 0:     # NaN too
             raise ValueError(f"negative delay {delay!r}")
         return self.call_at(at, _call, fn)
 
@@ -555,9 +557,9 @@ class Simulator:
     def run(self, until: Optional[float] = None) -> None:
         """Run until the heap drains or simulated time passes ``until``.
 
-        ``until`` may not lie before ``now``: the clock never goes back.
+        ``until`` may be neither NaN nor before ``now``: time never goes back.
         """
-        if until is not None and until < self.now:
+        if until is not None and not until >= self.now:
             raise ValueError(
                 f"run(until={until!r}) is before now ({self.now!r})")
         heap = self._heap

@@ -30,52 +30,13 @@ class RngRegistry:
             self._streams[name] = rng
         return rng
 
-    def __call__(self, name: str) -> random.Random:
-        return self.stream(name)
-
     # -- snapshot support -------------------------------------------------
     def snapshot_state(self) -> list[tuple[str, tuple]]:
         """Every stream's ``getstate()`` in creation order.
 
         Creation order matters: streams are created on demand, so the
-        registry dict's insertion order is itself part of the state --
-        a restore that recreated streams lazily in whatever order the
-        resumed run touched them would silently accept a registry whose
-        future on-demand streams diverge.  Recording the order lets
-        :meth:`restore_state` rehydrate eagerly and verify.
+        registry dict's insertion order is itself part of the state, and
+        a replay that touched its streams in another order fingerprints
+        differently even where every position agrees.
         """
         return [(name, rng.getstate()) for name, rng in self._streams.items()]
-
-    def restore_state(self, states: list[tuple[str, tuple]]) -> None:
-        """Eagerly rehydrate every recorded stream, preserving order.
-
-        Fails loudly if this registry already holds streams that are not
-        a prefix of the recorded creation order -- that means the caller
-        touched streams before restoring, and on-demand creation after
-        this point could no longer reproduce the snapshotted run.
-        Streams *not* recorded are still derived on demand from
-        ``root_seed`` exactly as in the original run.
-        """
-        recorded = [name for name, _ in states]
-        existing = list(self._streams)
-        if existing != recorded[: len(existing)]:
-            raise RuntimeError(
-                "RngRegistry.restore_state: existing stream creation order "
-                f"{existing!r} is not a prefix of the recorded order "
-                f"{recorded!r}; restore before touching any streams")
-        for name, state in states:
-            rng = self._streams.get(name)
-            if rng is None:
-                rng = random.Random()
-                self._streams[name] = rng
-            rng.setstate(_as_rng_state(state))
-
-
-def _as_rng_state(state) -> tuple:
-    """Rebuild the exact ``random.Random`` state tuple from JSON-thawed data.
-
-    ``getstate()`` returns ``(version, tuple[int, ...], gauss_next)``;
-    a JSON round-trip turns the tuples into lists, which ``setstate``
-    rejects, so coerce structurally."""
-    version, internal, gauss_next = state
-    return (version, tuple(internal), gauss_next)

@@ -1,35 +1,24 @@
 """Checkpoint/restore for running simulations.
 
-A :class:`SimSnapshot` is a *canonical, JSON-serializable fingerprint* of
-everything that determines a testbed's future: the kernel event heap
-(tombstone-free, ``_seq`` preserved), every named RNG stream's position
-in creation order, per-host state (stable storage, services, live
-process names), the network fabric (partitions, isolation, counters),
-the :class:`~repro.sim.failures.FailureInjector` record, every daemon
-reachable from the testbed roots, the metrics snapshot, and a trace
-watermark -- plus the provenance ``(scenario, seed, plan)`` needed to
-rebuild it.
+A :class:`SimSnapshot` is a replay point -- the provenance ``(scenario,
+seed, plan, time)`` needed to rebuild the testbed -- and a canonical,
+JSON-safe fingerprint to check the rebuild against: the kernel event
+heap (tombstone-free, ``_seq`` preserved), every named RNG stream's
+position in creation order, per-host state (stable storage, services,
+live process names), the network fabric (partitions, isolation,
+counters), the :class:`~repro.sim.failures.FailureInjector` record,
+every daemon reachable from the testbed roots, the metrics snapshot,
+and a trace watermark.  There is no document format to version: a
+snapshot from another build is restored like any other, and
+:func:`verify` names the first path where this build's replay differs.
 
-What is deliberately *not* serialized: generator frames.  Every daemon
-is a Python generator, and CPython cannot pickle or deep-copy a
-suspended frame -- by design the chaos runner ships ``(scenario, seed)``
-across process boundaries, never simulators.  Restore therefore comes in
-three flavors, all honest about that constraint:
-
-* **resume** -- keep the live testbed and simply ``run()`` past the
-  snapshot point; ``run(0, t)`` then ``run(t, T)`` is exactly
-  ``run(0, T)`` in this kernel, and :func:`capture` is side-effect-free,
-  so segmented runs are bit-identical to uninterrupted ones.
-* **rehydrate** (:func:`restore`) -- rebuild ``scenario.build(seed)``,
-  re-apply the fault plan, replay to the snapshot time, and *verify*
-  the resulting state fingerprint is bit-identical (raising
-  :class:`SnapshotMismatch` with the first divergent path otherwise).
-  This is what makes a snapshot trustworthy across processes and
-  machines.
-* **fork** (:class:`ForkPoint`) -- hold a live testbed at the snapshot
-  instant and evaluate candidate futures in ``os.fork()`` children:
-  O(1) in-memory restore, used by shrink-from-snapshot to avoid
-  replaying the pre-fault prefix for every ddmin candidate.
+Generator frames are not serialized (CPython cannot pickle a suspended
+frame; the chaos runner ships ``(scenario, seed)`` across processes,
+never simulators).  So a snapshot is *resumed* by running the live
+testbed on (:func:`capture` is side-effect-free), *rehydrated* by
+:func:`restore` (rebuild, re-apply the plan, replay to the snapshot
+time, verify), or *forked* by :class:`ForkPoint` (evaluate futures in
+``os.fork()`` children, no replay: shrink-from-snapshot uses it).
 
 The contract (checked by ``tests/sim/test_snapshot_properties.py``):
 ``run(0, T)`` produces the same chaos run digest as ``run(0, t);
@@ -41,11 +30,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import os
 import pickle
 import random
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Optional, TYPE_CHECKING
 
@@ -60,8 +50,6 @@ from .trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..grid.testbed import GridTestbed
-
-SNAPSHOT_VERSION = 14
 
 #: structures deeper than this are fingerprinted as a type tag; the cap
 #: is generous (daemon state sits well above it) and deterministic, so
@@ -288,7 +276,6 @@ def sim_fingerprint(sim: Simulator) -> dict:
     """Canonical state of a bare :class:`Simulator` (no testbed roots)."""
     memo: dict[int, bool] = {}
     return {
-        "version": SNAPSHOT_VERSION,
         "kernel": kernel_fingerprint(sim),
         "rng": [[name, _canon(list(state), memo, 1)]
                 for name, state in sim.rng.snapshot_state()],
@@ -377,11 +364,18 @@ def _first_diff(a: Any, b: Any, path: str = "$") -> Optional[dict]:
 
 # -- the snapshot object ------------------------------------------------------
 
+#: each field of a snapshot document and the JSON types it may hold
+_FIELD_TYPES = {"scenario": (str, type(None)), "seed": (int, type(None)),
+                "plan": (dict, type(None)), "time": (int, float),
+                "fingerprint": dict, "digest": str}
+
+
 @dataclass
 class SimSnapshot:
-    """A captured testbed state plus the provenance to rebuild it."""
+    """A replay point -- the provenance ``(scenario, seed, plan, time)``
+    :func:`restore` rebuilds from -- and the fingerprint (with its
+    digest) that the replayed state must match."""
 
-    version: int
     scenario: Optional[str]
     seed: Optional[int]
     plan: Optional[dict]
@@ -389,53 +383,37 @@ class SimSnapshot:
     fingerprint: dict
     digest: str
 
-    def to_dict(self) -> dict:
-        return {
-            "version": self.version, "scenario": self.scenario,
-            "seed": self.seed, "plan": self.plan, "time": self.time,
-            "fingerprint": self.fingerprint, "digest": self.digest,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SimSnapshot":
-        # Snapshot JSON comes from outside the program: reject anything
-        # that is not exactly this version's document.
-        if not isinstance(data, dict):
-            raise SnapshotError("snapshot document is not a JSON object")
-        version = data.get("version")
-        if version == 11:
-            raise SnapshotError(
-                "unsupported snapshot version 11: an RPC leg in flight is "
-                "an Entry row there and a _Request row now; re-capture it")
-        if version != SNAPSHOT_VERSION:
-            raise SnapshotError(f"unsupported snapshot version {version!r}")
-        expected = {f.name for f in fields(cls)}
-        if set(data) != expected:
-            raise SnapshotError(
-                f"malformed snapshot document: missing keys "
-                f"{sorted(expected - set(data))}, unknown keys "
-                f"{sorted(set(data) - expected)}")
-        return cls(version=version, scenario=data["scenario"],
-                   seed=data["seed"], plan=data["plan"],
-                   time=float(data["time"]),
-                   fingerprint=data["fingerprint"],
-                   digest=str(data["digest"]))
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
+    def to_json(self) -> str:
+        # vars, not asdict: asdict deep-copies the fingerprint first
+        return json.dumps(vars(self))
 
     @classmethod
     def from_json(cls, text: str) -> "SimSnapshot":
-        return cls.from_dict(json.loads(text))
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json(indent=1))
-
-    @classmethod
-    def load(cls, path: str) -> "SimSnapshot":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+        """Parse a :meth:`to_json` document, which is outside input: a
+        JSON object with exactly these fields, of their types, and a
+        finite non-negative ``time``, or a :class:`SnapshotError`.
+        Whether its build fingerprints as this one does, :func:`restore`
+        finds out by replay."""
+        try:
+            data = json.loads(text)
+        except ValueError as exc:
+            raise SnapshotError(f"snapshot document is not JSON: {exc}") \
+                from None
+        if not isinstance(data, dict):
+            raise SnapshotError("snapshot document is not a JSON object")
+        if set(data) != set(_FIELD_TYPES):
+            raise SnapshotError(
+                f"snapshot document lacks keys "
+                f"{sorted(set(_FIELD_TYPES) - set(data))}, has unknown keys "
+                f"{sorted(set(data) - set(_FIELD_TYPES))}")
+        for name, types in _FIELD_TYPES.items():
+            if type(data[name]) is bool or not isinstance(data[name], types):
+                raise SnapshotError(f"snapshot document: {name} has type "
+                                    f"{type(data[name]).__name__}")
+        if not 0 <= data["time"] < math.inf:
+            raise SnapshotError(f"snapshot document: time {data['time']!r} "
+                                f"is not finite and non-negative")
+        return cls(**{**data, "time": float(data["time"])})
 
 
 def capture(tb: "GridTestbed", scenario: Optional[str] = None,
@@ -451,9 +429,8 @@ def capture(tb: "GridTestbed", scenario: Optional[str] = None,
     if seed is None:
         seed = tb.config.seed
     fp = fingerprint(tb)
-    return SimSnapshot(
-        version=SNAPSHOT_VERSION, scenario=scenario, seed=seed,
-        plan=plan, time=tb.sim.now, fingerprint=fp, digest=_digest_of(fp))
+    return SimSnapshot(scenario=scenario, seed=seed, plan=plan,
+                       time=tb.sim.now, fingerprint=fp, digest=_digest_of(fp))
 
 
 def verify(tb: "GridTestbed", snap: SimSnapshot) -> None:
@@ -494,34 +471,6 @@ def restore(snap: SimSnapshot) -> "GridTestbed":
     tb.run(until=snap.time)
     verify(tb, snap)
     return tb
-
-
-def run_segmented(scenario_name: str, seed: int,
-                  boundaries: list[float],
-                  plan: Any = None) -> tuple["GridTestbed",
-                                             list[SimSnapshot]]:
-    """Run a scenario as resumable segments, snapshotting each boundary.
-
-    Returns ``(testbed, snapshots)`` with one snapshot per boundary;
-    the testbed has run to the last boundary.  Any snapshot can later
-    be handed to :func:`restore` to pick the run up in a fresh process.
-    """
-    from ..grid.scenarios import get_scenario
-
-    tb = get_scenario(scenario_name).build(seed)
-    if plan is not None:
-        plan_obj = plan
-        if isinstance(plan, dict):
-            from ..chaos.plan import FaultPlan
-
-            plan_obj = FaultPlan.from_dict(plan)
-        plan_obj.apply(tb)
-    snaps = []
-    for boundary in boundaries:
-        tb.run(until=boundary)
-        snaps.append(capture(tb, scenario=scenario_name, seed=seed,
-                             plan=plan))
-    return tb, snaps
 
 
 # -- fork-based O(1) restore --------------------------------------------------
@@ -583,8 +532,7 @@ class ForkPoint:
 
 
 __all__ = [
-    "ForkPoint", "SNAPSHOT_VERSION", "SimSnapshot", "SnapshotError",
-    "SnapshotMismatch", "capture", "fingerprint", "kernel_fingerprint",
-    "restore", "run_segmented", "sim_fingerprint", "state_digest",
-    "state_roots", "verify",
+    "ForkPoint", "SimSnapshot", "SnapshotError", "SnapshotMismatch",
+    "capture", "fingerprint", "kernel_fingerprint", "restore",
+    "sim_fingerprint", "state_digest", "state_roots", "verify",
 ]

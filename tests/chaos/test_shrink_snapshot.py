@@ -16,6 +16,8 @@ the simulated seconds (the wall-clock win is larger still; the
 benchmark suite measures it).
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.chaos.plan import FaultPlan, PlannedFault
@@ -31,14 +33,11 @@ from repro.sim.snapshot import ForkPoint
 SEED = 11
 
 #: the culprit plus three decoys that have nothing to do with the
-#: violation -- ddmin must strip all three.
+#: violation -- ddmin must strip all three.  The CLI runs the same file
+#: (``python -m repro.chaos repro shrink-lab 11 --plan ... --shrink``).
+PLAN_FILE = Path(__file__).parent / "plans" / "shrink_lab.json"
+SEEDED_PLAN = FaultPlan.from_json(PLAN_FILE.read_text())
 CULPRIT = PlannedFault(4000.0, "crash", "lab-lrm", 300.0)
-SEEDED_PLAN = FaultPlan(events=[
-    CULPRIT,
-    PlannedFault(4050.0, "partition", "submit-dana|lab-gk", 120.0),
-    PlannedFault(4150.0, "jm_kill", "lab-gk", None),
-    PlannedFault(4250.0, "isolate", "lab-gk", 60.0),
-])
 
 INVARIANTS = {"terminal_or_held"}
 
@@ -47,6 +46,8 @@ needs_fork = pytest.mark.skipif(not ForkPoint.supported(),
 
 
 def test_seeded_plan_violates():
+    assert SEEDED_PLAN.events[0] == CULPRIT
+    assert len(SEEDED_PLAN.events) == 4
     tb, _ = build_and_run("shrink-lab", SEED, plan=SEEDED_PLAN)
     from repro.chaos.invariants import evaluate_invariants
 

@@ -18,7 +18,7 @@ import pytest
 from repro.chaos.digest import run_digest
 from repro.chaos.invariants import evaluate_invariants
 from repro.grid.scenarios import WEEK, get_scenario
-from repro.sim.snapshot import restore, run_segmented
+from repro.sim.snapshot import capture, restore
 from repro.states import JobState
 
 SEED = 7
@@ -35,8 +35,13 @@ def uninterrupted():
 
 @pytest.fixture(scope="module")
 def segmented():
-    return run_segmented("week-credential-cycle", SEED,
-                         boundaries=BOUNDARIES)
+    """The week run segment by segment, captured at each boundary."""
+    tb = get_scenario("week-credential-cycle").build(SEED)
+    snaps = []
+    for boundary in BOUNDARIES:
+        tb.run(until=boundary)
+        snaps.append(capture(tb, scenario="week-credential-cycle"))
+    return tb, snaps
 
 
 def _agent_jobs(tb):

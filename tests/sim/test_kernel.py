@@ -336,6 +336,45 @@ def test_any_of_with_already_triggered_event():
     assert got == [(0, "pre")]
 
 
+def test_any_of_cancels_a_losing_timer_only_it_waits_for():
+    """A commit window that the commit wins: the 120 s timer is
+    cancelled, so a drained run ends at the commit, not 120 s later."""
+    sim = Simulator()
+    committed = sim.event()
+    got = []
+
+    def lifecycle(sim):
+        window = sim.timeout(120.0)
+        index, _ = yield sim.any_of([committed, window])
+        got.append((index, sim.now, window._cancelled))
+
+    sim.spawn(lifecycle(sim))
+    sim.schedule(1.0, committed.succeed)
+    sim.run()
+    assert got == [(0, 1.0, True)]
+    assert sim.now == 1.0
+    assert sim._heap == []
+
+
+def test_any_of_leaves_a_losing_timer_someone_else_waits_for():
+    sim = Simulator()
+    shared = sim.timeout(5.0, value="late")
+    got = []
+
+    def racer(sim):
+        index, _ = yield sim.any_of([sim.timeout(2.0), shared])
+        got.append(("race", index, sim.now))
+
+    def waiter(sim):
+        got.append(("wait", (yield shared), sim.now))
+
+    sim.spawn(waiter(sim))
+    sim.spawn(racer(sim))
+    sim.run()
+    assert got == [("race", 0, 2.0), ("wait", "late", 5.0)]
+    assert not shared._cancelled
+
+
 def test_all_of_gathers_values():
     sim = Simulator()
     got = []
@@ -408,6 +447,29 @@ def test_run_until_before_now_is_refused():
     late = empty.timeout(1.0)
     empty.run()
     assert late.triggered and empty.now == 11.0
+
+
+def test_nan_times_are_refused_at_the_kernel_doors():
+    """NaN compares false both ways: it must not pass for "not before
+    now" and leave the clock at NaN, nor slip into the heap as a time
+    between two real ones."""
+    nan = float("nan")
+    sim = Simulator()
+    fired = []
+    sim.timeout(1.0).callbacks.append(lambda ev: fired.append(sim.now))
+    sim.timeout(5.0).callbacks.append(lambda ev: fired.append(sim.now))
+    with pytest.raises(ValueError, match="before now"):
+        sim.run(until=nan)
+    with pytest.raises(ValueError, match="timeout"):
+        sim.timeout(nan)
+    with pytest.raises(ValueError, match="timeout"):
+        Timeout(sim, 0.0, at=nan)
+    with pytest.raises(ValueError, match="delay"):
+        sim.schedule(nan, lambda: fired.append("nan"))
+    with pytest.raises(ValueError, match="delay"):
+        sim.schedule(0.0, lambda: fired.append("nan"), at=nan)
+    sim.run()
+    assert (fired, sim.now) == ([1.0, 5.0], 5.0)
 
 
 def test_deterministic_ordering_same_timestamp():

@@ -2,11 +2,14 @@
 
 The property suite (``test_snapshot_properties.py``) checks the digest
 contract end-to-end; these tests pin the machinery underneath it: heap
-canonicalization across tombstone compaction, RNG stream creation-order
-guards, the canonical state walker and JSON round-trip (and its
-rejection of foreign documents), divergence detection, and fork-based
-restore.
+canonicalization across tombstone compaction, RNG streams as a replay
+rebuilds them, the canonical state walker and the JSON document (and
+its refusal of malformed ones), divergence detection -- also of a
+document another build captured -- and fork-based restore.
 """
+
+import json
+import math
 
 import pytest
 
@@ -15,14 +18,15 @@ from repro.grid.scenarios import get_scenario
 from repro.sim import Simulator, notify
 from repro.sim.rng import RngRegistry
 from repro.sim.snapshot import (
-    SNAPSHOT_VERSION,
     ForkPoint,
     SimSnapshot,
     SnapshotError,
     SnapshotMismatch,
+    _first_diff,
     capture,
     kernel_fingerprint,
     restore,
+    sim_fingerprint,
     state_digest,
     verify,
 )
@@ -103,6 +107,10 @@ class TestHeapCanonicalization:
 
 
 class TestRngSnapshot:
+    """What :func:`restore` relies on: a registry rebuilt from its root
+    seed and replayed through the same draws is the captured one, and
+    the fingerprint tells a different creation order apart."""
+
     def test_state_round_trip_continues_identically(self):
         r1 = RngRegistry(root_seed=42)
         r1.stream("alpha").random()
@@ -110,60 +118,31 @@ class TestRngSnapshot:
         states = r1.snapshot_state()
 
         r2 = RngRegistry(root_seed=42)
-        r2.restore_state(states)
+        r2.stream("alpha").random()
+        [r2.stream("beta").random() for _ in range(5)]
+        assert r2.snapshot_state() == states
         assert r2.stream("alpha").random() == r1.stream("alpha").random()
         assert r2.stream("beta").random() == r1.stream("beta").random()
 
-    def test_restore_rehydrates_streams_eagerly(self):
-        r1 = RngRegistry(root_seed=7)
-        r1.stream("a"), r1.stream("b")
-        r2 = RngRegistry(root_seed=7)
-        r2.restore_state(r1.snapshot_state())
-        # both streams exist without anyone asking for them again
-        assert [name for name, _ in r2.snapshot_state()] == ["a", "b"]
-
     def test_conflicting_creation_order_fails_loudly(self):
-        r1 = RngRegistry(root_seed=7)
-        r1.stream("a"), r1.stream("b")
-        states = r1.snapshot_state()
-
-        r3 = RngRegistry(root_seed=7)
-        r3.stream("b")               # conflicting order: b before a
-        with pytest.raises(RuntimeError):
-            r3.restore_state(states)
-
-    def test_existing_prefix_is_accepted(self):
-        r1 = RngRegistry(root_seed=7)
-        r1.stream("a").random()
-        r1.stream("b")
-        states = r1.snapshot_state()
-        r4 = RngRegistry(root_seed=7)
-        r4.stream("a").random()      # same creation order, drifted state
-        r4.stream("a").random()
-        r4.restore_state(states)
-        assert r4.stream("a").random() == r1.stream("a").random()
+        """Same streams, same positions, created in another order: the
+        fingerprints differ, at the first stream's name."""
+        a, b = Simulator(seed=7), Simulator(seed=7)
+        a.rng.stream("a"), a.rng.stream("b")
+        b.rng.stream("b"), b.rng.stream("a")
+        assert dict(a.rng.snapshot_state()) == dict(b.rng.snapshot_state())
+        diff = _first_diff(sim_fingerprint(a), sim_fingerprint(b))
+        assert diff["path"] == "$.rng[0][0]"
 
     def test_fresh_stream_after_restore_matches(self):
-        """A stream first created *after* restore must draw exactly what
-        it would have drawn in the original lineage."""
+        """A stream first created *after* the snapshot point draws
+        exactly what it would have drawn in the original lineage."""
         r1 = RngRegistry(root_seed=13)
         r1.stream("early").random()
         r2 = RngRegistry(root_seed=13)
-        r2.restore_state(r1.snapshot_state())
+        r2.stream("early").random()
+        assert r2.snapshot_state() == r1.snapshot_state()
         assert r2.stream("late").random() == r1.stream("late").random()
-
-    def test_json_thawed_states_restore(self):
-        """Snapshot states that round-tripped through JSON (tuples ->
-        lists) must still rehydrate."""
-        import json
-
-        r1 = RngRegistry(root_seed=5)
-        r1.stream("s").random()
-        thawed = json.loads(json.dumps(
-            [[name, list(state)] for name, state in r1.snapshot_state()]))
-        r2 = RngRegistry(root_seed=5)
-        r2.restore_state([(name, state) for name, state in thawed])
-        assert r2.stream("s").random() == r1.stream("s").random()
 
 
 def _testbed(seed: int = 3, until: float = 400.0):
@@ -194,78 +173,42 @@ class TestCaptureVerify:
             verify(tb, snap)
         assert "network" in exc.value.divergence["path"]
 
-    def test_json_round_trip_preserves_digest(self, tmp_path):
+    def test_json_round_trip_preserves_digest(self):
         tb = _testbed()
         snap = capture(tb, scenario="three-site")
-        path = tmp_path / "snap.json"
-        snap.save(str(path))
-        loaded = SimSnapshot.load(str(path))
-        assert loaded.digest == snap.digest
-        assert loaded.fingerprint == snap.fingerprint
+        loaded = SimSnapshot.from_json(snap.to_json())
+        assert loaded == snap
         verify(tb, loaded)
 
-    def test_unsupported_version_rejected(self):
-        tb = _testbed()
-        data = capture(tb, scenario="three-site").to_dict()
-        data["version"] = 99
-        with pytest.raises(SnapshotError):
-            SimSnapshot.from_dict(data)
-
     def test_foreign_documents_raise_snapshot_error(self):
-        """Snapshot JSON is outside input: an old-format or damaged
-        document is a SnapshotError, never a bare KeyError."""
-        good = capture(_testbed(), scenario="three-site").to_dict()
-        pre_bump = {**good, "version": SNAPSHOT_VERSION - 1,
-                    "perf_flags": {"rpc_inline": True}}
-        # Versions 2 to 9 have this version's key set but fingerprint
-        # another heap or host table (an in-flight inline RPC; the
-        # GridManager's `gm-poll` process; `kernel.rpc_tokens` and the
-        # per-host `_rpc` service; boot actions, testbed roots and the
-        # submit machine's disk before `Host.boot`; legs, boots and
-        # resumes as `Timeout`/`boot:`/`relay:` events; services without
-        # their process lists, and a `factories` root; a Collector with
-        # an equality index and sorted name lists), and version 9 names
-        # sealed ads `ClassAd` and keeps one Startd ad and no Schedd
-        # idle order, and version 10 holds per-daemon tallies that
-        # restate trace records; version 11 names an RPC leg in flight
-        # as an `Entry` row, version 12 runs a GIIS on the MDS index
-        # host, and version 13 runs periodic daemon ticks as processes:
-        # refused, not mis-verified.
-        assert SNAPSHOT_VERSION == 14
-        v2 = {**good, "version": 2}
-        v3 = {**good, "version": 3}
-        v4 = {**good, "version": 4}
-        v5 = {**good, "version": 5}
-        v6 = {**good, "version": 6}
-        v7 = {**good, "version": 7}
-        v8 = {**good, "version": 8}
-        v9 = {**good, "version": 9}
-        v10 = {**good, "version": 10}
-        v11 = {**good, "version": 11}
-        v12 = {**good, "version": 12}
-        v13 = {**good, "version": 13}
+        """Snapshot JSON is outside input: a document that is not an
+        object with exactly the snapshot's fields, of their types, with
+        a finite non-negative time, is a SnapshotError, never a bare
+        KeyError or a snapshot that cannot be replayed."""
+        good = json.loads(capture(_testbed(), scenario="three-site")
+                          .to_json())
         truncated = {k: v for k, v in good.items() if k != "fingerprint"}
-        unknown = {**good, "perf_flags": {}}
-        for doc, needle in ((pre_bump, "version"),
-                            (v2, "version"),
-                            (v3, "version"),
-                            (v4, "version"),
-                            (v5, "version"),
-                            (v6, "version"),
-                            (v7, "version"),
-                            (v8, "version"),
-                            (v9, "version"),
-                            (v10, "version"),
-                            (v11, "version 11: an RPC leg in flight is an "
-                                  "Entry row there"),
-                            (v12, "version"),
-                            (v13, "version"),
-                            (truncated, "fingerprint"),
-                            (unknown, "perf_flags"),
-                            ([good], "JSON object")):
+        for text, needle in (
+                ("{", "not JSON"),
+                (json.dumps([good]), "JSON object"),
+                (json.dumps(truncated), r"lacks keys \['fingerprint'\]"),
+                (json.dumps({**good, "version": 14}),
+                 r"unknown keys \['version'\]"),
+                (json.dumps({**good, "seed": "3"}), "seed has type str"),
+                (json.dumps({**good, "seed": True}), "seed has type bool"),
+                (json.dumps({**good, "plan": []}), "plan has type list"),
+                (json.dumps({**good, "fingerprint": None}),
+                 "fingerprint has type NoneType"),
+                (json.dumps({**good, "digest": 7}), "digest has type int"),
+                (json.dumps({**good, "time": "400.0"}), "time has type str"),
+                (json.dumps({**good, "time": math.nan}), "time nan"),
+                (json.dumps({**good, "time": math.inf}), "time inf"),
+                (json.dumps({**good, "time": -1.0}), "time -1.0")):
             with pytest.raises(SnapshotError, match=needle):
-                SimSnapshot.from_dict(doc)
-        assert SimSnapshot.from_dict(good).digest == good["digest"]
+                SimSnapshot.from_json(text)
+        snap = SimSnapshot.from_json(json.dumps({**good, "time": 400}))
+        assert snap.time == 400.0 and type(snap.time) is float
+        assert snap.digest == good["digest"]
 
     def test_state_digest_tracks_progress(self):
         tb = _testbed(until=300.0)
@@ -293,6 +236,26 @@ class TestRestore:
         tb.run(until=1500.0)
         tb2.run(until=1500.0)
         assert run_digest(tb2) == run_digest(tb)
+
+    def test_another_builds_document_is_refused_at_restore(self):
+        """A build that fingerprints state differently wrote this
+        document: it parses, and restore's replay names where this
+        build's state differs from it."""
+        tb = _testbed(seed=5)
+        doc = json.loads(capture(tb, scenario="three-site").to_json())
+        foreign = [
+            ({**doc["fingerprint"], "version": 14}, "$.version"),
+            ({**doc["fingerprint"],
+              "kernel": {**doc["fingerprint"]["kernel"], "seq": 0}},
+             "$.kernel.seq"),
+        ]
+        for fingerprint, path in foreign:
+            snap = SimSnapshot.from_json(
+                json.dumps({**doc, "fingerprint": fingerprint}))
+            with pytest.raises(SnapshotMismatch, match=path.replace(
+                    "$", r"\$")) as exc:
+                restore(snap)
+            assert exc.value.divergence["path"] == path
 
     def test_restore_detects_seed_tampering(self):
         tb = _testbed(seed=5)

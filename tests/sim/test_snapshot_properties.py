@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.chaos.digest import run_digest
 from repro.grid.scenarios import get_scenario
-from repro.sim.snapshot import capture, restore, state_digest
+from repro.sim.snapshot import SimSnapshot, capture, restore, state_digest
 
 #: end-of-run horizon per scenario: late enough that real grid traffic
 #: (submissions, GRAM polls, completions) straddles any boundary.
@@ -70,10 +70,11 @@ def test_segmented_run_matches_uninterrupted(scenario, seed, frac):
     assert run_digest(tb) == baseline, \
         f"resume diverged at boundary t={boundary}"
 
-    # rehydrate flavor: rebuild from provenance in a fresh testbed
-    # (restore verifies state bit-identity internally, raising
-    # SnapshotMismatch with the divergent path on failure).
-    tb2 = restore(snap)
+    # rehydrate flavor: rebuild from provenance in a fresh testbed,
+    # from the snapshot's JSON document (restore verifies state
+    # bit-identity internally, raising SnapshotMismatch with the
+    # divergent path on failure).
+    tb2 = restore(SimSnapshot.from_json(snap.to_json()))
     assert tb2.sim.now == boundary or tb2.sim.now == snap.time
     tb2.run(until=horizon)
     assert run_digest(tb2) == baseline, \
