@@ -19,10 +19,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from typing import Any, TYPE_CHECKING
+from itertools import islice
+from typing import Any, Iterator, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..grid.testbed import GridTestbed
+
+_details = json.JSONEncoder(sort_keys=True).encode
+_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def sanitize(value: Any, depth: int = 6) -> Any:
@@ -44,13 +48,16 @@ def sanitize(value: Any, depth: int = 6) -> Any:
     return f"<{type(value).__name__}>"
 
 
-def trace_fingerprint(tb: "GridTestbed") -> list[str]:
+def _trace_lines(tb: "GridTestbed") -> Iterator[str]:
     """One compact line per retained trace record, in log order."""
-    out = []
-    for rec in tb.sim.trace.records:
-        details = json.dumps(sanitize(rec.details), sort_keys=True)
-        out.append(f"{rec.time!r}|{rec.component}|{rec.event}|{details}")
-    return out
+    for rec in tb.sim.trace:
+        details = _details(sanitize(rec.details))
+        yield f"{rec.time!r}|{rec.component}|{rec.event}|{details}"
+
+
+def trace_fingerprint(tb: "GridTestbed") -> list[str]:
+    """The trace lines the digest hashes, as a list."""
+    return list(_trace_lines(tb))
 
 
 def queue_state(tb: "GridTestbed") -> dict:
@@ -93,10 +100,18 @@ def digest_parts(tb: "GridTestbed") -> dict:
 
 
 def run_digest(tb: "GridTestbed") -> str:
-    """Stable SHA-256 of a finished run."""
-    blob = json.dumps(digest_parts(tb), sort_keys=True,
-                      separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    """Stable SHA-256 of ``json.dumps(digest_parts(tb), sort_keys=True,
+    separators=(",", ":"))``, fed in pieces, the trace 256 lines at a time."""
+    sim = tb.sim
+    h = hashlib.sha256(f'{{"metrics":{_dump(sanitize(sim.metrics.snapshot()))}'
+                       f',"queues":{_dump(sanitize(queue_state(tb)))}'
+                       f',"time":{_dump(sim.now)},"trace":['.encode())
+    lines, sep = _trace_lines(tb), ""
+    while chunk := list(islice(lines, 256)):
+        h.update(f"{sep}{_dump(chunk)[1:-1]}".encode())
+        sep = ","
+    h.update(f'],"trace_dropped":{_dump(sim.trace.dropped)}}}'.encode())
+    return h.hexdigest()
 
 
 def first_divergence(a: list[str], b: list[str]) -> dict:

@@ -55,6 +55,12 @@ class PlannedFault:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PlannedFault":
+        missing = sorted({"kind", "target", "time"} - set(data))
+        if missing:
+            raise ValueError(f"plan event {data!r} lacks {missing}")
+        if type(data["time"]) not in (int, float):
+            raise ValueError(f"plan event time {data['time']!r} is not a "
+                             f"number")
         return cls(time=float(data["time"]), kind=str(data["kind"]),
                    target=str(data["target"]),
                    duration=(None if data.get("duration") is None

@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 
 from ..grid.scenarios import Scenario, get_scenario, scenario_names
 from ..states import JobState
-from .digest import digest_parts, first_divergence, run_digest
+from .digest import first_divergence, run_digest, trace_fingerprint
 from .invariants import evaluate_invariants
 from .plan import FaultPlan
 
@@ -161,7 +161,6 @@ def run_one(scenario_name: str, seed: int,
     result.sim_time = tb.sim.now
     result.trace_records = len(tb.sim.trace)
     result.violations = [v.to_dict() for v in evaluate_invariants(tb)]
-    parts = digest_parts(tb)
     result.digest = run_digest(tb)
     if audit:
         tb2, _ = build_and_run(scenario_name, seed, plan=plan)
@@ -169,8 +168,8 @@ def run_one(scenario_name: str, seed: int,
         if second != result.digest:
             result.divergence = {
                 "first_digest": result.digest, "second_digest": second,
-                **first_divergence(parts["trace"],
-                                   digest_parts(tb2)["trace"]),
+                **first_divergence(trace_fingerprint(tb),
+                                   trace_fingerprint(tb2)),
             }
     result.wall_seconds = time.perf_counter() - started
     return result

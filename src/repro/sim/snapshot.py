@@ -461,13 +461,17 @@ def restore(snap: SimSnapshot) -> "GridTestbed":
         raise SnapshotError(
             "snapshot carries no (scenario, seed) provenance; capture() "
             "with scenario=... to make it restorable")
+    from ..chaos.plan import FaultPlan
     from ..grid.scenarios import get_scenario
 
-    tb = get_scenario(snap.scenario).build(snap.seed)
-    if snap.plan and snap.plan.get("events"):
-        from ..chaos.plan import FaultPlan
-
-        FaultPlan.from_dict(snap.plan).apply(tb)
+    try:
+        scenario = get_scenario(snap.scenario)
+        plan = FaultPlan.from_dict(snap.plan or {})
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SnapshotError(f"cannot replay snapshot: {exc.args[0]}") from None
+    tb = scenario.build(snap.seed)
+    if plan.events:
+        plan.apply(tb)
     tb.run(until=snap.time)
     verify(tb, snap)
     return tb

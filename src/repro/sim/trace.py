@@ -69,6 +69,10 @@ class Trace:
     def __len__(self) -> int:
         return len(self._records)
 
+    def __iter__(self) -> Iterator[TraceRecord]:
+        """The retained records, oldest first, read in place (no copy)."""
+        return iter(self._records)
+
     def log(self, component: str, event: str, **details: Any) -> None:
         self._seq += 1
         rec = TraceRecord(self.sim.now, component, event, details, self._seq)

@@ -1,8 +1,45 @@
 """Run digests: the determinism auditor's measuring instrument."""
 
+import hashlib
+import json
+import tracemalloc
+
+import pytest
+
 from repro.chaos import first_divergence, run_digest, trace_fingerprint
 from repro.chaos.digest import digest_parts, sanitize
 from repro.chaos.runner import build_and_run
+from repro.grid.scenarios import get_scenario
+
+
+def _document_digest(tb) -> str:
+    """The digest's definition: SHA-256 of one canonical JSON document
+    holding every digest part, the trace as a list of lines."""
+    blob = json.dumps(digest_parts(tb), sort_keys=True,
+                      separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _plain_run(seed: int = 0, max_records=None):
+    tb = get_scenario("three-site").build(seed)
+    tb.sim.trace.max_records = max_records
+    tb.run_until_quiet()
+    return tb
+
+
+def _odd_details_run():
+    """A run whose last record carries what sanitizing and escaping
+    must get right: non-ASCII text and keys, nested containers, a set
+    and an object of an undeclared type."""
+    class Widget:
+        pass
+
+    tb = _plain_run()
+    tb.sim.trace.log("probe", "odd", text="Grüße aus 東京 ☃ \"q\"\n",
+                     nested={"b": [1, (2.5, {"c": None})], "a": {"z": -0.0}},
+                     tags={"y", "x", 3}, widget=Widget(),
+                     **{"ключ": "значение"})
+    return tb
 
 
 class TestSanitize:
@@ -42,6 +79,41 @@ class TestRunDigest:
         assert parts["trace"] and parts["metrics"] and parts["queues"]
         assert len(parts["trace"]) == len(tb.sim.trace)
         assert parts["trace"] == trace_fingerprint(tb)
+
+    @pytest.mark.parametrize("build", [
+        _plain_run,
+        lambda: build_and_run("three-site", 0)[0],
+        lambda: _plain_run(max_records=40),
+        _odd_details_run,
+    ], ids=["plain", "faulted", "ring-buffered", "odd-details"])
+    def test_streamed_hash_equals_the_document_hash(self, build):
+        tb = build()
+        assert len(tb.sim.trace) > 0
+        if tb.sim.trace.max_records is not None:
+            assert tb.sim.trace.dropped > 0
+        assert run_digest(tb) == _document_digest(tb)
+
+    def test_digest_does_not_hold_the_trace(self):
+        """The trace is hashed a bounded batch of lines at a time: the
+        digest's transient memory stays well under the size of the
+        fingerprint lines, where building the whole document takes
+        several times that."""
+        tb = _plain_run()
+        for i in range(5_000):
+            tb.sim.trace.log(f"gridmanager:u{i % 7}", "job_state",
+                             job=f"{i}.0", state="RUNNING",
+                             resource=f"site{i % 5}-gk/jobmanager-pbs")
+        lines = sum(len(line) for line in trace_fingerprint(tb))
+        assert len(tb.sim.trace) >= 5_000
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run_digest(tb)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < lines / 2, (peak, lines)
 
 
 class TestFirstDivergence:

@@ -9,7 +9,9 @@ from repro.chaos import (
     FaultPlan,
     campaign_to_dict,
     run_campaign,
+    run_digest,
     run_one,
+    trace_fingerprint,
 )
 from repro.chaos.__main__ import main as chaos_main
 from repro.chaos.invariants import evaluate_invariants
@@ -42,6 +44,42 @@ class TestRunOne:
     def test_audit_passes_on_deterministic_sim(self):
         result = run_one("credential", 9, audit=True)
         assert result.ok and result.divergence == {}
+
+    def test_audit_reports_where_a_divergent_rebuild_differs(
+            self, monkeypatch):
+        """Fingerprints are rendered only for a divergent audit: the
+        report names both digests and the first record that differs."""
+        from repro.chaos import runner
+
+        real, builds = runner.build_and_run, []
+
+        def build(scenario_name, seed, plan=None):
+            if not builds:
+                tb, plan = real(scenario_name, seed, plan=plan)
+            else:         # the rebuild logs one record the first lacks
+                scenario = get_scenario(scenario_name)
+                tb = scenario.build(seed)
+                tb.sim.trace.log("audit-probe", "extra")
+                plan = plan or FaultPlan.generate(
+                    tb, horizon=scenario.fault_horizon,
+                    kinds=scenario.fault_kinds,
+                    max_faults=scenario.max_faults)
+                plan.apply(tb)
+                drive_to_quiescence(tb, scenario, plan)
+            builds.append(tb)
+            return tb, plan
+
+        monkeypatch.setattr(runner, "build_and_run", build)
+        result = run_one("credential", 9, audit=True)
+        first, second = (trace_fingerprint(tb) for tb in builds)
+        div = result.divergence
+        assert div["first_digest"] == result.digest == run_digest(builds[0])
+        assert div["second_digest"] == run_digest(builds[1]) != result.digest
+        i = div["index"]
+        assert 0 < i < len(first) and first[:i] == second[:i]
+        assert div["first"] == first[i]
+        assert div["second"] == second[i]
+        assert div["second"].endswith("|audit-probe|extra|{}")
 
     def test_replay_reproduces_the_generated_run(self):
         first = run_one("credential", 6)

@@ -8,6 +8,7 @@ its refusal of malformed ones), divergence detection -- also of a
 document another build captured -- and fork-based restore.
 """
 
+import dataclasses
 import json
 import math
 
@@ -224,6 +225,26 @@ class TestRestore:
         snap = capture(tb)            # no scenario recorded
         with pytest.raises(SnapshotError):
             restore(snap)
+
+    def test_unreplayable_provenance_raises_snapshot_error(self):
+        """A scenario this build does not know, or a plan event it cannot
+        read, is a SnapshotError naming the problem, never a bare
+        KeyError or ValueError from the scenario table or the plan."""
+        snap = capture(_testbed(), scenario="three-site")
+        event = {"time": 100.0, "kind": "crash", "target": "anl-gk"}
+        for change, needle in (
+                ({"scenario": "no-such-cell"},
+                 "unknown scenario 'no-such-cell'"),
+                ({"plan": {"events": [{"time": 100.0, "kind": "crash"}]}},
+                 r"lacks \['target'\]"),
+                ({"plan": {"events": [{"target": "anl-gk"}]}},
+                 r"lacks \['kind', 'time'\]"),
+                ({"plan": {"events": [{**event, "time": "soon"}]}},
+                 "time 'soon' is not a number"),
+                ({"plan": {"events": [{**event, "time": None}]}},
+                 "time None is not a number")):
+            with pytest.raises(SnapshotError, match=needle):
+                restore(dataclasses.replace(snap, **change))
 
     def test_restore_rebuilds_bit_identical_state(self):
         tb = _testbed(seed=5)
