@@ -1,10 +1,16 @@
-"""ClassAds: the Condor classified-advertisement language.
+"""ClassAds: the Condor classified-advertisement language, cut to the
+subset the system's ads use.
 
-A complete implementation of the ClassAd expression language used by
-Condor's matchmaking framework [25 in the paper]: lexer, parser, lazy
-three-valued evaluator (UNDEFINED/ERROR), built-in function library, and
-the bilateral Requirements/Rank match used by the Negotiator and by the
-Condor-G resource broker.
+In the paper ClassAds do one job: bilateral Requirements/Rank matching,
+by the personal pool's Negotiator (jobs on GlideIns, §5) and by the
+broker (a job against MDS-published resource state, §4.4).  This
+package carries exactly what those ads evaluate: literals, attribute
+references (``MY.``/``TARGET.``), ``!`` and unary ``-``, arithmetic,
+comparison and ``&&``/``||`` under the three-valued logic
+(UNDEFINED/ERROR), ``real()`` and ``ifThenElse()``, and bracketed ads.
+Anything else of the full language is refused at parse time.
+``benchmarks/reach.py repro.classads`` measures that no consumer of the
+system needs more, and CI fails on a function here that none enters.
 """
 
 from .ast import AttrRef, EvalContext, Expr, Literal, is_match_static
@@ -19,12 +25,12 @@ from .classad import (
 )
 from .lexer import ClassAdSyntaxError
 from .parser import parse, parse_ad_pairs
-from .values import ERROR, UNDEFINED, is_false, is_true, value_repr
+from .values import ERROR, UNDEFINED, is_true, value_repr
 
 __all__ = [
     "ERROR", "UNDEFINED", "AttrRef", "ClassAd", "ClassAdSyntaxError",
     "EvalContext", "Expr", "Literal", "SealedClassAd", "best_match",
-    "is_false", "is_true", "is_match_static", "match_signature",
+    "is_true", "is_match_static", "match_signature",
     "parse", "parse_ad_pairs", "rank_value", "requirements_met",
     "symmetric_match", "value_repr",
 ]

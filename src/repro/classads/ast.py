@@ -2,25 +2,27 @@
 
 Evaluation implements the ClassAd three-valued logic:
 
-* strict operators (arithmetic, comparison, bitwise) propagate ERROR first,
-  then UNDEFINED;
-* the logical operators are non-strict: ``false && undefined == false`` and
-  ``true || error == true``;
-* meta-equality ``=?=`` / ``=!=`` ("is identical to") never yields
-  UNDEFINED/ERROR and is case-*sensitive* on strings, whereas ``==`` is
-  case-insensitive (classic ClassAd string semantics);
+* strict operators (arithmetic, comparison) propagate ERROR first, then
+  UNDEFINED;
+* the logical operators are non-strict: ``false && undefined == false``
+  and ``true || error == true``;
+* ``==`` is case-insensitive on strings (classic ClassAd semantics);
 * attribute references resolve in the *owning* ad first and then in the
   match candidate (``TARGET``), with cycle detection yielding ERROR.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence, TYPE_CHECKING
+import math
+from typing import Any, Callable, Optional, Sequence, TYPE_CHECKING
 
 from .values import ERROR, UNDEFINED, is_number, is_special, value_repr
 
 if TYPE_CHECKING:  # pragma: no cover
     from .classad import ClassAd
+
+#: how deep attribute references may chain before evaluation gives ERROR
+MAX_DEPTH = 200
 
 
 class EvalContext:
@@ -30,33 +32,20 @@ class EvalContext:
         self,
         my: Optional["ClassAd"] = None,
         target: Optional["ClassAd"] = None,
-        rng: Any = None,
         now: float = 0.0,
-        max_depth: int = 200,
     ):
         self.my = my
         self.target = target
-        self.rng = rng
         self.now = now
-        self.max_depth = max_depth
         self._in_progress: set[tuple[int, str]] = set()
         self._depth = 0
-
-    def swapped(self) -> "EvalContext":
-        """Context seen from the other ad's point of view."""
-        ctx = EvalContext(self.target, self.my, self.rng, self.now,
-                          self.max_depth)
-        ctx._in_progress = self._in_progress
-        ctx._depth = self._depth
-        return ctx
 
     def for_ad(self, ad: "ClassAd") -> "EvalContext":
         """Context whose MY is `ad` (TARGET becomes the opposite ad)."""
         if ad is self.my:
             return self
-        if ad is self.target:
-            return self.swapped()
-        ctx = EvalContext(ad, None, self.rng, self.now, self.max_depth)
+        ctx = EvalContext(ad, self.my if ad is self.target else None,
+                          self.now)
         ctx._in_progress = self._in_progress
         ctx._depth = self._depth
         return ctx
@@ -74,20 +63,8 @@ class Expr:
 
     __slots__ = ("_text",)
 
-    def eval(self, ctx: EvalContext) -> Any:  # pragma: no cover - abstract
-        raise NotImplementedError
-
     def __str__(self) -> str:
         return self._text
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} {self}>"
-
-    def __eq__(self, other: object) -> bool:
-        return type(self) is type(other) and str(self) == str(other)
-
-    def __hash__(self) -> int:
-        return hash((type(self).__name__, str(self)))
 
 
 class Literal(Expr):
@@ -133,7 +110,7 @@ class AttrRef(Expr):
             key = (id(ad), name)
             if key in ctx._in_progress:
                 return ERROR  # cyclic definition
-            if ctx._depth >= ctx.max_depth:
+            if ctx._depth >= MAX_DEPTH:
                 return ERROR
             ctx._in_progress.add(key)
             ctx._depth += 1
@@ -146,6 +123,8 @@ class AttrRef(Expr):
 
 
 class UnaryOp(Expr):
+    """``!`` or unary ``-``."""
+
     __slots__ = ("op", "operand")
 
     def __init__(self, op: str, operand: Expr):
@@ -156,10 +135,8 @@ class UnaryOp(Expr):
     def eval(self, ctx: EvalContext) -> Any:
         v = self.operand.eval(ctx)
         if self.op == "!":
-            if v is ERROR:
-                return ERROR
-            if v is UNDEFINED:
-                return UNDEFINED
+            if is_special(v):
+                return v
             if isinstance(v, bool):
                 return not v
             if is_number(v):
@@ -167,19 +144,9 @@ class UnaryOp(Expr):
             return ERROR
         if is_special(v):
             return v
-        if self.op == "-":
-            if isinstance(v, bool) or not is_number(v):
-                return ERROR
-            return -v
-        if self.op == "+":
-            if isinstance(v, bool) or not is_number(v):
-                return ERROR
-            return v
-        if self.op == "~":
-            if isinstance(v, int) and not isinstance(v, bool):
-                return ~v
+        if not is_number(v):
             return ERROR
-        return ERROR  # pragma: no cover - parser limits ops
+        return -v
 
 
 def _num(v: Any) -> Any:
@@ -217,10 +184,6 @@ class BinaryOp(Expr):
             return self._logic(ctx, op)
         lhs = self.left.eval(ctx)
         rhs = self.right.eval(ctx)
-        if op == "=?=":
-            return _identical(lhs, rhs)
-        if op == "=!=":
-            return not _identical(lhs, rhs)
         # strict operators: ERROR dominates, then UNDEFINED
         if lhs is ERROR or rhs is ERROR:
             return ERROR
@@ -228,11 +191,7 @@ class BinaryOp(Expr):
             return UNDEFINED
         if op in ("+", "-", "*", "/", "%"):
             return _arith(op, lhs, rhs)
-        if op in ("==", "!=", "<", "<=", ">", ">="):
-            return _compare(op, lhs, rhs)
-        if op in ("|", "&", "^", "<<", ">>"):
-            return _bitwise(op, lhs, rhs)
-        return ERROR  # pragma: no cover - parser limits ops
+        return _compare(op, lhs, rhs)
 
     def _logic(self, ctx: EvalContext, op: str) -> Any:
         lhs = _truth(self.left.eval(ctx))
@@ -263,19 +222,6 @@ class BinaryOp(Expr):
         return False
 
 
-def _identical(lhs: Any, rhs: Any) -> bool:
-    """`=?=`: same type and same value; strings case-sensitive."""
-    if lhs is UNDEFINED or rhs is UNDEFINED:
-        return lhs is rhs
-    if lhs is ERROR or rhs is ERROR:
-        return lhs is rhs
-    if isinstance(lhs, bool) or isinstance(rhs, bool):
-        return isinstance(lhs, bool) and isinstance(rhs, bool) and lhs == rhs
-    if type(lhs) is not type(rhs):
-        return False
-    return lhs == rhs
-
-
 def _arith(op: str, lhs: Any, rhs: Any) -> Any:
     a, b = _num(lhs), _num(rhs)
     if a is None or b is None:
@@ -287,21 +233,17 @@ def _arith(op: str, lhs: Any, rhs: Any) -> Any:
             return a - b
         if op == "*":
             return a * b
-        if op == "/":
-            if b == 0:
-                return ERROR
-            if isinstance(a, int) and isinstance(b, int):
-                return int(a / b)  # C-style integer division
-            return a / b
-        if op == "%":
-            if b == 0:
-                return ERROR
-            if isinstance(a, int) and isinstance(b, int):
-                return int(__import__("math").fmod(a, b))
-            return __import__("math").fmod(a, b)
+        if b == 0:
+            return ERROR
+        if isinstance(a, int) and isinstance(b, int):
+            # C semantics: the quotient truncates toward zero and the
+            # remainder takes the dividend's sign, exactly, at any size
+            q = abs(a) // abs(b)
+            q = q if (a < 0) == (b < 0) else -q
+            return q if op == "/" else a - b * q
+        return a / b if op == "/" else math.fmod(a, b)
     except (OverflowError, ValueError):
         return ERROR
-    return ERROR  # pragma: no cover
 
 
 def _compare(op: str, lhs: Any, rhs: Any) -> Any:
@@ -325,180 +267,74 @@ def _compare(op: str, lhs: Any, rhs: Any) -> Any:
     return a >= b
 
 
-def _bitwise(op: str, lhs: Any, rhs: Any) -> Any:
-    if not isinstance(lhs, int) or isinstance(lhs, bool):
+# -- the functions ------------------------------------------------------------
+#
+# A function receives the context and its unevaluated arguments; bad
+# arity or argument types give ERROR, per ClassAd convention.
+
+def _real(ctx: EvalContext, args: Sequence[Expr]) -> Any:
+    if len(args) != 1:
         return ERROR
-    if not isinstance(rhs, int) or isinstance(rhs, bool):
-        return ERROR
-    if op == "|":
-        return lhs | rhs
-    if op == "&":
-        return lhs & rhs
-    if op == "^":
-        return lhs ^ rhs
-    if op == "<<":
-        return lhs << rhs if 0 <= rhs < 64 else ERROR
-    return lhs >> rhs if 0 <= rhs < 64 else ERROR
-
-
-class Ternary(Expr):
-    __slots__ = ("cond", "then", "other")
-
-    def __init__(self, cond: Expr, then: Expr, other: Expr):
-        self.cond = cond
-        self.then = then
-        self.other = other
-        self._text = f"({cond} ? {then} : {other})"
-
-    def eval(self, ctx: EvalContext) -> Any:
-        c = _truth(self.cond.eval(ctx))
-        if c is True:
-            return self.then.eval(ctx)
-        if c is False:
-            return self.other.eval(ctx)
-        return c  # UNDEFINED or ERROR
-
-
-class ListExpr(Expr):
-    __slots__ = ("items",)
-
-    def __init__(self, items: Sequence[Expr]):
-        self.items = tuple(items)
-        self._text = "{ " + ", ".join(map(str, self.items)) + " }"
-
-    def eval(self, ctx: EvalContext) -> Any:
-        return [item.eval(ctx) for item in self.items]
-
-
-class ClassAdExpr(Expr):
-    """A nested `[ a = 1; b = 2 ]` record literal."""
-
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs: Sequence[tuple[str, Expr]]):
-        self.pairs = tuple(pairs)
-        inner = "; ".join(f"{k} = {v}" for k, v in self.pairs)
-        self._text = f"[ {inner} ]"
-
-    def eval(self, ctx: EvalContext) -> Any:
-        from .classad import ClassAd
-
-        ad = ClassAd()
-        for name, expr in self.pairs:
-            ad.set_expr(name, expr)
-        return ad
-
-
-class Subscript(Expr):
-    __slots__ = ("base", "index")
-
-    def __init__(self, base: Expr, index: Expr):
-        self.base = base
-        self.index = index
-        self._text = f"{base}[{index}]"
-
-    def eval(self, ctx: EvalContext) -> Any:
-        from .classad import ClassAd
-
-        base = self.base.eval(ctx)
-        idx = self.index.eval(ctx)
-        if base is ERROR or idx is ERROR:
-            return ERROR
-        if base is UNDEFINED or idx is UNDEFINED:
-            return UNDEFINED
-        if isinstance(base, list):
-            if isinstance(idx, bool) or not isinstance(idx, int):
-                return ERROR
-            if 0 <= idx < len(base):
-                return base[idx]
-            return ERROR
-        if isinstance(base, ClassAd) and isinstance(idx, str):
-            return base.eval(idx, ctx=ctx)
+    v = args[0].eval(ctx)
+    if is_special(v):
+        return v
+    try:
+        return float(v.strip() if isinstance(v, str) else v)
+    except (ValueError, OverflowError):
         return ERROR
 
 
-class Select(Expr):
-    """`expr.attr` where expr evaluates to a nested ClassAd."""
-
-    __slots__ = ("base", "attr")
-
-    def __init__(self, base: Expr, attr: str):
-        self.base = base
-        self.attr = attr
-        self._text = f"{base}.{attr}"
-
-    def eval(self, ctx: EvalContext) -> Any:
-        from .classad import ClassAd
-
-        base = self.base.eval(ctx)
-        if base is ERROR:
-            return ERROR
-        if base is UNDEFINED:
-            return UNDEFINED
-        if isinstance(base, ClassAd):
-            return base.eval(self.attr, ctx=ctx)
+def _if_then_else(ctx: EvalContext, args: Sequence[Expr]) -> Any:
+    """``ifThenElse(c, a, b)``: evaluates only the branch taken."""
+    if len(args) != 3:
         return ERROR
+    c = _truth(args[0].eval(ctx))
+    if c is True:
+        return args[1].eval(ctx)
+    if c is False:
+        return args[2].eval(ctx)
+    return c
+
+
+#: every function the language has, by lower-cased name
+FUNCTIONS: dict[str, Callable[[EvalContext, Sequence[Expr]], Any]] = {
+    "real": _real,
+    "ifthenelse": _if_then_else,
+}
 
 
 class FuncCall(Expr):
-    __slots__ = ("name", "args")
+    """A call of one of :data:`FUNCTIONS` (the parser refuses others)."""
+
+    __slots__ = ("name", "args", "fn")
 
     def __init__(self, name: str, args: Sequence[Expr]):
         self.name = name
         self.args = tuple(args)
+        self.fn = FUNCTIONS[name.lower()]
         self._text = f"{name}({', '.join(map(str, self.args))})"
 
     def eval(self, ctx: EvalContext) -> Any:
-        from .builtins import BUILTINS
-
-        entry = BUILTINS.get(self.name.lower())
-        if entry is None:
-            return ERROR
-        fn, lazy = entry
-        if lazy:
-            return fn(ctx, self.args)
-        values = [a.eval(ctx) for a in self.args]
-        return fn(ctx, values)
+        return self.fn(ctx, self.args)
 
 
-# -- static (time/RNG-free) expression analysis -------------------------------
-
-# Builtins whose result depends on the evaluation context rather than
-# purely on their argument values.
-_DYNAMIC_FUNCS = frozenset({"random", "time"})
-
+# -- static (time-free) expression analysis -----------------------------------
 
 def is_match_static(expr: Expr) -> bool:
-    """True if evaluating ``expr`` can never read the clock or the RNG.
+    """True if evaluating ``expr`` can never read the clock.
 
     Used by the Negotiator's match memoization: a (job, machine) pair
     whose ads are entirely static evaluates to the same match/rank at
-    any ``now``, so one evaluation per cycle is enough.  Conservative by
-    construction -- ``CurrentTime`` (which falls back to ``ctx.now``
-    when the ad lacks the attribute), ``time()`` and ``random()`` are
-    dynamic, and unknown node kinds count as dynamic.
+    any ``now``, so one evaluation per cycle is enough.  The only thing
+    that reads the clock is a ``CurrentTime`` reference (which falls back
+    to ``ctx.now`` when the ad lacks the attribute).
     """
-    if isinstance(expr, Literal):
-        return True
     if isinstance(expr, AttrRef):
         return expr.name.lower() != "currenttime"
     if isinstance(expr, UnaryOp):
         return is_match_static(expr.operand)
     if isinstance(expr, BinaryOp):
         return is_match_static(expr.left) and is_match_static(expr.right)
-    if isinstance(expr, Ternary):
-        return (is_match_static(expr.cond) and is_match_static(expr.then)
-                and is_match_static(expr.other))
-    if isinstance(expr, ListExpr):
-        return all(is_match_static(item) for item in expr.items)
-    if isinstance(expr, ClassAdExpr):
-        return all(is_match_static(sub) for _, sub in expr.pairs)
-    if isinstance(expr, Subscript):
-        return is_match_static(expr.base) and is_match_static(expr.index)
-    if isinstance(expr, Select):
-        return is_match_static(expr.base)
     if isinstance(expr, FuncCall):
-        if expr.name.lower() in _DYNAMIC_FUNCS:
-            return False
-        return all(is_match_static(arg) for arg in expr.args)
-    return False
+        return all(map(is_match_static, expr.args))
+    return True

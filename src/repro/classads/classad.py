@@ -18,27 +18,22 @@ as 0).
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 from ..sim.fastcopy import declare
-from .ast import ClassAdExpr, EvalContext, Expr, ListExpr, Literal, \
-    is_match_static
+from .ast import EvalContext, Expr, Literal, is_match_static
 from .parser import parse, parse_ad_pairs
-from .values import ERROR, UNDEFINED, is_true, value_repr
+from .values import UNDEFINED, is_special, is_true, value_repr
 
 
 def _to_expr(value: Any) -> Expr:
-    """Accept Python natives, Expr, or ClassAd source strings-as-values."""
+    """Accept an Expr or a value (``None`` stores UNDEFINED); a list or an
+    ad is no ClassAd value and is refused with ``TypeError``."""
     if isinstance(value, Expr):
         return value
-    if isinstance(value, ClassAd):
-        return ClassAdExpr([(k, v) for k, v in value.expr_items()])
-    if isinstance(value, list):
-        return ListExpr([_to_expr(v) for v in value])
     if value is None:
         return Literal(UNDEFINED)
-    if isinstance(value, (bool, int, float, str)) or value in (UNDEFINED,
-                                                               ERROR):
+    if isinstance(value, (bool, int, float, str)) or is_special(value):
         return Literal(value)
     raise TypeError(f"cannot store {type(value).__name__} in a ClassAd")
 
@@ -68,7 +63,7 @@ class ClassAd:
     # -- construction -------------------------------------------------------
     @classmethod
     def parse(cls, text: str) -> "ClassAd":
-        """Parse `[a = 1; b = 2]` or old-style `a = 1` line format."""
+        """Parse a bracketed ad, `[a = 1; b = 2]`."""
         ad = cls()
         for name, expr in parse_ad_pairs(text):
             ad.set_expr(name, expr)
@@ -118,20 +113,6 @@ class ClassAd:
         """The raw (unevaluated) expression, or None."""
         return self._attrs.get(name.lower())
 
-    def __contains__(self, name: str) -> bool:
-        return name.lower() in self._attrs
-
-    def __delitem__(self, name: str) -> None:
-        key = name.lower()
-        del self._attrs[key]
-        del self._case[key]
-
-    def __len__(self) -> int:
-        return len(self._attrs)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._case.values())
-
     def expr_items(self) -> list[tuple[str, Expr]]:
         return [(self._case[k], v) for k, v in self._attrs.items()]
 
@@ -153,12 +134,6 @@ class ClassAd:
             ctx = ctx.for_ad(self)
         return expr.eval(ctx)
 
-    def __getitem__(self, name: str) -> Any:
-        value = self.eval(name)
-        if value is UNDEFINED and name.lower() not in self._attrs:
-            raise KeyError(name)
-        return value
-
     def get(self, name: str, default: Any = None) -> Any:
         if name.lower() not in self._attrs:
             return default
@@ -169,19 +144,6 @@ class ClassAd:
         inner = "; ".join(f"{self._case[k]} = {v}"
                           for k, v in self._attrs.items())
         return f"[ {inner} ]"
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"ClassAd({len(self)} attrs)"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ClassAd):
-            return NotImplemented
-        return {k: str(v) for k, v in self._attrs.items()} == \
-               {k: str(v) for k, v in other._attrs.items()}
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted((k, str(v))
-                                 for k, v in self._attrs.items())))
 
 
 @declare
@@ -194,13 +156,13 @@ class SealedClassAd(ClassAd):
     def _refuse(self, *_args: Any) -> None:
         raise TypeError("this ClassAd is sealed; edit a copy()")
 
-    __setitem__ = __delitem__ = set_expr = set_expression = update = _refuse
+    __setitem__ = set_expr = set_expression = update = _refuse
 
 
 # -- matchmaking --------------------------------------------------------------
 
-def requirements_met(ad: ClassAd, candidate: ClassAd, now: float = 0.0,
-                     rng: Any = None) -> bool:
+def requirements_met(ad: ClassAd, candidate: ClassAd,
+                     now: float = 0.0) -> bool:
     """True if `ad.Requirements` evaluates to true against `candidate`.
 
     A missing Requirements attribute counts as true (matches anything),
@@ -209,24 +171,22 @@ def requirements_met(ad: ClassAd, candidate: ClassAd, now: float = 0.0,
     expr = ad.lookup("requirements")
     if expr is None:
         return True
-    ctx = EvalContext(my=ad, target=candidate, now=now, rng=rng)
-    return is_true(expr.eval(ctx))
+    return is_true(expr.eval(EvalContext(my=ad, target=candidate, now=now)))
 
 
-def symmetric_match(left: ClassAd, right: ClassAd, now: float = 0.0,
-                    rng: Any = None) -> bool:
+def symmetric_match(left: ClassAd, right: ClassAd,
+                    now: float = 0.0) -> bool:
     """Bilateral match: each ad's Requirements holds against the other."""
-    return (requirements_met(left, right, now=now, rng=rng)
-            and requirements_met(right, left, now=now, rng=rng))
+    return (requirements_met(left, right, now=now)
+            and requirements_met(right, left, now=now))
 
 
-def rank_value(ad: ClassAd, candidate: ClassAd, now: float = 0.0,
-               rng: Any = None) -> float:
+def rank_value(ad: ClassAd, candidate: ClassAd, now: float = 0.0) -> float:
     """Evaluate `ad.Rank` against `candidate`; non-numeric ranks count 0."""
     expr = ad.lookup("rank")
     if expr is None:
         return 0.0
-    value = expr.eval(EvalContext(my=ad, target=candidate, now=now, rng=rng))
+    value = expr.eval(EvalContext(my=ad, target=candidate, now=now))
     if isinstance(value, bool):
         return 1.0 if value else 0.0
     if isinstance(value, (int, float)):
@@ -234,19 +194,15 @@ def rank_value(ad: ClassAd, candidate: ClassAd, now: float = 0.0,
     return 0.0
 
 
-def best_match(
-    ad: ClassAd,
-    candidates: list[ClassAd],
-    now: float = 0.0,
-    rng: Any = None,
-) -> Optional[ClassAd]:
+def best_match(ad: ClassAd, candidates: list[ClassAd],
+               now: float = 0.0) -> Optional[ClassAd]:
     """The matching candidate maximizing `ad.Rank` (stable on ties)."""
     best: Optional[ClassAd] = None
     best_rank = float("-inf")
     for cand in candidates:
-        if not symmetric_match(ad, cand, now=now, rng=rng):
+        if not symmetric_match(ad, cand, now=now):
             continue
-        r = rank_value(ad, cand, now=now, rng=rng)
+        r = rank_value(ad, cand, now=now)
         if r > best_rank:
             best, best_rank = cand, r
     return best

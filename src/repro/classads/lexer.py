@@ -16,16 +16,12 @@ class Token:
     text: str
     pos: int
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Token({self.kind}, {self.text!r}@{self.pos})"
-
 
 # Multi-char operators, longest first so the scanner is greedy.
 _OPERATORS = [
-    "=?=", "=!=",
-    "==", "!=", "<=", ">=", "&&", "||", "<<", ">>",
-    "=", "<", ">", "+", "-", "*", "/", "%", "!", "~", "?", ":",
-    "(", ")", "[", "]", "{", "}", ",", ";", ".", "|", "&", "^",
+    "==", "!=", "<=", ">=", "&&", "||",
+    "=", "<", ">", "+", "-", "*", "/", "%", "!",
+    "(", ")", "[", "]", ",", ";", ".",
 ]
 
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyz"
@@ -42,17 +38,6 @@ def tokenize(text: str) -> Iterator[Token]:
         # whitespace
         if ch in " \t\r\n":
             i += 1
-            continue
-        # comments: // to end of line, /* ... */
-        if ch == "/" and i + 1 < n and text[i + 1] == "/":
-            j = text.find("\n", i)
-            i = n if j < 0 else j + 1
-            continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "*":
-            j = text.find("*/", i + 2)
-            if j < 0:
-                raise ClassAdSyntaxError(f"unterminated comment at {i}")
-            i = j + 2
             continue
         # string literal
         if ch == '"':

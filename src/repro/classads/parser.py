@@ -1,25 +1,27 @@
 """Recursive-descent parser for ClassAd expressions and ads.
 
-Grammar (precedence low to high)::
+The language is the subset of ClassAds that the system's ads use --
+Requirements/Rank matching over attribute values, nothing more
+(``benchmarks/reach.py repro.classads`` is the measurement that picks
+it).  Grammar (precedence low to high)::
 
-    expr     := orExpr ('?' expr ':' expr)?
-    orExpr   := andExpr ('||' andExpr)*
-    andExpr  := bitOr  ('&&' bitOr)*
-    bitOr    := bitXor ('|' bitXor)*
-    bitXor   := bitAnd ('^' bitAnd)*
-    bitAnd   := eq     ('&' eq)*
-    eq       := rel (('=='|'!='|'=?='|'=!='|'is'|'isnt') rel)*
-    rel      := shift (('<'|'<='|'>'|'>=') shift)*
-    shift    := add (('<<'|'>>') add)*
+    ad       := '[' (IDENT '=' expr (';' IDENT '=' expr)* ';'?)? ']'
+    expr     := andExpr ('||' andExpr)*
+    andExpr  := eq ('&&' eq)*
+    eq       := rel (('=='|'!=') rel)*
+    rel      := add (('<'|'<='|'>'|'>=') add)*
     add      := mul (('+'|'-') mul)*
     mul      := unary (('*'|'/'|'%') unary)*
-    unary    := ('!'|'-'|'+'|'~') unary | postfix
-    postfix  := primary ('[' expr ']' | '.' IDENT)*
+    unary    := ('!'|'-') unary | primary
     primary  := INT | REAL | STRING | 'true' | 'false' | 'undefined'
-              | 'error' | IDENT '(' args ')' | IDENT | '(' expr ')'
-              | '{' exprList '}' | '[' attrList ']'
+              | 'error' | FUNC '(' args ')' | ('MY'|'TARGET') '.' IDENT
+              | IDENT | '(' expr ')'
 
-``MY.attr`` / ``TARGET.attr`` parse as scoped attribute references.
+``FUNC`` is ``real`` or ``ifThenElse``; a call of any other function is
+refused with :class:`ClassAdSyntaxError` naming it, as is every other
+construct of the full language (``?:``, lists, nested ads, ``=?=``,
+bitwise operators), so a submit file that uses one fails at submit
+instead of yielding a job that never matches.
 """
 
 from __future__ import annotations
@@ -27,19 +29,8 @@ from __future__ import annotations
 import functools
 from typing import Optional
 
-from .ast import (
-    AttrRef,
-    BinaryOp,
-    ClassAdExpr,
-    Expr,
-    FuncCall,
-    ListExpr,
-    Literal,
-    Select,
-    Subscript,
-    Ternary,
-    UnaryOp,
-)
+from .ast import FUNCTIONS, AttrRef, BinaryOp, Expr, FuncCall, Literal, \
+    UnaryOp
 from .lexer import ClassAdSyntaxError, Token, tokenize
 from .values import ERROR, UNDEFINED
 
@@ -72,11 +63,6 @@ class _Parser:
             return self.advance().text
         return None
 
-    def accept_kw(self, *words: str) -> Optional[str]:
-        if self.cur.kind == "IDENT" and self.cur.text.lower() in words:
-            return self.advance().text.lower()
-        return None
-
     def expect_op(self, op: str) -> None:
         if not self.accept_op(op):
             raise ClassAdSyntaxError(
@@ -88,16 +74,12 @@ class _Parser:
                 f"expected identifier, got {self.cur.text!r} at {self.cur.pos}")
         return self.advance().text
 
-    # -- grammar -----------------------------------------------------------
-    def parse_expr(self) -> Expr:
-        cond = self.parse_or()
-        if self.accept_op("?"):
-            then = self.parse_expr()
-            self.expect_op(":")
-            other = self.parse_expr()
-            return Ternary(cond, then, other)
-        return cond
+    def expect_end(self) -> None:
+        if self.cur.kind != "EOF":
+            raise ClassAdSyntaxError(
+                f"trailing input {self.cur.text!r} at {self.cur.pos}")
 
+    # -- grammar -----------------------------------------------------------
     def _left_assoc(self, sub, *ops: str) -> Expr:
         node = sub()
         while True:
@@ -106,37 +88,17 @@ class _Parser:
                 return node
             node = BinaryOp(op, node, sub())
 
-    def parse_or(self) -> Expr:
+    def parse_expr(self) -> Expr:
         return self._left_assoc(self.parse_and, "||")
 
     def parse_and(self) -> Expr:
-        return self._left_assoc(self.parse_bitor, "&&")
-
-    def parse_bitor(self) -> Expr:
-        return self._left_assoc(self.parse_bitxor, "|")
-
-    def parse_bitxor(self) -> Expr:
-        return self._left_assoc(self.parse_bitand, "^")
-
-    def parse_bitand(self) -> Expr:
-        return self._left_assoc(self.parse_eq, "&")
+        return self._left_assoc(self.parse_eq, "&&")
 
     def parse_eq(self) -> Expr:
-        node = self.parse_rel()
-        while True:
-            op = self.accept_op("==", "!=", "=?=", "=!=")
-            if op is None:
-                kw = self.accept_kw("is", "isnt")
-                if kw is None:
-                    return node
-                op = "=?=" if kw == "is" else "=!="
-            node = BinaryOp(op, node, self.parse_rel())
+        return self._left_assoc(self.parse_rel, "==", "!=")
 
     def parse_rel(self) -> Expr:
-        return self._left_assoc(self.parse_shift, "<", "<=", ">", ">=")
-
-    def parse_shift(self) -> Expr:
-        return self._left_assoc(self.parse_add, "<<", ">>")
+        return self._left_assoc(self.parse_add, "<", "<=", ">", ">=")
 
     def parse_add(self) -> Expr:
         return self._left_assoc(self.parse_mul, "+", "-")
@@ -145,46 +107,27 @@ class _Parser:
         return self._left_assoc(self.parse_unary, "*", "/", "%")
 
     def parse_unary(self) -> Expr:
-        op = self.accept_op("!", "-", "+", "~")
+        op = self.accept_op("!", "-")
         if op is not None:
             return UnaryOp(op, self.parse_unary())
-        return self.parse_postfix()
-
-    def parse_postfix(self) -> Expr:
-        node = self.parse_primary()
-        while True:
-            if self.accept_op("["):
-                index = self.parse_expr()
-                self.expect_op("]")
-                node = Subscript(node, index)
-            elif self.accept_op("."):
-                attr = self.expect_ident()
-                if isinstance(node, AttrRef) and node.scope is None and \
-                        node.name.lower() in ("my", "target"):
-                    node = AttrRef(attr, scope=node.name.lower())
-                else:
-                    node = Select(node, attr)
-            else:
-                return node
+        return self.parse_primary()
 
     def parse_primary(self) -> Expr:
-        tok = self.cur
+        tok = self.advance()
         if tok.kind == "INT":
-            self.advance()
             return Literal(int(tok.text))
         if tok.kind == "REAL":
-            self.advance()
             return Literal(float(tok.text))
         if tok.kind == "STRING":
-            self.advance()
             return Literal(tok.text)
         if tok.kind == "IDENT":
             word = tok.text.lower()
             if word in _KEYWORD_LITERALS:
-                self.advance()
                 return Literal(_KEYWORD_LITERALS[word])
-            self.advance()
             if self.accept_op("("):
+                if word not in FUNCTIONS:
+                    raise ClassAdSyntaxError(
+                        f"unknown function {tok.text!r} at {tok.pos}")
                 args = []
                 if not self.accept_op(")"):
                     args.append(self.parse_expr())
@@ -192,23 +135,13 @@ class _Parser:
                         args.append(self.parse_expr())
                     self.expect_op(")")
                 return FuncCall(tok.text, args)
+            if word in ("my", "target") and self.accept_op("."):
+                return AttrRef(self.expect_ident(), scope=word)
             return AttrRef(tok.text)
-        if self.accept_op("("):
+        if tok.kind == "OP" and tok.text == "(":
             node = self.parse_expr()
             self.expect_op(")")
             return node
-        if self.accept_op("{"):
-            items = []
-            if not self.accept_op("}"):
-                items.append(self.parse_expr())
-                while self.accept_op(","):
-                    items.append(self.parse_expr())
-                self.expect_op("}")
-            return ListExpr(items)
-        if self.accept_op("["):
-            pairs = self.parse_attr_list()
-            self.expect_op("]")
-            return ClassAdExpr(pairs)
         raise ClassAdSyntaxError(
             f"unexpected token {tok.text!r} at {tok.pos}")
 
@@ -221,9 +154,6 @@ class _Parser:
             if not self.accept_op(";"):
                 break
         return pairs
-
-    def at_end(self) -> bool:
-        return self.cur.kind == "EOF"
 
 
 @functools.lru_cache(maxsize=4096)
@@ -239,61 +169,15 @@ def parse(text: str) -> Expr:
     """
     parser = _Parser(text)
     expr = parser.parse_expr()
-    if not parser.at_end():
-        tok = parser.cur
-        raise ClassAdSyntaxError(
-            f"trailing input {tok.text!r} at {tok.pos}")
+    parser.expect_end()
     return expr
 
 
 def parse_ad_pairs(text: str) -> list[tuple[str, Expr]]:
-    """Parse an ad in either bracketed (`[a=1; b=2]`) or old line format."""
-    stripped = text.strip()
-    if stripped.startswith("["):
-        parser = _Parser(stripped)
-        parser.expect_op("[")
-        pairs = parser.parse_attr_list()
-        parser.expect_op("]")
-        if not parser.at_end():
-            tok = parser.cur
-            raise ClassAdSyntaxError(
-                f"trailing input {tok.text!r} at {tok.pos}")
-        return pairs
-    # Old format: one `Attr = Expr` per line; blank lines and # comments ok.
-    pairs = []
-    for line in stripped.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        eq = _find_toplevel_eq(line)
-        if eq < 0:
-            raise ClassAdSyntaxError(f"expected 'Attr = Expr': {line!r}")
-        name = line[:eq].strip()
-        if not name or not all(c.isalnum() or c == "_" for c in name) or \
-                name[0].isdigit():
-            raise ClassAdSyntaxError(f"bad attribute name {name!r}")
-        pairs.append((name, parse(line[eq + 1:])))
+    """Parse a bracketed ad, ``[a = 1; b = 2]``, into its pairs."""
+    parser = _Parser(text)
+    parser.expect_op("[")
+    pairs = parser.parse_attr_list()
+    parser.expect_op("]")
+    parser.expect_end()
     return pairs
-
-
-def _find_toplevel_eq(line: str) -> int:
-    """Index of the assignment '=' (not ==, <=, >=, !=, =?=, =!=)."""
-    in_string = False
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if in_string:
-            if ch == "\\":
-                i += 2
-                continue
-            if ch == '"':
-                in_string = False
-        elif ch == '"':
-            in_string = True
-        elif ch == "=":
-            prev = line[i - 1] if i > 0 else ""
-            nxt = line[i + 1] if i + 1 < len(line) else ""
-            if prev not in "=<>!" and nxt not in "=?!":
-                return i
-        i += 1
-    return -1

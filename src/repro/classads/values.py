@@ -3,71 +3,33 @@
 ClassAd expressions evaluate to one of:
 
 * ``int``, ``float``, ``str``, ``bool`` (Python natives),
-* ``list`` of values,
-* :class:`~repro.classads.classad.ClassAd` (nested record),
 * the singletons :data:`UNDEFINED` and :data:`ERROR`.
 
 UNDEFINED arises from missing attributes; ERROR from type mismatches,
-division by zero, bad function calls, or cyclic attribute definitions.
+division by zero, bad arguments, or cyclic attribute definitions.
 Both propagate through strict operators; the logical operators ``&&`` and
 ``||`` are non-strict in the ClassAd way (``False && UNDEFINED == False``).
 """
 
 from __future__ import annotations
 
+import enum
 from typing import Any
 
 
-class Undefined:
-    """The UNDEFINED value (missing information)."""
+class Special(enum.Enum):
+    """UNDEFINED (missing information) or ERROR (a bad computation)."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "undefined"
+    UNDEFINED = "undefined"
+    ERROR = "error"
 
     def __bool__(self) -> bool:
         raise TypeError(
-            "UNDEFINED has no Python truth value; use is_true()/is_false()")
-
-    def __deepcopy__(self, memo):
-        return self
-
-    def __copy__(self):
-        return self
+            f"{self.name} has no Python truth value; use is_true()")
 
 
-class Error:
-    """The ERROR value (type error, bad call, cyclic definition...)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "error"
-
-    def __bool__(self) -> bool:
-        raise TypeError(
-            "ERROR has no Python truth value; use is_true()/is_false()")
-
-    def __deepcopy__(self, memo):
-        return self
-
-    def __copy__(self):
-        return self
-
-
-UNDEFINED = Undefined()
-ERROR = Error()
+UNDEFINED = Special.UNDEFINED
+ERROR = Special.ERROR
 
 
 def is_special(value: Any) -> bool:
@@ -85,41 +47,21 @@ def is_true(value: Any) -> bool:
     return False
 
 
-def is_false(value: Any) -> bool:
-    if value is False:
-        return True
-    if isinstance(value, bool):
-        return False
-    if isinstance(value, (int, float)):
-        return value == 0
-    return False
-
-
 def is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def value_repr(value: Any) -> str:
     """Render a value in ClassAd source syntax."""
-    from .classad import ClassAd
-
     if value is True:
         return "true"
     if value is False:
         return "false"
-    if value is UNDEFINED:
-        return "undefined"
-    if value is ERROR:
-        return "error"
+    if value is UNDEFINED or value is ERROR:
+        return value.value
     if isinstance(value, str):
         escaped = value.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{escaped}"'
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, list):
-        return "{ " + ", ".join(value_repr(v) for v in value) + " }"
-    if isinstance(value, ClassAd):
-        return str(value)
     return str(value)

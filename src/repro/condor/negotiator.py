@@ -13,12 +13,12 @@ GlideIn startds need nothing special here -- they are ordinary machine
 ads in the collector, which is the whole elegance of the §5 design.
 
 Each cycle builds a memoized matcher: jobs are reduced to content
-signatures, and for each *static* (time/RNG-free) job signature the
+signatures, and for each *static* (clock-free) job signature the
 bilateral Requirements/Rank evaluation runs once against the static
 machines, producing a rank-ordered candidate list consumed by cursor --
 so 10k identical jobs cost one evaluation sweep instead of 10k linear
-``best_match`` scans.  Dynamic ads (anything touching ``CurrentTime``,
-``time()``, ``random()``) fall back to per-job evaluation.  The matcher
+``best_match`` scans.  Dynamic ads (anything touching ``CurrentTime``)
+fall back to per-job evaluation.  The matcher
 must choose exactly what ``classads.best_match`` over the machines not
 yet handed out would choose; ``tests/condor/test_cycle_matcher.py``
 holds it to that.

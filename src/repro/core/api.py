@@ -204,9 +204,11 @@ class CondorGAgent:
     def _submit_condor(self, d: JobDescription) -> str:
         if self.schedd is None:
             raise RuntimeError("agent built without a personal pool")
+        # the ad first: a refused Requirements/Rank takes no job id
+        ad = job_ad(self.user, requirements=d.requirements, rank=d.rank)
         job = CondorJob(
             job_id=self.queue.new_id(),
-            ad=job_ad(self.user, requirements=d.requirements, rank=d.rank),
+            ad=ad,
             runtime=d.runtime,
             universe=d.universe,
             io_interval=d.io_interval,

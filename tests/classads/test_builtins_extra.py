@@ -1,72 +1,60 @@
-"""Tests for the extended builtin library (string + list functions)."""
+"""The string and list functions of the full ClassAd language are not in
+this one: every call is refused at parse time (a list literal already at
+its ``{``), so an ad that uses one fails where it is written."""
 
 import pytest
 
-from repro.classads import ClassAd, ERROR, UNDEFINED, parse
-from repro.classads.ast import EvalContext
+from repro.classads import ClassAd, ClassAdSyntaxError
 
-
-def ev(text, my=None):
-    return parse(text).eval(EvalContext(my=my))
+from .test_eval import refused
 
 
 class TestStringFunctions:
     def test_strcmp(self):
-        assert ev('strcmp("a", "b")') == -1
-        assert ev('strcmp("b", "a")') == 1
-        assert ev('strcmp("x", "x")') == 0
-        assert ev('strcmp("A", "a")') != 0     # case-sensitive
+        refused('strcmp("a", "b")', "strcmp")
 
     def test_stricmp(self):
-        assert ev('stricmp("ABC", "abc")') == 0
-        assert ev('stricmp("a", "B")') == -1
+        refused('stricmp("ABC", "abc")', "stricmp")
 
     def test_strcmp_type_errors(self):
-        assert ev('strcmp("a", 1)') is ERROR
-        assert ev('strcmp("a", missing)') is UNDEFINED
+        refused('strcmp("a", missing)', "strcmp")
 
     def test_join_varargs(self):
-        assert ev('join("-", "a", "b", "c")') == "a-b-c"
-        assert ev('join(", ", 1, 2.5, true)') == "1, 2.5, true"
+        refused('join("-", "a", "b", "c")', "join")
 
     def test_join_list(self):
-        assert ev('join(":", {"x", "y"})') == "x:y"
-        assert ev('join(":", {})') == ""
+        refused('join(":", {"x", "y"})')
 
     def test_split(self):
-        assert ev('split("a, b,c")') == ["a", "b", "c"]
-        assert ev('split("a:b:c", ":")') == ["a", "b", "c"]
-        assert ev('split(42)') is ERROR
+        refused('split("a, b,c")', "split")
 
     def test_split_join_round_trip(self):
-        assert ev('join(",", split("p,q,r"))') == "p,q,r"
+        refused('join(",", split("p,q,r"))', "join")
 
 
 class TestListReductions:
     def test_min_max(self):
-        assert ev("min({3, 1, 2})") == 1
-        assert ev("max({3, 1, 2})") == 3
-        assert ev("min(3, 1, 2)") == 1
+        refused("min(3, 1, 2)", "min")
+        refused("max({3, 1, 2})")
 
     def test_sum_avg(self):
-        assert ev("sum({1, 2, 3})") == 6
-        assert ev("avg({1, 2, 3})") == pytest.approx(2.0)
+        refused("sum(1, 2, 3)", "sum")
+        refused("avg(1, 2, 3)", "avg")
 
     def test_empty_list_is_error(self):
-        assert ev("sum({})") is ERROR
+        refused("sum({})")
 
     def test_non_numeric_is_error(self):
-        assert ev('sum({1, "two"})') is ERROR
+        refused('sum(1, "two")', "sum")
 
     def test_undefined_propagates(self):
-        assert ev("max({1, missing})") is UNDEFINED
+        refused("max(1, missing)", "max")
 
     def test_bools_coerce(self):
-        assert ev("sum({true, true, false})") == 2
+        refused("sum(true, true, false)", "sum")
 
     def test_usable_in_requirements(self):
-        """The reason these exist: multi-resource constraints in ads."""
-        machine = ClassAd.parse(
-            "[ CpuLoads = { 0.9, 0.1, 0.3 }; "
-            "  Requirements = min(CpuLoads) < 0.2 ]")
-        assert machine.eval("Requirements") is True
+        """An ad that uses one is refused as it is parsed."""
+        with pytest.raises(ClassAdSyntaxError, match="function 'min'"):
+            ClassAd.parse("[ CpuLoad = 0.1; "
+                          "  Requirements = min(CpuLoad) < 0.2 ]")

@@ -5,6 +5,8 @@ import pytest
 from repro.classads import ClassAdSyntaxError, parse, parse_ad_pairs
 from repro.classads.lexer import tokenize
 
+from .test_eval import refused
+
 
 def kinds(text):
     return [(t.kind, t.text) for t in tokenize(text) if t.kind != "EOF"]
@@ -29,18 +31,24 @@ class TestLexer:
             kinds(r'"\q"')
 
     def test_operators_longest_match(self):
-        assert kinds("=?= =!= == != <= >= && || << >>") == [
-            ("OP", "=?="), ("OP", "=!="), ("OP", "=="), ("OP", "!="),
-            ("OP", "<="), ("OP", ">="), ("OP", "&&"), ("OP", "||"),
-            ("OP", "<<"), ("OP", ">>")]
+        assert kinds("== != <= >= && || = < > !") == [
+            ("OP", "=="), ("OP", "!="), ("OP", "<="), ("OP", ">="),
+            ("OP", "&&"), ("OP", "||"), ("OP", "="), ("OP", "<"),
+            ("OP", ">"), ("OP", "!")]
+        for text in ("=?=", "a | b", "a & b", "a ^ b", "~a", "a ? b : c",
+                     "{1}"):
+            with pytest.raises(ClassAdSyntaxError, match="unexpected"):
+                kinds(text)
+        for text in ("+3", "a << 2", "a >> 2"):     # lexes, does not parse
+            refused(text)
+
+    # comments are not in the language: no ad of the system carries one
 
     def test_comments_stripped(self):
-        assert kinds("1 // comment\n + /* inline */ 2") == [
-            ("INT", "1"), ("OP", "+"), ("INT", "2")]
+        refused("1 // comment\n + /* inline */ 2")
 
     def test_unterminated_comment(self):
-        with pytest.raises(ClassAdSyntaxError):
-            kinds("/* never ends")
+        refused("/* never ends")
 
     def test_identifiers(self):
         assert kinds("Memory _foo a1_b") == [
@@ -68,10 +76,10 @@ class TestParser:
         assert str(parse("(1 + 2) * 3")) == "((1 + 2) * 3)"
 
     def test_ternary(self):
-        assert str(parse("a ? 1 : 2")) == "(a ? 1 : 2)"
+        refused("a ? 1 : 2", "'\\?'")
 
     def test_ternary_nests_right(self):
-        assert str(parse("a ? 1 : b ? 2 : 3")) == "(a ? 1 : (b ? 2 : 3))"
+        refused("a ? 1 : b ? 2 : 3")
 
     def test_unary_chain(self):
         assert str(parse("!!a")) == "!(!(a))"
@@ -82,29 +90,33 @@ class TestParser:
         assert str(parse("target.Disk")) == "TARGET.Disk"
 
     def test_select_on_nested_ad(self):
-        assert str(parse("a.b.c")) == "a.b.c"
+        refused("a.b.c", "trailing input '.'")
+        refused("MY.a.b", "trailing input '.'")
 
     def test_subscript(self):
-        assert str(parse("xs[2]")) == "xs[2]"
+        refused("xs[2]", "trailing input '\\['")
 
     def test_function_call(self):
-        assert str(parse('strcat("a", "b")')) == 'strcat("a", "b")'
+        refused('strcat("a", "b")', "unknown function 'strcat'")
+        assert str(parse("ifThenElse(a, real(b), 2)")) == \
+            "ifThenElse(a, real(b), 2)"
 
     def test_function_no_args(self):
-        assert str(parse("time()")) == "time()"
+        refused("time()", "unknown function 'time'")
+        assert str(parse("real()")) == "real()"
 
     def test_list_literal(self):
-        assert str(parse("{1, 2, 3}")) == "{ 1, 2, 3 }"
+        refused("{1, 2, 3}")
 
     def test_empty_list(self):
-        assert str(parse("{}")) == "{  }"
+        refused("{}")
 
     def test_nested_ad_literal(self):
-        assert str(parse("[ a = 1; b = 2 ]")) == "[ a = 1; b = 2 ]"
+        refused("[ a = 1; b = 2 ]", "unexpected token '\\['")
 
     def test_is_isnt_keywords(self):
-        assert str(parse("a is undefined")) == "(a =?= undefined)"
-        assert str(parse("a isnt error")) == "(a =!= error)"
+        refused("a is undefined", "trailing input 'is'")
+        refused("a isnt error", "trailing input 'isnt'")
 
     def test_keyword_literals(self):
         assert str(parse("TRUE")) == "true"
@@ -129,22 +141,34 @@ class TestAdParsing:
         pairs = parse_ad_pairs("[ Memory = 64; Arch = \"INTEL\" ]")
         assert [name for name, _ in pairs] == ["Memory", "Arch"]
 
+    def test_bracketed_format_allows_a_trailing_semicolon(self):
+        pairs = parse_ad_pairs("[ Memory = 64; ]")
+        assert [name for name, _ in pairs] == ["Memory"]
+        assert parse_ad_pairs("[]") == []
+
+    # the old line format is not in the language: every ad the system
+    # writes or reads back is bracketed (str(ad))
+
     def test_old_line_format(self):
-        pairs = parse_ad_pairs(
-            "Memory = 64\n"
-            "# a comment\n"
-            "Requirements = TARGET.Disk > 100 && Arch == \"INTEL\"\n")
-        assert [name for name, _ in pairs] == ["Memory", "Requirements"]
+        with pytest.raises(ClassAdSyntaxError, match="expected '\\['"):
+            parse_ad_pairs("Memory = 64")
+        with pytest.raises(ClassAdSyntaxError):
+            parse_ad_pairs(
+                "Memory = 64\n"
+                "# a comment\n"
+                "Requirements = TARGET.Disk > 100 && Arch == \"INTEL\"\n")
 
     def test_old_format_finds_assignment_not_comparison(self):
-        pairs = parse_ad_pairs('Req = A == 1 && B <= 2 && C =?= "x"')
-        assert len(pairs) == 1
-        assert pairs[0][0] == "Req"
+        with pytest.raises(ClassAdSyntaxError):
+            parse_ad_pairs('Req = A == 1 && B <= 2 && C == "x"')
+        pairs = parse_ad_pairs('[ Req = A == 1 && B <= 2 && C != "x" ]')
+        assert [name for name, _ in pairs] == ["Req"]
 
     def test_old_format_bad_line(self):
         with pytest.raises(ClassAdSyntaxError):
             parse_ad_pairs("just some words")
 
     def test_equals_inside_string_not_assignment(self):
-        pairs = parse_ad_pairs('Cmd = "--flag=value"')
+        pairs = parse_ad_pairs('[ Cmd = "--flag=value" ]')
         assert pairs[0][0] == "Cmd"
+        assert str(pairs[0][1]) == '"--flag=value"'

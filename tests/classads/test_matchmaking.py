@@ -134,8 +134,10 @@ def test_glidein_style_match():
     [
       ImageSize = 100;
       Requirements = TARGET.Arch == "INTEL" && TARGET.OpSys == "LINUX";
-      Rank = ifThenElse(isUndefined(TARGET.GlideIn), 0, 10)
+      Rank = ifThenElse(TARGET.GlideIn, 10, 0)
     ]
     """)
     assert symmetric_match(job, glidein_startd)
     assert rank_value(job, glidein_startd) == 10.0
+    pool_node = ClassAd.parse('[ Arch = "INTEL"; OpSys = "LINUX" ]')
+    assert rank_value(job, pool_node) == 0.0      # GlideIn undefined

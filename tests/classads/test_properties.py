@@ -1,4 +1,5 @@
-"""Property-based tests (hypothesis) for ClassAd invariants."""
+"""Property-based tests (hypothesis) for ClassAd invariants, over the
+grammar the language keeps."""
 
 import math
 
@@ -10,7 +11,8 @@ from repro.classads.values import value_repr
 
 # -- value strategies ---------------------------------------------------------
 
-ints = st.integers(min_value=-10**9, max_value=10**9)
+# past 2**53, where a float stops holding every integer
+ints = st.integers(min_value=-2**62, max_value=2**62)
 reals = st.floats(min_value=-1e9, max_value=1e9,
                   allow_nan=False, allow_infinity=False)
 # Strings without control chars; printable source round-trip.
@@ -43,18 +45,11 @@ def test_value_repr_round_trips_through_parser(value):
         assert isinstance(back, bool) == isinstance(value, bool)
 
 
-@given(st.lists(scalars, max_size=5))
-def test_list_repr_round_trips(values):
-    src = value_repr(values)
-    back = ev(src)
-    assert len(back) == len(values)
-
-
 @given(st.dictionaries(attr_names.map(str.lower), ints, max_size=6))
 def test_ad_parse_str_round_trip(attrs):
     ad = ClassAd(attrs)
     back = ClassAd.parse(str(ad))
-    assert set(n.lower() for n in back) == set(attrs)
+    assert set(n.lower() for n, _ in back.expr_items()) == set(attrs)
     for name, value in attrs.items():
         assert back.eval(name) == value
 
@@ -95,6 +90,72 @@ def bool_exprs(draw, depth=3):
     b = draw(bool_exprs(depth=depth - 1))
     op = {2: "&&", 3: "||", 4: "=="}[kind]
     return f"({a}) {op} ({b})"
+
+
+# -- the kept grammar, drawn whole --------------------------------------------
+
+ATTRS = ("A", "B", "Memory", "CurrentTime")
+BINARY = ("||", "&&", "==", "!=", "<", "<=", ">", ">=",
+          "+", "-", "*", "/", "%")
+refs = st.builds(str.__add__,
+                 st.sampled_from(("", "MY.", "TARGET.", "my.", "target.")),
+                 st.sampled_from(ATTRS))
+
+
+@st.composite
+def exprs(draw, depth=4):
+    """Source text of an expression of the language: a literal, an
+    attribute reference, ``!``/unary ``-``, a binary operator (bracketed
+    or left to precedence), ``real()`` or ``ifThenElse()``."""
+    kind = draw(st.integers(0, 5 if depth else 1))
+    if kind == 0:
+        return value_repr(draw(scalars))
+    if kind == 1:
+        return draw(refs)
+    sub = exprs(depth=depth - 1)
+    if kind == 2:
+        return draw(st.sampled_from("!-")) + draw(sub)
+    if kind == 3:
+        text = f"{draw(sub)} {draw(st.sampled_from(BINARY))} {draw(sub)}"
+        return f"({text})" if draw(st.booleans()) else text
+    if kind == 4:
+        return f"real({draw(sub)})"
+    return f"ifThenElse({draw(sub)}, {draw(sub)}, {draw(sub)})"
+
+
+def _ad(pairs):
+    ad = ClassAd()
+    for name, text in pairs:
+        ad.set_expression(name, text)
+    return ad
+
+
+ads = st.lists(st.tuples(st.sampled_from(ATTRS), exprs(depth=2)),
+               max_size=4).map(_ad)
+
+
+def _same(a, b):
+    """One value: the same type and value, NaN the same as NaN."""
+    return a is b or (type(a) is type(b) and (a == b or a != a and b != b))
+
+
+@given(exprs())
+@settings(max_examples=300)
+def test_rendering_parses_back_to_itself(src):
+    """``parse(str(e))`` renders as ``e`` does: the text is the tree."""
+    text = str(parse.__wrapped__(src))
+    assert str(parse.__wrapped__(text)) == text
+
+
+@given(exprs(), ads, ads, st.floats(0, 1e6))
+@settings(max_examples=300)
+def test_the_memo_agrees_with_the_parser(src, my, target, now):
+    """The shared tree renders and evaluates as a fresh parse does,
+    against a drawn MY/TARGET pair."""
+    shared, fresh = parse(src), parse.__wrapped__(src)
+    assert str(shared) == str(fresh)
+    assert _same(shared.eval(EvalContext(my=my, target=target, now=now)),
+                 fresh.eval(EvalContext(my=my, target=target, now=now)))
 
 
 @given(bool_exprs())
@@ -143,12 +204,27 @@ def test_integer_arithmetic_matches_python(a, b):
     assert ev(f"({a}) * ({b})") == a * b
 
 
+def _c_div(a, b):
+    """C's integer quotient (truncated toward zero) and remainder (the
+    dividend's sign), computed exactly."""
+    q = abs(a) // abs(b) * (1 if (a < 0) == (b < 0) else -1)
+    return q, a - b * q
+
+
 @given(ints, ints)
 def test_division_c_semantics(a, b):
     if b == 0:
         assert ev(f"({a}) / ({b})") is ERROR
+        assert ev(f"({a}) % ({b})") is ERROR
     else:
-        assert ev(f"({a}) / ({b})") == int(a / b)
+        assert (ev(f"({a}) / ({b})"), ev(f"({a}) % ({b})")) == _c_div(a, b)
+
+
+def test_division_is_exact_past_two_to_the_53():
+    assert ev("9007199254740993 / 1") == 9007199254740993
+    assert ev("9007199254740993 % 10") == 3
+    assert ev("-9007199254740993 / 10") == -900719925474099
+    assert ev("7 % -3") == 1 and ev("-7 % 3") == -1
 
 
 @given(ints, ints)
@@ -158,15 +234,6 @@ def test_comparison_total_order(a, b):
     # exactly one of <, ==, > holds
     results = [ev(f"({a}) {op} ({b})") for op in ("<", "==", ">")]
     assert sum(results) == 1
-
-
-@given(scalars)
-def test_meta_equal_reflexive(v):
-    src = value_repr(v)
-    if isinstance(v, float) and (math.isnan(v)):
-        return
-    assert ev(f"({src}) =?= ({src})") is True
-    assert ev(f"({src}) =!= ({src})") is False
 
 
 @given(texts, texts)
@@ -189,4 +256,4 @@ def test_copy_is_independent(attrs):
     ad = ClassAd(attrs)
     dup = ad.copy()
     dup["NewAttr123"] = 1
-    assert "NewAttr123" not in ad
+    assert ad.lookup("NewAttr123") is None

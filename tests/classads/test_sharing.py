@@ -7,7 +7,6 @@ gates that over ``src/repro`` by reading the source.
 """
 
 import ast
-import random
 from pathlib import Path
 
 import pytest
@@ -27,12 +26,13 @@ HERE = Path(__file__).resolve().parent
 
 def _corpus() -> list[str]:
     """Every literal expression text the parser and evaluator tests hand
-    to ``parse``/``ev``: good and bad, every node kind."""
+    to ``parse``/``ev``/``refused``: good and bad, every node kind."""
     texts = []
     for name in ("test_eval.py", "test_lexer_parser.py"):
         for node in ast.walk(ast.parse((HERE / name).read_text())):
             if isinstance(node, ast.Call) and \
-                    getattr(node.func, "id", None) in ("ev", "parse") and \
+                    getattr(node.func, "id", None) in ("ev", "parse",
+                                                       "refused") and \
                     node.args and isinstance(node.args[0], ast.Constant) \
                     and isinstance(node.args[0].value, str):
                 texts.append(node.args[0].value)
@@ -46,13 +46,10 @@ def _context() -> EvalContext:
     my = ClassAd({"Memory": 128, "Arch": "INTEL", "Disk": 10, "X": 4})
     target = ClassAd({"Memory": 64, "Mips": 200, "OpSys": "LINUX"})
     my.set_expression("Chained", "Memory * 2")
-    return EvalContext(my=my, target=target, now=1000.0,
-                       rng=random.Random(7))
+    return EvalContext(my=my, target=target, now=1000.0)
 
 
 def _same(a, b) -> bool:
-    if isinstance(a, list) and isinstance(b, list):
-        return len(a) == len(b) and all(map(_same, a, b))
     return a is b or (type(a) is type(b) and a == b)
 
 
@@ -76,16 +73,10 @@ def test_corpus_covers_every_node_kind():
             node = stack.pop()
             kinds.add(type(node).__name__)
             stack.extend(getattr(node, slot) for slot in
-                         ("operand", "left", "right", "cond", "then",
-                          "other", "base", "index")
-                         if hasattr(node, slot))
-            stack.extend(getattr(node, "items", ()))
+                         ("operand", "left", "right") if hasattr(node, slot))
             stack.extend(getattr(node, "args", ()))
-            stack.extend(sub for _, sub in getattr(node, "pairs", ()))
     assert len(CORPUS) > 100
-    assert kinds == {"Literal", "AttrRef", "UnaryOp", "BinaryOp", "Ternary",
-                     "ListExpr", "ClassAdExpr", "Subscript", "Select",
-                     "FuncCall"}
+    assert kinds == {"Literal", "AttrRef", "UnaryOp", "BinaryOp", "FuncCall"}
 
 
 @pytest.mark.parametrize("text", CORPUS)
@@ -129,7 +120,8 @@ def test_the_memo_is_bounded():
 
 def _job(**extra) -> ClassAd:
     ad = ClassAd({"Owner": "alice", "ImageSize": 32, **extra})
-    ad.set_expression("Requirements", "TARGET.Memory >= 64 && time() > 0")
+    ad.set_expression("Requirements",
+                      "TARGET.Memory >= 64 && CurrentTime > 0")
     ad.set_expression("Rank", "TARGET.Mips")
     return ad
 
@@ -140,7 +132,7 @@ def test_sealed_ad_keeps_a_signature_equal_to_a_fresh_one():
     assert match_signature(ad) is signature
     assert signature == match_signature(ad.copy())
     assert signature == match_signature(_job())
-    assert signature[1] is False            # time() is dynamic
+    assert signature[1] is False            # CurrentTime is dynamic
 
 
 def test_unsealed_ad_is_never_cached():

@@ -3,7 +3,7 @@
 ``_CycleMatcher`` must hand out exactly the machines that sequential
 ``classads.best_match``-and-remove would: same choice per job, same
 first-maximal-rank tie-break, same treatment of undefined/NaN ranks and
-of ads that cannot be memoized (``random()``, ``CurrentTime``).
+of ads that cannot be memoized (``CurrentTime``).
 """
 
 import random
@@ -20,7 +20,6 @@ JOB_REQUIREMENTS = (
     "TARGET.Mips >= 100",
     'TARGET.Arch == "INTEL"',
     "TARGET.Mips >= 100 && TARGET.Memory > 64",
-    "random() < 0.5 || TARGET.Mips >= 100",     # not memoizable
     "CurrentTime > 50 && TARGET.Mips >= 100",   # not memoizable
     "TARGET.Mips > 1000",                       # matches nothing
 )

@@ -71,9 +71,10 @@ def test_nameless_submitter_ads_are_skipped():
     ghost["IdleJobs"] = 3
     ghost["ScheddHost"] = "nowhere"
     pool.collector.handle_advertise(None, "submitter", ghost, ttl=100_000.0)
-    # corrupt the stored ad in place: queries now return a nameless ad
-    stored, _expiry = pool.collector._ads[("submitter", "ghost")]
-    del stored["Name"]
+    # corrupt the stored ad: queries now return a nameless ad
+    _stored, expiry = pool.collector._ads[("submitter", "ghost")]
+    nameless = ClassAd({"IdleJobs": 3, "ScheddHost": "nowhere"})
+    pool.collector._ads[("submitter", "ghost")] = (nameless, expiry)
     sim.run(until=100.0)
     assert sim.trace.select("negotiator", "nameless_submitter")
     assert sim.metrics.counter("negotiator.nameless_submitters").value == \

@@ -248,7 +248,7 @@ def test_a_prio_raised_while_held_orders_the_job_after_release():
     assert list(schedd.handle_get_idle_jobs(None)) == ids[:3]
     schedd.release(ids[3])
     assert list(schedd.handle_get_idle_jobs(None)) == [ids[3]] + ids[:3]
-    assert schedd.handle_get_idle_jobs(None)[ids[3]]["JobPrio"] == 7
+    assert schedd.handle_get_idle_jobs(None)[ids[3]].get("JobPrio") == 7
 
 
 def test_a_vacated_job_is_offered_again_at_its_queue_place():

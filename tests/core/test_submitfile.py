@@ -3,6 +3,7 @@
 import pytest
 
 from repro import GridTestbed
+from repro.classads import ClassAdSyntaxError
 from repro.core.submitfile import (
     SubmitFileError,
     parse_submit_file,
@@ -106,3 +107,20 @@ class TestEndToEnd:
         assert len(ids) == 5
         tb.run_until_quiet(max_time=10**4)
         assert all(agent.status(j).is_complete for j in ids)
+
+    def test_requirements_outside_the_language_fail_the_submit(self):
+        """A requirements that calls a function the evaluator does not
+        have is refused at submit, naming it: it does not queue a job
+        that silently never matches."""
+        tb = GridTestbed(TestbedConfig(seed=98))
+        tb.add_site(SiteSpec("wisc", scheduler="pbs", cpus=8))
+        agent = tb.add_agent(AgentSpec("alice"))
+        with pytest.raises(ClassAdSyntaxError, match="stringListMember"):
+            submit_from_file(agent,
+                             "universe = vanilla\n"
+                             'requirements = stringListMember("pbs", LRMs)\n'
+                             "runtime = 60\n"
+                             "queue\n")
+        assert agent.statuses() == []
+        assert submit_from_file(agent, "universe = vanilla\n"
+                                       "runtime = 60\nqueue\n") == ["1.0"]

@@ -27,7 +27,7 @@ WATCH_FOR = 300.0
 def _startd_rpc(request):
     return request.caller == "s0-lrm" and request.service == "collector" \
         and (request.args.get("name")
-             or request.args["ad"]["Name"]) == "glidein-1@s0-lrm"
+             or request.args["ad"].get("Name")) == "glidein-1@s0-lrm"
 
 
 # id: (host, service-name prefix, trace component, the prefixes of the

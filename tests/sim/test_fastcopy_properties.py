@@ -256,8 +256,7 @@ _ad_scalars = st.one_of(st.booleans(), st.integers(-10**6, 10**6), _floats,
                         st.text(alphabet=string.ascii_letters, max_size=8))
 _ad_builders = st.dictionaries(
     st.text(alphabet=string.ascii_letters, min_size=1, max_size=6),
-    st.one_of(_ad_scalars, st.lists(_ad_scalars, max_size=3)),
-    max_size=5).map(ClassAd)
+    _ad_scalars, max_size=5).map(ClassAd)
 _sealed_ads = _ad_builders.map(ClassAd.seal)
 
 _values = st.one_of(_frozen_dicts, _requests, _specs, _certificates,
@@ -278,7 +277,6 @@ def _mutators(value):
                 lambda: value.update(k=1)]
     if isinstance(value, ClassAd):
         return [lambda: value.__setitem__("K", 1),
-                lambda: value.__delitem__(next(iter(value), "K")),
                 lambda: value.set_expr("K", ClassAd({"a": 1}).lookup("a")),
                 lambda: value.set_expression("K", "1 + 1"),
                 lambda: value.update(ClassAd({"K": 1}))]
@@ -342,9 +340,8 @@ def test_an_edited_copy_leaves_the_original_alone(value, extra):
     elif isinstance(value, ClassAd):
         edited = value.copy()
         edited["Edited"] = 1
-        del edited["Edited"]
         edited["Edited"] = 2            # an unsealed ad, fully editable
-        assert str(value) == original and "Edited" not in value
+        assert str(value) == original and value.lookup("Edited") is None
         assert fast_deepcopy(edited) is not edited      # sealed on crossing
     else:
         name = "env" if hasattr(value, "env") else fields(value)[0].name
@@ -362,7 +359,7 @@ def test_an_edited_copy_leaves_the_original_alone(value, extra):
 def test_an_ad_is_copied_and_sealed_the_first_time_it_crosses(builder):
     text = str(builder)
     crossed = fast_deepcopy(builder)
-    assert crossed is not builder and crossed == builder
+    assert crossed is not builder and str(crossed) == text
     assert fast_deepcopy(crossed) is crossed        # ... and only then
     builder["Later"] = 1                            # the sender's is its own
     assert str(crossed) == text
