@@ -16,7 +16,7 @@ import pytest
 
 from repro.chaos import FaultPlan, PlannedFault, run_campaign, shrink_plan, \
     violation_predicate
-from repro.sim.snapshot import ForkPoint
+from repro.chaos.shrink import ForkPoint
 
 SCENARIOS = ("credential", "three-site")
 SEEDS = range(8)

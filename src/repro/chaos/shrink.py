@@ -13,9 +13,8 @@ Candidate replays come in two flavors, and :func:`shrink_plan` picks:
 * **from snapshot** (wherever ``os.fork`` exists) -- the pre-fault
   prefix ``[0, t0)`` (``t0`` just before the plan's earliest fault) is
   simulated *once*; every ddmin candidate is then evaluated in an
-  ``os.fork()`` child of that parked simulation
-  (:class:`repro.sim.snapshot.ForkPoint`), so only the post-fault
-  suffix is ever re-simulated.  Fault arming is absolute-time
+  ``os.fork()`` child of that parked simulation (:class:`ForkPoint`),
+  so only the post-fault suffix is ever re-simulated.  Fault arming is absolute-time
   (:class:`~repro.sim.failures.FailureInjector`), so a candidate armed
   at ``t0`` fires at the exact instants it would have armed at zero,
   and ddmin converges to the same minimal plan.
@@ -27,11 +26,13 @@ Candidate replays come in two flavors, and :func:`shrink_plan` picks:
 
 from __future__ import annotations
 
+import os
+import pickle
 import time
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from ..grid.scenarios import get_scenario
-from ..sim.snapshot import ForkPoint
+from ..sim.snapshot import SnapshotError
 from .invariants import evaluate_invariants
 from .plan import FaultPlan
 from .runner import build_and_run, drive_to_quiescence
@@ -40,6 +41,64 @@ Predicate = Callable[[FaultPlan], bool]
 
 #: how far before the plan's earliest fault the shrink snapshot parks.
 SNAPSHOT_MARGIN = 1e-3
+
+
+# -- fork-based O(1) restore --------------------------------------------------
+
+class ForkPoint:
+    """Evaluate candidate futures of a live testbed without replaying.
+
+    Holds the *parent* process at the snapshot instant; each
+    :meth:`eval` forks a child, runs ``fn()`` against the (copy-on-
+    write) simulator state, and ships the picklable result back over a
+    pipe.  The parent never advances, so every evaluation starts from
+    exactly the same state -- a true O(1) in-memory restore, and the
+    only way to resume a generator-based simulation without replaying
+    it.  The child exits with ``os._exit`` so no atexit/coverage hooks
+    of the host process run twice.
+
+    POSIX-only (``os.fork``); callers should check :meth:`supported`
+    and fall back to replay-from-zero.
+    """
+
+    @staticmethod
+    def supported() -> bool:
+        return hasattr(os, "fork")
+
+    def __init__(self) -> None:
+        if not self.supported():
+            raise SnapshotError("os.fork is unavailable on this platform")
+        self.evaluations = 0
+
+    def eval(self, fn: Callable[[], Any]) -> Any:
+        self.evaluations += 1
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:   # child
+            try:
+                os.close(read_fd)
+                try:
+                    payload = pickle.dumps((True, fn()))
+                except BaseException as exc:  # noqa: BLE001 - report upward
+                    payload = pickle.dumps(
+                        (False, f"{type(exc).__name__}: {exc}"))
+                with os.fdopen(write_fd, "wb") as pipe:
+                    pipe.write(len(payload).to_bytes(8, "big"))
+                    pipe.write(payload)
+            finally:
+                os._exit(0)
+        os.close(write_fd)
+        with os.fdopen(read_fd, "rb") as pipe:
+            header = pipe.read(8)
+            size = int.from_bytes(header, "big") if len(header) == 8 else -1
+            payload = pipe.read(size) if size >= 0 else b""
+        os.waitpid(pid, 0)
+        if size < 0 or len(payload) != size:
+            raise SnapshotError("forked evaluation died before reporting")
+        ok, value = pickle.loads(payload)
+        if not ok:
+            raise SnapshotError(f"forked evaluation failed: {value}")
+        return value
 
 
 def _violates(tb, invariants: Optional[set[str]]) -> bool:

@@ -14,6 +14,7 @@ Both propagate through strict operators; the logical operators ``&&`` and
 from __future__ import annotations
 
 import enum
+import math
 from typing import Any
 
 
@@ -63,5 +64,6 @@ def value_repr(value: Any) -> str:
         escaped = value.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{escaped}"'
     if isinstance(value, float):
-        return repr(value)
+        # inf and nan have no literal: as words they parse as attributes
+        return repr(value) if math.isfinite(value) else f'real("{value}")'
     return str(value)

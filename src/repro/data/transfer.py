@@ -159,12 +159,3 @@ class TransferScheduler(Service):
                 f"{self.max_retries} attempts: {last_error}")
         finally:
             sem.release()
-
-    def handle_link_info(self, ctx, src_host: str, dst_host: str) -> dict:
-        sem = self._links.get((src_host, dst_host))
-        return {
-            "bandwidth": self.link_bandwidth,
-            "max_streams": self.max_streams,
-            "active": (self.max_streams - sem.available) if sem else 0,
-            "queued": sem.queued if sem else 0,
-        }

@@ -728,7 +728,7 @@ register(data_cms_grid.scenario.with_overrides(
     cms=COMPUTE_BOUND_CMS))
 
 
-# -- snapshot/restore scenarios (repro.sim.snapshot) ---------------------------
+# -- long-horizon and shrink scenarios -----------------------------------------
 
 #: one week of simulated time -- the long-horizon regression envelope.
 WEEK = 7 * 86_400.0
@@ -738,8 +738,7 @@ WEEK = 7 * 86_400.0
     name="week-credential-cycle",
     description="a week of long-haul GSI jobs on 8h proxies: ~20 "
                 "expiry/hold/MyProxy-refresh/release cycles "
-                "(run as snapshot/restore segments by the regression "
-                "suite)",
+                "(run in day-long segments by the regression suite)",
     fault_horizon=86_400.0,
     cap=WEEK,
     settle=2000.0,
@@ -752,8 +751,8 @@ def _build_week_credential(seed: int) -> GridTestbed:
 
     The agent's proxies live 8 hours, so the CredentialMonitor must ride
     ~20 expiry -> hold -> MyProxy-refresh -> reforward -> release cycles
-    to get every job home; the week-long horizon is what the segmented
-    snapshot/restore regression suite replays in day-sized pieces.
+    to get every job home; the regression suite runs the week in
+    day-long segments and rebuilds it from a mid-week snapshot.
     ``max_submitted_per_resource=1`` keeps at most one JobManager alive;
     the interface machine's one 5 s LRM status sweep runs while it does
     (~120k polls over 600k simulated seconds, whatever the job count).

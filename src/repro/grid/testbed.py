@@ -360,16 +360,13 @@ class GridTestbed:
     def run(self, until: Optional[float] = None) -> None:
         self.sim.run(until=until)
 
-    def snapshot(self, scenario: Optional[str] = None, plan=None):
-        """Checkpoint the testbed's full state right now.
+    def snapshot(self):
+        """The run digest right now, as a
+        :class:`repro.sim.snapshot.SimSnapshot`."""
+        from ..chaos.digest import run_digest
+        from ..sim.snapshot import SimSnapshot
 
-        Convenience wrapper over :func:`repro.sim.snapshot.capture`;
-        pass the registered scenario name (and the applied fault plan,
-        if any) to make the snapshot restorable in a fresh process.
-        """
-        from ..sim.snapshot import capture
-
-        return capture(self, scenario=scenario, plan=plan)
+        return SimSnapshot(time=self.sim.now, digest=run_digest(self))
 
     def run_until_quiet(self, check_interval: float = 50.0,
                         max_time: float = 10**7) -> None:

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .failures import FailureInjector
 from .hosts import Host, StableNamespace, StableStorage
-from .kernel import AllOf, AnyOf, Event, Process, Simulator, Timeout
+from .kernel import AnyOf, Event, Process, Simulator, Timeout
 from .network import Network
 from .rng import RngRegistry
 from .rpc import CallContext, Service, call, notify
@@ -32,7 +32,7 @@ from .sync import Semaphore
 from .trace import Trace, TraceRecord
 
 __all__ = [
-    "AllOf", "AnyOf", "AuthenticationError", "AuthorizationError",
+    "AnyOf", "AuthenticationError", "AuthorizationError",
     "CallContext", "Counter", "Event", "FailureInjector",
     "Gauge", "Histogram", "Host", "HostDown", "Interrupt",
     "MetricsRegistry", "Network", "Process", "ProcessKilled",

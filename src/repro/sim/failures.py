@@ -33,10 +33,6 @@ class FailureEvent:
     target: str
     extra: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {"time": self.time, "kind": self.kind,
-                "target": self.target, "extra": dict(self.extra)}
-
 
 class FailureInjector:
     """Schedules crashes/restarts/partitions against a simulator.

@@ -92,9 +92,6 @@ class FrozenDict(dict):
     __setitem__ = __delitem__ = __ior__ = _refuse
     clear = pop = popitem = setdefault = update = _refuse
 
-    def __reduce__(self) -> tuple:     # pickle must not go through setitem
-        return (FrozenDict, (dict(self),))
-
 
 class Immutable:
     """Base of a ``@dataclass(frozen=True)`` declared an immutable value:

@@ -70,9 +70,6 @@ class StableStorage:
     def items(self, ns: str) -> list[tuple[str, Any]]:
         return sorted(self._data.get(ns, {}).items())
 
-    def clear(self, ns: str) -> None:
-        self._data.pop(ns, None)
-
 
 class StableNamespace:
     """A view of one namespace of a :class:`StableStorage`."""
@@ -96,9 +93,6 @@ class StableNamespace:
     def items(self) -> list[tuple[str, Any]]:
         return self._storage.items(self._ns)
 
-    def clear(self) -> None:
-        self._storage.clear(self._ns)
-
 
 class Host:
     """A machine in the simulated grid."""
@@ -116,9 +110,6 @@ class Host:
         self.boot_actions: list[Callable[["Host"], Any]] = []
         self.crash_count = 0
         sim.hosts[name] = self
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Host {self.name} {'up' if self.up else 'DOWN'}>"
 
     # -- process / service bookkeeping ------------------------------------
     def _attach_process(self, proc: "Process") -> None:

@@ -73,17 +73,15 @@ class Event:
     @property
     def value(self) -> Any:
         if self._value is _UNSET:
-            raise SimulationError(f"event {self} has no value yet")
+            raise SimulationError(
+                f"{type(self).__name__} {self.name!r} has no value yet")
         return self._value
-
-    @property
-    def exc(self) -> Optional[BaseException]:
-        return self._exc
 
     # -- triggering -----------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
         if self._scheduled or self.triggered:
-            raise SimulationError(f"event {self} triggered twice")
+            raise SimulationError(
+                f"{type(self).__name__} {self.name!r} triggered twice")
         self._value = value
         self._scheduled = True
         self.sim._push(self.sim.now, self)
@@ -91,7 +89,8 @@ class Event:
 
     def fail(self, exc: BaseException) -> "Event":
         if self._scheduled or self.triggered:
-            raise SimulationError(f"event {self} triggered twice")
+            raise SimulationError(
+                f"{type(self).__name__} {self.name!r} triggered twice")
         if not isinstance(exc, BaseException):
             raise TypeError("fail() needs an exception instance")
         self._exc = exc
@@ -141,10 +140,6 @@ class Event:
         callbacks, self.callbacks = self.callbacks, []
         for cb in callbacks:
             cb(self)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "triggered" if self.triggered else "pending"
-        return f"<{type(self).__name__} {self.name or hex(id(self))} {state}>"
 
 
 class Entry:
@@ -236,43 +231,6 @@ class AnyOf(Event):
             self.succeed((self.events.index(ev), ev._value))
         else:
             self.fail(ev._exc)  # type: ignore[arg-type]
-
-
-class AllOf(Event):
-    """Fires when *all* child events fire; value is the list of values.
-
-    Fails fast with the first child failure (other children are defused).
-    """
-
-    __slots__ = ("events", "_pending")
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim, name="all_of")
-        self.events = list(events)
-        self._pending = 0
-        for ev in self.events:
-            if ev.triggered:
-                if not ev.ok:
-                    self.fail(ev._exc)  # type: ignore[arg-type]
-                    return
-            else:
-                self._pending += 1
-                ev.callbacks.append(self._on_child)
-        if self._pending == 0 and not self.triggered:
-            self.succeed([ev._value for ev in self.events])
-
-    def _on_child(self, ev: Event) -> None:
-        if self.triggered:
-            return
-        if not ev.ok:
-            for other in self.events:
-                if other is not ev:
-                    _defuse(other)
-            self.fail(ev._exc)  # type: ignore[arg-type]
-            return
-        self._pending -= 1
-        if self._pending == 0:
-            self.succeed([e._value for e in self.events])
 
 
 def _sink(_ev: Event) -> None:
@@ -373,7 +331,8 @@ class Process(Event):
                 self._value, self._scheduled = value, True
         else:
             self.fail(exc)
-            self.sim._note_process_failure(self, exc)
+            # fatal only if nobody joins the process before run() ends
+            self.sim._failures.append((self, exc))
 
     def _run_callbacks(self) -> None:
         if not self.ok and self.callbacks:
@@ -509,10 +468,7 @@ class Simulator:
         """Drop cancelled entries from the heap; returns how many went.
 
         Pop order of survivors is untouched (ordering is a pure function
-        of the ``(time, seq)`` keys), so this is behaviour-neutral -- it
-        is the canonicalization step snapshots use so
-        that heap contents do not depend on whether, or when, automatic
-        tombstone compaction last ran.
+        of the ``(time, seq)`` keys), so this is behaviour-neutral.
         """
         dropped = self._tombstones
         if dropped:
@@ -532,9 +488,6 @@ class Simulator:
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
     def spawn(
         self,
         gen: ProcessGen,
@@ -544,11 +497,6 @@ class Simulator:
         return Process(self, gen, name=name, host=host)
 
     # -- failure bookkeeping -----------------------------------------------
-    def _note_process_failure(self, proc: Process, exc: BaseException) -> None:
-        # Only fatal if nobody is joined on the process *after* callbacks run;
-        # record now, filter at run() time.
-        self._failures.append((proc, exc))
-
     def unhandled_failures(self) -> list[tuple[Process, BaseException]]:
         return [(proc, exc) for proc, exc in self._failures
                 if not proc._had_waiter]
@@ -588,17 +536,3 @@ class Simulator:
                     f"{len(bad)} process(es) died unhandled; first: "
                     f"{proc.name}: {type(exc).__name__}: {exc}"
                 ) from exc
-
-    def step(self) -> bool:
-        """Process a single event; returns False when the heap is empty."""
-        while self._heap:
-            t, _seq, ev = heapq.heappop(self._heap)
-            if ev._cancelled:
-                if self._tombstones > 0:
-                    self._tombstones -= 1
-                continue
-            self.now = t
-            ev._run_callbacks()
-            return True
-        return False
-

@@ -29,14 +29,3 @@ class RngRegistry:
             rng = random.Random(_derive_seed(self.root_seed, name))
             self._streams[name] = rng
         return rng
-
-    # -- snapshot support -------------------------------------------------
-    def snapshot_state(self) -> list[tuple[str, tuple]]:
-        """Every stream's ``getstate()`` in creation order.
-
-        Creation order matters: streams are created on demand, so the
-        registry dict's insertion order is itself part of the state, and
-        a replay that touched its streams in another order fingerprints
-        differently even where every position agrees.
-        """
-        return [(name, rng.getstate()) for name, rng in self._streams.items()]

@@ -19,14 +19,12 @@ record is a :func:`fold` row, applied to every such record as it is logged,
 and only what no record carries is kept by hand.  All state advances on
 ``sim.now`` only, so identical seeds produce identical snapshots.
 
-The JSON snapshot (:meth:`MetricsRegistry.snapshot` /
-:meth:`MetricsRegistry.to_json`) is the export format consumed by the
-benchmark harness and by :mod:`repro.grid.metrics`.
+The JSON-ready :meth:`MetricsRegistry.snapshot` is the export format
+consumed by the benchmark harness and by :mod:`repro.grid.metrics`.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any, Callable, Optional, TYPE_CHECKING
 
 from .errors import SimulationError
@@ -130,10 +128,6 @@ class Gauge:
     @property
     def max(self) -> float:
         return self._max
-
-    @property
-    def min(self) -> float:
-        return self._min
 
     @property
     def integral(self) -> float:
@@ -293,10 +287,6 @@ class MetricsRegistry:
                 if name.startswith(prefix)
             },
         }
-
-    def to_json(self, prefix: str = "", indent: Optional[int] = 2) -> str:
-        return json.dumps(self.snapshot(prefix=prefix), indent=indent,
-                          sort_keys=True)
 
 
 #: event -> component family -> rows ``(get, name, update, when)``

@@ -28,14 +28,6 @@ class Semaphore:
         self._available = capacity
         self._waiters: deque[tuple[int, "Event"]] = deque()
 
-    @property
-    def available(self) -> int:
-        return self._available
-
-    @property
-    def queued(self) -> int:
-        return len(self._waiters)
-
     def acquire(self, n: int = 1) -> "Event":
         """Event that fires once `n` units are granted to the caller."""
         if n < 1:

@@ -7,9 +7,8 @@ directly against this trace, and the metrics module derives concurrency
 timelines from it.
 
 The trace is *indexed*: records are bucketed per component, per event,
-and per ``(component, event)`` pair, so :meth:`Trace.select` and
-:meth:`Trace.contains_sequence` answer from the relevant bucket instead
-of scanning the whole run.  The buckets are built lazily on first query
+and per ``(component, event)`` pair, so :meth:`Trace.select` answers
+from the relevant bucket instead of scanning the whole run.  The buckets are built lazily on first query
 rather than per ``log()`` call, which keeps the hot logging path to a
 single append.  It can also be *bounded* (``max_records``): the oldest
 records are evicted ring-buffer style (``dropped`` counts them) while
@@ -38,10 +37,6 @@ class TraceRecord:
     details: dict[str, Any] = field(default_factory=dict)
     seq: int = 0        # global log order (total, unlike `time`)
 
-    def __str__(self) -> str:
-        kv = " ".join(f"{k}={v}" for k, v in self.details.items())
-        return f"[{self.time:12.3f}] {self.component:<24} {self.event:<28} {kv}"
-
 
 class Trace:
     """Indexed (and optionally bounded) log of :class:`TraceRecord`."""
@@ -60,11 +55,6 @@ class Trace:
         self._pending: deque[TraceRecord] = deque()
         self._seq = 0
         self._subscribers: list[Callable[[TraceRecord], None]] = []
-
-    @property
-    def records(self) -> list[TraceRecord]:
-        """The retained records, oldest first (a copy; don't mutate)."""
-        return list(self._records)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -142,24 +132,6 @@ class Trace:
         return [rec for rec in base
                 if all(rec.details.get(k) == v for k, v in match.items())]
 
-    def events(self, component: Optional[str] = None) -> list[str]:
-        """Ordered event names, optionally restricted to one component."""
-        if component is not None:
-            self._ensure_index()
-            return [r.event for r in self._by_component.get(component, ())]
-        return [r.event for r in self._records]
-
-    def contains_sequence(self, *events: str, component: Optional[str] = None
-                          ) -> bool:
-        """True if `events` occur in order (not necessarily adjacent)."""
-        it: Iterator[str] = iter(self.events(component))
-        return all(ev in it for ev in events)
-
-    def components(self) -> list[str]:
-        """Component names with retained records, in first-seen order."""
-        self._ensure_index()
-        return list(self._by_component)
-
     def iter_prefix(self, component_prefix: str) -> Iterator[TraceRecord]:
         """Records of every component matching the prefix, in log order.
 
@@ -178,15 +150,3 @@ class Trace:
     def end_time(self) -> Optional[float]:
         """Time of the newest retained record (None when empty)."""
         return self._records[-1].time if self._records else None
-
-    def dump(self, limit: Optional[int] = None) -> str:
-        recs = self.records if limit is None else self.records[:limit]
-        return "\n".join(str(r) for r in recs)
-
-    def clear(self) -> None:
-        self._records.clear()
-        self._by_key.clear()
-        self._by_component.clear()
-        self._by_event.clear()
-        self._pending.clear()
-        self.dropped = 0

@@ -24,11 +24,11 @@ from repro.chaos.plan import FaultPlan, PlannedFault
 from repro.chaos.runner import build_and_run
 from repro.chaos.shrink import (
     SNAPSHOT_MARGIN,
+    ForkPoint,
     shrink_plan,
     snapshot_predicate,
     violation_predicate,
 )
-from repro.sim.snapshot import ForkPoint
 
 SEED = 11
 

@@ -3,6 +3,7 @@ grammar the language keeps."""
 
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.classads import ClassAd, ERROR, UNDEFINED, parse
@@ -43,6 +44,16 @@ def test_value_repr_round_trips_through_parser(value):
         assert back is value or back == value
         # preserve bool-vs-int distinction
         assert isinstance(back, bool) == isinstance(value, bool)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_reals_round_trip_through_the_parser(value):
+    """inf, -inf and nan have no literal; their rendering still reads
+    back as the same real, alone and inside an ad's text."""
+    for back in (ev(value_repr(value)),
+                 ClassAd.parse(str(ClassAd({"Rank": value}))).eval("Rank")):
+        assert isinstance(back, float)
+        assert back == value or (math.isnan(back) and math.isnan(value))
 
 
 @given(st.dictionaries(attr_names.map(str.lower), ints, max_size=6))

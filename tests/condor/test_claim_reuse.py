@@ -27,7 +27,7 @@ def test_reuse_skips_negotiation_round_trips():
                for s in pool.startds)
     assert held >= reused
     assert sim.metrics.counter("schedd.claims_reused").value == reused
-    reuse_events = [r for r in sim.trace.records
+    reuse_events = [r for r in sim.trace
                     if r.event == "claim_reuse"]
     assert len(reuse_events) == reused
 
@@ -56,7 +56,7 @@ def test_claim_released_when_queue_has_no_compatible_job():
     assert not sim.trace.select("schedd:dave", "claim_reuse")
     assert schedd.status(picky).state == "IDLE"
     # the claim was handed back promptly, not leaked until timeout
-    events = [r for r in sim.trace.records
+    events = [r for r in sim.trace
               if r.event == "claim_release"]
     assert events, "schedd never released the held claim"
     assert sim.metrics.counter("startd.claim_timeouts").value == 0

@@ -18,9 +18,9 @@ def test_a_submit_host_crash_silences_the_dead_shadows_lease():
     vacated = []
     shadow.on_vacated = lambda *args: vacated.append(args)
     schedd.host.crash()
-    crashed = len(sim.trace.records)
+    crashed = len(sim.trace)
     sim.run(until=300.0 + 5 * Shadow.LEASE_TIMEOUT)
     assert sim.now - shadow.last_heartbeat > shadow.lease_timeout
     assert vacated == []
-    assert [r.event for r in sim.trace.records[crashed:]
+    assert [r.event for r in list(sim.trace)[crashed:]
             if r.component == f"shadow:{job_id}"] == []

@@ -129,13 +129,13 @@ def test_submit_machine_crash_with_the_commit_ack_lost():
     agent = tb.add_agent(AgentSpec("alice"))
     jid = agent.submit(JobDescription(runtime=300.0), resource="wisc-gk")
     job = agent.queue.jobs[jid]
+    heap = tb.sim._heap
     while not job.jmid:
-        tb.sim.step()
+        tb.run(until=heap[0][0])             # one due instant at a time
     jm = tb.sites["wisc"].gk_host.services[f"jm:{job.jmid}"]
-    tb.net.loss_rate = 1.0                   # drops exactly the ACK
-    while not jm._committed.triggered:
-        tb.sim.step()
-    tb.net.loss_rate = 0.0
+    tb.net.loss_rate = 1.0                   # drops exactly the ACK:
+    jm._committed.callbacks.append(          # the commit's reply leg
+        lambda _ev: setattr(tb.net, "loss_rate", 0.0))
     tb.run(until=5.0)
     assert jm.local_id and not job.committed
     agent.host.crash()

@@ -60,7 +60,7 @@ def test_refresh_reforwards_to_remote_jobmanagers():
     agent.refresh_proxy(fresh)
     tb.run(until=400.0)
     assert tb.sim.trace.select("credmon", "reforwarded")
-    jm_trace = [r for r in tb.sim.trace.records
+    jm_trace = [r for r in tb.sim.trace
                 if r.event == "credential_refreshed"]
     assert jm_trace
     tb.run_until_quiet(max_time=20000.0)

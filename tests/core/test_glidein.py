@@ -56,9 +56,6 @@ def test_figure2_job_runs_on_glidein():
     assert job.remote_syscalls > 0
     # trace shows the Figure-2 chain
     assert tb.sim.trace.select("glidein", "startd_up")
-    assert tb.sim.trace.contains_sequence("claimed", "job_start",
-                                          "job_done",
-                                          component=None) or True
 
 
 def test_glidein_idle_shutdown():

@@ -8,6 +8,7 @@ append-offset protocol must yield the exact stream no matter how chunks
 are resent or duplicated.
 """
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -119,6 +120,18 @@ def test_condorjob_record_roundtrip(job):
     else:
         assert back.state == job.state
     assert back.owner == job.owner
+
+
+@pytest.mark.parametrize("rank", [math.inf, -math.inf, math.nan])
+def test_a_recovered_job_keeps_a_non_finite_rank(rank):
+    """A submit-machine reboot rebuilds the ad from its text, and a Rank
+    of inf, -inf or nan ranks as it did before the reboot."""
+    ad = job_ad("alice")
+    ad["Rank"] = rank
+    job = CondorJob(job_id="1.0", ad=ad, runtime=10.0)
+    back = CondorJob.from_record(job.queue_record()).ad.eval("Rank")
+    assert isinstance(back, float)
+    assert back == rank or (math.isnan(back) and math.isnan(rank))
 
 
 # -- one mixed queue across a submit-machine reboot -------------------------------

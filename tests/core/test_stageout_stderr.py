@@ -54,7 +54,7 @@ def test_output_files_staged_out_on_completion(tb):
     assert summary is not None and summary.data == "energy=-76.4\n"
     # the stage-out happened before the DONE callback reached the user
     done_time = agent.status(jid).end_time
-    staged = [r for r in tb.sim.trace.records if r.event == "staged_out"]
+    staged = [r for r in tb.sim.trace if r.event == "staged_out"]
     assert staged and all(r.time <= done_time for r in staged)
 
 

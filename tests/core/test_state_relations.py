@@ -636,7 +636,7 @@ def test_a_late_view_does_not_overwrite_a_cancel():
     tb.run(until=1000.0)
     assert answers == [True]
     assert (jm.state, jm.failure_reason) == ("FAILED", "cancelled by client")
-    assert [r.details["state"] for r in tb.sim.trace.records
+    assert [r.details["state"] for r in tb.sim.trace
             if r.component == f"jobmanager:{jm.jmid}"
             and r.event == "state"] == ["ACTIVE"]
 
@@ -694,10 +694,13 @@ def _data_tb():
 
 
 def _step_until(tb, predicate, limit=200_000):
+    """Run one due instant at a time until `predicate` holds."""
+    heap = tb.sim._heap
     for _ in range(limit):
         if predicate():
             return
-        assert tb.sim.step(), "simulation drained first"
+        assert heap, "simulation drained first"
+        tb.run(until=heap[0][0])
     raise AssertionError("predicate never held")
 
 

@@ -162,11 +162,3 @@ def test_crashed_destination_recovers_within_retry_budget():
     # the rebooted daemon (boot action) holds the file
     live = sim.hosts["dst-se"].services["gridftp"]
     assert live.files.exists("datasets/d1")
-
-
-def test_link_info_reports_shape():
-    sim, client, src, dst, dts = build(max_streams=3)
-    box = drive(sim, call(client, "dts", "dts", "link_info",
-                          src_host="src-se", dst_host="dst-se"))
-    assert box["value"] == {"bandwidth": 100_000.0, "max_streams": 3,
-                            "active": 0, "queued": 0}

@@ -117,7 +117,7 @@ def test_a_killed_jobmanager_writes_nothing_more():
     sim.run(until=sim.now + 60.0)
     live = grid.gk_host.get_service(f"jm:{jmid}")
     assert live is not dead and dead.state == "ACTIVE"
-    assert [r.details["state"] for r in sim.trace.records
+    assert [r.details["state"] for r in sim.trace
             if r.component == f"jobmanager:{jmid}"
             and r.event == "recovered"] == ["ACTIVE"]
     assert (live.state, live.failure_reason) == ("FAILED", "cancel")

@@ -94,7 +94,7 @@ def test_a_sweep_stopped_for_want_of_watchers_is_rebuilt_by_the_next_watch(
     second = submit_all(grid, [GramJobRequest(runtime=30.0)])
     grid.sim.run()
     assert_all_done_exactly_once(grid, first + second)
-    assert [r.event for r in grid.sim.trace.records
+    assert [r.event for r in grid.sim.trace
             if r.component == SWEEP] == ["start", "stop", "start", "stop"]
     assert SWEEP not in grid.gk_host.services
     assert tally[("lrm", "poll")] > polls     # the new one swept

@@ -109,11 +109,11 @@ def test_a_crashed_daemon_leaves_no_process_and_logs_nothing(
     tb.run(until=CRASH_AT)
     assert [ev.kind for ev in tb.failures.injected] == ["crash_service"]
     assert host.services.get(victim.name) is not victim
-    crashed, asked = len(tb.sim.trace.records), len(sent)
+    crashed, asked = len(tb.sim.trace), len(sent)
     tb.run(until=CRASH_AT + WATCH_FOR)
 
     assert [p.name for p in theirs if p.alive] == []
-    later = [r.event for r in tb.sim.trace.records[crashed:]
+    later = [r.event for r in list(tb.sim.trace)[crashed:]
              if r.component == component]
     if reborn in later:
         later = later[:later.index(reborn)]

@@ -149,7 +149,7 @@ def test_registry_concurrency_matches_trace_replay():
     # and the snapshot round-trips through JSON untouched
     import json
 
-    snap = json.loads(tb.sim.metrics.to_json())
+    snap = json.loads(json.dumps(tb.sim.metrics.snapshot()))
     assert concurrency_from_snapshot(snap).cpu_seconds == \
         pytest.approx(from_trace.cpu_seconds)
 

@@ -4,9 +4,10 @@ The ``week-credential-cycle`` scenario puts six ~day-long jobs behind
 one cpu with 8-hour proxies: the CredentialMonitor must ride ~20 proxy
 expiry -> hold -> MyProxy-refresh -> reforward -> release cycles to get
 every job home.  The suite runs the week twice -- uninterrupted, and as
-seven day-boundary snapshot/restore segments -- and demands the two are
-bit-identical, that a mid-week snapshot rehydrates in a fresh testbed,
-and that refresh cycles straddling segment boundaries lose nothing.
+seven day-long segments with a snapshot at each boundary -- and demands
+the two are bit-identical, that a fresh build replayed to a mid-week
+snapshot reproduces it and runs on to the same week, and that refresh
+cycles straddling segment boundaries lose nothing.
 
 This is the expensive end of the snapshot test pyramid (~10M kernel
 events per module run); the per-boundary properties live in the much
@@ -18,7 +19,7 @@ import pytest
 from repro.chaos.digest import run_digest
 from repro.chaos.invariants import evaluate_invariants
 from repro.grid.scenarios import WEEK, get_scenario
-from repro.sim.snapshot import capture, restore
+from repro.sim.snapshot import SimSnapshot
 from repro.states import JobState
 
 SEED = 7
@@ -40,7 +41,7 @@ def segmented():
     snaps = []
     for boundary in BOUNDARIES:
         tb.run(until=boundary)
-        snaps.append(capture(tb, scenario="week-credential-cycle"))
+        snaps.append(tb.snapshot())
     return tb, snaps
 
 
@@ -88,19 +89,21 @@ def test_refresh_cycles_straddle_segment_boundaries(segmented):
     # at least one refresh in (almost) every day-long segment
     days_with_refresh = {int(t // DAY) for t in refreshes}
     assert len(days_with_refresh) >= 6
-    # and zero jobs lost across all seven restores
+    # and zero jobs lost across all seven boundaries
     assert sum(1 for job in _agent_jobs(tb).values()
                if job.state == JobState.DONE) == 6
 
 
 def test_midweek_snapshot_rehydrates_bit_identical(uninterrupted,
                                                    segmented):
-    """Restore the day-3 snapshot in a fresh testbed (replay + verify
-    bit-identity), then run the remaining four days: same digest."""
+    """Rebuild the week and replay it to the day-3 snapshot (read back
+    from its JSON document): same digest there, then run the remaining
+    four days: same digest at the end."""
     _, snaps = segmented
-    midweek = snaps[2]                   # t = 3 days
-    tb = restore(midweek)                # raises SnapshotMismatch if off
-    assert tb.sim.now == midweek.time
+    midweek = SimSnapshot.from_json(snaps[2].to_json())     # t = 3 days
+    tb = get_scenario("week-credential-cycle").build(SEED)
+    tb.run(until=midweek.time)
+    assert tb.snapshot() == midweek
     tb.run(until=WEEK)
     assert run_digest(tb) == run_digest(uninterrupted)
     assert evaluate_invariants(tb) == []

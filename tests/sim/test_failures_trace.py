@@ -86,24 +86,9 @@ class TestTrace:
         assert len(sim.trace.select("comp", "ev1", x=1)) == 1
         assert len(sim.trace.select("comp", "ev1", x=999)) == 0
 
-    def test_contains_sequence(self, env):
-        sim, net, a, b = env
-        for ev in ("alpha", "beta", "gamma"):
-            sim.trace.log("c", ev)
-        assert sim.trace.contains_sequence("alpha", "gamma",
-                                           component="c")
-        assert not sim.trace.contains_sequence("gamma", "alpha",
-                                               component="c")
-
     def test_subscribe(self, env):
         sim, net, a, b = env
         seen = []
         sim.trace.subscribe(lambda rec: seen.append(rec.event))
         sim.trace.log("c", "hello")
         assert seen == ["hello"]
-
-    def test_dump_format(self, env):
-        sim, net, a, b = env
-        sim.trace.log("comp", "boom", why="because")
-        text = sim.trace.dump()
-        assert "comp" in text and "boom" in text and "why=because" in text

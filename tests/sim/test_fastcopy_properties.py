@@ -330,8 +330,9 @@ def test_declared_values_cannot_change_and_cross_by_reference(value):
 @given(_values, _maps)
 @settings(max_examples=100, deadline=None)
 def test_an_edited_copy_leaves_the_original_alone(value, extra):
-    original = copy.copy(value) if not isinstance(value, ClassAd) \
-        else str(value)
+    original = str(value) if isinstance(value, ClassAd) \
+        else dict(value) if isinstance(value, FrozenDict) \
+        else copy.copy(value)
     if isinstance(value, FrozenDict):
         edited = dict(value)
         edited["edited"] = extra

@@ -6,7 +6,8 @@ call and no :class:`~repro.sim.kernel.Event`.  A plain ``call`` builds
 one event, its request, which is both what its caller waits on and the
 heap item of whichever leg is in flight -- no entry and no closure per
 call.  Every push goes through the kernel, so ``Simulator._seq`` numbers
-every heap row.
+every heap row.  Dropping cancelled rows from the heap, at once or
+when they pile up, leaves the live rows and what runs unchanged.
 """
 
 import ast
@@ -98,17 +99,15 @@ def test_yielding_a_fired_event_pushes_one_entry_and_no_event(monkeypatch):
     got = []
 
     def waiter():
+        yield sim.timeout(1.0)
         got.append((yield done))
 
     sim.spawn(waiter())
-    sim.step()                              # done fires, nobody waits
-    made = _count_events(monkeypatch)
+    sim.run(until=0.5)                      # done has fired, nobody waited
+    made = _count_events(monkeypatch, (Event, Timeout, Entry))
     seq = sim._seq
-    sim.step()                              # the boot: yields `done`
-    assert made() == [] and sim._seq == seq + 1
-    [resume] = _items(sim)
-    assert type(resume) is Entry and resume.arg is done
-    sim.run()
+    sim.run(until=1.0)                      # the timer, then `done` yielded
+    assert made() == ["Entry"] and sim._seq == seq + 1
     assert got == ["done"]
 
 
@@ -157,3 +156,75 @@ def test_the_gate_sees_a_push():
                      "rows = sorted(sim._heap)\n")
     assert sorted(line for line, _ in _pushes_outside_the_kernel(tree)) \
         == [2, 3, 4, 5]
+
+
+class NeverCompacting(Simulator):
+    """Reference kernel: tombstones stay in the heap until they pop."""
+
+    def _note_tombstone(self) -> None:
+        self._tombstones += 1
+
+
+def _sim_with_tombstones(cancel_every: int = 2, n: int = 600,
+                         kernel: type = Simulator) -> Simulator:
+    """A simulator whose heap carries many cancelled entries."""
+    sim = kernel()
+    timeouts = [sim.timeout(float(10 + i)) for i in range(n)]
+    for t in timeouts[::cancel_every]:
+        t.cancel()
+    return sim
+
+
+def _live_rows(sim):
+    return [(t, seq) for t, seq, item in sorted(sim._heap,
+                                                key=lambda r: r[:2])
+            if not item._cancelled]
+
+
+def test_compact_heap_drops_tombstones():
+    sim = _sim_with_tombstones()
+    live = _live_rows(sim)
+    dropped = sim.compact_heap()
+    assert dropped == 300
+    assert sim._tombstones == 0
+    assert _live_rows(sim) == live and len(sim._heap) == len(live)
+    assert sim.compact_heap() == 0    # idempotent
+
+
+def test_compaction_is_behavior_neutral():
+    """Pop order of survivors is untouched by compaction."""
+    fired_a, fired_b = [], []
+    a = Simulator()
+    b = Simulator()
+    for sim, fired in ((a, fired_a), (b, fired_b)):
+        kept = []
+        for i in range(40):
+            ev = sim.schedule(float(5 + i),
+                              (lambda t=i, f=fired: f.append(t)))
+            kept.append(ev)
+        for ev in kept[::3]:
+            ev.cancel()
+    b.compact_heap()
+    a.run()
+    b.run()
+    assert fired_a == fired_b
+
+
+def test_automatic_compaction_keeps_the_live_rows():
+    """Cancel past the automatic compaction threshold and compare with a
+    kernel that never compacts: the same live rows, in the same order,
+    and the same end of the run."""
+    compacting = _sim_with_tombstones()
+    reference = _sim_with_tombstones(kernel=NeverCompacting)
+    assert _live_rows(compacting) == _live_rows(reference)
+    for sim in (compacting, reference):
+        # >256 tombstones and a dead majority: auto-compaction fires
+        for t in [sim.timeout(2000.0 + i) for i in range(600)]:
+            t.cancel()
+    assert compacting._tombstones < 600
+    assert reference._tombstones == 900
+    assert _live_rows(compacting) == _live_rows(reference)
+    compacting.run()
+    reference.run()
+    assert compacting.now == reference.now == 609.0
+    assert compacting._heap == reference._heap == []

@@ -109,16 +109,14 @@ def test_stable_namespace_listing_sorted():
     assert ns.items() == [("a", 1), ("b", 2)]
     ns.delete("a")
     assert ns.keys() == ["b"]
-    ns.clear()
-    assert ns.keys() == []
 
 
 def test_crash_trace_recorded(sim):
     host = Host(sim, "gatekeeper")
     host.crash(cause="power")
     host.restart()
-    assert sim.trace.contains_sequence("crash", "restart",
-                                       component="host:gatekeeper")
+    events = [rec.event for rec in sim.trace.select("host:gatekeeper")]
+    assert events.index("crash") < events.index("restart")
 
 
 def test_a_service_timer_runs_only_while_its_instance_is_live():

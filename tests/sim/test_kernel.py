@@ -131,7 +131,6 @@ def test_an_unwaited_end_pushes_no_row_and_is_still_joinable():
         yield sim.timeout(5.0)
         seen.append((yield proc))
         seen.append((yield sim.any_of([proc])))
-        seen.append((yield sim.all_of([proc])))
 
     proc = sim.spawn(quick(sim))
     sim.spawn(late(sim, proc))
@@ -141,7 +140,7 @@ def test_an_unwaited_end_pushes_no_row_and_is_still_joinable():
     assert proc.triggered and proc.value == "v" and not proc.alive
     assert sim._seq == pushed       # the end was no heap row
     sim.run()
-    assert seen == ["v", (0, "v"), ["v"]]
+    assert seen == ["v", (0, "v")]
 
 
 def test_an_unwaited_failure_still_trips_strict_mode():
@@ -375,42 +374,6 @@ def test_any_of_leaves_a_losing_timer_someone_else_waits_for():
     assert not shared._cancelled
 
 
-def test_all_of_gathers_values():
-    sim = Simulator()
-    got = []
-
-    def proc(sim):
-        values = yield sim.all_of([sim.timeout(1.0, "a"),
-                                   sim.timeout(3.0, "b"),
-                                   sim.timeout(2.0, "c")])
-        got.append((values, sim.now))
-
-    sim.spawn(proc(sim))
-    sim.run()
-    assert got == [(["a", "b", "c"], 3.0)]
-
-
-def test_all_of_fails_fast():
-    sim = Simulator()
-    caught = []
-    ev = sim.event()
-
-    def proc(sim):
-        try:
-            yield sim.all_of([sim.timeout(10.0), ev])
-        except ValueError:
-            caught.append(sim.now)
-
-    def failer(sim):
-        yield sim.timeout(1.0)
-        ev.fail(ValueError("x"))
-
-    sim.spawn(proc(sim))
-    sim.spawn(failer(sim))
-    sim.run()
-    assert caught == [1.0]
-
-
 def test_run_until_stops_clock():
     sim = Simulator()
     ticks = []
@@ -497,7 +460,8 @@ def test_yielding_non_event_fails_process():
     proc = sim.spawn(bad(sim))
     sim.run()
     assert not proc.ok
-    assert isinstance(proc.exc, SimulationError)
+    [(failed, exc)] = sim.unhandled_failures()
+    assert failed is proc and isinstance(exc, SimulationError)
 
 
 def test_rng_streams_are_deterministic_and_independent():

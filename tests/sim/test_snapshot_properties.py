@@ -3,13 +3,13 @@
 The contract (``repro.sim.snapshot``): for any scenario, seed, and
 snapshot boundary ``t`` strictly inside the run,
 
-    run(0, T)  ==digest==  run(0, t); capture; restore; run(t, T)
+    run(0, T)  ==digest==  run(0, t); snapshot; run(t, T)
 
-where ``restore`` covers both the
-*resume* flavor (keep the live testbed and run past the boundary; the
-capture must be side-effect-free) and the *rehydrate* flavor
-(:func:`repro.sim.snapshot.restore`: rebuild from provenance, replay to
-``t``, verify bit-identity, then continue).
+in both flavors: *resume* (keep the live testbed and run past the
+boundary; taking the snapshot must not perturb the run) and *rehydrate*
+(a fresh ``build(seed)`` run to the time of the snapshot read back from
+its JSON document has the snapshot's digest, then continues to the same
+end digest).
 
 Hypothesis drives the boundary and seed; the scenarios are
 pytest-parametrized so every one is exercised regardless of how the
@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.chaos.digest import run_digest
 from repro.grid.scenarios import get_scenario
-from repro.sim.snapshot import SimSnapshot, capture, restore, state_digest
+from repro.sim.snapshot import SimSnapshot
 
 #: end-of-run horizon per scenario: late enough that real grid traffic
 #: (submissions, GRAM polls, completions) straddles any boundary.
@@ -61,21 +61,22 @@ def test_segmented_run_matches_uninterrupted(scenario, seed, frac):
     horizon = SCENARIOS[scenario]
     baseline = _baseline_digest(scenario, seed)
 
-    # resume flavor: capture mid-run, keep going on the live object.
+    # resume flavor: snapshot mid-run, keep going on the live object.
     tb = get_scenario(scenario).build(seed)
     boundary = _boundary(tb.sim.now, frac, horizon)
     tb.run(until=boundary)
-    snap = capture(tb, scenario=scenario)
+    snap = tb.snapshot()
     tb.run(until=horizon)
     assert run_digest(tb) == baseline, \
         f"resume diverged at boundary t={boundary}"
 
-    # rehydrate flavor: rebuild from provenance in a fresh testbed,
-    # from the snapshot's JSON document (restore verifies state
-    # bit-identity internally, raising SnapshotMismatch with the
-    # divergent path on failure).
-    tb2 = restore(SimSnapshot.from_json(snap.to_json()))
-    assert tb2.sim.now == boundary or tb2.sim.now == snap.time
+    # rehydrate flavor: a fresh build replayed to the time of the
+    # snapshot read back from its JSON document.
+    snap = SimSnapshot.from_json(snap.to_json())
+    tb2 = get_scenario(scenario).build(seed)
+    tb2.run(until=snap.time)
+    assert tb2.snapshot() == snap, \
+        f"rebuild diverged before boundary t={boundary}"
     tb2.run(until=horizon)
     assert run_digest(tb2) == baseline, \
         f"rehydrate diverged at boundary t={boundary}"
@@ -87,13 +88,14 @@ def test_segmented_run_matches_uninterrupted(scenario, seed, frac):
 @given(seed=st.integers(min_value=0, max_value=2),
        frac=st.floats(min_value=0.05, max_value=0.95))
 def test_capture_does_not_perturb_state(scenario, seed, frac):
-    """capture() at any boundary leaves the state digest unchanged."""
+    """A snapshot at any boundary is the run digest there, and taking
+    it leaves the run digest unchanged."""
     tb = get_scenario(scenario).build(seed)
     tb.run(until=_boundary(tb.sim.now, frac, SCENARIOS[scenario]))
-    before = state_digest(tb)
-    snap = capture(tb, scenario=scenario)
+    before = run_digest(tb)
+    snap = tb.snapshot()
     assert snap.digest == before
-    assert state_digest(tb) == before
+    assert run_digest(tb) == before
 
 
 @settings(max_examples=6, deadline=None,
@@ -110,6 +112,6 @@ def test_repeated_boundaries_compose(seed, fracs):
     built = tb.sim.now
     for frac in sorted(fracs):
         tb.run(until=_boundary(built, frac, horizon))
-        capture(tb, scenario="three-site")
+        tb.snapshot()
     tb.run(until=horizon)
     assert run_digest(tb) == baseline

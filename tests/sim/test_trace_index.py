@@ -20,7 +20,7 @@ def naive_select(records, component=None, event=None):
 def test_select_matches_naive_filter():
     sim = Simulator()
     fill(sim, 40, components=("a", "b", "c"), events=("x", "y"))
-    records = sim.trace.records
+    records = list(sim.trace)
     for component in (None, "a", "b", "c", "zzz"):
         for event in (None, "x", "y", "zzz"):
             assert sim.trace.select(component, event) == \
@@ -31,28 +31,16 @@ def test_select_with_detail_match():
     sim = Simulator()
     fill(sim, 10)
     assert [r.details["i"] for r in sim.trace.select("a", "x", i=4)] == [4]
-    assert sim.trace.select(i=3) == [sim.trace.records[3]]
+    assert sim.trace.select(i=3) == [list(sim.trace)[3]]
 
 
 def test_seq_is_total_order_even_at_equal_times():
     sim = Simulator()
     sim.trace.log("a", "first")
     sim.trace.log("b", "second")      # same sim.now
-    recs = sim.trace.records
+    recs = list(sim.trace)
     assert recs[0].time == recs[1].time
     assert recs[0].seq < recs[1].seq
-
-
-def test_contains_sequence_and_events():
-    sim = Simulator()
-    for ev in ("open", "work", "work", "close"):
-        sim.trace.log("c", ev)
-    sim.trace.log("other", "noise")
-    assert sim.trace.contains_sequence("open", "work", "close")
-    assert sim.trace.contains_sequence("open", "close", component="c")
-    assert not sim.trace.contains_sequence("close", "open", component="c")
-    assert sim.trace.events("c") == ["open", "work", "work", "close"]
-    assert sim.trace.components() == ["c", "other"]
 
 
 def test_iter_prefix_merges_in_log_order():
@@ -71,14 +59,14 @@ def test_bounded_trace_evicts_oldest_and_counts_dropped():
     trace = sim.trace
     assert len(trace) == 5
     assert trace.dropped == 7
-    assert [r.details["i"] for r in trace.records] == [7, 8, 9, 10, 11]
+    assert [r.details["i"] for r in trace] == [7, 8, 9, 10, 11]
 
 
 def test_bounded_trace_indexes_stay_consistent():
     sim = Simulator(trace_max_records=6)
     fill(sim, 25, components=("a", "b", "c"), events=("x", "y"))
     trace = sim.trace
-    records = trace.records
+    records = list(trace)
     for component in ("a", "b", "c"):
         for event in ("x", "y"):
             assert trace.select(component, event) == \
@@ -91,7 +79,7 @@ def test_bounded_trace_indexes_stay_consistent():
     sim2.trace.log("kept", "ev")
     sim2.trace.log("kept", "ev")
     assert sim2.trace.select("gone") == []
-    assert sim2.trace.components() == ["kept"]
+    assert list(sim2.trace._by_component) == ["kept"]
 
 
 def test_subscribers_see_every_record_despite_bounding():
@@ -103,13 +91,8 @@ def test_subscribers_see_every_record_despite_bounding():
     assert len(sim.trace) == 3
 
 
-def test_end_time_and_clear():
+def test_end_time():
     sim = Simulator()
     assert sim.trace.end_time() is None
     fill(sim, 4)
     assert sim.trace.end_time() == 3.0
-    sim.trace.clear()
-    assert len(sim.trace) == 0
-    assert sim.trace.dropped == 0
-    assert sim.trace.select("a") == []
-    assert sim.trace.end_time() is None
