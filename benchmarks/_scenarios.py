@@ -11,10 +11,8 @@ the paper's rows and ours are directly comparable; the *shape* claims
 from __future__ import annotations
 
 from repro import GridTestbed, JobDescription
-from repro.grid.scenarios import three_site_grid  # shared scenario registry
 
-__all__ = ["TIME_SCALE", "CPU_SCALE", "drain", "three_site_grid",
-           "time_to_start", "makespan"]
+__all__ = ["TIME_SCALE", "CPU_SCALE", "drain", "time_to_start", "makespan"]
 
 TIME_SCALE = 100.0      # 1 sim second == 100 paper-seconds
 CPU_SCALE = 10.0        # 1 slot here == 10 paper CPUs

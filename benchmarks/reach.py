@@ -1,10 +1,10 @@
 """Which functions of a package does no consumer of the system enter?
 
-    PYTHONPATH=src python benchmarks/reach.py repro.classads [package ...]
+    PYTHONPATH=src python benchmarks/reach.py repro
 
 Runs the *consumer set* once, in this process, under a
 ``sys.setprofile`` hook that records every code object entered, then
-prints, per source file of each package, each function (``def`` or
+prints, per source file of the package, each function (``def`` or
 ``lambda``) that was never entered, with its body length.  The consumer
 set is what the system is for, not its unit tests:
 
@@ -13,7 +13,8 @@ set is what the system is for, not its unit tests:
   smoke cells of ``bench_scale``/``bench_multiuser``/``bench_data``/
   ``bench_burst`` (their results go to a temporary directory);
 * every script under ``examples/``;
-* the audited chaos campaign (the CI scenarios, two seeds, inline);
+* the audited chaos campaign (the CI scenarios, two seeds, inline,
+  with its JSON report);
 * the seven committed plans under ``tests/chaos/plans/``;
 * every ``benchmarks/suite`` workload, untraced, at scale 0.2.
 
@@ -24,10 +25,11 @@ same code first).
 
 A function no consumer enters is deleted, or kept on purpose: it is
 named in ``benchmarks/reach_keep.json`` (``"module:qualname"`` ->
-reason) under its package.  The run exits 1 when an unreached function
-is not on that list, or when the list names a function that does not
-exist; it exits 0 otherwise, and says which kept entries a consumer
-did reach after all.
+reason, the reason led by one of :data:`CATEGORIES`).  The run exits 1
+when an unreached function is not on that list, or when an entry of the
+list under the package names no function or gives no known category;
+it exits 0 otherwise, and says which kept entries a consumer did reach
+after all.
 """
 
 from __future__ import annotations
@@ -46,6 +48,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 KEEP = Path(__file__).with_name("reach_keep.json")
+#: why a function no consumer enters may stay; each keep reason starts
+#: with one of these, then names the caller or cell
+CATEGORIES = ("safety:", "error path:", "protocol:", "user contract:",
+              "bench cell:", "suite:", "reference:", "unseen:")
 
 BENCHES = ("bench_claim_*.py", "bench_exp*.py", "bench_fig*.py",
            "bench_ablation_*.py", "bench_chaos_campaign.py")
@@ -73,12 +79,15 @@ PLANS = (
 
 # -- the hook -----------------------------------------------------------------
 
-_entered: set = set()
+#: every code object entered, by identity: code objects compare by
+#: value, not by file, so two same-bodied methods on the same line of two
+#: files would otherwise count as one
+_entered: dict = {}
 
 
 def _hook(frame, event, _arg):
     if event == "call":
-        _entered.add(frame.f_code)
+        _entered[id(frame.f_code)] = frame.f_code
 
 
 def arm() -> None:
@@ -130,13 +139,14 @@ def _examples() -> None:
                              + out.getvalue())
 
 
-def _chaos() -> None:
+def _chaos(out_dir: str) -> None:
     from repro.chaos.__main__ import main
 
     with contextlib.redirect_stdout(io.StringIO()) as out:
         arm()
         if main(["run", "--scenarios", CAMPAIGN, "--seeds", "2",
-                 "--workers", "1", "--audit"]) != 0:
+                 "--workers", "1", "--audit",
+                 "--json", os.path.join(out_dir, "chaos.json")]) != 0:
             raise SystemExit("reach: the chaos campaign failed:\n"
                              + out.getvalue())
         for scenario, seed, plan, extra in PLANS:
@@ -164,7 +174,8 @@ def _suite() -> None:
 def run_consumers() -> None:
     with tempfile.TemporaryDirectory() as out_dir:
         steps = (("tests and benches", lambda: _pytest(out_dir)),
-                 ("examples", _examples), ("chaos", _chaos),
+                 ("examples", _examples),
+                 ("chaos", lambda: _chaos(out_dir)),
                  ("suite", _suite))
         for name, step in steps:
             t0 = time.perf_counter()
@@ -212,13 +223,30 @@ def _walk(node, path, module, prefix):
     return out
 
 
+def keep_errors(keep: dict, package: str, functions) -> list[str]:
+    """What is wrong with the keep-list entries under `package`, whose
+    :func:`definitions` are `functions`: an entry naming no function, or
+    a reason led by no category."""
+    names = {f"{module}:{name}" for _, module, name, _, _ in functions}
+    errors = []
+    for key, reason in sorted(keep.items()):
+        module = key.split(":")[0]
+        if module != package and not module.startswith(package + "."):
+            continue
+        if key not in names:
+            errors.append(f"the keep-list names {key}, which does not exist")
+        elif not reason.startswith(CATEGORIES):
+            errors.append(f"the keep reason of {key} starts with none of "
+                          f"{', '.join(CATEGORIES)}")
+    return errors
+
+
 def report(package: str) -> int:
     entered = {(os.path.realpath(c.co_filename), c.co_firstlineno,
                 "<lambda>" if c.co_name == "<lambda>" else c.co_name)
-               for c in _entered}
-    keep = json.loads(KEEP.read_text()).get(package, {})
+               for c in _entered.values()}
+    keep = json.loads(KEEP.read_text())
     functions = definitions(package)
-    names = {f"{module}:{name}" for _, module, name, _, _ in functions}
     unreached, kept_reached, lines = [], [], 0
     by_file: dict[str, list[str]] = {}
     for path, module, name, first, body in functions:
@@ -244,24 +272,22 @@ def report(package: str) -> int:
           f"consumer; {len(unreached)} not on the keep-list")
     for key in kept_reached:
         print(f"note: kept {key} is reached by a consumer")
-    stale = sorted(set(keep) - names)
-    for key in stale:
-        print(f"error: the keep-list names {key}, which does not exist")
-    return 1 if unreached or stale else 0
+    errors = keep_errors(keep, package, functions)
+    for error in errors:
+        print(f"error: {error}")
+    return 1 if unreached or errors else 0
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("packages", nargs="+", metavar="package",
-                        help="e.g. repro.classads")
+    parser.add_argument("package", help="e.g. repro or repro.classads")
     args = parser.parse_args(argv)
     os.chdir(ROOT)
     sys.path.insert(0, str(ROOT / "src"))
-    for package in args.packages:      # fail fast on a bad package name
-        definitions(package)
+    definitions(args.package)           # fail fast on a bad package name
     arm()                               # before the first import of any
     run_consumers()
-    return max(map(report, args.packages))
+    return report(args.package)
 
 
 if __name__ == "__main__":

@@ -21,7 +21,6 @@ import argparse
 import json
 import sys
 
-from ..grid.scenarios import SCENARIOS
 from .plan import FaultPlan
 from .report import campaign_to_json, format_report
 from .runner import (
@@ -88,13 +87,6 @@ def _cmd_repro(args: argparse.Namespace) -> int:
     return 1
 
 
-def _cmd_scenarios(_args: argparse.Namespace) -> int:
-    for name, scenario in sorted(SCENARIOS.items()):
-        kinds = ",".join(scenario.fault_kinds)
-        print(f"{name:<14} {scenario.description}  [faults: {kinds}]")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.chaos",
@@ -129,12 +121,8 @@ def main(argv=None) -> int:
                               "minimal schedule")
     repro_p.set_defaults(func=_cmd_repro)
 
-    sc_p = sub.add_parser("scenarios", help="list registered scenarios")
-    sc_p.set_defaults(func=_cmd_scenarios)
-
     argv = list(sys.argv[1:] if argv is None else argv)
-    if not argv or argv[0] not in ("run", "repro", "scenarios",
-                                   "-h", "--help"):
+    if not argv or argv[0] not in ("run", "repro", "-h", "--help"):
         argv = ["run"] + argv      # bare `python -m repro.chaos [...]`
     args = parser.parse_args(argv)
     return args.func(args)

@@ -76,9 +76,6 @@ class FaultPlan:
     def __len__(self) -> int:
         return len(self.events)
 
-    def __iter__(self):
-        return iter(self.events)
-
     @property
     def end_time(self) -> float:
         """When the last scheduled disturbance (including recovery) ends."""

@@ -21,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from ..grid.scenarios import Scenario, get_scenario, scenario_names
+from ..grid.scenarios import Scenario, get_scenario
 from ..states import JobState
 from .digest import first_divergence, run_digest, trace_fingerprint
 from .invariants import evaluate_invariants
@@ -217,5 +217,4 @@ def default_workers() -> int:
 __all__ = [
     "CampaignResult", "DEFAULT_SCENARIOS", "RunResult", "build_and_run",
     "default_workers", "drive_to_quiescence", "run_campaign", "run_one",
-    "scenario_names",
 ]

@@ -9,11 +9,11 @@ references (``MY.``/``TARGET.``), ``!`` and unary ``-``, arithmetic,
 comparison and ``&&``/``||`` under the three-valued logic
 (UNDEFINED/ERROR), ``real()`` and ``ifThenElse()``, and bracketed ads.
 Anything else of the full language is refused at parse time.
-``benchmarks/reach.py repro.classads`` measures that no consumer of the
-system needs more, and CI fails on a function here that none enters.
+``benchmarks/reach.py repro`` measures that no consumer of the system
+needs more, and CI fails on a function here that none enters.
 """
 
-from .ast import AttrRef, EvalContext, Expr, Literal, is_match_static
+from .ast import AttrRef, EvalContext, Expr, Literal
 from .classad import (
     ClassAd,
     SealedClassAd,
@@ -30,7 +30,7 @@ from .values import ERROR, UNDEFINED, is_true, value_repr
 __all__ = [
     "ERROR", "UNDEFINED", "AttrRef", "ClassAd", "ClassAdSyntaxError",
     "EvalContext", "Expr", "Literal", "SealedClassAd", "best_match",
-    "is_true", "is_match_static", "match_signature",
+    "is_true", "match_signature",
     "parse", "parse_ad_pairs", "rank_value", "requirements_met",
     "symmetric_match", "value_repr",
 ]

@@ -32,11 +32,9 @@ class EvalContext:
         self,
         my: Optional["ClassAd"] = None,
         target: Optional["ClassAd"] = None,
-        now: float = 0.0,
     ):
         self.my = my
         self.target = target
-        self.now = now
         self._in_progress: set[tuple[int, str]] = set()
         self._depth = 0
 
@@ -44,8 +42,7 @@ class EvalContext:
         """Context whose MY is `ad` (TARGET becomes the opposite ad)."""
         if ad is self.my:
             return self
-        ctx = EvalContext(ad, self.my if ad is self.target else None,
-                          self.now)
+        ctx = EvalContext(ad, self.my if ad is self.target else None)
         ctx._in_progress = self._in_progress
         ctx._depth = self._depth
         return ctx
@@ -90,11 +87,6 @@ class AttrRef(Expr):
 
     def eval(self, ctx: EvalContext) -> Any:
         name = self.name.lower()
-        # Built-in environment attribute.
-        if name == "currenttime" and self.scope is None:
-            found = (ctx.my.lookup(name) if ctx.my is not None else None)
-            if found is None:
-                return int(ctx.now)
         if self.scope == "my":
             ads = [ctx.my]
         elif self.scope == "target":
@@ -317,24 +309,3 @@ class FuncCall(Expr):
     def eval(self, ctx: EvalContext) -> Any:
         return self.fn(ctx, self.args)
 
-
-# -- static (time-free) expression analysis -----------------------------------
-
-def is_match_static(expr: Expr) -> bool:
-    """True if evaluating ``expr`` can never read the clock.
-
-    Used by the Negotiator's match memoization: a (job, machine) pair
-    whose ads are entirely static evaluates to the same match/rank at
-    any ``now``, so one evaluation per cycle is enough.  The only thing
-    that reads the clock is a ``CurrentTime`` reference (which falls back
-    to ``ctx.now`` when the ad lacks the attribute).
-    """
-    if isinstance(expr, AttrRef):
-        return expr.name.lower() != "currenttime"
-    if isinstance(expr, UnaryOp):
-        return is_match_static(expr.operand)
-    if isinstance(expr, BinaryOp):
-        return is_match_static(expr.left) and is_match_static(expr.right)
-    if isinstance(expr, FuncCall):
-        return all(map(is_match_static, expr.args))
-    return True

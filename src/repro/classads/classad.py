@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from ..sim.fastcopy import declare
-from .ast import EvalContext, Expr, Literal, is_match_static
+from .ast import EvalContext, Expr, Literal
 from .parser import parse, parse_ad_pairs
 from .values import UNDEFINED, is_special, is_true, value_repr
 
@@ -55,7 +55,7 @@ class ClassAd:
         # _attrs: lowercase name -> Expr;  _case: lowercase -> display name
         self._attrs: dict[str, Expr] = {}
         self._case: dict[str, str] = {}
-        self._signature: Optional[tuple[tuple, bool]] = None
+        self._signature: Optional[tuple] = None
         if attrs:
             for name, value in attrs.items():
                 self[name] = value
@@ -161,8 +161,7 @@ class SealedClassAd(ClassAd):
 
 # -- matchmaking --------------------------------------------------------------
 
-def requirements_met(ad: ClassAd, candidate: ClassAd,
-                     now: float = 0.0) -> bool:
+def requirements_met(ad: ClassAd, candidate: ClassAd) -> bool:
     """True if `ad.Requirements` evaluates to true against `candidate`.
 
     A missing Requirements attribute counts as true (matches anything),
@@ -171,22 +170,20 @@ def requirements_met(ad: ClassAd, candidate: ClassAd,
     expr = ad.lookup("requirements")
     if expr is None:
         return True
-    return is_true(expr.eval(EvalContext(my=ad, target=candidate, now=now)))
+    return is_true(expr.eval(EvalContext(my=ad, target=candidate)))
 
 
-def symmetric_match(left: ClassAd, right: ClassAd,
-                    now: float = 0.0) -> bool:
+def symmetric_match(left: ClassAd, right: ClassAd) -> bool:
     """Bilateral match: each ad's Requirements holds against the other."""
-    return (requirements_met(left, right, now=now)
-            and requirements_met(right, left, now=now))
+    return requirements_met(left, right) and requirements_met(right, left)
 
 
-def rank_value(ad: ClassAd, candidate: ClassAd, now: float = 0.0) -> float:
+def rank_value(ad: ClassAd, candidate: ClassAd) -> float:
     """Evaluate `ad.Rank` against `candidate`; non-numeric ranks count 0."""
     expr = ad.lookup("rank")
     if expr is None:
         return 0.0
-    value = expr.eval(EvalContext(my=ad, target=candidate, now=now))
+    value = expr.eval(EvalContext(my=ad, target=candidate))
     if isinstance(value, bool):
         return 1.0 if value else 0.0
     if isinstance(value, (int, float)):
@@ -194,30 +191,26 @@ def rank_value(ad: ClassAd, candidate: ClassAd, now: float = 0.0) -> float:
     return 0.0
 
 
-def best_match(ad: ClassAd, candidates: list[ClassAd],
-               now: float = 0.0) -> Optional[ClassAd]:
+def best_match(ad: ClassAd, candidates: list[ClassAd]) -> Optional[ClassAd]:
     """The matching candidate maximizing `ad.Rank` (stable on ties)."""
     best: Optional[ClassAd] = None
     best_rank = float("-inf")
     for cand in candidates:
-        if not symmetric_match(ad, cand, now=now):
+        if not symmetric_match(ad, cand):
             continue
-        r = rank_value(ad, cand, now=now)
+        r = rank_value(ad, cand)
         if r > best_rank:
             best, best_rank = cand, r
     return best
 
 
-def match_signature(ad: ClassAd) -> tuple[tuple, bool]:
-    """Content signature of an ad plus whether it is match-static.
+def match_signature(ad: ClassAd) -> tuple:
+    """Content signature of an ad.
 
     The signature is a hashable value identity: two ads with the same
     attribute names bound to textually identical expressions share one
     signature, which is what lets the Negotiator evaluate Requirements
-    once per (job-signature, machine) instead of once per job.  The
-    second element is True when every attribute expression is
-    :func:`repro.classads.ast.is_match_static` -- only then is it safe
-    to reuse evaluations across different ``now`` values.
+    once per (job-signature, machine) instead of once per job.
 
     A sealed ad keeps its signature: it is computed once per ad, however
     many cycles the ad is matched in.  An unsealed ad may still change,
@@ -226,8 +219,7 @@ def match_signature(ad: ClassAd) -> tuple[tuple, bool]:
     signature = ad._signature
     if signature is None:
         attrs = ad._attrs
-        signature = (tuple((key, str(attrs[key])) for key in sorted(attrs)),
-                     all(map(is_match_static, attrs.values())))
+        signature = tuple((key, str(attrs[key])) for key in sorted(attrs))
         if type(ad) is SealedClassAd:
             ad._signature = signature
     return signature

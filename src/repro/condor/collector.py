@@ -106,9 +106,7 @@ class Collector(Service):
                      constraint: str = "true") -> list[ClassAd]:
         ads = self.live_ads(adtype)
         expr = parse(constraint)
-        now = self.sim.now
-        return [ad for ad in ads
-                if is_true(expr.eval(EvalContext(my=ad, now=now)))]
+        return [ad for ad in ads if is_true(expr.eval(EvalContext(my=ad)))]
 
     # -- local inspection ---------------------------------------------------
     def live_ads(self, adtype: str) -> list[ClassAd]:
@@ -117,6 +115,3 @@ class Collector(Service):
         return [self._ads[key][0]
                 for key in sorted(key for key in self._ads
                                   if key[0] == adtype)]
-
-    def count(self, adtype: str) -> int:
-        return len(self.live_ads(adtype))

@@ -53,8 +53,6 @@ class CondorJob(QueueRecord):
     universe: str = "vanilla"          # vanilla | standard
     io_interval: float = 0.0           # 0 = no remote I/O
     io_bytes: int = 0
-    ckpt_bytes: int = 0                # checkpoint image size (standard)
-    ckpt_server: str = ""              # site-local checkpoint server host
     state: str = IDLE
     progress: float = 0.0              # work completed (standard universe)
     submit_time: float = 0.0
@@ -76,10 +74,6 @@ class CondorJob(QueueRecord):
     syscall_handler: Optional[Callable] = None
 
     @property
-    def owner(self) -> str:
-        return self.ad.get("Owner", "nobody")
-
-    @property
     def resource(self) -> str:
         return self.matched_to
 
@@ -96,8 +90,6 @@ class CondorJob(QueueRecord):
             universe=self.universe,
             io_interval=self.io_interval,
             io_bytes=self.io_bytes,
-            ckpt_bytes=self.ckpt_bytes,
-            ckpt_server=self.ckpt_server,
             state=self.state,
             progress=self.progress,
             submit_time=self.submit_time,

@@ -13,15 +13,13 @@ GlideIn startds need nothing special here -- they are ordinary machine
 ads in the collector, which is the whole elegance of the §5 design.
 
 Each cycle builds a memoized matcher: jobs are reduced to content
-signatures, and for each *static* (clock-free) job signature the
-bilateral Requirements/Rank evaluation runs once against the static
-machines, producing a rank-ordered candidate list consumed by cursor --
-so 10k identical jobs cost one evaluation sweep instead of 10k linear
-``best_match`` scans.  Dynamic ads (anything touching ``CurrentTime``)
-fall back to per-job evaluation.  The matcher
-must choose exactly what ``classads.best_match`` over the machines not
-yet handed out would choose; ``tests/condor/test_cycle_matcher.py``
-holds it to that.
+signatures, and for each job signature the bilateral Requirements/Rank
+evaluation runs once against the machines, producing a rank-ordered
+candidate list consumed by cursor -- so 10k identical jobs cost one
+evaluation sweep instead of 10k linear ``best_match`` scans.  The
+matcher must choose exactly what ``classads.best_match`` over the
+machines not yet handed out would choose;
+``tests/condor/test_cycle_matcher.py`` holds it to that.
 """
 
 from __future__ import annotations
@@ -53,10 +51,7 @@ class _CycleMatcher:
         self.machines = machines
         self.alive = [True] * len(machines)
         self.remaining = len(machines)
-        sigs = [match_signature(m) for m in machines]
-        self.static_idx = [i for i, (_, st) in enumerate(sigs) if st]
-        self.dynamic_idx = [i for i, (_, st) in enumerate(sigs) if not st]
-        # static job signature -> rank-sorted [(rank, machine index)]
+        # job signature -> rank-sorted [(rank, machine index)]
         self._candidates: dict[tuple, list[tuple[float, int]]] = {}
         self._cursor: dict[tuple, int] = {}
         self.memo_hits = 0
@@ -65,20 +60,16 @@ class _CycleMatcher:
         self.alive[index] = False
         self.remaining -= 1
 
-    def best(self, job_ad: ClassAd, now: float) -> int | None:
+    def best(self, job_ad: ClassAd) -> int | None:
         """Index of the machine ``best_match`` would pick, or None."""
-        sig, static = match_signature(job_ad)
-        if not static:
-            found = self._scan_pair(job_ad, now, range(len(self.machines)))
-            return found[1] if found is not None else None
+        sig = match_signature(job_ad)
         lst = self._candidates.get(sig)
         if lst is None:
             lst = []
-            for i in self.static_idx:
-                machine = self.machines[i]
-                if not symmetric_match(job_ad, machine, now=now):
+            for i, machine in enumerate(self.machines):
+                if not symmetric_match(job_ad, machine):
                     continue
-                rank = rank_value(job_ad, machine, now=now)
+                rank = rank_value(job_ad, machine)
                 # best_match needs rank > -inf strictly (and NaN never
                 # wins a > comparison), so such machines are unmatchable
                 if rank == rank and rank > _NEG_INF:
@@ -94,39 +85,7 @@ class _CycleMatcher:
         while cursor < len(lst) and not self.alive[lst[cursor][1]]:
             cursor += 1
         self._cursor[sig] = cursor
-        best_static = lst[cursor] if cursor < len(lst) else None
-        if not self.dynamic_idx:
-            return best_static[1] if best_static is not None else None
-        best_dynamic = self._scan_pair(job_ad, now, self.dynamic_idx)
-        if best_static is None:
-            return best_dynamic[1] if best_dynamic is not None else None
-        if best_dynamic is None:
-            return best_static[1]
-        # best_match scans machines in order taking strict rank
-        # improvements: higher rank wins, equal rank goes to the earlier
-        # machine
-        if (best_dynamic[0] > best_static[0]
-                or (best_dynamic[0] == best_static[0]
-                    and best_dynamic[1] < best_static[1])):
-            return best_dynamic[1]
-        return best_static[1]
-
-    def _scan_pair(self, job_ad: ClassAd, now: float,
-                   indices) -> tuple[float, int] | None:
-        best: tuple[float, int] | None = None
-        for i in indices:
-            if not self.alive[i]:
-                continue
-            machine = self.machines[i]
-            if not symmetric_match(job_ad, machine, now=now):
-                continue
-            rank = rank_value(job_ad, machine, now=now)
-            if best is None:
-                if rank == rank and rank > _NEG_INF:
-                    best = (rank, i)
-            elif rank > best[0]:
-                best = (rank, i)
-        return best
+        return lst[cursor][1] if cursor < len(lst) else None
 
 
 class Negotiator(Service):
@@ -207,7 +166,7 @@ class Negotiator(Service):
             for job_id, job_ad in idle.items():
                 if not matcher.remaining:
                     return
-                index = matcher.best(job_ad, self.sim.now)
+                index = matcher.best(job_ad)
                 if index is None:
                     continue
                 chosen = matcher.machines[index]

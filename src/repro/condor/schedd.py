@@ -136,7 +136,7 @@ class Schedd(Service):
                     or job_id in seen):
                 continue    # stale or duplicate entry
             seen.add(job_id)
-            if symmetric_match(job.ad, machine_ad, now=self.sim.now):
+            if symmetric_match(job.ad, machine_ad):
                 chosen = job
                 break
             buffer.append(entry)
@@ -293,8 +293,6 @@ class Schedd(Service):
             "checkpoint": job.progress,
             "io_interval": job.io_interval,
             "io_bytes": job.io_bytes,
-            "ckpt_bytes": job.ckpt_bytes,
-            "ckpt_server": job.ckpt_server,
             "program": job.program,
             # refresh the claim's shadow coordinates: on reuse the
             # startd's stored claim still points at the previous job's

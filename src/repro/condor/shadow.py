@@ -42,32 +42,20 @@ class Shadow(Service):
         self.call_at(self.sim.now, self._lease_watch)
 
     # -- handlers -----------------------------------------------------------
-    WAN_BANDWIDTH = 1_000_000.0      # bytes/s for checkpoint shipping
-
     def handle_checkpoint(self, ctx, progress: float, final: bool = False,
-                          interval: float = 0.0, nbytes: int = 0):
+                          interval: float = 0.0) -> bool:
         """Bank a checkpoint/heartbeat.
 
         ``interval`` (sent with the starter's first beat) negotiates the
         lease: the shadow must tolerate at least ~3 beat periods of
-        silence, or slow checkpointers get phantom-evicted.  ``nbytes``
-        is the checkpoint image riding along (0 when a site-local
-        checkpoint server took it): the starter blocks for the WAN
-        transfer, which is the cost the checkpoint server removes.
+        silence, or slow checkpointers get phantom-evicted.
         """
-        if nbytes > 0 and self.WAN_BANDWIDTH:
-            return self._ship(progress, interval, nbytes)
         self.last_heartbeat = self.sim.now
         if interval > 0.0:
             self.lease_timeout = max(self.lease_timeout, 3.0 * interval)
         if progress > self.last_checkpoint:
             self.last_checkpoint = progress
         return True
-
-    def _ship(self, progress: float, interval: float, nbytes: int):
-        yield self.sim.timeout(nbytes / self.WAN_BANDWIDTH)
-        self.bytes_moved += nbytes
-        return self.handle_checkpoint(None, progress, interval=interval)
 
     def handle_syscall(self, ctx, op: str, nbytes: int = 0,
                        payload: Any = None):

@@ -257,15 +257,6 @@ class Startd(Service):
         runtime = desc["runtime"]
         standard = desc.get("universe") == "standard"
         progress = desc.get("checkpoint", 0.0) if standard else 0.0
-        if standard and desc.get("ckpt_server"):
-            try:
-                banked = yield from call(
-                    self.host, desc["ckpt_server"], "ckptserver", "fetch",
-                    job_id=desc["job_id"])
-                if banked is not None:
-                    progress = max(progress, banked)
-            except RPCError:
-                pass    # server gone: the shadow-banked progress stands
         io_interval = desc.get("io_interval", 0.0)
         next_io = io_interval if io_interval > 0 else float("inf")
         self._trace("job_start", job=desc["job_id"], progress=progress)
@@ -304,8 +295,7 @@ class Startd(Service):
                             elapsed_since_ckpt >= self.CHECKPOINT_INTERVAL:
                         elapsed_since_ckpt = 0.0
                         yield from self._send_checkpoint(
-                            shadow, progress if standard else 0.0,
-                            desc=desc if standard else None)
+                            shadow, progress if standard else 0.0)
                 code = 0
         except Interrupt:
             # Vacate: final checkpoint (standard), then hand the slot back.
@@ -314,8 +304,7 @@ class Startd(Service):
             if beat is not None:
                 beat.kill(cause="vacate")
             yield from self._send_checkpoint(
-                shadow, progress if standard else 0.0, final=True,
-                desc=desc if standard else None)
+                shadow, progress if standard else 0.0, final=True)
             notify(self.host, shadow[0], shadow[1], "vacated",
                    progress=progress if standard else 0.0)
             self._trace("job_vacated", job=desc["job_id"],
@@ -362,32 +351,12 @@ class Startd(Service):
             yield from self._send_checkpoint(shadow, 0.0)
 
     def _send_checkpoint(self, shadow, progress: float,
-                         final: bool = False, interval: float = 0.0,
-                         desc: Optional[dict] = None):
-        """Checkpoint + heartbeat.
-
-        With a site-local checkpoint server configured, the (large)
-        image goes there at LAN speed and only a small heartbeat crosses
-        the WAN to the Shadow; otherwise the image ships to the Shadow
-        directly ("the originating location"), pausing the job for the
-        transfer (paper §5).
-        """
-        nbytes = (desc or {}).get("ckpt_bytes", 0)
-        ckpt_server = (desc or {}).get("ckpt_server", "")
-        shadow_bytes = nbytes
-        if nbytes and ckpt_server:
-            try:
-                yield from call(self.host, ckpt_server, "ckptserver",
-                                "store",
-                                job_id=(desc or {}).get("job_id", "?"),
-                                progress=progress, nbytes=nbytes)
-                shadow_bytes = 0    # only the heartbeat crosses the WAN
-            except RPCError:
-                pass                # fall through: ship to the shadow
+                         final: bool = False, interval: float = 0.0):
+        """Checkpoint + heartbeat to the Shadow."""
         try:
             yield from call(self.host, shadow[0], shadow[1], "checkpoint",
                             progress=progress, final=final,
-                            interval=interval, nbytes=shadow_bytes)
+                            interval=interval)
         except RPCError:
             pass   # heartbeat missed; the lease machinery covers us
 

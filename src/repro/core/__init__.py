@@ -24,7 +24,7 @@ from .job import (
 )
 from .submitfile import SubmitFileError, parse_submit_file, \
     submit_from_file
-from .tools import condor_history, condor_q, condor_status
+from .tools import condor_history, condor_q
 from .userlog import Email, LogEvent, Notifier, UserLog
 
 __all__ = [
@@ -35,6 +35,6 @@ __all__ = [
     "JobStatus", "LogEvent", "Notifier", "PENDING",
     "QueueAwareBroker", "SUBMITTING", "UNSUBMITTED", "UserListBroker",
     "SubmitFileError", "UserLog", "assemble_chunks", "condor_history",
-    "condor_q", "condor_status", "gcat_wrap",
+    "condor_q", "gcat_wrap",
     "parse_submit_file", "submit_from_file",
 ]

@@ -51,10 +51,6 @@ class Broker:
             return None
         return self.credential_source(audience)
 
-    def pick(self, job: "GridJob", has_room):  # pragma: no cover - interface
-        raise NotImplementedError
-        yield
-
 
 class UserListBroker(Broker):
     """Round-robin over a user-supplied list of gatekeeper contacts."""
@@ -102,7 +98,6 @@ class MatchmakingBroker(Broker):
         credential_source=None,
     ):
         self.host = host
-        self.sim = host.sim
         self.giis_host = giis_host
         self.requirements = requirements
         self.rank = rank
@@ -127,12 +122,12 @@ class MatchmakingBroker(Broker):
                 adtype=GRID_ADTYPE)
         except RPCError:
             return None
-        job_ad, now = self.job_ad(job), self.sim.now
+        job_ad = self.job_ad(job)
         # Room is asked only where the job matches, so a job whose every
         # match is full waits for a slot there, not on the retry tick.
-        ads = [ad for ad in ads if symmetric_match(job_ad, ad, now=now)
+        ads = [ad for ad in ads if symmetric_match(job_ad, ad)
                and has_room(ad.get("Contact"))]
-        chosen = best_match(job_ad, ads, now=now)
+        chosen = best_match(job_ad, ads)
         if chosen is None:
             return None
         return chosen.get("Contact")

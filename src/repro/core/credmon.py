@@ -68,10 +68,6 @@ class CredentialMonitor:
     def time_left(self) -> float:
         return self.proxy.time_left(self.sim.now)
 
-    @property
-    def expired(self) -> bool:
-        return self.proxy.expired(self.sim.now)
-
     # -- user-facing refresh (grid-proxy-init) -----------------------------------
     def refresh(self, proxy: ProxyCredential) -> None:
         """The user ran the 'simple tool' to create a fresh proxy."""

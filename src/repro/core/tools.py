@@ -2,9 +2,9 @@
 
 "The Condor-G agent allows the user to treat the Grid as an entirely
 local resource, with an API and command line tools" -- these are those
-tools: text renderings of agent state in the spirit of ``condor_q``,
-``condor_history``, and ``condor_status``, suitable for printing from a
-portal or an interactive session.
+tools: text renderings of agent state in the spirit of ``condor_q`` and
+``condor_history``, suitable for printing from a portal or an
+interactive session.
 """
 
 from __future__ import annotations
@@ -87,22 +87,3 @@ def condor_history(agent: CondorGAgent) -> str:
         ])
     return _render(headers, rows)
 
-
-def condor_status(agent: CondorGAgent) -> str:
-    """The personal pool's slots (glideins and any other startds)."""
-    if agent.collector is None:
-        return "(agent has no personal pool)"
-    headers = ["NAME", "SITE", "ARCH", "STATE", "GLIDEIN"]
-    rows = []
-    for ad in agent.collector.live_ads("startd"):
-        rows.append([
-            str(ad.get("Name")),
-            str(ad.get("Site", "")),
-            str(ad.get("Arch", "")),
-            str(ad.get("State", "")),
-            "yes" if ad.get("GlideIn") is True else "no",
-        ])
-    total = len(rows)
-    unclaimed = sum(1 for r in rows if r[3] == "Unclaimed")
-    return _render(headers, rows) + \
-        f"\n\n{total} slots; {unclaimed} unclaimed"

@@ -2,7 +2,5 @@
 
 from .dag import Dag, DagError, DagNode
 from .dagman import DagContext, DagMan
-from .parser import parse_dag
 
-__all__ = ["Dag", "DagContext", "DagError", "DagMan", "DagNode",
-           "parse_dag"]
+__all__ = ["Dag", "DagContext", "DagError", "DagMan", "DagNode"]

@@ -69,10 +69,6 @@ class Dag:
             for c in children:
                 self.add_edge(p, c)
 
-    def roots(self) -> list[DagNode]:
-        return [n for name, n in self.nodes.items()
-                if not self.parents[name]]
-
     def validate(self) -> None:
         """Raises DagError on cycles."""
         state: dict[str, int] = {}

@@ -22,7 +22,6 @@ from ..sim.rpc import Service
 from ..sim.stats import by, fold
 
 fold("rls", "register", "catalog.registrations", by("dataset"))
-fold("rls", "invalidate", "catalog.invalidations", by("dataset"))
 
 CATALOG_HOST = "rls"
 CATALOG_NS = "replica-catalog"
@@ -104,12 +103,3 @@ class ReplicaCatalog(Service):
                 "checksum": entry["checksum"],
                 "replicas": dict(entry["replicas"])}
 
-    def handle_invalidate(self, ctx, name: str, se_host: str) -> bool:
-        entry = self._datasets.get(name)
-        if entry is None or se_host not in entry["replicas"]:
-            return False
-        del entry["replicas"][se_host]
-        self._persist(name)
-        self.sim.trace.log("rls", "invalidate", dataset=name, se=se_host,
-                           replicas=len(entry["replicas"]))
-        return True

@@ -80,15 +80,6 @@ class GlideInFactory(Service):
         self.sim.trace.log(f"factory:{self.user}", "crashed")
         super().crash(cause)
 
-    # -- RPC surface --------------------------------------------------------
-    def handle_status(self, ctx) -> dict:
-        """Live per-site view (operator/debug surface)."""
-        demand, _ = self._demand()
-        supply, live, idle = self._supply()
-        return {"user": self.user, "demand": demand,
-                "supply": dict(supply), "live": dict(live),
-                "idle": dict(idle), "cycles": self.cycles}
-
     # -- observations -------------------------------------------------------
     def _demand(self) -> tuple[int, float]:
         """(idle jobs queued in the pool, wait of the oldest of them)."""

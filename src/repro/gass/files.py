@@ -88,9 +88,6 @@ class FileStore:
         if self._stable is not None:
             self._stable.delete(path)
 
-    def list(self) -> list[str]:
-        return sorted(self._files)
-
     def _persist(self, f: SimFile) -> None:
         if self._stable is not None:
             self._stable.put(f.path, {"path": f.path, "size": f.size,

@@ -198,10 +198,6 @@ class Gatekeeper(Service):
         self.sim.metrics.counter("gatekeeper.admission_admits").inc()
 
     # -- handlers -----------------------------------------------------------
-    def handle_ping(self, ctx) -> str:
-        """Liveness probe (resource brokers)."""
-        return self.site
-
     def handle_status(self, ctx, jmids: tuple) -> dict:
         """``{jmid: status}`` for each of the caller's `jmids` registered
         here: the §4.2 probe of the whole site.  A jmid left out has no

@@ -9,14 +9,12 @@ from .config import (
     TestbedConfig,
     TrafficProfile,
 )
-from .metrics import ConcurrencyStats, concurrency, queue_waits, timeline
+from .metrics import ConcurrencyStats, concurrency, timeline
 from .scenarios import (
     SCENARIOS,
     Scenario,
     get_scenario,
     register,
-    scenario_names,
-    three_site_grid,
 )
 from .testbed import (
     CONDOR_BINARIES,
@@ -32,6 +30,5 @@ __all__ = [
     "DatasetSpec", "FactoryPolicy", "GIIS_HOST", "GridTestbed",
     "MYPROXY_HOST", "REPO_HOST", "SCENARIOS", "Scenario", "Site",
     "SiteSpec", "TestbedConfig", "TrafficProfile", "concurrency",
-    "get_scenario", "queue_waits", "register", "scenario_names",
-    "three_site_grid", "timeline",
+    "get_scenario", "register", "timeline",
 ]

@@ -130,9 +130,3 @@ class TestbedConfig:
     def with_seed(self, seed: int) -> "TestbedConfig":
         """The same topology under a different seed (scenario builders)."""
         return replace(self, seed=seed)
-
-    def with_sites(self, *sites: SiteSpec) -> "TestbedConfig":
-        return replace(self, sites=self.sites + sites)
-
-    def with_agents(self, *agents: AgentSpec) -> "TestbedConfig":
-        return replace(self, agents=self.agents + agents)

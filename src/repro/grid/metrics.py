@@ -7,9 +7,7 @@ fall out of the LRM start/finish trace records.
 Multi-tenant runs additionally need *per-user* accounting (who queued
 what, who burned which CPU-seconds, who got throttled where, what each
 user's allocations cost): :func:`user_rollup` joins every agent's queue,
-the per-user metric labels, and the sites' usage ledgers into one table,
-and :func:`grid_cost_report` aggregates the §1 cost reports across every
-agent of a testbed.
+the per-user metric labels, and the sites' usage ledgers into one table.
 """
 
 from __future__ import annotations
@@ -34,14 +32,6 @@ class ConcurrencyStats:
     first_start: float
     last_finish: float
 
-    @property
-    def cpu_hours(self) -> float:
-        return self.cpu_seconds / 3600.0
-
-    @property
-    def span(self) -> float:
-        return max(0.0, self.last_finish - self.first_start)
-
 
 _EVENT_SETS = {
     # LRM allocations: slot occupancy at the batch-system level
@@ -55,7 +45,8 @@ def _replay(trace: Trace, component_prefix: str):
     """The records under ``component_prefix``: all of them, or none."""
     if trace.dropped:
         raise ValueError(f"the trace dropped {trace.dropped} records: read "
-                         "registry_concurrency or lrm.queue_wait instead")
+                         "the lrm.busy_slots gauge or the lrm.queue_wait "
+                         "histogram instead")
     return trace.iter_prefix(component_prefix)
 
 
@@ -106,8 +97,8 @@ def concurrency(trace: Trace, component_prefix: str = "lrm:"
         last_t = t
     first = min(s for s, _ in intervals)
     last = max(e for _, e in intervals)
-    # Same definition as ConcurrencyStats.span (clamped at zero): a
-    # zero-length run has an average of 0, not cpu_seconds / epsilon.
+    # clamped at zero: a zero-length run has an average of 0, not
+    # cpu_seconds / epsilon
     span = max(0.0, last - first)
     return ConcurrencyStats(
         cpu_seconds=area,
@@ -116,38 +107,6 @@ def concurrency(trace: Trace, component_prefix: str = "lrm:"
         first_start=first,
         last_finish=last,
     )
-
-
-def concurrency_from_snapshot(snapshot: dict,
-                              gauge: str = "lrm.busy_slots"
-                              ) -> ConcurrencyStats:
-    """Busy-CPU statistics from a metrics-registry JSON snapshot.
-
-    The busy-slot gauge integrates itself as the simulation runs, so
-    this is O(1) in the length of the run -- no trace replay.  Pass
-    ``sim.metrics.snapshot()`` (or a deserialized export of it).
-    """
-    entry = snapshot.get("metrics", {}).get(gauge)
-    if entry is None or entry.get("first_active") is None:
-        return ConcurrencyStats(0.0, 0.0, 0, 0.0, 0.0)
-    first = entry["first_active"]
-    last = entry["last_idle"] if entry["value"] == 0 and \
-        entry["last_idle"] is not None else snapshot["time"]
-    area = entry["integral"]
-    span = max(0.0, last - first)
-    return ConcurrencyStats(
-        cpu_seconds=area,
-        average_busy=area / span if span > 0 else 0.0,
-        peak_busy=int(entry["max"]),
-        first_start=first,
-        last_finish=last,
-    )
-
-
-def registry_concurrency(sim, gauge: str = "lrm.busy_slots"
-                         ) -> ConcurrencyStats:
-    """Convenience wrapper: incremental concurrency for a live simulator."""
-    return concurrency_from_snapshot(sim.metrics.snapshot(), gauge=gauge)
 
 
 def timeline(trace: Trace, bucket: float, component_prefix: str = "lrm:"
@@ -169,21 +128,6 @@ def timeline(trace: Trace, bucket: float, component_prefix: str = "lrm:"
             if hi > lo:
                 busy[i] += (hi - lo) / bucket
     return edges, busy
-
-
-def queue_waits(trace: Trace, component_prefix: str = "lrm:"
-                ) -> list[float]:
-    """Per-job queue wait times (from LRM 'start' records)."""
-    return [rec.details["waited"]
-            for rec in _replay(trace, component_prefix)
-            if rec.event == "start" and "waited" in rec.details]
-
-
-def percentile(values: Iterable[float], q: float) -> float:
-    values = list(values)
-    if not values:
-        return 0.0
-    return float(np.percentile(np.asarray(values, dtype=float), q))
 
 
 # -- per-user accounting (multi-tenant runs) -----------------------------------
@@ -277,32 +221,11 @@ def data_rollup(tb: "GridTestbed") -> dict:
         "checksum_mismatches": total_of("dts.checksum_mismatch"),
         "catalog_lookups": labels_of("catalog.lookups"),
         "catalog_registrations": total_of("catalog.registrations"),
-        "catalog_invalidations": total_of("catalog.invalidations"),
         "stage_in_bytes": total_of("gridmanager.stage_in_bytes"),
         "stage_in_hits": total_of("gridmanager.stage_in_hits"),
         "stage_out_bytes": total_of("gridmanager.stage_out_bytes"),
         "stage_out_corrupt": total_of("gridmanager.stage_out_corrupt"),
         "replica_counts": replicas,
-    }
-
-
-def grid_cost_report(tb: "GridTestbed") -> dict:
-    """§1 cost reports for every agent, plus grid-wide totals.
-
-    ``users`` maps each user to their per-site (and ``total``) charge;
-    ``per_site`` sums each site's revenue over all users; ``total`` is
-    the grand total (and equals the sum of either view).
-    """
-    users = {name: tb.cost_report(name) for name in sorted(tb.agents)}
-    per_site: dict[str, float] = {name: 0.0 for name in sorted(tb.sites)}
-    for report in users.values():
-        for site_name, charge in report.items():
-            if site_name != "total":
-                per_site[site_name] = per_site.get(site_name, 0.0) + charge
-    return {
-        "users": users,
-        "per_site": per_site,
-        "total": sum(per_site.values()),
     }
 
 

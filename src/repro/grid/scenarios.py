@@ -125,34 +125,6 @@ def get_scenario(name: str) -> Scenario:
             from None
 
 
-def scenario_names() -> list[str]:
-    return sorted(SCENARIOS)
-
-
-# -- shared topology builders --------------------------------------------------
-
-_THREE_SITES = (
-    SiteSpec("alpha", scheduler="pbs", cpus=8),
-    SiteSpec("beta", scheduler="lsf", cpus=8),
-    SiteSpec("gamma", scheduler="loadleveler", cpus=8),
-)
-
-
-def three_site_grid(seed: int = 0, loaded: bool = True,
-                    **tb_kwargs) -> GridTestbed:
-    """One idle and two loaded sites: the broker/glidein playground.
-
-    (Also the topology behind the benchmark suite; see
-    ``benchmarks/_scenarios.py``.)
-    """
-    config = TestbedConfig(seed=seed, sites=_THREE_SITES, **tb_kwargs)
-    tb = GridTestbed.from_config(config)
-    if loaded:
-        saturate(tb.sites["alpha"].lrm, jobs=24, runtime=2000.0)
-        saturate(tb.sites["beta"].lrm, jobs=12, runtime=1500.0)
-    return tb
-
-
 # -- registered chaos scenarios -----------------------------------------------
 
 QUICKSTART_CONFIG = TestbedConfig(
@@ -183,6 +155,13 @@ def _build_quickstart(seed: int) -> GridTestbed:
     for _ in range(3):
         agent.submit(JobDescription(executable="sweep.exe", runtime=200.0))
     return tb
+
+
+_THREE_SITES = (
+    SiteSpec("alpha", scheduler="pbs", cpus=8),
+    SiteSpec("beta", scheduler="lsf", cpus=8),
+    SiteSpec("gamma", scheduler="loadleveler", cpus=8),
+)
 
 
 @register(

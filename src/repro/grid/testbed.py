@@ -84,9 +84,6 @@ class Site:
     def se(self) -> Optional[GridFTPServer]:
         return self.se_host and self.se_host.get_service("gridftp")
 
-    def queue_depth(self) -> int:
-        return self.lrm.depth()
-
 
 def _require_spec(what: str, value, spec_type: type, kwargs: dict) -> None:
     """Entry points take one typed spec; say which one on anything else."""
@@ -414,13 +411,3 @@ class GridTestbed:
                                    * site.allocation_cost)
         per_site["total"] = sum(per_site.values())
         return per_site
-
-    def cost_report_all(self) -> dict:
-        """Every user's cost report plus the grid-wide total.
-
-        Convenience wrapper over :func:`repro.grid.metrics.
-        grid_cost_report`, which is where the aggregation logic lives.
-        """
-        from .metrics import grid_cost_report
-
-        return grid_cost_report(self)

@@ -28,14 +28,8 @@ class GridMap:
     def add(self, dn: str, local_user: str) -> None:
         self._entries[dn] = local_user
 
-    def remove(self, dn: str) -> None:
-        self._entries.pop(dn, None)
-
     def lookup(self, dn: str) -> Optional[str]:
         return self._entries.get(dn)
-
-    def __contains__(self, dn: str) -> bool:
-        return dn in self._entries
 
 
 class GSIAuthorizer:
@@ -49,9 +43,6 @@ class GSIAuthorizer:
     def for_ca(cls, ca: CertificateAuthority,
                gridmap: Optional[GridMap] = None) -> "GSIAuthorizer":
         return cls({ca.dn: ca.public_key}, gridmap or GridMap())
-
-    def trust(self, ca: CertificateAuthority) -> None:
-        self.trust_anchors[ca.dn] = ca.public_key
 
     def authenticate(self, credential: object, now: float) -> str:
         """Verify the proof and chain; returns the identity DN."""

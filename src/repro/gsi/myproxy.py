@@ -20,13 +20,10 @@ from .proxy import ProxyCredential, delegate
 class MyProxyServer(Service):
     """Stores long-lived proxies; hands out short-lived delegations.
 
-    RPC methods:
-
-    * ``store(username, passphrase, credential)`` -- deposit a long-lived
-      :class:`ProxyCredential` protected by a passphrase.
-    * ``get(username, passphrase, lifetime)`` -- obtain a fresh short-lived
-      delegation of the stored credential.
-    * ``info(username)`` -- remaining lifetime of the stored credential.
+    The one RPC method is ``get(username, passphrase, lifetime)``: a
+    fresh short-lived delegation of the stored credential.  The user
+    deposits the long-lived proxy out of band (``myproxy-init``), which
+    the testbed does by writing ``_store`` when it builds an agent.
     """
 
     service_name = "myproxy"
@@ -40,17 +37,6 @@ class MyProxyServer(Service):
         self._store: dict[str, tuple[str, ProxyCredential]] = {}
 
     # -- handlers -----------------------------------------------------------
-    def handle_store(self, ctx, username: str, passphrase: str,
-                     proxy: ProxyCredential) -> bool:
-        # NB: the parameter is `proxy`, not `credential` -- the latter is
-        # the RPC layer's authentication envelope.
-        if proxy.expired(self.sim.now):
-            raise AuthenticationError("refusing to store an expired proxy")
-        self._store[username] = (passphrase, proxy)
-        self.sim.trace.log("myproxy", "store", user=username,
-                           expires=proxy.not_after)
-        return True
-
     def handle_get(self, ctx, username: str, passphrase: str,
                    lifetime: Optional[float] = None) -> ProxyCredential:
         entry = self._store.get(username)
@@ -67,17 +53,3 @@ class MyProxyServer(Service):
                            expires=short.not_after)
         return short
 
-    def handle_info(self, ctx, username: str) -> Optional[float]:
-        entry = self._store.get(username)
-        if entry is None:
-            return None
-        return entry[1].time_left(self.sim.now)
-
-    def handle_destroy(self, ctx, username: str, passphrase: str) -> bool:
-        entry = self._store.get(username)
-        if entry is None:
-            return False
-        if entry[0] != passphrase:
-            raise AuthenticationError("bad MyProxy passphrase")
-        del self._store[username]
-        return True

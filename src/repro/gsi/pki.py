@@ -40,9 +40,6 @@ class Certificate(Immutable):
     def valid_at(self, now: float) -> bool:
         return self.not_before <= now <= self.not_after
 
-    def time_left(self, now: float) -> float:
-        return max(0.0, self.not_after - now)
-
 
 def make_certificate(
     subject: str,

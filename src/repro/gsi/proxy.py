@@ -40,14 +40,6 @@ class ProxyCredential(Immutable):
         return self.chain[0].subject
 
     @property
-    def identity(self) -> str:
-        """The user DN: subject of the first non-proxy cert in the chain."""
-        for cert in self.chain:
-            if not cert.is_proxy:
-                return cert.subject
-        return self.chain[-1].subject
-
-    @property
     def not_after(self) -> float:
         """Effective expiry: the chain is as short-lived as its weakest link."""
         return min(cert.not_after for cert in self.chain)

@@ -16,7 +16,7 @@ GlideIn daemons execute on remote resources.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Optional
 
 from ..sim.errors import Interrupt
@@ -70,9 +70,6 @@ class JobSpec(Immutable):
     requeue_on_preempt: bool = True
     checkpointable: bool = False   # resume from where preemption hit?
     exit_code: int = 0          # exit code the synthetic body will produce
-
-    def with_env(self, **env: Any) -> "JobSpec":
-        return replace(self, env={**self.env, **env})
 
 
 @dataclass
@@ -190,11 +187,6 @@ class LocalResourceManager(Service):
         self._changes: list[str] = []
         self.spawn(self._scheduler_loop(), name=f"lrm:{host.name}")
 
-    # -- identity ------------------------------------------------------------
-    @property
-    def contact(self) -> str:
-        return self.host.name
-
     def _trace(self, event: str, **details: Any) -> None:
         self.sim.trace.log(f"lrm:{self.host.name}", event, **details)
 
@@ -286,10 +278,6 @@ class LocalResourceManager(Service):
             proc.interrupt(cause="cancel")
         return True
 
-    def depth(self) -> int:
-        """Number of queued (not yet running) jobs; O(1)."""
-        return len(self.queue)
-
     def queue_info(self) -> dict:
         # queued_cpus is maintained incrementally at every queue
         # mutation, so probes no longer walk the queue per call.
@@ -301,9 +289,6 @@ class LocalResourceManager(Service):
             "running_jobs": len(self.running),
             "queued_cpus": self.queued_cpus,
         }
-
-    def status(self, local_id: str) -> LRMJob:
-        return self.jobs[local_id]
 
     def view(self, local_id: str) -> FrozenDict:
         """What a poll reports for one job: its public view plus how much

@@ -26,9 +26,6 @@ class ForkLRM(LocalResourceManager):
 
     flavor = "fork"
 
-    def __init__(self, host: Host, slots: int = 2, name: str = ""):
-        super().__init__(host, slots, name=name)
-
 
 class PBSCluster(LocalResourceManager):
     """FIFO order with first-fit backfill, PBS-style."""

@@ -109,7 +109,8 @@ class CallContext:
 #   is spawned (its finish time is unknown); a reply that wins cancels
 #   it.  A reply that lands past the deadline is counted and discarded.
 
-#: Optional live RPC tally for profiling (see ``repro.profile``): when a
+#: Optional live RPC tally (the benchmark suite's traced pass and the
+#: scale benches install it; ``repro.profile`` names its rows): when a
 #: dict is installed here, every ``call()``/``notify()`` increments
 #: ``RPC_STATS[(service, method)]``.  Plain Python bookkeeping outside
 #: the simulation -- no events, no RNG, no metrics -- so enabling it

@@ -59,11 +59,6 @@ class JobState(str, enum.Enum):
         """The state is absorbing: the job will never run again."""
         return self in TERMINAL_STATES
 
-    @property
-    def is_complete(self) -> bool:
-        """The job finished successfully (layer-appropriate spelling)."""
-        return self in COMPLETE_STATES
-
 
 #: States no job ever leaves, across all layers.
 TERMINAL_STATES = frozenset({

@@ -11,10 +11,10 @@ from .lap import (
     lap_solve,
 )
 from .masterworker import Master, MWTask, QAPMaster, SyntheticMaster
-from .synthetic import BackgroundLoad, saturate
+from .synthetic import saturate
 
 __all__ = [
-    "BBNode", "BBResult", "BackgroundLoad", "CMSBookkeeping", "CMSConfig",
+    "BBNode", "BBResult", "CMSBookkeeping", "CMSConfig",
     "GaussianJobConfig", "Master", "MWTask", "QAPBranchAndBound",
     "QAPInstance", "QAPMaster", "SyntheticMaster", "build_cms_dag",
     "expected_output", "gaussian_program", "gilmore_lawler_bound",

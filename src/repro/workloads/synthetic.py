@@ -1,10 +1,10 @@
 """Synthetic load generators.
 
 Sites in a real grid are never empty: each has its own users' jobs
-competing with the Condor-G user's.  :class:`BackgroundLoad` drives a
-Poisson arrival process of local jobs straight into a site's LRM, which
-is what makes queue waits (and therefore broker choice and GlideIn
-delayed binding) mean something in the benchmarks.
+competing with the Condor-G user's.  :func:`saturate` enqueues a block of
+local jobs straight into a site's LRM, which is what makes queue waits
+(and therefore broker choice and GlideIn delayed binding) mean
+something in the benchmarks.
 
 :class:`SyntheticTraffic` is the submission-side counterpart: bursty
 *grid-user* traffic into the Condor-G agents themselves.  A
@@ -21,51 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from ..lrm.base import JobSpec, LocalResourceManager
 from ..states import JobState
-
-
-@dataclass
-class LoadStats:
-    submitted: int = 0
-
-
-class BackgroundLoad:
-    """Poisson arrivals of local jobs at one LRM."""
-
-    def __init__(
-        self,
-        lrm: LocalResourceManager,
-        interarrival: float,
-        mean_runtime: float,
-        cpus: int = 1,
-        owner: str = "local-user",
-        stream: Optional[str] = None,
-        horizon: Optional[float] = None,
-    ):
-        self.lrm = lrm
-        self.sim = lrm.sim
-        self.interarrival = interarrival
-        self.mean_runtime = mean_runtime
-        self.cpus = cpus
-        self.owner = owner
-        self.horizon = horizon
-        self.stats = LoadStats()
-        self._rng = self.sim.rng.stream(
-            stream or f"bgload:{lrm.host.name}")
-        self.lrm.host.spawn(self._generate(),
-                            name=f"bgload:{lrm.host.name}")
-
-    def _generate(self):
-        while self.horizon is None or self.sim.now < self.horizon:
-            yield self.sim.timeout(
-                self._rng.expovariate(1.0 / self.interarrival))
-            runtime = self._rng.expovariate(1.0 / self.mean_runtime)
-            self.lrm.submit(JobSpec(runtime=runtime, cpus=self.cpus),
-                            owner=self.owner)
-            self.stats.submitted += 1
 
 
 def saturate(lrm: LocalResourceManager, jobs: int, runtime: float,

@@ -31,9 +31,9 @@ class TestGeneration:
         for seed in range(8):
             tb, plan = _generate("quickstart", seed)
             surface = fault_surface(tb)
-            times = [ev.time for ev in plan]
+            times = [ev.time for ev in plan.events]
             assert times == sorted(times)
-            for ev in plan:
+            for ev in plan.events:
                 assert ev.target in surface[ev.kind], ev
 
     def test_surface_excludes_submit_and_cluster_hosts(self):

@@ -8,8 +8,8 @@ from repro.classads.ast import EvalContext
 from repro.classads.parser import parse
 
 
-def ev(text, my=None, target=None, now=0.0):
-    return parse(text).eval(EvalContext(my=my, target=target, now=now))
+def ev(text, my=None, target=None):
+    return parse(text).eval(EvalContext(my=my, target=target))
 
 
 def refused(text, name=None):
@@ -179,13 +179,6 @@ class TestAttributeResolution:
     def test_diamond_is_not_cycle(self):
         my = ClassAd.parse("[ A = B + C; B = D; C = D; D = 1 ]")
         assert my.eval("A") == 2
-
-    def test_currenttime(self):
-        assert ev("CurrentTime", my=ClassAd(), now=123.7) == 123
-
-    def test_currenttime_can_be_shadowed(self):
-        my = ClassAd({"CurrentTime": 5})
-        assert ev("CurrentTime", my=my, now=99.0) == 5
 
 
 class TestCollections:

@@ -46,7 +46,7 @@ def _context() -> EvalContext:
     my = ClassAd({"Memory": 128, "Arch": "INTEL", "Disk": 10, "X": 4})
     target = ClassAd({"Memory": 64, "Mips": 200, "OpSys": "LINUX"})
     my.set_expression("Chained", "Memory * 2")
-    return EvalContext(my=my, target=target, now=1000.0)
+    return EvalContext(my=my, target=target)
 
 
 def _same(a, b) -> bool:
@@ -121,7 +121,7 @@ def test_the_memo_is_bounded():
 def _job(**extra) -> ClassAd:
     ad = ClassAd({"Owner": "alice", "ImageSize": 32, **extra})
     ad.set_expression("Requirements",
-                      "TARGET.Memory >= 64 && CurrentTime > 0")
+                      "TARGET.Memory >= 64")
     ad.set_expression("Rank", "TARGET.Mips")
     return ad
 
@@ -132,7 +132,6 @@ def test_sealed_ad_keeps_a_signature_equal_to_a_fresh_one():
     assert match_signature(ad) is signature
     assert signature == match_signature(ad.copy())
     assert signature == match_signature(_job())
-    assert signature[1] is False            # CurrentTime is dynamic
 
 
 def test_unsealed_ad_is_never_cached():
@@ -142,7 +141,7 @@ def test_unsealed_ad_is_never_cached():
     ad["Owner"] = "bob"
     after = match_signature(ad)
     assert after != before and ad._signature is None
-    assert ("owner", '"bob"') in after[0]
+    assert ("owner", '"bob"') in after
     assert ad.copy().seal()._signature is None      # sealing computes nothing
 
 

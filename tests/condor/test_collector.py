@@ -135,7 +135,7 @@ def test_query_matches_reference_scan_on_random_ads(seed):
         for constraint in CONSTRAINTS:
             expr = parse(constraint)
             expected = [a for a in in_name_order
-                        if is_true(expr.eval(EvalContext(my=a, now=sim.now)))]
+                        if is_true(expr.eval(EvalContext(my=a)))]
             got = coll.handle_query(None, adtype, constraint)
             assert [id(a) for a in got] == [id(a) for a in expected], \
                 (adtype, constraint)

@@ -2,8 +2,7 @@
 
 ``_CycleMatcher`` must hand out exactly the machines that sequential
 ``classads.best_match``-and-remove would: same choice per job, same
-first-maximal-rank tie-break, same treatment of undefined/NaN ranks and
-of ads that cannot be memoized (``CurrentTime``).
+first-maximal-rank tie-break, same treatment of undefined/NaN ranks.
 """
 
 import random
@@ -13,14 +12,11 @@ import pytest
 from repro.classads import ClassAd, best_match
 from repro.condor.negotiator import _CycleMatcher
 
-NOW = 100.0
-
 JOB_REQUIREMENTS = (
     None,
     "TARGET.Mips >= 100",
     'TARGET.Arch == "INTEL"',
     "TARGET.Mips >= 100 && TARGET.Memory > 64",
-    "CurrentTime > 50 && TARGET.Mips >= 100",   # not memoizable
     "TARGET.Mips > 1000",                       # matches nothing
 )
 JOB_RANKS = (
@@ -34,8 +30,6 @@ JOB_RANKS = (
 MACHINE_REQUIREMENTS = (
     None, None, None,
     "TARGET.ImageSize <= MY.Memory",
-    "CurrentTime > 10",             # dynamic machine ad
-    "CurrentTime > 1000",           # dynamic, currently refusing
 )
 
 
@@ -70,7 +64,7 @@ def _sequential_best_match(jobs, machines):
     available = list(machines)
     picks = []
     for job in jobs:
-        chosen = best_match(job, available, now=NOW) if available else None
+        chosen = best_match(job, available) if available else None
         if chosen is not None:
             available.remove(chosen)
         picks.append(chosen.get("Name") if chosen is not None else None)
@@ -81,7 +75,7 @@ def _memoized(jobs, machines):
     matcher = _CycleMatcher(list(machines))
     picks = []
     for job in jobs:
-        index = matcher.best(job, NOW) if matcher.remaining else None
+        index = matcher.best(job) if matcher.remaining else None
         if index is not None:
             matcher.consume(index)
         picks.append(matcher.machines[index].get("Name")

@@ -165,7 +165,7 @@ def test_unmapped_user_rejected():
     tb = GridTestbed(TestbedConfig(seed=4, use_gsi=True))
     site = tb.add_site(SiteSpec("wisc", scheduler="pbs", cpus=4))
     agent = tb.add_agent(AgentSpec("mallory"))
-    site.gridmap.remove(tb.users["mallory"].dn)
+    del site.gridmap._entries[tb.users["mallory"].dn]
     jid = agent.submit(JobDescription(runtime=30.0), resource=site.contact)
     tb.run(until=3000.0)
     status = agent.status(jid)

@@ -19,7 +19,7 @@ def test_glidein_joins_personal_pool():
     agent = tb.add_agent(AgentSpec("alice"))
     agent.glide_in("wisc-gk", count=2, walltime=5000.0)
     tb.run(until=300.0)
-    assert agent.collector.count("startd") == 2
+    assert len(agent.collector.live_ads("startd")) == 2
     names = [ad.eval("Name") for ad in agent.collector.live_ads("startd")]
     assert all("glidein" in n for n in names)
     assert all(ad.eval("GlideIn") is True
@@ -66,9 +66,9 @@ def test_glidein_idle_shutdown():
     agent.glide_in("wisc-gk", count=1, walltime=100000.0,
                    idle_timeout=300.0)
     tb.run(until=200.0)
-    assert agent.collector.count("startd") == 1
+    assert len(agent.collector.live_ads("startd")) == 1
     tb.run(until=2000.0)
-    assert agent.collector.count("startd") == 0
+    assert len(agent.collector.live_ads("startd")) == 0
     assert tb.sim.trace.select("glidein", "startd_down")
     # the enclosing GRAM job completed (allocation released, not wasted)
     lrm = tb.sites["wisc"].lrm
@@ -116,7 +116,7 @@ def test_glideins_capacity_limited_by_site():
     agent = tb.add_agent(AgentSpec("alice"))
     agent.glide_in("wisc-gk", count=6, walltime=2000.0, idle_timeout=10**6)
     tb.run(until=500.0)
-    assert agent.collector.count("startd") <= 4
+    assert len(agent.collector.live_ads("startd")) <= 4
     lrm = tb.sites["wisc"].lrm
     assert lrm.queue_info()["running_jobs"] == 4
     assert lrm.queue_info()["queued_jobs"] == 2
@@ -130,7 +130,7 @@ def test_flood_glideins_across_sites():
     agent.flood_glideins([s.contact for s in tb.sites.values()],
                          per_site=2, walltime=5000.0)
     tb.run(until=400.0)
-    assert agent.collector.count("startd") == 6
+    assert len(agent.collector.live_ads("startd")) == 6
     sites = {ad.eval("Site") for ad in agent.collector.live_ads("startd")}
     assert sites == {"wisc", "anl", "ncsa"}
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro import GridTestbed, JobDescription
 from repro.core.broker import MatchmakingBroker
-from repro.core.tools import condor_history, condor_q, condor_status
+from repro.core.tools import condor_history, condor_q
 from repro.grid.config import AgentSpec, SiteSpec, TestbedConfig
 
 
@@ -56,21 +56,6 @@ class TestTools:
         assert [s.job_id for s in agent.statuses()] == ids
         rows = condor_q(agent).splitlines()[1:13]
         assert [row.split()[0] for row in rows] == ids
-
-    def test_condor_status_lists_glideins(self):
-        tb, agent = self.make()
-        agent.glide_in("wisc-gk", count=2, walltime=10**4)
-        tb.run(until=200.0)
-        out = condor_status(agent)
-        assert "glidein-1" in out
-        assert "2 slots" in out
-        assert "yes" in out
-
-    def test_condor_status_without_pool(self):
-        tb = GridTestbed(TestbedConfig(seed=95))
-        tb.add_site(SiteSpec("wisc", scheduler="pbs", cpus=2))
-        agent = tb.add_agent(AgentSpec("bob", personal_pool=False))
-        assert "no personal pool" in condor_status(agent)
 
     def test_condor_q_shows_hold_reason(self):
         tb = GridTestbed(TestbedConfig(seed=96, use_gsi=True))

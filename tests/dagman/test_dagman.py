@@ -3,7 +3,7 @@
 import pytest
 
 from repro import GridTestbed, JobDescription
-from repro.dagman import Dag, DagError, DagMan, DagNode, parse_dag
+from repro.dagman import Dag, DagError, DagMan, DagNode
 from repro.grid.config import AgentSpec, SiteSpec, TestbedConfig
 
 
@@ -38,53 +38,6 @@ class TestDagModel:
         dag.add_edge("c", "a")
         with pytest.raises(DagError, match="cycle"):
             dag.validate()
-
-    def test_roots(self):
-        dag = Dag()
-        for name in "abc":
-            dag.add_node(DagNode(name))
-        dag.add_dependency(["a", "b"], "c")
-        assert {n.name for n in dag.roots()} == {"a", "b"}
-
-
-class TestParser:
-    DESCRIPTIONS = {
-        "sim.desc": (JobDescription(runtime=10.0), "site-gk"),
-        "reco.desc": (JobDescription(runtime=20.0), "other-gk"),
-    }
-
-    def test_parse_basic(self):
-        dag = parse_dag(
-            "# comment\n"
-            "JOB A sim.desc\n"
-            "JOB B sim.desc\n"
-            "JOB C reco.desc\n"
-            "PARENT A B CHILD C\n"
-            "RETRY C 2\n",
-            self.DESCRIPTIONS)
-        assert set(dag.nodes) == {"A", "B", "C"}
-        assert dag.parents["C"] == ["A", "B"]
-        assert dag.nodes["C"].retries == 2
-        assert dag.nodes["A"].resource == "site-gk"
-
-    def test_unknown_description_rejected(self):
-        with pytest.raises(DagError):
-            parse_dag("JOB A nope.desc", self.DESCRIPTIONS)
-
-    def test_retry_unknown_node_rejected(self):
-        with pytest.raises(DagError):
-            parse_dag("JOB A sim.desc\nRETRY B 1", self.DESCRIPTIONS)
-
-    def test_bad_keyword_rejected(self):
-        with pytest.raises(DagError):
-            parse_dag("FROB A", self.DESCRIPTIONS)
-
-    def test_callable_description_becomes_action(self):
-        def action(ctx):
-            yield ctx.sim.timeout(1.0)
-
-        dag = parse_dag("JOB X act", {"act": action})
-        assert dag.nodes["X"].action is action
 
 
 class TestEngine:
@@ -219,7 +172,7 @@ class TestCMSPipeline:
         assert books.events_reconstructed == 500
         assert books.buffer_events == 0
         # all event files are at the MSS
-        assert len(repo.files.list()) == 10
+        assert len(repo.files._files) == 10
         # reconstruction ran at NCSA after every transfer
         reco = agent.status(dag.nodes["reco"].job_id)
         assert reco.resource == "ncsa-gk"

@@ -1,9 +1,7 @@
 """DAGMan extras: rescue DAGs, maxjobs throttling, node priorities."""
 
-import pytest
-
 from repro import GridTestbed, JobDescription
-from repro.dagman import Dag, DagMan, DagNode, parse_dag
+from repro.dagman import Dag, DagMan, DagNode
 from repro.grid.config import AgentSpec, SiteSpec, TestbedConfig
 
 
@@ -126,17 +124,3 @@ class TestThrottleAndPriority:
         high = agent.status(dag.nodes["high"].job_id)
         low = agent.status(dag.nodes["low"].job_id)
         assert high.submit_time < low.submit_time
-
-    def test_parser_priority_statement(self):
-        dag = parse_dag(
-            "JOB a d\nJOB b d\nPRIORITY b 5\n",
-            {"d": (JobDescription(runtime=1.0), "x")})
-        assert dag.nodes["b"].priority == 5
-        assert dag.nodes["a"].priority == 0
-
-    def test_parser_priority_unknown_node(self):
-        from repro.dagman import DagError
-
-        with pytest.raises(DagError):
-            parse_dag("JOB a d\nPRIORITY zz 5\n",
-                      {"d": (JobDescription(runtime=1.0), "x")})

@@ -60,31 +60,6 @@ def test_lookup_miss_is_remote_error(env):
     assert sim.metrics.counter("catalog.lookups").labelled("miss") == 1
 
 
-def test_invalidate_removes_one_replica(env):
-    sim, client, rls_host, catalog = env
-    catalog.seed("cal", 1000, "abcd",
-                 replicas={"a-se": "gsiftp://a-se/datasets/cal",
-                           "b-se": "gsiftp://b-se/datasets/cal"})
-
-    def scenario():
-        removed = yield from call(client, "rls", "rls", "invalidate",
-                                  name="cal", se_host="a-se")
-        entry = yield from call(client, "rls", "rls", "lookup", name="cal")
-        return removed, entry
-
-    box = drive(sim, scenario())
-    removed, entry = box["value"]
-    assert removed is True
-    assert list(entry["replicas"]) == ["b-se"]
-
-
-def test_invalidate_unknown_replica_is_false(env):
-    sim, client, rls_host, catalog = env
-    box = drive(sim, call(client, "rls", "rls", "invalidate",
-                          name="ghost", se_host="a-se"))
-    assert box["value"] is False
-
-
 def test_catalog_survives_host_reboot(env):
     """Registrations live in stable storage; the boot action brings the
     daemon back with the full mapping after a machine crash."""

@@ -145,12 +145,3 @@ def test_factory_requires_personal_pool():
         GlideInFactory(agent, {"s": ("s-gk", FactoryPolicy())})
 
 
-def test_status_rpc_reports_live_view():
-    policy = FactoryPolicy(min_glideins=1, interval=15.0,
-                           lease=50_000.0, idle_timeout=100_000.0)
-    tb, agent = make_tb(policy)
-    tb.run(until=600.0)
-    status = agent.factory.handle_status(None)
-    assert status["user"] == "alice"
-    assert status["live"] == {"site0": 1}
-    assert status["cycles"] >= 1

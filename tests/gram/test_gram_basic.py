@@ -3,7 +3,7 @@
 import pytest
 
 from repro.gram import DONE, FAILED, GramJobRequest, PENDING, UNCOMMITTED
-from repro.sim import RemoteError, RPCTimeout, call
+from repro.sim import RemoteError, call
 
 from .conftest import MiniGrid
 
@@ -229,28 +229,6 @@ def test_gatekeeper_status_answers_for_the_callers_jobmanagers(grid):
     assert theirs == {}
 
 
-def test_ping_gatekeeper(grid):
-    from repro.sim import call
-
-    def scenario():
-        site = yield from call(grid.submit, "site-gk", "gatekeeper", "ping")
-        return site
-
-    assert grid.drive(scenario())["value"] == "site"
-
-
-def test_ping_down_gatekeeper_times_out(grid):
-    from repro.sim import call
-
-    grid.gk_host.crash()
-
-    def scenario():
-        try:
-            yield from call(grid.submit, "site-gk", "gatekeeper", "ping")
-        except RPCTimeout:
-            return "timeout"
-
-    assert grid.drive(scenario())["value"] == "timeout"
 
 
 def test_queue_info_via_gatekeeper(grid):

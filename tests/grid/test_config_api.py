@@ -37,13 +37,6 @@ def test_config_is_a_value():
     assert a.seed == 3
 
 
-def test_with_sites_and_agents_append():
-    cfg = _two_site_config().with_sites(SiteSpec("ucsd", cpus=8))
-    assert [s.name for s in cfg.sites] == ["wisc", "anl", "ucsd"]
-    cfg = cfg.with_agents(AgentSpec("bob"))
-    assert [a.name for a in cfg.agents] == ["alice", "bob"]
-
-
 # -- building -----------------------------------------------------------------
 
 def test_from_config_builds_topology():
@@ -119,7 +112,7 @@ def test_jobstate_terminal_helpers():
     assert not is_terminal("somestring")
     assert is_complete("DONE") and is_complete("COMPLETED")
     assert not is_complete("FAILED")
-    assert JobState.DONE.is_terminal and JobState.DONE.is_complete
+    assert JobState.DONE.is_terminal and is_complete(JobState.DONE)
     assert not JobState.ACTIVE.is_terminal
 
 
@@ -138,16 +131,15 @@ def test_lrm_depth_tracks_queue():
     tb = GridTestbed.from_config(_two_site_config())
     site = tb.sites["anl"]       # 2 cpus
     agent = tb.agents["alice"]
-    assert site.queue_depth() == 0
+    assert len(site.lrm.queue) == 0
     for _ in range(5):
         agent.submit(JobDescription(runtime=400.0),
                      resource=site.contact)
     tb.run(until=200.0)
-    # 2 running + 3 still queued; depth() counts the waiting queue
-    assert site.queue_depth() == site.lrm.depth() == len(site.lrm.queue)
-    assert site.lrm.depth() == 3
+    # 2 running + 3 still queued; the depth counts the waiting queue
+    assert len(site.lrm.queue) == 3
     info = site.lrm.queue_info()
     assert info["queued_jobs"] == 3
     tb.run(until=2000.0)
-    assert site.lrm.depth() == 0
+    assert len(site.lrm.queue) == 0
     assert site.lrm.queued_cpus == 0

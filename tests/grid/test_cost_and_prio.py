@@ -69,7 +69,7 @@ def test_set_prio_unknown_job():
 def test_accounting_matches_a_user_by_identity_not_by_substring(use_gsi):
     """``u1`` is a substring of ``u10``'s submit host and gridmap
     account; only ``u10`` runs, so only ``u10`` is charged."""
-    from repro.grid.metrics import grid_cost_report, user_rollup
+    from repro.grid.metrics import user_rollup
 
     tb = GridTestbed(TestbedConfig(seed=77, use_gsi=use_gsi))
     tb.add_site(SiteSpec("s", scheduler="pbs", cpus=4, allocation_cost=1.0))
@@ -84,6 +84,3 @@ def test_accounting_matches_a_user_by_identity_not_by_substring(use_gsi):
     assert rollup["u1"]["gatekeeper_submits"] == 0.0
     assert rollup["u10"]["cpu_seconds"] == pytest.approx(3600.0, rel=0.01)
     assert rollup["u10"]["gatekeeper_submits"] == 1.0
-    report = grid_cost_report(tb)
-    assert report["total"] == pytest.approx(1.0, rel=0.01)
-    assert report["per_site"]["s"] == report["total"]

@@ -3,8 +3,7 @@
 import pytest
 
 from repro import GridTestbed, JobDescription
-from repro.grid.metrics import concurrency, concurrency_from_snapshot, \
-    percentile, queue_waits, registry_concurrency, timeline
+from repro.grid.metrics import concurrency, timeline
 from repro.sim import Simulator
 from repro.sim.trace import Trace
 from repro.grid.config import AgentSpec, SiteSpec, TestbedConfig
@@ -30,7 +29,6 @@ def test_concurrency_single_interval():
     assert stats.cpu_seconds == 10.0
     assert stats.peak_busy == 1
     assert stats.average_busy == pytest.approx(1.0)
-    assert stats.cpu_hours == pytest.approx(10.0 / 3600.0)
 
 
 def test_concurrency_overlapping_intervals():
@@ -44,7 +42,6 @@ def test_concurrency_overlapping_intervals():
     assert stats.cpu_seconds == pytest.approx(20.0)
     assert stats.peak_busy == 2
     assert stats.average_busy == pytest.approx(20.0 / 15.0)
-    assert stats.span == pytest.approx(15.0)
 
 
 def test_concurrency_preempt_closes_interval():
@@ -97,35 +94,17 @@ def test_timeline_buckets():
     assert busy[1] == pytest.approx(1.0)
 
 
-def test_queue_waits_extraction():
-    trace = make_trace([
-        (0.0, "lrm:a", "start", {"job": "j1", "waited": 3.5}),
-        (1.0, "lrm:a", "start", {"job": "j2", "waited": 0.0}),
-        (2.0, "other", "start", {"waited": 99.0}),
-    ])
-    assert queue_waits(trace) == [3.5, 0.0]
-
-
 def test_zero_span_run_has_zero_average():
-    """Regression: concurrency() used max(span, 1e-12) while
-    ConcurrencyStats.span clamped at 0.0, so a zero-length run reported
-    span == 0 but an astronomically large average_busy.  Both now use
-    the same clamped-span definition."""
+    """Regression: concurrency() used max(span, 1e-12), so a zero-length
+    run reported an astronomically large average_busy."""
     trace = make_trace([
         (5.0, "lrm:a", "start", {"job": "j1"}),
         (5.0, "lrm:a", "finish", {"job": "j1"}),
     ])
     stats = concurrency(trace)
-    assert stats.span == 0.0
+    assert stats.first_start == stats.last_finish == 5.0
     assert stats.average_busy == 0.0
     assert stats.cpu_seconds == 0.0
-
-
-def test_snapshot_concurrency_empty_registry():
-    stats = concurrency_from_snapshot({"time": 0.0, "metrics": {}})
-    assert stats.cpu_seconds == 0.0
-    assert stats.peak_busy == 0
-    assert stats.average_busy == 0.0
 
 
 def test_registry_concurrency_matches_trace_replay():
@@ -140,18 +119,12 @@ def test_registry_concurrency_matches_trace_replay():
     assert all(agent.status(j).is_complete for j in ids)
 
     from_trace = concurrency(tb.sim.trace)
-    from_gauge = registry_concurrency(tb.sim)
-    assert from_gauge.cpu_seconds == pytest.approx(from_trace.cpu_seconds)
-    assert from_gauge.peak_busy == from_trace.peak_busy
-    assert from_gauge.first_start == pytest.approx(from_trace.first_start)
-    assert from_gauge.last_finish == pytest.approx(from_trace.last_finish)
-    assert from_gauge.average_busy == pytest.approx(from_trace.average_busy)
-    # and the snapshot round-trips through JSON untouched
-    import json
-
-    snap = json.loads(json.dumps(tb.sim.metrics.snapshot()))
-    assert concurrency_from_snapshot(snap).cpu_seconds == \
-        pytest.approx(from_trace.cpu_seconds)
+    gauge = tb.sim.metrics.snapshot()["metrics"]["lrm.busy_slots"]
+    assert gauge["integral"] == pytest.approx(from_trace.cpu_seconds)
+    assert gauge["max"] == from_trace.peak_busy
+    assert gauge["first_active"] == pytest.approx(from_trace.first_start)
+    assert gauge["value"] == 0
+    assert gauge["last_idle"] == pytest.approx(from_trace.last_finish)
 
 
 def _twelve_jobs(trace_max_records=None):
@@ -173,19 +146,15 @@ def test_a_replay_of_a_bounded_trace_is_refused():
     full = _twelve_jobs()
     tb = _twelve_jobs(trace_max_records=60)
     assert tb.sim.trace.dropped > 0
-    for replay in (lambda t: concurrency(t), lambda t: timeline(t, 60.0),
-                   lambda t: queue_waits(t)):
-        with pytest.raises(ValueError, match="registry_concurrency"):
+    for replay in (lambda t: concurrency(t), lambda t: timeline(t, 60.0)):
+        with pytest.raises(ValueError, match="lrm.busy_slots"):
             replay(tb.sim.trace)
-    assert registry_concurrency(tb.sim) == registry_concurrency(full.sim)
-    assert registry_concurrency(tb.sim).cpu_seconds == \
+    gauge = tb.sim.metrics.snapshot()["metrics"]["lrm.busy_slots"]
+    assert gauge == full.sim.metrics.snapshot()["metrics"]["lrm.busy_slots"]
+    assert gauge["integral"] == \
         pytest.approx(concurrency(full.sim.trace).cpu_seconds)
     waits = tb.sim.metrics.get("lrm.queue_wait")
     assert waits.count == 12
-    assert waits.total == pytest.approx(sum(queue_waits(full.sim.trace)))
-
-
-def test_percentile():
-    assert percentile([], 95) == 0.0
-    assert percentile([1.0, 2.0, 3.0, 4.0], 50) == pytest.approx(2.5)
-    assert percentile(range(101), 99) == pytest.approx(99.0)
+    assert waits.total == pytest.approx(sum(
+        rec.details["waited"] for rec in full.sim.trace.iter_prefix("lrm:")
+        if rec.event == "start"))

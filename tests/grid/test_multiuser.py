@@ -6,7 +6,7 @@ import pytest
 
 from repro import GridTestbed, JobDescription
 from repro.grid.config import AgentSpec, SiteSpec, TestbedConfig
-from repro.grid.metrics import fairness, grid_cost_report, user_rollup
+from repro.grid.metrics import fairness, user_rollup
 from repro.grid.scenarios import multiuser_glidein_grid, multiuser_gram_grid
 from repro.chaos.digest import run_digest
 
@@ -88,34 +88,6 @@ class TestPerUserAccounting:
                 row["cpu_seconds"] / 3600.0)
         # identical workloads -> near-perfect fairness
         assert fairness(r["cpu_seconds"] for r in rollup.values()) > 0.95
-
-    def test_grid_cost_report_totals_agree(self):
-        cfg = TestbedConfig(
-            seed=5, with_mds=False, with_repo=False,
-            sites=(SiteSpec("alpha", cpus=4, allocation_cost=2.0),
-                   SiteSpec("beta", cpus=4, allocation_cost=3.0,
-                            register_mds=False)),
-            agents=(AgentSpec("ann", broker_kind="userlist",
-                              personal_pool=False),
-                    AgentSpec("bea", broker_kind="userlist",
-                              personal_pool=False)))
-        tb = GridTestbed.from_config(cfg)
-        for agent in tb.agents.values():
-            for k in range(4):
-                agent.submit(JobDescription(runtime=100.0 + k))
-        _drain(tb)
-        report = grid_cost_report(tb)
-        assert set(report["users"]) == {"ann", "bea"}
-        assert set(report["per_site"]) == {"alpha", "beta"}
-        for user_report in report["users"].values():
-            assert user_report["total"] == pytest.approx(
-                sum(v for k, v in user_report.items() if k != "total"))
-        assert report["total"] == pytest.approx(
-            sum(report["per_site"].values()))
-        assert report["total"] == pytest.approx(
-            sum(r["total"] for r in report["users"].values()))
-        assert report["total"] > 0
-        assert tb.cost_report_all() == report
 
     def test_fairness_index(self):
         assert fairness([1.0, 1.0, 1.0]) == pytest.approx(1.0)

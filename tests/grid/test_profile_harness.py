@@ -1,33 +1,7 @@
-"""The profiling harness: `python -m repro.profile <scenario>`.
+"""Per-daemon names for the RPC tally (`repro.profile._normalize_service`),
+which the benchmark suite's traced pass groups its RPC counts by."""
 
-One command that runs any registered scenario under cProfile and prints
-hotspots plus per-daemon RPC counts -- the "profile it, then attack"
-half of the performance loop.  These tests drive ``main`` in-process.
-"""
-
-import pytest
-
-from repro.profile import _normalize_service, main
-from repro.sim import rpc
-
-
-def test_profile_prints_hotspots_and_rpc_table(capsys):
-    assert main(["quickstart", "--until", "600", "--top", "5"]) == 0
-    out = capsys.readouterr().out
-    assert "scenario quickstart seed 0:" in out
-    assert "Ordered by: cumulative time" in out
-    assert "per-daemon RPC counts" in out
-    # per-instance daemons collapse onto family rows
-    assert "jm:*" in out
-    assert "gatekeeper" in out
-    # the tally hook is uninstalled afterwards
-    assert rpc.RPC_STATS is None
-
-
-def test_unknown_scenario_fails_fast():
-    with pytest.raises(KeyError, match="unknown scenario"):
-        main(["no-such-scenario"])
-    assert rpc.RPC_STATS is None
+from repro.profile import _normalize_service
 
 
 def test_service_name_normalization():

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.chaos.runner import DEFAULT_SCENARIOS
-from repro.grid.scenarios import (SCENARIOS, Scenario, get_scenario,
-                                  register, scenario_names)
+from repro.grid.scenarios import SCENARIOS, Scenario, get_scenario, \
+    register
 
 
 @pytest.fixture
@@ -21,7 +21,7 @@ def test_decorator_form_registers_and_keeps_builder(scratch_registry):
     def build_it(seed=0, jobs=3):
         return ("testbed", seed, jobs)
 
-    assert "tmp-reg-test" in scenario_names()
+    assert "tmp-reg-test" in SCENARIOS
     sc = get_scenario("tmp-reg-test")
     assert sc is build_it.scenario
     assert sc.build is build_it            # plain importable function
@@ -72,11 +72,11 @@ def test_with_overrides_splits_meta_from_builder_params():
     assert base.fault_horizon == 100.0
     assert base.build is build
     # variants are not auto-registered
-    assert "big" not in scenario_names()
+    assert "big" not in SCENARIOS
 
 
 def test_burst_scenarios_are_registered():
-    names = scenario_names()
+    names = SCENARIOS
     for name in ("burst-flash", "burst-diurnal", "burst-overload",
                  "kiloclient"):
         assert name in names

@@ -113,11 +113,6 @@ class TestProxies:
         with pytest.raises(CertificateError):
             delegate(proxy, now=20.0)
 
-    def test_identity_skips_proxy_certs(self, ca, alice):
-        proxy = alice.proxy(now=0.0, lifetime=100.0)
-        assert proxy.identity == alice.dn
-        assert "proxy" in proxy.subject
-
 
 class TestAuthorizer:
     def make_auth(self, ca, mapping):

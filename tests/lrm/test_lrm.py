@@ -32,7 +32,7 @@ def test_job_runs_to_completion():
     sim, lrm = make()
     jid = lrm.submit(JobSpec(runtime=10.0), owner="alice")
     sim.run()
-    job = lrm.status(jid)
+    job = lrm.jobs[jid]
     assert job.state == COMPLETED
     assert job.start_time == pytest.approx(0.0)
     assert job.end_time == pytest.approx(10.0)
@@ -43,7 +43,7 @@ def test_nonzero_exit_code_fails():
     sim, lrm = make()
     jid = lrm.submit(JobSpec(runtime=1.0, exit_code=3), owner="alice")
     sim.run()
-    job = lrm.status(jid)
+    job = lrm.jobs[jid]
     assert job.state == FAILED
     assert "exit code 3" in job.failure_reason
 
@@ -53,16 +53,16 @@ def test_jobs_queue_when_slots_busy():
     a = lrm.submit(JobSpec(runtime=10.0), owner="alice")
     b = lrm.submit(JobSpec(runtime=10.0), owner="alice")
     sim.run()
-    assert lrm.status(a).end_time == pytest.approx(10.0)
-    assert lrm.status(b).start_time == pytest.approx(10.0)
-    assert lrm.status(b).end_time == pytest.approx(20.0)
+    assert lrm.jobs[a].end_time == pytest.approx(10.0)
+    assert lrm.jobs[b].start_time == pytest.approx(10.0)
+    assert lrm.jobs[b].end_time == pytest.approx(20.0)
 
 
 def test_walltime_kills_job():
     sim, lrm = make()
     jid = lrm.submit(JobSpec(runtime=100.0, walltime=10.0), owner="alice")
     sim.run()
-    job = lrm.status(jid)
+    job = lrm.jobs[jid]
     assert job.state == FAILED
     assert "walltime" in job.failure_reason
     assert job.end_time == pytest.approx(10.0)
@@ -74,7 +74,7 @@ def test_cancel_queued_job():
     b = lrm.submit(JobSpec(runtime=10.0), owner="alice")
     sim.schedule(1.0, lambda: lrm.cancel(b))
     sim.run()
-    assert lrm.status(b).state == CANCELLED
+    assert lrm.jobs[b].state == CANCELLED
 
 
 def test_cancel_running_job():
@@ -82,7 +82,7 @@ def test_cancel_running_job():
     a = lrm.submit(JobSpec(runtime=100.0), owner="alice")
     sim.schedule(5.0, lambda: lrm.cancel(a))
     sim.run()
-    job = lrm.status(a)
+    job = lrm.jobs[a]
     assert job.state == CANCELLED
     assert job.end_time == pytest.approx(5.0)
 
@@ -92,7 +92,7 @@ def test_cancel_finished_job_is_noop():
     a = lrm.submit(JobSpec(runtime=1.0), owner="alice")
     sim.run()
     assert lrm.cancel(a) is False
-    assert lrm.status(a).state == COMPLETED
+    assert lrm.jobs[a].state == COMPLETED
 
 
 def test_multi_cpu_job_takes_whole_cluster():
@@ -100,9 +100,9 @@ def test_multi_cpu_job_takes_whole_cluster():
     big = lrm.submit(JobSpec(runtime=10.0, cpus=4), owner="alice")
     small = lrm.submit(JobSpec(runtime=1.0, cpus=1), owner="bob")
     sim.run()
-    assert lrm.status(big).start_time == pytest.approx(0.0)
-    assert lrm.status(small).start_time >= 10.0 or \
-        lrm.status(small).start_time == pytest.approx(0.0)
+    assert lrm.jobs[big].start_time == pytest.approx(0.0)
+    assert lrm.jobs[small].start_time >= 10.0 or \
+        lrm.jobs[small].start_time == pytest.approx(0.0)
 
 
 def test_pbs_backfill_lets_small_jobs_jump():
@@ -122,7 +122,7 @@ def test_pbs_backfill_lets_small_jobs_jump():
     lrm2.submit(JobSpec(runtime=10.0, cpus=2), owner="a")  # head blocked
     narrow2 = lrm2.submit(JobSpec(runtime=2.0, cpus=1), owner="b")
     sim2.run()
-    assert lrm2.status(narrow2).start_time == pytest.approx(0.0)
+    assert lrm2.jobs[narrow2].start_time == pytest.approx(0.0)
 
 
 def test_loadleveler_strict_fifo_blocks():
@@ -132,7 +132,7 @@ def test_loadleveler_strict_fifo_blocks():
     narrow = lrm.submit(JobSpec(runtime=2.0, cpus=1), owner="b")
     sim.run()
     # strict FIFO: narrow may not start until the wide head has started
-    assert lrm.status(narrow).start_time >= 10.0
+    assert lrm.jobs[narrow].start_time >= 10.0
 
 
 def test_nqe_priority_order():
@@ -141,7 +141,7 @@ def test_nqe_priority_order():
     low = lrm.submit(JobSpec(runtime=5.0, priority=0), owner="a")
     high = lrm.submit(JobSpec(runtime=5.0, priority=9), owner="b")
     sim.run()
-    assert lrm.status(high).start_time < lrm.status(low).start_time
+    assert lrm.jobs[high].start_time < lrm.jobs[low].start_time
 
 
 def test_lsf_fairshare_interleaves_users():
@@ -151,14 +151,14 @@ def test_lsf_fairshare_interleaves_users():
     b1 = lrm.submit(JobSpec(runtime=5.0), owner="bob")
     sim.run()
     # bob's first job should run before alice's second
-    assert lrm.status(b1).start_time < lrm.status(a2).start_time
+    assert lrm.jobs[b1].start_time < lrm.jobs[a2].start_time
 
 
 def test_fork_immediate_parallel():
     sim, lrm = make(flavor_cls=ForkLRM, slots=4)
     ids = [lrm.submit(JobSpec(runtime=3.0), owner="u") for _ in range(4)]
     sim.run()
-    assert all(lrm.status(i).start_time == pytest.approx(0.0) for i in ids)
+    assert all(lrm.jobs[i].start_time == pytest.approx(0.0) for i in ids)
 
 
 def test_condor_pool_preemption_requeues_and_finishes():
@@ -168,7 +168,7 @@ def test_condor_pool_preemption_requeues_and_finishes():
                               checkpointable=True),
                       owner="alice") for _ in range(4)]
     sim.run(until=5000.0)
-    jobs = [lrm.status(i) for i in ids]
+    jobs = [lrm.jobs[i] for i in ids]
     assert all(j.state == COMPLETED for j in jobs)
     assert sum(j.preempt_count for j in jobs) > 0
 
@@ -179,7 +179,7 @@ def test_condor_pool_checkpointable_resumes_not_restarts():
                      owner="alice")
     sim.schedule(60.0, lambda: lrm.preempt(jid))
     sim.run()
-    job = lrm.status(jid)
+    job = lrm.jobs[jid]
     assert job.state == COMPLETED
     assert job.preempt_count == 1
     # 60s before preempt + 40s remaining after -> ends at 100, not 160
@@ -192,7 +192,7 @@ def test_non_checkpointable_restarts_from_scratch():
                      owner="alice")
     sim.schedule(60.0, lambda: lrm.preempt(jid))
     sim.run()
-    job = lrm.status(jid)
+    job = lrm.jobs[jid]
     assert job.state == COMPLETED
     assert job.end_time == pytest.approx(160.0)
 
@@ -209,7 +209,7 @@ def test_program_job_runs_generator():
 
     jid = lrm.submit(JobSpec(program=program, walltime=100.0), owner="u")
     sim.run()
-    assert lrm.status(jid).state == COMPLETED
+    assert lrm.jobs[jid].state == COMPLETED
     assert log == [("start", 0.0), ("end", 5.0)]
 
 
@@ -223,7 +223,7 @@ def test_program_killed_at_walltime():
 
     jid = lrm.submit(JobSpec(program=program, walltime=10.0), owner="u")
     sim.run()
-    assert lrm.status(jid).state == FAILED
+    assert lrm.jobs[jid].state == FAILED
     assert reached == []
 
 
@@ -236,7 +236,7 @@ def test_program_exception_fails_job():
 
     jid = lrm.submit(JobSpec(program=program), owner="u")
     sim.run()
-    job = lrm.status(jid)
+    job = lrm.jobs[jid]
     assert job.state == FAILED
     assert "program bug" in job.failure_reason
 

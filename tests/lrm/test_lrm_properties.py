@@ -49,7 +49,7 @@ def test_every_flavor_drains_any_workload(flavor, slots, jobs, seed):
 
     sim.spawn(submitter())
     sim.run(until=10**5)
-    records = [lrm.status(j) for j in ids]
+    records = [lrm.jobs[j] for j in ids]
     assert all(r.state in ("COMPLETED",) for r in records)
     assert lrm.free_slots == slots
     for r in records:
@@ -85,7 +85,7 @@ def test_cancellation_always_terminal_and_slots_recovered(runtimes, seed):
         if i % 2 == 0:
             sim.schedule(1.0 + i, lambda j=jid: lrm.cancel(j))
     sim.run(until=10**5)
-    assert all(lrm.status(j).state in TERMINAL_STATES for j in ids)
+    assert all(lrm.jobs[j].state in TERMINAL_STATES for j in ids)
     assert lrm.free_slots == 2
 
 

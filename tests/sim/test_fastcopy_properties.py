@@ -349,9 +349,10 @@ def test_an_edited_copy_leaves_the_original_alone(value, extra):
         edited = replace(value, **{name: extra if name == "env" else "new"})
         assert edited is not value and value == original
         _assert_immutable(edited)       # replace() froze what it was given
-        if name == "env":
+        if isinstance(value, GramJobRequest):
             assert value.with_env(**extra).env \
                 == FrozenDict({**value.env, **extra})
+        if name == "env":
             assert value.env == original.env
 
 
@@ -386,7 +387,6 @@ def test_constructors_freeze_what_they_are_given():
     spec = JobSpec(env={"A": "1"})
     with pytest.raises(FrozenInstanceError):
         spec.runtime = 2.0
-    assert spec.with_env(B="2").env == {"A": "1", "B": "2"}
     assert spec.env == {"A": "1"}
 
 

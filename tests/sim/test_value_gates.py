@@ -83,7 +83,7 @@ def test_every_handler_parameter_is_annotated():
             missing += [f"{cls.__name__}.{name}({param.name})"
                         for param in params
                         if param.annotation is inspect.Parameter.empty]
-    assert handlers == 56     # a handler added or deleted is counted here
+    assert handlers == 48     # a handler added or deleted is counted here
     assert missing == []
 
 

@@ -18,14 +18,12 @@ import pytest
 import repro
 from repro.classads import ClassAd
 from repro.condor import build_pool
-from repro.data.catalog import ReplicaCatalog
 from repro.gass import GassServer
 from repro.gass.client import gass_append, gass_put
 from repro.gass.server import make_url
 from repro.gram import GramJobRequest
 from repro.grid.scenarios import get_scenario
 from repro.sim import Host, Network, Simulator
-from repro.sim.rpc import call
 from repro.sim.stats import FOLDS, MetricsRegistry
 
 from .condor import test_claim_reuse, test_collector, test_fairshare
@@ -65,22 +63,6 @@ def _stream_to_a_gass_server():
     sim.run()
 
 
-def _invalidate_a_replica():
-    sim = Simulator(seed=1)
-    Network(sim, latency=0.01, jitter=0.0)
-    client = Host(sim, "client")
-    ReplicaCatalog(Host(sim, "rls"))
-
-    def scenario():
-        yield from call(client, "rls", "rls", "register", name="d",
-                        se_host="se", size=1, checksum="c")
-        yield from call(client, "rls", "rls", "invalidate", name="d",
-                        se_host="se")
-
-    sim.spawn(scenario())
-    sim.run()
-
-
 def _negotiate_past_errors():
     """A submitter whose schedd is nowhere, then a collector that is
     gone."""
@@ -100,7 +82,6 @@ def _negotiate_past_errors():
 DRILLS = (
     _commit_never_arrives,
     _stream_to_a_gass_server,
-    _invalidate_a_replica,
     _negotiate_past_errors,
     # tier-1 scenarios that already assert the metric they drive
     test_admission.test_depth_backpressure_rejects_until_lrm_drains,
