@@ -22,7 +22,7 @@ import pytest
 
 from repro import GridTestbed
 from repro.grid.metrics import concurrency, timeline
-from repro.workloads import SyntheticMaster
+from repro.workloads.masterworker import SyntheticMaster
 from repro.grid.config import AgentSpec, SiteSpec, TestbedConfig
 
 from _scenarios import CPU_SCALE, TIME_SCALE, drain

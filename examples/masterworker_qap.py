@@ -18,7 +18,8 @@ Run:  python examples/masterworker_qap.py
 import numpy as np
 
 from repro import GridTestbed
-from repro.workloads import QAPBranchAndBound, QAPInstance, QAPMaster
+from repro.workloads.lap import QAPBranchAndBound, QAPInstance
+from repro.workloads.masterworker import QAPMaster
 from repro.grid.config import AgentSpec, SiteSpec, TestbedConfig
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -202,6 +201,8 @@ def run_campaign(
     if workers <= 1:
         results = [_cell(cell) for cell in cells]
     else:
+        # here, not at the top: a run that only simulates loads no pool
+        from concurrent.futures import ProcessPoolExecutor
         chunksize = max(1, len(cells) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_cell, cells, chunksize=chunksize))

@@ -38,7 +38,6 @@ class Shadow(Service):
         self.lease_timeout = self.LEASE_TIMEOUT
         self.last_checkpoint = 0.0
         self.syscall_count = 0
-        self.bytes_moved = 0
         self.call_at(self.sim.now, self._lease_watch)
 
     # -- handlers -----------------------------------------------------------
@@ -61,7 +60,6 @@ class Shadow(Service):
                        payload: Any = None):
         self.last_heartbeat = self.sim.now
         self.syscall_count += 1
-        self.bytes_moved += nbytes
         if self.syscall_handler is not None:
             return self.syscall_handler(op, nbytes, payload)
         return {"ok": True}

@@ -12,10 +12,10 @@ the per-user metric labels, and the sites' usage ledgers into one table.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, TYPE_CHECKING
-
-import numpy as np
 
 from ..states import JobState
 from ..sim.trace import Trace
@@ -110,18 +110,21 @@ def concurrency(trace: Trace, component_prefix: str = "lrm:"
 
 
 def timeline(trace: Trace, bucket: float, component_prefix: str = "lrm:"
-             ) -> tuple[np.ndarray, np.ndarray]:
+             ) -> tuple[list[float], list[float]]:
     """(bucket_times, busy_cpus) sampled series for plotting/tables."""
     intervals = _lrm_intervals(trace, component_prefix)
     if not intervals:
-        return np.array([]), np.array([])
+        return [], []
     t0 = min(s for s, _ in intervals)
     t1 = max(e for _, e in intervals)
-    edges = np.arange(t0, t1 + bucket, bucket)
-    busy = np.zeros(len(edges))
+    # the edges np.arange(t0, t1 + bucket, bucket) gives, bit for bit
+    step = (t0 + bucket) - t0
+    edges = [t0 + i * step
+             for i in range(math.ceil((t1 + bucket - t0) / bucket))]
+    busy = [0.0] * len(edges)
     for start, end in intervals:
-        i0 = np.searchsorted(edges, start, side="right") - 1
-        i1 = np.searchsorted(edges, end, side="right") - 1
+        i0 = bisect_right(edges, start) - 1
+        i1 = bisect_right(edges, end) - 1
         for i in range(max(i0, 0), min(i1 + 1, len(edges))):
             lo = max(start, edges[i])
             hi = min(end, edges[i] + bucket)
@@ -236,10 +239,9 @@ def fairness(values: Iterable[float]) -> float:
     tenants get comparable service", reported by the multiuser
     benchmark next to its raw per-user table.
     """
-    xs = np.asarray(list(values), dtype=float)
-    if xs.size == 0:
-        return 1.0
-    denom = xs.size * float(np.square(xs).sum())
+    xs = [float(x) for x in values]
+    denom = len(xs) * sum(x * x for x in xs)
     if denom == 0.0:
         return 1.0
-    return float(np.square(xs.sum()) / denom)
+    total = sum(xs)
+    return total * total / denom

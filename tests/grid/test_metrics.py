@@ -83,15 +83,45 @@ def test_startd_prefix_uses_sandbox_events():
     assert stats.peak_busy == 1
 
 
-def test_timeline_buckets():
-    trace = make_trace([
-        (0.0, "lrm:a", "start", {"job": "j1"}),
-        (10.0, "lrm:a", "finish", {"job": "j1"}),
-    ])
-    edges, busy = timeline(trace, bucket=5.0)
+def _numpy_timeline(intervals, bucket):
+    """The numpy formula `timeline` replaced, kept as its reference."""
+    np = pytest.importorskip("numpy")
+    t0 = min(s for s, _ in intervals)
+    t1 = max(e for _, e in intervals)
+    edges = np.arange(t0, t1 + bucket, bucket)
+    busy = np.zeros(len(edges))
+    for start, end in intervals:
+        i0 = np.searchsorted(edges, start, side="right") - 1
+        i1 = np.searchsorted(edges, end, side="right") - 1
+        for i in range(max(i0, 0), min(i1 + 1, len(edges))):
+            lo = max(start, edges[i])
+            hi = min(end, edges[i] + bucket)
+            if hi > lo:
+                busy[i] += (hi - lo) / bucket
+    return edges.tolist(), busy.tolist()
+
+
+@pytest.mark.parametrize("spans, bucket, expected", [
+    pytest.param([(0.0, 10.0)], 5.0, [1.0, 1.0, 0.0], id="divides"),
+    # a non-zero start and a bucket that does not divide the 14.25 s span
+    pytest.param([(3.0, 10.0), (5.5, 17.25)], 4.0,
+                 [1.375, 1.75, 1.0, 0.5625, 0.0], id="offset-uneven"),
+    # edges that are not exact binary fractions: bit for bit with arange
+    pytest.param([(0.1, 2.9), (0.7, 1.3), (2.2, 7.7)], 0.3, None,
+                 id="inexact-edges"),
+])
+def test_timeline_buckets(spans, bucket, expected):
+    records = []
+    for n, (start, end) in enumerate(spans):
+        records += [(start, "lrm:a", "start", {"job": f"j{n}"}),
+                    (end, "lrm:a", "finish", {"job": f"j{n}"})]
+    trace = make_trace(sorted(records, key=lambda r: r[0]))
+    edges, busy = timeline(trace, bucket=bucket)
     assert len(edges) == len(busy)
-    assert busy[0] == pytest.approx(1.0)
-    assert busy[1] == pytest.approx(1.0)
+    assert (edges, busy) == _numpy_timeline(spans, bucket)
+    if expected is not None:
+        assert busy == pytest.approx(expected)
+    assert sum(busy) * bucket == pytest.approx(sum(e - s for s, e in spans))
 
 
 def test_zero_span_run_has_zero_average():

@@ -94,6 +94,13 @@ class TestPerUserAccounting:
         assert fairness([1.0, 0.0, 0.0]) == pytest.approx(1 / 3)
         assert fairness([]) == 1.0
         assert fairness([0.0, 0.0]) == 1.0
+        # uneven shares, against (sum x)^2 / (n * sum x^2) computed by numpy
+        np = pytest.importorskip("numpy")
+        for shares in ([3.0, 1.0], [0.5, 2.0, 7.25, 0.1],
+                       [1e-3, 40.0, 40.0, 12.0, 0.0], range(1, 8)):
+            xs = np.asarray(list(shares), dtype=float)
+            jain = xs.sum() ** 2 / (xs.size * np.square(xs).sum())
+            assert fairness(shares) == pytest.approx(float(jain), rel=1e-12)
 
 
 class TestSchedulerIdentityShims:

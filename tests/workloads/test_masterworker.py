@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro import GridTestbed
-from repro.workloads import QAPInstance, QAPMaster, SyntheticMaster
+from repro.workloads.lap import QAPInstance
+from repro.workloads.masterworker import QAPMaster, SyntheticMaster
 from repro.grid.config import AgentSpec, SiteSpec, TestbedConfig
 
 
