@@ -29,7 +29,6 @@ def main() -> None:
         reconstruction_site="ncsa-gk",
         repository="ncsa-mss",
         n_simulation_jobs=20,
-        events_per_job=500,
         sim_seconds_per_event=0.5,
         reco_seconds_per_event=0.2,
         reco_cpus=16,

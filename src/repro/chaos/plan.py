@@ -97,8 +97,8 @@ class FaultPlan:
         return cls(events=[PlannedFault.from_dict(ev)
                            for ev in data.get("events", [])])
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
@@ -113,18 +113,18 @@ class FaultPlan:
         kinds: tuple[str, ...] = ("crash", "partition", "isolate",
                                   "jm_kill"),
         max_faults: int = 4,
-        stream: str = "chaos.plan",
     ) -> "FaultPlan":
         """Draw a random-but-reproducible plan against `tb`'s topology.
 
-        All randomness comes from the testbed's ``stream`` RNG stream, so
-        rebuilding the same scenario with the same seed regenerates the
-        identical plan (the named-RNG-stream discipline), and skipping
-        generation (replaying a stored plan) perturbs nothing else.
+        All randomness comes from the testbed's ``chaos.plan`` RNG
+        stream, so rebuilding the same scenario with the same seed
+        regenerates the identical plan (the named-RNG-stream
+        discipline), and skipping generation (replaying a stored plan)
+        perturbs nothing else.
         """
         surface = fault_surface(tb)
         kinds = tuple(k for k in kinds if surface.get(k))
-        rng = tb.sim.rng.stream(stream)
+        rng = tb.sim.rng.stream("chaos.plan")
         events: list[PlannedFault] = []
         if kinds:
             start = tb.sim.now
@@ -268,7 +268,7 @@ def _apply_corruption(tb: "GridTestbed", ev: PlannedFault) -> None:
         host = tb.sim.hosts[ev.target]
         server = host.services.get("gridftp")
         if server is not None:
-            server.corrupt_next(1)
+            server.corrupt_next()
 
     tb.failures.custom_at(ev.time, "corrupt", ev.target, arm)
 

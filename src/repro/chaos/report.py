@@ -8,7 +8,6 @@ dicts, sorted keys) so campaign outputs can live next to
 from __future__ import annotations
 
 import json
-from typing import Optional
 
 from .runner import CampaignResult
 
@@ -37,10 +36,8 @@ def campaign_to_dict(campaign: CampaignResult) -> dict:
     }
 
 
-def campaign_to_json(campaign: CampaignResult,
-                     indent: Optional[int] = 2) -> str:
-    return json.dumps(campaign_to_dict(campaign), indent=indent,
-                      sort_keys=True)
+def campaign_to_json(campaign: CampaignResult) -> str:
+    return json.dumps(campaign_to_dict(campaign), indent=2, sort_keys=True)
 
 
 def format_report(campaign: CampaignResult) -> str:

@@ -37,6 +37,9 @@ from .invariants import evaluate_invariants
 from .plan import FaultPlan
 from .runner import build_and_run, drive_to_quiescence
 
+#: replays one shrink may spend
+MAX_RUNS = 200
+
 Predicate = Callable[[FaultPlan], bool]
 
 #: how far before the plan's earliest fault the shrink snapshot parks.
@@ -180,16 +183,16 @@ def snapshot_predicate(
     return reproduces
 
 
-def shrink_events(events: list, reproduces: Predicate,
-                  max_runs: int = 200) -> tuple[list, int]:
+def shrink_events(events: list,
+                  reproduces: Predicate) -> tuple[list, int]:
     """ddmin over an event list; returns (minimal events, runs used)."""
     runs = 0
     granularity = 2
-    while len(events) >= 2 and runs < max_runs:
+    while len(events) >= 2 and runs < MAX_RUNS:
         chunk = max(1, len(events) // granularity)
         reduced = False
         start = 0
-        while start < len(events) and runs < max_runs:
+        while start < len(events) and runs < MAX_RUNS:
             candidate = events[:start] + events[start + chunk:]
             runs += 1
             if candidate and reproduces(FaultPlan(events=list(candidate))):
@@ -212,7 +215,6 @@ def shrink_plan(
     seed: int,
     plan: FaultPlan,
     invariants: Optional[set[str]] = None,
-    max_runs: int = 200,
     reproduces: Optional[Predicate] = None,
     stats: Optional[dict] = None,
 ) -> tuple[FaultPlan, int]:
@@ -242,8 +244,7 @@ def shrink_plan(
     try:
         if not reproduces(plan):
             return plan, 1
-        events, runs = shrink_events(list(plan.events), reproduces,
-                                     max_runs=max_runs)
+        events, runs = shrink_events(list(plan.events), reproduces)
         return FaultPlan(events=events), runs + 1
     finally:
         stats["wall_seconds"] = time.perf_counter() - started

@@ -38,11 +38,10 @@ fold("collector", "reap", "collector.expired_reaped",
 
 class Collector(Service):
     service_name = "collector"
+    DEFAULT_TTL = 180.0     # seconds an ad advertised with no ttl lives
 
-    def __init__(self, host: Host, authorizer=None,
-                 default_ttl: float = 180.0):
+    def __init__(self, host: Host, authorizer=None):
         super().__init__(host, authorizer=authorizer)
-        self.default_ttl = default_ttl
         # (adtype, name) -> (ad, expiry): the registry.
         self._ads: dict[tuple[str, str], tuple[ClassAd, float]] = {}
         # A lower bound on every expiry in the registry: the lazy-sweep
@@ -80,7 +79,7 @@ class Collector(Service):
         str ad type, for a finite positive ttl, is kept: anything else is
         the caller's error, answered now, not a failure of every later
         query or negotiation cycle."""
-        ttl = self.default_ttl if ttl is None else ttl
+        ttl = self.DEFAULT_TTL if ttl is None else ttl
         if type(ttl) not in (int, float) or not 0 < ttl < float("inf"):
             raise ValueError(f"a ttl is a finite positive number, not {ttl!r}")
         if not isinstance(adtype, str):

@@ -33,19 +33,17 @@ def build_pool(
     name: str,
     workers: int,
     cycle_interval: float = 30.0,
-    mips: int = 100,
-    site: str = "",
 ) -> CondorPool:
-    """Create `<name>-cm` plus `<name>-wN` hosts forming a pool."""
-    site = site or name
-    central = Host(sim, f"{name}-cm", site=site)
+    """Create `<name>-cm` plus `<name>-wN` hosts forming a pool (the
+    pool's name is its hosts' site)."""
+    central = Host(sim, f"{name}-cm", site=name)
     collector = Collector(central)
     negotiator = Negotiator(central, collector=central.name,
                             cycle_interval=cycle_interval)
     pool = CondorPool(sim, name, central, collector, negotiator)
     for i in range(workers):
-        whost = Host(sim, f"{name}-w{i}", site=site)
-        ad = machine_ad(f"slot@{whost.name}", mips=mips, site=site)
+        whost = Host(sim, f"{name}-w{i}", site=name)
+        ad = machine_ad(f"slot@{whost.name}", site=name)
         startd = Startd(whost, f"slot@{whost.name}",
                         collector=central.name, ad=ad)
         pool.startds.append(startd)

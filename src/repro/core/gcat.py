@@ -23,11 +23,14 @@ from __future__ import annotations
 from ..gridftp.client import gridftp_get, gridftp_put
 from ..sim.errors import RPCError
 
+#: seconds between two looks at the job's output (and between two tries
+#: of the final flush)
+POLL_INTERVAL = 15.0
+
 
 def gcat_wrap(
     body,
     mss_url_base: str,
-    poll_interval: float = 15.0,
     credential_source=None,
 ):
     """Wrap a job-body program with a G-Cat output monitor.
@@ -69,7 +72,7 @@ def gcat_wrap(
 
         def monitor():
             while not state["done"]:
-                yield ctx.sim.timeout(poll_interval)
+                yield ctx.sim.timeout(POLL_INTERVAL)
                 yield from ship_new()
 
         mon = ctx.host.spawn(monitor(), name="gcat-monitor")
@@ -90,7 +93,7 @@ def gcat_wrap(
                     timeout=30.0)
                 break
             except RPCError:
-                yield ctx.sim.timeout(poll_interval)
+                yield ctx.sim.timeout(POLL_INTERVAL)
         return code if isinstance(code, int) else 0
 
     return wrapped

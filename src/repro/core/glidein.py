@@ -50,8 +50,6 @@ class GlideInSpec:
     count: int = 1
     walltime: float = 3600.0       # allocation length at the remote site
     idle_timeout: float = 600.0    # self-shutdown after this much idleness
-    arch: str = "INTEL"
-    mips: int = 100
     #: how often each glidein startd re-advertises to the collector;
     #: large fleets raise this to bound collector traffic
     advertise_interval: float = 15.0
@@ -142,8 +140,7 @@ class GlideInManager:
                                       url=url, size=got["size"])
             # Step 2: start the startd, joined to the personal pool.
             name = f"glidein-{n}@{ctx.host.name}"
-            ad = machine_ad(name, arch=spec.arch, mips=spec.mips,
-                            site=ctx.host.site, glidein=True)
+            ad = machine_ad(name, site=ctx.host.site, glidein=True)
             startd = Startd(
                 ctx.host, name,
                 collector=manager.collector_host,

@@ -520,7 +520,7 @@ class GridManager(Service):
             self._wait_for_room(job, contact)
             return
         if failure is not None:
-            self._submission_failed(job, failure, phase="phase1")
+            self._submission_failed(job, failure)
             return
         job.jmid = jmid = response["jmid"]
         job.contact = response["contact"]
@@ -697,13 +697,12 @@ class GridManager(Service):
                     datasets=len(job.request.output_datasets))
         self.queue.transition(job, J.DONE)
 
-    def _submission_failed(self, job: GridJob, exc: Exception,
-                           phase: str = "phase1") -> None:
+    def _submission_failed(self, job: GridJob, exc: Exception) -> None:
         if isinstance(exc, (AuthenticationError, AuthorizationError)):
             self.credential_problem(job, str(exc))
             return
         self.sim.metrics.counter("gridmanager.submit_failures").inc(
-            label=phase)
+            label="phase1")
         # Keep the real reason (e.g. "commit of jm-3 failed after 8
         # attempts"): a generic "local scheduler submission failed" prefix
         # would mask the cause in the userlog and make the transient

@@ -34,7 +34,7 @@ def _render(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(out)
 
 
-def condor_q(agent: CondorGAgent, include_done: bool = False) -> str:
+def condor_q(agent: CondorGAgent) -> str:
     """The queue view: every non-terminal job of this agent."""
     headers = ["ID", "ST", "UNIVERSE", "RESOURCE", "SUBMITTED",
                "RUN_TIME", "DETAIL"]
@@ -43,7 +43,7 @@ def condor_q(agent: CondorGAgent, include_done: bool = False) -> str:
     entries = agent.statuses()
     shown = 0
     for status in sorted(entries, key=lambda s: s.submit_time):
-        if status.is_terminal and not include_done:
+        if status.is_terminal:
             continue
         shown += 1
         run_time = 0.0

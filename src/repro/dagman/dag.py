@@ -31,7 +31,6 @@ class DagNode:
     pre: Optional[Callable] = None   # generator(ctx) before the node
     post: Optional[Callable] = None  # generator(ctx) after the node
     retries: int = 0
-    priority: int = 0                # higher launches first under maxjobs
     # filled by DAGMan:
     state: str = "WAITING"           # WAITING|READY|RUNNING|DONE|FAILED
     attempts: int = 0

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from typing import Optional
 
 from ..core.api import CondorGAgent
 from ..sim.errors import SimulationError
@@ -32,27 +31,21 @@ class DagContext:
 class DagMan:
     """Submits ready nodes, watches them, retries, runs PRE/POST.
 
-    Extras matching real DAGMan:
-
-    * ``maxjobs`` -- at most this many nodes in flight at once; READY
-      nodes launch in descending ``priority`` order (FIFO within a
-      priority).
-    * **rescue DAGs** -- when a run ends with failures, the set of DONE
-      nodes is written to the submit machine's disk under ``name``; a
-      later DagMan with the same ``name`` skips them and resumes where
-      the last run stopped.  Success clears the rescue record.
+    Like real DAGMan it keeps a **rescue DAG**: when a run ends with
+    failures, the set of DONE nodes is written to the submit machine's
+    disk under ``name``; a later DagMan with the same ``name`` skips them
+    and resumes where the last run stopped.  Success clears the rescue
+    record.
     """
 
     POLL_INTERVAL = 15.0
 
-    def __init__(self, agent: CondorGAgent, dag: Dag, name: str = "dag",
-                 maxjobs: Optional[int] = None):
+    def __init__(self, agent: CondorGAgent, dag: Dag, name: str = "dag"):
         dag.validate()
         self.agent = agent
         self.sim = agent.sim
         self.dag = dag
         self.name = name
-        self.maxjobs = maxjobs
         self.finished = self.sim.event(name="dag-finished")
         self._outstanding = 0
         self._rescue_ns = agent.host.stable.namespace(
@@ -102,14 +95,9 @@ class DagMan:
         self._mark_ready(self.dag.nodes)
         while True:
             launched = False
-            ready = sorted(
-                (n for n in self.dag.nodes.values()
-                 if n.state == "READY"),
-                key=lambda n: -n.priority)
+            ready = [n for n in self.dag.nodes.values()
+                     if n.state == "READY"]
             for node in ready:
-                if self.maxjobs is not None and \
-                        self._outstanding >= self.maxjobs:
-                    break
                 self._move(node, "RUNNING")
                 self._outstanding += 1
                 self.sim.spawn(self._run_node(node),

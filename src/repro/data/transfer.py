@@ -81,8 +81,7 @@ class TransferScheduler(Service):
     # -- handlers ------------------------------------------------------------
     def handle_transfer(self, ctx, src_url: str, dst_host: str,
                         dst_path: str, dataset: str = "",
-                        expected_checksum: str = "",
-                        expected_size: int = 0):
+                        expected_checksum: str = ""):
         """Move `src_url` to `dst_host:dst_path`; returns {size, attempts}.
 
         Queues on the link's stream semaphore, paces the move to the

@@ -53,6 +53,8 @@ class GlideInFactory(Service):
     #: demand multiplier once the oldest idle job waits past the
     #: policy's ``wait_target``
     WAIT_BOOST = 1.5
+    #: renew a busy glidein this long before its lease expires
+    RENEW_MARGIN = 300.0
 
     def __init__(self, agent: "CondorGAgent",
                  sites: dict[str, tuple[str, FactoryPolicy]]):
@@ -146,13 +148,6 @@ class GlideInFactory(Service):
         supply, live, idle = self._supply()
         adds = {name: 0 for name in self.sites}
 
-        # Floors first: every site is brought up to min_glideins
-        # unconditionally (not demand- or cooldown-gated).
-        for name in sorted(self.sites):
-            _, policy = self.sites[name]
-            if supply[name] < policy.min_glideins:
-                adds[name] = policy.min_glideins - supply[name]
-
         # Demand: idle jobs not coverable by idle-or-pending glideins,
         # boosted when time-to-first-job is off target.
         effective = demand
@@ -160,7 +155,7 @@ class GlideInFactory(Service):
                 p.wait_target for _, p in self.sites.values()):
             effective = math.ceil(demand * self.WAIT_BOOST)
         covered = sum(
-            (idle[name] + max(0, supply[name] - live[name]) + adds[name])
+            (idle[name] + max(0, supply[name] - live[name]))
             * self.sites[name][1].jobs_per_glidein
             for name in self.sites)
         remaining = effective - covered
@@ -192,24 +187,19 @@ class GlideInFactory(Service):
 
         for name in sorted(self.sites):
             if adds[name]:
-                self._provision(name, adds[name], reason="scale_up"
-                                if demand else "floor")
+                self._provision(name, adds[name], reason="scale_up")
 
         self._renew_leases(demand, live, idle)
 
-        # Scale-down: with an empty queue, retire surplus idle glideins
-        # that have sat unclaimed past the grace period (beyond the
-        # reserve and whatever the min floor still requires).
+        # Scale-down: with an empty queue, retire idle glideins that
+        # have sat unclaimed past the grace period.
         retire: list[tuple[str, str, str]] = []
         if demand == 0:
             for name in sorted(self.sites):
                 _, policy = self.sites[name]
                 if now < self._next_down[name]:
                     continue
-                busy = live[name] - idle[name]
-                keep = max(policy.idle_reserve,
-                           policy.min_glideins - busy)
-                excess = idle[name] - keep
+                excess = idle[name]
                 if excess <= 0:
                     continue
                 candidates = sorted(
@@ -252,7 +242,7 @@ class GlideInFactory(Service):
                 continue
             _, policy = self.sites[site]
             expiry = job.start_time + policy.lease
-            if now < expiry - policy.renew_margin:
+            if now < expiry - self.RENEW_MARGIN:
                 continue
             busy = live[site] - idle[site]
             if demand == 0 and busy == 0:

@@ -28,10 +28,10 @@ def gass_put(src: Host, url: str, size: int = 0, data: str = "",
 
 
 def gass_append(src: Host, url: str, data: str, offset: int = -1,
-                credential=None, timeout: float = 60.0):
+                credential=None):
     """Append a stream chunk at URL; returns the server's new size."""
     host, service, path = parse_url(url)
-    result = yield from call(src, host, service, "append", timeout=timeout,
+    result = yield from call(src, host, service, "append", timeout=60.0,
                              credential=credential, path=path, data=data,
                              offset=offset)
     return result

@@ -38,12 +38,11 @@ class Gram2Client:
         self,
         host: Host,
         credential_source=None,
-        max_attempts: int = 8,
     ):
         self.host = host
         self.sim = host.sim
         self.credential_source = credential_source
-        self.max_attempts = max_attempts
+        self.max_attempts = 8
         self._seq = itertools.count(1)
 
     def _credential(self, audience: str):

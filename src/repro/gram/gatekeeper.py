@@ -62,10 +62,10 @@ class AdmissionPolicy:
       a retry of accepted work would break exactly-once).  ``rate`` is
       sustained submissions/second; ``burst`` is the bucket depth.
     * ``max_queue``: queue-depth backpressure.  A poller samples the
-      LRM's queued-job count every ``poll_interval`` seconds; while the
-      cached depth is at or above ``max_queue``, new submissions are
-      refused at the door instead of piling up behind a saturated
-      scheduler.
+      LRM's queued-job count every ``Gatekeeper.DEPTH_POLL`` seconds;
+      while the cached depth is at or above ``max_queue``, new
+      submissions are refused at the door instead of piling up behind a
+      saturated scheduler.
 
     ``None`` for either gate disables it.
     """
@@ -73,7 +73,6 @@ class AdmissionPolicy:
     rate: Optional[float] = None
     burst: int = 10
     max_queue: Optional[int] = None
-    poll_interval: float = 10.0
 
 
 def _callback(value) -> tuple[str, str]:
@@ -101,6 +100,7 @@ class Gatekeeper(Service):
 
     service_name = "gatekeeper"
     RETRY_AFTER = 60.0     # the wait a JobManager-cap refusal states
+    DEPTH_POLL = 10.0      # seconds between two LRM queue-depth samples
 
     def __init__(
         self,
@@ -108,7 +108,6 @@ class Gatekeeper(Service):
         lrm_contact: str,
         authorizer=None,
         site: str = "",
-        max_jobmanagers: Optional[int] = None,
         max_user_jobmanagers: Optional[int] = None,
         admission: Optional[AdmissionPolicy] = None,
     ):
@@ -117,10 +116,11 @@ class Gatekeeper(Service):
         self.site = site or host.name
         # Interface machines of the era melted under too many JobManager
         # processes; sites capped them and refused further submissions.
-        # The global cap protects the machine; the per-user cap is the
-        # fair-share layer (§5 reports a real incident where one user's
-        # unthrottled submissions overloaded a gatekeeper for everyone).
-        self.max_jobmanagers = max_jobmanagers
+        # The global cap protects the machine (no cap until a site's
+        # operator sets one); the per-user cap is the fair-share layer
+        # (§5 reports a real incident where one user's unthrottled
+        # submissions overloaded a gatekeeper for everyone).
+        self.max_jobmanagers: Optional[int] = None
         self.max_user_jobmanagers = max_user_jobmanagers
         # live JobManagers per owner (None: in all), and every registered
         # one as owner -> {jmid: JobManager}; both kept by themselves
@@ -158,7 +158,7 @@ class Gatekeeper(Service):
         if request.error is None:
             self._lrm_depth = request.value["queued_jobs"]
         # else keep the last sample; retry next period
-        self._next_sample = self.sim.now + self.admission.poll_interval
+        self._next_sample = self.sim.now + self.DEPTH_POLL
         self.call_at(self._next_sample, self._sample_depth)
 
     def _busy(self, reason: Refusal, text: str,
@@ -181,7 +181,7 @@ class Gatekeeper(Service):
             wait = self._next_sample - self.sim.now
             raise self._busy(Refusal.DEPTH, "backpressure: LRM queue depth "
                              f"{self._lrm_depth} >= {policy.max_queue}",
-                             wait if wait > 0 else policy.poll_interval)
+                             wait if wait > 0 else self.DEPTH_POLL)
         if policy.rate is not None:
             now = self.sim.now
             self._tokens = min(float(policy.burst),

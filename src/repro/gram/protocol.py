@@ -36,7 +36,6 @@ _LRM_TO_GRAM = {
     "COMPLETED": DONE,
     "FAILED": FAILED,
     "CANCELLED": FAILED,
-    "PREEMPTED": FAILED,
 }
 
 
@@ -115,5 +114,4 @@ def to_lrm_spec(request: GramJobRequest):
         env=request.env,
         program=request.program,
         exit_code=request.exit_code,
-        requeue_on_preempt=True,
     )

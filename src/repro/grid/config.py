@@ -36,9 +36,8 @@ class SiteSpec:
     arch: str = "INTEL"
     allocation_cost: float = 0.0
     register_mds: bool = True
-    #: gatekeeper admission caps: total live JobManagers on the
-    #: interface machine, and per-user fair-share cap (None = unlimited)
-    max_jobmanagers: Optional[int] = None
+    #: gatekeeper admission cap: the per-user fair-share cap on live
+    #: JobManagers (None = unlimited)
     max_user_jobmanagers: Optional[int] = None
     #: gatekeeper admission control: submission rate limit + queue-depth
     #: backpressure (None = open door, the paper-era default)
@@ -108,8 +107,6 @@ class TestbedConfig:
     __test__ = False    # pytest: not a test class, despite the name
 
     seed: int = 0
-    latency: float = 0.05
-    jitter: float = 0.01
     loss_rate: float = 0.0
     use_gsi: bool = False
     with_mds: bool = True

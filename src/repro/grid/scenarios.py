@@ -300,8 +300,7 @@ def scale_glidein_grid(seed: int = 0, jobs: int = 10_000, n_sites: int = 20,
     max_faults=2,
 )
 def scale_pool_grid(seed: int = 0, jobs: int = 100_000, n_sites: int = 25,
-                    glideins_per_site: int = 100, warmup: float = 400.0,
-                    advertise_interval: float = 120.0) -> GridTestbed:
+                    glideins_per_site: int = 100) -> GridTestbed:
     """The 100k-job pool cell: claim reuse carries the steady state.
 
     A single personal pool glides into `n_sites` x `glideins_per_site`
@@ -324,8 +323,8 @@ def scale_pool_grid(seed: int = 0, jobs: int = 100_000, n_sites: int = 25,
     for site in tb.sites.values():
         agent.glide_in(site.contact, count=glideins_per_site,
                        walltime=1_000_000.0, idle_timeout=1_000_000.0,
-                       advertise_interval=advertise_interval)
-    tb.run(until=warmup)
+                       advertise_interval=120.0)
+    tb.run(until=400.0)         # the warmup
     for i in range(jobs):
         agent.submit(JobDescription(executable="mw.exe", universe="vanilla",
                                     runtime=30.0 + 1.0 * (i % 40)))
@@ -353,7 +352,7 @@ def kiloclient_grid(seed: int = 0, users: int = 1000,
     fault_kinds=("crash", "partition", "isolate"),
     max_faults=3,
 )
-def pool_reuse_grid(seed: int = 0, jobs: int = 40) -> GridTestbed:
+def pool_reuse_grid(seed: int = 0) -> GridTestbed:
     """A small claim-reuse pool: the chaos/equivalence workout for the
     collector indexes, negotiator memoization, and reuse protocol."""
     config = TestbedConfig(
@@ -371,7 +370,7 @@ def pool_reuse_grid(seed: int = 0, jobs: int = 40) -> GridTestbed:
         agent.glide_in(site.contact, count=4, walltime=20_000.0,
                        idle_timeout=3_000.0)
     tb.run(until=150.0)
-    for i in range(jobs):
+    for i in range(40):
         agent.submit(JobDescription(executable="mw.exe", universe="vanilla",
                                     runtime=40.0 + 10.0 * (i % 5)))
     return tb
@@ -537,9 +536,9 @@ def multiuser_glidein_grid(seed: int = 0, users: int = 10,
 #: the autoscaler the burst scenarios run: small floors, generous
 #: ceilings, fast reaction -- the point is elasticity, not steady state.
 BURST_POLICY = FactoryPolicy(
-    min_glideins=0, max_glideins=12, jobs_per_glidein=2.0,
+    max_glideins=12, jobs_per_glidein=2.0,
     max_step=6, scale_up_cooldown=40.0, scale_down_cooldown=120.0,
-    idle_reserve=0, idle_grace=60.0, lease=100_000.0,
+    idle_grace=60.0, lease=100_000.0,
     idle_timeout=240.0, interval=20.0, wait_target=120.0)
 
 
@@ -556,7 +555,6 @@ BURST_POLICY = FactoryPolicy(
 )
 def burst_flash_grid(seed: int = 0, *,
                      users: int = 1000,
-                     n_sites: int = 3,
                      cpus: int = 16,
                      base_rate: float = 0.08,
                      flash_at: tuple = (600.0,),
@@ -566,8 +564,7 @@ def burst_flash_grid(seed: int = 0, *,
                      diurnal_period: float = 2000.0,
                      horizon: float = 1500.0,
                      runtime_min: float = 20.0,
-                     runtime_cap: float = 300.0,
-                     policy: FactoryPolicy = BURST_POLICY) -> GridTestbed:
+                     runtime_cap: float = 300.0) -> GridTestbed:
     """Bursty vanilla traffic into one factory-managed personal pool.
 
     The factory sees demand explode when the flash crowd hits, scales
@@ -580,8 +577,8 @@ def burst_flash_grid(seed: int = 0, *,
         sites=tuple(
             SiteSpec(f"site{i:02d}",
                      scheduler=_SCALE_SCHEDULERS[i % len(_SCALE_SCHEDULERS)],
-                     cpus=cpus, register_mds=False, factory=policy)
-            for i in range(n_sites)),
+                     cpus=cpus, register_mds=False, factory=BURST_POLICY)
+            for i in range(3)),
         agents=(AgentSpec("burst", negotiation_interval=15.0),),
         traffic=TrafficProfile(
             users=users, horizon=horizon, base_rate=base_rate,
@@ -614,50 +611,34 @@ register(burst_flash_grid.scenario.with_overrides(
     max_faults=3,
     chunk=2000.0,
 )
-def burst_overload_grid(seed: int = 0, *,
-                        users: int = 400,
-                        agents: int = 4,
-                        n_sites: int = 2,
-                        cpus: int = 10,
-                        base_rate: float = 0.1,
-                        flash_at: tuple = (100.0,),
-                        flash_multiplier: float = 20.0,
-                        flash_duration: float = 300.0,
-                        horizon: float = 1200.0,
-                        runtime_min: float = 10.0,
-                        runtime_cap: float = 120.0,
-                        admission_rate: float = 0.3,
-                        admission_burst: int = 5,
-                        admission_max_queue: int = 40) -> GridTestbed:
+def burst_overload_grid(seed: int = 0) -> GridTestbed:
     """The §6 gatekeeper-overload incident as a surviving scenario.
 
-    A submission storm (20x flash over many virtual users) slams
-    GRAM-universe traffic into two small sites.  Without admission
-    control the era's gatekeepers fell over; here the token bucket and
-    queue-depth backpressure shed load with typed refusals that cost
-    the client no attempt, so every submission eventually lands
-    exactly once -- zero lost jobs is the acceptance criterion.
+    A submission storm (a 20x flash over 400 virtual users, at t=100 s
+    for 300 s, from four agents) slams GRAM-universe traffic into two
+    small sites.  Without admission control the era's gatekeepers fell
+    over; here the token bucket and queue-depth backpressure shed load
+    with typed refusals that cost the client no attempt, so every
+    submission eventually lands exactly once -- zero lost jobs is the
+    acceptance criterion.
     """
-    admission = AdmissionPolicy(rate=admission_rate,
-                                burst=admission_burst,
-                                max_queue=admission_max_queue,
-                                poll_interval=10.0)
+    admission = AdmissionPolicy(rate=0.3, burst=5, max_queue=40)
     config = TestbedConfig(
         seed=seed, with_mds=False, with_repo=False,
         sites=tuple(
             SiteSpec(f"site{i:02d}",
                      scheduler=_SCALE_SCHEDULERS[i % len(_SCALE_SCHEDULERS)],
-                     cpus=cpus, register_mds=False, admission=admission)
-            for i in range(n_sites)),
+                     cpus=10, register_mds=False, admission=admission)
+            for i in range(2)),
         agents=tuple(
             AgentSpec(f"storm{i}", broker_kind="userlist",
                       personal_pool=False)
-            for i in range(agents)),
+            for i in range(4)),
         traffic=TrafficProfile(
-            users=users, horizon=horizon, base_rate=base_rate,
-            flash_at=flash_at, flash_multiplier=flash_multiplier,
-            flash_duration=flash_duration,
-            runtime_min=runtime_min, runtime_cap=runtime_cap,
+            users=400, horizon=1200.0, base_rate=0.1,
+            flash_at=(100.0,), flash_multiplier=20.0,
+            flash_duration=300.0,
+            runtime_min=10.0, runtime_cap=120.0,
             universe="grid"),
     )
     return GridTestbed.from_config(config)

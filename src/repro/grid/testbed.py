@@ -117,9 +117,7 @@ class GridTestbed:
         reset_oracle()
         self.sim = Simulator(seed=config.seed,
                              trace_max_records=config.trace_max_records)
-        self.net = Network(self.sim, latency=config.latency,
-                           jitter=config.jitter,
-                           loss_rate=config.loss_rate)
+        self.net = Network(self.sim, loss_rate=config.loss_rate)
         self.failures = FailureInjector(self.sim)
         self.use_gsi = config.use_gsi
         self.ca = CertificateAuthority("TestGrid")
@@ -179,7 +177,6 @@ class GridTestbed:
             if self.use_gsi else None
         gk_host.boot(lambda h: Gatekeeper(
             h, lrm_contact=lrm_host.name, authorizer=authorizer, site=name,
-            max_jobmanagers=spec.max_jobmanagers,
             max_user_jobmanagers=spec.max_user_jobmanagers,
             admission=spec.admission))
         site = Site(name=name, gk_host=gk_host, lrm_host=lrm_host,
@@ -267,13 +264,10 @@ class GridTestbed:
             site.gridmap.add(user.dn, f"{site.name}_{name}")
         return user
 
-    def add_agent(self, spec: AgentSpec, broker: Optional[Broker] = None,
-                  **kwargs) -> CondorGAgent:
-        """Create a user + their desktop agent on `submit-<name>`.
-
-        `broker` is a runtime argument: a live Broker instance is not
-        config-value material (``AgentSpec.broker_kind`` is).
-        """
+    def add_agent(self, spec: AgentSpec, **kwargs) -> CondorGAgent:
+        """Create a user + their desktop agent on `submit-<name>`, with
+        the broker ``spec.broker_kind`` names (none: the job's own
+        resource)."""
         _require_spec("add_agent()", spec, AgentSpec, kwargs)
         name = spec.name
         user = self.users.get(name) or self.add_user(name)
@@ -288,8 +282,8 @@ class GridTestbed:
             myproxy_cfg = {"host": MYPROXY_HOST, "username": name,
                            "passphrase": f"{name}-pass",
                            "lifetime": spec.proxy_lifetime}
-        if broker is None and spec.broker_kind:
-            broker = self.make_broker(spec.broker_kind, host)
+        broker = self.make_broker(spec.broker_kind, host) \
+            if spec.broker_kind else None
         agent = CondorGAgent(
             host, name,
             proxy=proxy,
@@ -325,8 +319,7 @@ class GridTestbed:
         self.agents[name] = agent
         return agent
 
-    def make_broker(self, kind: str, host: Host,
-                    **kwargs) -> Broker:
+    def make_broker(self, kind: str, host: Host) -> Broker:
         if kind == "userlist":
             return UserListBroker([s.contact for s in self.sites.values()])
         if kind == "mds":
@@ -334,17 +327,16 @@ class GridTestbed:
                 raise ValueError(
                     "mds broker needs the MDS index; build the testbed "
                     "with with_mds=True")
-            return MatchmakingBroker(host, GIIS_HOST, **kwargs)
+            return MatchmakingBroker(host, GIIS_HOST)
         contacts = [s.contact for s in self.sites.values()]
         if kind == "queue-aware":
-            return QueueAwareBroker(host, contacts, **kwargs)
+            return QueueAwareBroker(host, contacts)
         if kind == "data-aware":
             if self.data_services is None:
                 raise ValueError(
                     "data-aware broker needs data services; give at "
                     "least one site SiteSpec.storage")
-            return QueueAwareBroker(host, contacts, data=self.data_services,
-                                    **kwargs)
+            return QueueAwareBroker(host, contacts, data=self.data_services)
         raise ValueError(f"unknown broker kind {kind!r}")
 
     @property
@@ -365,14 +357,13 @@ class GridTestbed:
 
         return SimSnapshot(time=self.sim.now, digest=run_digest(self))
 
-    def run_until_quiet(self, check_interval: float = 50.0,
-                        max_time: float = 10**7) -> None:
+    def run_until_quiet(self, max_time: float = 10**7) -> None:
         """Run until every agent's every job is terminal (or max_time)."""
         guard = {"done": False}
 
         def watchdog():
             while self.sim.now < max_time:
-                yield self.sim.timeout(check_interval)
+                yield self.sim.timeout(50.0)
                 if self.traffic is not None and not self.traffic.finished:
                     continue    # the arrival trace is still being replayed
                 if all(agent.all_terminal()

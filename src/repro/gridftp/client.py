@@ -24,28 +24,25 @@ def gridftp_put(src: Host, url: str, size: int = 0, data: str = "",
     return result
 
 
-def gridftp_size(src: Host, url: str, credential=None,
-                 timeout: float = 60.0):
+def gridftp_size(src: Host, url: str, credential=None):
     host, path = parse_gsiftp_url(url)
-    result = yield from call(src, host, "gridftp", "size", timeout=timeout,
+    result = yield from call(src, host, "gridftp", "size", timeout=60.0,
                              credential=credential, path=path)
     return result
 
 
-def gridftp_checksum(src: Host, url: str, credential=None,
-                     timeout: float = 60.0):
+def gridftp_checksum(src: Host, url: str, credential=None):
     host, path = parse_gsiftp_url(url)
     result = yield from call(src, host, "gridftp", "checksum",
-                             timeout=timeout, credential=credential,
+                             timeout=60.0, credential=credential,
                              path=path)
     return result
 
 
-def gridftp_delete(src: Host, url: str, credential=None,
-                   timeout: float = 60.0):
+def gridftp_delete(src: Host, url: str, credential=None):
     host, path = parse_gsiftp_url(url)
     result = yield from call(src, host, "gridftp", "delete",
-                             timeout=timeout, credential=credential,
+                             timeout=60.0, credential=credential,
                              path=path)
     return result
 

@@ -65,14 +65,14 @@ class GridFTPServer(Service):
         return self.sim.timeout(0.0)
 
     # -- chaos hook ----------------------------------------------------------
-    def corrupt_next(self, n: int = 1) -> None:
-        """Silently truncate the next `n` inbound stores by one byte.
+    def corrupt_next(self) -> None:
+        """Silently truncate the next inbound store by one byte.
 
         Models a bad disk/NIC: the stored copy is self-consistent (its
         own checksum matches its bytes) but no longer matches the
         checksum the sender advertised, so verification catches it.
         """
-        self._corrupt_pending += n
+        self._corrupt_pending += 1
 
     def _maybe_corrupt(self, f: SimFile) -> SimFile:
         if self._corrupt_pending <= 0 or f.size == 0:
@@ -138,6 +138,6 @@ class GridFTPServer(Service):
         return f.size
 
     # -- local convenience ----------------------------------------------------
-    def publish(self, path: str, size: int = 0, data: str = "") -> str:
-        self.files.put(SimFile(path, size=size, data=data))
+    def publish(self, path: str, size: int) -> str:
+        self.files.put(SimFile(path, size=size))
         return self.url(path)

@@ -126,11 +126,10 @@ class GridUser:
         name: str,
         ca: CertificateAuthority,
         now: float = 0.0,
-        cert_lifetime: float = 365.0 * 86400.0,
     ):
         self.name = name
         self.dn = f"/O=Grid/CN={name}"
-        cert, key = ca.issue(self.dn, now=now, lifetime=cert_lifetime)
+        cert, key = ca.issue(self.dn, now=now, lifetime=365.0 * 86400.0)
         self.credential = UserCredential(cert, key)
 
     def proxy(self, now: float, lifetime: float = 12 * 3600.0

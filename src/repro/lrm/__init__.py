@@ -4,7 +4,6 @@ from .base import (
     CANCELLED,
     COMPLETED,
     FAILED,
-    PREEMPTED,
     QUEUED,
     RUNNING,
     TERMINAL_STATES,
@@ -28,5 +27,5 @@ __all__ = [
     "CANCELLED", "COMPLETED", "CondorPoolLRM", "ExecutionContext", "FAILED",
     "FLAVORS", "ForkLRM", "JobSpec", "LoadLevelerCluster", "LRMJob",
     "LSFCluster", "LocalResourceManager", "NQECluster", "PBSCluster",
-    "PREEMPTED", "QUEUED", "RUNNING", "TERMINAL_STATES", "make_lrm",
+    "QUEUED", "RUNNING", "TERMINAL_STATES", "make_lrm",
 ]

@@ -43,7 +43,6 @@ RUNNING = JobState.RUNNING
 COMPLETED = JobState.COMPLETED
 FAILED = JobState.FAILED
 CANCELLED = JobState.CANCELLED
-PREEMPTED = JobState.PREEMPTED
 
 TERMINAL_STATES = frozenset({COMPLETED, FAILED, CANCELLED})
 
@@ -60,15 +59,12 @@ class JobSpec(Immutable):
     """
 
     executable: str = "a.out"
-    args: tuple = ()
     runtime: float = 1.0
     walltime: Optional[float] = None
     cpus: int = 1
     priority: int = 0
     env: FrozenDict = field(default_factory=FrozenDict)
     program: Optional[Callable[["ExecutionContext"], Generator]] = None
-    requeue_on_preempt: bool = True
-    checkpointable: bool = False   # resume from where preemption hit?
     exit_code: int = 0          # exit code the synthetic body will produce
 
 
@@ -87,7 +83,6 @@ class LRMJob:
     failure_reason: str = ""
     node_index: Optional[int] = None
     preempt_count: int = 0
-    remaining: Optional[float] = None   # runtime left (set on preemption)
     state_since: float = 0.0            # time of the last state transition
 
     def public_view(self) -> dict:
@@ -163,8 +158,8 @@ class LocalResourceManager(Service):
     service_name = "lrm"
     flavor = "generic"
 
-    def __init__(self, host: Host, slots: int, name: str = ""):
-        super().__init__(host, name=name or self.service_name)
+    def __init__(self, host: Host, slots: int):
+        super().__init__(host)
         self.sim = host.sim
         self.slots = slots
         self.free_slots = slots
@@ -266,7 +261,7 @@ class LocalResourceManager(Service):
         job = self.jobs.get(local_id)
         if job is None or job.state in TERMINAL_STATES:
             return False
-        if job.state == QUEUED or job.state == PREEMPTED:
+        if job.state == QUEUED:
             if local_id in self.queue:
                 self.queue.remove(local_id)
                 self.queued_cpus -= job.spec.cpus
@@ -337,10 +332,6 @@ class LocalResourceManager(Service):
     def can_start(self, job: LRMJob) -> bool:
         return job.spec.cpus <= self.free_slots
 
-    def backfill(self) -> bool:
-        """Policy hook: may jobs behind a blocked head job start first?"""
-        return False
-
     def _kick(self) -> None:
         if not self._wake.triggered and not self._wake._scheduled:
             self._wake.succeed(None)
@@ -352,9 +343,10 @@ class LocalResourceManager(Service):
             yield self._wake
 
     def _schedule_pass(self) -> None:
-        """Start what fits, in policy order.  A job needs at least one
-        slot, so a full machine (or an empty queue) is not even sorted
-        and the scan ends with the last free slot."""
+        """Start what fits, in policy order, up to the first job that
+        does not fit.  A job needs at least one slot, so a full machine
+        (or an empty queue) is not even sorted and the scan ends with the
+        last free slot."""
         if self.free_slots <= 0 or not self.queue:
             return
         for job in self.order_queue([self.jobs[j] for j in self.queue]):
@@ -365,15 +357,13 @@ class LocalResourceManager(Service):
                 self.queued_cpus -= job.spec.cpus
                 self.sim.metrics.gauge("lrm.queue_depth").dec()
                 self._start(job)
-            elif not self.backfill():
+            else:
                 break
 
     def _start(self, job: LRMJob) -> None:
         self.free_slots -= job.spec.cpus
         self._set_state(job, RUNNING)
         job.start_time = self.sim.now
-        if job.remaining is None:
-            job.remaining = job.spec.runtime
         proc = self.spawn(self._run_body(job), name=f"job:{job.local_id}")
         self.running[job.local_id] = proc
         self.sim.metrics.gauge("lrm.busy_slots").inc(job.spec.cpus)
@@ -401,13 +391,12 @@ class LocalResourceManager(Service):
                     value = yield body
                     code = value if isinstance(value, int) else 0
             else:
-                duration = job.remaining if job.remaining is not None \
-                    else spec.runtime
-                if spec.walltime is not None and duration > spec.walltime:
+                if spec.walltime is not None and \
+                        spec.runtime > spec.walltime:
                     yield self.sim.timeout(spec.walltime)
                     outcome, reason = FAILED, "walltime exceeded"
                 else:
-                    yield self.sim.timeout(duration)
+                    yield self.sim.timeout(spec.runtime)
                     if code != 0:
                         outcome, reason = FAILED, f"exit code {code}"
         except Interrupt as intr:
@@ -439,21 +428,13 @@ class LocalResourceManager(Service):
         self._account(job, elapsed)
         self._release(job)
         job.preempt_count += 1
-        if job.spec.checkpointable and job.spec.program is None:
-            job.remaining = max(0.0, (job.remaining or job.spec.runtime)
-                                - elapsed)
-        else:
-            job.remaining = None   # restart from scratch
-        self._trace("preempt", job=job.local_id,
-                    remaining=job.remaining)
-        if job.spec.requeue_on_preempt:
-            self._set_state(job, QUEUED)
-            self.queue.append(job.local_id)
-            self.queued_cpus += job.spec.cpus
-            self.sim.metrics.gauge("lrm.queue_depth").inc()
-            self._kick()
-        else:
-            self._finish(job, PREEMPTED, reason="vacated by resource owner")
+        # the job restarts from scratch: no runtime is left over
+        self._trace("preempt", job=job.local_id, remaining=None)
+        self._set_state(job, QUEUED)
+        self.queue.append(job.local_id)
+        self.queued_cpus += job.spec.cpus
+        self.sim.metrics.gauge("lrm.queue_depth").inc()
+        self._kick()
 
     def _release(self, job: LRMJob) -> None:
         self.running.pop(job.local_id, None)

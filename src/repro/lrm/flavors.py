@@ -7,9 +7,9 @@ GlideIn delayed-binding claim is about:
 
 * :class:`ForkLRM` -- the Globus "fork" jobmanager: immediate execution,
   bounded only by slot count.
-* :class:`PBSCluster` -- FIFO with first-fit backfill.
+* :class:`PBSCluster` -- FIFO.
 * :class:`LSFCluster` -- fairshare: users with fewer running jobs first.
-* :class:`LoadLevelerCluster` -- strict FIFO (no backfill).
+* :class:`LoadLevelerCluster` -- FIFO.
 * :class:`NQECluster` -- priority queues (higher priority first).
 * :class:`CondorPoolLRM` -- opportunistic desktop pool: jobs can be
   preempted when a workstation's owner returns; preempted jobs requeue.
@@ -28,12 +28,9 @@ class ForkLRM(LocalResourceManager):
 
 
 class PBSCluster(LocalResourceManager):
-    """FIFO order with first-fit backfill, PBS-style."""
+    """FIFO order, PBS-style."""
 
     flavor = "pbs"
-
-    def backfill(self) -> bool:
-        return True
 
 
 class LSFCluster(LocalResourceManager):
@@ -56,12 +53,9 @@ class LSFCluster(LocalResourceManager):
             queued,
             key=lambda j: (usage.get(j.owner, 0.0), j.submit_time))
 
-    def backfill(self) -> bool:
-        return True
-
 
 class LoadLevelerCluster(LocalResourceManager):
-    """Strict FIFO: the head job blocks everything behind it."""
+    """FIFO order, LoadLeveler-style."""
 
     flavor = "loadleveler"
 
@@ -91,11 +85,10 @@ class CondorPoolLRM(LocalResourceManager):
         self,
         host: Host,
         slots: int,
-        name: str = "",
         owner_mtbf: float = 0.0,        # 0 disables preemption
         owner_busy_time: float = 300.0,
     ):
-        super().__init__(host, slots, name=name)
+        super().__init__(host, slots)
         self.owner_mtbf = owner_mtbf
         self.owner_busy_time = owner_busy_time
         if owner_mtbf > 0:

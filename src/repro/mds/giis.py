@@ -20,7 +20,8 @@ class ResourceRegistrar(Service):
 
     ``ad_source`` is called at each renewal to produce the *current*
     resource ad (dynamic load included), advertised to the index host's
-    Collector as a ``Grid`` ad for ``ttl`` seconds.  If the host crashes
+    Collector as a ``Grid`` ad for :attr:`TTL` seconds, every
+    :attr:`INTERVAL` seconds.  If the host crashes
     the registrar dies with it, registrations age out, and the resource
     vanishes from broker candidate lists -- until a registrar installed
     with ``Host.boot`` is built again at restart.  Only a lost or
@@ -29,20 +30,19 @@ class ResourceRegistrar(Service):
     stops the run.
     """
 
+    INTERVAL = 60.0
+    TTL = 150.0
+
     def __init__(
         self,
         host: Host,
         giis_host: str,
         ad_source: Callable[[], ClassAd],
-        interval: float = 60.0,
-        ttl: float = 150.0,
         credential=None,
     ):
         super().__init__(host, name=f"grrp:{host.name}")
         self.giis_host = giis_host
         self.ad_source = ad_source
-        self.interval = interval
-        self.ttl = ttl
         self.credential = credential
         self.call_at(self.sim.now, self._register)
 
@@ -50,9 +50,9 @@ class ResourceRegistrar(Service):
         self.call_then(self.giis_host, "collector", "advertise",
                        self._registered, timeout=30.0,
                        credential=self.credential, adtype=GRID_ADTYPE,
-                       ad=self.ad_source(), ttl=self.ttl)
+                       ad=self.ad_source(), ttl=self.TTL)
 
     def _registered(self, request) -> None:
         # soft state: a lost registration is tried again soon
-        wait = self.interval if request.error is None else RETRY
+        wait = self.INTERVAL if request.error is None else RETRY
         self.call_at(self.sim.now + wait, self._register)

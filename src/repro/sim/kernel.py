@@ -9,7 +9,7 @@ protocol simulation:
   (or other processes) and is resumed with the event's value when it fires.
   A process is itself an event that fires when the generator returns; an
   end nobody waits for takes its value at once and pushes no heap row (a
-  failure always does, so strict mode still sees it).
+  failure always does, so :meth:`Simulator.run` still sees it).
 * :class:`Simulator` -- the event loop: a binary heap of ``(time, seq,
   item)`` rows, an item being an :class:`Event` or a bare :class:`Entry`
   (one call, for process boots, resumes and timers).  An item is anything
@@ -108,10 +108,8 @@ class Event:
 
         Cancelling an event that a :class:`Process` is currently blocked
         on would strand that process forever (its resume callback is
-        dropped without ever firing): in strict mode that raises
-        :class:`SimulationError` at the cancel site; otherwise it is
-        surfaced as a ``kernel/stranded_waiters`` trace record and
-        metric so the leak is observable.
+        dropped without ever firing), so that raises
+        :class:`SimulationError` at the cancel site.
         """
         if self.triggered or self._cancelled:
             return
@@ -123,14 +121,9 @@ class Event:
             ]
             if stranded:
                 names = ", ".join(p.name for p in stranded)
-                if self.sim.strict:
-                    raise SimulationError(
-                        f"cancel() on event {self.name or hex(id(self))} "
-                        f"strands waiting process(es): {names}")
-                self.sim.trace.log("kernel", "stranded_waiters",
-                                   cancelled=self.name, processes=names)
-                self.sim.metrics.counter("kernel.stranded_waiters").inc(
-                    len(stranded))
+                raise SimulationError(
+                    f"cancel() on event {self.name or hex(id(self))} "
+                    f"strands waiting process(es): {names}")
         self._cancelled = True
         if self._scheduled:
             self.sim._note_tombstone()
@@ -401,7 +394,7 @@ class Simulator:
         sim.run(until=3600)
     """
 
-    def __init__(self, seed: int = 0, strict: bool = True,
+    def __init__(self, seed: int = 0,
                  trace_max_records: Optional[int] = None):
         from .rng import RngRegistry
         from .stats import MetricsRegistry
@@ -411,7 +404,6 @@ class Simulator:
         self._heap: list[tuple[float, int, Event | Entry]] = []
         self._seq = 0
         self._tombstones = 0       # cancelled events still in the heap
-        self.strict = strict
         self._failures: list[tuple[Process, BaseException]] = []
         self.rng = RngRegistry(seed)
         self.trace = Trace(self, max_records=trace_max_records)
@@ -528,11 +520,10 @@ class Simulator:
         else:
             if until is not None:
                 self.now = until
-        if self.strict:
-            bad = self.unhandled_failures()
-            if bad:
-                proc, exc = bad[0]
-                raise SimulationError(
-                    f"{len(bad)} process(es) died unhandled; first: "
-                    f"{proc.name}: {type(exc).__name__}: {exc}"
-                ) from exc
+        bad = self.unhandled_failures()
+        if bad:
+            proc, exc = bad[0]
+            raise SimulationError(
+                f"{len(bad)} process(es) died unhandled; first: "
+                f"{proc.name}: {type(exc).__name__}: {exc}"
+            ) from exc

@@ -160,24 +160,24 @@ class Gauge:
 class Histogram:
     """Value distribution with exact count/sum/min/max.
 
-    Percentiles come from a bounded reservoir (first ``max_samples``
+    Percentiles come from a bounded reservoir (first :attr:`MAX_SAMPLES`
     observations; the rest only update the exact aggregates and are
     counted in ``sample_dropped``).  Keeping the *first* N rather than a
     random subsample keeps the registry deterministic.
     """
 
     kind = "histogram"
+    MAX_SAMPLES = 4096
 
     __slots__ = ("name", "count", "total", "_min", "_max",
-                 "max_samples", "_samples", "sample_dropped")
+                 "_samples", "sample_dropped")
 
-    def __init__(self, name: str, max_samples: int = 4096):
+    def __init__(self, name: str):
         self.name = name
         self.count = 0
         self.total = 0.0
         self._min: Optional[float] = None
         self._max: Optional[float] = None
-        self.max_samples = max_samples
         self._samples: list[float] = []
         self.sample_dropped = 0
 
@@ -187,7 +187,7 @@ class Histogram:
         self.total += value
         self._min = value if self._min is None else min(self._min, value)
         self._max = value if self._max is None else max(self._max, value)
-        if len(self._samples) < self.max_samples:
+        if len(self._samples) < self.MAX_SAMPLES:
             self._samples.append(value)
         else:
             self.sample_dropped += 1
@@ -270,21 +270,20 @@ class MetricsRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._get(name, Gauge, self.sim)
 
-    def histogram(self, name: str, max_samples: int = 4096) -> Histogram:
-        return self._get(name, Histogram, max_samples)
+    def histogram(self, name: str) -> Histogram:
+        return self._get(name, Histogram)
 
     def get(self, name: str) -> Optional[Any]:
         return self._metrics.get(name)
 
     # -- export ------------------------------------------------------------
-    def snapshot(self, prefix: str = "") -> dict:
-        """JSON-ready snapshot of every metric (optionally name-filtered)."""
+    def snapshot(self) -> dict:
+        """JSON-ready snapshot of every metric."""
         return {
             "time": self.sim.now,
             "metrics": {
                 name: metric.snapshot()
                 for name, metric in sorted(self._metrics.items())
-                if name.startswith(prefix)
             },
         }
 

@@ -46,7 +46,6 @@ class JobState(str, enum.Enum):
     # Site batch systems (LRMs)
     QUEUED = "QUEUED"
     CANCELLED = "CANCELLED"
-    PREEMPTED = "PREEMPTED"
 
     # Behave exactly like the underlying string everywhere it is
     # printed, formatted, or serialized (default Enum.__str__ would

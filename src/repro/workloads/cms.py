@@ -26,13 +26,16 @@ from ..gridftp.client import gridftp_put, gridftp_size
 from ..sim.errors import RPCError
 
 
+#: events one simulation job produces (paper §6: 100 jobs, 500 events each)
+EVENTS_PER_JOB = 500
+
+
 @dataclass
 class CMSConfig:
     simulation_site: str              # gatekeeper contact (Condor pool)
     reconstruction_site: str          # gatekeeper contact (PBS)
     repository: str                   # GridFTP host name (NCSA MSS)
     n_simulation_jobs: int = 100
-    events_per_job: int = 500
     event_size: int = 1_000           # bytes per event
     sim_seconds_per_event: float = 8.0
     reco_seconds_per_event: float = 2.0
@@ -77,7 +80,7 @@ def build_cms_dag(config: CMSConfig) -> tuple[Dag, CMSBookkeeping]:
             if buffer_sem["sem"] is None:
                 buffer_sem["sem"] = Semaphore(
                     ctx.sim, config.buffer_limit_events, name="cms-buffer")
-            n = config.events_per_job
+            n = EVENTS_PER_JOB
             yield buffer_sem["sem"].acquire(n)   # wait for scratch space
             books.buffer_events += n
             books.buffer_peak = max(books.buffer_peak,
@@ -90,7 +93,7 @@ def build_cms_dag(config: CMSConfig) -> tuple[Dag, CMSBookkeeping]:
     def make_post(index: int):
         def ship(ctx):
             state = node_state[index]
-            n = config.events_per_job
+            n = EVENTS_PER_JOB
             if not state["counted"]:
                 state["counted"] = True
                 books.events_simulated += n
@@ -120,12 +123,12 @@ def build_cms_dag(config: CMSConfig) -> tuple[Dag, CMSBookkeeping]:
                 total += yield from gridftp_size(ctx.host, url)
             except RPCError:
                 return False
-        expected = (config.n_simulation_jobs * config.events_per_job
+        expected = (config.n_simulation_jobs * EVENTS_PER_JOB
                     * config.event_size)
         if total != expected:
             return False
         books.events_reconstructed = (config.n_simulation_jobs
-                                      * config.events_per_job)
+                                      * EVENTS_PER_JOB)
         return True
 
     for i in range(config.n_simulation_jobs):
@@ -133,7 +136,7 @@ def build_cms_dag(config: CMSConfig) -> tuple[Dag, CMSBookkeeping]:
             name=f"sim{i}",
             description=JobDescription(
                 executable="cmsim",
-                runtime=config.events_per_job
+                runtime=EVENTS_PER_JOB
                 * config.sim_seconds_per_event,
                 input_size=50_000),
             resource=config.simulation_site,
@@ -145,7 +148,7 @@ def build_cms_dag(config: CMSConfig) -> tuple[Dag, CMSBookkeeping]:
         name="reco",
         description=JobDescription(
             executable="cmsreco",
-            runtime=(config.n_simulation_jobs * config.events_per_job
+            runtime=(config.n_simulation_jobs * EVENTS_PER_JOB
                      * config.reco_seconds_per_event / config.reco_cpus),
             cpus=config.reco_cpus,
             input_size=100_000),
@@ -159,6 +162,10 @@ def build_cms_dag(config: CMSConfig) -> tuple[Dag, CMSBookkeeping]:
 
 
 # -- dataset-driven reconstruction (repro.data) --------------------------------
+
+#: bytes of reconstructed output per data-CMS job
+OUTPUT_SIZE = 200_000
+
 
 @dataclass(frozen=True)
 class DataCMSConfig:
@@ -175,7 +182,6 @@ class DataCMSConfig:
     run_size: int = 4_000_000         # bytes per event file
     calibration_size: int = 2_000_000  # calibration constants, read by all
     reco_seconds: float = 300.0       # runtime of one reconstruction job
-    output_size: int = 200_000        # reconstructed output per job
 
     @property
     def calibration_name(self) -> str:
@@ -213,6 +219,6 @@ def build_data_cms_jobs(config: DataCMSConfig) -> list[JobDescription]:
             runtime=config.reco_seconds,
             input_size=50_000,
             input_datasets=(config.calibration_name, run),
-            output_datasets=((f"cms-reco{i}", config.output_size),),
+            output_datasets=((f"cms-reco{i}", OUTPUT_SIZE),),
         ))
     return jobs

@@ -11,12 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+#: what one SCF iteration prints, LINES_PER_ITERATION times
+LINE = "SCF cycle energy=-76.0 conv=1e-6\n"
+LINES_PER_ITERATION = 5
+
+
 @dataclass
 class GaussianJobConfig:
     iterations: int = 20
     seconds_per_iteration: float = 30.0
-    lines_per_iteration: int = 5
-    line: str = "SCF cycle energy=-76.0 conv=1e-6\n"
 
 
 def gaussian_program(config: GaussianJobConfig):
@@ -26,8 +29,8 @@ def gaussian_program(config: GaussianJobConfig):
         ctx.write_output("Gaussian 98 startup\n")
         for i in range(config.iterations):
             yield ctx.sim.timeout(config.seconds_per_iteration)
-            for _ in range(config.lines_per_iteration):
-                ctx.write_output(f"[iter {i:3d}] {config.line}")
+            for _ in range(LINES_PER_ITERATION):
+                ctx.write_output(f"[iter {i:3d}] {LINE}")
         ctx.write_output("Normal termination of Gaussian 98.\n")
         return 0
 
@@ -37,7 +40,7 @@ def gaussian_program(config: GaussianJobConfig):
 def expected_output(config: GaussianJobConfig) -> str:
     parts = ["Gaussian 98 startup\n"]
     for i in range(config.iterations):
-        parts.extend(f"[iter {i:3d}] {config.line}"
-                     for _ in range(config.lines_per_iteration))
+        parts.extend(f"[iter {i:3d}] {LINE}"
+                     for _ in range(LINES_PER_ITERATION))
     parts.append("Normal termination of Gaussian 98.\n")
     return "".join(parts)

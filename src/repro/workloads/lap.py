@@ -99,11 +99,10 @@ class QAPInstance:
                       self.dist[np.ix_(perm, perm)]).sum())
 
     @classmethod
-    def random(cls, n: int, seed: int = 0,
-               high: int = 10) -> "QAPInstance":
+    def random(cls, n: int, seed: int = 0) -> "QAPInstance":
         rng = np.random.default_rng(seed)
-        flow = rng.integers(0, high, size=(n, n)).astype(float)
-        dist = rng.integers(0, high, size=(n, n)).astype(float)
+        flow = rng.integers(0, 10, size=(n, n)).astype(float)
+        dist = rng.integers(0, 10, size=(n, n)).astype(float)
         np.fill_diagonal(flow, 0)
         np.fill_diagonal(dist, 0)
         # symmetrize: the classic Nugent instances are symmetric
@@ -229,14 +228,14 @@ class QAPBranchAndBound:
                                        depth=node.depth + 1))
         return children, laps, solutions
 
-    def solve(self, max_nodes: int = 10**6) -> BBResult:
+    def solve(self) -> BBResult:
         """Sequential DFS solve (the single-machine baseline)."""
         best = float("inf")
         best_perm: Optional[list[int]] = None
         stack = [self.root()]
         explored = 0
         laps = 1
-        while stack and explored < max_nodes:
+        while stack:
             node = stack.pop()
             if node.bound >= best:
                 continue

@@ -156,15 +156,14 @@ class Master:
         simulated seconds beyond the task's nominal work)."""
         return None, 0.0
 
-    def submit_workers(self, count: int, universe: str = "standard",
-                       requirements: str = "true") -> list[str]:
+    def submit_workers(self, count: int) -> list[str]:
         ids = []
         for _ in range(count):
             job = CondorJob(
                 job_id=self.schedd.queue.new_id(),
-                ad=job_ad(self.agent.user, requirements=requirements),
+                ad=job_ad(self.agent.user),
                 runtime=1.0,     # unused: the program decides when to stop
-                universe=universe,
+                universe="standard",
                 program=self.worker_program(),
                 syscall_handler=self.syscall_handler,
             )

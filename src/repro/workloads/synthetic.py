@@ -26,10 +26,11 @@ from ..lrm.base import JobSpec, LocalResourceManager
 from ..states import JobState
 
 
-def saturate(lrm: LocalResourceManager, jobs: int, runtime: float,
-             cpus: int = 1, owner: str = "local-user") -> list[str]:
-    """Instantly enqueue a block of local jobs (deterministic load)."""
-    return [lrm.submit(JobSpec(runtime=runtime, cpus=cpus), owner=owner)
+def saturate(lrm: LocalResourceManager, jobs: int,
+             runtime: float) -> list[str]:
+    """Instantly enqueue a block of local one-CPU jobs (deterministic
+    load) owned by ``local-user``."""
+    return [lrm.submit(JobSpec(runtime=runtime), owner="local-user")
             for _ in range(jobs)]
 
 
@@ -69,9 +70,7 @@ class TrafficProfile:
     flash_duration: float = 300.0
     runtime_min: float = 30.0
     runtime_cap: float = 3600.0
-    input_size: int = 1000
     universe: str = "vanilla"           # vanilla -> glidein pool; grid -> GRAM
-    stream: str = "traffic"             # RNG stream name
 
 
 @dataclass(frozen=True)
@@ -158,7 +157,7 @@ class SyntheticTraffic:
         self.profile = profile
         self.sim = agents[0].host.sim
         self.arrivals = generate_arrivals(
-            self.sim.rng.stream(profile.stream), profile)
+            self.sim.rng.stream("traffic"), profile)
         self.records: list[TrafficRecord] = []
         self.finished = False
         self._proc = agents[0].host.spawn(self._replay(), name="traffic")
@@ -175,7 +174,6 @@ class SyntheticTraffic:
                 executable=f"user{arrival.user:04d}.exe",
                 runtime=arrival.runtime,
                 universe=self.profile.universe,
-                input_size=self.profile.input_size,
                 stream_stdout=False,
             )
             job_id = agent.submit(description)

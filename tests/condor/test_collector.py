@@ -13,11 +13,11 @@ from repro.mds.schema import GRID_ADTYPE
 from repro.sim import Host, Network, RemoteError, Simulator, call
 
 
-def make_collector(default_ttl=180.0):
+def make_collector():
     sim = Simulator(seed=7)
     Network(sim, latency=0.02, jitter=0.0)
     host = Host(sim, "cm")
-    return sim, Collector(host, default_ttl=default_ttl)
+    return sim, Collector(host)
 
 
 def reaped(sim) -> int:
@@ -41,7 +41,7 @@ def advance(sim, until):
 # -- expiry reaping -----------------------------------------------------------
 
 def test_expired_ads_are_reaped_not_just_filtered():
-    sim, coll = make_collector(default_ttl=100.0)
+    sim, coll = make_collector()
     for i in range(5):
         coll.handle_advertise(None, "startd", ad(f"s{i}"))
     assert len(coll._ads) == 5
@@ -54,7 +54,7 @@ def test_expired_ads_are_reaped_not_just_filtered():
 
 
 def test_reap_triggers_on_query_too():
-    sim, coll = make_collector(default_ttl=50.0)
+    sim, coll = make_collector()
     coll.handle_advertise(None, "startd", ad("s0"))
     advance(sim, 200.0)
     assert coll.handle_query(None, "startd") == []
@@ -63,11 +63,11 @@ def test_reap_triggers_on_query_too():
 
 
 def test_renewal_prevents_reaping():
-    sim, coll = make_collector(default_ttl=100.0)
+    sim, coll = make_collector()
     coll.handle_advertise(None, "startd", ad("s0"))
-    advance(sim, 80.0)
+    advance(sim, 150.0)
     coll.handle_advertise(None, "startd", ad("s0"))   # renew
-    advance(sim, 150.0)                               # past first expiry
+    advance(sim, 250.0)                               # past first expiry
     assert len(coll.handle_query(None, "startd")) == 1
     assert reaped(sim) == 0
 
@@ -245,4 +245,4 @@ def test_a_ttl_that_is_not_a_finite_positive_number_is_refused(ttl):
             error.kind == "ValueError", box
     assert (dict(coll._ads), coll._soonest_expiry) == before
     assert coll.handle_advertise(None, "startd", ad("s1"))    # None: default
-    assert coll._ads[("startd", "s1")][1] == sim.now + coll.default_ttl
+    assert coll._ads[("startd", "s1")][1] == sim.now + coll.DEFAULT_TTL

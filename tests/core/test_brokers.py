@@ -25,7 +25,7 @@ def load_site(tb, name, jobs, runtime=5000.0):
 
 def test_userlist_round_robin():
     tb = make_tb()
-    agent = tb.add_agent(AgentSpec("alice"), broker=UserListBroker(["busy-gk", "idle-gk"]))
+    agent = tb.add_agent(AgentSpec("alice", broker_kind="userlist"))
     ids = [agent.submit(JobDescription(runtime=10.0)) for _ in range(4)]
     tb.run_until_quiet(max_time=20000.0)
     resources = [agent.status(j).resource for j in ids]
@@ -103,8 +103,7 @@ def test_a_job_whose_only_match_is_full_waits_for_a_slot_there():
 def test_queue_aware_broker_picks_emptiest_live_queue():
     tb = make_tb()
     load_site(tb, "busy", jobs=30)
-    agent = tb.add_agent(AgentSpec("alice"), broker=QueueAwareBroker(None, ["busy-gk", "idle-gk"]))
-    agent.gridmanager.broker.host = agent.host
+    agent = tb.add_agent(AgentSpec("alice", broker_kind="queue-aware"))
     ids = [agent.submit(JobDescription(runtime=20.0)) for _ in range(4)]
     tb.run_until_quiet(max_time=40000.0)
     assert all(agent.status(j).resource == "idle-gk" for j in ids)

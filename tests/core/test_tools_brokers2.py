@@ -31,7 +31,7 @@ class TestTools:
                            resource="wisc-gk")
         tb.run_until_quiet(max_time=10**4)
         assert jid not in condor_q(agent)
-        assert jid in condor_q(agent, include_done=True)
+        assert jid in condor_history(agent)
 
     def test_condor_history_shows_outcomes(self):
         tb, agent = self.make()

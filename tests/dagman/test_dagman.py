@@ -158,7 +158,6 @@ class TestCMSPipeline:
             reconstruction_site="ncsa-gk",
             repository="ncsa-mss",
             n_simulation_jobs=10,
-            events_per_job=50,
             sim_seconds_per_event=2.0,
             reco_seconds_per_event=0.5,
             buffer_limit_events=10_000,
@@ -167,9 +166,9 @@ class TestCMSPipeline:
         DagMan(agent, dag)
         run_until_dag_done(tb, dag, cap=10**6)
         assert dag.is_complete()
-        assert books.events_simulated == 500
-        assert books.events_shipped == 500
-        assert books.events_reconstructed == 500
+        assert books.events_simulated == 5000
+        assert books.events_shipped == 5000
+        assert books.events_reconstructed == 5000
         assert books.buffer_events == 0
         # all event files are at the MSS
         assert len(repo.files._files) == 10

@@ -1,4 +1,4 @@
-"""DAGMan extras: rescue DAGs, maxjobs throttling, node priorities."""
+"""DAGMan extras: rescue DAGs."""
 
 from repro import GridTestbed, JobDescription
 from repro.dagman import Dag, DagMan, DagNode
@@ -81,46 +81,3 @@ class TestRescue:
         dag2 = self.build(fail_b=False)
         dm2 = DagMan(agent, dag2, name="durable")
         assert dm2.rescued_nodes == 1
-
-
-class TestThrottleAndPriority:
-    def test_maxjobs_limits_concurrency(self):
-        tb = make_tb()
-        agent = tb.add_agent(AgentSpec("alice"))
-        dag = Dag()
-        for i in range(6):
-            dag.add_node(DagNode(f"n{i}",
-                                 description=JobDescription(runtime=100.0),
-                                 resource="wisc-gk"))
-        dm = DagMan(agent, dag, maxjobs=2)
-        run_dag(tb, dm)
-        assert dag.is_complete()
-        # reconstruct concurrency from job intervals
-        events = []
-        for node in dag.nodes.values():
-            s = agent.status(node.job_id)
-            events.append((s.submit_time, 1))
-            events.append((s.end_time, -1))
-        events.sort()
-        peak = busy = 0
-        for _t, d in events:
-            busy += d
-            peak = max(peak, busy)
-        assert peak <= 2
-
-    def test_priority_orders_launch_under_throttle(self):
-        tb = make_tb()
-        agent = tb.add_agent(AgentSpec("alice"))
-        dag = Dag()
-        dag.add_node(DagNode("low", priority=0,
-                             description=JobDescription(runtime=50.0),
-                             resource="wisc-gk"))
-        dag.add_node(DagNode("high", priority=10,
-                             description=JobDescription(runtime=50.0),
-                             resource="wisc-gk"))
-        dm = DagMan(agent, dag, maxjobs=1)
-        run_dag(tb, dm)
-        assert dag.is_complete()
-        high = agent.status(dag.nodes["high"].job_id)
-        low = agent.status(dag.nodes["low"].job_id)
-        assert high.submit_time < low.submit_time

@@ -78,8 +78,8 @@ def test_stage_out_corruption_repaired():
                        output_datasets=(("result", 100_000),)))
     # No input datasets, so the first SE write is the stage-out; arm the
     # truncation on whichever site the broker picks (both idle -> near).
-    tb.sites["near"].se.corrupt_next(1)
-    tb.sites["far"].se.corrupt_next(1)
+    tb.sites["near"].se.corrupt_next()
+    tb.sites["far"].se.corrupt_next()
     tb.run_until_quiet(max_time=40_000.0)
     assert agent.status(jid).state == J.DONE
     assert tb.sim.metrics.counter(

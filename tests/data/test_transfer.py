@@ -106,7 +106,7 @@ def test_corrupted_arrival_deleted_and_repulled():
     path = dataset_path("d1")
     good = SimFile(path, size=250_000)
     src.publish(path, size=250_000)
-    dst.corrupt_next(1)
+    dst.corrupt_next()
 
     box = drive(sim, call(client, "dts", "dts", "transfer",
                           timeout=600.0,

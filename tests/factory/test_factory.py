@@ -61,19 +61,6 @@ def test_scales_up_on_queue_depth_and_jobs_complete():
     assert tb.sim.metrics.counter("factory.scale_ups").value >= 1
 
 
-def test_min_floor_holds_without_demand():
-    policy = FactoryPolicy(min_glideins=2, max_glideins=4,
-                           interval=15.0, idle_grace=60.0,
-                           scale_down_cooldown=60.0, lease=50_000.0,
-                           idle_timeout=100_000.0)
-    tb, agent = make_tb(policy)
-    tb.run(until=2000.0)
-    # floor provisioned with an empty queue, and reaping never cuts
-    # below it (keep = min_glideins - busy)
-    assert len(_live_startds(agent)) == 2
-    assert tb.sim.metrics.counter("factory.provisioned").value == 2
-
-
 def test_idle_reaping_drains_surplus_after_queue_empties():
     policy = FactoryPolicy(max_glideins=4, interval=15.0,
                            idle_grace=60.0, scale_down_cooldown=30.0,
@@ -89,10 +76,10 @@ def test_idle_reaping_drains_surplus_after_queue_empties():
 
 def test_lease_renewal_provisions_replacement():
     # the job is still busy when its glidein enters the renewal window
-    # (expiry - renew_margin), so the factory provisions a replacement
+    # (expiry - RENEW_MARGIN), so the factory provisions a replacement
     # before the walltime kill could strand follow-on work
     policy = FactoryPolicy(max_glideins=2, interval=15.0,
-                           lease=600.0, renew_margin=250.0,
+                           lease=600.0,
                            idle_grace=60.0, idle_timeout=100_000.0)
     tb, agent = make_tb(policy)
     jid = agent.submit(_vanilla(450.0))

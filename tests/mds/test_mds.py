@@ -28,16 +28,16 @@ def drive(sim, gen, until=None):
     return box
 
 
-def index(sim, **kwargs) -> Collector:
+def index(sim) -> Collector:
     """The MDS index: a Collector on the index host."""
-    return Host(sim, GIIS_HOST).boot(lambda h: Collector(h, **kwargs))
+    return Host(sim, GIIS_HOST).boot(Collector)
 
 
 @pytest.fixture
 def env():
     sim = Simulator(seed=11)
     Network(sim, latency=0.01, jitter=0.0)
-    index(sim, default_ttl=100.0)
+    index(sim)
     client = Host(sim, "client")
     return sim, collector(sim), client
 
@@ -126,8 +126,7 @@ def test_registrar_renews_and_crash_ages_out():
         counter["n"] += 1
         return make_ad("wisc", free=counter["n"])
 
-    ResourceRegistrar(resource, GIIS_HOST, ad_source,
-                      interval=30.0, ttl=80.0)
+    ResourceRegistrar(resource, GIIS_HOST, ad_source)
     results = {}
 
     def observer():
@@ -154,14 +153,14 @@ def test_registrar_returns_after_host_restart():
     index(sim)
     resource = Host(sim, "wisc-gk")
     resource.boot(lambda h: ResourceRegistrar(
-        h, GIIS_HOST, lambda: make_ad("wisc"), interval=20.0, ttl=50.0))
+        h, GIIS_HOST, lambda: make_ad("wisc")))
     sim.schedule(10.0, resource.crash)
     sim.schedule(200.0, resource.restart)
     results = {}
 
     def observer():
         client = Host(sim, "client")
-        yield sim.timeout(150.0)
+        yield sim.timeout(170.0)     # the t=0 registration lapsed at 150
         ads = yield from query(client)
         results["while_down"] = len(ads)
         yield sim.timeout(150.0)
@@ -183,15 +182,14 @@ def test_a_crashed_sites_ad_is_reaped_once_its_ttl_lapses():
     index(sim)
     sites = {name: Host(sim, f"{name}-gk") for name in ("anl", "wisc")}
     for name, host in sites.items():
-        ResourceRegistrar(host, GIIS_HOST, lambda name=name: make_ad(name),
-                          interval=30.0, ttl=80.0)
+        ResourceRegistrar(host, GIIS_HOST, lambda name=name: make_ad(name))
     sim.run(until=100.0)
     assert len(collector(sim)._ads) == 2
-    sites["wisc"].crash()       # last renewed at ~90 s: lapses at ~170 s
-    sim.run(until=175.0)
+    sites["wisc"].crash()       # last renewed at ~60 s: lapses at ~210 s
+    sim.run(until=215.0)
     reaped = sim.metrics.counter("collector.expired_reaped").value
     assert len(collector(sim)._ads) == 2 and reaped == 0    # lazy sweep
-    sim.run(until=185.0)        # anl's renewal at ~180 s sweeps the registry
+    sim.run(until=245.0)        # anl's renewal at ~240 s sweeps the registry
     assert list(collector(sim)._ads) == [(GRID_ADTYPE, "anl")]
     assert sim.metrics.counter("collector.expired_reaped").value == 1
 

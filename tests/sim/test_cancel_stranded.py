@@ -1,7 +1,6 @@
 """Regression: Event.cancel() used to silently strand processes blocked
 on the cancelled event -- they never woke again and the hang surfaced
-far away (if at all).  Strict simulators now refuse the cancel; lenient
-ones record it in the trace and the kernel.stranded_waiters counter."""
+far away (if at all).  The simulator now refuses the cancel."""
 
 import pytest
 
@@ -13,17 +12,16 @@ def waiter(sim, timer):
 
 
 def test_cancel_unwaited_timer_is_fine_in_both_modes():
-    for strict in (True, False):
-        sim = Simulator(strict=strict)
-        timer = sim.timeout(10.0)
-        timer.cancel()
-        sim.run()
-        assert sim.now == 0.0
-        assert sim.metrics.counter("kernel.stranded_waiters").value == 0
+    # there is one mode now: the simulator refuses only a stranding cancel
+    sim = Simulator()
+    timer = sim.timeout(10.0)
+    timer.cancel()
+    sim.run()
+    assert sim.now == 0.0
 
 
 def test_strict_mode_raises_on_stranding_cancel():
-    sim = Simulator(strict=True)
+    sim = Simulator()
     timer = sim.timeout(10.0)
     sim.spawn(waiter(sim, timer), name="sleeper")
 
@@ -36,28 +34,8 @@ def test_strict_mode_raises_on_stranding_cancel():
         sim.run()
 
 
-def test_lenient_mode_traces_and_counts_stranded_waiters():
-    sim = Simulator(strict=False)
-    timer = sim.timeout(10.0)
-    sim.spawn(waiter(sim, timer), name="sleeper")
-
-    def canceller():
-        yield sim.timeout(1.0)
-        timer.cancel()
-
-    sim.spawn(canceller())
-    sim.run()
-    # the sleeper never resumes, but the strand is now observable
-    # instead of silent
-    recs = sim.trace.select("kernel", "stranded_waiters")
-    assert len(recs) == 1
-    assert recs[0].time == 1.0
-    assert recs[0].details["processes"] == "sleeper"
-    assert sim.metrics.counter("kernel.stranded_waiters").value == 1
-
-
 def test_cancel_after_waiter_already_resumed_is_fine():
-    sim = Simulator(strict=True)
+    sim = Simulator()
     timer = sim.timeout(5.0)
     sim.spawn(waiter(sim, timer), name="sleeper")
 

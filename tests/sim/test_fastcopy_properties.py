@@ -243,8 +243,7 @@ _requests = st.builds(
     output_datasets=st.lists(st.tuples(_names, st.integers(0, 10**9)),
                              max_size=3),
     runtime=_floats, program=st.sampled_from([None, len, fast_deepcopy]))
-_specs = st.builds(JobSpec, executable=_names,
-                   args=st.lists(_atoms, max_size=3), env=_maps)
+_specs = st.builds(JobSpec, executable=_names, env=_maps)
 _certificates = st.builds(
     Certificate, subject=_names, issuer=_names, public_key=_names,
     not_before=_floats, not_after=_floats, is_proxy=st.booleans(),

@@ -176,7 +176,7 @@ def test_process_exception_propagates_to_joiner():
 
 
 def test_unhandled_process_failure_is_strict_error():
-    sim = Simulator(strict=True)
+    sim = Simulator()
 
     def bad(sim):
         yield sim.timeout(1.0)
@@ -185,18 +185,6 @@ def test_unhandled_process_failure_is_strict_error():
     sim.spawn(bad(sim))
     with pytest.raises(SimulationError):
         sim.run()
-
-
-def test_non_strict_collects_failures():
-    sim = Simulator(strict=False)
-
-    def bad(sim):
-        yield sim.timeout(1.0)
-        raise RuntimeError("quiet")
-
-    sim.spawn(bad(sim))
-    sim.run()
-    assert len(sim.unhandled_failures()) == 1
 
 
 def test_interrupt_is_catchable_and_process_continues():
@@ -452,13 +440,14 @@ def test_spawn_requires_generator():
 
 
 def test_yielding_non_event_fails_process():
-    sim = Simulator(strict=False)
+    sim = Simulator()
 
     def bad(sim):
         yield 42
 
     proc = sim.spawn(bad(sim))
-    sim.run()
+    with pytest.raises(SimulationError, match="died unhandled"):
+        sim.run()
     assert not proc.ok
     [(failed, exc)] = sim.unhandled_failures()
     assert failed is proc and isinstance(exc, SimulationError)

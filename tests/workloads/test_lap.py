@@ -88,7 +88,7 @@ class TestQAP:
     def test_bb_matches_brute_force(self, n, seed):
         from itertools import permutations
 
-        inst = QAPInstance.random(n, seed=seed, high=8)
+        inst = QAPInstance.random(n, seed=seed)
         best = min(inst.objective(np.array(p))
                    for p in permutations(range(n)))
         result = QAPBranchAndBound(inst).solve()
@@ -97,7 +97,7 @@ class TestQAP:
     @given(st.integers(3, 5), st.integers(0, 1000))
     @settings(max_examples=25, deadline=None)
     def test_gl_bound_never_exceeds_optimum(self, n, seed):
-        inst = QAPInstance.random(n, seed=seed, high=8)
+        inst = QAPInstance.random(n, seed=seed)
         result = QAPBranchAndBound(inst).solve()
         bound, _ = gilmore_lawler_bound(inst, {})
         assert bound <= result.best_value + 1e-9
