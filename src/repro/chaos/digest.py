@@ -17,10 +17,11 @@ memory addresses can never leak nondeterminism into the digest.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 from itertools import islice
 from typing import Any, Iterator, TYPE_CHECKING
+
+from ..sim.rng import sha256
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..grid.testbed import GridTestbed
@@ -103,7 +104,7 @@ def run_digest(tb: "GridTestbed") -> str:
     """Stable SHA-256 of ``json.dumps(digest_parts(tb), sort_keys=True,
     separators=(",", ":"))``, fed in pieces, the trace 256 lines at a time."""
     sim = tb.sim
-    h = hashlib.sha256(f'{{"metrics":{_dump(sanitize(sim.metrics.snapshot()))}'
+    h = sha256(f'{{"metrics":{_dump(sanitize(sim.metrics.snapshot()))}'
                        f',"queues":{_dump(sanitize(queue_state(tb)))}'
                        f',"time":{_dump(sim.now)},"trace":['.encode())
     lines, sep = _trace_lines(tb), ""

@@ -14,13 +14,14 @@ replicas; the chaos invariants audit the same property post-mortem.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
+
+from ..sim.rng import sha256
 
 
 def file_digest(path: str, size: int, data: str) -> str:
     """Deterministic short digest of a file's identity and content."""
-    h = hashlib.sha256(f"{path}|{size}|{data}".encode())
+    h = sha256(f"{path}|{size}|{data}".encode())
     return h.hexdigest()[:16]
 
 

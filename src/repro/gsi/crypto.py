@@ -17,8 +17,9 @@ time and the private id never travels with the certificate.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
+
+from ..sim.rng import sha256
 
 # The "mathematics": which public key corresponds to which private key.
 _PAIR_ORACLE: dict[str, str] = {}
@@ -29,15 +30,15 @@ def generate_keypair(label: str = "") -> tuple[str, str]:
     """Return (public_id, private_id)."""
     n = next(_COUNTER)
     seed = f"{label}:{n}"
-    public = "pub-" + hashlib.sha256(f"P{seed}".encode()).hexdigest()[:16]
-    private = "prv-" + hashlib.sha256(f"S{seed}".encode()).hexdigest()[:16]
+    public = "pub-" + sha256(f"P{seed}".encode()).hexdigest()[:16]
+    private = "prv-" + sha256(f"S{seed}".encode()).hexdigest()[:16]
     _PAIR_ORACLE[public] = private
     return public, private
 
 
 def sign(private_id: str, data: str) -> str:
     """Signature over `data` producible only with the private key."""
-    return hashlib.sha256(f"{private_id}|{data}".encode()).hexdigest()
+    return sha256(f"{private_id}|{data}".encode()).hexdigest()
 
 
 def verify(public_id: str, data: str, signature: str) -> bool:

@@ -7,12 +7,21 @@ another ("stream independence") and every run is reproducible.
 
 from __future__ import annotations
 
-import hashlib
 import random
+
+# SHA-256 from the interpreter's builtin module, as ``random`` takes its
+# SHA-512: ``hashlib`` maps OpenSSL (~3.6 MB of every run's peak RSS).
+try:
+    from _sha2 import sha256    # 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10, 3.11
+    except ImportError:     # pragma: no cover - a build without them
+        from hashlib import sha256
 
 
 def _derive_seed(root: int, name: str) -> int:
-    digest = hashlib.sha256(f"{root}:{name}".encode()).digest()
+    digest = sha256(f"{root}:{name}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 

@@ -1,10 +1,13 @@
-"""A run that only simulates loads neither numpy nor a process pool.
+"""A run that only simulates loads neither numpy, a process pool nor
+OpenSSL.
 
 The simulator is pure Python (DESIGN.md §2). numpy is needed only by the
 QAP workload (``repro.workloads.lap``/``masterworker``) and the process
 pool only by a multi-worker chaos campaign; either one imported on the
 way into a plain testbed costs every run its memory (~14 MB of peak RSS
-for numpy). A fresh interpreter is the only place where ``sys.modules``
+for numpy, 3.6 MB for the ``libcrypto`` that ``hashlib`` maps: the
+simulation's SHA-256 is the builtin module's, ``repro.sim.rng.sha256``).
+A fresh interpreter is the only place where ``sys.modules``
 shows what a run really imports: this test process has long loaded both.
 """
 
@@ -16,7 +19,8 @@ from pathlib import Path
 
 import repro
 
-HEAVY = ("numpy", "multiprocessing", "concurrent.futures")
+HEAVY = ("numpy", "multiprocessing", "concurrent.futures", "hashlib",
+         "_hashlib")
 
 PROBE = f"""
 import json, sys
