@@ -61,30 +61,55 @@ def trace_fingerprint(tb: "GridTestbed") -> list[str]:
     return list(_trace_lines(tb))
 
 
+def _agent_row(job) -> dict:
+    """What the digest keeps of one record of an agent's queue."""
+    return {"state": job.state, "resource": job.resource,
+            "exit_code": job.exit_code, "attempts": job.attempts,
+            "hold_reason": job.hold_reason,
+            "failure_reason": job.failure_reason}
+
+
+def _site_row(job) -> dict:
+    """What the digest keeps of one job of a site's LRM."""
+    return {"state": job.state, "owner": job.owner,
+            "exit_code": job.exit_code}
+
+
+def _queues(tb: "GridTestbed") -> dict:
+    """Per part, ``(name, row, table)`` of each agent's queue or each
+    site's LRM in name order; a table maps a job's key to its record."""
+    return {"agents": [(name, _agent_row, agent.queue.jobs)
+                       for name, agent in sorted(tb.agents.items())],
+            "sites": [(name, _site_row, site.lrm.jobs)
+                      for name, site in sorted(tb.sites.items())]}
+
+
 def queue_state(tb: "GridTestbed") -> dict:
     """Terminal queue state of every record in every agent's queue, in
     every universe, and of every site LRM."""
-    agents = {}
-    for name, agent in sorted(tb.agents.items()):
-        agents[name] = {
-            job.job_id: {
-                "state": job.state,
-                "resource": job.resource,
-                "exit_code": job.exit_code,
-                "attempts": job.attempts,
-                "hold_reason": job.hold_reason,
-                "failure_reason": job.failure_reason,
-            }
-            for job in agent.queue.statuses()
-        }
-    sites = {}
-    for name, site in sorted(tb.sites.items()):
-        sites[name] = {
-            local_id: {"state": job.state, "owner": job.owner,
-                       "exit_code": job.exit_code}
-            for local_id, job in sorted(site.lrm.jobs.items())
-        }
-    return {"agents": agents, "sites": sites}
+    return {part: {name: {key: row(job) for key, job in table.items()}
+                   for name, row, table in queues}
+            for part, queues in _queues(tb).items()}
+
+
+def _queue_pieces(tb: "GridTestbed") -> Iterator[str]:
+    """``_dump(sanitize(queue_state(tb)))`` in pieces, a queue's records
+    256 at a time, in the order ``sanitize`` sorts them."""
+    opening = "{"
+    for part, queues in _queues(tb).items():
+        yield f'{opening}"{part}":{{'
+        sep = ""
+        for name, row, table in queues:
+            yield f"{sep}{_dump(name)}:{{"
+            keys = sorted(table, key=str)
+            for i in range(0, len(keys), 256):
+                chunk = {key: row(table[key]) for key in keys[i:i + 256]}
+                yield ("," if i else "") + _dump(sanitize(chunk, 4))[1:-1]
+            yield "}"
+            sep = ","
+        yield "}"
+        opening = ","
+    yield "}"
 
 
 def digest_parts(tb: "GridTestbed") -> dict:
@@ -102,11 +127,14 @@ def digest_parts(tb: "GridTestbed") -> dict:
 
 def run_digest(tb: "GridTestbed") -> str:
     """Stable SHA-256 of ``json.dumps(digest_parts(tb), sort_keys=True,
-    separators=(",", ":"))``, fed in pieces, the trace 256 lines at a time."""
+    separators=(",", ":"))``, fed in pieces: the queues 256 records and
+    the trace 256 lines at a time."""
     sim = tb.sim
     h = sha256(f'{{"metrics":{_dump(sanitize(sim.metrics.snapshot()))}'
-                       f',"queues":{_dump(sanitize(queue_state(tb)))}'
-                       f',"time":{_dump(sim.now)},"trace":['.encode())
+               f',"queues":'.encode())
+    for piece in _queue_pieces(tb):
+        h.update(piece.encode())
+    h.update(f',"time":{_dump(sim.now)},"trace":['.encode())
     lines, sep = _trace_lines(tb), ""
     while chunk := list(islice(lines, 256)):
         h.update(f"{sep}{_dump(chunk)[1:-1]}".encode())

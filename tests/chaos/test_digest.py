@@ -6,9 +6,12 @@ import tracemalloc
 
 import pytest
 
+from repro import GridTestbed, JobDescription
 from repro.chaos import first_divergence, run_digest, trace_fingerprint
-from repro.chaos.digest import digest_parts, sanitize
+from repro.chaos.digest import (_dump, _queue_pieces, digest_parts,
+                                queue_state, sanitize)
 from repro.chaos.runner import build_and_run
+from repro.grid.config import AgentSpec, SiteSpec, TestbedConfig
 from repro.grid.scenarios import get_scenario
 
 
@@ -39,6 +42,27 @@ def _odd_details_run():
                      nested={"b": [1, (2.5, {"c": None})], "a": {"z": -0.0}},
                      tags={"y", "x", 3}, widget=Widget(),
                      **{"ключ": "значение"})
+    return tb
+
+
+def _mixed_queues_run():
+    """Three agents on two sites: one agent holds more than 256 jobs (a
+    chunk boundary), one holds none, one site's LRM stays empty, and the
+    third agent has a held job and a failed one."""
+    tb = GridTestbed(TestbedConfig(seed=3))
+    tb.add_site(SiteSpec("busy", scheduler="pbs", cpus=8))
+    tb.add_site(SiteSpec("empty", scheduler="lsf", cpus=2))
+    big = tb.add_agent(AgentSpec("big"))
+    small = tb.add_agent(AgentSpec("small"))
+    tb.add_agent(AgentSpec("idle"))
+    for _ in range(300):
+        big.submit(JobDescription(runtime=50.0), resource="busy-gk")
+    small.submit(JobDescription(runtime=50.0), resource="busy-gk")
+    small.gridmanager.hold_for_credentials("digest test hold")
+    doomed = small.submit(JobDescription(runtime=500.0), resource="busy-gk")
+    tb.sim.run(until=200.0)
+    small.cancel(doomed)
+    tb.sim.run(until=400.0)
     return tb
 
 
@@ -91,6 +115,18 @@ class TestRunDigest:
         assert len(tb.sim.trace) > 0
         if tb.sim.trace.max_records is not None:
             assert tb.sim.trace.dropped > 0
+        assert run_digest(tb) == _document_digest(tb)
+        assert "".join(_queue_pieces(tb)) == _dump(sanitize(queue_state(tb)))
+
+    def test_streamed_queues_equal_the_document_queues(self):
+        tb = _mixed_queues_run()
+        queues = queue_state(tb)
+        assert len(queues["agents"]["big"]) > 256
+        assert queues["agents"]["idle"] == {}
+        assert queues["sites"]["empty"] == {}
+        states = {row["state"] for row in queues["agents"]["small"].values()}
+        assert {"HELD", "FAILED"} <= states
+        assert "".join(_queue_pieces(tb)) == _dump(sanitize(queues))
         assert run_digest(tb) == _document_digest(tb)
 
     def test_digest_does_not_hold_the_trace(self):
