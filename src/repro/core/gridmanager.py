@@ -78,7 +78,9 @@ class RemoteSite:
     """What the GridManager knows of one gatekeeper contact.
 
     `inflight` and `watchable` (job ids) are its indexes, kept in step
-    with every write; the rest is volatile, gone when it stops: the
+    with every write; the rest is volatile, gone when it stops: the jmids
+    whose end we have recorded (`done`: the next ``status`` ask carries
+    their end commit), the
     per-user limit the site last stated, until when a refusal closed it,
     whether a job of the submit pass waits for room here, the Grid
     Monitor's heartbeat, last launch and suspects, and the site's watch
@@ -89,6 +91,7 @@ class RemoteSite:
         self.contact = contact
         self.inflight: set[str] = set()     # STAGING..ACTIVE here
         self.watchable: set[str] = set()    # committed PENDING/ACTIVE here
+        self.done: set[str] = set()         # jmids to end-commit here
         self.stated: Optional[int] = None
         self.busy_until = 0.0
         self.waiting = False
@@ -176,13 +179,17 @@ class GridManager(Service):
         # go stale); the loops read these instead of scanning the queue.
         self._nonterminal: set[str] = set()
         self._by_jmid: dict[str, GridJob] = {}
-        self._jmid_of: dict[str, str] = {}
+        # job id -> (jmid, contact) of its open remote attempt
+        self._attempt: dict[str, tuple[str, str]] = {}
         # contact -> what we know of that site, and the site each
         # in-flight job is counted at
         self.sites: dict[str, RemoteSite] = {}
         self._site_of: dict[str, RemoteSite] = {}
         for job in queue.attach(self, GridJob.UNIVERSES):
             self._reindex(job)
+            if job.is_terminal and job.jmid:
+                # its end commit may have been lost with our predecessor
+                self._ended(job.jmid, job.contact)
         # The grid-wide gauge still carries what our predecessor last
         # added to it, which is this depth: every change was written.
         self._last_depth = len(self._nonterminal)
@@ -230,13 +237,20 @@ class GridManager(Service):
             self._nonterminal.discard(jid)
         else:
             self._nonterminal.add(jid)
-        old_jmid = self._jmid_of.get(jid, "")
-        if old_jmid != job.jmid:
-            if old_jmid:
-                self._by_jmid.pop(old_jmid, None)
-            if job.jmid:
+        # The open attempt: once the job ends or moves on, what we wrote
+        # is its durable end, and the JobManager gets its end commit.
+        attempt = (job.jmid, job.contact) \
+            if job.jmid and not job.is_terminal else None
+        old = self._attempt.get(jid)
+        if old != attempt:
+            if old is not None:
+                del self._by_jmid[old[0]]
+                self._ended(*old)
+            if attempt is None:
+                del self._attempt[jid]
+            else:
                 self._by_jmid[job.jmid] = job
-            self._jmid_of[jid] = job.jmid
+                self._attempt[jid] = attempt
         # In flight at a site (the submit throttle's input), and watchable
         # there (committed PENDING/ACTIVE: what the site's watch asks about)
         contact = (job.contact or job.resource) if job.state in (
@@ -259,6 +273,13 @@ class GridManager(Service):
             site.watchable.add(jid)
         else:
             site.watchable.discard(jid)
+
+    def _ended(self, jmid: str, contact: str) -> None:
+        """The end of `jmid` is durable here: the site's next ask carries
+        its end commit (an agent watching by report seldom asks, so its
+        JobManagers leave at the end of their window instead)."""
+        if not self.grid_monitor:
+            self.site(contact).done.add(jmid)
 
     def site(self, contact: str) -> RemoteSite:
         """The record of `contact`, made at its first mention."""
@@ -883,9 +904,10 @@ class GridManager(Service):
         # next one), after which it -- or the silence -- is about a dead
         # attempt and must not touch the job.
         asked = [(job, job.jmid) for job in jobs]
+        done = tuple(sorted(site.done))
         try:
             answer = yield from self.client.status(
-                site.contact, [jmid for _job, jmid in asked])
+                site.contact, [jmid for _job, jmid in asked], done)
         except (AuthenticationError, AuthorizationError) as exc:
             self._refused(asked, exc)
             return
@@ -896,6 +918,7 @@ class GridManager(Service):
             self._trace("resource_unreachable", contact=site.contact,
                         jobs=len(asked))
             return
+        site.done.difference_update(done)
         for job, jmid in asked:
             if job.jmid == jmid and jmid in answer:
                 outcomes.inc(label="alive")
@@ -923,7 +946,8 @@ class GridManager(Service):
     def _restart_jobmanager(self, job: GridJob):
         jmid = job.jmid
         try:
-            yield from self.client.restart_jobmanager(job.contact, jmid)
+            answer = yield from self.client.restart_jobmanager(
+                job.contact, jmid)
         except (AuthenticationError, AuthorizationError) as exc:
             self._refused([(job, jmid)], exc)
             return
@@ -940,6 +964,13 @@ class GridManager(Service):
         self.sim.metrics.counter("gridmanager.probe_outcomes").inc(
             label="restarted")
         self._trace("jobmanager_restarted", job=job.job_id, jmid=job.jmid)
+        status = answer["status"]
+        if status["state"] in (J.DONE, J.FAILED) and job.jmid == jmid:
+            # it had retired at its end, which we missed: this is the end
+            self._apply_remote_state(job, status["state"],
+                                     status["failure_reason"],
+                                     status["exit_code"])
+            return
         # Point the revived JobManager's streaming at our GASS server.
         if job.request.stdout_url:
             try:

@@ -112,15 +112,16 @@ class Gram2Client:
         raise GramClientError(
             f"commit of {jmid} failed after {self.max_attempts} attempts")
 
-    def status(self, contact: str, jmids):
+    def status(self, contact: str, jmids, done=()):
         """``{jmid: status}`` for those of our JobManagers `jmids` that
         run at `contact`, in one question to its gatekeeper: the §4.2
         probe of the site.  RPCTimeout means the gatekeeper is
-        unresponsive; a jmid left out, that its JobManager is not."""
+        unresponsive; a jmid left out, that its JobManager is not.  The
+        question carries the end commit of the jmids `done`."""
         result = yield from call(self.host, contact, "gatekeeper", "status",
                                  timeout=self.rpc_timeout,
                                  credential=self._credential(contact),
-                                 jmids=tuple(jmids))
+                                 jmids=tuple(jmids), done=tuple(done))
         return result
 
     def restart_jobmanager(self, contact: str, jmid: str):

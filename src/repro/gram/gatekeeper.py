@@ -19,7 +19,6 @@ can duplicate jobs, not retrying it can lose them.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
@@ -27,9 +26,12 @@ from typing import Optional
 from ..sim.hosts import Host
 from ..sim.rpc import Service, call
 from ..sim.stats import by, fold
-from .jobmanager import STATE_NS, JobManager
+from .jobmanager import REQUEST_NS, STATE_NS, JobManager
 from .monitor import GridMonitor, statuses
-from .protocol import GatekeeperBusy, GramJobRequest, Refusal
+from .protocol import (GRAM_TERMINAL, GatekeeperBusy, GramJobRequest,
+                       Refusal)
+
+ISSUED_NS = "gram-jmids"    # the high-water mark of the jmids issued here
 
 for _event in ("admission_rejected_depth", "admission_rejected_rate",
                "submit_rejected_user_busy"):
@@ -126,10 +128,11 @@ class Gatekeeper(Service):
         # one as owner -> {jmid: JobManager}; both kept by themselves
         self._live: Counter = Counter()
         self._jobmanagers: dict[str, dict[str, JobManager]] = {}
-        # JobManager numbers continue from the state files on this
-        # machine's disk (one per JobManager ever created, never
-        # deleted), so a rebooted gatekeeper reissues no jmid.
-        self._ids = itertools.count(len(host.stable.keys(STATE_NS)) + 1)
+        # JobManager numbers continue from the high-water mark on this
+        # machine's disk (state files go with end commits), so a
+        # rebooted gatekeeper reissues no jmid.
+        self._issued = host.stable.get(ISSUED_NS, "jmid", 0)
+        self._states = host.stable.namespace(STATE_NS)
         # (client_host, seq) -> jmid: dedup cache for two-phase submits.
         # Volatile on purpose: a gatekeeper crash wipes it, and safety
         # then rests on the client-side stable log (§3.2).
@@ -197,12 +200,35 @@ class Gatekeeper(Service):
             self._tokens -= 1.0
         self.sim.metrics.counter("gatekeeper.admission_admits").inc()
 
+    def _new_jmid(self) -> str:
+        self._issued += 1
+        self.host.stable.put(ISSUED_NS, "jmid", self._issued)
+        return f"{self.site}-jm{self._issued}"
+
+    def _end_commit(self, owner: str, jmid: str) -> None:
+        """The agent has recorded the end of `owner`'s `jmid`: if that
+        JobManager is GRAM-terminal, it goes with both its records.  Any
+        other jmid (running, unknown, someone else's) changes nothing."""
+        record = self._states.get(jmid)
+        if record is None or record["owner"] != owner or \
+                record["state"] not in GRAM_TERMINAL:
+            return
+        jobmanager = self.host.get_service(f"jm:{jmid}")
+        if jobmanager is not None:
+            jobmanager.leave("end commit")
+        self._states.delete(jmid)
+        self.host.stable.delete(REQUEST_NS, jmid)
+
     # -- handlers -----------------------------------------------------------
-    def handle_status(self, ctx, jmids: tuple) -> dict:
+    def handle_status(self, ctx, jmids: tuple, done: tuple = ()) -> dict:
         """``{jmid: status}`` for each of the caller's `jmids` registered
         here: the §4.2 probe of the whole site.  A jmid left out has no
-        JobManager running (crashed, or lost with a reboot)."""
+        JobManager running (crashed, lost with a reboot, or retired).
+        `done` is the end commit of each jmid whose end the caller has
+        recorded (GRAM's second commit)."""
         owner = ctx.principal or ctx.caller_host
+        for jmid in done:
+            self._end_commit(owner, jmid)
         return statuses(self._jobmanagers.get(owner, {}), jmids)
 
     def handle_submit(self, ctx, seq: int, request: GramJobRequest,
@@ -244,7 +270,7 @@ class Gatekeeper(Service):
                     Refusal.USER_JOBMANAGERS, f"has all {owner}'s "
                     f"{self.max_user_jobmanagers} JobManagers",
                     self.RETRY_AFTER)
-            jmid = f"{self.site}-jm{next(self._ids)}"
+            jmid = self._new_jmid()
             self._seen[key] = jmid
             JobManager(
                 self.host, jmid,
@@ -271,7 +297,7 @@ class Gatekeeper(Service):
         request = _request(request)
         if callback is not None:
             callback = _callback(callback)
-        jmid = f"{self.site}-jm{next(self._ids)}"
+        jmid = self._new_jmid()
         jm = JobManager(
             self.host, jmid,
             lrm_contact=self.lrm_contact,
@@ -314,18 +340,20 @@ class Gatekeeper(Service):
                 "started": started, "interval": monitor.interval}
 
     def handle_restart_jobmanager(self, ctx, jmid: str) -> dict:
-        """Revive a JobManager from its on-disk state file (GRAM-2)."""
-        existing = self.host.get_service(f"jm:{jmid}")
-        if existing is not None:
-            return {"jmid": jmid, "contact": self.host.name,
-                    "revived": False}
-        if self.host.stable.namespace(STATE_NS).get(jmid) is None:
-            raise KeyError(f"no state file for jobmanager {jmid}")
-        JobManager(self.host, jmid, lrm_contact=self.lrm_contact,
-                   credential=ctx.credential, restarted=True,
-                   live=self._live, table=self._jobmanagers)
-        self._trace("jobmanager_restarted", jmid=jmid)
-        return {"jmid": jmid, "contact": self.host.name, "revived": True}
+        """Revive a JobManager from its on-disk state file (GRAM-2); the
+        answer carries its status."""
+        jobmanager = self.host.get_service(f"jm:{jmid}")
+        revived = jobmanager is None
+        if revived:
+            if self._states.get(jmid) is None:
+                raise KeyError(f"no state file for jobmanager {jmid}")
+            jobmanager = JobManager(
+                self.host, jmid, lrm_contact=self.lrm_contact,
+                credential=ctx.credential, restarted=True,
+                live=self._live, table=self._jobmanagers)
+            self._trace("jobmanager_restarted", jmid=jmid)
+        return {"jmid": jmid, "contact": self.host.name, "revived": revived,
+                "status": jobmanager.status}
 
     def handle_queue_info(self, ctx):
         """Expose the local scheduler's load (used by resource brokers)."""

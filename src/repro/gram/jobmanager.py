@@ -142,6 +142,8 @@ class JobManager(Service):
     """Per-job manager daemon; service name ``jm:<jmid>``."""
 
     COMMIT_WINDOW = 120.0      # abort if no commit arrives in time
+    # the wait for the end commit: four of the agent's status periods
+    END_COMMIT_WINDOW = 4 * 30.0    # (GridManager.PROBE_INTERVAL)
     POLL_INTERVAL = 5.0
     state = protocol.UNCOMMITTED
 
@@ -232,6 +234,8 @@ class JobManager(Service):
         self.exit_code = exit_code
         self._persist()
         self._count_live()
+        if state in protocol.GRAM_TERMINAL:     # the commit-end wait
+            self.call_at(self.sim.now + self.END_COMMIT_WINDOW, self._retire)
 
     def _publish(self) -> None:
         """Our status as a value, built when it is written, not when it
@@ -262,6 +266,8 @@ class JobManager(Service):
             self._fail("jobmanager crashed before commit")
         elif self.state not in protocol.GRAM_TERMINAL:
             self.spawn(self._pipeline(), name=f"jobmanager:{self.jmid}")
+        else:
+            self.call_at(self.sim.now + self.END_COMMIT_WINDOW, self._retire)
 
     def _trace(self, event: str, **details) -> None:
         self.sim.trace.log(f"jobmanager:{self.jmid}", event, **details)
@@ -274,11 +280,22 @@ class JobManager(Service):
         gatekeeper to restart us.
         """
         self._trace("crash")
+        self.leave(cause)
+
+    def leave(self, cause: str) -> None:
+        """Stop and go off the network; the records stay as they are."""
         super().crash(cause)
         sweep = self._sweep(create=False)
         if sweep is not None:
             sweep.unwatch(self.local_id)   # neighbours' sweep goes on
         self._count_live()  # leave the gatekeeper's status answers
+
+    def _retire(self, _=None) -> None:
+        """No end commit in the window: leave, keeping the state record
+        (as GT2 does), from which a late asker's restart learns the end."""
+        self._requests.delete(self.jmid)
+        self._trace("retired", state=self.state)
+        self.leave("end commit window")
 
     def _sweep(self, create: bool = True) -> Optional[LrmSweep]:
         """This machine's sweeper for our LRM; the first JobManager to
@@ -315,7 +332,7 @@ class JobManager(Service):
             # Not yet submitted: mutate the pending request.
             if self.request is not None:
                 self.request = self.request.with_env(**{name: value})
-            self._persist_request()
+                self._persist_request()
             return True
         return self._forward_env(name, value)
 

@@ -44,7 +44,7 @@ def test_status_auth_error_holds_once_and_counts_once(monkeypatch):
     tb.run(until=15.0)
     assert agent.status(jid).state in ("PENDING", "ACTIVE")
 
-    def bad_status(self, contact, jmid):
+    def bad_status(self, contact, jmid, done=()):
         raise AuthenticationError("proxy expired while watching")
         yield  # pragma: no cover -- generator like the real method
 
@@ -79,7 +79,7 @@ def test_stale_status_auth_error_does_not_count_or_hold(monkeypatch):
 
     asked = []
 
-    def racing_status(self, contact, jmid):
+    def racing_status(self, contact, jmid, done=()):
         # The attempt is superseded while the status RPC is in flight
         # (exactly what a concurrent failure-report + resubmit does),
         # then the in-flight RPC comes back with an auth error.

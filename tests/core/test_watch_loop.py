@@ -32,9 +32,9 @@ def record_asks(monkeypatch):
     """(time, contact, jmids) of every status ask."""
     asked, real = [], Gram2Client.status
 
-    def recorded(self, contact, jmids):
+    def recorded(self, contact, jmids, done=()):
         asked.append((self.sim.now, contact, tuple(jmids)))
-        return (yield from real(self, contact, jmids))
+        return (yield from real(self, contact, jmids, done))
 
     monkeypatch.setattr(Gram2Client, "status", recorded)
     return asked
@@ -109,10 +109,11 @@ def test_dropped_done_callback_is_recovered_by_the_next_pass():
     agent = tb.add_agent(AgentSpec("alice"))
     jid = agent.submit(JobDescription(runtime=100.0), resource="site-gk")
     rpc_timeout = agent.gridmanager.client.rpc_timeout
-    # the partition swallows the DONE callback (~t=105) ...
-    healed = 50.0 + 250.0
+    # the partition swallows the DONE callback (~t=105), and heals
+    # inside the JobManager's end-commit window ...
+    healed = 50.0 + 100.0
     tb.failures.partition_at(50.0, agent.host.name, site.gk_host.name,
-                             heal_after=250.0)
+                             heal_after=100.0)
     tb.run(until=healed)
     assert agent.status(jid).state == "ACTIVE"
     assert tb.sim.trace.select("gridmanager", "resource_unreachable")
@@ -128,6 +129,34 @@ def test_dropped_done_callback_is_recovered_by_the_next_pass():
     outcomes = tb.sim.metrics.counter("gridmanager.probe_outcomes")
     assert outcomes.labelled("restarted") == 0
     assert not tb.sim.trace.select("gridmanager", "jobmanager_restarted")
+    assert len(site.lrm.jobs) == 1
+
+
+def test_a_jobmanager_retired_during_a_partition_is_restarted_not_resubmitted():
+    """The partition outlasts the finished JobManager's end-commit
+    window, so it retires before the agent hears its end: the first
+    answer after the heal leaves it out, the agent restarts it from its
+    state record, and the restarted one reports DONE -- one attempt,
+    one LRM job."""
+    tb = make_tb()
+    site = tb.sites["site"]
+    agent = tb.add_agent(AgentSpec("alice"))
+    jid = agent.submit(JobDescription(runtime=100.0), resource="site-gk")
+    tb.failures.partition_at(50.0, agent.host.name, site.gk_host.name,
+                             heal_after=250.0)
+    tb.run(until=300.0)
+    jmid = agent.queue.jobs[jid].jmid
+    assert agent.status(jid).state == "ACTIVE"
+    assert site.gk_host.get_service(f"jm:{jmid}") is None
+    assert [r.details["state"] for r in tb.sim.trace.select(
+        f"jobmanager:{jmid}", "retired")] == ["DONE"]
+    tb.run(until=1000.0)
+
+    status = agent.status(jid)
+    assert status.is_complete and status.attempts == 1
+    outcomes = tb.sim.metrics.counter("gridmanager.probe_outcomes")
+    assert outcomes.labelled("restarted") == 1
+    assert outcomes.labelled("restart_failed") == 0
     assert len(site.lrm.jobs) == 1
 
 

@@ -154,8 +154,9 @@ def test_commit_window_aborts_uncommitted_job(grid):
         response = yield from call(
             grid.submit, "site-gk", "gatekeeper", "submit",
             seq=999, request=GramJobRequest(runtime=5.0))
-        # deliberately never send commit
-        yield grid.sim.timeout(300.0)
+        # deliberately never send commit; ask inside the end-commit
+        # window that follows the abort (120 s + 120 s)
+        yield grid.sim.timeout(200.0)
         return (yield from grid.client.status(
             response["contact"], [response["jmid"]]))[response["jmid"]]
 
