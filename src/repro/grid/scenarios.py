@@ -320,9 +320,11 @@ def scale_pool_grid(seed: int = 0, jobs: int = 100_000, n_sites: int = 25,
     )
     tb = GridTestbed.from_config(config)
     agent = tb.agents["scale"]
+    # sized under the 200 000 s cap, as scale-glidein's: the pilots
+    # outlive the flood, then retire idle and end before the cap
     for site in tb.sites.values():
         agent.glide_in(site.contact, count=glideins_per_site,
-                       walltime=1_000_000.0, idle_timeout=1_000_000.0,
+                       walltime=100_000.0, idle_timeout=100_000.0,
                        advertise_interval=120.0)
     tb.run(until=400.0)         # the warmup
     for i in range(jobs):
