@@ -904,7 +904,7 @@ class GridManager(Service):
         # next one), after which it -- or the silence -- is about a dead
         # attempt and must not touch the job.
         asked = [(job, job.jmid) for job in jobs]
-        done = tuple(sorted(site.done))
+        done = tuple(sorted(site.done)) if site.done else ()
         try:
             answer = yield from self.client.status(
                 site.contact, [jmid for _job, jmid in asked], done)

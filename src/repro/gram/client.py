@@ -121,7 +121,8 @@ class Gram2Client:
         result = yield from call(self.host, contact, "gatekeeper", "status",
                                  timeout=self.rpc_timeout,
                                  credential=self._credential(contact),
-                                 jmids=tuple(jmids), done=tuple(done))
+                                 jmids=tuple(jmids),
+                                 **({"done": done} if done else {}))
         return result
 
     def restart_jobmanager(self, contact: str, jmid: str):
