@@ -142,8 +142,8 @@ class JobManager(Service):
     """Per-job manager daemon; service name ``jm:<jmid>``."""
 
     COMMIT_WINDOW = 120.0      # abort if no commit arrives in time
-    # the wait for the end commit: four of the agent's status periods
-    END_COMMIT_WINDOW = 4 * 30.0    # (GridManager.PROBE_INTERVAL)
+    # the end commit's wait: four of the agent's PROBE_INTERVALs (30 s)
+    END_COMMIT_WINDOW = 4 * 30.0
     POLL_INTERVAL = 5.0
     state = protocol.UNCOMMITTED
 
@@ -332,7 +332,7 @@ class JobManager(Service):
             # Not yet submitted: mutate the pending request.
             if self.request is not None:
                 self.request = self.request.with_env(**{name: value})
-                self._persist_request()
+            self._persist_request()
             return True
         return self._forward_env(name, value)
 
